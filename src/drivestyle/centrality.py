@@ -39,11 +39,6 @@ class CentralitySeries:
     def frames(self) -> list[int]:
         return [t for t, _ in self.values]
 
-    def slice(self, t_start: int, t_end: int) -> "CentralitySeries":
-        """Sub-series restricted to frame indices in [t_start, t_end]."""
-        vals = [(t, v) for t, v in self.values if t_start <= t <= t_end]
-        return CentralitySeries(self.agent_id, self.kind, vals, (t_start, t_end))
-
 
 def _adjacency(graph: InstantGraph) -> dict[str, list[tuple[str, float]]]:
     adj: dict[str, list[tuple[str, float]]] = {v: [] for v in graph.positions}

@@ -12,10 +12,11 @@ implementation stays single-threaded for determinism.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from bisect import bisect_left, bisect_right
+from dataclasses import asdict, dataclass, field, replace
 
 from .centrality import compute_series
-from .errors import InsufficientDataError, ValidationError
+from .errors import ContractViolationError, InsufficientDataError, ValidationError
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import TrajectoryTable
 from .regression import POLY_DEGREE, GridSearchAlpha, fit
@@ -31,7 +32,7 @@ from .styles import (
     sle_sie,
 )
 
-SCHEMA_VERSION = "1"
+SCHEMA_VERSION = "2"
 
 DEFAULT_WINDOW_S = 5.0
 DEFAULT_EPSILON_S = 0.5
@@ -117,13 +118,17 @@ def analyze_table(
     reports = []
     for agent_id in sorted(series):
         clo_series, deg_series = series[agent_id]
+        frames = deg_series.frames()  # shared by both series, ascending
         analyses: list[WindowAnalysis] = []
         for w0, w1 in windows:
-            deg_slice = deg_series.slice(w0, w1)
-            clo_slice = clo_series.slice(w0, w1)
-            if len(deg_slice.values) < POLY_DEGREE + 1:
+            if w1 < frames[0] or w0 > frames[-1]:
                 continue
-            span = (deg_slice.values[0][0] / f, deg_slice.values[-1][0] / f)
+            i, j = bisect_left(frames, w0), bisect_right(frames, w1)
+            if j - i < POLY_DEGREE + 1:
+                continue
+            deg_slice = replace(deg_series, values=deg_series.values[i:j], window=(w0, w1))
+            clo_slice = replace(clo_series, values=clo_series.values[i:j], window=(w0, w1))
+            span = (frames[i] / f, frames[j - 1] / f)
             try:
                 deg_poly = fit(deg_slice, policy, f)
                 clo_poly = fit(clo_slice, policy, f)
@@ -147,21 +152,6 @@ def analyze_table(
 
 # ---------------------------------------------------------------------------
 # report serialization
-
-
-def _curve(points):
-    return [[t, v] for t, v in points]
-
-
-def _style_summary_dict(s: StyleSummary) -> dict:
-    return {
-        "sle_max": s.sle_max,
-        "t_sle": s.t_sle,
-        "sie_max": s.sie_max,
-        "detected": s.detected,
-        "sle_curve": _curve(s.sle_curve),
-        "sie_curve": _curve(s.sie_curve),
-    }
 
 
 def _poly_dict(poly) -> dict | None:
@@ -197,26 +187,13 @@ def report_to_json(report: RunReport, dest=None) -> str:
                 "agent_id": rep.agent_id,
                 "window": list(rep.window),
                 "global_label": rep.global_label,
-                "styles": {
-                    name: (
-                        {
-                            "count": s.count,
-                            "t_sle": s.t_sle,
-                            "sie_max": s.sie_max,
-                            "detected": s.detected,
-                            "critical_points": _curve(s.critical_points),
-                        }
-                        if isinstance(s, WeavingSummary)
-                        else _style_summary_dict(s)
-                    )
-                    for name, s in rep.styles.items()
-                },
+                "styles": {name: asdict(s) for name, s in rep.styles.items()},
                 "windows": [
                     {
                         "window": list(w.window),
                         "degree": _poly_dict(w.degree_poly),
                         "closeness": _poly_dict(w.closeness_poly),
-                        "weaving_points": _curve(w.weaving_points),
+                        "weaving_points": w.weaving_points,
                     }
                     for w in rep.windows
                 ],
@@ -224,64 +201,61 @@ def report_to_json(report: RunReport, dest=None) -> str:
             for rep in report.agents
         ],
     }
-    text = json.dumps(payload, indent=2) + "\n"
+    # compact separators keep CPython on its C encoder; output stays deterministic
+    text = json.dumps(payload, separators=(",", ":")) + "\n"
     if dest is not None:
         with open(dest, "w", encoding="utf-8") as fh:
             fh.write(text)
     return text
 
 
-def report_from_json(source) -> RunReport:
-    """Load the per-agent style summaries back from a report file.
+def report_from_json(source=None, *, text=None) -> RunReport:
+    """Load the per-agent style summaries back from a report.
 
-    Reconstructs what evaluation needs (labels, maxima, t_SLE); the
-    per-window fit details stay as raw dicts in ``StyleReport.windows``.
+    ``source`` is always a file path; JSON text comes in only through
+    ``text=``. Reconstructs what evaluation needs (labels, maxima,
+    t_SLE); the per-window fits stay as raw dicts in
+    ``StyleReport.windows``. An unreadable file, malformed JSON, or a
+    schema other than the current one raises ValidationError.
     """
-    import os
-
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            payload = json.load(fh)
-    else:
-        payload = json.loads(source)
-    if payload.get("schema_version") != SCHEMA_VERSION:
+    if (source is None) == (text is None):
+        raise ContractViolationError("pass exactly one of a report path or text=")
+    where = "report text" if source is None else f"report {source}"
+    if text is None:
+        try:
+            with open(source, "r", encoding="utf-8") as fh:
+                text = fh.read()
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ValidationError(f"cannot read {where}: {exc}") from None
+    try:
+        payload = json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{where} is not valid JSON: {exc}") from None
+    version = payload.get("schema_version") if isinstance(payload, dict) else None
+    if version != SCHEMA_VERSION:
         raise ValidationError(
-            f"unsupported report schema {payload.get('schema_version')!r}"
+            f"{where} has unsupported schema {version!r} (expected {SCHEMA_VERSION!r})"
         )
-    th = payload["params"]["thresholds"]
+    try:
+        return _report_from_payload(payload)
+    except (KeyError, TypeError, AttributeError) as exc:
+        raise ValidationError(f"{where} is malformed: {exc!r}") from None
+
+
+def _report_from_payload(payload: dict) -> RunReport:
+    raw_params = payload["params"]
     params = AnalysisParams(
-        mu=payload["params"]["mu"],
-        capacity=payload["params"]["capacity"],
-        window_s=payload["params"]["window_s"],
-        stride_s=payload["params"]["stride_s"],
-        epsilon_s=payload["params"]["epsilon_s"],
-        thresholds=Thresholds(
-            tau_degree=th["tau_degree"],
-            tau_closeness=th["tau_closeness"],
-            weaving_min_sharpness=th["weaving_min_sharpness"],
-        ),
+        **{**raw_params, "thresholds": Thresholds(**raw_params["thresholds"])}
     )
     agents = []
     for entry in payload["agents"]:
         styles = {}
         for name, raw in entry["styles"].items():
             if "count" in raw:
-                styles[name] = WeavingSummary(
-                    count=raw["count"],
-                    t_sle=raw["t_sle"],
-                    sie_max=raw["sie_max"],
-                    detected=raw["detected"],
-                    critical_points=[tuple(p) for p in raw["critical_points"]],
-                )
+                points = [tuple(p) for p in raw["critical_points"]]
+                styles[name] = WeavingSummary(**{**raw, "critical_points": points})
             else:
-                styles[name] = StyleSummary(
-                    sle_max=raw["sle_max"],
-                    t_sle=raw["t_sle"],
-                    sie_max=raw["sie_max"],
-                    detected=raw["detected"],
-                    sle_curve=[tuple(p) for p in raw["sle_curve"]],
-                    sie_curve=[tuple(p) for p in raw["sie_curve"]],
-                )
+                styles[name] = StyleSummary(**raw)
         agents.append(
             StyleReport(
                 agent_id=entry["agent_id"],

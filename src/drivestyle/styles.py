@@ -63,13 +63,28 @@ DEFAULT_THRESHOLDS = Thresholds(
 
 @dataclass
 class SleSummary:
-    """Sampled SLE/SIE curves of one polynomial over one window."""
+    """SLE/SIE maxima of one polynomial over one window.
 
-    sle_curve: list[tuple[float, float]]
-    sie_curve: list[tuple[float, float]]
+    The sampled curves are not stored: ``sle_curve`` and ``sie_curve``
+    re-sample the polynomial on access, the same way ``sle_sie`` does.
+    """
+
+    poly: CentralityPolynomial
+    window: tuple[float, float]
+    frame_rate_hz: float
     sle_max: float
     t_sle: float
     sie_max: float
+
+    @property
+    def sle_curve(self) -> list[tuple[float, float]]:
+        times, sle, _ = sample_sle_sie(self.poly, self.window, self.frame_rate_hz)
+        return list(zip(times.tolist(), sle.tolist()))
+
+    @property
+    def sie_curve(self) -> list[tuple[float, float]]:
+        times, _, sie = sample_sle_sie(self.poly, self.window, self.frame_rate_hz)
+        return list(zip(times.tolist(), sie.tolist()))
 
 
 def window_times(window: tuple[float, float], frame_rate_hz: float) -> np.ndarray:
@@ -86,6 +101,18 @@ def window_times(window: tuple[float, float], frame_rate_hz: float) -> np.ndarra
     return np.arange(k0, k1 + 1) / frame_rate_hz
 
 
+def sample_sle_sie(
+    poly: CentralityPolynomial,
+    window: tuple[float, float],
+    frame_rate_hz: float,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(times, SLE, SIE): |dzeta/dt| and |d2zeta/dt2| at frame resolution."""
+    times = window_times(window, frame_rate_hz)
+    sle = np.abs(derivative(poly, 1).evaluate(times))
+    sie = np.abs(derivative(poly, 2).evaluate(times))
+    return times, sle, sie
+
+
 def sle_sie(
     poly: CentralityPolynomial,
     window: tuple[float, float],
@@ -97,15 +124,12 @@ def sle_sie(
     an endpoint unless the curvature is zero; ties break toward the
     earliest sample.
     """
-    times = window_times(window, frame_rate_hz)
-    d1 = derivative(poly, 1)
-    d2 = derivative(poly, 2)
-    sle = np.abs(d1.evaluate(times))
-    sie = np.abs(d2.evaluate(times))
+    times, sle, sie = sample_sle_sie(poly, window, frame_rate_hz)
     k = int(np.argmax(sle))  # first occurrence: earliest tie wins
     return SleSummary(
-        sle_curve=list(zip(times.tolist(), sle.tolist())),
-        sie_curve=list(zip(times.tolist(), sie.tolist())),
+        poly=poly,
+        window=window,
+        frame_rate_hz=frame_rate_hz,
         sle_max=float(sle[k]),
         t_sle=float(times[k]),
         sie_max=float(sie.max()),
@@ -160,8 +184,6 @@ class StyleSummary:
     t_sle: float | None
     sie_max: float
     detected: bool
-    sle_curve: list[tuple[float, float]] = field(default_factory=list)
-    sie_curve: list[tuple[float, float]] = field(default_factory=list)
 
 
 @dataclass
@@ -206,17 +228,6 @@ def merge_critical_points(
     return [max(c, key=lambda p: (p[1], -p[0])) for c in clusters]
 
 
-def _envelope(curves: list[list[tuple[float, float]]]) -> list[tuple[float, float]]:
-    """Pointwise max of overlapping window curves on the union time grid."""
-    best: dict[float, float] = {}
-    for curve in curves:
-        for t, v in curve:
-            key = round(t, 9)
-            if key not in best or v > best[key]:
-                best[key] = v
-    return sorted(best.items())
-
-
 def _aggregate_sle(summaries: list[SleSummary]) -> StyleSummary:
     if not summaries:
         return StyleSummary(sle_max=0.0, t_sle=None, sie_max=0.0, detected=False)
@@ -226,8 +237,6 @@ def _aggregate_sle(summaries: list[SleSummary]) -> StyleSummary:
         t_sle=best.t_sle,
         sie_max=max(s.sie_max for s in summaries),
         detected=False,
-        sle_curve=_envelope([s.sle_curve for s in summaries]),
-        sie_curve=_envelope([s.sie_curve for s in summaries]),
     )
 
 
@@ -274,7 +283,6 @@ def classify(
         t_sle=None,
         sie_max=max(overspeed.sie_max, overtake.sie_max),
         detected=not (overspeed.detected or overtake.detected or weaving.detected),
-        sle_curve=_envelope([overspeed.sle_curve, overtake.sle_curve]),
     )
 
     aggressive = overspeed.detected or overtake.detected or weaving.detected

@@ -58,7 +58,7 @@ def test_full_pipeline_and_evaluate(slc_scenario, tmp_path, capsys):
     assert (run / "report.json").exists()
     assert (run / "centrality.csv").exists()
     report = json.loads((run / "report.json").read_text())
-    assert report["schema_version"] == "1"
+    assert report["schema_version"] == "2"
     assert {a["agent_id"] for a in report["agents"]} == {"subject", "g0", "g1", "g2"}
 
     assert main([
@@ -211,3 +211,35 @@ def test_internal_error_maps_to_exit_2(monkeypatch, capsys):
     monkeypatch.setitem(cli._COMMANDS, "simulate", boom)
     assert main(["simulate", "--scenario", "x", "--out", "y"]) == 2
     assert "invariant" in capsys.readouterr().err
+
+
+def test_analyze_report_is_byte_identical(slc_scenario, tmp_path):
+    run = tmp_path / "run"
+    main(["simulate", "--scenario", str(slc_scenario), "--out", str(run)])
+    for out in ("a", "b"):
+        assert main([
+            "analyze", "--trajectories", str(run / "trajectories.csv"),
+            "--frame-rate", "10", "--window", "1.0", "--stride", "0.5",
+            "--out", str(tmp_path / out),
+        ]) == 0
+    first = (tmp_path / "a" / "report.json").read_bytes()
+    assert first == (tmp_path / "b" / "report.json").read_bytes()
+
+
+@pytest.mark.parametrize(
+    "content",
+    [None, "{not json", '{"schema_version": "1", "agents": []}'],
+    ids=["missing", "malformed", "schema_v1"],
+)
+def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
+    report = tmp_path / "report.json"
+    if content is not None:
+        report.write_text(content)
+    labels = tmp_path / "labels.csv"
+    labels.write_text("agent_id,style,start_frame,end_frame\n")
+    assert main([
+        "evaluate", "--report", str(report), "--labels", str(labels),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1

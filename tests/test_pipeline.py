@@ -1,7 +1,9 @@
+import json
+
 import pytest
 
 from conftest import make_table
-from drivestyle.errors import ValidationError
+from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.pipeline import (
     AnalysisParams,
     analyze_table,
@@ -103,4 +105,61 @@ def test_report_json_round_trip(tmp_path):
 
 def test_report_schema_guard():
     with pytest.raises(ValidationError):
-        report_from_json('{"schema_version": "999"}')
+        report_from_json(text='{"schema_version": "999"}')
+
+
+@pytest.fixture(scope="module")
+def weaving_report():
+    from drivestyle.scenarios import suite_analysis_params, weaving_scenario
+    from drivestyle.sim import run_scenario
+
+    table = run_scenario(weaving_scenario(0)).table
+    return analyze_table(table, suite_analysis_params())
+
+
+def test_report_v2_round_trip_keeps_evaluated_fields(weaving_report, tmp_path):
+    report = weaving_report
+    path = tmp_path / "report.json"
+    report_to_json(report, path)
+    loaded = report_from_json(path)
+    assert [a.agent_id for a in loaded.agents] == [a.agent_id for a in report.agents]
+    assert any(a.styles[STYLE_WEAVING].critical_points for a in report.agents)
+    for orig, back in zip(report.agents, loaded.agents):
+        assert back.global_label == orig.global_label
+        for name, style in orig.styles.items():
+            got = back.styles[name]
+            assert (got.t_sle, got.detected, got.sie_max) == (
+                style.t_sle, style.detected, style.sie_max
+            )
+            if name == STYLE_WEAVING:
+                assert got.count == style.count
+                assert got.critical_points == style.critical_points
+            else:
+                assert got.sle_max == style.sle_max
+
+
+def test_report_file_is_v2_without_curves(weaving_report, tmp_path):
+    path = tmp_path / "report.json"
+    report_to_json(weaving_report, path)
+    text = path.read_text()
+    assert json.loads(text)["schema_version"] == "2"
+    assert "sle_curve" not in text and "sie_curve" not in text
+
+
+def test_report_from_json_reads_paths_not_text(weaving_report, tmp_path):
+    text = report_to_json(weaving_report)
+    assert report_from_json(text=text).agents
+    with pytest.raises(ContractViolationError):
+        report_from_json()
+    with pytest.raises(ValidationError, match="cannot read"):
+        report_from_json(text)  # a str is always a path
+    with pytest.raises(ValidationError, match="cannot read"):
+        report_from_json(tmp_path / "missing.json")
+    with pytest.raises(ValidationError, match="not valid JSON"):
+        report_from_json(text="{not json")
+    with pytest.raises(ValidationError, match="unsupported schema '1'"):
+        report_from_json(text='{"schema_version": "1", "agents": []}')
+    with pytest.raises(ValidationError, match="unsupported schema None"):
+        report_from_json(text="[]")
+    with pytest.raises(ValidationError, match="malformed"):
+        report_from_json(text='{"schema_version": "2"}')

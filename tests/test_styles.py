@@ -47,6 +47,19 @@ def test_quadratic_polynomial_endpoint_max():
     assert all(v == 2.0 for _, v in s.sie_curve)
 
 
+@pytest.mark.parametrize(
+    "coefficients", [(0.0, 3.0, 0.0), (0.0, 0.0, 1.0), (1.0, 2.0, -1.5), (5.0, 0.0, 0.0)]
+)
+def test_derived_sle_curve_peaks_at_t_sle(coefficients):
+    s = sle_sie(poly(*coefficients), (0.0, 2.0), 4.0)
+    curve = s.sle_curve
+    assert len(curve) == len(s.sie_curve) == 9
+    peak = max(v for _, v in curve)
+    assert peak == s.sle_max
+    assert next(t for t, v in curve if v == peak) == s.t_sle
+    assert max(v for _, v in s.sie_curve) == s.sie_max
+
+
 def test_weaving_vertex_and_sharpness():
     points = detect_weaving(poly(0.0, 0.0, 1.0, domain=(-1.0, 1.0)), (-1.0, 1.0), 0.1)
     assert len(points) == 1
