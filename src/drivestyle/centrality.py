@@ -40,23 +40,16 @@ class CentralitySeries:
         return [t for t, _ in self.values]
 
 
-def _adjacency(graph: InstantGraph) -> dict[str, list[tuple[str, float]]]:
-    adj: dict[str, list[tuple[str, float]]] = {v: [] for v in graph.positions}
-    for (a, b), cost in graph.edges.items():
-        adj[a].append((b, cost))
-        adj[b].append((a, cost))
-    return adj
-
-
 def shortest_path_costs(graph: InstantGraph, source: str) -> dict[str, float]:
     """Minimum total edge cost from ``source`` to every reachable vertex.
 
-    Plain binary-heap Dijkstra; costs are strictly positive by graph
-    construction.
+    Plain binary-heap Dijkstra over the graph's adjacency lists; costs are
+    strictly positive by graph construction, so the distances do not
+    depend on the order of those lists.
     """
     if source not in graph.positions:
         raise KeyError(source)
-    adj = _adjacency(graph)
+    adj = graph.adjacency
     dist: dict[str, float] = {source: 0.0}
     done: set[str] = set()
     heap: list[tuple[float, str]] = [(0.0, source)]

@@ -30,7 +30,7 @@ from .errors import (
     ValidationError,
 )
 from .evaluation import annotations_from_labels, evaluate_run, parse_annotations
-from .ingest import parse_trajectories, serialize_trajectories
+from .ingest import parse_trajectories, read_source, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .sim import load_scenario, parse_labels, run_scenario, write_labels
 
@@ -149,16 +149,15 @@ def cmd_analyze(args) -> int:
 
 
 def _load_any_labels(path: str, frame_rate_hz: float):
-    with open(path, "r", encoding="utf-8") as fh:
-        first = ""
-        for line in fh:
-            line = line.strip()
-            if line and not line.startswith("#"):
-                first = line
-                break
+    text = read_source(path, None, "labels")
+    first = next(
+        (line for line in map(str.strip, text.splitlines())
+         if line and not line.startswith("#")),
+        "",
+    )
     if first.startswith("video_id,"):
-        return parse_annotations(path, frame_rate_hz)
-    return annotations_from_labels(parse_labels(path), frame_rate_hz)
+        return parse_annotations(text=text, frame_rate_hz=frame_rate_hz)
+    return annotations_from_labels(parse_labels(text=text), frame_rate_hz)
 
 
 def cmd_evaluate(args) -> int:

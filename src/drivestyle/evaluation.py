@@ -14,10 +14,10 @@ SLC (sudden lane-change), W (weaving).
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError
+from .ingest import read_source
 from .styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
@@ -71,15 +71,16 @@ class AnnotationSet:
         return [(s, e) for _, s, e in self.entries[key]]
 
 
-def parse_annotations(source, frame_rate_hz: float) -> AnnotationSet:
-    """Parse ``video_id,agent_id,style,annotator_id,start_frame,end_frame`` CSV."""
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    elif hasattr(source, "read"):
-        text = source.read()
-    else:
-        text = source
+def parse_annotations(
+    source=None, frame_rate_hz: float | None = None, *, text=None
+) -> AnnotationSet:
+    """Parse an annotation CSV file (or CSV ``text=``).
+
+    Header: ``video_id,agent_id,style,annotator_id,start_frame,end_frame``.
+    """
+    if frame_rate_hz is None or frame_rate_hz <= 0:
+        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    text = read_source(source, text, "annotations")
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
     header = None
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -14,8 +14,10 @@ frame order by a single writer.
 
 from __future__ import annotations
 
+import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -38,6 +40,7 @@ class InstantGraph:
 
     ``edges`` maps an (id, id) pair, ordered by string comparison, to the
     squared-distance cost; every cost lies strictly inside (0, mu).
+    ``adjacency`` holds the same edges as per-vertex lists.
     """
 
     positions: dict[str, tuple[float, float]]
@@ -47,15 +50,14 @@ class InstantGraph:
     def vertex_ids(self) -> list[str]:
         return list(self.positions)
 
-    def neighbors(self, agent_id: str) -> dict[str, float]:
-        """Adjacent agents of ``agent_id`` with their edge costs."""
-        out: dict[str, float] = {}
+    @cached_property
+    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
+        """Each vertex's (neighbor, cost) pairs, built once per graph."""
+        adj: dict[str, list[tuple[str, float]]] = {v: [] for v in self.positions}
         for (a, b), cost in self.edges.items():
-            if a == agent_id:
-                out[b] = cost
-            elif b == agent_id:
-                out[a] = cost
-        return out
+            adj[a].append((b, cost))
+            adj[b].append((a, cost))
+        return adj
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -66,8 +68,8 @@ def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
     """Connect exactly the agent pairs with squared distance < mu.
 
     Pure function of (frame, mu). Raises ValidationError on an empty
-    frame, a non-positive mu, duplicate agent ids, or coincident agent
-    positions (which would produce a zero-cost edge).
+    frame, a non-positive mu, duplicate agent ids, a non-finite position,
+    or coincident agent positions (which would produce a zero-cost edge).
     """
     if mu <= 0:
         raise ValidationError(f"mu must be positive, got {mu}")
@@ -77,20 +79,29 @@ def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
     for fr in frame:
         if fr.agent_id in positions:
             raise ValidationError(f"duplicate agent_id {fr.agent_id!r} in frame")
+        if not (math.isfinite(fr.position[0]) and math.isfinite(fr.position[1])):
+            raise ValidationError(f"agent {fr.agent_id!r} has a non-finite position")
         positions[fr.agent_id] = fr.position
 
-    ids = list(positions)
+    # sort-and-sweep on x: once dx*dx >= mu, no later partner can connect,
+    # since the cost dx*dx + dy*dy never rounds below dx*dx
+    order = sorted(positions.items(), key=lambda item: item[1][0])
     edges: dict[tuple[str, str], float] = {}
-    for i in range(len(ids)):
-        for j in range(i + 1, len(ids)):
-            cost = squared_distance(positions[ids[i]], positions[ids[j]])
+    for i, (a, p) in enumerate(order):
+        px = p[0]
+        for j in range(i + 1, len(order)):
+            b, q = order[j]
+            dx = q[0] - px
+            if dx * dx >= mu:
+                break
+            cost = squared_distance(p, q)
             if cost < mu:
                 if cost == 0.0:
                     raise ValidationError(
-                        f"agents {ids[i]!r} and {ids[j]!r} share a position; "
+                        f"agents {a!r} and {b!r} share a position; "
                         "edge costs must be strictly positive"
                     )
-                edges[_edge_key(ids[i], ids[j])] = cost
+                edges[_edge_key(a, b)] = cost
     return InstantGraph(positions=positions, edges=edges, mu=mu)
 
 

@@ -12,12 +12,11 @@ threads.
 
 from __future__ import annotations
 
-import io
 import math
 import os
 from dataclasses import dataclass, field
 
-from .errors import TrajectoryParseError, ValidationError
+from .errors import ContractViolationError, TrajectoryParseError, ValidationError
 
 AGENT_TYPES = frozenset(
     {"car", "bus", "truck", "two_wheeler", "three_wheeler", "pedestrian", "other"}
@@ -89,24 +88,35 @@ class TrajectoryTable:
         return idxs[0], idxs[-1]
 
 
-def _open_lines(source) -> list[str]:
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
+def read_source(source, text, what: str) -> str:
+    """The content a loader parses: a file path, or content given as ``text=``.
+
+    A ``str``/``PathLike`` source is always a path, never content. Passing
+    both or neither is a ContractViolationError; a missing or unreadable
+    file raises a one-line ValidationError naming the path.
+    """
+    if (source is None) == (text is None):
+        raise ContractViolationError(f"pass exactly one of a {what} path or text=")
+    if text is not None:
+        return text
+    if not isinstance(source, (str, os.PathLike)):
+        raise ContractViolationError(
+            f"{what} source must be a path, got {type(source).__name__}"
+        )
+    try:
         with open(source, "r", encoding="utf-8") as fh:
-            return fh.read().splitlines()
-    if isinstance(source, bytes):
-        return source.decode("utf-8").splitlines()
-    if isinstance(source, str):
-        return source.splitlines()
-    if isinstance(source, io.IOBase) or hasattr(source, "read"):
-        data = source.read()
-        if isinstance(data, bytes):
-            data = data.decode("utf-8")
-        return data.splitlines()
-    raise TrajectoryParseError(f"unsupported trajectory source {type(source)!r}")
+            return fh.read()
+    except (OSError, UnicodeDecodeError) as exc:
+        reason = getattr(exc, "strerror", None) or exc
+        raise ValidationError(
+            f"cannot read {what} {os.fspath(source)!r}: {reason}"
+        ) from None
 
 
-def parse_trajectories(source, frame_rate_hz: float) -> TrajectoryTable:
-    """Parse a trajectory record stream into a TrajectoryTable.
+def parse_trajectories(
+    source=None, frame_rate_hz: float | None = None, *, text=None
+) -> TrajectoryTable:
+    """Parse a trajectory file (or CSV ``text=``) into a TrajectoryTable.
 
     Agents lacking velocity columns get forward-difference velocities
     (the final sample reuses the last difference); an agent with a single
@@ -116,9 +126,9 @@ def parse_trajectories(source, frame_rate_hz: float) -> TrajectoryTable:
     ValidationError for duplicate/non-monotone timestamps, non-contiguous
     frame runs, or an empty stream.
     """
-    if frame_rate_hz <= 0:
+    if frame_rate_hz is None or frame_rate_hz <= 0:
         raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-    lines = _open_lines(source)
+    lines = read_source(source, text, "trajectories").splitlines()
 
     header: list[str] | None = None
     columns: dict[str, int] = {}

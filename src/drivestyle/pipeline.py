@@ -16,9 +16,9 @@ from bisect import bisect_left, bisect_right
 from dataclasses import asdict, dataclass, field, replace
 
 from .centrality import compute_series
-from .errors import ContractViolationError, InsufficientDataError, ValidationError
+from .errors import InsufficientDataError, ValidationError
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import TrajectoryTable
+from .ingest import TrajectoryTable, read_source
 from .regression import POLY_DEGREE, GridSearchAlpha, fit
 from .styles import (
     DEFAULT_THRESHOLDS,
@@ -218,15 +218,8 @@ def report_from_json(source=None, *, text=None) -> RunReport:
     ``StyleReport.windows``. An unreadable file, malformed JSON, or a
     schema other than the current one raises ValidationError.
     """
-    if (source is None) == (text is None):
-        raise ContractViolationError("pass exactly one of a report path or text=")
+    text = read_source(source, text, "report")
     where = "report text" if source is None else f"report {source}"
-    if text is None:
-        try:
-            with open(source, "r", encoding="utf-8") as fh:
-                text = fh.read()
-        except (OSError, UnicodeDecodeError) as exc:
-            raise ValidationError(f"cannot read {where}: {exc}") from None
     try:
         payload = json.loads(text)
     except json.JSONDecodeError as exc:

@@ -15,7 +15,7 @@ seed) pairs produce identical output bytes.
 from __future__ import annotations
 
 import math
-import os
+from bisect import bisect_left, bisect_right, insort
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -23,7 +23,7 @@ import yaml
 
 from .errors import TrajectoryParseError, ValidationError
 from .evaluation import STYLE_CODES
-from .ingest import AgentFrame, TrajectoryTable, frame_index
+from .ingest import AgentFrame, TrajectoryTable, frame_index, read_source
 
 VEHICLE_LENGTH_M = 5.0
 
@@ -345,19 +345,47 @@ class World:
             for s in self.config.lane_change_scripts
         }
 
-    def neighbors_in_lane(
-        self, ego: SimAgent, lane: int
-    ) -> tuple[SimAgent | None, SimAgent | None]:
-        """(leader, follower) of ego's position within a lane."""
-        leader = follower = None
-        for other in self.agents:
-            if other is ego or other.lane != lane:
-                continue
-            if other.x > ego.x and (leader is None or other.x < leader.x):
-                leader = other
-            elif other.x <= ego.x and (follower is None or other.x > follower.x):
-                follower = other
-        return leader, follower
+
+class LaneIndex:
+    """Every agent as a sorted (lane, x, position in the agent list) key.
+
+    Answers the same leader and follower as a scan of the agent list in
+    order: the leader is the nearest agent strictly ahead, the follower
+    the nearest at or behind ego, and ties go to the earlier agent.
+    """
+
+    def __init__(self, agents: list[SimAgent]):
+        self.agents = agents
+        self.keys = sorted([(a.lane, a.x, pos) for pos, a in enumerate(agents)])
+
+    def leader(self, pos: int, lane: int) -> SimAgent | None:
+        """Nearest agent in ``lane`` strictly ahead of the agent at ``pos``."""
+        keys = self.keys
+        ahead = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
+        if ahead < len(keys) and keys[ahead][0] == lane:
+            return self.agents[keys[ahead][2]]
+        return None
+
+    def follower(self, pos: int, lane: int) -> SimAgent | None:
+        """Nearest other agent in ``lane`` at or behind the agent at ``pos``."""
+        keys = self.keys
+        end = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
+        while end > 0 and keys[end - 1][0] == lane:
+            # the keys sharing the largest x left, in list order; ego is at
+            # most one of them
+            start = bisect_left(keys, (lane, keys[end - 1][1], -1), 0, end)
+            if keys[start][2] != pos:
+                return self.agents[keys[start][2]]
+            if start + 1 < end:
+                return self.agents[keys[start + 1][2]]
+            end = start
+        return None
+
+    def move(self, pos: int, from_lane: int) -> None:
+        """Re-file the agent at ``pos`` after its lane changed."""
+        agent = self.agents[pos]
+        del self.keys[bisect_left(self.keys, (from_lane, agent.x, pos))]
+        insort(self.keys, (agent.lane, agent.x, pos))
 
 
 def _begin_lane_change(agent: SimAgent, target_lane: int) -> None:
@@ -384,21 +412,24 @@ def step(world: World, dt: float) -> World:
         if target is not None and target != agent.lane:
             _begin_lane_change(agent, target)
 
+    lanes = LaneIndex(world.agents)
     mobil_stride = max(1, int(round(cfg.mobil_period_s / dt)))
     if world.frame % mobil_stride == 0:
-        for agent in world.agents:
+        for pos, agent in enumerate(world.agents):
             if (
                 agent.longitudinal != MODE_IDM
                 or not agent.mobil_enabled
                 or agent.lane_change is not None
             ):
                 continue
-            cur_leader, cur_follower = world.neighbors_in_lane(agent, agent.lane)
+            cur_leader = lanes.leader(pos, agent.lane)
+            cur_follower = lanes.follower(pos, agent.lane)
             best: tuple[float, int, MobilDecision] | None = None
             for target in (agent.lane - 1, agent.lane + 1):
                 if not 0 <= target < cfg.lane_count:
                     continue
-                t_leader, t_follower = world.neighbors_in_lane(agent, target)
+                t_leader = lanes.leader(pos, target)
+                t_follower = lanes.follower(pos, target)
                 decision = mobil_decision(
                     agent, cur_leader, cur_follower, t_leader, t_follower
                 )
@@ -410,14 +441,16 @@ def step(world: World, dt: float) -> World:
                 assert decision.safety_ok
                 assert decision.new_follower_acceleration >= -agent.params.b_safe
                 assert decision.incentive > agent.params.delta_a_th
+                from_lane = agent.lane
                 _begin_lane_change(agent, target)
+                lanes.move(pos, from_lane)
 
     accels = []
-    for agent in world.agents:
+    for pos, agent in enumerate(world.agents):
         if agent.longitudinal == MODE_CRUISE:
             accels.append(0.0)
             continue
-        leader, _ = world.neighbors_in_lane(agent, agent.lane)
+        leader = lanes.leader(pos, agent.lane)
         accels.append(idm_acceleration(agent, leader, world.collisions, world.frame))
 
     for agent, acc in zip(world.agents, accels):
@@ -518,12 +551,9 @@ def write_labels(labels: list[ManeuverLabel], dest) -> str:
     return text
 
 
-def parse_labels(source) -> list[ManeuverLabel]:
-    if isinstance(source, (str, os.PathLike)) and os.path.exists(os.fspath(source)):
-        with open(source, "r", encoding="utf-8") as fh:
-            text = fh.read()
-    else:
-        text = source
+def parse_labels(source=None, *, text=None) -> list[ManeuverLabel]:
+    """Parse a ground-truth label file (or CSV ``text=``)."""
+    text = read_source(source, text, "labels")
     labels = []
     header = None
     for line_no, raw in enumerate(text.splitlines(), start=1):

@@ -2,13 +2,50 @@
 
 These deliberately avoid the package's algorithmic code paths: shortest
 paths by relaxation to a fixpoint instead of a heap, degree counting by
-replaying raw frames with plain dict/set bookkeeping.
+replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
+by testing every pair, and lane leaders by scanning every agent.
 """
 
 from __future__ import annotations
 
 import math
 from collections import defaultdict
+
+
+def all_pairs_edges(frame, mu):
+    """Every pair with squared distance < mu, keyed (id, id) in string order.
+
+    Coincident agents come out with a zero cost, which the graph builder
+    must reject.
+    """
+    edges = {}
+    for i in range(len(frame)):
+        for j in range(i + 1, len(frame)):
+            a, b = frame[i], frame[j]
+            dx = a.position[0] - b.position[0]
+            dy = a.position[1] - b.position[1]
+            cost = dx * dx + dy * dy
+            if cost < mu:
+                key = tuple(sorted((a.agent_id, b.agent_id)))
+                edges[key] = cost
+    return edges
+
+
+def scan_neighbors_in_lane(agents, ego, lane):
+    """(leader, follower) of ego within a lane, by a scan in list order.
+
+    Leader: nearest agent strictly ahead. Follower: nearest agent at or
+    behind ego's x, ego excluded. Ties go to the earlier agent in the list.
+    """
+    leader = follower = None
+    for other in agents:
+        if other is ego or other.lane != lane:
+            continue
+        if other.x > ego.x and (leader is None or other.x < leader.x):
+            leader = other
+        elif other.x <= ego.x and (follower is None or other.x > follower.x):
+            follower = other
+    return leader, follower
 
 
 def relaxation_shortest_costs(graph, source):

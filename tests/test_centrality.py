@@ -1,4 +1,5 @@
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -7,7 +8,7 @@ from conftest import make_frame, make_table
 from drivestyle.centrality import closeness, compute_series, degree_step
 from drivestyle.errors import ValidationError
 from drivestyle.graph import build_instant_graph
-from oracles import relaxation_closeness
+from oracles import all_pairs_edges, relaxation_closeness
 
 
 def path_graph():
@@ -83,6 +84,34 @@ def test_closeness_matches_relaxation_oracle():
         g = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
         for v in g.vertex_ids():
             assert closeness(g, v) == relaxation_closeness(g, v)
+
+
+def test_series_closeness_matches_relaxation_oracle_frame_by_frame():
+    # a multi-frame table on a shared x grid, so frames hold ties, chains
+    # and several components; the oracle graph comes from all-pairs edges
+    rng = np.random.default_rng(8)
+    tracks = {
+        f"a{i:02d}": [
+            (float(rng.integers(0, 12)) * 2.0, float(rng.uniform(0, 12)),
+             float(rng.uniform(0, 8)), 0.0)
+            for _ in range(25)
+        ]
+        for i in range(40)
+    }
+    table = make_table(tracks)
+    mu = 16.0
+    series = compute_series(table, mu)
+    linked = 0
+    for idx, frame in table.frames.items():
+        edges = all_pairs_edges(frame, mu)
+        oracle = SimpleNamespace(
+            positions={fr.agent_id: fr.position for fr in frame}, edges=edges
+        )
+        linked += len(edges)
+        for fr in frame:
+            clo = dict(series[fr.agent_id][0].values)[idx]
+            assert clo == relaxation_closeness(oracle, fr.agent_id)
+    assert linked > 100
 
 
 def test_star_center_is_most_central():

@@ -243,3 +243,41 @@ def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+
+
+@pytest.fixture(scope="module")
+def analyzed_run(tmp_path_factory):
+    tmp = tmp_path_factory.mktemp("analyzed")
+    save_scenario(lane_change_scenario(0), tmp / "slc.yaml")
+    run = tmp / "run"
+    assert main(["simulate", "--scenario", str(tmp / "slc.yaml"), "--out", str(run)]) == 0
+    assert main([
+        "analyze", "--trajectories", str(run / "trajectories.csv"),
+        "--frame-rate", "10", "--window", "1.0", "--stride", "0.5", "--out", str(run),
+    ]) == 0
+    return run
+
+
+@pytest.mark.parametrize(
+    "kind", ["trajectories", "labels", "labels_dir", "annotations_not_utf8"]
+)
+def test_unreadable_input_file_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    # a path is never parsed as CSV text: the message names the file
+    path = tmp_path / "missing.csv"
+    if kind == "labels_dir":
+        path = tmp_path
+    elif kind == "annotations_not_utf8":
+        path = tmp_path / "annotations.csv"
+        path.write_bytes(
+            b"video_id,agent_id,style,annotator_id,start_frame,end_frame\n"
+            b"vid0,\xff\xfe,OS,p1,1,2\n"
+        )
+    if kind == "trajectories":
+        argv = ["analyze", "--trajectories", str(path), "--frame-rate", "10"]
+    else:
+        argv = ["evaluate", "--report", str(analyzed_run / "report.json"),
+                "--labels", str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+    assert repr(str(path)) in err

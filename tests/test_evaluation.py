@@ -187,14 +187,28 @@ def test_annotation_csv_round_trip(tmp_path):
 
 def test_annotation_parsing_errors():
     with pytest.raises(TrajectoryParseError):
-        parse_annotations("bad,header\n", 10.0)
+        parse_annotations(text="bad,header\n", frame_rate_hz=10.0)
     good_header = "video_id,agent_id,style,annotator_id,start_frame,end_frame"
     with pytest.raises(TrajectoryParseError, match="line 2"):
-        parse_annotations(good_header + "\nv,a,OS,p,xx,3\n", 10.0)
+        parse_annotations(text=good_header + "\nv,a,OS,p,xx,3\n", frame_rate_hz=10.0)
     with pytest.raises(TrajectoryParseError):
-        parse_annotations(good_header + "\nv,a,BADSTYLE,p,1,3\n", 10.0)
+        parse_annotations(text=good_header + "\nv,a,BADSTYLE,p,1,3\n", frame_rate_hz=10.0)
     with pytest.raises(ValidationError):
-        parse_annotations("", 10.0)
+        parse_annotations(text="", frame_rate_hz=10.0)
+
+
+def test_annotation_source_is_a_path(tmp_path):
+    text = "video_id,agent_id,style,annotator_id,start_frame,end_frame\nv,a,OS,p,1,3\n"
+    path = tmp_path / "ann.csv"
+    path.write_text(text)
+    assert (parse_annotations(path, 10.0).entries
+            == parse_annotations(text=text, frame_rate_hz=10.0).entries)
+    with pytest.raises(ValidationError, match="cannot read annotations"):
+        parse_annotations(text, 10.0)  # a str is always a path
+    with pytest.raises(ValidationError, match="cannot read annotations"):
+        parse_annotations(tmp_path / "missing.csv", 10.0)
+    with pytest.raises(ValidationError, match="frame_rate_hz"):
+        parse_annotations(text=text)
 
 
 def test_tde_table_formats(tmp_path):

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 
 from conftest import make_frame
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
-from oracles import replay_degree
+from oracles import all_pairs_edges, replay_degree
 
 
 def test_edge_below_threshold():
@@ -44,8 +46,7 @@ def test_neighbors_lookup():
     g = build_instant_graph(
         [make_frame("a", 0, 0), make_frame("b", 1, 0), make_frame("c", 9, 9)], mu=4.0
     )
-    assert g.neighbors("a") == {"b": 1.0}
-    assert g.neighbors("c") == {}
+    assert g.adjacency == {"a": [("b", 1.0)], "b": [("a", 1.0)], "c": []}
 
 
 def test_new_neighbor_counts_faster_only():
@@ -203,3 +204,76 @@ def test_dump_layout():
     text = state.dump()
     assert text.splitlines()[0] == "# a,b"
     assert "1.0" in text
+
+
+def _assert_sweep_matches_oracle(frame, mu):
+    expected = all_pairs_edges(frame, mu)
+    if 0.0 in expected.values():
+        with pytest.raises(ValidationError, match="share a position"):
+            build_instant_graph(frame, mu)
+        return False
+    assert build_instant_graph(frame, mu).edges == expected
+    return True
+
+
+def test_sweep_matches_all_pairs_oracle_on_random_frames():
+    # x on a coarse grid: many agents share one x, and with an integer grid
+    # and mu = 100 many pairs sit at dx*dx == mu exactly
+    rng = np.random.default_rng(5)
+    exact_boundary = 0
+    for trial in range(60):
+        n = int(rng.integers(1, 301))
+        if trial % 3 == 0:
+            xs = rng.integers(-40, 40, n).astype(float)
+            ys = rng.integers(-6, 6, n).astype(float)
+            mu = 100.0
+        elif trial % 3 == 1:
+            xs = rng.integers(-30, 30, n) * 2.5
+            ys = rng.uniform(-8.0, 8.0, n)
+            mu = float(rng.uniform(1.0, 120.0))
+        else:
+            xs = rng.uniform(-500.0, 500.0, n)
+            ys = rng.uniform(-12.0, 0.0, n)
+            mu = 100.0
+        # distinct positions: coincident ones are covered below
+        seen = set()
+        frame = []
+        for i in range(n):
+            if (xs[i], ys[i]) in seen:
+                continue
+            seen.add((xs[i], ys[i]))
+            frame.append(make_frame(f"v{i}", xs[i], ys[i]))
+        exact_boundary += sum(
+            1
+            for a in frame
+            for b in frame
+            if (a.position[0] - b.position[0]) ** 2 == mu
+        )
+        assert _assert_sweep_matches_oracle(frame, mu)
+    assert exact_boundary > 0
+
+
+def test_sweep_dx_squared_equal_to_mu_is_not_an_edge():
+    frame = [make_frame("a", -5.0, 0.0), make_frame("b", 5.0, 0.0),
+             make_frame("c", 5.0, 0.5), make_frame("d", -5.0, -0.5)]
+    g = build_instant_graph(frame, mu=100.0)
+    assert g.edges == all_pairs_edges(frame, 100.0) == {("b", "c"): 0.25, ("a", "d"): 0.25}
+
+
+def test_sweep_rejects_coincident_positions_anywhere_in_a_frame():
+    rng = np.random.default_rng(9)
+    for _ in range(20):
+        n = int(rng.integers(2, 200))
+        frame = [
+            make_frame(f"v{i}", rng.uniform(-50, 50), rng.uniform(-8, 8))
+            for i in range(n)
+        ]
+        i, j = rng.choice(n, 2, replace=False)
+        frame[j] = make_frame(frame[j].agent_id, *frame[i].position)
+        assert not _assert_sweep_matches_oracle(frame, 100.0)
+
+
+def test_non_finite_position_rejected():
+    for bad in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValidationError, match="non-finite"):
+            build_instant_graph([make_frame("a", 0, 0), make_frame("b", bad, 0)], mu=9.0)

@@ -1,3 +1,4 @@
+import copy
 import math
 from dataclasses import replace
 
@@ -11,6 +12,7 @@ from drivestyle.sim import (
     CONSERVATIVE_PARAMS,
     VEHICLE_LENGTH_M,
     LaneChangeScript,
+    LaneIndex,
     ManeuverLabel,
     ScenarioConfig,
     SimAgent,
@@ -26,6 +28,7 @@ from drivestyle.sim import (
     step,
     write_labels,
 )
+from oracles import scan_neighbors_in_lane
 
 
 def agent(aid, lane, x, speed, params=CONSERVATIVE_PARAMS, **kw):
@@ -253,6 +256,104 @@ def replace_seed(config, seed):
     return dc_replace(config, seed=seed)
 
 
+# --- lane index -------------------------------------------------------------
+
+def _dense_tied_config(seed):
+    """60 agents on 3 lanes over 200 m, with many exact x ties.
+
+    Spawns sit on a 5 m grid, so agents share an x within and across
+    lanes; cruisers all drive at 20 m/s and keep their ties for the whole
+    run; MOBIL runs every step and scripts force extra lane changes.
+    """
+    rng = np.random.default_rng(seed)
+    spawns = []
+    for i in range(60):
+        cruise = i % 4 == 0
+        spawns.append(SpawnSpec(
+            f"a{i:02d}",
+            "aggressive" if i % 3 == 0 else "conservative",
+            int(rng.integers(0, 3)),
+            float(rng.integers(0, 40)) * 5.0,
+            20.0 if cruise else float(rng.integers(3, 7)) * 5.0,
+            longitudinal="cruise" if cruise else "idm",
+        ))
+    scripts = [
+        LaneChangeScript(f"a{i:02d}", int(rng.integers(0, 40)), int(rng.integers(0, 3)))
+        for i in range(1, 60, 6)
+    ]
+    return ScenarioConfig(
+        lane_count=3, road_length_m=200.0, timestep_s=0.1, duration_s=4.0,
+        spawns=spawns, lane_change_scripts=scripts, seed=seed, mobil_period_s=0.1,
+    )
+
+
+def _assert_index_matches_scan(index, agents, lane_count):
+    ties = 0
+    for pos, ego in enumerate(agents):
+        for lane in range(lane_count):
+            leader, follower = index.leader(pos, lane), index.follower(pos, lane)
+            want_leader, want_follower = scan_neighbors_in_lane(agents, ego, lane)
+            assert leader is want_leader and follower is want_follower
+            ties += sum(1 for other in agents
+                        if other is not ego and other.lane == lane and other.x == ego.x)
+    return ties
+
+
+def test_lane_index_matches_scan_at_every_step():
+    rng = np.random.default_rng(17)
+    config = _dense_tied_config(3)
+    world = build_world(config)
+    ties = moves = 0
+    for _ in range(config.frame_count()):
+        ties += _assert_index_matches_scan(
+            LaneIndex(world.agents), world.agents, config.lane_count
+        )
+        # lane changes made after the index was built, on a copy of the world
+        agents = copy.deepcopy(world.agents)
+        index = LaneIndex(agents)
+        for pos in rng.choice(len(agents), 8, replace=False):
+            from_lane = agents[pos].lane
+            agents[pos].lane = int(rng.integers(0, config.lane_count))
+            index.move(int(pos), from_lane)
+            moves += 1
+            _assert_index_matches_scan(index, agents, config.lane_count)
+        step(world, config.timestep_s)
+    assert ties > 100 and moves > 0
+
+
+def test_step_lane_queries_match_scan(monkeypatch):
+    # every query step() makes, including those after a MOBIL change in the
+    # same step, answers what a scan of the live agent list answers
+    seen = {"queries": 0, "moves": 0, "ego_ties": 0}
+    leader, follower, move = LaneIndex.leader, LaneIndex.follower, LaneIndex.move
+
+    def checked(query, side):
+        def wrapper(self, pos, lane):
+            got = query(self, pos, lane)
+            ego = self.agents[pos]
+            assert got is scan_neighbors_in_lane(self.agents, ego, lane)[side]
+            seen["queries"] += 1
+            seen["ego_ties"] += any(
+                o is not ego and o.lane == lane and o.x == ego.x for o in self.agents
+            )
+            return got
+        return wrapper
+
+    def counted_move(self, pos, from_lane):
+        seen["moves"] += 1
+        move(self, pos, from_lane)
+
+    monkeypatch.setattr(LaneIndex, "leader", checked(leader, 0))
+    monkeypatch.setattr(LaneIndex, "follower", checked(follower, 1))
+    monkeypatch.setattr(LaneIndex, "move", counted_move)
+    for seed in range(3):
+        config = _dense_tied_config(seed)
+        world = build_world(config)
+        for _ in range(config.frame_count()):
+            step(world, config.timestep_s)
+    assert seen["queries"] > 1000 and seen["moves"] > 0 and seen["ego_ties"] > 0
+
+
 def test_zero_duration_scenario_is_empty():
     config = ScenarioConfig(
         lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=0.0,
@@ -391,6 +492,10 @@ def test_labels_round_trip(tmp_path):
     path = tmp_path / "labels.csv"
     write_labels(labels, path)
     assert parse_labels(path) == labels
+    text = path.read_text()
+    assert parse_labels(text=text) == labels
+    with pytest.raises(ValidationError, match="cannot read labels"):
+        parse_labels(text)  # a str is always a path
 
 
 def test_driver_params_validation():
