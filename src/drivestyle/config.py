@@ -21,6 +21,7 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ValidationError
+from .ingest import read_yaml
 from .pipeline import AnalysisParams
 from .regression import DEFAULT_KAPPA_CAP, FixedAlpha, GridSearchAlpha
 from .styles import DEFAULT_THRESHOLDS, Thresholds
@@ -52,10 +53,11 @@ def make_alpha_policy(spec: dict):
 
 
 def load_run_config(path) -> RunConfig:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = yaml.safe_load(fh) or {}
-    if not isinstance(payload, dict):
-        raise ValidationError(f"run config {path} is not a mapping")
+    """Read a run-config YAML file (see ``ingest.read_yaml`` for its errors)."""
+    return read_yaml(path, "run config", _run_config_from_dict)
+
+
+def _run_config_from_dict(payload: dict) -> RunConfig:
     known = {
         "frame_rate_hz", "mu", "capacity", "window_s", "stride_s", "epsilon_s",
         "alpha_policy", "thresholds", "calibration_scenarios", "seed",
@@ -74,6 +76,7 @@ def load_run_config(path) -> RunConfig:
     if payload.get("alpha_policy") is not None:
         if not isinstance(payload["alpha_policy"], dict):
             raise ValidationError("alpha_policy must be a mapping")
+        make_alpha_policy(payload["alpha_policy"])  # fail while the file is known
         cfg.alpha_policy = payload["alpha_policy"]
     if payload.get("thresholds") is not None:
         cfg.thresholds = _thresholds_from_dict(payload["thresholds"])
@@ -83,14 +86,11 @@ def load_run_config(path) -> RunConfig:
 
 
 def _thresholds_from_dict(raw: dict) -> Thresholds:
-    try:
-        return Thresholds(
-            tau_degree=float(raw["tau_degree"]),
-            tau_closeness=float(raw["tau_closeness"]),
-            weaving_min_sharpness=float(raw.get("weaving_min_sharpness", 0.0)),
-        )
-    except KeyError as exc:
-        raise ValidationError(f"thresholds mapping missing key {exc}") from None
+    return Thresholds(
+        tau_degree=float(raw["tau_degree"]),
+        tau_closeness=float(raw["tau_closeness"]),
+        weaving_min_sharpness=float(raw.get("weaving_min_sharpness", 0.0)),
+    )
 
 
 def analysis_params(cfg: RunConfig) -> AnalysisParams:
@@ -116,8 +116,5 @@ def save_thresholds(thresholds: Thresholds, dest) -> None:
 
 
 def load_thresholds(path) -> Thresholds:
-    with open(path, "r", encoding="utf-8") as fh:
-        payload = yaml.safe_load(fh)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"thresholds file {path} is not a mapping")
-    return _thresholds_from_dict(payload)
+    """Read a thresholds YAML file (see ``ingest.read_yaml`` for its errors)."""
+    return read_yaml(path, "thresholds file", _thresholds_from_dict)

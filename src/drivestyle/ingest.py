@@ -16,6 +16,8 @@ import math
 import os
 from dataclasses import dataclass, field
 
+import yaml
+
 from .errors import ContractViolationError, TrajectoryParseError, ValidationError
 
 AGENT_TYPES = frozenset(
@@ -111,6 +113,36 @@ def read_source(source, text, what: str) -> str:
         raise ValidationError(
             f"cannot read {what} {os.fspath(source)!r}: {reason}"
         ) from None
+
+
+def read_yaml(path, what: str, build):
+    """``build(mapping)`` for the YAML mapping in file ``path``.
+
+    The one reader of the package's YAML files (scenarios, run configs,
+    thresholds); an empty file is an empty mapping. An unreadable file,
+    malformed YAML, a document that is not a mapping, and a missing key
+    or a field of the wrong type (a KeyError, TypeError or ValueError
+    from ``build``) raise a one-line ValidationError naming the file.
+    """
+    text = read_source(path, None, what)
+    where = f"{what} {os.fspath(path)!r}"
+    try:
+        document = yaml.safe_load(text)
+    except yaml.YAMLError as exc:
+        mark = getattr(exc, "problem_mark", None)
+        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
+        problem = getattr(exc, "problem", None) or exc
+        raise ValidationError(f"{where} is not valid YAML{at}: {problem}") from None
+    if document is None:
+        document = {}
+    if not isinstance(document, dict):
+        raise ValidationError(f"{where} is not a mapping")
+    try:
+        return build(document)
+    except KeyError as exc:
+        raise ValidationError(f"{where} is missing key {exc}") from None
+    except (TypeError, ValueError) as exc:
+        raise ValidationError(f"{where} has a bad field: {exc}") from None
 
 
 def parse_trajectories(

@@ -13,13 +13,15 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field
+
+import numpy as np
 
 from .centrality import compute_series
-from .errors import InsufficientDataError, ValidationError
+from .errors import ValidationError
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import TrajectoryTable, read_source
-from .regression import POLY_DEGREE, GridSearchAlpha, fit
+from .regression import POLY_DEGREE, GridSearchAlpha, fit_design, fit_solve
 from .styles import (
     DEFAULT_THRESHOLDS,
     StyleReport,
@@ -29,8 +31,14 @@ from .styles import (
     WindowAnalysis,
     classify,
     detect_weaving,
-    sle_sie,
+    sle_summaries,
 )
+
+# Not called here: the one-window forms of the loop in ``analyze_table``.
+# perfbench/tracer.py wraps the layer names this module exposes, these two
+# among them.
+from .regression import fit  # noqa: F401
+from .styles import sle_sie  # noqa: F401
 
 SCHEMA_VERSION = "2"
 
@@ -103,6 +111,12 @@ def analyze_table(
 
     ``series`` may carry precomputed centralities (from compute_series
     with the same mu/capacity) to avoid a second pass.
+
+    Each (agent, window, kind) gets its own least-squares solve, but the
+    design behind it (alpha, condition number, matrix) is built once per
+    centered time grid and shared by every window on that grid. The
+    SLE/SIE of all of an agent's windows are sampled in one array pass.
+    Raises ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -115,35 +129,48 @@ def analyze_table(
     stride_frames = max(1, int(round(params.effective_stride() * f)))
     windows = frame_windows(lo, hi, window_frames, stride_frames)
 
+    # one fit design per centered time grid, shared by every agent and
+    # kind sampled on it; kept for this call only
+    designs: dict[bytes, tuple] = {}
     reports = []
     for agent_id in sorted(series):
         clo_series, deg_series = series[agent_id]
         frames = deg_series.frames()  # shared by both series, ascending
-        analyses: list[WindowAnalysis] = []
+        times = np.array(frames) / f
+        deg = np.array([v for _, v in deg_series.values], dtype=float)
+        clo = np.array([v for _, v in clo_series.values], dtype=float)
+        spans, deg_polys, clo_polys = [], [], []
         for w0, w1 in windows:
             if w1 < frames[0] or w0 > frames[-1]:
                 continue
             i, j = bisect_left(frames, w0), bisect_right(frames, w1)
             if j - i < POLY_DEGREE + 1:
                 continue
-            deg_slice = replace(deg_series, values=deg_series.values[i:j], window=(w0, w1))
-            clo_slice = replace(clo_series, values=clo_series.values[i:j], window=(w0, w1))
-            span = (frames[i] / f, frames[j - 1] / f)
-            try:
-                deg_poly = fit(deg_slice, policy, f)
-                clo_poly = fit(clo_slice, policy, f)
-            except InsufficientDataError:
-                continue
-            analyses.append(
-                WindowAnalysis(
-                    window=span,
-                    degree_poly=deg_poly,
-                    closeness_poly=clo_poly,
-                    degree_sle=sle_sie(deg_poly, span, f),
-                    closeness_sle=sle_sie(clo_poly, span, f),
-                    weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
-                )
+            t = times[i:j]
+            t_bar = float(t.mean())
+            tc = t - t_bar
+            key = tc.tobytes()
+            design = designs.get(key)
+            if design is None:
+                design = designs[key] = fit_design(tc, policy)
+            span = (float(t[0]), float(t[-1]))
+            spans.append(span)
+            deg_polys.append(fit_solve(design, t_bar, span, deg[i:j]))
+            clo_polys.append(fit_solve(design, t_bar, span, clo[i:j]))
+        sle = sle_summaries(deg_polys + clo_polys, spans + spans, f)
+        analyses = [
+            WindowAnalysis(
+                window=span,
+                degree_poly=deg_poly,
+                closeness_poly=clo_poly,
+                degree_sle=deg_sle,
+                closeness_sle=clo_sle,
+                weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
             )
+            for span, deg_poly, clo_poly, deg_sle, clo_sle in zip(
+                spans, deg_polys, clo_polys, sle[: len(spans)], sle[len(spans):]
+            )
+        ]
         reports.append(
             classify(agent_id, analyses, params.thresholds, params.epsilon_s)
         )

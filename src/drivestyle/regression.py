@@ -91,7 +91,12 @@ DEFAULT_ALPHA_POLICY = GridSearchAlpha()
 
 @dataclass(frozen=True)
 class CentralityPolynomial:
-    """zeta(t) = b0 + b1*t + b2*t^2 over a closed time domain (seconds)."""
+    """zeta(t) = b0 + b1*t + b2*t^2 over a closed time domain (seconds).
+
+    The coefficients may also be (n, 1) columns, one row per polynomial:
+    ``evaluate`` and ``derivative`` then work on all n at once, with the
+    same elementwise arithmetic, over an (n, samples) grid of times.
+    """
 
     coefficients: tuple[float, float, float]
     domain: tuple[float, float]
@@ -106,8 +111,56 @@ class CentralityPolynomial:
         return float(out) if out.ndim == 0 else out
 
 
+def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
+    """(alpha, kappa, A): the least-squares system for centered times ``tc``.
+
+    ``A`` is the Vandermonde matrix of ``tc``, stacked over alpha*I when
+    the policy selects alpha > 0; kappa is the condition number of its
+    Gram matrix. The design depends on the times only, so samples that
+    share a time grid share it. Raises ConditioningError when the system
+    is rank deficient and the policy selected alpha = 0.
+    """
+    m = vandermonde(tc)
+    alpha = float(alpha_policy.select(tc))
+    kappa = gram_condition(m, alpha)
+    if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
+        raise ConditioningError(
+            "design matrix is rank deficient with alpha = 0; "
+            "select a regularized alpha policy"
+        )
+    if alpha == 0.0:
+        return alpha, kappa, m
+    return alpha, kappa, np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
+
+
+def fit_solve(
+    design: tuple[float, float, np.ndarray],
+    t_bar: float,
+    domain: tuple[float, float],
+    values: np.ndarray,
+) -> CentralityPolynomial:
+    """Solve one ``fit_design`` system for ``values`` sampled at t_bar + tc.
+
+    The centered coefficients are mapped back to the absolute-time basis.
+    """
+    alpha, kappa, a = design
+    rhs = values if alpha == 0.0 else np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
+    beta_c, *_ = np.linalg.lstsq(a, rhs, rcond=None)
+
+    c0, c1, c2 = beta_c.tolist()
+    # zeta(t) = c0 + c1*(t - t_bar) + c2*(t - t_bar)^2, expanded in t:
+    beta = (
+        c0 - c1 * t_bar + c2 * t_bar * t_bar,
+        c1 - 2.0 * c2 * t_bar,
+        c2,
+    )
+    return CentralityPolynomial(
+        coefficients=beta, domain=domain, alpha=alpha, condition_number=kappa
+    )
+
+
 def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
-    """Fit a quadratic to (time, value) samples.
+    """Fit a quadratic to (time, value) samples: ``fit_design`` then ``fit_solve``.
 
     ``times`` are absolute seconds. Raises InsufficientDataError below 3
     samples and ConditioningError when the system is rank deficient and
@@ -125,35 +178,8 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
 
     t_bar = float(t.mean())
     tc = t - t_bar
-    m = vandermonde(tc)
-    alpha = float(policy.select(tc))
-    kappa = gram_condition(m, alpha)
-    if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
-        raise ConditioningError(
-            "design matrix is rank deficient with alpha = 0; "
-            "select a regularized alpha policy"
-        )
-
-    if alpha == 0.0:
-        beta_c, *_ = np.linalg.lstsq(m, z, rcond=None)
-    else:
-        a_aug = np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
-        b_aug = np.concatenate([z, np.zeros(POLY_DEGREE + 1)])
-        beta_c, *_ = np.linalg.lstsq(a_aug, b_aug, rcond=None)
-
-    c0, c1, c2 = (float(b) for b in beta_c)
-    # zeta(t) = c0 + c1*(t - t_bar) + c2*(t - t_bar)^2, expanded in t:
-    beta = (
-        c0 - c1 * t_bar + c2 * t_bar * t_bar,
-        c1 - 2.0 * c2 * t_bar,
-        c2,
-    )
-    return CentralityPolynomial(
-        coefficients=beta,
-        domain=(float(t.min()), float(t.max())),
-        alpha=alpha,
-        condition_number=kappa,
-    )
+    domain = (float(t.min()), float(t.max()))
+    return fit_solve(fit_design(tc, policy), t_bar, domain, z)
 
 
 def fit(

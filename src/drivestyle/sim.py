@@ -23,7 +23,7 @@ import yaml
 
 from .errors import TrajectoryParseError, ValidationError
 from .evaluation import STYLE_CODES
-from .ingest import AgentFrame, TrajectoryTable, frame_index, read_source
+from .ingest import AgentFrame, TrajectoryTable, frame_index, read_source, read_yaml
 
 VEHICLE_LENGTH_M = 5.0
 
@@ -622,55 +622,54 @@ def save_scenario(config: ScenarioConfig, dest) -> None:
 
 
 def load_scenario(source) -> ScenarioConfig:
-    with open(source, "r", encoding="utf-8") as fh:
-        payload = yaml.safe_load(fh)
-    if not isinstance(payload, dict):
-        raise ValidationError(f"scenario file {source} is not a mapping")
-    try:
-        config = ScenarioConfig(
-            lane_count=int(payload["lane_count"]),
-            road_length_m=float(payload["road_length_m"]),
-            timestep_s=float(payload["timestep_s"]),
-            duration_s=float(payload["duration_s"]),
-            seed=int(payload.get("seed", 0)),
-            randomize_conservative_v0=bool(
-                payload.get("randomize_conservative_v0", True)
-            ),
-            lane_width_m=float(payload.get("lane_width_m", 4.0)),
-            lane_change_duration_s=float(payload.get("lane_change_duration_s", 3.0)),
-            mobil_period_s=float(payload.get("mobil_period_s", 1.0)),
-            spawns=[
-                SpawnSpec(
-                    agent_id=str(a["id"]),
-                    vehicle_class=str(a["class"]),
-                    lane=int(a["lane"]),
-                    position=float(a["position"]),
-                    speed=float(a["speed"]),
-                    longitudinal=str(a.get("longitudinal", MODE_IDM)),
-                    mobil_enabled=bool(a.get("mobil", True)),
-                    v0=float(a["v0"]) if "v0" in a else None,
-                )
-                for a in payload.get("agents", [])
-            ],
-            lane_change_scripts=[
-                LaneChangeScript(
-                    agent_id=str(s["agent"]),
-                    frame=int(s["frame"]),
-                    target_lane=int(s["target_lane"]),
-                )
-                for s in payload.get("lane_change_scripts", [])
-            ],
-            maneuvers=[
-                ManeuverLabel(
-                    agent_id=str(m["agent"]),
-                    style=str(m["style"]),
-                    start_frame=int(m["start_frame"]),
-                    end_frame=int(m["end_frame"]),
-                )
-                for m in payload.get("maneuvers", [])
-            ],
-        )
-    except KeyError as exc:
-        raise ValidationError(f"scenario file missing key {exc}") from None
+    """Read a scenario YAML file (see ``ingest.read_yaml`` for its errors)."""
+    config = read_yaml(source, "scenario", _scenario_from_dict)
     config.validate()
     return config
+
+
+def _scenario_from_dict(payload: dict) -> ScenarioConfig:
+    return ScenarioConfig(
+        lane_count=int(payload["lane_count"]),
+        road_length_m=float(payload["road_length_m"]),
+        timestep_s=float(payload["timestep_s"]),
+        duration_s=float(payload["duration_s"]),
+        seed=int(payload.get("seed", 0)),
+        randomize_conservative_v0=bool(
+            payload.get("randomize_conservative_v0", True)
+        ),
+        lane_width_m=float(payload.get("lane_width_m", 4.0)),
+        lane_change_duration_s=float(payload.get("lane_change_duration_s", 3.0)),
+        mobil_period_s=float(payload.get("mobil_period_s", 1.0)),
+        spawns=[
+            SpawnSpec(
+                agent_id=str(a["id"]),
+                vehicle_class=str(a["class"]),
+                lane=int(a["lane"]),
+                position=float(a["position"]),
+                speed=float(a["speed"]),
+                longitudinal=str(a.get("longitudinal", MODE_IDM)),
+                mobil_enabled=bool(a.get("mobil", True)),
+                v0=float(a["v0"]) if "v0" in a else None,
+            )
+            for a in payload.get("agents", [])
+        ],
+        lane_change_scripts=[
+            LaneChangeScript(
+                agent_id=str(s["agent"]),
+                frame=int(s["frame"]),
+                target_lane=int(s["target_lane"]),
+            )
+            for s in payload.get("lane_change_scripts", [])
+        ],
+        maneuvers=[
+            ManeuverLabel(
+                agent_id=str(m["agent"]),
+                style=str(m["style"]),
+                start_frame=int(m["start_frame"]),
+                end_frame=int(m["end_frame"]),
+            )
+            for m in payload.get("maneuvers", [])
+        ],
+    )
+

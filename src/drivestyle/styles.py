@@ -78,39 +78,79 @@ class SleSummary:
 
     @property
     def sle_curve(self) -> list[tuple[float, float]]:
-        times, sle, _ = sample_sle_sie(self.poly, self.window, self.frame_rate_hz)
-        return list(zip(times.tolist(), sle.tolist()))
+        times, sle, _ = sample_sle_sie([self.poly], [self.window], self.frame_rate_hz)
+        return list(zip(times[0].tolist(), sle[0].tolist()))
 
     @property
     def sie_curve(self) -> list[tuple[float, float]]:
-        times, _, sie = sample_sle_sie(self.poly, self.window, self.frame_rate_hz)
-        return list(zip(times.tolist(), sie.tolist()))
+        times, _, sie = sample_sle_sie([self.poly], [self.window], self.frame_rate_hz)
+        return list(zip(times[0].tolist(), sie[0].tolist()))
 
 
-def window_times(window: tuple[float, float], frame_rate_hz: float) -> np.ndarray:
-    """Frame-aligned sample times (k / rate) covering a closed window."""
+def window_times(windows, frame_rate_hz: float) -> np.ndarray:
+    """Frame-aligned sample times (k / rate) covering closed windows.
+
+    One row per (start, end) window. Rows are as wide as the longest
+    window; a shorter row repeats its last time to the end.
+    """
     if frame_rate_hz <= 0:
         raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-    w0, w1 = window
-    if w1 < w0:
-        raise ValidationError(f"empty window {window}")
-    k0 = math.ceil(w0 * frame_rate_hz - _GRID_GUARD)
-    k1 = math.floor(w1 * frame_rate_hz + _GRID_GUARD)
-    if k1 < k0:
-        raise ValidationError(f"window {window} holds no frame times")
-    return np.arange(k0, k1 + 1) / frame_rate_hz
+    w = np.asarray(windows, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(w[:, 1] < w[:, 0])
+    if bad.size:
+        raise ValidationError(f"empty window {tuple(w[bad[0]].tolist())}")
+    k0 = np.ceil(w[:, 0] * frame_rate_hz - _GRID_GUARD).astype(np.int64)
+    k1 = np.floor(w[:, 1] * frame_rate_hz + _GRID_GUARD).astype(np.int64)
+    bad = np.flatnonzero(k1 < k0)
+    if bad.size:
+        raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
+    width = int((k1 - k0).max(initial=0)) + 1
+    k = np.minimum(k0[:, None] + np.arange(width), k1[:, None])
+    return k / frame_rate_hz
 
 
 def sample_sle_sie(
-    poly: CentralityPolynomial,
-    window: tuple[float, float],
+    polys: list[CentralityPolynomial],
+    windows: list[tuple[float, float]],
     frame_rate_hz: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, SLE, SIE): |dzeta/dt| and |d2zeta/dt2| at frame resolution."""
-    times = window_times(window, frame_rate_hz)
-    sle = np.abs(derivative(poly, 1).evaluate(times))
-    sie = np.abs(derivative(poly, 2).evaluate(times))
+    """(times, SLE, SIE): |dzeta/dt| and |d2zeta/dt2| at frame resolution.
+
+    Row r samples ``polys[r]`` over ``windows[r]`` (see ``window_times``
+    for the padding of short rows); every polynomial goes through the
+    same ``derivative(...).evaluate``.
+    """
+    times = window_times(windows, frame_rate_hz)
+    columns = np.array([p.coefficients for p in polys], dtype=float).reshape(-1, 3, 1)
+    batch = CentralityPolynomial(
+        coefficients=tuple(columns.transpose(1, 0, 2)), domain=(math.nan, math.nan)
+    )
+    sle = np.abs(derivative(batch, 1).evaluate(times))
+    sie = np.abs(derivative(batch, 2).evaluate(times))
     return times, sle, sie
+
+
+def sle_summaries(
+    polys: list[CentralityPolynomial],
+    windows: list[tuple[float, float]],
+    frame_rate_hz: float,
+) -> list[SleSummary]:
+    """``sle_sie`` for many (polynomial, window) pairs in one array pass."""
+    times, sle, sie = sample_sle_sie(polys, windows, frame_rate_hz)
+    # first occurrence: the earliest tie wins, and a padded sample, which
+    # repeats its row's last one, never does
+    k = np.argmax(sle, axis=1)
+    rows = np.arange(k.size)
+    return [
+        SleSummary(
+            poly=poly, window=window, frame_rate_hz=frame_rate_hz,
+            sle_max=sle_max, t_sle=t_sle, sie_max=sie_max,
+        )
+        for poly, window, sle_max, t_sle, sie_max in zip(
+            polys, windows, sle[rows, k].tolist(), times[rows, k].tolist(),
+            sie.max(axis=1).tolist(),
+        )
+    ]
 
 
 def sle_sie(
@@ -124,16 +164,7 @@ def sle_sie(
     an endpoint unless the curvature is zero; ties break toward the
     earliest sample.
     """
-    times, sle, sie = sample_sle_sie(poly, window, frame_rate_hz)
-    k = int(np.argmax(sle))  # first occurrence: earliest tie wins
-    return SleSummary(
-        poly=poly,
-        window=window,
-        frame_rate_hz=frame_rate_hz,
-        sle_max=float(sle[k]),
-        t_sle=float(times[k]),
-        sie_max=float(sie.max()),
-    )
+    return sle_summaries([poly], [window], frame_rate_hz)[0]
 
 
 def detect_weaving(

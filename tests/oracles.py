@@ -3,13 +3,22 @@
 These deliberately avoid the package's algorithmic code paths: shortest
 paths by relaxation to a fixpoint instead of a heap, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
-by testing every pair, and lane leaders by scanning every agent.
+by testing every pair, lane leaders by scanning every agent, and
+windowed fits one window at a time.
 """
 
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, bisect_right
 from collections import defaultdict
+from dataclasses import replace
+
+from drivestyle.centrality import compute_series
+from drivestyle.errors import InsufficientDataError
+from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
+from drivestyle.regression import POLY_DEGREE, GridSearchAlpha, fit
+from drivestyle.styles import WindowAnalysis, classify, detect_weaving, sle_sie
 
 
 def all_pairs_edges(frame, mu):
@@ -110,3 +119,52 @@ def replay_degree(table, mu):
 
 def central_difference(fn, t, h=1e-5):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
+
+
+def per_window_analyze(table, params=None, series=None):
+    """``analyze_table`` one window at a time, sharing nothing between fits.
+
+    Each window gets its own ``CentralitySeries`` slice, its own ``fit``
+    (design, alpha selection and solve) and its own ``sle_sie`` sampling.
+    """
+    params = params or AnalysisParams()
+    f = table.frame_rate_hz
+    policy = params.alpha_policy if params.alpha_policy is not None else GridSearchAlpha()
+    if series is None:
+        series = compute_series(table, params.mu, capacity=params.capacity)
+    lo, hi = table.span()
+    window_frames = max(POLY_DEGREE, int(round(params.window_s * f)))
+    stride_frames = max(1, int(round(params.effective_stride() * f)))
+    windows = frame_windows(lo, hi, window_frames, stride_frames)
+
+    reports = []
+    for agent_id in sorted(series):
+        clo_series, deg_series = series[agent_id]
+        frames = deg_series.frames()
+        analyses = []
+        for w0, w1 in windows:
+            if w1 < frames[0] or w0 > frames[-1]:
+                continue
+            i, j = bisect_left(frames, w0), bisect_right(frames, w1)
+            if j - i < POLY_DEGREE + 1:
+                continue
+            deg_slice = replace(deg_series, values=deg_series.values[i:j], window=(w0, w1))
+            clo_slice = replace(clo_series, values=clo_series.values[i:j], window=(w0, w1))
+            span = (frames[i] / f, frames[j - 1] / f)
+            try:
+                deg_poly = fit(deg_slice, policy, f)
+                clo_poly = fit(clo_slice, policy, f)
+            except InsufficientDataError:
+                continue
+            analyses.append(
+                WindowAnalysis(
+                    window=span,
+                    degree_poly=deg_poly,
+                    closeness_poly=clo_poly,
+                    degree_sle=sle_sie(deg_poly, span, f),
+                    closeness_sle=sle_sie(clo_poly, span, f),
+                    weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
+                )
+            )
+        reports.append(classify(agent_id, analyses, params.thresholds, params.epsilon_s))
+    return RunReport(frame_rate_hz=f, params=params, agents=reports)

@@ -281,3 +281,37 @@ def test_unreadable_input_file_exits_1_with_one_line(kind, analyzed_run, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
     assert repr(str(path)) in err
+
+
+@pytest.mark.parametrize(
+    "kind",
+    ["scenario_yaml", "scenario_type", "scenario_list", "config_yaml",
+     "config_type", "config_alpha", "thresholds_yaml", "thresholds_missing_key"],
+)
+def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    path = tmp_path / "input.yaml"
+    if kind == "scenario_type":
+        save_scenario(lane_change_scenario(0), path)
+        text = path.read_text().replace("lane_count: 3", "lane_count: abc")
+        assert text != path.read_text()
+        path.write_text(text)
+    else:
+        path.write_text({
+            "scenario_yaml": "a: [\n",
+            "scenario_list": "- 1\n- 2\n",
+            "config_yaml": "window_s: 1.0\nmu: {\n",
+            "config_type": "window_s: fast\n",
+            "config_alpha": "alpha_policy: {kind: grid, cap: abc}\n",
+            "thresholds_yaml": "tau_degree: [1\n",
+            "thresholds_missing_key": "tau_degree: 1.0\n",
+        }[kind])
+    if kind.startswith("scenario"):
+        argv = ["simulate", "--scenario", str(path)]
+    else:
+        flag = "--config" if kind.startswith("config") else "--thresholds"
+        argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                "--frame-rate", "10", flag, str(path)]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(path)) in err

@@ -1,9 +1,14 @@
+import importlib.util
 import json
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import make_table
-from drivestyle.errors import ContractViolationError, ValidationError
+from conftest import make_frame, make_table
+from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
+from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import (
     AnalysisParams,
     analyze_table,
@@ -11,12 +16,15 @@ from drivestyle.pipeline import (
     report_from_json,
     report_to_json,
 )
+from drivestyle.regression import FixedAlpha, GridSearchAlpha
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
     STYLE_WEAVING,
     Thresholds,
 )
+
+from oracles import per_window_analyze
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02,
                         weaving_min_sharpness=0.001)
@@ -163,3 +171,95 @@ def test_report_from_json_reads_paths_not_text(weaving_report, tmp_path):
         report_from_json(text="[]")
     with pytest.raises(ValidationError, match="malformed"):
         report_from_json(text='{"schema_version": "2"}')
+
+
+# fresh policy objects per run, so neither side reuses the other's selections
+POLICIES = {
+    "alpha_0": lambda: FixedAlpha(0.0),
+    "alpha_1e-3": lambda: FixedAlpha(1e-3),  # the augmented [M; alpha*I] branch
+    "grid_capped": lambda: GridSearchAlpha(cap=2.0),  # no alpha = 0 meets the cap
+    "grid": GridSearchAlpha,
+}
+
+track = st.tuples(
+    st.integers(0, 30),  # first frame
+    st.integers(1, 40),  # frames present; under 3 gives no fit
+    st.sampled_from([0.0, 1.0, 2.5, 4.0]),  # speed; equal speeds add no degree
+    st.floats(0.0, 60.0),  # start x
+    st.booleans(),  # far from everyone: its degree stays constant
+)
+
+
+def table_from_tracks(tracks, frame_rate_hz):
+    frames = {}
+    for n, (first, length, speed, x0, far) in enumerate(tracks):
+        y = 1000.0 * (n + 1) if far else 0.37 * n  # distinct lanes: no coincident agents
+        for k in range(first, first + length):
+            x = x0 + speed * (k - first) / frame_rate_hz
+            frames.setdefault(k, []).append(
+                make_frame(f"a{n}", x, y, speed, 0.0, t=k / frame_rate_hz)
+            )
+    return TrajectoryTable(
+        frames={k: frames[k] for k in sorted(frames)},
+        frame_rate_hz=frame_rate_hz,
+        agent_count_max=len(tracks),
+    )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    tracks=st.lists(track, min_size=1, max_size=6),
+    frame_rate_hz=st.sampled_from([1.0, 2.0, 10.0]),
+    window_s=st.sampled_from([1.0, 2.5, 5.0]),
+    stride_s=st.sampled_from([None, 0.5, 1.5]),
+    policy=st.sampled_from(sorted(POLICIES)),
+)
+def test_analyze_table_matches_per_window_oracle_byte_for_byte(
+    tracks, frame_rate_hz, window_s, stride_s, policy
+):
+    table = table_from_tracks(tracks, frame_rate_hz)
+
+    def params():
+        return AnalysisParams(mu=25.0, window_s=window_s, stride_s=stride_s,
+                              thresholds=THRESHOLDS, alpha_policy=POLICIES[policy]())
+
+    expected = report_to_json(per_window_analyze(table, params()))
+    report = analyze_table(table, params())
+    assert report_to_json(report) == expected
+    if policy in ("alpha_1e-3", "grid_capped"):
+        assert all(w.degree_poly.alpha > 0 for a in report.agents for w in a.windows)
+
+
+def test_constant_degree_windows_match_oracle_exactly():
+    # a0 passes the parked a1 in frame 0, so its degree is 1.0 from then
+    # on: every degree SLE is rounding noise of the fit, and t_sle its argmax
+    tracks = [(0, 80, 4.0, 0.0, False), (0, 80, 0.0, 3.0, False)]
+    table = table_from_tracks(tracks, 10.0)
+    params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
+    report = analyze_table(table, params)
+    expected = per_window_analyze(table, params)
+    assert report_to_json(report) == report_to_json(expected)
+    noise = [w.degree_sle.sle_max for w in report.agent("a0").windows]
+    assert noise and all(0.0 < v < 1e-12 for v in noise)
+
+
+def test_rank_deficient_alpha_0_design_raises():
+    # at 10 kHz three samples span 0.2 ms: the centered Gram matrix is singular
+    table = make_table({"a": [(0.1 * k, 0.0, 1.0, 0.0) for k in range(10)]},
+                       frame_rate_hz=1e4)
+    params = AnalysisParams(window_s=2e-4, alpha_policy=FixedAlpha(0.0),
+                            thresholds=THRESHOLDS)
+    with pytest.raises(ConditioningError):
+        analyze_table(table, params)
+    with pytest.raises(ConditioningError):
+        per_window_analyze(table, params)
+
+
+def test_every_traced_layer_name_resolves():
+    # perfbench/tracer.py times layers by wrapping these module attributes
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    for module_name, attr, *_ in tracer.TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr))

@@ -1,10 +1,12 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drivestyle.errors import ValidationError
-from drivestyle.regression import CentralityPolynomial, FixedAlpha, fit_samples
+from drivestyle.regression import CentralityPolynomial, FixedAlpha, derivative, fit_samples
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
@@ -17,6 +19,7 @@ from drivestyle.styles import (
     detect_weaving,
     merge_critical_points,
     sle_sie,
+    sle_summaries,
 )
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02, weaving_min_sharpness=0.01)
@@ -58,6 +61,66 @@ def test_derived_sle_curve_peaks_at_t_sle(coefficients):
     assert peak == s.sle_max
     assert next(t for t, v in curve if v == peak) == s.t_sle
     assert max(v for _, v in s.sie_curve) == s.sie_max
+
+
+def one_window_sle(p, window, f):
+    """(sle_max, t_sle, sie_max) sampled for one window on its own grid."""
+    k0 = math.ceil(window[0] * f - 1e-9)
+    k1 = math.floor(window[1] * f + 1e-9)
+    times = np.arange(k0, k1 + 1) / f
+    sle = np.abs(derivative(p, 1).evaluate(times))
+    sie = np.abs(derivative(p, 2).evaluate(times))
+    k = int(np.argmax(sle))
+    return float(sle[k]), float(times[k]), float(sie.max())
+
+
+coefficient = st.floats(-50, 50, allow_nan=False)
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    rows=st.lists(
+        st.tuples(coefficient, coefficient, coefficient,
+                  st.integers(-20, 40), st.integers(0, 30)),
+        min_size=1, max_size=8,
+    ),
+    f=st.sampled_from([1.0, 4.0, 10.0, 25.0]),
+)
+def test_batched_rows_equal_one_window_sampling(rows, f):
+    polys = [poly(b0, b1, b2) for b0, b1, b2, _, _ in rows]
+    windows = [(k / f, (k + n) / f) for _, _, _, k, n in rows]  # unequal lengths
+    for s, p, window in zip(sle_summaries(polys, windows, f), polys, windows):
+        single = sle_sie(p, window, f)
+        assert (s.sle_max, s.t_sle, s.sie_max) == (
+            single.sle_max, single.t_sle, single.sie_max
+        ) == one_window_sle(p, window, f)
+        assert (s.poly, s.window) == (p, window)
+
+
+def test_padding_never_wins_and_earliest_tie_wins():
+    # the rising row is 21 samples wide, so the flat rows are padded
+    polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0)]
+    windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3)]
+    rising, flat, linear = sle_summaries(polys, windows, 10.0)
+    assert (flat.sle_max, flat.t_sle, flat.sie_max) == (0.0, 0.5, 0.0)
+    assert (linear.sle_max, linear.t_sle) == (2.0, 1.0)
+    assert (rising.sle_max, rising.t_sle) == (3.0, 2.0)
+    for s in (rising, flat, linear):
+        curve = s.sle_curve  # sampled on the window's own grid, unpadded
+        assert curve[0][0] == s.window[0] and curve[-1][0] == s.window[1]
+        peak = max(v for _, v in curve)
+        assert peak == s.sle_max
+        assert next(t for t, v in curve if v == peak) == s.t_sle
+
+
+def test_batched_sampling_rejects_windows_without_samples():
+    polys = [poly(0.0, 1.0, 0.0)] * 2
+    with pytest.raises(ValidationError, match=r"empty window \(2.0, 1.0\)"):
+        sle_summaries(polys, [(0.0, 1.0), (2.0, 1.0)], 10.0)
+    with pytest.raises(ValidationError, match="holds no frame times"):
+        sle_summaries(polys, [(0.0, 1.0), (0.01, 0.09)], 10.0)
+    with pytest.raises(ValidationError, match="frame_rate_hz"):
+        sle_sie(polys[0], (0.0, 1.0), 0.0)
 
 
 def test_weaving_vertex_and_sharpness():
