@@ -21,7 +21,7 @@ from .graph import (
     build_instant_graph,
     update_cumulative,
 )
-from .ingest import TrajectoryTable
+from .ingest import TrajectoryTable, write_text
 
 KIND_CLOSENESS = "closeness"
 KIND_DEGREE = "degree"
@@ -92,10 +92,9 @@ def degree_step(prev: float, new_neighbor_count: int) -> float:
 def compute_series(
     table: TrajectoryTable,
     mu: float,
-    window: tuple[int, int] | None = None,
     capacity: int = DEFAULT_CAPACITY,
 ) -> dict[str, tuple[CentralitySeries, CentralitySeries]]:
-    """Per-agent (closeness, degree) series over a frame-index window.
+    """Per-agent (closeness, degree) series over the table's whole span.
 
     Walks frames in order: instantaneous closeness per agent present,
     then one cumulative update feeding the degree chain. The degree chain
@@ -104,20 +103,13 @@ def compute_series(
     """
     if not table.frames:
         raise ValidationError("cannot compute centralities on an empty table")
-    lo, hi = table.span()
-    if window is None:
-        window = (lo, hi)
-    t_start, t_end = window
-    if t_start > t_end:
-        raise ValidationError(f"empty window {window}")
-    if t_start < lo or t_end > hi:
-        raise ValidationError(f"window {window} outside table range ({lo}, {hi})")
+    window = table.span()
 
     state = CumulativeAdjacency(capacity=capacity)
     clo: dict[str, list[tuple[int, float]]] = {}
     deg: dict[str, list[tuple[int, float]]] = {}
     level: dict[str, float] = {}
-    for idx in range(t_start, t_end + 1):
+    for idx in range(window[0], window[1] + 1):
         frame = table.frames.get(idx)
         if not frame:
             continue
@@ -146,13 +138,4 @@ def series_to_csv(series_map, dest=None) -> str:
         for s in series_map[agent_id]:
             for t, v in s.values:
                 lines.append(f"{t},{agent_id},{s.kind},{v!r}")
-    text = "\n".join(lines) + "\n"
-    if dest is not None:
-        import os
-
-        if isinstance(dest, (str, os.PathLike)):
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            dest.write(text)
-    return text
+    return write_text(dest, "\n".join(lines) + "\n", "centrality series")

@@ -87,8 +87,15 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _ensure_dir(path: str) -> Path:
+    """Create the output directory; a one-line ValidationError if it cannot be."""
     out = Path(path)
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ValidationError(
+            f"cannot create output directory {path!r}: {reason}"
+        ) from None
     return out
 
 

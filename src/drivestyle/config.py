@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import yaml
 
 from .errors import ValidationError
-from .ingest import read_yaml
-from .pipeline import AnalysisParams
+from .graph import DEFAULT_CAPACITY, DEFAULT_MU
+from .ingest import read_yaml, write_text
+from .pipeline import DEFAULT_EPSILON_S, DEFAULT_WINDOW_S, AnalysisParams
 from .regression import DEFAULT_KAPPA_CAP, FixedAlpha, GridSearchAlpha
 from .styles import DEFAULT_THRESHOLDS, Thresholds
 
@@ -30,15 +31,14 @@ from .styles import DEFAULT_THRESHOLDS, Thresholds
 @dataclass
 class RunConfig:
     frame_rate_hz: float | None = None
-    mu: float = 100.0
-    capacity: int = 256
-    window_s: float = 5.0
+    mu: float = DEFAULT_MU
+    capacity: int = DEFAULT_CAPACITY
+    window_s: float = DEFAULT_WINDOW_S
     stride_s: float | None = None
-    epsilon_s: float = 0.5
+    epsilon_s: float = DEFAULT_EPSILON_S
     alpha_policy: dict = field(default_factory=lambda: {"kind": "grid"})
     thresholds: Thresholds = field(default_factory=lambda: DEFAULT_THRESHOLDS)
     calibration_scenarios: list[str] = field(default_factory=list)
-    seed: int | None = None
 
 
 def make_alpha_policy(spec: dict):
@@ -60,7 +60,7 @@ def load_run_config(path) -> RunConfig:
 def _run_config_from_dict(payload: dict) -> RunConfig:
     known = {
         "frame_rate_hz", "mu", "capacity", "window_s", "stride_s", "epsilon_s",
-        "alpha_policy", "thresholds", "calibration_scenarios", "seed",
+        "alpha_policy", "thresholds", "calibration_scenarios",
     }
     unknown = set(payload) - known
     if unknown:
@@ -71,8 +71,6 @@ def _run_config_from_dict(payload: dict) -> RunConfig:
             setattr(cfg, key, float(payload[key]))
     if payload.get("capacity") is not None:
         cfg.capacity = int(payload["capacity"])
-    if payload.get("seed") is not None:
-        cfg.seed = int(payload["seed"])
     if payload.get("alpha_policy") is not None:
         if not isinstance(payload["alpha_policy"], dict):
             raise ValidationError("alpha_policy must be a mapping")
@@ -111,8 +109,7 @@ def save_thresholds(thresholds: Thresholds, dest) -> None:
         "tau_closeness": float(thresholds.tau_closeness),
         "weaving_min_sharpness": float(thresholds.weaving_min_sharpness),
     }
-    with open(dest, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+    write_text(dest, yaml.safe_dump(payload, sort_keys=False), "thresholds file")
 
 
 def load_thresholds(path) -> Thresholds:

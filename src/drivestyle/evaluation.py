@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError
-from .ingest import read_source
+from .ingest import read_source, write_text
 from .styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
@@ -117,11 +117,7 @@ def serialize_annotations(annotations: AnnotationSet, dest=None) -> str:
     for (video, agent, style) in sorted(annotations.entries):
         for annotator, s, e in annotations.entries[(video, agent, style)]:
             lines.append(f"{video},{agent},{style},{annotator},{s},{e}")
-    text = "\n".join(lines) + "\n"
-    if dest is not None:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return write_text(dest, "\n".join(lines) + "\n", "annotations")
 
 
 def annotations_from_labels(
@@ -207,11 +203,7 @@ class TdeTable:
             lines.append(
                 f"{row.style},{mean},{row.maneuver_count},{row.missing_count}"
             )
-        text = "\n".join(lines) + "\n"
-        if dest is not None:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return write_text(dest, "\n".join(lines) + "\n", "TDE table")
 
     def to_json(self, dest=None) -> str:
         payload = {
@@ -226,11 +218,7 @@ class TdeTable:
             ],
             "warnings": self.warnings,
         }
-        text = json.dumps(payload, indent=2) + "\n"
-        if dest is not None:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        return text
+        return write_text(dest, json.dumps(payload, indent=2) + "\n", "TDE table")
 
     def mean(self, style: str) -> float | None:
         for row in self.rows:

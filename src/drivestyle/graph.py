@@ -2,10 +2,9 @@
 
 Two vehicles are connected at an instant iff their squared Euclidean
 distance is strictly below the proximity threshold ``mu`` (m^2); the
-squared distance is the edge cost. The cumulative state retains every
-edge ever observed and remembers, per agent, which neighbors it has
-already seen, so that the degree-centrality chain can count only first
-encounters with slower vehicles.
+squared distance is the edge cost. The cumulative state remembers, per
+agent, which neighbors it has already seen, so that the degree-centrality
+chain can count only first encounters with slower vehicles.
 
 ``build_instant_graph`` is pure and may run for many frames in parallel.
 ``update_cumulative`` mutates shared state and must be applied in strict
@@ -18,8 +17,6 @@ import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
-
-import numpy as np
 
 from .errors import ContractViolationError, ValidationError
 from .ingest import AgentFrame
@@ -45,7 +42,6 @@ class InstantGraph:
 
     positions: dict[str, tuple[float, float]]
     edges: dict[tuple[str, str], float]
-    mu: float
 
     def vertex_ids(self) -> list[str]:
         return list(self.positions)
@@ -102,51 +98,31 @@ def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
                         "edge costs must be strictly positive"
                     )
                 edges[_edge_key(a, b)] = cost
-    return InstantGraph(positions=positions, edges=edges, mu=mu)
+    return InstantGraph(positions=positions, edges=edges)
 
 
 @dataclass
 class CumulativeAdjacency:
-    """Fixed-capacity cumulative adjacency matrix plus seen-sets.
+    """Per-agent seen-sets over at most ``capacity`` distinct agents.
 
-    Retained edge costs are the cost at first observation and are never
-    updated. The whole state resets to zeros/empty when admitting the
-    current frame's agents would push the number of distinct observed
-    agents past ``capacity``.
+    ``admitted`` holds every agent id observed since the last reset. The
+    whole state resets to empty when admitting the current frame's agents
+    would push the number of admitted ids past ``capacity``.
     """
 
     capacity: int = DEFAULT_CAPACITY
-    matrix: np.ndarray = None  # type: ignore[assignment]
-    slots: dict[str, int] = field(default_factory=dict)
+    admitted: set[str] = field(default_factory=set)
     seen: dict[str, set[str]] = field(default_factory=dict)
     reset_count: int = 0
 
     def __post_init__(self):
         if self.capacity <= 0:
             raise ValidationError(f"capacity must be positive, got {self.capacity}")
-        if self.matrix is None:
-            self.matrix = np.zeros((self.capacity, self.capacity))
 
     def reset(self) -> None:
-        self.matrix[:] = 0.0
-        self.slots.clear()
+        self.admitted.clear()
         self.seen.clear()
         self.reset_count += 1
-
-    def cost(self, a: str, b: str) -> float:
-        """Retained cost between two agents, 0.0 when never connected."""
-        if a not in self.slots or b not in self.slots:
-            return 0.0
-        return float(self.matrix[self.slots[a], self.slots[b]])
-
-    def dump(self) -> str:
-        """Dense text rendering of the occupied block, for inspection."""
-        ids = sorted(self.slots, key=self.slots.get)
-        lines = ["# " + ",".join(ids)]
-        for a in ids:
-            row = (repr(float(self.matrix[self.slots[a], self.slots[b]])) for b in ids)
-            lines.append(",".join(row))
-        return "\n".join(lines) + "\n"
 
 
 def update_cumulative(
@@ -170,23 +146,17 @@ def update_cumulative(
                 f"no velocity supplied for graph vertex {agent_id!r}"
             )
 
-    incoming = [i for i in ids if i not in state.slots]
-    if len(state.slots) + len(incoming) > state.capacity:
+    incoming = sum(1 for i in ids if i not in state.admitted)
+    if len(state.admitted) + incoming > state.capacity:
         if len(ids) > state.capacity:
             raise ValidationError(
                 f"frame holds {len(ids)} agents, more than capacity {state.capacity}"
             )
         state.reset()
-        incoming = ids
-    for agent_id in incoming:
-        state.slots[agent_id] = len(state.slots)
+    state.admitted.update(ids)
 
     counts = {agent_id: 0 for agent_id in ids}
-    for (a, b), cost in graph.edges.items():
-        sa, sb = state.slots[a], state.slots[b]
-        if state.matrix[sa, sb] == 0.0:
-            state.matrix[sa, sb] = cost
-            state.matrix[sb, sa] = cost
+    for a, b in graph.edges:
         seen_a = state.seen.setdefault(a, set())
         seen_b = state.seen.setdefault(b, set())
         if b not in seen_a:

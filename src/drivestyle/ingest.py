@@ -62,26 +62,9 @@ class TrajectoryTable:
 
     frames: dict[int, list[AgentFrame]] = field(default_factory=dict)
     frame_rate_hz: float = 1.0
-    agent_count_max: int = 0
 
     def frame_indices(self) -> list[int]:
         return sorted(self.frames)
-
-    def agents(self) -> list[str]:
-        seen: dict[str, None] = {}
-        for idx in self.frame_indices():
-            for fr in self.frames[idx]:
-                seen.setdefault(fr.agent_id, None)
-        return list(seen)
-
-    def track(self, agent_id: str) -> list[tuple[int, AgentFrame]]:
-        """(frame index, sample) pairs for one agent, in frame order."""
-        out = []
-        for idx in self.frame_indices():
-            for fr in self.frames[idx]:
-                if fr.agent_id == agent_id:
-                    out.append((idx, fr))
-        return out
 
     def span(self) -> tuple[int, int]:
         idxs = self.frame_indices()
@@ -113,6 +96,25 @@ def read_source(source, text, what: str) -> str:
         raise ValidationError(
             f"cannot read {what} {os.fspath(source)!r}: {reason}"
         ) from None
+
+
+def write_text(dest, text: str, what: str) -> str:
+    """Write ``text`` to the file ``dest``, unless it is None; return ``text``.
+
+    The mirror of ``read_source``: a file that cannot be written (a
+    missing parent, a directory in the way, no permission) raises a
+    one-line ValidationError naming the path.
+    """
+    if dest is not None:
+        try:
+            with open(dest, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:
+            reason = exc.strerror or exc
+            raise ValidationError(
+                f"cannot write {what} {os.fspath(dest)!r}: {reason}"
+            ) from None
+    return text
 
 
 def read_yaml(path, what: str, build):
@@ -259,11 +261,7 @@ def parse_trajectories(
     frames = {
         idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in sorted(frames)
     }
-    return TrajectoryTable(
-        frames=frames,
-        frame_rate_hz=frame_rate_hz,
-        agent_count_max=len(rows_by_agent),
-    )
+    return TrajectoryTable(frames=frames, frame_rate_hz=frame_rate_hz)
 
 
 def _resolve_velocities(rows) -> list[tuple[float, float]]:
@@ -285,9 +283,8 @@ def _resolve_velocities(rows) -> list[tuple[float, float]]:
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
     """Write a table back to the CSV record format (velocities included).
 
-    Returns the text; when ``dest`` is a path or file object the text is
-    also written there. parse(serialize(parse(x))) == parse(x) for all
-    valid x.
+    Returns the text; when ``dest`` is a path the text is also written
+    there. parse(serialize(parse(x))) == parse(x) for all valid x.
     """
     out = ["timestamp,agent_id,agent_type,x,y,vx,vy"]
     for idx in table.frame_indices():
@@ -297,11 +294,4 @@ def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
                 f"{fr.position[0]!r},{fr.position[1]!r},"
                 f"{fr.velocity[0]!r},{fr.velocity[1]!r}"
             )
-    text = "\n".join(out) + "\n"
-    if dest is not None:
-        if isinstance(dest, (str, os.PathLike)):
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        else:
-            dest.write(text)
-    return text
+    return write_text(dest, "\n".join(out) + "\n", "trajectories")

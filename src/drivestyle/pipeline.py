@@ -20,7 +20,7 @@ import numpy as np
 from .centrality import compute_series
 from .errors import ValidationError
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import TrajectoryTable, read_source
+from .ingest import TrajectoryTable, read_source, write_text
 from .regression import POLY_DEGREE, GridSearchAlpha, fit_design, fit_solve
 from .styles import (
     DEFAULT_THRESHOLDS,
@@ -230,10 +230,7 @@ def report_to_json(report: RunReport, dest=None) -> str:
     }
     # compact separators keep CPython on its C encoder; output stays deterministic
     text = json.dumps(payload, separators=(",", ":")) + "\n"
-    if dest is not None:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return write_text(dest, text, "report")
 
 
 def report_from_json(source=None, *, text=None) -> RunReport:

@@ -23,7 +23,14 @@ import yaml
 
 from .errors import TrajectoryParseError, ValidationError
 from .evaluation import STYLE_CODES
-from .ingest import AgentFrame, TrajectoryTable, frame_index, read_source, read_yaml
+from .ingest import (
+    AgentFrame,
+    TrajectoryTable,
+    frame_index,
+    read_source,
+    read_yaml,
+    write_text,
+)
 
 VEHICLE_LENGTH_M = 5.0
 
@@ -522,13 +529,8 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
             for a in world.agents
         ]
         step(world, cfg.timestep_s)
-    table = TrajectoryTable(
-        frames=frames,
-        frame_rate_hz=rate,
-        agent_count_max=len(world.agents),
-    )
     return SimResult(
-        table=table,
+        table=TrajectoryTable(frames=frames, frame_rate_hz=rate),
         labels=list(cfg.maneuvers),
         collisions=list(world.collisions),
         agent_classes={a.agent_id: a.vehicle_class for a in world.agents},
@@ -544,11 +546,7 @@ def write_labels(labels: list[ManeuverLabel], dest) -> str:
     lines = ["agent_id,style,start_frame,end_frame"]
     for lab in labels:
         lines.append(f"{lab.agent_id},{lab.style},{lab.start_frame},{lab.end_frame}")
-    text = "\n".join(lines) + "\n"
-    if dest is not None:
-        with open(dest, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    return text
+    return write_text(dest, "\n".join(lines) + "\n", "labels")
 
 
 def parse_labels(source=None, *, text=None) -> list[ManeuverLabel]:
@@ -617,8 +615,7 @@ def save_scenario(config: ScenarioConfig, dest) -> None:
             for m in config.maneuvers
         ],
     }
-    with open(dest, "w", encoding="utf-8") as fh:
-        yaml.safe_dump(payload, fh, sort_keys=False)
+    write_text(dest, yaml.safe_dump(payload, sort_keys=False), "scenario")
 
 
 def load_scenario(source) -> ScenarioConfig:

@@ -28,9 +28,7 @@ def make_table(tracks, frame_rate_hz=1.0):
                 make_frame(agent_id, x, y, vx, vy, t=ts)
             )
     frames = {k: frames[k] for k in sorted(frames)}
-    return TrajectoryTable(
-        frames=frames, frame_rate_hz=frame_rate_hz, agent_count_max=len(tracks)
-    )
+    return TrajectoryTable(frames=frames, frame_rate_hz=frame_rate_hz)
 
 
 @pytest.fixture

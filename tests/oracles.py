@@ -82,19 +82,27 @@ def relaxation_closeness(graph, agent_id):
     return (len(dist) - 1) / total
 
 
-def replay_degree(table, mu):
+def replay_degree(table, mu, capacity=None):
     """Re-derive per-agent cumulative degree series from raw frames.
 
     Counts first encounters with strictly slower agents, using nothing
-    but pairwise squared distances and per-agent seen-sets. No capacity
-    resets: callers must use a capacity that the replayed table stays
-    under.
+    but pairwise squared distances and per-agent seen-sets. With a
+    ``capacity``, the paper's reset rule applies: when the ids seen since
+    the last reset together with the frame's ids number more than
+    ``capacity``, every seen-set is forgotten before the frame is counted.
+    Degree totals carry on across a reset. Without one, nothing resets.
     """
     seen = defaultdict(set)
+    remembered = set()
     totals = defaultdict(float)
     series = defaultdict(list)
     for idx in sorted(table.frames):
         frame = table.frames[idx]
+        ids = {fr.agent_id for fr in frame}
+        if capacity is not None and len(remembered | ids) > capacity:
+            seen.clear()
+            remembered = set()
+        remembered |= ids
         counts = {fr.agent_id: 0 for fr in frame}
         for i in range(len(frame)):
             for j in range(i + 1, len(frame)):

@@ -8,6 +8,7 @@ from conftest import make_frame, make_table
 from drivestyle.centrality import closeness, compute_series, degree_step
 from drivestyle.errors import ValidationError
 from drivestyle.graph import build_instant_graph
+from drivestyle.ingest import TrajectoryTable
 from oracles import all_pairs_edges, relaxation_closeness
 
 
@@ -195,10 +196,10 @@ def test_approach_to_cluster_center_closeness_non_decreasing():
 
 
 def test_window_validation():
+    # the series window is always the table's whole span
     table = make_table({"a": [(0, 0, 0, 0)] * 5})
-    with pytest.raises(ValidationError):
-        compute_series(table, mu=4.0, window=(3, 1))
-    with pytest.raises(ValidationError):
-        compute_series(table, mu=4.0, window=(0, 99))
-    sub = compute_series(table, mu=4.0, window=(1, 3))
-    assert [t for t, _ in sub["a"][0].values] == [1, 2, 3]
+    clo, deg = compute_series(table, mu=4.0)["a"]
+    assert clo.window == deg.window == (0, 4)
+    assert clo.frames() == deg.frames() == [0, 1, 2, 3, 4]
+    with pytest.raises(ValidationError, match="empty table"):
+        compute_series(TrajectoryTable(), mu=4.0)

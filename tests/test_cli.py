@@ -1,9 +1,12 @@
 import json
+from dataclasses import replace
 
 import pytest
 import yaml
 
 from drivestyle.cli import main
+from drivestyle.config import RunConfig, analysis_params, load_run_config
+from drivestyle.pipeline import AnalysisParams
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
 
@@ -315,3 +318,48 @@ def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(str(path)) in err
+
+
+@pytest.mark.parametrize("kind", ["analyze_out_file", "simulate_out_file", "calibrate_out_dir"])
+def test_unwritable_output_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    if kind == "calibrate_out_dir":
+        save_scenario(all_conservative_scenario(0), tmp_path / "calib0.yaml")
+        cfg = tmp_path / "run.yaml"
+        cfg.write_text(
+            "frame_rate_hz: 10\nwindow_s: 1.0\nstride_s: 0.5\n"
+            "calibration_scenarios: [calib0.yaml]\n"
+        )
+        out = tmp_path  # a directory where the thresholds file should go
+        argv = ["calibrate", "--config", str(cfg)]
+    else:
+        out = tmp_path / "taken"
+        out.write_text("a file where the output directory should go\n")
+        if kind == "analyze_out_file":
+            argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                    "--frame-rate", "10"]
+        else:
+            save_scenario(lane_change_scenario(0), tmp_path / "slc.yaml")
+            argv = ["simulate", "--scenario", str(tmp_path / "slc.yaml")]
+    assert main(argv + ["--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot ") and err.count("\n") == 1
+    assert repr(str(out)) in err
+
+
+def test_run_config_seed_key_is_unknown(analyzed_run, tmp_path, capsys):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("frame_rate_hz: 10\nseed: 3\n")
+    assert main([
+        "analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+        "--config", str(cfg), "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert "unknown run-config keys: ['seed']" in err
+
+
+def test_run_config_defaults_are_the_analysis_defaults(tmp_path):
+    cfg = tmp_path / "cfg.yaml"
+    cfg.write_text("frame_rate_hz: 10\n")
+    for loaded in (RunConfig(), load_run_config(cfg)):
+        assert replace(analysis_params(loaded), alpha_policy=None) == AnalysisParams()

@@ -2,10 +2,14 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_frame
+from drivestyle.centrality import compute_series
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
+from drivestyle.ingest import TrajectoryTable
 from oracles import all_pairs_edges, replay_degree
 
 
@@ -64,29 +68,27 @@ def test_seen_set_is_idempotent():
     assert counts == {"a": 0, "b": 0}
 
 
-def test_retained_cost_is_first_observation():
-    state = CumulativeAdjacency(capacity=8)
-    g1 = build_instant_graph([make_frame("a", 0, 0), make_frame("b", 1, 0)], mu=9.0)
-    update_cumulative(state, g1, {"a": 1.0, "b": 0.0})
-    g2 = build_instant_graph([make_frame("a", 0, 0), make_frame("b", 2, 0)], mu=9.0)
-    update_cumulative(state, g2, {"a": 1.0, "b": 0.0})
-    assert state.cost("a", "b") == 1.0  # not updated to 4.0
-
-
 def test_capacity_reset_trace():
     # capacity 2: a third distinct agent forces a reset, after which the
     # state is repopulated from the current graph alone.
     state = CumulativeAdjacency(capacity=2)
     g1 = build_instant_graph([make_frame("a", 0, 0), make_frame("b", 1, 0)], mu=9.0)
-    update_cumulative(state, g1, {"a": 2.0, "b": 1.0})
-    assert state.cost("a", "b") == 1.0
+    counts = update_cumulative(state, g1, {"a": 2.0, "b": 1.0})
+    assert counts == {"a": 1, "b": 0}
+    assert state.admitted == {"a", "b"}
+    assert state.seen == {"a": {"b"}, "b": {"a"}}
+    assert state.reset_count == 0
 
     g2 = build_instant_graph([make_frame("b", 0, 0), make_frame("c", 1, 0)], mu=9.0)
     counts = update_cumulative(state, g2, {"b": 2.0, "c": 1.0})
     assert state.reset_count == 1
     assert counts == {"b": 1, "c": 0}  # c is new to b after the reset
-    assert state.cost("a", "b") == 0.0  # a forgotten
-    assert state.cost("b", "c") == 1.0
+    assert state.admitted == {"b", "c"}  # a forgotten
+    assert state.seen == {"b": {"c"}, "c": {"b"}}
+
+    # a known pair, admitted ids within capacity: no reset, nothing new
+    counts = update_cumulative(state, g2, {"b": 2.0, "c": 1.0})
+    assert (counts, state.reset_count) == ({"b": 0, "c": 0}, 1)
 
 
 def test_frame_larger_than_capacity_rejected():
@@ -127,10 +129,9 @@ def test_support_monotone_between_resets():
     for frame in _random_frames(rng):
         g = build_instant_graph(frame, mu=16.0)
         update_cumulative(state, g, {fr.agent_id: fr.speed for fr in frame})
-        current = {
-            (a, b) for a in state.slots for b in state.slots if state.cost(a, b) > 0
-        }
+        current = {(a, b) for a, partners in state.seen.items() for b in partners}
         assert support <= current
+        assert set(g.edges) <= current
         support = current
     assert state.reset_count == 0
 
@@ -181,12 +182,48 @@ def test_replay_oracle_agrees_on_degree_totals(tmp_path):
         for i in range(5)
     }
     table = make_table(tracks)
-    from drivestyle.centrality import compute_series
-
     series = compute_series(table, mu=16.0)
     oracle = replay_degree(table, mu=16.0)
     for agent, (_, deg) in series.items():
         assert deg.values == oracle[agent]
+
+
+@st.composite
+def churn_tables(draw):
+    """(table, capacity): agents arriving one after another, each still
+    present when the next arrives, with more than twice ``capacity`` ids.
+
+    Each reset admits at most ``capacity`` distinct ids, so a table holds
+    at least two resets, and the agent present at a reset's arrival frame
+    was present before it.
+    """
+    n = draw(st.integers(13, 20))
+    gaps = draw(st.lists(st.integers(1, 3), min_size=n, max_size=n))
+    extra = draw(st.lists(st.integers(0, 2), min_size=n, max_size=n))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    starts = np.cumsum([0] + gaps[:-1])
+    frames = {}
+    for k in range(n):
+        length = gaps[k] + 1 + extra[k]  # outlives the next arrival
+        for idx in range(starts[k], starts[k] + length):
+            frames.setdefault(int(idx), []).append(
+                # a y per agent keeps positions distinct; speeds tie at times
+                make_frame(f"v{k:02d}", rng.uniform(0.0, 8.0), 0.37 * k,
+                           vx=float(rng.integers(0, 4)), t=float(idx))
+            )
+    frames = {idx: frames[idx] for idx in sorted(frames)}
+    concurrent = max(len(frame) for frame in frames.values())
+    capacity = max(concurrent, draw(st.integers(2, 6)))
+    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), capacity
+
+
+@settings(max_examples=80, deadline=None)
+@given(churn_tables())
+def test_degree_series_match_replay_across_capacity_resets(case):
+    table, capacity = case
+    series = compute_series(table, mu=16.0, capacity=capacity)
+    oracle = replay_degree(table, mu=16.0, capacity=capacity)
+    assert {a: deg.values for a, (_, deg) in series.items()} == oracle
 
 
 def test_build_is_pure():
@@ -195,15 +232,6 @@ def test_build_is_pure():
     g2 = build_instant_graph(frame, mu=26.0)
     assert g1.positions == g2.positions
     assert g1.edges == g2.edges
-
-
-def test_dump_layout():
-    state = CumulativeAdjacency(capacity=4)
-    g = build_instant_graph([make_frame("a", 0, 0), make_frame("b", 1, 0)], mu=9.0)
-    update_cumulative(state, g, {"a": 1.0, "b": 0.0})
-    text = state.dump()
-    assert text.splitlines()[0] == "# a,b"
-    assert "1.0" in text
 
 
 def _assert_sweep_matches_oracle(frame, mu):

@@ -13,6 +13,7 @@ from drivestyle.ingest import (
     frame_index,
     parse_trajectories,
     serialize_trajectories,
+    write_text,
 )
 
 HEADER = "timestamp,agent_id,agent_type,x,y"
@@ -25,15 +26,15 @@ def test_forward_backward_difference_velocity():
     text = f"{HEADER}\n0.0,a,car,0,0\n0.5,a,car,5,0\n"
     table = parse_trajectories(text=text, frame_rate_hz=2.0)
     assert sorted(table.frames) == [0, 1]
-    vels = [fr.velocity for _, fr in table.track("a")]
+    vels = [fr.velocity for idx in sorted(table.frames) for fr in table.frames[idx]]
     assert vels == [(10.0, 0.0), (10.0, 0.0)]
 
 
 def test_velocity_passthrough_single_frame():
     text = f"{HEADER_V}\n0.0,a,car,1,2,3,4\n"
     table = parse_trajectories(text=text, frame_rate_hz=2.0)
-    (idx, fr), = table.track("a")
-    assert idx == 0
+    assert list(table.frames) == [0]
+    (fr,) = table.frames[0]
     assert fr.velocity == (3.0, 4.0)
     assert fr.position == (1.0, 2.0)
 
@@ -41,7 +42,7 @@ def test_velocity_passthrough_single_frame():
 def test_single_sample_without_velocity_gets_zero():
     text = f"{HEADER}\n0.0,a,car,1,2\n"
     table = parse_trajectories(text=text, frame_rate_hz=2.0)
-    (_, fr), = table.track("a")
+    (fr,) = table.frames[0]
     assert fr.velocity == (0.0, 0.0)
 
 
@@ -72,7 +73,8 @@ def test_comments_and_extra_columns_ignored():
         "1.0,a,car,1,0,downtown\n"
     )
     table = parse_trajectories(text=text, frame_rate_hz=1.0)
-    assert len(table.track("a")) == 2
+    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in table.frames.items()}
+    assert ids == {0: ["a"], 1: ["a"]}
 
 
 def test_malformed_row_reports_line_number():
@@ -117,8 +119,9 @@ def test_interior_speeds_match_displacement_rate():
     f = 4.0
     rows = [f"{k / f!r},a,car,{3.0 * k / f!r},{4.0 * k / f!r}" for k in range(10)]
     table = parse_trajectories(text=HEADER + "\n" + "\n".join(rows), frame_rate_hz=f)
-    track = table.track("a")
-    for (_, fr), (_, nxt) in zip(track, track[1:]):
+    track = [table.frames[idx][0] for idx in sorted(table.frames)]
+    assert len(track) == 10
+    for fr, nxt in zip(track, track[1:]):
         dp = math.hypot(
             nxt.position[0] - fr.position[0], nxt.position[1] - fr.position[1]
         )
@@ -180,6 +183,18 @@ def test_source_is_a_path_and_text_comes_through_text(tmp_path):
 def test_table_helpers():
     text = f"{HEADER}\n0.0,a,car,0,0\n1.0,a,car,1,0\n1.0,b,bus,5,5\n"
     table = parse_trajectories(text=text, frame_rate_hz=1.0)
-    assert table.agents() == ["a", "b"]
+    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in table.frames.items()}
+    assert ids == {0: ["a"], 1: ["a", "b"]}
+    assert table.frame_indices() == [0, 1]
     assert table.span() == (0, 1)
-    assert table.agent_count_max == 2
+
+
+def test_write_text_writes_returns_and_names_an_unwritable_path(tmp_path):
+    path = tmp_path / "out.csv"
+    assert write_text(path, "a,b\n", "table") == "a,b\n"
+    assert path.read_text() == "a,b\n"
+    assert write_text(None, "x\n", "table") == "x\n"
+    for bad in (tmp_path, tmp_path / "missing" / "out.csv"):
+        with pytest.raises(ValidationError, match=r"^cannot write table ") as exc:
+            write_text(bad, "a,b\n", "table")
+        assert repr(str(bad)) in str(exc.value) and "\n" not in str(exc.value)

@@ -202,7 +202,6 @@ def table_from_tracks(tracks, frame_rate_hz):
     return TrajectoryTable(
         frames={k: frames[k] for k in sorted(frames)},
         frame_rate_hz=frame_rate_hz,
-        agent_count_max=len(tracks),
     )
 
 
