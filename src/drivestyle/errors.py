@@ -4,6 +4,8 @@ Exit-code mapping used by the CLI: input/validation problems map to 1,
 contract violations and broken internal invariants map to 2.
 """
 
+import math
+
 
 class DriveStyleError(Exception):
     """Base class for all package errors."""
@@ -36,3 +38,17 @@ class InsufficientDataError(DriveStyleError):
 
 class ConditioningError(DriveStyleError):
     """The regression system is numerically singular without regularization."""
+
+
+def require_positive(value, name: str):
+    """Return ``value`` if it is a finite number > 0; ValidationError otherwise."""
+    if value is None or not (math.isfinite(value) and value > 0):
+        raise ValidationError(f"{name} must be finite and positive, got {value}")
+    return value
+
+
+def require_non_negative(value, name: str):
+    """Return ``value`` if it is a finite number >= 0; ValidationError otherwise."""
+    if value is None or not (math.isfinite(value) and value >= 0):
+        raise ValidationError(f"{name} must be finite and non-negative, got {value}")
+    return value

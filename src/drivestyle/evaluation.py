@@ -16,7 +16,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 
-from .errors import TrajectoryParseError, ValidationError
+from .errors import TrajectoryParseError, ValidationError, require_positive
 from .ingest import read_source, write_text
 from .styles import (
     STYLE_OVERSPEEDING,
@@ -78,8 +78,7 @@ def parse_annotations(
 
     Header: ``video_id,agent_id,style,annotator_id,start_frame,end_frame``.
     """
-    if frame_rate_hz is None or frame_rate_hz <= 0:
-        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    require_positive(frame_rate_hz, "frame_rate_hz")
     text = read_source(source, text, "annotations")
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
     header = None
@@ -128,6 +127,7 @@ def annotations_from_labels(
     Accepts any objects carrying agent_id/style/start_frame/end_frame, so
     synthetic labels ride the same evaluation path as human annotations.
     """
+    require_positive(frame_rate_hz, "frame_rate_hz")
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
     for label in labels:
         out.add(
@@ -178,8 +178,7 @@ def expected_frame(intervals: list[tuple[int, int]]) -> TemporalDistribution:
 
 def tde(t_sle_frame: float, expected: float, frame_rate_hz: float) -> float:
     """Time deviation error |t_SLE - E[T]| / frame rate, in seconds."""
-    if frame_rate_hz <= 0:
-        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    require_positive(frame_rate_hz, "frame_rate_hz")
     return abs((t_sle_frame - expected) / frame_rate_hz)
 
 

@@ -18,7 +18,7 @@ from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
 
-from .errors import ContractViolationError, ValidationError
+from .errors import ContractViolationError, ValidationError, require_positive
 from .ingest import AgentFrame
 
 DEFAULT_MU = 100.0  # m^2: a 10 m proximity radius
@@ -67,8 +67,7 @@ def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
     frame, a non-positive mu, duplicate agent ids, a non-finite position,
     or coincident agent positions (which would produce a zero-cost edge).
     """
-    if mu <= 0:
-        raise ValidationError(f"mu must be positive, got {mu}")
+    require_positive(mu, "mu")
     if not frame:
         raise ValidationError("cannot build a traffic-graph from an empty frame")
     positions: dict[str, tuple[float, float]] = {}

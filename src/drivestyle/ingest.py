@@ -18,7 +18,12 @@ from dataclasses import dataclass, field
 
 import yaml
 
-from .errors import ContractViolationError, TrajectoryParseError, ValidationError
+from .errors import (
+    ContractViolationError,
+    TrajectoryParseError,
+    ValidationError,
+    require_positive,
+)
 
 AGENT_TYPES = frozenset(
     {"car", "bus", "truck", "two_wheeler", "three_wheeler", "pedestrian", "other"}
@@ -123,8 +128,9 @@ def read_yaml(path, what: str, build):
     The one reader of the package's YAML files (scenarios, run configs,
     thresholds); an empty file is an empty mapping. An unreadable file,
     malformed YAML, a document that is not a mapping, and a missing key
-    or a field of the wrong type (a KeyError, TypeError or ValueError
-    from ``build``) raise a one-line ValidationError naming the file.
+    or a field of the wrong type (a KeyError, TypeError, ValueError or,
+    for an infinite integer, OverflowError from ``build``) raise a
+    one-line ValidationError naming the file.
     """
     text = read_source(path, None, what)
     where = f"{what} {os.fspath(path)!r}"
@@ -143,7 +149,7 @@ def read_yaml(path, what: str, build):
         return build(document)
     except KeyError as exc:
         raise ValidationError(f"{where} is missing key {exc}") from None
-    except (TypeError, ValueError) as exc:
+    except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} has a bad field: {exc}") from None
 
 
@@ -160,8 +166,7 @@ def parse_trajectories(
     ValidationError for duplicate/non-monotone timestamps, non-contiguous
     frame runs, or an empty stream.
     """
-    if frame_rate_hz is None or frame_rate_hz <= 0:
-        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    require_positive(frame_rate_hz, "frame_rate_hz")
     lines = read_source(source, text, "trajectories").splitlines()
 
     header: list[str] | None = None

@@ -18,10 +18,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .centrality import compute_series
-from .errors import ValidationError
+from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import TrajectoryTable, read_source, write_text
-from .regression import POLY_DEGREE, GridSearchAlpha, fit_design, fit_solve
+from .regression import DEFAULT_ALPHA_POLICY, POLY_DEGREE, fit_design, fit_solve
 from .styles import (
     DEFAULT_THRESHOLDS,
     StyleReport,
@@ -56,15 +56,14 @@ class AnalysisParams:
     stride_s: float | None = None  # None: half the window (50% overlap)
     epsilon_s: float = DEFAULT_EPSILON_S
     thresholds: Thresholds = field(default_factory=lambda: DEFAULT_THRESHOLDS)
-    alpha_policy: object = None  # None: a fresh grid-search policy
+    alpha_policy: object = DEFAULT_ALPHA_POLICY
 
     def __post_init__(self):
-        if self.window_s <= 0:
-            raise ValidationError(f"window_s must be positive, got {self.window_s}")
-        if self.stride_s is not None and self.stride_s <= 0:
-            raise ValidationError(f"stride_s must be positive, got {self.stride_s}")
-        if self.epsilon_s <= 0:
-            raise ValidationError(f"epsilon_s must be positive, got {self.epsilon_s}")
+        require_positive(self.mu, "mu")
+        require_positive(self.window_s, "window_s")
+        if self.stride_s is not None:
+            require_positive(self.stride_s, "stride_s")
+        require_positive(self.epsilon_s, "epsilon_s")
 
     def effective_stride(self) -> float:
         return self.stride_s if self.stride_s is not None else self.window_s / 2.0
@@ -114,13 +113,13 @@ def analyze_table(
 
     Each (agent, window, kind) gets its own least-squares solve, but the
     design behind it (alpha, condition number, matrix) is built once per
-    centered time grid and shared by every window on that grid. The
-    SLE/SIE of all of an agent's windows are sampled in one array pass.
+    centered time grid and shared by every window on that grid, so the
+    alpha policy runs once per grid. The SLE/SIE maxima of all of an
+    agent's windows come from one ``sle_summaries`` call, in closed form.
     Raises ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
-    policy = params.alpha_policy if params.alpha_policy is not None else GridSearchAlpha()
 
     if series is None:
         series = compute_series(table, params.mu, capacity=params.capacity)
@@ -152,7 +151,7 @@ def analyze_table(
             key = tc.tobytes()
             design = designs.get(key)
             if design is None:
-                design = designs[key] = fit_design(tc, policy)
+                design = designs[key] = fit_design(tc, params.alpha_policy)
             span = (float(t[0]), float(t[-1]))
             spans.append(span)
             deg_polys.append(fit_solve(design, t_bar, span, deg[i:j]))

@@ -11,12 +11,19 @@ the absolute-time basis afterwards.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .centrality import CentralitySeries
-from .errors import ConditioningError, InsufficientDataError, ValidationError
+from .errors import (
+    ConditioningError,
+    InsufficientDataError,
+    ValidationError,
+    require_non_negative,
+    require_positive,
+)
 
 POLY_DEGREE = 2
 
@@ -49,9 +56,7 @@ class FixedAlpha:
     """Always use one regularization magnitude."""
 
     def __init__(self, alpha: float):
-        if alpha < 0:
-            raise ValidationError(f"alpha must be non-negative, got {alpha}")
-        self.alpha = alpha
+        self.alpha = require_non_negative(alpha, "alpha")
 
     def select(self, times: np.ndarray) -> float:
         return self.alpha
@@ -60,30 +65,24 @@ class FixedAlpha:
 class GridSearchAlpha:
     """Smallest grid alpha whose regularized condition number meets a cap.
 
-    The sample-time grid repeats across agents and windows of equal
-    length, so selections are cached per grid. Falls back to the largest
-    grid value when no candidate meets the cap.
+    Falls back to the largest grid value when no candidate meets the cap.
+    Holds no state: ``analyze_table`` already selects once per time grid.
     """
 
     def __init__(self, cap: float = DEFAULT_KAPPA_CAP, grid=ALPHA_GRID):
-        if cap <= 1:
-            raise ValidationError(f"condition-number cap must exceed 1, got {cap}")
+        if not (math.isfinite(cap) and cap > 1):
+            raise ValidationError(
+                f"condition-number cap must be finite and exceed 1, got {cap}"
+            )
         self.cap = cap
         self.grid = tuple(sorted(grid))
-        self._cache: dict[tuple, float] = {}
 
     def select(self, times: np.ndarray) -> float:
-        key = tuple(np.round(np.asarray(times, dtype=float), 12).tolist())
-        if key in self._cache:
-            return self._cache[key]
-        m = vandermonde(np.asarray(times, dtype=float))
-        chosen = self.grid[-1]
+        m = vandermonde(times)
         for alpha in self.grid:
             if gram_condition(m, alpha) <= self.cap:
-                chosen = alpha
-                break
-        self._cache[key] = chosen
-        return chosen
+                return alpha
+        return self.grid[-1]
 
 
 DEFAULT_ALPHA_POLICY = GridSearchAlpha()
@@ -91,12 +90,7 @@ DEFAULT_ALPHA_POLICY = GridSearchAlpha()
 
 @dataclass(frozen=True)
 class CentralityPolynomial:
-    """zeta(t) = b0 + b1*t + b2*t^2 over a closed time domain (seconds).
-
-    The coefficients may also be (n, 1) columns, one row per polynomial:
-    ``evaluate`` and ``derivative`` then work on all n at once, with the
-    same elementwise arithmetic, over an (n, samples) grid of times.
-    """
+    """zeta(t) = b0 + b1*t + b2*t^2 over a closed time domain (seconds)."""
 
     coefficients: tuple[float, float, float]
     domain: tuple[float, float]
@@ -189,8 +183,7 @@ def fit(
 
     Sample times are frame_index / frame_rate_hz seconds.
     """
-    if frame_rate_hz <= 0:
-        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
+    require_positive(frame_rate_hz, "frame_rate_hz")
     times = [idx / frame_rate_hz for idx, _ in series.values]
     values = [v for _, v in series.values]
     return fit_samples(times, values, alpha_policy)
@@ -218,7 +211,6 @@ def condition_diagnostics(t_count: int, alpha: float) -> tuple[float, float]:
         raise InsufficientDataError(
             f"need at least {POLY_DEGREE + 1} samples, got {t_count}"
         )
-    if alpha < 0:
-        raise ValidationError(f"alpha must be non-negative, got {alpha}")
+    require_non_negative(alpha, "alpha")
     m = vandermonde(np.arange(t_count, dtype=float))
     return gram_condition(m, 0.0), gram_condition(m, alpha)

@@ -21,7 +21,12 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .errors import TrajectoryParseError, ValidationError
+from .errors import (
+    TrajectoryParseError,
+    ValidationError,
+    require_non_negative,
+    require_positive,
+)
 from .evaluation import STYLE_CODES
 from .ingest import (
     AgentFrame,
@@ -64,12 +69,10 @@ class DriverParams:
             "b_safe": self.b_safe,
         }
         for name, value in positives.items():
-            if value <= 0:
-                raise ValidationError(f"{name} must be positive, got {value}")
+            require_positive(value, name)
         if not 0.0 <= self.politeness <= 1.0:
             raise ValidationError(f"politeness must lie in [0, 1], got {self.politeness}")
-        if self.delta_a_th < 0:
-            raise ValidationError(f"delta_a_th cannot be negative, got {self.delta_a_th}")
+        require_non_negative(self.delta_a_th, "delta_a_th")
 
 
 CONSERVATIVE_PARAMS = DriverParams(
@@ -179,16 +182,14 @@ class ScenarioConfig:
         return int(round(self.duration_s / self.timestep_s))
 
     def validate(self) -> None:
-        if self.timestep_s <= 0:
-            raise ValidationError(f"timestep_s must be positive, got {self.timestep_s}")
-        if self.duration_s < 0:
-            raise ValidationError(f"duration_s cannot be negative, got {self.duration_s}")
+        require_positive(self.timestep_s, "timestep_s")
+        require_non_negative(self.duration_s, "duration_s")
         if self.lane_count < 1:
             raise ValidationError(f"need at least one lane, got {self.lane_count}")
-        if self.road_length_m <= 0 or self.lane_width_m <= 0:
-            raise ValidationError("road dimensions must be positive")
-        if self.lane_change_duration_s <= 0 or self.mobil_period_s <= 0:
-            raise ValidationError("maneuver timing parameters must be positive")
+        require_positive(self.road_length_m, "road_length_m")
+        require_positive(self.lane_width_m, "lane_width_m")
+        require_positive(self.lane_change_duration_s, "lane_change_duration_s")
+        require_positive(self.mobil_period_s, "mobil_period_s")
         seen_ids = set()
         for spawn in self.spawns:
             if spawn.agent_id in seen_ids:
@@ -206,8 +207,7 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"{spawn.agent_id!r}: position {spawn.position} off the road"
                 )
-            if spawn.speed < 0:
-                raise ValidationError(f"{spawn.agent_id!r}: negative spawn speed")
+            require_non_negative(spawn.speed, f"{spawn.agent_id!r}: spawn speed")
             if spawn.longitudinal not in (MODE_IDM, MODE_CRUISE):
                 raise ValidationError(
                     f"{spawn.agent_id!r}: unknown longitudinal mode {spawn.longitudinal!r}"

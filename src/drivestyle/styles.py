@@ -11,13 +11,12 @@ aggressive style crosses its threshold.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import ValidationError
-from .regression import CentralityPolynomial, derivative
+from .errors import ValidationError, require_non_negative, require_positive
+from .regression import CentralityPolynomial
 
 STYLE_OVERSPEEDING = "overspeeding"
 STYLE_OVERTAKE_LANE_CHANGE = "overtaking_or_sudden_lane_change"
@@ -45,10 +44,9 @@ class Thresholds:
     weaving_min_sharpness: float = 0.0
 
     def __post_init__(self):
-        if self.tau_degree <= 0 or self.tau_closeness <= 0:
-            raise ValidationError("classification thresholds must be strictly positive")
-        if self.weaving_min_sharpness < 0:
-            raise ValidationError("weaving sharpness floor cannot be negative")
+        require_positive(self.tau_degree, "tau_degree")
+        require_positive(self.tau_closeness, "tau_closeness")
+        require_non_negative(self.weaving_min_sharpness, "weaving_min_sharpness")
 
 
 # 90th-percentile SLE maxima of conservative-class agents over the packaged
@@ -63,71 +61,11 @@ DEFAULT_THRESHOLDS = Thresholds(
 
 @dataclass
 class SleSummary:
-    """SLE/SIE maxima of one polynomial over one window.
+    """SLE/SIE maxima of one polynomial over one window's frame samples."""
 
-    The sampled curves are not stored: ``sle_curve`` and ``sie_curve``
-    re-sample the polynomial on access, the same way ``sle_sie`` does.
-    """
-
-    poly: CentralityPolynomial
-    window: tuple[float, float]
-    frame_rate_hz: float
     sle_max: float
     t_sle: float
     sie_max: float
-
-    @property
-    def sle_curve(self) -> list[tuple[float, float]]:
-        times, sle, _ = sample_sle_sie([self.poly], [self.window], self.frame_rate_hz)
-        return list(zip(times[0].tolist(), sle[0].tolist()))
-
-    @property
-    def sie_curve(self) -> list[tuple[float, float]]:
-        times, _, sie = sample_sle_sie([self.poly], [self.window], self.frame_rate_hz)
-        return list(zip(times[0].tolist(), sie[0].tolist()))
-
-
-def window_times(windows, frame_rate_hz: float) -> np.ndarray:
-    """Frame-aligned sample times (k / rate) covering closed windows.
-
-    One row per (start, end) window. Rows are as wide as the longest
-    window; a shorter row repeats its last time to the end.
-    """
-    if frame_rate_hz <= 0:
-        raise ValidationError(f"frame_rate_hz must be positive, got {frame_rate_hz}")
-    w = np.asarray(windows, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(w[:, 1] < w[:, 0])
-    if bad.size:
-        raise ValidationError(f"empty window {tuple(w[bad[0]].tolist())}")
-    k0 = np.ceil(w[:, 0] * frame_rate_hz - _GRID_GUARD).astype(np.int64)
-    k1 = np.floor(w[:, 1] * frame_rate_hz + _GRID_GUARD).astype(np.int64)
-    bad = np.flatnonzero(k1 < k0)
-    if bad.size:
-        raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
-    width = int((k1 - k0).max(initial=0)) + 1
-    k = np.minimum(k0[:, None] + np.arange(width), k1[:, None])
-    return k / frame_rate_hz
-
-
-def sample_sle_sie(
-    polys: list[CentralityPolynomial],
-    windows: list[tuple[float, float]],
-    frame_rate_hz: float,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(times, SLE, SIE): |dzeta/dt| and |d2zeta/dt2| at frame resolution.
-
-    Row r samples ``polys[r]`` over ``windows[r]`` (see ``window_times``
-    for the padding of short rows); every polynomial goes through the
-    same ``derivative(...).evaluate``.
-    """
-    times = window_times(windows, frame_rate_hz)
-    columns = np.array([p.coefficients for p in polys], dtype=float).reshape(-1, 3, 1)
-    batch = CentralityPolynomial(
-        coefficients=tuple(columns.transpose(1, 0, 2)), domain=(math.nan, math.nan)
-    )
-    sle = np.abs(derivative(batch, 1).evaluate(times))
-    sie = np.abs(derivative(batch, 2).evaluate(times))
-    return times, sle, sie
 
 
 def sle_summaries(
@@ -135,20 +73,40 @@ def sle_summaries(
     windows: list[tuple[float, float]],
     frame_rate_hz: float,
 ) -> list[SleSummary]:
-    """``sle_sie`` for many (polynomial, window) pairs in one array pass."""
-    times, sle, sie = sample_sle_sie(polys, windows, frame_rate_hz)
-    # first occurrence: the earliest tie wins, and a padded sample, which
-    # repeats its row's last one, never does
-    k = np.argmax(sle, axis=1)
-    rows = np.arange(k.size)
+    """``sle_sie`` for many (polynomial, window) pairs in one array pass.
+
+    Row r reads ``polys[r]`` at the frame samples t = k / rate of the
+    closed window ``windows[r]``, k0 <= k <= k1. SIE is the constant
+    |2 b2|. SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate); each step of
+    d is monotone under round-to-nearest, so the computed d is monotone
+    in k and |d| peaks at k0 or k1, ties going to k0. When k1 wins, d
+    may have rounded to the same value on earlier samples (a plateau);
+    only then is the row sampled, to find the earliest one.
+    """
+    f = require_positive(frame_rate_hz, "frame_rate_hz")
+    w = np.asarray(windows, dtype=float).reshape(-1, 2)
+    bad = np.flatnonzero(w[:, 1] < w[:, 0])
+    if bad.size:
+        raise ValidationError(f"empty window {tuple(w[bad[0]].tolist())}")
+    k0 = np.ceil(w[:, 0] * f - _GRID_GUARD).astype(np.int64)
+    k1 = np.floor(w[:, 1] * f + _GRID_GUARD).astype(np.int64)
+    bad = np.flatnonzero(k1 < k0)
+    if bad.size:
+        raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
+    b = np.array([p.coefficients for p in polys], dtype=float).reshape(-1, 3)
+    b1, slope = b[:, 1], 2.0 * b[:, 2]
+    first = np.abs(b1 + slope * (k0 / f))
+    last = np.abs(b1 + slope * (k1 / f))
+    right = last > first
+    k = np.where(right, k1, k0)
+    for r in np.flatnonzero(right & (np.abs(b1 + slope * ((k1 - 1) / f)) == last)):
+        ks = np.arange(k0[r], k1[r] + 1)
+        k[r] = ks[np.argmax(np.abs(b1[r] + slope[r] * (ks / f)))]
     return [
-        SleSummary(
-            poly=poly, window=window, frame_rate_hz=frame_rate_hz,
-            sle_max=sle_max, t_sle=t_sle, sie_max=sie_max,
-        )
-        for poly, window, sle_max, t_sle, sie_max in zip(
-            polys, windows, sle[rows, k].tolist(), times[rows, k].tolist(),
-            sie.max(axis=1).tolist(),
+        SleSummary(sle_max=sle_max, t_sle=t_sle, sie_max=sie_max)
+        for sle_max, t_sle, sie_max in zip(
+            np.where(right, last, first).tolist(), (k / f).tolist(),
+            np.abs(slope).tolist(),
         )
     ]
 
@@ -160,9 +118,9 @@ def sle_sie(
 ) -> SleSummary:
     """SLE(t) = |dzeta/dt|, SIE(t) = |d2zeta/dt2| at frame resolution.
 
-    For a quadratic the SLE is affine in t, so the window maximum sits at
-    an endpoint unless the curvature is zero; ties break toward the
-    earliest sample.
+    For a quadratic the SLE is the absolute value of an affine function
+    of t, so its window maximum sits at an endpoint; ties break toward
+    the earliest sample (see ``sle_summaries``).
     """
     return sle_summaries([poly], [window], frame_rate_hz)[0]
 
@@ -179,8 +137,7 @@ def detect_weaving(
     around it; candidates whose ball maximum equals the (zero) derivative
     at the point — constant polynomials — are discarded as flat.
     """
-    if epsilon <= 0:
-        raise ValidationError(f"epsilon must be positive, got {epsilon}")
+    require_positive(epsilon, "epsilon")
     b0, b1, b2 = poly_closeness.coefficients
     if b2 == 0.0:
         # derivative is the constant b1: either no zeros, or flat everywhere

