@@ -96,10 +96,11 @@ def compute_series(
 ) -> dict[str, tuple[CentralitySeries, CentralitySeries]]:
     """Per-agent (closeness, degree) series over the table's whole span.
 
-    Walks frames in order: instantaneous closeness per agent present,
-    then one cumulative update feeding the degree chain. The degree chain
-    must start at the beginning of the run to be meaningful, so callers
-    slice the result rather than re-running on sub-windows.
+    Walks the frames present, in order (never the empty indices between
+    them): instantaneous closeness per agent present, then one cumulative
+    update feeding the degree chain. The degree chain must start at the
+    beginning of the run to be meaningful, so callers slice the result
+    rather than re-running on sub-windows.
     """
     if not table.frames:
         raise ValidationError("cannot compute centralities on an empty table")
@@ -109,8 +110,8 @@ def compute_series(
     clo: dict[str, list[tuple[int, float]]] = {}
     deg: dict[str, list[tuple[int, float]]] = {}
     level: dict[str, float] = {}
-    for idx in range(window[0], window[1] + 1):
-        frame = table.frames.get(idx)
+    for idx in table.frame_indices():
+        frame = table.frames[idx]
         if not frame:
             continue
         graph = build_instant_graph(frame, mu)

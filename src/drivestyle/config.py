@@ -22,7 +22,7 @@ import yaml
 
 from .errors import ValidationError
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import read_yaml, write_text
+from .ingest import read_yaml, write_text, yaml_int
 from .pipeline import DEFAULT_EPSILON_S, DEFAULT_WINDOW_S, AnalysisParams
 from .regression import DEFAULT_KAPPA_CAP, FixedAlpha, GridSearchAlpha
 from .styles import DEFAULT_THRESHOLDS, Thresholds
@@ -70,7 +70,7 @@ def _run_config_from_dict(payload: dict) -> RunConfig:
         if payload.get(key) is not None:
             setattr(cfg, key, float(payload[key]))
     if payload.get("capacity") is not None:
-        cfg.capacity = int(payload["capacity"])
+        cfg.capacity = yaml_int(payload["capacity"], "capacity")
     if payload.get("alpha_policy") is not None:
         if not isinstance(payload["alpha_policy"], dict):
             raise ValidationError("alpha_policy must be a mapping")

@@ -129,8 +129,8 @@ def read_yaml(path, what: str, build):
     thresholds); an empty file is an empty mapping. An unreadable file,
     malformed YAML, a document that is not a mapping, and a missing key
     or a field of the wrong type (a KeyError, TypeError, ValueError or,
-    for an infinite integer, OverflowError from ``build``) raise a
-    one-line ValidationError naming the file.
+    for an integer too large for a float, OverflowError from ``build``)
+    raise a one-line ValidationError naming the file.
     """
     text = read_source(path, None, what)
     where = f"{what} {os.fspath(path)!r}"
@@ -151,6 +151,21 @@ def read_yaml(path, what: str, build):
         raise ValidationError(f"{where} is missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} has a bad field: {exc}") from None
+
+
+def yaml_int(value, name: str) -> int:
+    """``value`` of an integer YAML field: an int or an integral finite float.
+
+    Anything else, a bool among them, raises ValueError (``read_yaml``
+    reports it), so ``256.7`` or ``true`` is never truncated to 256 or 1.
+    """
+    if (
+        isinstance(value, bool)
+        or not isinstance(value, (int, float))
+        or (isinstance(value, float) and not value.is_integer())
+    ):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def parse_trajectories(

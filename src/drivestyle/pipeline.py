@@ -18,10 +18,16 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .centrality import compute_series
-from .errors import ValidationError, require_positive
+from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import TrajectoryTable, read_source, write_text
-from .regression import DEFAULT_ALPHA_POLICY, POLY_DEGREE, fit_design, fit_solve
+from .regression import (
+    DEFAULT_ALPHA_POLICY,
+    POLY_DEGREE,
+    CentralityPolynomial,
+    fit_design,
+    fit_solve,
+)
 from .styles import (
     DEFAULT_THRESHOLDS,
     StyleReport,
@@ -86,6 +92,14 @@ def frame_windows(
         start += stride_frames
 
 
+def _change_counts(values: np.ndarray) -> list[int]:
+    """Entry k: how many of samples 1..k differ in any bit from the one before."""
+    bits = values.view(np.int64)
+    changes = np.zeros(len(bits), dtype=np.int64)
+    np.cumsum(bits[1:] != bits[:-1], out=changes[1:])
+    return changes.tolist()
+
+
 @dataclass
 class RunReport:
     """Analysis output for one trajectory table."""
@@ -109,14 +123,25 @@ def analyze_table(
     """Run the full style-estimation pipeline on a trajectory table.
 
     ``series`` may carry precomputed centralities (from compute_series
-    with the same mu/capacity) to avoid a second pass.
+    with the same mu/capacity) to avoid a second pass. Each agent's
+    frames must be contiguous (ingest guarantees it); a gap raises
+    ContractViolationError.
 
-    Each (agent, window, kind) gets its own least-squares solve, but the
-    design behind it (alpha, condition number, matrix) is built once per
-    centered time grid and shared by every window on that grid, so the
-    alpha policy runs once per grid. The SLE/SIE maxima of all of an
-    agent's windows come from one ``sle_summaries`` call, in closed form.
-    Raises ConditioningError when a design is rank deficient at alpha = 0.
+    Each distinct piece of fit work is done once per call, and every
+    least-squares input is the one a per-window fit would build:
+    - the design (alpha, condition number, matrix) once per centered time
+      grid, so the alpha policy runs once per grid;
+    - the mean time, span and design lookup once per window slice
+      (first frame, sample count), which fixes the sample times;
+    - one solve per (slice, value) for a window whose samples are all
+      equal, shared by every agent and kind with that slice and value;
+      any other window gets its own solve.
+    ``fit_solve`` is a deterministic function of the design, mean time,
+    span and samples, so sharing changes no output bit. An agent visits
+    only the windows that overlap its frames. The SLE/SIE maxima of all
+    of an agent's windows come from one ``sle_summaries`` call, in closed
+    form. Raises ConditioningError when a design is rank deficient at
+    alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -127,35 +152,63 @@ def analyze_table(
     window_frames = max(POLY_DEGREE, int(round(params.window_s * f)))
     stride_frames = max(1, int(round(params.effective_stride() * f)))
     windows = frame_windows(lo, hi, window_frames, stride_frames)
+    starts = [w0 for w0, _ in windows]
+    ends = [w1 for _, w1 in windows]  # non-decreasing, like the starts
 
-    # one fit design per centered time grid, shared by every agent and
-    # kind sampled on it; kept for this call only
+    # kept for this call only: fit designs by centered time grid, window
+    # slices by (first frame, sample count), and constant-window fits by
+    # (first frame, sample count, value bytes)
     designs: dict[bytes, tuple] = {}
+    slices: dict[tuple[int, int], tuple] = {}
+    constant_fits: dict[tuple[int, int, bytes], CentralityPolynomial] = {}
+
+    def window_fit(slice_key, slice_fit, values, changes, i, j):
+        # samples i..j-1 are bit-equal iff no change is counted in i+1..j-1
+        if changes[j - 1] != changes[i]:
+            return fit_solve(*slice_fit, values[i:j])
+        key = (*slice_key, values[i].tobytes())
+        poly = constant_fits.get(key)
+        if poly is None:
+            poly = constant_fits[key] = fit_solve(*slice_fit, values[i:j])
+        return poly
+
     reports = []
     for agent_id in sorted(series):
         clo_series, deg_series = series[agent_id]
         frames = deg_series.frames()  # shared by both series, ascending
-        times = np.array(frames) / f
+        f0, f1 = frames[0], frames[-1]
+        if f1 - f0 != len(frames) - 1:
+            raise ContractViolationError(
+                f"agent {agent_id!r} has a gap in its frames {f0}..{f1}"
+            )
         deg = np.array([v for _, v in deg_series.values], dtype=float)
         clo = np.array([v for _, v in clo_series.values], dtype=float)
+        deg_changes = _change_counts(deg)
+        clo_changes = _change_counts(clo)
         spans, deg_polys, clo_polys = [], [], []
-        for w0, w1 in windows:
-            if w1 < frames[0] or w0 > frames[-1]:
+        for k in range(bisect_left(ends, f0), bisect_right(starts, f1)):
+            first = max(starts[k], f0)
+            n = min(ends[k], f1) - first + 1
+            if n < POLY_DEGREE + 1:
                 continue
-            i, j = bisect_left(frames, w0), bisect_right(frames, w1)
-            if j - i < POLY_DEGREE + 1:
-                continue
-            t = times[i:j]
-            t_bar = float(t.mean())
-            tc = t - t_bar
-            key = tc.tobytes()
-            design = designs.get(key)
-            if design is None:
-                design = designs[key] = fit_design(tc, params.alpha_policy)
-            span = (float(t[0]), float(t[-1]))
-            spans.append(span)
-            deg_polys.append(fit_solve(design, t_bar, span, deg[i:j]))
-            clo_polys.append(fit_solve(design, t_bar, span, clo[i:j]))
+            slice_key = (first, n)
+            slice_fit = slices.get(slice_key)
+            if slice_fit is None:
+                # frame / f: the sample times every per-window fit computes
+                t = np.arange(first, first + n) / f
+                t_bar = float(t.mean())
+                tc = t - t_bar
+                key = tc.tobytes()
+                design = designs.get(key)
+                if design is None:
+                    design = designs[key] = fit_design(tc, params.alpha_policy)
+                span = (float(t[0]), float(t[-1]))
+                slice_fit = slices[slice_key] = (design, t_bar, span)
+            i = first - f0
+            j = i + n
+            spans.append(slice_fit[2])
+            deg_polys.append(window_fit(slice_key, slice_fit, deg, deg_changes, i, j))
+            clo_polys.append(window_fit(slice_key, slice_fit, clo, clo_changes, i, j))
         sle = sle_summaries(deg_polys + clo_polys, spans + spans, f)
         analyses = [
             WindowAnalysis(

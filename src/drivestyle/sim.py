@@ -35,6 +35,7 @@ from .ingest import (
     read_source,
     read_yaml,
     write_text,
+    yaml_int,
 )
 
 VEHICLE_LENGTH_M = 5.0
@@ -627,11 +628,11 @@ def load_scenario(source) -> ScenarioConfig:
 
 def _scenario_from_dict(payload: dict) -> ScenarioConfig:
     return ScenarioConfig(
-        lane_count=int(payload["lane_count"]),
+        lane_count=yaml_int(payload["lane_count"], "lane_count"),
         road_length_m=float(payload["road_length_m"]),
         timestep_s=float(payload["timestep_s"]),
         duration_s=float(payload["duration_s"]),
-        seed=int(payload.get("seed", 0)),
+        seed=yaml_int(payload.get("seed", 0), "seed"),
         randomize_conservative_v0=bool(
             payload.get("randomize_conservative_v0", True)
         ),
@@ -642,7 +643,7 @@ def _scenario_from_dict(payload: dict) -> ScenarioConfig:
             SpawnSpec(
                 agent_id=str(a["id"]),
                 vehicle_class=str(a["class"]),
-                lane=int(a["lane"]),
+                lane=yaml_int(a["lane"], "lane"),
                 position=float(a["position"]),
                 speed=float(a["speed"]),
                 longitudinal=str(a.get("longitudinal", MODE_IDM)),
@@ -654,8 +655,8 @@ def _scenario_from_dict(payload: dict) -> ScenarioConfig:
         lane_change_scripts=[
             LaneChangeScript(
                 agent_id=str(s["agent"]),
-                frame=int(s["frame"]),
-                target_lane=int(s["target_lane"]),
+                frame=yaml_int(s["frame"], "frame"),
+                target_lane=yaml_int(s["target_lane"], "target_lane"),
             )
             for s in payload.get("lane_change_scripts", [])
         ],
@@ -663,8 +664,8 @@ def _scenario_from_dict(payload: dict) -> ScenarioConfig:
             ManeuverLabel(
                 agent_id=str(m["agent"]),
                 style=str(m["style"]),
-                start_frame=int(m["start_frame"]),
-                end_frame=int(m["end_frame"]),
+                start_frame=yaml_int(m["start_frame"], "start_frame"),
+                end_frame=yaml_int(m["end_frame"], "end_frame"),
             )
             for m in payload.get("maneuvers", [])
         ],

@@ -370,7 +370,6 @@ def test_run_config_defaults_are_the_analysis_defaults(tmp_path):
         assert replace(params, alpha_policy=default.alpha_policy) == default
 
 
-INFINITE_INT = "has a bad field: cannot convert float infinity to integer"
 NON_FINITE = {
     "window_nan": ("analyze", ["--window", "nan"], "window_s must be finite"),
     "window_inf": ("analyze", ["--window", "inf"], "window_s must be finite"),
@@ -381,12 +380,14 @@ NON_FINITE = {
     "epsilon_nan": ("analyze", ["--epsilon", "nan"], "epsilon_s must be finite"),
     "config_window_nan": ("analyze", ["--config", "window_s: .nan\n"],
                           "window_s must be finite"),
-    "config_capacity_inf": ("analyze", ["--config", "capacity: .inf\n"], INFINITE_INT),
+    "config_capacity_inf": ("analyze", ["--config", "capacity: .inf\n"],
+                            "has a bad field: capacity must be an integer, got inf"),
     "thresholds_nan": ("analyze", ["--thresholds", "tau_degree: .nan\ntau_closeness: 1\n"],
                        "tau_degree must be finite"),
     "scenario_duration_nan": ("simulate", {"duration_s": math.nan},
                               "duration_s must be finite"),
-    "scenario_lanes_inf": ("simulate", {"lane_count": math.inf}, INFINITE_INT),
+    "scenario_lanes_inf": ("simulate", {"lane_count": math.inf},
+                           "has a bad field: lane_count must be an integer, got inf"),
     "evaluate_rate_nan": ("evaluate", ["--frame-rate", "nan"], "frame_rate_hz must be finite"),
     "evaluate_rate_inf": ("evaluate", ["--frame-rate", "inf"], "frame_rate_hz must be finite"),
 }
@@ -415,3 +416,47 @@ def test_non_finite_parameter_exits_1_with_one_line(kind, analyzed_run, tmp_path
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert message in err
+
+
+# (file, path to the field, value): integer fields that once were truncated
+NON_INTEGER = {
+    "capacity_fraction": ("config", ("capacity",), 256.7),
+    "capacity_bool": ("config", ("capacity",), True),
+    "capacity_text": ("config", ("capacity",), "256"),
+    "lane_count_fraction": ("scenario", ("lane_count",), 2.5),
+    "seed_bool": ("scenario", ("seed",), True),
+    "spawn_lane_fraction": ("scenario", ("agents", 0, "lane"), 1.5),
+    "script_frame_fraction": ("scenario", ("lane_change_scripts", 0, "frame"), 81.5),
+    "script_target_lane_bool": ("scenario", ("lane_change_scripts", 0, "target_lane"), True),
+    "maneuver_start_fraction": ("scenario", ("maneuvers", 0, "start_frame"), 81.25),
+    "maneuver_end_bool": ("scenario", ("maneuvers", 0, "end_frame"), False),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+def test_non_integer_field_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    source, path, value = NON_INTEGER[kind]
+    if source == "config":
+        document = {"capacity": 256}
+        argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                "--frame-rate", "10", "--config", str(tmp_path / "input.yaml")]
+    else:
+        save_scenario(lane_change_scenario(0), tmp_path / "input.yaml")
+        document = yaml.safe_load((tmp_path / "input.yaml").read_text())
+        argv = ["simulate", "--scenario", str(tmp_path / "input.yaml")]
+    parent = document
+    for key in path[:-1]:
+        parent = parent[key]
+    parent[path[-1]] = value
+    (tmp_path / "input.yaml").write_text(yaml.safe_dump(document))
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert f"has a bad field: {path[-1]} must be an integer, got {value!r}" in err
+
+
+def test_integral_float_fields_are_integers(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text("capacity: 256.0\n")
+    capacity = load_run_config(path).capacity
+    assert capacity == 256 and type(capacity) is int

@@ -2,11 +2,13 @@ import importlib.util
 import json
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
+from drivestyle.centrality import compute_series
 from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
 from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import (
@@ -186,14 +188,17 @@ track = st.tuples(
     st.integers(1, 40),  # frames present; under 3 gives no fit
     st.sampled_from([0.0, 1.0, 2.5, 4.0]),  # speed; equal speeds add no degree
     st.floats(0.0, 60.0),  # start x
-    st.booleans(),  # far from everyone: its degree stays constant
+    # road: agents meet only on the same road, so a lone agent's degree
+    # stays constant, and a pair on a remote road gives constant non-zero
+    # runs and single steps in the degree
+    st.integers(0, 3),
 )
 
 
 def table_from_tracks(tracks, frame_rate_hz):
     frames = {}
-    for n, (first, length, speed, x0, far) in enumerate(tracks):
-        y = 1000.0 * (n + 1) if far else 0.37 * n  # distinct lanes: no coincident agents
+    for n, (first, length, speed, x0, road) in enumerate(tracks):
+        y = 1000.0 * road + 0.37 * n  # distinct lanes: no coincident agents
         for k in range(first, first + length):
             x = x0 + speed * (k - first) / frame_rate_hz
             frames.setdefault(k, []).append(
@@ -232,7 +237,7 @@ def test_analyze_table_matches_per_window_oracle_byte_for_byte(
 def test_constant_degree_windows_match_oracle_exactly():
     # a0 passes the parked a1 in frame 0, so its degree is 1.0 from then
     # on: every degree SLE is rounding noise of the fit, and t_sle its argmax
-    tracks = [(0, 80, 4.0, 0.0, False), (0, 80, 0.0, 3.0, False)]
+    tracks = [(0, 80, 4.0, 0.0, 0), (0, 80, 0.0, 3.0, 0)]
     table = table_from_tracks(tracks, 10.0)
     params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
     report = analyze_table(table, params)
@@ -240,6 +245,67 @@ def test_constant_degree_windows_match_oracle_exactly():
     assert report_to_json(report) == report_to_json(expected)
     noise = [w.degree_sle.sle_max for w in report.agent("a0").windows]
     assert noise and all(0.0 < v < 1e-12 for v in noise)
+
+
+def test_each_distinct_window_fit_is_solved_once(monkeypatch):
+    # five parked agents, each alone on its own road (degree and closeness
+    # 0.0 throughout, entering at two different frames), plus three movers
+    # that overtake one another on the main road
+    parked = [(first, 60, 0.0, 0.0, road)
+              for first, road in ((0, 1), (0, 2), (7, 3), (7, 4), (7, 5))]
+    movers = [(0, 60, 4.0, 0.0, 0), (0, 60, 1.0, 8.0, 0), (12, 40, 0.0, 20.0, 0)]
+    table = table_from_tracks(parked + movers, 10.0)
+    params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
+    expected = report_to_json(per_window_analyze(table, params))
+
+    # what a per-window fit solves, told apart by whether its samples are equal
+    series = compute_series(table, params.mu, capacity=params.capacity)
+    lo, hi = table.span()
+    shared, own, windows = set(), 0, 0
+    for clo, deg in series.values():
+        for w0, w1 in frame_windows(lo, hi, 10, 5):
+            for s in (clo, deg):
+                samples = [(k, v) for k, v in s.values if w0 <= k <= w1]
+                if len(samples) < 3:
+                    continue
+                windows += 1
+                values = {v for _, v in samples}
+                if len(values) == 1:
+                    shared.add((samples[0][0], len(samples), values.pop()))
+                else:
+                    own += 1
+
+    calls = []
+    lstsq = np.linalg.lstsq
+
+    def counted_lstsq(*args, **kwargs):
+        calls.append(args)
+        return lstsq(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    report = analyze_table(table, params)
+    monkeypatch.undo()
+    assert report_to_json(report) == expected
+    assert own > 0 and len(calls) == len(shared) + own < windows / 2
+
+
+def test_gap_in_an_agents_frames_is_a_contract_violation():
+    table = table_from_tracks([(0, 12, 1.0, 0.0, 0), (0, 12, 0.0, 5.0, 1)], 1.0)
+    for k in (5, 6):
+        table.frames[k] = [fr for fr in table.frames[k] if fr.agent_id != "a0"]
+    with pytest.raises(ContractViolationError, match="'a0' has a gap"):
+        analyze_table(table, AnalysisParams(mu=25.0, thresholds=THRESHOLDS))
+
+
+def test_sparse_span_matches_oracle():
+    # two groups 20,000 frames apart: nothing is analysed in between
+    tracks = [(0, 30, 4.0, 0.0, 0), (0, 30, 1.0, 6.0, 0), (0, 30, 0.0, 0.0, 1),
+              (20_000, 25, 2.5, 0.0, 0), (20_003, 20, 0.0, 9.0, 0)]
+    table = table_from_tracks(tracks, 2.0)
+    params = AnalysisParams(mu=25.0, window_s=5.0, thresholds=THRESHOLDS)
+    report = analyze_table(table, params)
+    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
+    assert all(a.windows for a in report.agents)
 
 
 def test_rank_deficient_alpha_0_design_raises():
