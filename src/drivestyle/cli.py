@@ -9,18 +9,13 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
 from .calibrate import calibrate_thresholds
 from .centrality import compute_series, series_to_csv
-from .config import (
-    RunConfig,
-    analysis_params,
-    load_run_config,
-    load_thresholds,
-    save_thresholds,
-)
+from .config import RunConfig, load_run_config, load_thresholds, save_thresholds
 from .errors import (
     ConditioningError,
     ContractViolationError,
@@ -64,11 +59,13 @@ def build_parser() -> argparse.ArgumentParser:
     ana.add_argument("--trajectories", required=True, help="trajectory CSV file")
     ana.add_argument("--config", default=None, help="run-config YAML file")
     ana.add_argument("--frame-rate", type=float, default=None, dest="frame_rate")
-    ana.add_argument("--mu", type=float, default=None, help="proximity threshold, m^2")
-    ana.add_argument("--window", type=float, default=None, help="analysis window, s")
-    ana.add_argument("--stride", type=float, default=None, help="window stride, s")
-    ana.add_argument("--epsilon", type=float, default=None, help="sharpness ball radius, s")
-    ana.add_argument("--thresholds", default=None, help="thresholds YAML (overrides config)")
+    # each dest is the AnalysisParams field the flag overrides
+    ana.add_argument("--mu", type=float, help="proximity threshold, m^2")
+    ana.add_argument("--window", type=float, dest="window_s", help="analysis window, s")
+    ana.add_argument("--stride", type=float, dest="stride_s", help="window stride, s")
+    ana.add_argument("--epsilon", type=float, dest="epsilon_s", help="sharpness ball radius, s")
+    ana.add_argument("--thresholds", dest="thresholds_file",
+                     help="thresholds YAML (overrides config)")
     ana.add_argument("--out", required=True, help="output directory")
 
     ev = sub.add_parser("evaluate", help="compare a report against maneuver labels")
@@ -121,16 +118,14 @@ def _run_config_for_analyze(args) -> RunConfig:
     cfg = load_run_config(args.config) if args.config else RunConfig()
     if args.frame_rate is not None:
         cfg.frame_rate_hz = args.frame_rate
-    if args.mu is not None:
-        cfg.mu = args.mu
-    if args.window is not None:
-        cfg.window_s = args.window
-    if args.stride is not None:
-        cfg.stride_s = args.stride
-    if args.epsilon is not None:
-        cfg.epsilon_s = args.epsilon
-    if args.thresholds is not None:
-        cfg.thresholds = load_thresholds(args.thresholds)
+    given = {
+        f.name: getattr(args, f.name)
+        for f in fields(cfg.params)
+        if getattr(args, f.name, None) is not None
+    }
+    if args.thresholds_file is not None:
+        given["thresholds"] = load_thresholds(args.thresholds_file)
+    cfg.params = replace(cfg.params, **given)
     return cfg
 
 
@@ -140,7 +135,7 @@ def cmd_analyze(args) -> int:
         raise ValidationError(
             "frame rate required: pass --frame-rate or set frame_rate_hz in the config"
         )
-    params = analysis_params(cfg)
+    params = cfg.params
     table = parse_trajectories(args.trajectories, cfg.frame_rate_hz)
     series = compute_series(table, params.mu, capacity=params.capacity)
     report = analyze_table(table, params, series=series)
@@ -194,7 +189,7 @@ def cmd_calibrate(args) -> int:
         if not path.is_absolute():
             path = base / path
         scenarios.append(load_scenario(path))
-    thresholds = calibrate_thresholds(scenarios, analysis_params(cfg))
+    thresholds = calibrate_thresholds(scenarios, cfg.params)
     save_thresholds(thresholds, args.out)
     print(
         f"tau_degree={thresholds.tau_degree!r} "

@@ -1,7 +1,12 @@
 """Run-configuration files: analysis parameters and thresholds as YAML.
 
-A run config is a flat key-value document; every key has a default and
-every key can be overridden by a CLI flag. Example:
+A run config is a flat key-value document: ``frame_rate_hz``,
+``calibration_scenarios`` and the fields of ``pipeline.AnalysisParams``,
+whose defaults fill every key left out. Any other key is an error, and
+every value must have its field's YAML type (``mu: true`` or
+``window_s: "5"`` is an error, not 1.0 or 5.0). ``analyze`` flags
+override ``frame_rate_hz``, ``mu``, ``window_s``, ``stride_s``,
+``epsilon_s`` and ``thresholds``. Example:
 
     frame_rate_hz: 10.0
     mu: 100.0
@@ -16,40 +21,43 @@ every key can be overridden by a CLI flag. Example:
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 import yaml
 
-from .errors import ValidationError
-from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import read_yaml, write_text, yaml_int
-from .pipeline import DEFAULT_EPSILON_S, DEFAULT_WINDOW_S, AnalysisParams
-from .regression import DEFAULT_KAPPA_CAP, FixedAlpha, GridSearchAlpha
-from .styles import DEFAULT_THRESHOLDS, Thresholds
+from .errors import ValidationError, require_positive
+from .ingest import read_yaml, write_text, yaml_float, yaml_int, yaml_record, yaml_str
+from .pipeline import AnalysisParams
+from .regression import FixedAlpha, GridSearchAlpha
+from .styles import Thresholds
 
 
 @dataclass
 class RunConfig:
+    """A run config: the analysis parameters and what only the CLI reads."""
+
     frame_rate_hz: float | None = None
-    mu: float = DEFAULT_MU
-    capacity: int = DEFAULT_CAPACITY
-    window_s: float = DEFAULT_WINDOW_S
-    stride_s: float | None = None
-    epsilon_s: float = DEFAULT_EPSILON_S
-    alpha_policy: dict = field(default_factory=lambda: {"kind": "grid"})
-    thresholds: Thresholds = field(default_factory=lambda: DEFAULT_THRESHOLDS)
+    params: AnalysisParams = field(default_factory=AnalysisParams)
     calibration_scenarios: list[str] = field(default_factory=list)
 
 
-def make_alpha_policy(spec: dict):
-    kind = spec.get("kind", "grid")
-    if kind == "grid":
-        return GridSearchAlpha(cap=float(spec.get("cap", DEFAULT_KAPPA_CAP)))
-    if kind == "fixed":
-        if "alpha" not in spec:
-            raise ValidationError("fixed alpha policy requires an 'alpha' value")
-        return FixedAlpha(float(spec["alpha"]))
-    raise ValidationError(f"unknown alpha policy kind {kind!r}")
+# alpha_policy kind -> (policy class, its YAML keys besides ``kind``)
+_ALPHA_POLICIES = {
+    "grid": (GridSearchAlpha, {"cap": ("cap", yaml_float)}),
+    "fixed": (FixedAlpha, {"alpha": ("alpha", yaml_float)}),
+}
+
+
+def make_alpha_policy(spec, name: str = "alpha_policy"):
+    """The policy a mapping such as ``{kind: grid, cap: 1e6}`` names."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{name} must be a mapping, got {spec!r}")
+    kind = yaml_str(spec.get("kind", "grid"), "kind")
+    if kind not in _ALPHA_POLICIES:
+        raise ValidationError(f"unknown alpha policy kind {kind!r}")
+    cls, keys = _ALPHA_POLICIES[kind]
+    settings = {key: value for key, value in spec.items() if key != "kind"}
+    return yaml_record(cls, settings, keys, f"{kind} {name}")
 
 
 def load_run_config(path) -> RunConfig:
@@ -57,58 +65,45 @@ def load_run_config(path) -> RunConfig:
     return read_yaml(path, "run config", _run_config_from_dict)
 
 
+def _thresholds_from_dict(raw, name: str = "thresholds") -> Thresholds:
+    keys = {f.name: (f.name, yaml_float) for f in fields(Thresholds)}
+    return yaml_record(Thresholds, raw, keys, name)
+
+
+# reader of each AnalysisParams field that is not a real number
+_PARAM_READERS = {
+    "capacity": yaml_int,
+    "alpha_policy": make_alpha_policy,
+    "thresholds": _thresholds_from_dict,
+}
+
+
 def _run_config_from_dict(payload: dict) -> RunConfig:
-    known = {
-        "frame_rate_hz", "mu", "capacity", "window_s", "stride_s", "epsilon_s",
-        "alpha_policy", "thresholds", "calibration_scenarios",
-    }
-    unknown = set(payload) - known
+    params = {f.name for f in fields(AnalysisParams)}
+    unknown = set(payload) - params - {"frame_rate_hz", "calibration_scenarios"}
     if unknown:
-        raise ValidationError(f"unknown run-config keys: {sorted(unknown)}")
-    cfg = RunConfig()
-    for key in ("frame_rate_hz", "mu", "window_s", "epsilon_s", "stride_s"):
-        if payload.get(key) is not None:
-            setattr(cfg, key, float(payload[key]))
-    if payload.get("capacity") is not None:
-        cfg.capacity = yaml_int(payload["capacity"], "capacity")
-    if payload.get("alpha_policy") is not None:
-        if not isinstance(payload["alpha_policy"], dict):
-            raise ValidationError("alpha_policy must be a mapping")
-        make_alpha_policy(payload["alpha_policy"])  # fail while the file is known
-        cfg.alpha_policy = payload["alpha_policy"]
-    if payload.get("thresholds") is not None:
-        cfg.thresholds = _thresholds_from_dict(payload["thresholds"])
-    if payload.get("calibration_scenarios") is not None:
-        cfg.calibration_scenarios = [str(p) for p in payload["calibration_scenarios"]]
+        raise ValidationError(f"unknown run-config keys: {sorted(unknown, key=str)}")
+    given = {key: value for key, value in payload.items() if value is not None}
+    cfg = RunConfig(params=AnalysisParams(**{
+        key: _PARAM_READERS.get(key, yaml_float)(value, key)
+        for key, value in given.items()
+        if key in params
+    }))
+    if "frame_rate_hz" in given:
+        rate = yaml_float(given["frame_rate_hz"], "frame_rate_hz")
+        cfg.frame_rate_hz = require_positive(rate, "frame_rate_hz")
+    if "calibration_scenarios" in given:
+        paths = given["calibration_scenarios"]
+        if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
+            raise ValueError(
+                f"calibration_scenarios must be a list of strings, got {paths!r}"
+            )
+        cfg.calibration_scenarios = paths
     return cfg
 
 
-def _thresholds_from_dict(raw: dict) -> Thresholds:
-    return Thresholds(
-        tau_degree=float(raw["tau_degree"]),
-        tau_closeness=float(raw["tau_closeness"]),
-        weaving_min_sharpness=float(raw.get("weaving_min_sharpness", 0.0)),
-    )
-
-
-def analysis_params(cfg: RunConfig) -> AnalysisParams:
-    return AnalysisParams(
-        mu=cfg.mu,
-        capacity=cfg.capacity,
-        window_s=cfg.window_s,
-        stride_s=cfg.stride_s,
-        epsilon_s=cfg.epsilon_s,
-        thresholds=cfg.thresholds,
-        alpha_policy=make_alpha_policy(cfg.alpha_policy),
-    )
-
-
 def save_thresholds(thresholds: Thresholds, dest) -> None:
-    payload = {
-        "tau_degree": float(thresholds.tau_degree),
-        "tau_closeness": float(thresholds.tau_closeness),
-        "weaving_min_sharpness": float(thresholds.weaving_min_sharpness),
-    }
+    payload = {name: float(value) for name, value in asdict(thresholds).items()}
     write_text(dest, yaml.safe_dump(payload, sort_keys=False), "thresholds file")
 
 

@@ -12,6 +12,7 @@ threads.
 
 from __future__ import annotations
 
+import inspect
 import math
 import os
 from dataclasses import dataclass, field
@@ -127,9 +128,10 @@ def read_yaml(path, what: str, build):
 
     The one reader of the package's YAML files (scenarios, run configs,
     thresholds); an empty file is an empty mapping. An unreadable file,
-    malformed YAML, a document that is not a mapping, and a missing key
-    or a field of the wrong type (a KeyError, TypeError, ValueError or,
-    for an integer too large for a float, OverflowError from ``build``)
+    malformed YAML, a document that is not a mapping, a missing key, a
+    field of the wrong type (a KeyError, TypeError, ValueError or, for an
+    integer too large for a float, OverflowError from ``build``) and a
+    ValidationError from ``build`` (an unknown key, a value out of range)
     raise a one-line ValidationError naming the file.
     """
     text = read_source(path, None, what)
@@ -151,13 +153,19 @@ def read_yaml(path, what: str, build):
         raise ValidationError(f"{where} is missing key {exc}") from None
     except (TypeError, ValueError, OverflowError) as exc:
         raise ValidationError(f"{where} has a bad field: {exc}") from None
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+# The yaml_* readers check one YAML value of a field named ``name``. A value
+# of the wrong type raises ValueError (``read_yaml`` reports it): a YAML
+# bool, string or octal-looking number is never coerced into another type.
 
 
 def yaml_int(value, name: str) -> int:
-    """``value`` of an integer YAML field: an int or an integral finite float.
+    """``value`` of an integer field: an int or an integral finite float.
 
-    Anything else, a bool among them, raises ValueError (``read_yaml``
-    reports it), so ``256.7`` or ``true`` is never truncated to 256 or 1.
+    So ``256.7`` or ``true`` is never truncated to 256 or 1.
     """
     if (
         isinstance(value, bool)
@@ -166,6 +174,50 @@ def yaml_int(value, name: str) -> int:
     ):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return int(value)
+
+
+def yaml_float(value, name: str) -> float:
+    """``value`` of a real field: an int or a float, as a float."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise ValueError(f"{name} must be a number, got {value!r}")
+    return float(value)
+
+
+def yaml_bool(value, name: str) -> bool:
+    """``value`` of a boolean field: ``true`` or ``false``, not ``"no"``."""
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def yaml_str(value, name: str) -> str:
+    """``value`` of a text field: a string, so ``id: 010`` is not agent "8"."""
+    if not isinstance(value, str):
+        raise ValueError(f"{name} must be a string, got {value!r}")
+    return value
+
+
+def yaml_record(cls, mapping, keys: dict, what: str):
+    """``cls(**arguments)`` read from the YAML mapping ``mapping``.
+
+    ``keys`` maps each YAML key ``cls`` takes to ``(argument name,
+    reader)``, where ``reader(value, key)`` is a ``yaml_*`` check. A key
+    outside ``keys`` raises ValidationError and a missing key of an
+    argument without default KeyError; an absent key takes ``cls``'s own
+    default, so no default is written twice.
+    """
+    if not isinstance(mapping, dict):
+        raise ValidationError(f"{what} must be a mapping, got {mapping!r}")
+    unknown = set(mapping) - set(keys)
+    if unknown:
+        raise ValidationError(f"unknown {what} keys: {sorted(unknown, key=str)}")
+    arguments = {}
+    for key, (name, read) in keys.items():
+        if key in mapping:
+            arguments[name] = read(mapping[key], key)
+        elif inspect.signature(cls).parameters[name].default is inspect.Parameter.empty:
+            raise KeyError(key)
+    return cls(**arguments)
 
 
 def parse_trajectories(

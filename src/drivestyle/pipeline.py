@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 
 import numpy as np
 
@@ -48,9 +48,6 @@ from .styles import sle_sie  # noqa: F401
 
 SCHEMA_VERSION = "2"
 
-DEFAULT_WINDOW_S = 5.0
-DEFAULT_EPSILON_S = 0.5
-
 
 @dataclass
 class AnalysisParams:
@@ -58,9 +55,9 @@ class AnalysisParams:
 
     mu: float = DEFAULT_MU
     capacity: int = DEFAULT_CAPACITY
-    window_s: float = DEFAULT_WINDOW_S
+    window_s: float = 5.0
     stride_s: float | None = None  # None: half the window (50% overlap)
-    epsilon_s: float = DEFAULT_EPSILON_S
+    epsilon_s: float = 0.5
     thresholds: Thresholds = field(default_factory=lambda: DEFAULT_THRESHOLDS)
     alpha_policy: object = DEFAULT_ALPHA_POLICY
 
@@ -246,21 +243,12 @@ def _poly_dict(poly) -> dict | None:
 
 def report_to_json(report: RunReport, dest=None) -> str:
     params = report.params
+    settings = asdict(replace(params, stride_s=params.effective_stride(), alpha_policy=None))
+    del settings["alpha_policy"]  # code, not data: each fit stores the alpha it chose
     payload = {
         "schema_version": SCHEMA_VERSION,
         "frame_rate_hz": report.frame_rate_hz,
-        "params": {
-            "mu": params.mu,
-            "capacity": params.capacity,
-            "window_s": params.window_s,
-            "stride_s": params.effective_stride(),
-            "epsilon_s": params.epsilon_s,
-            "thresholds": {
-                "tau_degree": params.thresholds.tau_degree,
-                "tau_closeness": params.thresholds.tau_closeness,
-                "weaving_min_sharpness": params.thresholds.weaving_min_sharpness,
-            },
-        },
+        "params": settings,
         "agents": [
             {
                 "agent_id": rep.agent_id,

@@ -36,7 +36,6 @@ SUITE_EPSILON_S = 0.5
 
 def suite_analysis_params(thresholds: Thresholds | None = None) -> AnalysisParams:
     kwargs = dict(
-        mu=DEFAULT_MU,
         window_s=SUITE_WINDOW_S,
         stride_s=SUITE_STRIDE_S,
         epsilon_s=SUITE_EPSILON_S,

@@ -35,7 +35,11 @@ from .ingest import (
     read_source,
     read_yaml,
     write_text,
+    yaml_bool,
+    yaml_float,
     yaml_int,
+    yaml_record,
+    yaml_str,
 )
 
 VEHICLE_LENGTH_M = 5.0
@@ -170,7 +174,7 @@ class ScenarioConfig:
     road_length_m: float
     timestep_s: float
     duration_s: float
-    spawns: list[SpawnSpec]
+    spawns: list[SpawnSpec] = field(default_factory=list)
     maneuvers: list[ManeuverLabel] = field(default_factory=list)
     lane_change_scripts: list[LaneChangeScript] = field(default_factory=list)
     seed: int = 0
@@ -578,96 +582,80 @@ def parse_labels(source=None, *, text=None) -> list[ManeuverLabel]:
     return labels
 
 
+def _yaml_list(cls, what: str):
+    """Reader of a YAML list of ``cls`` records (see ``ingest.yaml_record``)."""
+    def read(value, name):
+        if not isinstance(value, list):
+            raise ValueError(f"{name} must be a list, got {value!r}")
+        return [yaml_record(cls, entry, _RECORD_KEYS[cls], what) for entry in value]
+    return read
+
+
+# YAML key -> (field, reader) of each scenario record, in file order: the
+# one schema that load_scenario reads and save_scenario writes
+_RECORD_KEYS = {
+    SpawnSpec: {
+        "id": ("agent_id", yaml_str),
+        "class": ("vehicle_class", yaml_str),
+        "lane": ("lane", yaml_int),
+        "position": ("position", yaml_float),
+        "speed": ("speed", yaml_float),
+        "longitudinal": ("longitudinal", yaml_str),
+        "mobil": ("mobil_enabled", yaml_bool),
+        "v0": ("v0", yaml_float),
+    },
+    LaneChangeScript: {
+        "agent": ("agent_id", yaml_str),
+        "frame": ("frame", yaml_int),
+        "target_lane": ("target_lane", yaml_int),
+    },
+    ManeuverLabel: {
+        "agent": ("agent_id", yaml_str),
+        "style": ("style", yaml_str),
+        "start_frame": ("start_frame", yaml_int),
+        "end_frame": ("end_frame", yaml_int),
+    },
+    ScenarioConfig: {
+        "lane_count": ("lane_count", yaml_int),
+        "road_length_m": ("road_length_m", yaml_float),
+        "timestep_s": ("timestep_s", yaml_float),
+        "duration_s": ("duration_s", yaml_float),
+        "seed": ("seed", yaml_int),
+        "randomize_conservative_v0": ("randomize_conservative_v0", yaml_bool),
+        "lane_width_m": ("lane_width_m", yaml_float),
+        "lane_change_duration_s": ("lane_change_duration_s", yaml_float),
+        "mobil_period_s": ("mobil_period_s", yaml_float),
+        "agents": ("spawns", _yaml_list(SpawnSpec, "agent")),
+        "lane_change_scripts": (
+            "lane_change_scripts", _yaml_list(LaneChangeScript, "lane-change script")
+        ),
+        "maneuvers": ("maneuvers", _yaml_list(ManeuverLabel, "maneuver")),
+    },
+}
+
+
+def _to_yaml(record) -> dict:
+    """The YAML mapping of a scenario record; a None field (``v0``) is left out."""
+    payload = {}
+    for key, (name, _) in _RECORD_KEYS[type(record)].items():
+        value = getattr(record, name)
+        if isinstance(value, list):
+            value = [_to_yaml(entry) for entry in value]
+        if value is not None:
+            payload[key] = value
+    return payload
+
+
 def save_scenario(config: ScenarioConfig, dest) -> None:
-    payload = {
-        "lane_count": config.lane_count,
-        "road_length_m": config.road_length_m,
-        "timestep_s": config.timestep_s,
-        "duration_s": config.duration_s,
-        "seed": config.seed,
-        "randomize_conservative_v0": config.randomize_conservative_v0,
-        "lane_width_m": config.lane_width_m,
-        "lane_change_duration_s": config.lane_change_duration_s,
-        "mobil_period_s": config.mobil_period_s,
-        "agents": [
-            {
-                "id": s.agent_id,
-                "class": s.vehicle_class,
-                "lane": s.lane,
-                "position": s.position,
-                "speed": s.speed,
-                "longitudinal": s.longitudinal,
-                "mobil": s.mobil_enabled,
-                **({"v0": s.v0} if s.v0 is not None else {}),
-            }
-            for s in config.spawns
-        ],
-        "lane_change_scripts": [
-            {"agent": s.agent_id, "frame": s.frame, "target_lane": s.target_lane}
-            for s in config.lane_change_scripts
-        ],
-        "maneuvers": [
-            {
-                "agent": m.agent_id,
-                "style": m.style,
-                "start_frame": m.start_frame,
-                "end_frame": m.end_frame,
-            }
-            for m in config.maneuvers
-        ],
-    }
-    write_text(dest, yaml.safe_dump(payload, sort_keys=False), "scenario")
+    write_text(dest, yaml.safe_dump(_to_yaml(config), sort_keys=False), "scenario")
 
 
 def load_scenario(source) -> ScenarioConfig:
     """Read a scenario YAML file (see ``ingest.read_yaml`` for its errors)."""
-    config = read_yaml(source, "scenario", _scenario_from_dict)
-    config.validate()
-    return config
+    return read_yaml(source, "scenario", _scenario_from_dict)
 
 
 def _scenario_from_dict(payload: dict) -> ScenarioConfig:
-    return ScenarioConfig(
-        lane_count=yaml_int(payload["lane_count"], "lane_count"),
-        road_length_m=float(payload["road_length_m"]),
-        timestep_s=float(payload["timestep_s"]),
-        duration_s=float(payload["duration_s"]),
-        seed=yaml_int(payload.get("seed", 0), "seed"),
-        randomize_conservative_v0=bool(
-            payload.get("randomize_conservative_v0", True)
-        ),
-        lane_width_m=float(payload.get("lane_width_m", 4.0)),
-        lane_change_duration_s=float(payload.get("lane_change_duration_s", 3.0)),
-        mobil_period_s=float(payload.get("mobil_period_s", 1.0)),
-        spawns=[
-            SpawnSpec(
-                agent_id=str(a["id"]),
-                vehicle_class=str(a["class"]),
-                lane=yaml_int(a["lane"], "lane"),
-                position=float(a["position"]),
-                speed=float(a["speed"]),
-                longitudinal=str(a.get("longitudinal", MODE_IDM)),
-                mobil_enabled=bool(a.get("mobil", True)),
-                v0=float(a["v0"]) if "v0" in a else None,
-            )
-            for a in payload.get("agents", [])
-        ],
-        lane_change_scripts=[
-            LaneChangeScript(
-                agent_id=str(s["agent"]),
-                frame=yaml_int(s["frame"], "frame"),
-                target_lane=yaml_int(s["target_lane"], "target_lane"),
-            )
-            for s in payload.get("lane_change_scripts", [])
-        ],
-        maneuvers=[
-            ManeuverLabel(
-                agent_id=str(m["agent"]),
-                style=str(m["style"]),
-                start_frame=yaml_int(m["start_frame"], "start_frame"),
-                end_frame=yaml_int(m["end_frame"], "end_frame"),
-            )
-            for m in payload.get("maneuvers", [])
-        ],
-    )
-
+    config = yaml_record(ScenarioConfig, payload, _RECORD_KEYS[ScenarioConfig], "scenario")
+    config.validate()  # fail while the file is known
+    return config

@@ -1,12 +1,11 @@
 import json
 import math
-from dataclasses import replace
 
 import pytest
 import yaml
 
 from drivestyle.cli import main
-from drivestyle.config import RunConfig, analysis_params, load_run_config
+from drivestyle.config import RunConfig, load_run_config
 from drivestyle.pipeline import AnalysisParams
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
@@ -362,12 +361,8 @@ def test_run_config_seed_key_is_unknown(analyzed_run, tmp_path, capsys):
 def test_run_config_defaults_are_the_analysis_defaults(tmp_path):
     cfg = tmp_path / "cfg.yaml"
     cfg.write_text("frame_rate_hz: 10\n")
-    default = AnalysisParams()
     for loaded in (RunConfig(), load_run_config(cfg)):
-        params = analysis_params(loaded)
-        policy = params.alpha_policy  # a fresh grid policy, equal in settings
-        assert (policy.cap, policy.grid) == (default.alpha_policy.cap, default.alpha_policy.grid)
-        assert replace(params, alpha_policy=default.alpha_policy) == default
+        assert loaded.params == AnalysisParams()
 
 
 NON_FINITE = {
@@ -433,30 +428,152 @@ NON_INTEGER = {
 }
 
 
-@pytest.mark.parametrize("kind", sorted(NON_INTEGER))
-def test_non_integer_field_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
-    source, path, value = NON_INTEGER[kind]
-    if source == "config":
-        document = {"capacity": 256}
-        argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
-                "--frame-rate", "10", "--config", str(tmp_path / "input.yaml")]
-    else:
+# how an error names each input file of _cli_with_yaml_field
+_FILE_KIND = {"config": "run config", "thresholds": "thresholds file", "scenario": "scenario"}
+
+
+def _cli_with_yaml_field(source, path, value, analyzed_run, tmp_path):
+    """argv whose input file ``source``, valid otherwise, has ``value`` at ``path``."""
+    if source == "scenario":
         save_scenario(lane_change_scenario(0), tmp_path / "input.yaml")
         document = yaml.safe_load((tmp_path / "input.yaml").read_text())
         argv = ["simulate", "--scenario", str(tmp_path / "input.yaml")]
+    else:
+        document = {
+            "config": {"capacity": 256, "alpha_policy": {"kind": "grid"},
+                       "thresholds": {"tau_degree": 1.0, "tau_closeness": 1.0}},
+            "thresholds": {"tau_degree": 1.0, "tau_closeness": 1.0},
+        }[source]
+        flag = "--config" if source == "config" else "--thresholds"
+        argv = ["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                "--frame-rate", "10", flag, str(tmp_path / "input.yaml")]
     parent = document
     for key in path[:-1]:
         parent = parent[key]
     parent[path[-1]] = value
     (tmp_path / "input.yaml").write_text(yaml.safe_dump(document))
-    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    return argv + ["--out", str(tmp_path / "out")]
+
+
+@pytest.mark.parametrize("kind", sorted(NON_INTEGER))
+def test_non_integer_field_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    source, path, value = NON_INTEGER[kind]
+    assert main(_cli_with_yaml_field(source, path, value, analyzed_run, tmp_path)) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert f"has a bad field: {path[-1]} must be an integer, got {value!r}" in err
 
 
+# (file, path to the field, the field's YAML text, message): values that
+# once were coerced to another type
+WRONG_TYPE = {
+    "mu_bool": ("config", ("mu",), "true", "mu must be a number, got True"),
+    "window_text": ("config", ("window_s",), '"5"', "window_s must be a number, got '5'"),
+    "rate_bool": ("config", ("frame_rate_hz",), "yes",
+                  "frame_rate_hz must be a number, got True"),
+    "tau_degree_bool": ("config", ("thresholds", "tau_degree"), "true",
+                        "tau_degree must be a number, got True"),
+    "thresholds_file_text": ("thresholds", ("tau_closeness",), '"0.1"',
+                             "tau_closeness must be a number, got '0.1'"),
+    "cap_text": ("config", ("alpha_policy", "cap"), '"1e6"', "cap must be a number, got '1e6'"),
+    "mobil_text": ("scenario", ("agents", 0, "mobil"), '"false"',
+                   "mobil must be true or false, got 'false'"),
+    "randomize_text": ("scenario", ("randomize_conservative_v0",), '"no"',
+                       "randomize_conservative_v0 must be true or false, got 'no'"),
+    "id_octal": ("scenario", ("agents", 0, "id"), "010", "id must be a string, got 8"),
+    "speed_text": ("scenario", ("agents", 0, "speed"), '"30"', "speed must be a number, got '30'"),
+    "script_agent_int": ("scenario", ("lane_change_scripts", 0, "agent"), "7",
+                         "agent must be a string, got 7"),
+    "maneuver_style_list": ("scenario", ("maneuvers", 0, "style"), "[SLC]",
+                            "style must be a string, got ['SLC']"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(WRONG_TYPE))
+def test_wrongly_typed_field_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    source, path, text, message = WRONG_TYPE[kind]
+    argv = _cli_with_yaml_field(source, path, yaml.safe_load(text), analyzed_run, tmp_path)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1
+    assert repr(str(tmp_path / "input.yaml")) in err
+    assert f"has a bad field: {message}" in err
+
+
+# (file, path to the misspelt key, message): keys that once were ignored
+UNKNOWN_KEY = {
+    "thresholds_file": ("thresholds", ("weaving_min_sharpnes",),
+                        "unknown thresholds keys: ['weaving_min_sharpnes']"),
+    "thresholds_block": ("config", ("thresholds", "weaving_min_sharpnes"),
+                         "unknown thresholds keys: ['weaving_min_sharpnes']"),
+    "alpha_policy": ("config", ("alpha_policy", "cpa"),
+                     "unknown grid alpha_policy keys: ['cpa']"),
+    "scenario": ("scenario", ("mobil_perod_s",), "unknown scenario keys: ['mobil_perod_s']"),
+    "agent": ("scenario", ("agents", 0, "mobil_enabled"),
+              "unknown agent keys: ['mobil_enabled']"),
+    "script": ("scenario", ("lane_change_scripts", 0, "lane"),
+               "unknown lane-change script keys: ['lane']"),
+    "maneuver": ("scenario", ("maneuvers", 0, "end"), "unknown maneuver keys: ['end']"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNKNOWN_KEY))
+def test_unknown_key_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    source, path, message = UNKNOWN_KEY[kind]
+    assert main(_cli_with_yaml_field(source, path, 0.2, analyzed_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}: {message}\n"
+
+
+# (file, path to the field, value, message): values out of range
+OUT_OF_RANGE = {
+    "window": ("config", ("window_s",), -1, "window_s must be finite and positive, got -1.0"),
+    "rate": ("config", ("frame_rate_hz",), 0, "frame_rate_hz must be finite and positive"),
+    "cap": ("config", ("alpha_policy", "cap"), 0.5,
+            "condition-number cap must be finite and exceed 1, got 0.5"),
+    "tau_block": ("config", ("thresholds", "tau_degree"), -1, "tau_degree must be finite"),
+    "tau_file": ("thresholds", ("tau_closeness",), 0, "tau_closeness must be finite"),
+    "scenario_lanes": ("scenario", ("lane_count",), 0, "need at least one lane, got 0"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OUT_OF_RANGE))
+def test_out_of_range_value_names_its_file(kind, analyzed_run, tmp_path, capsys):
+    source, path, value, message = OUT_OF_RANGE[kind]
+    assert main(_cli_with_yaml_field(source, path, value, analyzed_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}: ")
+    assert err.count("\n") == 1 and message in err
+
+
+def test_calibration_scenarios_must_be_a_list_of_strings(tmp_path, capsys):
+    save_scenario(all_conservative_scenario(0), tmp_path / "calib.yaml")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("calibration_scenarios: calib.yaml\n")
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "t.yaml")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: run config {str(cfg)!r} has a bad field: ")
+    assert "calibration_scenarios must be a list of strings, got 'calib.yaml'" in err
+    assert err.count("\n") == 1
+
+
 def test_integral_float_fields_are_integers(tmp_path):
     path = tmp_path / "run.yaml"
     path.write_text("capacity: 256.0\n")
-    capacity = load_run_config(path).capacity
+    capacity = load_run_config(path).params.capacity
     assert capacity == 256 and type(capacity) is int
+
+
+def test_integer_real_fields_are_floats(tmp_path):
+    path = tmp_path / "run.yaml"
+    path.write_text(
+        "frame_rate_hz: 10\nmu: 100\nwindow_s: 1\n"
+        "alpha_policy: {kind: fixed, alpha: 0}\n"
+        "thresholds: {tau_degree: 5, tau_closeness: 1}\n"
+    )
+    cfg = load_run_config(path)
+    params = cfg.params
+    values = [cfg.frame_rate_hz, params.mu, params.window_s, params.alpha_policy.alpha,
+              params.thresholds.tau_degree, params.thresholds.tau_closeness]
+    assert values == [10.0, 100.0, 1.0, 0.0, 5.0, 1.0]
+    assert all(type(v) is float for v in values)

@@ -487,6 +487,22 @@ def test_scenario_yaml_round_trip(tmp_path):
     assert load_scenario(path) == config
 
 
+
+def test_scenario_keys_left_out_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        "lane_count: 2\nroad_length_m: 500\ntimestep_s: 0.1\nduration_s: 3\n"
+        "agents:\n  - {id: a, class: conservative, lane: 1, position: 10, speed: 20}\n"
+    )
+    assert load_scenario(path) == ScenarioConfig(
+        lane_count=2, road_length_m=500.0, timestep_s=0.1, duration_s=3.0,
+        spawns=[SpawnSpec("a", "conservative", 1, 10.0, 20.0)],
+    )
+    path.write_text("road_length_m: 500\ntimestep_s: 0.1\nduration_s: 3\n")
+    with pytest.raises(ValidationError, match="is missing key 'lane_count'"):
+        load_scenario(path)
+
+
 def test_labels_round_trip(tmp_path):
     labels = [ManeuverLabel("a", "OS", 10, 20), ManeuverLabel("b", "W", 5, 9)]
     path = tmp_path / "labels.csv"
