@@ -80,6 +80,25 @@ def closeness(graph: InstantGraph, agent_id: str) -> float:
     return (len(dist) - 1) / total
 
 
+def frame_closeness(graph: InstantGraph) -> dict[str, float]:
+    """``closeness`` of every vertex, in closed form where it has one.
+
+    An isolated vertex scores 0.0 and each end of an isolated edge
+    ``1 / cost``, the float Dijkstra's one-term sum gives; only vertices
+    in components of three or more run ``closeness``.
+    """
+    adj = graph.adjacency
+    values = {}
+    for v, nbrs in adj.items():
+        if not nbrs:
+            values[v] = 0.0
+        elif len(nbrs) == 1 and len(adj[nbrs[0][0]]) == 1:
+            values[v] = 1.0 / nbrs[0][1]
+        else:
+            values[v] = closeness(graph, v)
+    return values
+
+
 def degree_step(prev: float, new_neighbor_count: int) -> float:
     """Cumulative degree update: previous value plus this frame's count."""
     if prev < 0:
@@ -117,9 +136,10 @@ def compute_series(
         graph = build_instant_graph(frame, mu)
         speeds = {fr.agent_id: fr.speed for fr in frame}
         counts = update_cumulative(state, graph, speeds)
+        values = frame_closeness(graph)
         for fr in frame:
             a = fr.agent_id
-            clo.setdefault(a, []).append((idx, closeness(graph, a)))
+            clo.setdefault(a, []).append((idx, values[a]))
             level[a] = degree_step(level.get(a, 0.0), counts[a])
             deg.setdefault(a, []).append((idx, level[a]))
 

@@ -5,6 +5,11 @@ and an optional trailing ``vx,vy`` pair. Lines starting with ``#`` are
 comments. Extra columns are accepted and ignored. Velocities are derived
 by finite differences when the file does not carry them.
 
+A file is read in bulk: its body is split a few thousand lines at a time
+into numpy columns, validated, differenced and ordered with array
+operations, and turned into records in one pass. Only a file that fails
+a check is read again row by row, to name the first offending line.
+
 A parsed :class:`TrajectoryTable` is immutable by convention: nothing in
 this package mutates it after construction, so it is safe to share across
 threads.
@@ -15,8 +20,12 @@ from __future__ import annotations
 import inspect
 import math
 import os
+import sys
 from dataclasses import dataclass, field
+from itertools import repeat
+from typing import NamedTuple, NoReturn
 
+import numpy as np
 import yaml
 
 from .errors import (
@@ -36,14 +45,21 @@ _REQUIRED_COLUMNS = ("timestamp", "agent_id", "agent_type", "x", "y")
 # early; timestamps are only trusted to well above this resolution.
 _FLOOR_GUARD = 1e-9
 
+# Frame indices stay below 2**53, where every one is an exact float64 and
+# int64 value.
+_FRAME_LIMIT = 2.0**53
+
+# Body lines split into cells at a time: bounds the parser's transient
+# memory to one chunk's strings.
+_CHUNK_LINES = 4096
+
 
 def frame_index(timestamp: float, frame_rate_hz: float) -> int:
     """Discrete frame index of a timestamp: floor(timestamp * rate)."""
     return int(math.floor(timestamp * frame_rate_hz + _FLOOR_GUARD))
 
 
-@dataclass(frozen=True)
-class AgentFrame:
+class AgentFrame(NamedTuple):
     """One agent's state at one sample: the graph-vertex source record."""
 
     timestamp: float
@@ -229,47 +245,171 @@ def parse_trajectories(
     (the final sample reuses the last difference); an agent with a single
     sample and no velocity columns gets (0, 0).
 
-    Raises TrajectoryParseError for malformed rows (with line number) and
-    ValidationError for duplicate/non-monotone timestamps, non-contiguous
-    frame runs, or an empty stream.
+    Raises TrajectoryParseError for malformed rows (with line number):
+    a wrong field count, a non-numeric, non-finite or negative value, an
+    unknown agent type, an empty id, or a timestamp whose frame index
+    reaches 2**53. Raises ValidationError for duplicate/non-monotone
+    timestamps, non-contiguous frame runs, or an empty stream.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     lines = read_source(source, text, "trajectories").splitlines()
+    table = _bulk_parse(lines, frame_rate_hz)
+    if table is None:
+        _raise_row_error(lines, frame_rate_hz)
+    return table
 
-    header: list[str] | None = None
-    columns: dict[str, int] = {}
-    has_velocity = False
-    # raw per-agent rows in file order: (line_no, ts, type, x, y, vx, vy)
-    rows_by_agent: dict[str, list[tuple]] = {}
 
+def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
+    """Field count, first column of each name, and whether vx,vy are given."""
+    header = [p.strip() for p in line.split(",")]
+    for name in _REQUIRED_COLUMNS:
+        if name not in header:
+            raise TrajectoryParseError(
+                f"missing required column {name!r} in header", line_no
+            )
+    columns = {name: header.index(name) for name in header}
+    if ("vx" in columns) != ("vy" in columns):
+        raise TrajectoryParseError(
+            "velocity columns must appear as a vx,vy pair", line_no
+        )
+    return len(header), columns, "vx" in columns
+
+
+@np.errstate(over="ignore")  # an overflow gives inf, as Python's float does
+def _bulk_parse(lines: list[str], frame_rate_hz: float) -> TrajectoryTable | None:
+    """The table of a valid file, column by column; None if any check fails.
+
+    Makes every check ``_raise_row_error`` makes, on numpy columns, and
+    yields exactly the records the row-by-row reading would.
+    """
+    start = next(
+        (i for i, raw in enumerate(lines) if (s := raw.strip()) and s[0] != "#"), None
+    )
+    if start is None:
+        return None
+    n_fields, columns, has_velocity = _header(lines[start].strip(), start + 1)
+    names = ["timestamp", "x", "y"] + (["vx", "vy"] if has_velocity else [])
+    numeric = [columns[name] for name in names]
+    id_col, type_col = columns["agent_id"], columns["agent_type"]
+
+    values, ids, types = [], [], []
+    for lo in range(start + 1, len(lines), _CHUNK_LINES):
+        chunk = map(str.strip, lines[lo : lo + _CHUNK_LINES])
+        body = [s for s in chunk if s and s[0] != "#"]
+        if not body:
+            continue
+        if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
+            return None
+        cells = ",".join(body).split(",")
+        try:
+            values.append(
+                [
+                    np.fromiter(
+                        map(float, map(str.strip, cells[j::n_fields])), float, len(body)
+                    )
+                    for j in numeric
+                ]
+            )
+        except ValueError:
+            return None
+        # interned, so the lists hold one string per distinct id and type
+        ids += map(sys.intern, map(str.strip, cells[id_col::n_fields]))
+        types += map(sys.intern, map(str.strip, cells[type_col::n_fields]))
+    if not ids or not set(types) <= AGENT_TYPES:
+        return None
+    ts, x, y, *vel = (np.concatenate(col) for col in zip(*values))
+    del values
+    if not all(np.isfinite(col).all() for col in (ts, x, y, *vel)) or (ts < 0).any():
+        return None
+    frame_float = np.floor(ts * frame_rate_hz + _FLOOR_GUARD)
+    if (frame_float >= _FRAME_LIMIT).any():
+        return None
+
+    agents = sorted(set(ids))
+    if not agents[0]:
+        return None  # an empty id sorts first
+    code = {agent_id: k for k, agent_id in enumerate(agents)}
+    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+
+    # each agent's rows in file order: timestamps strictly increase and
+    # frames step by one between consecutive rows of one agent
+    order = np.argsort(codes, kind="stable")
+    codes, ts, x, y = codes[order], ts[order], x[order], y[order]
+    frames = frame_float[order].astype(np.int64)
+    same = codes[1:] == codes[:-1]
+    k = np.flatnonzero(same)  # rows followed by a row of the same agent
+    if (ts[k + 1] <= ts[k]).any() or (frames[k + 1] - frames[k] != 1).any():
+        return None
+
+    if vel:
+        vx, vy = vel[0][order], vel[1][order]
+    else:
+        # forward differences; an agent's last row reuses its last one,
+        # a one-row agent stays at (0, 0)
+        vx, vy = np.zeros(len(ts)), np.zeros(len(ts))
+        dt = ts[k + 1] - ts[k]
+        vx[k] = (x[k + 1] - x[k]) / dt
+        vy[k] = (y[k + 1] - y[k]) / dt
+        last = np.flatnonzero(np.append(~same, True) & np.insert(same, 0, False))
+        vx[last] = vx[last - 1]
+        vy[last] = vy[last - 1]
+
+    # canonical order: frames ascending, agents within a frame by id
+    canon = np.lexsort((codes, frames))
+    frames = frames[canon]
+    # tuple.__new__ builds each record as AgentFrame._make does, without
+    # a Python-level call per row
+    records = list(
+        map(
+            tuple.__new__,
+            repeat(AgentFrame),
+            zip(
+                ts[canon].tolist(),
+                map(agents.__getitem__, codes[canon].tolist()),
+                map(types.__getitem__, order[canon].tolist()),
+                zip(x[canon].tolist(), y[canon].tolist()),
+                zip(vx[canon].tolist(), vy[canon].tolist()),
+            ),
+        )
+    )
+    bounds = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(frames)]
+    return TrajectoryTable(
+        frames={
+            index: records[a:b]
+            for index, a, b in zip(frames[bounds[:-1]].tolist(), bounds, bounds[1:])
+        },
+        frame_rate_hz=frame_rate_hz,
+    )
+
+
+def _raise_row_error(lines: list[str], frame_rate_hz: float) -> NoReturn:
+    """Raise the first error of a file ``_bulk_parse`` rejected, row by row.
+
+    Checks each row in file order, then each agent's timestamps and frame
+    run in order of first appearance, so the message names the first
+    offending line. A file that passes every check here broke the
+    bulk parser's contract: ContractViolationError.
+    """
+    header = None
+    times_by_agent: dict[str, list[tuple[int, float]]] = {}
     for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        parts = [p.strip() for p in line.split(",")]
         if header is None:
-            header = parts
-            for name in _REQUIRED_COLUMNS:
-                if name not in header:
-                    raise TrajectoryParseError(
-                        f"missing required column {name!r} in header", line_no
-                    )
-            columns = {name: header.index(name) for name in header}
-            has_velocity = "vx" in columns and "vy" in columns
-            if ("vx" in columns) != ("vy" in columns):
-                raise TrajectoryParseError(
-                    "velocity columns must appear as a vx,vy pair", line_no
-                )
+            header = _header(line, line_no)
+            n_fields, columns, has_velocity = header
             continue
-        if len(parts) != len(header):
+        parts = [p.strip() for p in line.split(",")]
+        if len(parts) != n_fields:
             raise TrajectoryParseError(
-                f"expected {len(header)} fields, got {len(parts)}", line_no
+                f"expected {n_fields} fields, got {len(parts)}", line_no
             )
         try:
             ts = float(parts[columns["timestamp"]])
             x = float(parts[columns["x"]])
             y = float(parts[columns["y"]])
-            vel = None
+            vel = (0.0, 0.0)
             if has_velocity:
                 vel = (float(parts[columns["vx"]]), float(parts[columns["vy"]]))
         except ValueError as exc:
@@ -283,24 +423,30 @@ def parse_trajectories(
                 f"unknown agent_type {agent_type!r} (expected one of {sorted(AGENT_TYPES)})",
                 line_no,
             )
+        if not math.isfinite(ts):
+            raise TrajectoryParseError(f"non-finite timestamp {ts}", line_no)
         if ts < 0:
             raise TrajectoryParseError(f"negative timestamp {ts}", line_no)
+        if ts * frame_rate_hz + _FLOOR_GUARD >= _FRAME_LIMIT:
+            raise TrajectoryParseError(
+                f"timestamp {ts} at {frame_rate_hz} Hz is past frame index 2**53",
+                line_no,
+            )
         if not (math.isfinite(x) and math.isfinite(y)):
             raise TrajectoryParseError("non-finite position", line_no)
-        rows_by_agent.setdefault(agent_id, []).append(
-            (line_no, ts, agent_type, x, y, vel)
-        )
+        if not (math.isfinite(vel[0]) and math.isfinite(vel[1])):
+            raise TrajectoryParseError("non-finite velocity", line_no)
+        times_by_agent.setdefault(agent_id, []).append((line_no, ts))
 
     if header is None:
         raise ValidationError("empty trajectory stream (no header)")
-    if not rows_by_agent:
+    if not times_by_agent:
         raise ValidationError("empty trajectory stream (no data rows)")
 
-    frames: dict[int, list[AgentFrame]] = {}
-    for agent_id, rows in rows_by_agent.items():
+    for agent_id, rows in times_by_agent.items():
         prev_ts = None
         indices = []
-        for line_no, ts, *_ in rows:
+        for line_no, ts in rows:
             if prev_ts is not None and ts <= prev_ts:
                 raise ValidationError(
                     f"agent {agent_id!r}: timestamps must strictly increase "
@@ -314,42 +460,9 @@ def parse_trajectories(
                     f"agent {agent_id!r}: frame indices must form a contiguous run "
                     f"(got {a} then {b}); departed agents may not reappear"
                 )
-
-        velocities = _resolve_velocities(rows)
-        for (line_no, ts, agent_type, x, y, _), idx, vel in zip(
-            rows, indices, velocities
-        ):
-            frames.setdefault(idx, []).append(
-                AgentFrame(
-                    timestamp=ts,
-                    agent_id=agent_id,
-                    agent_type=agent_type,
-                    position=(x, y),
-                    velocity=vel,
-                )
-            )
-
-    # canonical order: frames ascending, agents within a frame by id
-    frames = {
-        idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in sorted(frames)
-    }
-    return TrajectoryTable(frames=frames, frame_rate_hz=frame_rate_hz)
-
-
-def _resolve_velocities(rows) -> list[tuple[float, float]]:
-    """Pass velocities through, or derive them by finite differences."""
-    if rows[0][5] is not None:  # per-file: either all rows carry vx,vy or none do
-        return [row[5] for row in rows]
-    if len(rows) == 1:
-        return [(0.0, 0.0)]
-    vels = []
-    for k in range(len(rows) - 1):
-        _, t0, _, x0, y0, _ = rows[k]
-        _, t1, _, x1, y1, _ = rows[k + 1]
-        dt = t1 - t0
-        vels.append(((x1 - x0) / dt, (y1 - y0) / dt))
-    vels.append(vels[-1])  # backward difference at the last sample
-    return vels
+    raise ContractViolationError(
+        "bulk trajectory parsing rejected a file that passes every row check"
+    )
 
 
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:

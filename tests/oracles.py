@@ -4,7 +4,8 @@ These deliberately avoid the package's algorithmic code paths: shortest
 paths by relaxation to a fixpoint instead of a heap, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
-fits one window at a time, and SLE/SIE maxima by sampling every frame.
+fits one window at a time, SLE/SIE maxima by sampling every frame, and
+trajectory tables by reading a file one row at a time.
 """
 
 from __future__ import annotations
@@ -17,10 +18,120 @@ from dataclasses import replace
 import numpy as np
 
 from drivestyle.centrality import compute_series
-from drivestyle.errors import InsufficientDataError
+from drivestyle.errors import InsufficientDataError, TrajectoryParseError, ValidationError
+from drivestyle.ingest import AGENT_TYPES, AgentFrame, TrajectoryTable, frame_index
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
 from drivestyle.regression import POLY_DEGREE, derivative, fit
 from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
+
+
+def row_loop_parse(text, frame_rate_hz):
+    """``parse_trajectories(text=text)`` one row at a time, with its errors.
+
+    Rows are checked in file order and grouped per agent; each agent's
+    timestamps and frame run are then checked, its velocities passed
+    through or derived by forward differences, and its records placed in
+    their frames, which are finally sorted by index and by id.
+    """
+    header = None
+    rows_by_agent = {}
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = [p.strip() for p in line.split(",")]
+        if header is None:
+            header = parts
+            for name in ("timestamp", "agent_id", "agent_type", "x", "y"):
+                if name not in header:
+                    raise TrajectoryParseError(
+                        f"missing required column {name!r} in header", line_no
+                    )
+            columns = {name: header.index(name) for name in header}
+            has_velocity = "vx" in columns and "vy" in columns
+            if ("vx" in columns) != ("vy" in columns):
+                raise TrajectoryParseError(
+                    "velocity columns must appear as a vx,vy pair", line_no
+                )
+            continue
+        if len(parts) != len(header):
+            raise TrajectoryParseError(
+                f"expected {len(header)} fields, got {len(parts)}", line_no
+            )
+        try:
+            ts = float(parts[columns["timestamp"]])
+            x = float(parts[columns["x"]])
+            y = float(parts[columns["y"]])
+            vel = None
+            if has_velocity:
+                vel = (float(parts[columns["vx"]]), float(parts[columns["vy"]]))
+        except ValueError as exc:
+            raise TrajectoryParseError(f"non-numeric field: {exc}", line_no) from None
+        agent_id = parts[columns["agent_id"]]
+        agent_type = parts[columns["agent_type"]]
+        if not agent_id:
+            raise TrajectoryParseError("empty agent_id", line_no)
+        if agent_type not in AGENT_TYPES:
+            raise TrajectoryParseError(
+                f"unknown agent_type {agent_type!r} (expected one of {sorted(AGENT_TYPES)})",
+                line_no,
+            )
+        if not math.isfinite(ts):
+            raise TrajectoryParseError(f"non-finite timestamp {ts}", line_no)
+        if ts < 0:
+            raise TrajectoryParseError(f"negative timestamp {ts}", line_no)
+        if ts * frame_rate_hz + 1e-9 >= 2.0**53:
+            raise TrajectoryParseError(
+                f"timestamp {ts} at {frame_rate_hz} Hz is past frame index 2**53",
+                line_no,
+            )
+        if not (math.isfinite(x) and math.isfinite(y)):
+            raise TrajectoryParseError("non-finite position", line_no)
+        if vel is not None and not (math.isfinite(vel[0]) and math.isfinite(vel[1])):
+            raise TrajectoryParseError("non-finite velocity", line_no)
+        rows_by_agent.setdefault(agent_id, []).append((line_no, ts, agent_type, x, y, vel))
+
+    if header is None:
+        raise ValidationError("empty trajectory stream (no header)")
+    if not rows_by_agent:
+        raise ValidationError("empty trajectory stream (no data rows)")
+
+    frames = {}
+    for agent_id, rows in rows_by_agent.items():
+        prev_ts = None
+        indices = []
+        for line_no, ts, *_ in rows:
+            if prev_ts is not None and ts <= prev_ts:
+                raise ValidationError(
+                    f"agent {agent_id!r}: timestamps must strictly increase "
+                    f"({ts} after {prev_ts}, line {line_no})"
+                )
+            prev_ts = ts
+            indices.append(frame_index(ts, frame_rate_hz))
+        for a, b in zip(indices, indices[1:]):
+            if b != a + 1:
+                raise ValidationError(
+                    f"agent {agent_id!r}: frame indices must form a contiguous run "
+                    f"(got {a} then {b}); departed agents may not reappear"
+                )
+        if has_velocity:
+            velocities = [row[5] for row in rows]
+        elif len(rows) == 1:
+            velocities = [(0.0, 0.0)]
+        else:
+            velocities = []
+            for (_, t0, _, x0, y0, _), (_, t1, _, x1, y1, _) in zip(rows, rows[1:]):
+                dt = t1 - t0
+                velocities.append(((x1 - x0) / dt, (y1 - y0) / dt))
+            velocities.append(velocities[-1])  # backward difference at the end
+        for (_, ts, agent_type, x, y, _), idx, vel in zip(rows, indices, velocities):
+            frames.setdefault(idx, []).append(
+                AgentFrame(ts, agent_id, agent_type, (x, y), vel)
+            )
+    frames = {
+        idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in sorted(frames)
+    }
+    return TrajectoryTable(frames=frames, frame_rate_hz=frame_rate_hz)
 
 
 def all_pairs_edges(frame, mu):

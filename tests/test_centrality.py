@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, make_table
-from drivestyle.centrality import closeness, compute_series, degree_step
+from drivestyle.centrality import closeness, compute_series, degree_step, frame_closeness
 from drivestyle.errors import ValidationError
 from drivestyle.graph import build_instant_graph
 from drivestyle.ingest import TrajectoryTable
@@ -85,6 +85,41 @@ def test_closeness_matches_relaxation_oracle():
         g = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
         for v in g.vertex_ids():
             assert closeness(g, v) == relaxation_closeness(g, v)
+
+
+def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
+    # clusters 100 m apart on a mu = 4 graph: singletons, pairs, paths,
+    # triangles, stars and random blobs, so each vertex's component is
+    # its cluster
+    rng = np.random.default_rng(11)
+    shapes = {
+        "singleton": [(0.0, 0.0)],
+        "pair": [(0.0, 0.0), (1.5, 0.5)],
+        "path": [(0.0, 0.0), (1.5, 0.0), (3.0, 0.2)],
+        "triangle": [(0.0, 0.0), (1.0, 0.0), (0.5, 0.8)],
+        "star": [(0.0, 0.0), (1.5, 0.0), (-1.5, 0.0), (0.0, 1.5), (0.0, -1.5)],
+    }
+    sizes = {name: 0 for name in shapes}
+    for _ in range(100):
+        frame = []
+        for c in range(int(rng.integers(1, 9))):
+            name = rng.choice([*shapes, "blob"])
+            if name == "blob":
+                points = rng.uniform(0, 3, size=(int(rng.integers(1, 6)), 2)).tolist()
+            else:
+                points = shapes[name]
+                sizes[name] += 1
+            jitter = rng.uniform(-0.1, 0.1, size=2)
+            frame += [
+                make_frame(f"v{c}_{k}", 100.0 * c + x + jitter[0], y + jitter[1])
+                for k, (x, y) in enumerate(points)
+            ]
+        g = build_instant_graph(frame, mu=4.0)
+        values = frame_closeness(g)
+        assert list(values) == g.vertex_ids()
+        for v in g.vertex_ids():
+            assert values[v] == closeness(g, v) == relaxation_closeness(g, v)
+    assert min(sizes.values()) > 50
 
 
 def test_series_closeness_matches_relaxation_oracle_frame_by_frame():

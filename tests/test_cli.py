@@ -413,6 +413,30 @@ def test_non_finite_parameter_exits_1_with_one_line(kind, analyzed_run, tmp_path
     assert message in err
 
 
+# (header, row 3, message): a non-finite or overflowing value in a
+# trajectory row, which once escaped as a traceback or was accepted
+NON_FINITE_ROWS = {
+    "timestamp_nan": ("", "nan,a,car,5,0", "line 3: non-finite timestamp nan"),
+    "timestamp_inf": ("", "inf,a,car,5,0", "line 3: non-finite timestamp inf"),
+    "timestamp_minus_inf": ("", "-inf,a,car,5,0", "line 3: non-finite timestamp -inf"),
+    "timestamp_overflow": ("", "1e308,a,car,5,0", "line 3: timestamp 1e+308 at 10.0 Hz"),
+    "vx_nan": (",vx,vy", "0.1,a,car,5,0,nan,0", "line 3: non-finite velocity"),
+    "vy_inf": (",vx,vy", "0.1,a,car,5,0,1,inf", "line 3: non-finite velocity"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_ROWS))
+def test_non_finite_trajectory_value_exits_1_with_one_line(kind, tmp_path, capsys):
+    columns, row, message = NON_FINITE_ROWS[kind]
+    first = "0.0,a,car,0,0" + (",1,0" if columns else "")
+    path = tmp_path / "t.csv"
+    path.write_text(f"timestamp,agent_id,agent_type,x,y{columns}\n{first}\n{row}\n")
+    argv = ["analyze", "--trajectories", str(path), "--frame-rate", "10"]
+    assert main(argv + ["--out", str(tmp_path / "out")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {message}") and err.count("\n") == 1
+
+
 # (file, path to the field, value): integer fields that once were truncated
 NON_INTEGER = {
     "capacity_fraction": ("config", ("capacity",), 256.7),

@@ -1,4 +1,5 @@
 import math
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -9,12 +10,15 @@ from drivestyle.errors import (
     TrajectoryParseError,
     ValidationError,
 )
+from drivestyle import ingest
 from drivestyle.ingest import (
+    TrajectoryTable,
     frame_index,
     parse_trajectories,
     serialize_trajectories,
     write_text,
 )
+from oracles import row_loop_parse
 
 HEADER = "timestamp,agent_id,agent_type,x,y"
 HEADER_V = HEADER + ",vx,vy"
@@ -87,6 +91,18 @@ def test_wrong_field_count_reports_line_number():
     text = f"{HEADER}\n0.0,a,car,0\n"
     with pytest.raises(TrajectoryParseError, match="line 2"):
         parse_trajectories(text=text, frame_rate_hz=1.0)
+
+
+def test_field_counts_are_checked_per_line():
+    # one field too many, then one too few: the cells would still fill
+    # two rows if only their total were counted
+    text = (
+        "timestamp,agent_id,agent_type,x,y,note\n"
+        "0.0,a,car,1,2,n,0.25\n"
+        "a,car,1,2,n\n"
+    )
+    with pytest.raises(TrajectoryParseError, match="^line 2: expected 6 fields, got 7$"):
+        parse_trajectories(text=text, frame_rate_hz=4.0)
 
 
 def test_unknown_agent_type_rejected():
@@ -198,3 +214,121 @@ def test_write_text_writes_returns_and_names_an_unwritable_path(tmp_path):
         with pytest.raises(ValidationError, match=r"^cannot write table ") as exc:
             write_text(bad, "a,b\n", "table")
         assert repr(str(bad)) in str(exc.value) and "\n" not in str(exc.value)
+
+
+# Bulk parsing against the row-by-row oracle. Each generated file comes
+# from a valid table (agents with contiguous 4 Hz frame runs) written with
+# comments, blank lines, CRLF, padded cells, extra and duplicate columns
+# and interleaved rows, then optionally broken by one of ERRORS.
+PADS = ["", " ", "\t", "　", "\xa0", "\x1f"]
+EXTRA_COLUMNS = ["note", "x", "lane", "agent_id"]
+IDS = ["a9", "a10", "a1", "a09", "b", "été"]
+LONE_ROW_ERRORS = {
+    "timestamp_nan": {"timestamp": "nan"},
+    "timestamp_inf": {"timestamp": "inf"},
+    "negative_timestamp": {"timestamp": "-0.5"},
+    "huge_timestamp": {"timestamp": "1e300"},
+    "empty_id": {"agent_id": ""},
+}
+ERRORS = [
+    *LONE_ROW_ERRORS, "opposite_field_counts", "non_numeric", "position_inf",
+    "velocity_nan", "unknown_type", "gap", "repeat_timestamp", "shuffle",
+]
+
+
+@st.composite
+def trajectory_files(draw):
+    f = 4.0
+    velocity = draw(st.booleans())
+    columns = list(HEADER_V.split(",") if velocity else HEADER.split(","))
+    columns += draw(st.lists(st.sampled_from(EXTRA_COLUMNS), max_size=2))
+    columns = draw(st.permutations(columns))
+    finite = st.floats(-1e6, 1e6, allow_nan=False, allow_infinity=False)
+    tracks = []
+    for agent_id in draw(st.lists(st.sampled_from(IDS), min_size=1, max_size=4, unique=True)):
+        start, length = draw(st.integers(0, 6)), draw(st.integers(1, 6))
+        offset = draw(st.sampled_from([0.0, 0.1]))
+        agent_type = draw(st.sampled_from(["car", "bus", "pedestrian"]))
+        tracks.append([
+            {"timestamp": repr((k + offset) / f), "agent_id": agent_id,
+             "agent_type": agent_type, **{c: repr(draw(finite)) for c in ("x", "y", "vx", "vy")},
+             "note": "n", "lane": "1"}
+            for k in range(start, start + length)
+        ])
+    # interleave the agents' rows, each agent's rows in time order
+    rows = []
+    while any(tracks):
+        rows.append(draw(st.sampled_from([t for t in tracks if t])).pop(0))
+
+    error = draw(st.one_of(st.none(), st.sampled_from(ERRORS)))
+    target = draw(st.integers(0, len(rows) - 1))
+    row = rows[target]
+    if error in LONE_ROW_ERRORS:
+        # a one-row agent of its own, so no other check can reject it
+        row = {**row, "agent_id": "z", **LONE_ROW_ERRORS[error]}
+        rows.insert(draw(st.integers(0, len(rows))), row)
+    elif error == "non_numeric":
+        row[draw(st.sampled_from(["timestamp", "x", "y"]))] = "1.0.0"
+    elif error == "position_inf":
+        row["y"] = "-inf"
+    elif error == "velocity_nan":
+        row["vx"] = "nan"
+    elif error == "unknown_type":
+        row["agent_type"] = "tram"
+    elif error == "gap":
+        row["timestamp"] = repr(float(row["timestamp"]) + 1.0)
+    elif error == "repeat_timestamp":
+        rows.insert(target, dict(row))
+    elif error == "shuffle":
+        rows = draw(st.permutations(rows))
+
+    lines, data = [",".join(columns)], []
+    for row in rows:
+        lines += draw(st.lists(st.sampled_from(["", "# comment, with a comma", "  "]), max_size=1))
+        data.append(len(lines))
+        lines.append(",".join(draw(st.sampled_from(PADS)) + row[c] for c in columns))
+    if error == "opposite_field_counts" and len(data) > 1:
+        a, b = draw(st.permutations(data))[:2]
+        lines[a] += ",extra"
+        lines[b] = lines[b].rsplit(",", 1)[0]
+    newline = draw(st.sampled_from(["\n", "\r\n"]))
+    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+
+
+def _outcome(parse):
+    try:
+        return parse()
+    except (TrajectoryParseError, ValidationError) as exc:
+        return type(exc), str(exc)
+
+
+@given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]))
+@settings(max_examples=200, deadline=None)
+def test_bulk_parse_matches_row_loop(text, chunk_lines):
+    expected = _outcome(lambda: row_loop_parse(text, 4.0))
+    with (
+        mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines),
+        mock.patch.object(ingest, "_raise_row_error", wraps=ingest._raise_row_error) as rows,
+    ):
+        got = _outcome(lambda: parse_trajectories(text=text, frame_rate_hz=4.0))
+    assert got == expected
+    assert rows.call_count == (0 if isinstance(expected, TrajectoryTable) else 1)
+
+
+def test_files_longer_than_one_chunk():
+    n = ingest._CHUNK_LINES
+    # agent a<k % 7> is at frame k // 7
+    rows = [f"{k // 7}.0,a{k % 7},car,{k * 3.0!r},{k % 7 * 4.0!r}" for k in range(2 * n + 5)]
+    text = "\n".join([HEADER, *rows]) + "\n"
+    with mock.patch.object(ingest, "_raise_row_error", wraps=ingest._raise_row_error) as rows_seen:
+        table = parse_trajectories(text=text, frame_rate_hz=1.0)
+    assert table == row_loop_parse(text, 1.0) and rows_seen.call_count == 0
+
+    # line n + 2 is the first line of the second chunk
+    for bad, message in ((rows[n] + ",x", f"line {n + 2}: expected 5 fields, got 6"),
+                         (rows[n] + "x", f"line {n + 2}: non-numeric field: could not "
+                          f"convert string to float: '{4.0 * (n % 7)!r}x'")):
+        broken = "\n".join([HEADER, *rows[:n], bad, *rows[n + 1:]])
+        with pytest.raises(TrajectoryParseError) as exc:
+            parse_trajectories(text=broken, frame_rate_hz=1.0)
+        assert str(exc.value) == message
