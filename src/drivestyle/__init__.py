@@ -9,7 +9,7 @@ time-deviation evaluation protocol runs end to end at desk scale.
 
 __version__ = "0.1.0"
 
-from .centrality import CentralitySeries, closeness, compute_series, degree_step
+from .centrality import AgentSeries, closeness, compute_series
 from .errors import (
     ConditioningError,
     ContractViolationError,

@@ -11,9 +11,11 @@ singleton component.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
+from typing import NamedTuple
 
-from .errors import ValidationError
+import numpy as np
+
+from .errors import ContractViolationError, ValidationError
 from .graph import (
     DEFAULT_CAPACITY,
     CumulativeAdjacency,
@@ -23,21 +25,13 @@ from .graph import (
 )
 from .ingest import TrajectoryTable, write_text
 
-KIND_CLOSENESS = "closeness"
-KIND_DEGREE = "degree"
 
+class AgentSeries(NamedTuple):
+    """One agent's centralities, sampled at frames ``first, first + 1, ...``."""
 
-@dataclass
-class CentralitySeries:
-    """One agent's sampled centrality: (frame index, value) pairs."""
-
-    agent_id: str
-    kind: str
-    values: list[tuple[int, float]]
-    window: tuple[int, int]
-
-    def frames(self) -> list[int]:
-        return [t for t, _ in self.values]
+    first: int
+    closeness: np.ndarray
+    degree: np.ndarray
 
 
 def shortest_path_costs(graph: InstantGraph, source: str) -> dict[str, float]:
@@ -99,36 +93,27 @@ def frame_closeness(graph: InstantGraph) -> dict[str, float]:
     return values
 
 
-def degree_step(prev: float, new_neighbor_count: int) -> float:
-    """Cumulative degree update: previous value plus this frame's count."""
-    if prev < 0:
-        raise ValidationError(f"degree centrality cannot be negative, got {prev}")
-    if new_neighbor_count < 0:
-        raise ValidationError(f"negative neighbor count {new_neighbor_count}")
-    return prev + new_neighbor_count
-
-
 def compute_series(
     table: TrajectoryTable,
     mu: float,
     capacity: int = DEFAULT_CAPACITY,
-) -> dict[str, tuple[CentralitySeries, CentralitySeries]]:
-    """Per-agent (closeness, degree) series over the table's whole span.
+) -> dict[str, AgentSeries]:
+    """Per-agent closeness and degree series over the table's whole span.
 
     Walks the frames present, in order (never the empty indices between
     them): instantaneous closeness per agent present, then one cumulative
-    update feeding the degree chain. The degree chain must start at the
-    beginning of the run to be meaningful, so callers slice the result
-    rather than re-running on sub-windows.
+    update whose new-neighbor counts, summed, are the degree series. The
+    degree chain must start at the beginning of the run to be meaningful,
+    so callers slice the result rather than re-running on sub-windows.
+    Raises ContractViolationError when an agent's frames have a gap.
     """
     if not table.frames:
         raise ValidationError("cannot compute centralities on an empty table")
-    window = table.span()
 
     state = CumulativeAdjacency(capacity=capacity)
-    clo: dict[str, list[tuple[int, float]]] = {}
-    deg: dict[str, list[tuple[int, float]]] = {}
-    level: dict[str, float] = {}
+    first: dict[str, int] = {}
+    clo: dict[str, list[float]] = {}
+    new: dict[str, list[int]] = {}
     for idx in table.frame_indices():
         frame = table.frames[idx]
         if not frame:
@@ -139,16 +124,22 @@ def compute_series(
         values = frame_closeness(graph)
         for fr in frame:
             a = fr.agent_id
-            clo.setdefault(a, []).append((idx, values[a]))
-            level[a] = degree_step(level.get(a, 0.0), counts[a])
-            deg.setdefault(a, []).append((idx, level[a]))
+            if a not in first:
+                first[a] = idx
+                clo[a], new[a] = [], []
+            elif first[a] + len(clo[a]) != idx:
+                raise ContractViolationError(
+                    f"agent {a!r} has a gap in its frames before frame {idx}"
+                )
+            clo[a].append(values[a])
+            new[a].append(counts[a])
 
+    # a running sum of integer counts is exact in float64
     return {
-        a: (
-            CentralitySeries(a, KIND_CLOSENESS, clo[a], window),
-            CentralitySeries(a, KIND_DEGREE, deg[a], window),
+        a: AgentSeries(
+            f0, np.array(clo[a], dtype=float), np.cumsum(new[a], dtype=float)
         )
-        for a in clo
+        for a, f0 in first.items()
     }
 
 
@@ -156,7 +147,8 @@ def series_to_csv(series_map, dest=None) -> str:
     """Flatten series to ``frame,agent_id,kind,value`` CSV for plotting."""
     lines = ["frame,agent_id,kind,value"]
     for agent_id in sorted(series_map):
-        for s in series_map[agent_id]:
-            for t, v in s.values:
-                lines.append(f"{t},{agent_id},{s.kind},{v!r}")
+        first, clo, deg = series_map[agent_id]
+        for kind, values in (("closeness", clo), ("degree", deg)):
+            for t, v in enumerate(values.tolist(), first):
+                lines.append(f"{t},{agent_id},{kind},{v!r}")
     return write_text(dest, "\n".join(lines) + "\n", "centrality series")

@@ -226,18 +226,14 @@ class TdeTable:
         return None
 
 
-def evaluate_run(
-    reports: dict[str, StyleReport] | list[StyleReport],
-    annotations: AnnotationSet,
-) -> TdeTable:
+def evaluate_run(reports: list[StyleReport], annotations: AnnotationSet) -> TdeTable:
     """Per-style mean TDE between model t_SLE and annotated E[T].
 
     Labels whose agent is missing from the reports, or whose style has no
     prediction (e.g. no weaving critical points), are excluded from the
     means and surface in the missing counts and warnings.
     """
-    if isinstance(reports, list):
-        reports = {r.agent_id: r for r in reports}
+    by_agent = {r.agent_id: r for r in reports}
     f = annotations.frame_rate_hz
     errors: dict[str, list[float]] = {code: [] for code in STYLE_CODES}
     missing: dict[str, int] = {code: 0 for code in STYLE_CODES}
@@ -247,7 +243,7 @@ def evaluate_run(
     for key in sorted(annotations.entries):
         video, agent, code = key
         labeled.add(code)
-        report = reports.get(agent)
+        report = by_agent.get(agent)
         if report is None:
             missing[code] += 1
             warnings.append(f"{video}/{agent}/{code}: agent missing from reports")

@@ -43,9 +43,6 @@ class InstantGraph:
     positions: dict[str, tuple[float, float]]
     edges: dict[tuple[str, str], float]
 
-    def vertex_ids(self) -> list[str]:
-        return list(self.positions)
-
     @cached_property
     def adjacency(self) -> dict[str, list[tuple[str, float]]]:
         """Each vertex's (neighbor, cost) pairs, built once per graph."""
@@ -138,7 +135,7 @@ def update_cumulative(
     Must be called in frame order by a single writer; raises
     ContractViolationError when a graph vertex lacks a velocity entry.
     """
-    ids = graph.vertex_ids()
+    ids = graph.positions
     for agent_id in ids:
         if agent_id not in velocities:
             raise ContractViolationError(

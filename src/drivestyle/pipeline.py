@@ -18,7 +18,7 @@ from dataclasses import asdict, dataclass, field, replace
 import numpy as np
 
 from .centrality import compute_series
-from .errors import ContractViolationError, ValidationError, require_positive
+from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import TrajectoryTable, read_source, write_text
 from .regression import (
@@ -120,9 +120,7 @@ def analyze_table(
     """Run the full style-estimation pipeline on a trajectory table.
 
     ``series`` may carry precomputed centralities (from compute_series
-    with the same mu/capacity) to avoid a second pass. Each agent's
-    frames must be contiguous (ingest guarantees it); a gap raises
-    ContractViolationError.
+    with the same mu/capacity) to avoid a second pass.
 
     Each distinct piece of fit work is done once per call, and every
     least-squares input is the one a per-window fit would build:
@@ -171,15 +169,8 @@ def analyze_table(
 
     reports = []
     for agent_id in sorted(series):
-        clo_series, deg_series = series[agent_id]
-        frames = deg_series.frames()  # shared by both series, ascending
-        f0, f1 = frames[0], frames[-1]
-        if f1 - f0 != len(frames) - 1:
-            raise ContractViolationError(
-                f"agent {agent_id!r} has a gap in its frames {f0}..{f1}"
-            )
-        deg = np.array([v for _, v in deg_series.values], dtype=float)
-        clo = np.array([v for _, v in clo_series.values], dtype=float)
+        f0, clo, deg = series[agent_id]
+        f1 = f0 + len(deg) - 1
         deg_changes = _change_counts(deg)
         clo_changes = _change_counts(clo)
         spans, deg_polys, clo_polys = [], [], []

@@ -16,7 +16,6 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .centrality import CentralitySeries
 from .errors import (
     ConditioningError,
     InsufficientDataError,
@@ -96,7 +95,6 @@ class CentralityPolynomial:
     domain: tuple[float, float]
     alpha: float = 0.0
     condition_number: float = 1.0
-    degree: int = POLY_DEGREE
 
     def evaluate(self, t):
         b0, b1, b2 = self.coefficients
@@ -177,15 +175,14 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
 
 
 def fit(
-    series: CentralitySeries, alpha_policy=None, frame_rate_hz: float = 1.0
+    first_frame: int, values, alpha_policy=None, frame_rate_hz: float = 1.0
 ) -> CentralityPolynomial:
-    """Fit a centrality series sampled at frame indices.
+    """Fit a centrality series sampled at consecutive frames from ``first_frame``.
 
     Sample times are frame_index / frame_rate_hz seconds.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
-    times = [idx / frame_rate_hz for idx, _ in series.values]
-    values = [v for _, v in series.values]
+    times = np.arange(first_frame, first_frame + len(values)) / frame_rate_hz
     return fit_samples(times, values, alpha_policy)
 
 

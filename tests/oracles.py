@@ -13,7 +13,6 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
-from dataclasses import replace
 
 import numpy as np
 
@@ -269,7 +268,7 @@ def sampled_sle(poly, window, frame_rate_hz) -> SleSummary:
 def per_window_analyze(table, params=None, series=None):
     """``analyze_table`` one window at a time, sharing nothing between fits.
 
-    Each window gets its own ``CentralitySeries`` slice, its own ``fit``
+    Each window gets its own slice of the series arrays, its own ``fit``
     (design, alpha selection and solve) and its own SLE/SIE sampling.
     """
     params = params or AnalysisParams()
@@ -284,8 +283,8 @@ def per_window_analyze(table, params=None, series=None):
 
     reports = []
     for agent_id in sorted(series):
-        clo_series, deg_series = series[agent_id]
-        frames = deg_series.frames()
+        f0, clo, deg = series[agent_id]
+        frames = range(f0, f0 + len(deg))
         analyses = []
         for w0, w1 in windows:
             if w1 < frames[0] or w0 > frames[-1]:
@@ -293,12 +292,10 @@ def per_window_analyze(table, params=None, series=None):
             i, j = bisect_left(frames, w0), bisect_right(frames, w1)
             if j - i < POLY_DEGREE + 1:
                 continue
-            deg_slice = replace(deg_series, values=deg_series.values[i:j], window=(w0, w1))
-            clo_slice = replace(clo_series, values=clo_series.values[i:j], window=(w0, w1))
             span = (frames[i] / f, frames[j - 1] / f)
             try:
-                deg_poly = fit(deg_slice, policy, f)
-                clo_poly = fit(clo_slice, policy, f)
+                deg_poly = fit(frames[i], deg[i:j], policy, f)
+                clo_poly = fit(frames[i], clo[i:j], policy, f)
             except InsufficientDataError:
                 continue
             analyses.append(

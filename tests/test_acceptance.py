@@ -151,7 +151,7 @@ def test_criterion_5_closeness_oracle_equivalence():
             for i in range(n)
         ]
         graph = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
-        for v in graph.vertex_ids():
+        for v in graph.positions:
             assert closeness(graph, v) == relaxation_closeness(graph, v)
             vertices += 1
         graphs += 1

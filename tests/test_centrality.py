@@ -5,11 +5,16 @@ import numpy as np
 import pytest
 
 from conftest import make_frame, make_table
-from drivestyle.centrality import closeness, compute_series, degree_step, frame_closeness
-from drivestyle.errors import ValidationError
+from drivestyle.centrality import (
+    closeness,
+    compute_series,
+    frame_closeness,
+    series_to_csv,
+)
+from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import build_instant_graph
 from drivestyle.ingest import TrajectoryTable
-from oracles import all_pairs_edges, relaxation_closeness
+from oracles import all_pairs_edges, relaxation_closeness, replay_degree
 
 
 def path_graph():
@@ -65,15 +70,6 @@ def test_closeness_component_restriction():
     assert closeness(g, "c") == pytest.approx(1.0)
 
 
-def test_degree_step_cases():
-    assert degree_step(0.0, 3) == 3.0
-    assert degree_step(3.0, 0) == 3.0  # constant for a conservative vehicle
-    with pytest.raises(ValidationError):
-        degree_step(-1.0, 0)
-    with pytest.raises(ValidationError):
-        degree_step(0.0, -2)
-
-
 def test_closeness_matches_relaxation_oracle():
     rng = np.random.default_rng(42)
     for _ in range(50):
@@ -83,7 +79,7 @@ def test_closeness_matches_relaxation_oracle():
             for i in range(n)
         ]
         g = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
-        for v in g.vertex_ids():
+        for v in g.positions:
             assert closeness(g, v) == relaxation_closeness(g, v)
 
 
@@ -116,8 +112,8 @@ def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
             ]
         g = build_instant_graph(frame, mu=4.0)
         values = frame_closeness(g)
-        assert list(values) == g.vertex_ids()
-        for v in g.vertex_ids():
+        assert list(values) == list(g.positions)
+        for v in g.positions:
             assert values[v] == closeness(g, v) == relaxation_closeness(g, v)
     assert min(sizes.values()) > 50
 
@@ -145,8 +141,8 @@ def test_series_closeness_matches_relaxation_oracle_frame_by_frame():
         )
         linked += len(edges)
         for fr in frame:
-            clo = dict(series[fr.agent_id][0].values)[idx]
-            assert clo == relaxation_closeness(oracle, fr.agent_id)
+            first, clo, _ = series[fr.agent_id]
+            assert clo[idx - first] == relaxation_closeness(oracle, fr.agent_id)
     assert linked > 100
 
 
@@ -170,16 +166,16 @@ def test_two_stationary_agents_constant_series():
         "b": [(3.0, 0.0, 0.0, 0.0)] * 10,
     }
     series = compute_series(make_table(tracks), mu=16.0)
-    clo_a, deg_a = series["a"]
-    assert all(v == pytest.approx(1.0 / 9.0) for _, v in clo_a.values)
-    assert all(v == 0.0 for _, v in deg_a.values)  # equal speeds: nobody is "new"
+    _, clo_a, deg_a = series["a"]
+    assert all(v == pytest.approx(1.0 / 9.0) for v in clo_a)
+    assert all(v == 0.0 for v in deg_a)  # equal speeds: nobody is "new"
 
 
 def test_lone_agent_series_all_zero():
     series = compute_series(make_table({"a": [(0, 0, 5, 0)] * 6}), mu=16.0)
-    clo, deg = series["a"]
-    assert all(v == 0.0 for _, v in clo.values)
-    assert all(v == 0.0 for _, v in deg.values)
+    _, clo, deg = series["a"]
+    assert all(v == 0.0 for v in clo)
+    assert all(v == 0.0 for v in deg)
 
 
 def test_sweeping_agent_degree_increments_at_first_encounters():
@@ -190,8 +186,7 @@ def test_sweeping_agent_degree_increments_at_first_encounters():
         x = 16.0 + 20.0 * i
         tracks[f"s{i}"] = [(x, 3.0, 0.0, 0.0) for _ in range(n)]
     series = compute_series(make_table(tracks), mu=25.0)
-    _, deg = series["fast"]
-    values = [v for _, v in deg.values]
+    values = series["fast"].degree.tolist()
     assert values[-1] == 5.0
     diffs = [b - a for a, b in zip(values, values[1:])]
     assert all(d >= 0 for d in diffs)
@@ -208,8 +203,8 @@ def test_degree_series_non_decreasing_random():
         for i in range(6)
     }
     series = compute_series(make_table(tracks), mu=20.0)
-    for _, deg in series.values():
-        values = [v for _, v in deg.values]
+    for _, _, deg in series.values():
+        values = deg.tolist()
         assert all(b >= a for a, b in zip(values, values[1:]))
 
 
@@ -226,15 +221,57 @@ def test_approach_to_cluster_center_closeness_non_decreasing():
     for cid, (cx, cy) in cluster.items():
         tracks[cid] = [(cx, cy, 0.0, 0.0)] * len(xs)
     series = compute_series(make_table(tracks), mu=100.0)
-    clo = [v for _, v in series["probe"][0].values]
+    clo = series["probe"].closeness.tolist()
     assert all(b >= a - 1e-12 for a, b in zip(clo, clo[1:]))
 
 
 def test_window_validation():
-    # the series window is always the table's whole span
+    # a series holds one sample per frame of its agent, from its first frame
     table = make_table({"a": [(0, 0, 0, 0)] * 5})
-    clo, deg = compute_series(table, mu=4.0)["a"]
-    assert clo.window == deg.window == (0, 4)
-    assert clo.frames() == deg.frames() == [0, 1, 2, 3, 4]
+    first, clo, deg = compute_series(table, mu=4.0)["a"]
+    assert first == 0
+    assert len(clo) == len(deg) == 5
     with pytest.raises(ValidationError, match="empty table"):
         compute_series(TrajectoryTable(), mu=4.0)
+    del table.frames[2]
+    with pytest.raises(ContractViolationError, match="'a' has a gap in its frames"):
+        compute_series(table, mu=4.0)
+
+
+def test_series_csv_text_matches_oracles():
+    # "a" and "e" span frames 0-9; "b" (0-3) and "c" (6-9) never meet, and
+    # c's arrival takes the admitted ids past capacity 3: the state resets
+    # and a, faster than e, counts e a second time
+    tracks = {
+        "a": (0, 9, 0.0, 0.0, 2.0),
+        "e": (0, 9, 1.0, 0.0, 1.0),
+        "b": (0, 3, 0.0, 1.5, 0.0),
+        "c": (6, 9, 4.0, 1.5, 0.0),
+    }
+    frames = {}
+    for agent, (lo, hi, x, y, v) in tracks.items():
+        for k in range(lo, hi + 1):
+            frames.setdefault(k, []).append(
+                make_frame(agent, x + 0.3 * v * k, y, vx=v, t=float(k))
+            )
+    table = TrajectoryTable(frames=frames, frame_rate_hz=1.0)
+    mu, capacity = 4.0, 3
+    text = series_to_csv(compute_series(table, mu, capacity=capacity))
+
+    clo = {}
+    for idx, frame in table.frames.items():
+        graph = SimpleNamespace(
+            positions={fr.agent_id: fr.position for fr in frame},
+            edges=all_pairs_edges(frame, mu),
+        )
+        for fr in frame:
+            clo.setdefault(fr.agent_id, []).append(
+                (idx, relaxation_closeness(graph, fr.agent_id))
+            )
+    deg = replay_degree(table, mu, capacity=capacity)
+    assert deg != replay_degree(table, mu)  # the reset changes a degree
+    rows = ["frame,agent_id,kind,value"]
+    for agent in sorted(clo):
+        rows += [f"{t},{agent},closeness,{v!r}" for t, v in clo[agent]]
+        rows += [f"{t},{agent},degree,{v!r}" for t, v in deg[agent]]
+    assert text.splitlines() == rows

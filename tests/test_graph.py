@@ -25,7 +25,7 @@ def test_threshold_is_strict():
 
 def test_single_agent_graph():
     g = build_instant_graph([make_frame("a", 1, 1)], mu=10.0)
-    assert g.vertex_ids() == ["a"]
+    assert list(g.positions) == ["a"]
     assert g.edges == {}
 
 
@@ -184,8 +184,8 @@ def test_replay_oracle_agrees_on_degree_totals(tmp_path):
     table = make_table(tracks)
     series = compute_series(table, mu=16.0)
     oracle = replay_degree(table, mu=16.0)
-    for agent, (_, deg) in series.items():
-        assert deg.values == oracle[agent]
+    for agent, (f0, _, deg) in series.items():
+        assert list(enumerate(deg.tolist(), f0)) == oracle[agent]
 
 
 @st.composite
@@ -223,7 +223,10 @@ def test_degree_series_match_replay_across_capacity_resets(case):
     table, capacity = case
     series = compute_series(table, mu=16.0, capacity=capacity)
     oracle = replay_degree(table, mu=16.0, capacity=capacity)
-    assert {a: deg.values for a, (_, deg) in series.items()} == oracle
+    replayed = {
+        a: list(enumerate(s.degree.tolist(), s.first)) for a, s in series.items()
+    }
+    assert replayed == oracle
 
 
 def test_build_is_pure():

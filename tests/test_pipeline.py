@@ -262,10 +262,12 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
     shared, own, windows = set(), 0, 0
-    for clo, deg in series.values():
+    for f0, clo, deg in series.values():
         for w0, w1 in frame_windows(lo, hi, 10, 5):
             for s in (clo, deg):
-                samples = [(k, v) for k, v in s.values if w0 <= k <= w1]
+                samples = [
+                    (k, v) for k, v in enumerate(s.tolist(), f0) if w0 <= k <= w1
+                ]
                 if len(samples) < 3:
                     continue
                 windows += 1

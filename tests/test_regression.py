@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 
-from drivestyle.centrality import CentralitySeries
 from drivestyle.errors import (
     ConditioningError,
     InsufficientDataError,
@@ -167,9 +166,8 @@ def test_regularized_converges_to_unregularized():
 
 
 def test_fit_series_converts_frames_to_seconds():
-    values = [(k, float(k * k)) for k in range(10)]  # zeta = t^2 at 1 Hz
-    series = CentralitySeries("a", "degree", values, (0, 9))
-    poly = fit(series, FixedAlpha(0.0), frame_rate_hz=10.0)
+    values = np.arange(10.0) ** 2  # zeta = t^2 at 1 Hz, frames 0..9
+    poly = fit(0, values, FixedAlpha(0.0), frame_rate_hz=10.0)
     # at 10 Hz, zeta(t) = (10 t)^2 = 100 t^2
     assert np.allclose(poly.coefficients, (0.0, 0.0, 100.0), atol=1e-6)
     assert poly.domain == (0.0, 0.9)
