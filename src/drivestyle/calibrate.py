@@ -14,12 +14,7 @@ import numpy as np
 from .errors import ValidationError
 from .pipeline import AnalysisParams, analyze_table
 from .sim import CLASS_CONSERVATIVE, ScenarioConfig, run_scenario
-from .styles import (
-    STYLE_OVERSPEEDING,
-    STYLE_OVERTAKE_LANE_CHANGE,
-    Thresholds,
-    merge_critical_points,
-)
+from .styles import STYLE_OVERSPEEDING, STYLE_OVERTAKE_LANE_CHANGE, Thresholds
 
 _POSITIVE_FLOOR = 1e-9  # thresholds are contractually strictly positive
 
@@ -50,11 +45,12 @@ def calibrate_thresholds(
             closeness_maxima.append(
                 agent_report.styles[STYLE_OVERTAKE_LANE_CHANGE].sle_max
             )
-            raw_points = [
-                p for w in agent_report.windows for p in w.weaving_points
-            ]
-            merged = merge_critical_points(raw_points, tolerance=params.epsilon_s)
-            sharpness_maxima.append(max((p[1] for p in merged), default=0.0))
+            # merging near-duplicate points keeps each cluster's sharpest,
+            # so the maximum over the raw points is the merged maximum
+            sharpness_maxima.append(max(
+                (p[1] for w in agent_report.windows for p in w.weaving_points),
+                default=0.0,
+            ))
     if not degree_maxima:
         raise ValidationError("no conservative agents in the calibration set")
     # 'higher' interpolation returns an actually observed benign value, so

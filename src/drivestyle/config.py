@@ -26,9 +26,9 @@ from dataclasses import asdict, dataclass, field, fields
 import yaml
 
 from .errors import ValidationError, require_positive
-from .ingest import read_yaml, write_text, yaml_float, yaml_int, yaml_record, yaml_str
+from .ingest import read_yaml, write_text, yaml_float, yaml_int, yaml_record
 from .pipeline import AnalysisParams
-from .regression import FixedAlpha, GridSearchAlpha
+from .regression import make_alpha_policy
 from .styles import Thresholds
 
 
@@ -39,25 +39,6 @@ class RunConfig:
     frame_rate_hz: float | None = None
     params: AnalysisParams = field(default_factory=AnalysisParams)
     calibration_scenarios: list[str] = field(default_factory=list)
-
-
-# alpha_policy kind -> (policy class, its YAML keys besides ``kind``)
-_ALPHA_POLICIES = {
-    "grid": (GridSearchAlpha, {"cap": ("cap", yaml_float)}),
-    "fixed": (FixedAlpha, {"alpha": ("alpha", yaml_float)}),
-}
-
-
-def make_alpha_policy(spec, name: str = "alpha_policy"):
-    """The policy a mapping such as ``{kind: grid, cap: 1e6}`` names."""
-    if not isinstance(spec, dict):
-        raise ValidationError(f"{name} must be a mapping, got {spec!r}")
-    kind = yaml_str(spec.get("kind", "grid"), "kind")
-    if kind not in _ALPHA_POLICIES:
-        raise ValidationError(f"unknown alpha policy kind {kind!r}")
-    cls, keys = _ALPHA_POLICIES[kind]
-    settings = {key: value for key, value in spec.items() if key != "kind"}
-    return yaml_record(cls, settings, keys, f"{kind} {name}")
 
 
 def load_run_config(path) -> RunConfig:

@@ -111,14 +111,6 @@ def parse_annotations(
     return out
 
 
-def serialize_annotations(annotations: AnnotationSet, dest=None) -> str:
-    lines = ["video_id,agent_id,style,annotator_id,start_frame,end_frame"]
-    for (video, agent, style) in sorted(annotations.entries):
-        for annotator, s, e in annotations.entries[(video, agent, style)]:
-            lines.append(f"{video},{agent},{style},{annotator},{s},{e}")
-    return write_text(dest, "\n".join(lines) + "\n", "annotations")
-
-
 def annotations_from_labels(
     labels, frame_rate_hz: float, video_id: str = "sim", annotator_id: str = "gt"
 ) -> AnnotationSet:

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from bisect import bisect_left, bisect_right
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -24,9 +24,10 @@ from .ingest import TrajectoryTable, read_source, write_text
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
-    CentralityPolynomial,
+    alpha_policy_spec,
     fit_design,
     fit_solve,
+    make_alpha_policy,
 )
 from .styles import (
     DEFAULT_THRESHOLDS,
@@ -46,7 +47,7 @@ from .styles import (
 from .regression import fit  # noqa: F401
 from .styles import sle_sie  # noqa: F401
 
-SCHEMA_VERSION = "2"
+SCHEMA_VERSION = "3"
 
 
 @dataclass
@@ -131,8 +132,8 @@ def analyze_table(
     - one solve per (slice, value) for a window whose samples are all
       equal, shared by every agent and kind with that slice and value;
       any other window gets its own solve.
-    ``fit_solve`` is a deterministic function of the design, mean time,
-    span and samples, so sharing changes no output bit. An agent visits
+    ``fit_solve`` is a deterministic function of the design, mean time
+    and samples, so sharing changes no output bit. An agent visits
     only the windows that overlap its frames. The SLE/SIE maxima of all
     of an agent's windows come from one ``sle_summaries`` call, in closed
     form. Raises ConditioningError when a design is rank deficient at
@@ -155,17 +156,17 @@ def analyze_table(
     # (first frame, sample count, value bytes)
     designs: dict[bytes, tuple] = {}
     slices: dict[tuple[int, int], tuple] = {}
-    constant_fits: dict[tuple[int, int, bytes], CentralityPolynomial] = {}
+    constant_fits: dict[tuple[int, int, bytes], tuple[float, float, float]] = {}
 
-    def window_fit(slice_key, slice_fit, values, changes, i, j):
+    def window_fit(slice_key, solve, values, changes, i, j):
         # samples i..j-1 are bit-equal iff no change is counted in i+1..j-1
         if changes[j - 1] != changes[i]:
-            return fit_solve(*slice_fit, values[i:j])
+            return fit_solve(*solve, values[i:j])
         key = (*slice_key, values[i].tobytes())
-        poly = constant_fits.get(key)
-        if poly is None:
-            poly = constant_fits[key] = fit_solve(*slice_fit, values[i:j])
-        return poly
+        coefficients = constant_fits.get(key)
+        if coefficients is None:
+            coefficients = constant_fits[key] = fit_solve(*solve, values[i:j])
+        return coefficients
 
     reports = []
     for agent_id in sorted(series):
@@ -173,7 +174,7 @@ def analyze_table(
         f1 = f0 + len(deg) - 1
         deg_changes = _change_counts(deg)
         clo_changes = _change_counts(clo)
-        spans, deg_polys, clo_polys = [], [], []
+        heads, degree, closeness = [], [], []
         for k in range(bisect_left(ends, f0), bisect_right(starts, f1)):
             first = max(starts[k], f0)
             n = min(ends[k], f1) - first + 1
@@ -190,30 +191,25 @@ def analyze_table(
                 design = designs.get(key)
                 if design is None:
                     design = designs[key] = fit_design(tc, params.alpha_policy)
-                span = (float(t[0]), float(t[-1]))
-                slice_fit = slices[slice_key] = (design, t_bar, span)
+                # (span, alpha, condition number), then what fit_solve takes
+                head = ((float(t[0]), float(t[-1])), design[0], design[1])
+                slice_fit = slices[slice_key] = (head, (design, t_bar))
+            head, solve = slice_fit
             i = first - f0
             j = i + n
-            spans.append(slice_fit[2])
-            deg_polys.append(window_fit(slice_key, slice_fit, deg, deg_changes, i, j))
-            clo_polys.append(window_fit(slice_key, slice_fit, clo, clo_changes, i, j))
-        sle = sle_summaries(deg_polys + clo_polys, spans + spans, f)
-        analyses = [
-            WindowAnalysis(
-                window=span,
-                degree_poly=deg_poly,
-                closeness_poly=clo_poly,
-                degree_sle=deg_sle,
-                closeness_sle=clo_sle,
-                weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
-            )
-            for span, deg_poly, clo_poly, deg_sle, clo_sle in zip(
-                spans, deg_polys, clo_polys, sle[: len(spans)], sle[len(spans):]
-            )
+            heads.append(head)
+            degree.append(window_fit(slice_key, solve, deg, deg_changes, i, j))
+            closeness.append(window_fit(slice_key, solve, clo, clo_changes, i, j))
+        spans = [span for span, _, _ in heads]
+        sle = sle_summaries(degree + closeness, spans + spans, f)
+        windows = [
+            WindowAnalysis(*head, d, c, detect_weaving(c, head[0], params.epsilon_s))
+            for head, d, c in zip(heads, degree, closeness)
         ]
-        reports.append(
-            classify(agent_id, analyses, params.thresholds, params.epsilon_s)
-        )
+        reports.append(classify(
+            agent_id, windows, sle[: len(spans)], sle[len(spans):],
+            params.thresholds, params.epsilon_s,
+        ))
     return RunReport(frame_rate_hz=f, params=params, agents=reports)
 
 
@@ -221,40 +217,32 @@ def analyze_table(
 # report serialization
 
 
-def _poly_dict(poly) -> dict | None:
-    if poly is None:
-        return None
-    return {
-        "coefficients": list(poly.coefficients),
-        "domain": list(poly.domain),
-        "alpha": poly.alpha,
-        "condition_number": poly.condition_number,
-    }
-
-
 def report_to_json(report: RunReport, dest=None) -> str:
+    """Schema-3 JSON text of ``report``, also written to ``dest`` when given.
+
+    Each window is one array; ``window_fields`` names its fields once.
+    """
     params = report.params
-    settings = asdict(replace(params, stride_s=params.effective_stride(), alpha_policy=None))
-    del settings["alpha_policy"]  # code, not data: each fit stores the alpha it chose
     payload = {
         "schema_version": SCHEMA_VERSION,
         "frame_rate_hz": report.frame_rate_hz,
-        "params": settings,
+        "params": {
+            "mu": params.mu,
+            "capacity": params.capacity,
+            "window_s": params.window_s,
+            "stride_s": params.effective_stride(),
+            "epsilon_s": params.epsilon_s,
+            "thresholds": vars(params.thresholds),
+            "alpha_policy": alpha_policy_spec(params.alpha_policy),
+        },
+        "window_fields": WindowAnalysis._fields,
         "agents": [
             {
                 "agent_id": rep.agent_id,
-                "window": list(rep.window),
+                "window": rep.window,
                 "global_label": rep.global_label,
-                "styles": {name: asdict(s) for name, s in rep.styles.items()},
-                "windows": [
-                    {
-                        "window": list(w.window),
-                        "degree": _poly_dict(w.degree_poly),
-                        "closeness": _poly_dict(w.closeness_poly),
-                        "weaving_points": w.weaving_points,
-                    }
-                    for w in rep.windows
-                ],
+                "styles": {name: vars(s) for name, s in rep.styles.items()},
+                "windows": rep.windows,
             }
             for rep in report.agents
         ],
@@ -268,8 +256,8 @@ def report_from_json(source=None, *, text=None) -> RunReport:
     """Load the per-agent style summaries back from a report.
 
     ``source`` is always a file path; JSON text comes in only through
-    ``text=``. Reconstructs what evaluation needs (labels, maxima,
-    t_SLE); the per-window fits stay as raw dicts in
+    ``text=``. Reconstructs the parameters and what evaluation needs
+    (labels, maxima, t_SLE); the windows stay raw lists in
     ``StyleReport.windows``. An unreadable file, malformed JSON, or a
     schema other than the current one raises ValidationError.
     """
@@ -286,15 +274,14 @@ def report_from_json(source=None, *, text=None) -> RunReport:
         )
     try:
         return _report_from_payload(payload)
-    except (KeyError, TypeError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError) as exc:
         raise ValidationError(f"{where} is malformed: {exc!r}") from None
 
 
 def _report_from_payload(payload: dict) -> RunReport:
-    raw_params = payload["params"]
-    params = AnalysisParams(
-        **{**raw_params, "thresholds": Thresholds(**raw_params["thresholds"])}
-    )
+    given = payload["params"]
+    params = AnalysisParams(**{**given, "thresholds": Thresholds(**given["thresholds"]),
+                               "alpha_policy": make_alpha_policy(given["alpha_policy"])})
     agents = []
     for entry in payload["agents"]:
         styles = {}
@@ -310,7 +297,7 @@ def _report_from_payload(payload: dict) -> RunReport:
                 window=tuple(entry["window"]),
                 styles=styles,
                 global_label=entry["global_label"],
-                windows=entry.get("windows", []),
+                windows=entry["windows"],
             )
         )
     return RunReport(

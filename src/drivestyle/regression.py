@@ -18,11 +18,13 @@ import numpy as np
 
 from .errors import (
     ConditioningError,
+    ContractViolationError,
     InsufficientDataError,
     ValidationError,
     require_non_negative,
     require_positive,
 )
+from .ingest import yaml_float, yaml_record, yaml_str
 
 POLY_DEGREE = 2
 
@@ -68,23 +70,53 @@ class GridSearchAlpha:
     Holds no state: ``analyze_table`` already selects once per time grid.
     """
 
-    def __init__(self, cap: float = DEFAULT_KAPPA_CAP, grid=ALPHA_GRID):
+    def __init__(self, cap: float = DEFAULT_KAPPA_CAP):
         if not (math.isfinite(cap) and cap > 1):
             raise ValidationError(
                 f"condition-number cap must be finite and exceed 1, got {cap}"
             )
         self.cap = cap
-        self.grid = tuple(sorted(grid))
 
     def select(self, times: np.ndarray) -> float:
         m = vandermonde(times)
-        for alpha in self.grid:
+        for alpha in ALPHA_GRID:
             if gram_condition(m, alpha) <= self.cap:
                 return alpha
-        return self.grid[-1]
+        return ALPHA_GRID[-1]
 
 
 DEFAULT_ALPHA_POLICY = GridSearchAlpha()
+
+# alpha_policy kind -> (policy class, its mapping keys besides ``kind``);
+# each key names the constructor argument and the attribute that holds it
+_ALPHA_POLICIES = {
+    "grid": (GridSearchAlpha, {"cap": ("cap", yaml_float)}),
+    "fixed": (FixedAlpha, {"alpha": ("alpha", yaml_float)}),
+}
+
+
+def make_alpha_policy(spec, name: str = "alpha_policy"):
+    """The policy a mapping such as ``{kind: grid, cap: 1e6}`` names."""
+    if not isinstance(spec, dict):
+        raise ValidationError(f"{name} must be a mapping, got {spec!r}")
+    kind = yaml_str(spec.get("kind", "grid"), "kind")
+    if kind not in _ALPHA_POLICIES:
+        raise ValidationError(f"unknown alpha policy kind {kind!r}")
+    cls, keys = _ALPHA_POLICIES[kind]
+    settings = {key: value for key, value in spec.items() if key != "kind"}
+    return yaml_record(cls, settings, keys, f"{kind} {name}")
+
+
+def alpha_policy_spec(policy) -> dict:
+    """The mapping ``make_alpha_policy`` turns back into ``policy``.
+
+    Raises ContractViolationError for a policy type it cannot name.
+    """
+    for kind, (cls, keys) in _ALPHA_POLICIES.items():
+        if type(policy) is cls:
+            return {"kind": kind, **{key: getattr(policy, attr)
+                                     for key, (attr, _) in keys.items()}}
+    raise ContractViolationError(f"alpha policy {policy!r} has no mapping form")
 
 
 @dataclass(frozen=True)
@@ -128,26 +160,23 @@ def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
 def fit_solve(
     design: tuple[float, float, np.ndarray],
     t_bar: float,
-    domain: tuple[float, float],
     values: np.ndarray,
-) -> CentralityPolynomial:
+) -> tuple[float, float, float]:
     """Solve one ``fit_design`` system for ``values`` sampled at t_bar + tc.
 
-    The centered coefficients are mapped back to the absolute-time basis.
+    Returns the coefficients (b0, b1, b2), mapped back from the centered
+    basis to absolute time.
     """
-    alpha, kappa, a = design
+    alpha, _, a = design
     rhs = values if alpha == 0.0 else np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
     beta_c, *_ = np.linalg.lstsq(a, rhs, rcond=None)
 
     c0, c1, c2 = beta_c.tolist()
     # zeta(t) = c0 + c1*(t - t_bar) + c2*(t - t_bar)^2, expanded in t:
-    beta = (
+    return (
         c0 - c1 * t_bar + c2 * t_bar * t_bar,
         c1 - 2.0 * c2 * t_bar,
         c2,
-    )
-    return CentralityPolynomial(
-        coefficients=beta, domain=domain, alpha=alpha, condition_number=kappa
     )
 
 
@@ -169,9 +198,9 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
     policy = alpha_policy if alpha_policy is not None else DEFAULT_ALPHA_POLICY
 
     t_bar = float(t.mean())
-    tc = t - t_bar
+    alpha, kappa, _ = design = fit_design(t - t_bar, policy)
     domain = (float(t.min()), float(t.max()))
-    return fit_solve(fit_design(tc, policy), t_bar, domain, z)
+    return CentralityPolynomial(fit_solve(design, t_bar, z), domain, alpha, kappa)
 
 
 def fit(

@@ -12,11 +12,14 @@ aggressive style crosses its threshold.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ValidationError, require_non_negative, require_positive
 from .regression import CentralityPolynomial
+
+Coefficients = tuple[float, float, float]  # (b0, b1, b2) of b0 + b1 t + b2 t^2
 
 STYLE_OVERSPEEDING = "overspeeding"
 STYLE_OVERTAKE_LANE_CHANGE = "overtaking_or_sudden_lane_change"
@@ -69,19 +72,19 @@ class SleSummary:
 
 
 def sle_summaries(
-    polys: list[CentralityPolynomial],
+    coefficients: list[Coefficients],
     windows: list[tuple[float, float]],
     frame_rate_hz: float,
 ) -> list[SleSummary]:
-    """``sle_sie`` for many (polynomial, window) pairs in one array pass.
+    """``sle_sie`` for many (coefficients, window) pairs in one array pass.
 
-    Row r reads ``polys[r]`` at the frame samples t = k / rate of the
-    closed window ``windows[r]``, k0 <= k <= k1. SIE is the constant
-    |2 b2|. SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate); each step of
-    d is monotone under round-to-nearest, so the computed d is monotone
-    in k and |d| peaks at k0 or k1, ties going to k0. When k1 wins, d
-    may have rounded to the same value on earlier samples (a plateau);
-    only then is the row sampled, to find the earliest one.
+    Row r reads the quadratic ``coefficients[r]`` at the frame samples
+    t = k / rate of the closed window ``windows[r]``, k0 <= k <= k1. SIE
+    is the constant |2 b2|. SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate);
+    each step of d is monotone under round-to-nearest, so the computed d
+    is monotone in k and |d| peaks at k0 or k1, ties going to k0. When k1
+    wins, d may have rounded to the same value on earlier samples (a
+    plateau); only then is the row sampled, to find the earliest one.
     """
     f = require_positive(frame_rate_hz, "frame_rate_hz")
     w = np.asarray(windows, dtype=float).reshape(-1, 2)
@@ -93,7 +96,7 @@ def sle_summaries(
     bad = np.flatnonzero(k1 < k0)
     if bad.size:
         raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
-    b = np.array([p.coefficients for p in polys], dtype=float).reshape(-1, 3)
+    b = np.array(coefficients, dtype=float).reshape(-1, 3)
     b1, slope = b[:, 1], 2.0 * b[:, 2]
     first = np.abs(b1 + slope * (k0 / f))
     last = np.abs(b1 + slope * (k1 / f))
@@ -122,15 +125,15 @@ def sle_sie(
     of t, so its window maximum sits at an endpoint; ties break toward
     the earliest sample (see ``sle_summaries``).
     """
-    return sle_summaries([poly], [window], frame_rate_hz)[0]
+    return sle_summaries([poly.coefficients], [window], frame_rate_hz)[0]
 
 
 def detect_weaving(
-    poly_closeness: CentralityPolynomial,
+    closeness: Coefficients,
     window: tuple[float, float],
     epsilon: float,
 ) -> list[tuple[float, float]]:
-    """Critical points of the closeness polynomial with their sharpness.
+    """Critical points of the closeness quadratic with their sharpness.
 
     A candidate is a zero of the first derivative strictly inside the
     window. Its sharpness is the largest |dzeta/dt| over the epsilon-ball
@@ -138,7 +141,7 @@ def detect_weaving(
     at the point — constant polynomials — are discarded as flat.
     """
     require_positive(epsilon, "epsilon")
-    b0, b1, b2 = poly_closeness.coefficients
+    b0, b1, b2 = closeness
     if b2 == 0.0:
         # derivative is the constant b1: either no zeros, or flat everywhere
         return []
@@ -152,16 +155,19 @@ def detect_weaving(
     return [(t_c, sharpness)]
 
 
-@dataclass
-class WindowAnalysis:
-    """Fits and estimates for one agent over one analysis window."""
+class WindowAnalysis(NamedTuple):
+    """One agent's degree and closeness fits over one analysis window.
+
+    Both fits use the same sample times, so they share the span (seconds),
+    the alpha and the condition number of one design.
+    """
 
     window: tuple[float, float]
-    degree_poly: CentralityPolynomial | None = None
-    closeness_poly: CentralityPolynomial | None = None
-    degree_sle: SleSummary | None = None
-    closeness_sle: SleSummary | None = None
-    weaving_points: list[tuple[float, float]] = field(default_factory=list)
+    alpha: float
+    condition_number: float
+    degree: Coefficients
+    closeness: Coefficients
+    weaving_points: list[tuple[float, float]]
 
 
 @dataclass
@@ -231,11 +237,14 @@ def _aggregate_sle(summaries: list[SleSummary]) -> StyleSummary:
 def classify(
     agent_id: str,
     windows: list[WindowAnalysis],
+    degree_sle: list[SleSummary],
+    closeness_sle: list[SleSummary],
     thresholds: Thresholds,
     epsilon: float,
 ) -> StyleReport:
     """Aggregate per-window estimates into the per-agent style report.
 
+    ``degree_sle`` and ``closeness_sle`` hold the windows' SLE maxima.
     The whole-run t_SLE of a derivative style is the t_SLE of the window
     attaining the largest SLE maximum (earliest on ties). Weaving points
     from overlapping windows are merged within ``epsilon`` and filtered
@@ -243,8 +252,8 @@ def classify(
     the surviving critical points cover. The agent is aggressive iff any
     aggressive style crosses its threshold, conservative otherwise.
     """
-    overspeed = _aggregate_sle([w.degree_sle for w in windows if w.degree_sle])
-    overtake = _aggregate_sle([w.closeness_sle for w in windows if w.closeness_sle])
+    overspeed = _aggregate_sle(degree_sle)
+    overtake = _aggregate_sle(closeness_sle)
 
     merged = merge_critical_points(
         [p for w in windows for p in w.weaving_points], tolerance=epsilon

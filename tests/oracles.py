@@ -269,7 +269,8 @@ def per_window_analyze(table, params=None, series=None):
     """``analyze_table`` one window at a time, sharing nothing between fits.
 
     Each window gets its own slice of the series arrays, its own ``fit``
-    (design, alpha selection and solve) and its own SLE/SIE sampling.
+    per kind (design, alpha selection and solve) and its own SLE/SIE
+    sampling.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -285,28 +286,37 @@ def per_window_analyze(table, params=None, series=None):
     for agent_id in sorted(series):
         f0, clo, deg = series[agent_id]
         frames = range(f0, f0 + len(deg))
-        analyses = []
+        analyses, degree_sle, closeness_sle = [], [], []
         for w0, w1 in windows:
             if w1 < frames[0] or w0 > frames[-1]:
                 continue
             i, j = bisect_left(frames, w0), bisect_right(frames, w1)
             if j - i < POLY_DEGREE + 1:
                 continue
-            span = (frames[i] / f, frames[j - 1] / f)
             try:
                 deg_poly = fit(frames[i], deg[i:j], policy, f)
                 clo_poly = fit(frames[i], clo[i:j], policy, f)
             except InsufficientDataError:
                 continue
+            # the one record stores these once: both fits must agree on them
+            shared = (deg_poly.domain, deg_poly.alpha, deg_poly.condition_number)
+            assert shared == (clo_poly.domain, clo_poly.alpha, clo_poly.condition_number)
+            span = (frames[i] / f, frames[j - 1] / f)
+            assert deg_poly.domain == span
             analyses.append(
                 WindowAnalysis(
-                    window=span,
-                    degree_poly=deg_poly,
-                    closeness_poly=clo_poly,
-                    degree_sle=sampled_sle(deg_poly, span, f),
-                    closeness_sle=sampled_sle(clo_poly, span, f),
-                    weaving_points=detect_weaving(clo_poly, span, params.epsilon_s),
+                    *shared,
+                    degree=deg_poly.coefficients,
+                    closeness=clo_poly.coefficients,
+                    weaving_points=detect_weaving(
+                        clo_poly.coefficients, span, params.epsilon_s
+                    ),
                 )
             )
-        reports.append(classify(agent_id, analyses, params.thresholds, params.epsilon_s))
+            degree_sle.append(sampled_sle(deg_poly, span, f))
+            closeness_sle.append(sampled_sle(clo_poly, span, f))
+        reports.append(classify(
+            agent_id, analyses, degree_sle, closeness_sle,
+            params.thresholds, params.epsilon_s,
+        ))
     return RunReport(frame_rate_hz=f, params=params, agents=reports)

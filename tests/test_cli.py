@@ -61,7 +61,7 @@ def test_full_pipeline_and_evaluate(slc_scenario, tmp_path, capsys):
     assert (run / "report.json").exists()
     assert (run / "centrality.csv").exists()
     report = json.loads((run / "report.json").read_text())
-    assert report["schema_version"] == "2"
+    assert report["schema_version"] == "3"
     assert {a["agent_id"] for a in report["agents"]} == {"subject", "g0", "g1", "g2"}
 
     assert main([
@@ -231,8 +231,9 @@ def test_analyze_report_is_byte_identical(slc_scenario, tmp_path):
 
 @pytest.mark.parametrize(
     "content",
-    [None, "{not json", '{"schema_version": "1", "agents": []}'],
-    ids=["missing", "malformed", "schema_v1"],
+    [None, "{not json", '{"schema_version": "1", "agents": []}',
+     '{"schema_version": "2", "agents": []}'],
+    ids=["missing", "malformed", "schema_v1", "schema_v2"],
 )
 def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -246,6 +247,8 @@ def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
+    if content and "schema_version" in content:
+        assert f"unsupported schema '{json.loads(content)['schema_version']}'" in err
 
 
 @pytest.fixture(scope="module")

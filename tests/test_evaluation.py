@@ -9,7 +9,6 @@ from drivestyle.evaluation import (
     evaluate_run,
     expected_frame,
     parse_annotations,
-    serialize_annotations,
     tde,
 )
 from drivestyle.styles import (
@@ -180,7 +179,12 @@ def test_annotation_csv_round_trip(tmp_path):
     ann.add("vid0", "a", "OS", "p2", 6, 11)
     ann.add("vid1", "b", "W", "p1", 0, 4)
     path = tmp_path / "ann.csv"
-    serialize_annotations(ann, path)
+    path.write_text(
+        "video_id,agent_id,style,annotator_id,start_frame,end_frame\n"
+        "vid0,a,OS,p1,5,9\n"
+        "vid0,a,OS,p2,6,11\n"
+        "vid1,b,W,p1,0,4\n"
+    )
     again = parse_annotations(path, 30.0)
     assert again.entries == ann.entries
 

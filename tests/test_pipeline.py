@@ -24,6 +24,7 @@ from drivestyle.styles import (
     STYLE_OVERSPEEDING,
     STYLE_WEAVING,
     Thresholds,
+    sle_summaries,
 )
 
 from oracles import per_window_analyze
@@ -148,12 +149,59 @@ def test_report_v2_round_trip_keeps_evaluated_fields(weaving_report, tmp_path):
                 assert got.sle_max == style.sle_max
 
 
-def test_report_file_is_v2_without_curves(weaving_report, tmp_path):
+def test_report_round_trip_keeps_styles_labels_and_windows(weaving_report):
+    loaded = report_from_json(text=report_to_json(weaving_report))
+    assert loaded.params.stride_s == weaving_report.params.effective_stride()
+    for orig, back in zip(weaving_report.agents, loaded.agents, strict=True):
+        assert (back.agent_id, back.window, back.global_label) == (
+            orig.agent_id, orig.window, orig.global_label
+        )
+        assert {name: vars(s) for name, s in back.styles.items()} == {
+            name: vars(s) for name, s in orig.styles.items()
+        }
+        assert back.windows == json.loads(json.dumps(orig.windows))
+
+
+def test_report_file_is_v3_without_curves(weaving_report, tmp_path):
     path = tmp_path / "report.json"
     report_to_json(weaving_report, path)
     text = path.read_text()
-    assert json.loads(text)["schema_version"] == "2"
+    payload = json.loads(text)
+    assert payload["schema_version"] == "3"
     assert "sle_curve" not in text and "sie_curve" not in text
+    assert '"domain"' not in text
+    assert text.count('"window_fields"') == 1
+    assert payload["window_fields"] == [
+        "window", "alpha", "condition_number", "degree", "closeness", "weaving_points"
+    ]
+    assert all(
+        isinstance(w, list) and len(w) == 6
+        for a in payload["agents"] for w in a["windows"]
+    )
+
+
+@pytest.mark.parametrize("policy", [FixedAlpha(0.5), GridSearchAlpha()],
+                         ids=["fixed", "grid"])
+def test_report_names_its_alpha_policy(policy):
+    table = make_table({"a": [(k, 0.0, 1.0, 0.0) for k in range(10)]})
+    params = AnalysisParams(window_s=4.0, thresholds=THRESHOLDS, alpha_policy=policy)
+    text = report_to_json(analyze_table(table, params))
+    spec = json.loads(text)["params"]["alpha_policy"]
+    assert spec == ({"kind": "fixed", "alpha": 0.5} if isinstance(policy, FixedAlpha)
+                    else {"kind": "grid", "cap": 1e6})
+    back = report_from_json(text=text).params.alpha_policy
+    assert type(back) is type(policy) and vars(back) == vars(policy)
+
+
+def test_report_with_an_unnamed_alpha_policy_is_not_written():
+    class Custom(FixedAlpha):
+        pass
+
+    table = make_table({"a": [(k, 0.0, 1.0, 0.0) for k in range(10)]})
+    report = analyze_table(table, AnalysisParams(thresholds=THRESHOLDS,
+                                                 alpha_policy=Custom(0.5)))
+    with pytest.raises(ContractViolationError, match="no mapping form"):
+        report_to_json(report)
 
 
 def test_report_from_json_reads_paths_not_text(weaving_report, tmp_path):
@@ -171,8 +219,10 @@ def test_report_from_json_reads_paths_not_text(weaving_report, tmp_path):
         report_from_json(text='{"schema_version": "1", "agents": []}')
     with pytest.raises(ValidationError, match="unsupported schema None"):
         report_from_json(text="[]")
+    with pytest.raises(ValidationError, match="unsupported schema '2'"):
+        report_from_json(text='{"schema_version": "2", "agents": []}')
     with pytest.raises(ValidationError, match="malformed"):
-        report_from_json(text='{"schema_version": "2"}')
+        report_from_json(text='{"schema_version": "3"}')
 
 
 # fresh policy objects per run, so neither side reuses the other's selections
@@ -231,7 +281,7 @@ def test_analyze_table_matches_per_window_oracle_byte_for_byte(
     report = analyze_table(table, params())
     assert report_to_json(report) == expected
     if policy in ("alpha_1e-3", "grid_capped"):
-        assert all(w.degree_poly.alpha > 0 for a in report.agents for w in a.windows)
+        assert all(w.alpha > 0 for a in report.agents for w in a.windows)
 
 
 def test_constant_degree_windows_match_oracle_exactly():
@@ -243,7 +293,10 @@ def test_constant_degree_windows_match_oracle_exactly():
     report = analyze_table(table, params)
     expected = per_window_analyze(table, params)
     assert report_to_json(report) == report_to_json(expected)
-    noise = [w.degree_sle.sle_max for w in report.agent("a0").windows]
+    windows = report.agent("a0").windows
+    noise = [s.sle_max for s in sle_summaries(
+        [w.degree for w in windows], [w.window for w in windows], 10.0
+    )]
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
 

@@ -25,8 +25,8 @@ from oracles import sample_sle_sie, sampled_sle
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02, weaving_min_sharpness=0.01)
 
 
-def poly(b0, b1, b2, domain=(0.0, 2.0)):
-    return CentralityPolynomial(coefficients=(b0, b1, b2), domain=domain)
+def poly(b0, b1, b2):
+    return CentralityPolynomial(coefficients=(b0, b1, b2), domain=(0.0, 2.0))
 
 
 def test_constant_polynomial_zero_sle_sie():
@@ -101,7 +101,8 @@ def test_batched_rows_equal_one_window_sampling(rows, f):
     pairs = [sle_row(*row, f) for row in rows]
     polys = [p for p, _ in pairs]
     windows = [w for _, w in pairs]
-    for s, (p, window) in zip(sle_summaries(polys, windows, f), pairs):
+    coefficients = [p.coefficients for p in polys]
+    for s, (p, window) in zip(sle_summaries(coefficients, windows, f), pairs):
         assert summary_tuple(s) == summary_tuple(sle_sie(p, window, f)) == (
             summary_tuple(sampled_sle(p, window, f))
         )
@@ -116,7 +117,7 @@ def test_unequal_windows_in_one_batch_and_earliest_tie_wins():
     polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0),
              poly(0.0, -2.0, 0.5), poly(0.0, 1.0, 1e-17)]
     windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3), (1.0, 3.0), (0.0, 10.0)]
-    summaries = sle_summaries(polys, windows, 10.0)
+    summaries = sle_summaries([p.coefficients for p in polys], windows, 10.0)
     rising, flat, linear, vee, plateau = summaries
     assert (flat.sle_max, flat.t_sle, flat.sie_max) == (0.0, 0.5, 0.0)
     assert (linear.sle_max, linear.t_sle) == (2.0, 1.0)
@@ -131,18 +132,18 @@ def test_unequal_windows_in_one_batch_and_earliest_tie_wins():
 
 
 def test_batched_sampling_rejects_windows_without_samples():
-    polys = [poly(0.0, 1.0, 0.0)] * 2
+    rows = [(0.0, 1.0, 0.0)] * 2
     with pytest.raises(ValidationError, match=r"empty window \(2.0, 1.0\)"):
-        sle_summaries(polys, [(0.0, 1.0), (2.0, 1.0)], 10.0)
+        sle_summaries(rows, [(0.0, 1.0), (2.0, 1.0)], 10.0)
     with pytest.raises(ValidationError, match="holds no frame times"):
-        sle_summaries(polys, [(0.0, 1.0), (0.01, 0.09)], 10.0)
+        sle_summaries(rows, [(0.0, 1.0), (0.01, 0.09)], 10.0)
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="frame_rate_hz"):
-            sle_sie(polys[0], (0.0, 1.0), rate)
+            sle_sie(poly(*rows[0]), (0.0, 1.0), rate)
 
 
 def test_weaving_vertex_and_sharpness():
-    points = detect_weaving(poly(0.0, 0.0, 1.0, domain=(-1.0, 1.0)), (-1.0, 1.0), 0.1)
+    points = detect_weaving((0.0, 0.0, 1.0), (-1.0, 1.0), 0.1)
     assert len(points) == 1
     t_c, sharpness = points[0]
     assert t_c == 0.0
@@ -151,22 +152,22 @@ def test_weaving_vertex_and_sharpness():
 
 def test_weaving_flat_polynomial_excluded():
     for eps in (0.1, 0.5, 2.0):
-        assert detect_weaving(poly(7.0, 0.0, 0.0), (0.0, 2.0), eps) == []
+        assert detect_weaving((7.0, 0.0, 0.0), (0.0, 2.0), eps) == []
 
 
 def test_weaving_linear_no_zero():
-    assert detect_weaving(poly(0.0, 1.0, 0.0), (0.0, 2.0), 0.5) == []
+    assert detect_weaving((0.0, 1.0, 0.0), (0.0, 2.0), 0.5) == []
 
 
 def test_weaving_vertex_must_be_strictly_inside():
-    p = poly(0.0, -4.0, 1.0)  # vertex at t = 2
+    p = (0.0, -4.0, 1.0)  # vertex at t = 2
     assert detect_weaving(p, (0.0, 2.0), 0.5) == []
     assert detect_weaving(p, (0.0, 2.5), 0.5) != []
 
 
 def test_weaving_epsilon_validation():
     with pytest.raises(ValidationError):
-        detect_weaving(poly(0, 0, 1), (0.0, 2.0), 0.0)
+        detect_weaving((0, 0, 1), (0.0, 2.0), 0.0)
 
 
 @given(
@@ -182,8 +183,7 @@ def test_weaving_empty_iff_no_interior_sign_change(b0, b1, b2, w0, width):
     g0 = b1 + 2.0 * b2 * window[0]
     g1 = b1 + 2.0 * b2 * window[1]
     assume(abs(g0) > 1e-9 and abs(g1) > 1e-9)  # keep the vertex off the boundary
-    p = poly(b0, b1, b2, domain=window)
-    detected = detect_weaving(p, window, 0.25)
+    detected = detect_weaving((b0, b1, b2), window, 0.25)
     crosses_inside = g0 * g1 < 0.0
     assert bool(detected) == crosses_inside
 
@@ -195,20 +195,27 @@ def test_merge_critical_points_clusters_and_picks_sharpest():
     assert merge_critical_points([], 0.5) == []
 
 
-def _window(deg_poly, clo_poly, span, f=1.0, epsilon=0.5):
+def _window(deg_poly, clo_poly, span, epsilon=0.5):
+    degree, closeness = deg_poly.coefficients, clo_poly.coefficients
     return WindowAnalysis(
-        window=span,
-        degree_poly=deg_poly,
-        closeness_poly=clo_poly,
-        degree_sle=sle_sie(deg_poly, span, f),
-        closeness_sle=sle_sie(clo_poly, span, f),
-        weaving_points=detect_weaving(clo_poly, span, epsilon),
+        span, 0.0, 1.0, degree, closeness, detect_weaving(closeness, span, epsilon)
+    )
+
+
+def _classify(windows, f=1.0):
+    """``classify`` of agent "a", reading the windows' SLE at ``f`` Hz."""
+    spans = [w.window for w in windows]
+    return classify(
+        "a", windows,
+        sle_summaries([w.degree for w in windows], spans, f),
+        sle_summaries([w.closeness for w in windows], spans, f),
+        THRESHOLDS, epsilon=0.5,
     )
 
 
 def test_flat_agent_is_conservative():
     w = _window(poly(3.0, 0.0, 0.0), poly(0.4, 0.0, 0.0), (0.0, 2.0))
-    report = classify("a", [w], THRESHOLDS, epsilon=0.5)
+    report = _classify([w])
     assert report.global_label == "conservative"
     assert report.styles[STYLE_CONSERVATIVE].detected
     assert report.styles[STYLE_OVERSPEEDING].sle_max == 0.0
@@ -218,7 +225,7 @@ def test_flat_agent_is_conservative():
 
 def test_steep_degree_flags_overspeeding():
     w = _window(poly(0.0, 2.0, 0.0), poly(0.4, 0.0, 0.0), (0.0, 2.0))
-    report = classify("a", [w], THRESHOLDS, epsilon=0.5)
+    report = _classify([w])
     assert report.styles[STYLE_OVERSPEEDING].detected
     assert report.global_label == "aggressive"
     assert not report.styles[STYLE_CONSERVATIVE].detected
@@ -226,22 +233,12 @@ def test_steep_degree_flags_overspeeding():
 
 def test_weaving_counts_only_sharp_points():
     sharp = poly(0.0, -1.0, 0.5)  # vertex at t=1, sharpness 0.5 at eps=0.5
-    report = classify(
-        "a",
-        [_window(poly(0.0, 0.0, 0.0), sharp, (0.0, 2.0))],
-        THRESHOLDS,
-        epsilon=0.5,
-    )
+    report = _classify([_window(poly(0.0, 0.0, 0.0), sharp, (0.0, 2.0))])
     assert report.styles[STYLE_WEAVING].count == 1
     assert report.styles[STYLE_WEAVING].t_sle == pytest.approx(1.0)
 
     dull = poly(0.0, -0.002, 0.001)  # same vertex, sharpness 0.001 < floor
-    report = classify(
-        "a",
-        [_window(poly(0.0, 0.0, 0.0), dull, (0.0, 2.0))],
-        THRESHOLDS,
-        epsilon=0.5,
-    )
+    report = _classify([_window(poly(0.0, 0.0, 0.0), dull, (0.0, 2.0))])
     assert report.styles[STYLE_WEAVING].count == 0
     assert report.styles[STYLE_WEAVING].t_sle is None
 
@@ -249,7 +246,7 @@ def test_weaving_counts_only_sharp_points():
 def test_global_argmax_picks_strongest_window():
     w1 = _window(poly(0.0, 1.0, 0.0), poly(0.0, 0.0, 0.0), (0.0, 2.0))
     w2 = _window(poly(0.0, 4.0, 0.0), poly(0.0, 0.0, 0.0), (2.0, 4.0))
-    report = classify("a", [w1, w2], THRESHOLDS, epsilon=0.5)
+    report = _classify([w1, w2])
     over = report.styles[STYLE_OVERSPEEDING]
     assert over.sle_max == 4.0
     assert over.t_sle == 2.0  # earliest sample of the winning window
@@ -259,7 +256,7 @@ def test_weaving_time_is_center_of_critical_span():
     w1 = _window(poly(0, 0, 0), poly(0.0, -2.0, 1.0), (0.0, 2.0))   # vertex 1.0
     w2 = _window(poly(0, 0, 0), poly(0.0, -6.0, 1.0), (2.0, 4.0))   # vertex 3.0
     w3 = _window(poly(0, 0, 0), poly(0.0, -11.0, 1.0), (4.0, 6.0))  # vertex 5.5
-    report = classify("a", [w1, w2, w3], THRESHOLDS, epsilon=0.5)
+    report = _classify([w1, w2, w3])
     weaving = report.styles[STYLE_WEAVING]
     assert weaving.count == 3
     assert weaving.t_sle == pytest.approx((1.0 + 5.5) / 2.0)
@@ -288,7 +285,7 @@ def test_threshold_validation():
 
 
 def test_classify_with_no_windows_is_conservative():
-    report = classify("ghost", [], THRESHOLDS, epsilon=0.5)
+    report = classify("ghost", [], [], [], THRESHOLDS, epsilon=0.5)
     assert report.global_label == "conservative"
     assert report.styles[STYLE_OVERSPEEDING].t_sle is None
 
