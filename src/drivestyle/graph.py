@@ -6,29 +6,27 @@ squared distance is the edge cost. The cumulative state remembers, per
 agent, which neighbors it has already seen, so that the degree-centrality
 chain can count only first encounters with slower vehicles.
 
-``build_instant_graph`` is pure and may run for many frames in parallel.
+``sweep_edges`` finds the edges of many frames at once, as arrays;
+``build_instant_graph`` builds one frame's graph through it and is pure.
 ``update_cumulative`` mutates shared state and must be applied in strict
-frame order by a single writer.
+frame order by a single writer. ``compute_series`` computes what the
+two per-frame functions would, for a whole run; they remain as the
+per-frame reference for tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
 
-import math
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
 from functools import cached_property
+
+import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .ingest import AgentFrame
 
 DEFAULT_MU = 100.0  # m^2: a 10 m proximity radius
 DEFAULT_CAPACITY = 256
-
-
-def squared_distance(p: tuple[float, float], q: tuple[float, float]) -> float:
-    dx = p[0] - q[0]
-    dy = p[1] - q[1]
-    return dx * dx + dy * dy
 
 
 @dataclass
@@ -57,44 +55,116 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
     return (a, b) if a < b else (b, a)
 
 
+# Python floats overflow to inf and give nan silently; so do these arrays
+@np.errstate(over="ignore", invalid="ignore")
+def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
+    """Every same-frame vertex pair with squared distance < mu, as arrays.
+
+    ``frames``, ``x`` and ``y`` hold one entry per vertex. A stable sort
+    by (frame, x) puts each frame's vertices in one run, in x order, and
+    the sweep pairs sorted positions ``(p, p + k)`` for k = 1, 2, ...: a
+    pair is an edge iff it is in one frame, ``dx*dx < mu`` and its cost
+    ``(x_p - x_q)**2 + (y_p - y_q)**2 < mu``. A pair that fails the first
+    two tests fails them at every larger offset too (x is sorted within a
+    frame, frames are contiguous, and rounding is monotone), so the sweep
+    ends at the first k where no pair passes them. Non-finite coordinates
+    never pass ``dx*dx < mu``.
+
+    Returns ``(order, p, q, cost)``: the sort order of the vertices, and
+    each edge as sorted positions ``p < q`` with its cost.
+    """
+    order = np.lexsort((x, frames))
+    fs, xs, ys = frames[order], x[order], y[order]
+    ps, qs, costs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for k in range(1, len(order)):
+        dx2 = xs[:-k] - xs[k:]
+        dx2 *= dx2
+        near = np.flatnonzero((fs[:-k] == fs[k:]) & (dx2 < mu))
+        if not near.size:
+            break
+        dy = ys[near] - ys[near + k]
+        cost = dx2[near] + dy * dy
+        edge = near[cost < mu]
+        ps.append(edge)
+        qs.append(edge + k)
+        costs.append(cost[cost < mu])
+    return order, np.concatenate(ps), np.concatenate(qs), np.concatenate(costs)
+
+
+def graph_error(frames, codes, ids, x, y, order, p, q, cost):
+    """``(frame, message)`` of the first failed graph check, or None.
+
+    The vertices are given in frame order. Within a frame, as one graph
+    is built: each vertex in turn for a duplicate id, then for a
+    non-finite position, then each edge in sweep order for a zero cost,
+    i.e. a shared position. ``codes`` number the distinct ids;
+    ``order, p, q, cost`` are ``sweep_edges``' result.
+    """
+    found = []  # (frame, check order within the frame, message)
+    by_id = np.lexsort((codes, frames))
+    a, b = by_id[:-1], by_id[1:]
+    dup = b[(frames[a] == frames[b]) & (codes[a] == codes[b])]
+    bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))
+    if dup.size or bad.size:
+        row = min(np.concatenate([dup, bad]).tolist())
+        if row in dup:
+            message = f"duplicate agent_id {ids[row]!r} in frame"
+        else:
+            message = f"agent {ids[row]!r} has a non-finite position"
+        found.append((int(frames[row]), 0, message))
+    zero = np.flatnonzero(cost == 0.0)
+    if zero.size:
+        z = zero[np.lexsort((q[zero], p[zero]))[0]]
+        a, b = order[p[z]], order[q[z]]
+        found.append((
+            int(frames[a]),
+            1,
+            f"agents {ids[a]!r} and {ids[b]!r} share a position; "
+            "edge costs must be strictly positive",
+        ))
+    if not found:
+        return None
+    frame, _, message = min(found)
+    return frame, message
+
+
+def instant_graph(ids, x, y, vertices, i, j, cost) -> InstantGraph:
+    """The InstantGraph of ``vertices`` and edges ``(i, j, cost)``.
+
+    Vertices and edge ends are indices into ``ids``, ``x`` and ``y``.
+    """
+    return InstantGraph(
+        positions={ids[v]: (float(x[v]), float(y[v])) for v in vertices},
+        edges={
+            _edge_key(ids[a], ids[b]): c
+            for a, b, c in zip(i.tolist(), j.tolist(), cost.tolist())
+        },
+    )
+
+
 def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
     """Connect exactly the agent pairs with squared distance < mu.
 
-    Pure function of (frame, mu). Raises ValidationError on an empty
-    frame, a non-positive mu, duplicate agent ids, a non-finite position,
-    or coincident agent positions (which would produce a zero-cost edge).
+    Pure function of (frame, mu), built by ``sweep_edges`` as one frame.
+    Raises ValidationError on an empty frame, a non-positive mu,
+    duplicate agent ids, a non-finite position, or coincident agent
+    positions (which would produce a zero-cost edge).
     """
     require_positive(mu, "mu")
     if not frame:
         raise ValidationError("cannot build a traffic-graph from an empty frame")
-    positions: dict[str, tuple[float, float]] = {}
-    for fr in frame:
-        if fr.agent_id in positions:
-            raise ValidationError(f"duplicate agent_id {fr.agent_id!r} in frame")
-        if not (math.isfinite(fr.position[0]) and math.isfinite(fr.position[1])):
-            raise ValidationError(f"agent {fr.agent_id!r} has a non-finite position")
-        positions[fr.agent_id] = fr.position
-
-    # sort-and-sweep on x: once dx*dx >= mu, no later partner can connect,
-    # since the cost dx*dx + dy*dy never rounds below dx*dx
-    order = sorted(positions.items(), key=lambda item: item[1][0])
-    edges: dict[tuple[str, str], float] = {}
-    for i, (a, p) in enumerate(order):
-        px = p[0]
-        for j in range(i + 1, len(order)):
-            b, q = order[j]
-            dx = q[0] - px
-            if dx * dx >= mu:
-                break
-            cost = squared_distance(p, q)
-            if cost < mu:
-                if cost == 0.0:
-                    raise ValidationError(
-                        f"agents {a!r} and {b!r} share a position; "
-                        "edge costs must be strictly positive"
-                    )
-                edges[_edge_key(a, b)] = cost
-    return InstantGraph(positions=positions, edges=edges)
+    ids = [fr.agent_id for fr in frame]
+    code = {agent_id: k for k, agent_id in enumerate(ids)}
+    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+    x, y = np.array([fr.position for fr in frame], dtype=float).T
+    frames = np.zeros(len(ids), np.int64)
+    order, p, q, cost = sweep_edges(frames, x, y, mu)
+    error = graph_error(frames, codes, ids, x, y, order, p, q, cost)
+    if error is not None:
+        raise ValidationError(error[1])
+    # edges in sweep order, as a pair-by-pair sweep would find them
+    k = np.lexsort((q, p))
+    return instant_graph(ids, x, y, range(len(ids)), order[p[k]], order[q[k]], cost[k])
 
 
 @dataclass

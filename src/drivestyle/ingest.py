@@ -17,6 +17,7 @@ threads.
 
 from __future__ import annotations
 
+import gc
 import inspect
 import math
 import os
@@ -48,6 +49,10 @@ _FLOOR_GUARD = 1e-9
 # Frame indices stay below 2**53, where every one is an exact float64 and
 # int64 value.
 _FRAME_LIMIT = 2.0**53
+
+# libyaml's parser where PyYAML was built with it: the same documents,
+# several times faster
+_YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
 # Body lines split into cells at a time: bounds the parser's transient
 # memory to one chunk's strings.
@@ -153,11 +158,16 @@ def read_yaml(path, what: str, build):
     text = read_source(path, None, what)
     where = f"{what} {os.fspath(path)!r}"
     try:
-        document = yaml.safe_load(text)
+        document = yaml.load(text, Loader=_YAML_LOADER)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
-        at = f" at line {mark.line + 1}, column {mark.column + 1}" if mark else ""
-        problem = getattr(exc, "problem", None) or exc
+        position = getattr(exc, "position", None)  # a ReaderError's offset
+        if mark:
+            at = f" at line {mark.line + 1}, column {mark.column + 1}"
+        else:
+            at = "" if position is None else f" at position {position}"
+        # a ReaderError has no problem; its text ends in a second line
+        problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         raise ValidationError(f"{where} is not valid YAML{at}: {problem}") from None
     if document is None:
         document = {}
@@ -253,7 +263,15 @@ def parse_trajectories(
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     lines = read_source(source, text, "trajectories").splitlines()
-    table = _bulk_parse(lines, frame_rate_hz)
+    # the records are tuples of floats and strings, which cannot form
+    # cycles: a collection while they are built would free nothing
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        table = _bulk_parse(lines, frame_rate_hz)
+    finally:
+        if enabled:
+            gc.enable()
     if table is None:
         _raise_row_error(lines, frame_rate_hz)
     return table

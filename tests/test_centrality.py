@@ -3,14 +3,11 @@ from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
-from drivestyle.centrality import (
-    closeness,
-    compute_series,
-    frame_closeness,
-    series_to_csv,
-)
+from drivestyle.centrality import closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import build_instant_graph
 from drivestyle.ingest import TrajectoryTable
@@ -111,10 +108,11 @@ def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
                 for k, (x, y) in enumerate(points)
             ]
         g = build_instant_graph(frame, mu=4.0)
-        values = frame_closeness(g)
-        assert list(values) == list(g.positions)
+        series = compute_series(TrajectoryTable(frames={0: frame}), mu=4.0)
+        assert list(series) == list(g.positions)
         for v in g.positions:
-            assert values[v] == closeness(g, v) == relaxation_closeness(g, v)
+            value = series[v].closeness[0]
+            assert value == closeness(g, v) == relaxation_closeness(g, v)
     assert min(sizes.values()) > 50
 
 
@@ -275,3 +273,135 @@ def test_series_csv_text_matches_oracles():
         rows += [f"{t},{agent},closeness,{v!r}" for t, v in clo[agent]]
         rows += [f"{t},{agent},degree,{v!r}" for t, v in deg[agent]]
     assert text.splitlines() == rows
+
+
+# frame shapes of the whole-run property test, on a unit lattice so that
+# costs tie exactly: "spread" frames have no edge, "chain" frames put the
+# agents on one line, "corner" frames a right angle whose direct cost
+# (2) is the two-hop sum (1 + 1), "blob" frames random lattice points
+SHAPES = ("spread", "chain", "corner", "blob")
+
+
+@st.composite
+def churning_runs(draw):
+    """(table, mu, capacity): agents arriving and leaving over a few frames.
+
+    A capacity between the largest frame and the id count resets the
+    cumulative state several times in most tables.
+    """
+    n_frames = draw(st.integers(1, 12))
+    n_agents = draw(st.integers(1, 10))
+    spans = [
+        (lo, draw(st.integers(lo, n_frames - 1)))
+        for lo in (draw(st.integers(0, n_frames - 1)) for _ in range(n_agents))
+    ]
+    shapes = draw(st.lists(st.sampled_from(SHAPES), min_size=n_frames,
+                           max_size=n_frames))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    frames = {}
+    for idx, shape in enumerate(shapes):
+        present = [a for a, (lo, hi) in enumerate(spans) if lo <= idx <= hi]
+        if not present:
+            continue
+        rng.shuffle(present)
+        if shape == "spread":
+            points = [(20.0 * k, 0.0) for k in range(len(present))]
+        elif shape == "chain":
+            points = [(float(k), 0.0) for k in range(len(present))]
+        elif shape == "corner":
+            points = [(0.0, 0.0), (1.0, 0.0), (1.0, 1.0)][: len(present)]
+            points += [(20.0 * k, 9.0) for k in range(len(present) - len(points))]
+        else:
+            cells = rng.choice(12, size=len(present), replace=False)
+            points = [(float(c % 4), float(c // 4)) for c in cells]
+        frames[idx] = [
+            make_frame(f"v{a}", x, y, vx=float(rng.integers(0, 3)), t=float(idx))
+            for a, (x, y) in sorted(zip(present, points))
+        ]
+    if not frames:
+        frames[0] = [make_frame("v0", 0.0, 0.0)]
+    largest = max(len(frame) for frame in frames.values())
+    capacity = max(largest, draw(st.integers(1, 6)))
+    mu = draw(st.sampled_from([1.5, 2.5, 4.5]))
+    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), mu, capacity
+
+
+@settings(max_examples=300, deadline=None)
+@given(churning_runs())
+def test_whole_run_series_equal_frame_by_frame_oracles(case):
+    # closeness against per-frame build_instant_graph + closeness and the
+    # relaxation oracle on all-pairs edges; degree against the replay
+    # oracle; every array byte for byte
+    table, mu, capacity = case
+    series = compute_series(table, mu, capacity=capacity)
+    dijkstra, relaxed = {}, {}
+    for idx in sorted(table.frames):
+        frame = table.frames[idx]
+        graph = build_instant_graph(frame, mu)
+        oracle = SimpleNamespace(
+            positions={fr.agent_id: fr.position for fr in frame},
+            edges=all_pairs_edges(frame, mu),
+        )
+        for fr in frame:
+            dijkstra.setdefault(fr.agent_id, []).append(closeness(graph, fr.agent_id))
+            relaxed.setdefault(fr.agent_id, []).append(
+                relaxation_closeness(oracle, fr.agent_id)
+            )
+    degree = replay_degree(table, mu, capacity=capacity)
+    assert list(series) == list(dijkstra)  # agents in order of first appearance
+    for agent, (first, clo, deg) in series.items():
+        assert first == degree[agent][0][0]
+        assert clo.tobytes() == np.array(dijkstra[agent]).tobytes()
+        assert clo.tobytes() == np.array(relaxed[agent]).tobytes()
+        assert deg.tobytes() == np.array([v for _, v in degree[agent]]).tobytes()
+
+
+def _frames(rows):
+    """A table from (frame, agent, x, y) rows, records in the order given."""
+    frames = {}
+    for idx, agent, x, y in rows:
+        frames.setdefault(idx, []).append(make_frame(agent, x, y, t=float(idx)))
+    return TrajectoryTable(frames=frames, frame_rate_hz=1.0)
+
+
+def test_errors_name_the_first_offending_frame_and_agent():
+    # each table breaks one rule twice or more; the error names the
+    # first break in frame order, and within a frame the first agent
+    # (gaps), the first pair in x order (shared positions)
+    steady = [(k, "a", 0.0, 9.0) for k in range(6)]
+    gaps = steady + [(k, "c", 5.0, 0.0) for k in (0, 1, 2, 4, 5)] + [
+        (k, "b", 2.0, 0.0) for k in (0, 2, 3)
+    ]
+    with pytest.raises(ContractViolationError) as err:
+        compute_series(_frames(gaps), mu=4.0)
+    assert str(err.value) == "agent 'b' has a gap in its frames before frame 2"
+
+    crowd = steady + [(k, f"x{k}{j}", 20.0 * j, 0.0) for k in (2, 4) for j in range(k)]
+    with pytest.raises(ValidationError) as err:
+        compute_series(_frames(crowd), mu=4.0, capacity=2)
+    assert str(err.value) == "frame holds 3 agents, more than capacity 2"
+
+    first_pair = [(1, "d", 3.0, 0.0), (1, "e", 3.0, 0.0)]
+    later_pairs = [(3, "g", 3.0, 0.0), (3, "f", 1.0, 0.0), (3, "h", 1.0, 0.0),
+                   (3, "i", 3.0, 0.0)]
+    with pytest.raises(ValidationError) as err:
+        compute_series(_frames(later_pairs + first_pair + steady), mu=4.0)
+    assert str(err.value) == (
+        "agents 'd' and 'e' share a position; edge costs must be strictly positive"
+    )
+    with pytest.raises(ValidationError) as err:
+        compute_series(_frames(steady + later_pairs), mu=4.0)
+    assert str(err.value) == (
+        "agents 'f' and 'h' share a position; edge costs must be strictly positive"
+    )
+
+    # different rules: the earliest frame's break wins; within one frame a
+    # graph check comes before the capacity check, which comes before gaps
+    pair = [(3, "d", 3.0, 0.0), (3, "e", 3.0, 0.0)]
+    mixed = steady + pair + [(0, "b", 2.0, 0.0), (2, "b", 2.0, 0.0), (2, "c", 5.0, 0.0)]
+    with pytest.raises(ContractViolationError, match="'b' has a gap"):
+        compute_series(_frames(mixed), mu=4.0)
+    with pytest.raises(ValidationError, match="frame holds 3 agents"):
+        compute_series(_frames(mixed), mu=4.0, capacity=2)
+    with pytest.raises(ValidationError, match="'d' and 'e' share a position"):
+        compute_series(_frames(steady + pair), mu=4.0, capacity=2)

@@ -291,8 +291,9 @@ def test_unreadable_input_file_exits_1_with_one_line(kind, analyzed_run, tmp_pat
 
 @pytest.mark.parametrize(
     "kind",
-    ["scenario_yaml", "scenario_type", "scenario_list", "config_yaml",
-     "config_type", "config_alpha", "thresholds_yaml", "thresholds_missing_key"],
+    ["scenario_yaml", "scenario_type", "scenario_list", "scenario_control",
+     "config_yaml", "config_type", "config_alpha", "config_control",
+     "thresholds_yaml", "thresholds_missing_key", "thresholds_control"],
 )
 def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
     path = tmp_path / "input.yaml"
@@ -310,6 +311,10 @@ def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, caps
             "config_alpha": "alpha_policy: {kind: grid, cap: abc}\n",
             "thresholds_yaml": "tau_degree: [1\n",
             "thresholds_missing_key": "tau_degree: 1.0\n",
+            # a control character: the YAML reader rejects the stream itself
+            "scenario_control": "lane_count: 2\x07",
+            "config_control": "window_s: 1.0\x07",
+            "thresholds_control": "tau_degree: 1.0\x07",
         }[kind])
     if kind.startswith("scenario"):
         argv = ["simulate", "--scenario", str(path)]

@@ -1,3 +1,4 @@
+import gc
 import math
 from unittest import mock
 
@@ -332,3 +333,27 @@ def test_files_longer_than_one_chunk():
         with pytest.raises(TrajectoryParseError) as exc:
             parse_trajectories(text=broken, frame_rate_hz=1.0)
         assert str(exc.value) == message
+
+
+@pytest.mark.parametrize("enabled", [True, False])
+def test_parse_leaves_the_collector_as_it_found_it(enabled):
+    # the collector is paused while the records are built, then restored:
+    # after a valid file, a file the bulk parser rejects, and a header
+    # error raised inside it
+    texts = [
+        (f"{HEADER}\n0.0,a,car,0,0\n0.5,a,car,5,0\n", None),
+        (f"{HEADER}\n0.0,a,car,0,0\n0.5,a,bike,5,0\n", TrajectoryParseError),
+        ("timestamp,agent_id\n0.0,a\n", TrajectoryParseError),
+    ]
+    was = gc.isenabled()
+    try:
+        (gc.enable if enabled else gc.disable)()
+        for text, error in texts:
+            if error is None:
+                parse_trajectories(text=text, frame_rate_hz=2.0)
+            else:
+                with pytest.raises(error):
+                    parse_trajectories(text=text, frame_rate_hz=2.0)
+            assert gc.isenabled() is enabled
+    finally:
+        (gc.enable if was else gc.disable)()
