@@ -1,0 +1,106 @@
+#!/usr/bin/env python3
+"""Time compute_series on dense, lane-free traffic, rung by rung.
+
+Each rung places its agents at uniform random positions on a 14 m wide
+carriageway of the given length, with no lanes, and moves each agent at
+its own constant speed for 20 frames at 10 Hz (seeded). Per rung it
+prints the mean edges per frame, the largest connected component, the
+best ``compute_series`` time per row over ``--repeat`` runs, and a
+sha256 of every agent's series, so two versions of the program can be
+compared for speed and for identical output.
+"""
+
+import argparse
+import hashlib
+import sys
+import time
+from pathlib import Path
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np
+
+from drivestyle.centrality import compute_series
+from drivestyle.graph import build_instant_graph
+from drivestyle.ingest import AgentFrame, TrajectoryTable
+
+RUNGS = ((50, 1000.0), (50, 250.0), (100, 250.0), (200, 250.0))  # agents, length m
+WIDTH_M = 14.0
+FRAMES = 20
+RATE_HZ = 10.0
+MU = 100.0
+
+
+def dense_table(agents: int, length_m: float, seed: int) -> TrajectoryTable:
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(0.0, length_m, agents)
+    y = rng.uniform(0.0, WIDTH_M, agents)
+    speed = rng.uniform(15.0, 30.0, agents)
+    # "a10" sorts before "a9": id order is not row order
+    ids = [f"a{k}" for k in range(agents)]
+    frames = {}
+    for k in range(FRAMES):
+        t = k / RATE_HZ
+        frames[k] = [
+            AgentFrame(t, agent_id, "car", (float(xa + v * t), float(ya)), (float(v), 0.0))
+            for agent_id, xa, ya, v in zip(ids, x, y, speed)
+        ]
+    return TrajectoryTable(frames=frames, frame_rate_hz=RATE_HZ)
+
+
+def largest_component(graph) -> int:
+    adj = {v: [] for v in graph.positions}
+    for a, b in graph.edges:
+        adj[a].append(b)
+        adj[b].append(a)
+    seen, largest = set(), 0
+    for v in adj:
+        if v in seen:
+            continue
+        stack, size = [v], 0
+        seen.add(v)
+        while stack:
+            size += 1
+            for u in adj[stack.pop()]:
+                if u not in seen:
+                    seen.add(u)
+                    stack.append(u)
+        largest = max(largest, size)
+    return largest
+
+
+def digest(series) -> str:
+    h = hashlib.sha256()
+    for agent_id, (first, clo, deg) in series.items():
+        h.update(f"{agent_id},{first};".encode())
+        h.update(clo.tobytes())
+        h.update(deg.tobytes())
+    return h.hexdigest()
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__)
+    parser.add_argument("--seed", type=int, default=5)
+    parser.add_argument("--repeat", type=int, default=3)
+    args = parser.parse_args()
+
+    print(f"{'agents':>6} {'length_m':>8} {'edges/frame':>11} {'largest':>7} "
+          f"{'us/row':>8}  sha256")
+    for agents, length_m in RUNGS:
+        table = dense_table(agents, length_m, args.seed)
+        graphs = [build_instant_graph(frame, MU) for frame in table.frames.values()]
+        edges = sum(len(g.edges) for g in graphs) / len(graphs)
+        largest = max(largest_component(g) for g in graphs)
+        best = float("inf")
+        for _ in range(args.repeat):
+            start = time.perf_counter()
+            series = compute_series(table, MU)
+            best = min(best, time.perf_counter() - start)
+        rows = agents * FRAMES
+        print(f"{agents:>6} {length_m:>8.0f} {edges:>11.1f} {largest:>7} "
+              f"{1e6 * best / rows:>8.1f}  {digest(series)}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -8,13 +8,13 @@ component: (|C|-1) / sum of shortest-path costs within C, and 0 for a
 singleton component.
 
 ``compute_series`` works on the whole run's columns at once: one edge
-sweep over every frame, first encounters found by one sort, and
-closeness in closed form for components of up to three vertices.
+sweep over every frame, first encounters found by one sort, and the
+closeness of every component of three or more vertices by Dijkstra from
+all its vertices in lockstep, batched with the components of its size.
 """
 
 from __future__ import annotations
 
-import heapq
 import math
 from itertools import chain, starmap
 from operator import itemgetter
@@ -23,13 +23,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
-from .graph import (
-    DEFAULT_CAPACITY,
-    InstantGraph,
-    graph_error,
-    instant_graph,
-    sweep_edges,
-)
+from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
 from .ingest import TrajectoryTable, write_text
 
 # Not called here: the per-frame forms of ``compute_series``.
@@ -46,44 +40,25 @@ class AgentSeries(NamedTuple):
     degree: np.ndarray
 
 
-def shortest_path_costs(graph: InstantGraph, source: str) -> dict[str, float]:
-    """Minimum total edge cost from ``source`` to every reachable vertex.
-
-    Plain binary-heap Dijkstra over the graph's adjacency lists; costs are
-    strictly positive by graph construction, so the distances do not
-    depend on the order of those lists.
-    """
-    if source not in graph.positions:
-        raise KeyError(source)
-    adj = graph.adjacency
-    dist: dict[str, float] = {source: 0.0}
-    done: set[str] = set()
-    heap: list[tuple[float, str]] = [(0.0, source)]
-    while heap:
-        d, u = heapq.heappop(heap)
-        if u in done:
-            continue
-        done.add(u)
-        for v, w in adj[u]:
-            nd = d + w
-            if v not in dist or nd < dist[v]:
-                dist[v] = nd
-                heapq.heappush(heap, (nd, v))
-    return dist
+def _ranks(ids) -> np.ndarray:
+    """Each id's position in string order."""
+    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
 
 
 def closeness(graph: InstantGraph, agent_id: str) -> float:
     """(|C|-1) / total shortest-path cost to the rest of the component.
 
     Returns 0.0 for an isolated vertex. Raises KeyError when the agent is
-    not a vertex of the graph.
+    not a vertex of the graph. One frame's form of ``compute_series``'s
+    closeness, computed by the same ``_closeness``.
     """
-    dist = shortest_path_costs(graph, agent_id)
-    if len(dist) == 1:
-        return 0.0
-    # sum in sorted vertex order so the value is independent of traversal
-    total = sum(dist[v] for v in sorted(dist) if v != agent_id)
-    return (len(dist) - 1) / total
+    ids = list(graph.positions)
+    index = {v: k for k, v in enumerate(ids)}
+    k = index[agent_id]
+    ends = np.array([(index[a], index[b]) for a, b in graph.edges], np.intp)
+    ends = ends.reshape(-1, 2)
+    cost = np.fromiter(graph.edges.values(), float, len(graph.edges))
+    return float(_closeness(_ranks(ids), ends[:, 0], ends[:, 1], cost)[k])
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -103,58 +78,85 @@ def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
         label = new
 
 
-def _closeness(ids, x, y, i, j, cost) -> np.ndarray:
+def _lockstep(w: np.ndarray) -> np.ndarray:
+    """Closeness of every vertex of m connected graphs, weights (m, C, C).
+
+    Vertices are in id order; inf marks no edge. Dijkstra runs from every
+    source at once: each step settles, per source, the unsettled vertex u
+    of least distance and relaxes all by ``d_u + w[u]``, a heap Dijkstra's
+    float operation. With positive costs no vertex settled on a tie or
+    later can strictly improve one settled before, so the distances equal
+    the heap's however ties break. They are added in id order.
+    """
+    m, c, _ = w.shape
+    graph, source = np.arange(m)[:, None], np.arange(c)
+    # the source itself settled: its distances are its weights (0.0 + w == w)
+    d = w.copy()
+    d[:, source, source] = 0.0
+    settled = np.zeros_like(w)  # inf once settled, which argmin then skips
+    settled[:, source, source] = np.inf
+    key, relaxed = np.empty_like(w), np.empty_like(w)
+    for _ in range(c - 1):
+        u = np.add(d, settled, out=key).argmin(axis=2)
+        settled[graph, source, u] = np.inf
+        du = d[graph, source, u]
+        # rows w[k, u] of the (m * C, C) view; "clip" (a no-op on these
+        # indices) writes to out directly, where "raise" copies through a buffer
+        np.take(w.reshape(m * c, c), (graph * c + u).ravel(), axis=0,
+                out=relaxed.reshape(m * c, c), mode="clip")
+        relaxed += du[..., None]
+        np.minimum(d, relaxed, out=d)
+    # a running sum adds in order; a source's own 0.0 changes nothing
+    return (c - 1) / d.cumsum(axis=2)[..., -1]
+
+
+# floats per (m, C, C) array of one _lockstep call; a component of more
+# than sqrt(_BLOCK) vertices is a block of its own
+_BLOCK = 8192
+
+
+def _closeness(rank, i, j, cost) -> np.ndarray:
     """``closeness`` of every vertex of the graphs with edges ``(i, j, cost)``.
 
-    The same floats the heap Dijkstra of ``closeness`` gives, in closed
-    form up to three vertices: 0.0 for an isolated vertex; ``1.0 / cost``
-    for each end of an isolated edge; and for a source s of a path or
-    triangle {s, u, v}, ``2 / (d_u + d_v)`` with ``d_u = min(w_su, w_sv +
-    w_vu)``, inf standing for an absent edge (a vertex settled first is
-    never improved, and a two-term sum does not depend on its order). A
-    component of four or more runs ``closeness`` per vertex.
+    ``rank`` orders each component's vertices as their ids sort. An
+    isolated vertex scores 0.0, each end of an isolated edge ``1.0 /
+    cost``; larger components go to ``_lockstep`` in blocks by size.
     """
-    values = np.zeros(len(ids))
-    degree = np.bincount(np.concatenate([i, j]), minlength=len(ids))
+    values = np.zeros(len(rank))
+    degree = np.bincount(np.concatenate([i, j]), minlength=len(rank))
     pair = (degree[i] == 1) & (degree[j] == 1)
     values[i[pair]] = 1.0 / cost[pair]
     values[j[pair]] = 1.0 / cost[pair]
 
-    # the rest, renumbered 0 .. m-1 in row order
+    # the rest, renumbered from 0, then ordered by component size, by
+    # component and by id: each size's components are consecutive
     i, j, cost = i[~pair], j[~pair], cost[~pair]
     rows, ends = np.unique(np.concatenate([i, j]), return_inverse=True)
     li, lj = ends[: len(i)], ends[len(i) :]
     label = _components(len(rows), li, lj)
-    size = np.bincount(label)[label]
-
-    # triples: slots 0-2 of each component, and weights by slot
-    triple = np.flatnonzero(size == 3)
-    triple = triple[np.argsort(label[triple], kind="stable")].reshape(-1, 3)
+    order = np.lexsort((rank[rows], label, np.bincount(label)[label]))
+    starts = np.flatnonzero(np.diff(label[order], prepend=-1))
+    sizes = np.diff(starts, append=len(order))
     slot, comp = np.empty(len(rows), np.intp), np.empty(len(rows), np.intp)
-    slot[triple] = np.arange(3)
-    comp[triple] = np.arange(len(triple))[:, None]
-    e = size[li] == 3
-    w = np.full((len(triple), 3, 3), np.inf)
-    w[comp[li[e]], slot[li[e]], slot[lj[e]]] = cost[e]
-    w[comp[li[e]], slot[lj[e]], slot[li[e]]] = cost[e]
-    for s, u, v in ((0, 1, 2), (1, 0, 2), (2, 0, 1)):
-        d_u = np.minimum(w[:, s, u], w[:, s, v] + w[:, v, u])
-        d_v = np.minimum(w[:, s, v], w[:, s, u] + w[:, u, v])
-        values[rows[triple[:, s]]] = 2 / (d_u + d_v)
+    slot[order] = np.arange(len(order)) - np.repeat(starts, sizes)
+    comp[order] = np.repeat(np.arange(len(starts)), sizes)
+    by_comp = np.argsort(comp[li], kind="stable")
+    li, lj, cost = li[by_comp], lj[by_comp], cost[by_comp]
+    edge_comp = comp[li]
 
-    # four or more: Dijkstra on each component's own graph
-    big = np.flatnonzero(size >= 4)
-    if big.size:
-        big = big[np.argsort(label[big], kind="stable")]
-        e = np.flatnonzero(size[li] >= 4)
-        e = e[np.argsort(label[li[e]], kind="stable")]
-        vertex_groups = np.split(rows[big], np.flatnonzero(np.diff(label[big])) + 1)
-        edge_groups = np.split(e, np.flatnonzero(np.diff(label[li[e]])) + 1)
-        for vertices, edges in zip(vertex_groups, edge_groups):
-            vertices = vertices.tolist()
-            graph = instant_graph(ids, x, y, vertices, i[edges], j[edges], cost[edges])
-            for v in vertices:
-                values[v] = closeness(graph, ids[v])
+    # np.unique(sizes) imports numpy.ma to look for a mask: 1 MB of peak RSS
+    cuts = np.flatnonzero(np.diff(sizes, prepend=0, append=0)).tolist()
+    for first, last in zip(cuts, cuts[1:]):
+        c = int(sizes[first])
+        m = max(1, _BLOCK // (c * c))
+        for b0 in range(first, last, m):
+            b1 = min(b0 + m, last)
+            e = slice(*np.searchsorted(edge_comp, [b0, b1]))
+            k, a, b = edge_comp[e] - b0, slot[li[e]], slot[lj[e]]
+            w = np.full((b1 - b0, c, c), np.inf)
+            w[k, a, b] = w[k, b, a] = cost[e]
+            block = order[starts[b0] : starts[b0] + (b1 - b0) * c]
+            values[rows[block]] = _lockstep(w).ravel()
     return values
 
 
@@ -210,8 +212,9 @@ def _first_error(graph, frames, ids, runs, by_agent, bounds, capacity):
     return min(found, key=lambda error: error[:2], default=(None, None, None))[2]
 
 
-def _new_neighbors(frames, codes, speed, i, j, runs, by_agent, bounds, capacity):
-    """Per row, the count of first encounters with a strictly slower agent.
+def _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity):
+    """Per row in ``by_agent`` order, its agent's degree: the running count
+    of first encounters with a strictly slower agent (exact in float64).
 
     Ids never return after they leave, so a frame's ids that are not yet
     admitted are exactly its arrivals: a frame resets the state when the
@@ -240,7 +243,9 @@ def _new_neighbors(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
     first = s[(np.diff(key, prepend=-1) != 0).any(axis=0)]
     a, b = i[first], j[first]
     faster = np.concatenate([a[speed[a] > speed[b]], b[speed[b] > speed[a]]])
-    return np.bincount(faster, minlength=len(frames))
+    total = np.cumsum(np.bincount(faster, minlength=len(frames))[by_agent])
+    offset = np.r_[0, total[bounds[1:-1] - 1]]
+    return (total - np.repeat(offset, np.diff(bounds))).astype(float)
 
 
 def compute_series(
@@ -259,7 +264,7 @@ def compute_series(
 
     The whole run is handled as columns (frame, agent, x, y, speed): one
     ``sweep_edges`` gives every frame's edges, ``_closeness`` their
-    closeness and ``_new_neighbors`` the degree counts. Raises the error
+    closeness and ``_degree`` the degree series. Raises the error
     a frame-by-frame pass would raise first (see ``_first_error``).
     """
     if not table.frames:
@@ -271,6 +276,7 @@ def compute_series(
         return {}
     require_positive(mu, "mu")
     frames, ids, x, y, speed = columns
+    del columns
     n = len(ids)
     agents = list(dict.fromkeys(ids))
     code = {agent_id: k for k, agent_id in enumerate(agents)}
@@ -288,14 +294,12 @@ def compute_series(
     if error is not None:
         raise error
     i, j = order[p], order[q]
-    del order, p, q
-
-    clo = _closeness(ids, x, y, i, j, cost)[by_agent]
-    new = _new_neighbors(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
-    # a running sum of integer counts is exact in float64
-    total = np.cumsum(new[by_agent])
-    offset = np.r_[0, total[bounds[1:-1] - 1]]
-    deg = (total - np.repeat(offset, np.diff(bounds))).astype(float)
+    # row-length arrays are dropped once they are read for the last time
+    del order, p, q, ids, x, y
+    deg = _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
+    rank = _ranks(agents)[codes]
+    del speed, codes
+    clo = _closeness(rank, i, j, cost)[by_agent]
     firsts = frames[by_agent[bounds[:-1]]].tolist()
     return {
         agent_id: AgentSeries(f0, clo[start:end], deg[start:end])

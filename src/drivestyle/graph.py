@@ -9,9 +9,10 @@ chain can count only first encounters with slower vehicles.
 ``sweep_edges`` finds the edges of many frames at once, as arrays;
 ``build_instant_graph`` builds one frame's graph through it and is pure.
 ``update_cumulative`` mutates shared state and must be applied in strict
-frame order by a single writer. ``compute_series`` computes what the
-two per-frame functions would, for a whole run; they remain as the
-per-frame reference for tests and the benchmark's tracer.
+frame order by a single writer. ``centrality.compute_series`` computes
+what these two per-frame functions and ``centrality.closeness`` would,
+for a whole run; they remain as the per-frame form for tests and the
+benchmark's tracer.
 """
 
 from __future__ import annotations
@@ -128,20 +129,6 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
     return frame, message
 
 
-def instant_graph(ids, x, y, vertices, i, j, cost) -> InstantGraph:
-    """The InstantGraph of ``vertices`` and edges ``(i, j, cost)``.
-
-    Vertices and edge ends are indices into ``ids``, ``x`` and ``y``.
-    """
-    return InstantGraph(
-        positions={ids[v]: (float(x[v]), float(y[v])) for v in vertices},
-        edges={
-            _edge_key(ids[a], ids[b]): c
-            for a, b, c in zip(i.tolist(), j.tolist(), cost.tolist())
-        },
-    )
-
-
 def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
     """Connect exactly the agent pairs with squared distance < mu.
 
@@ -164,7 +151,13 @@ def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
         raise ValidationError(error[1])
     # edges in sweep order, as a pair-by-pair sweep would find them
     k = np.lexsort((q, p))
-    return instant_graph(ids, x, y, range(len(ids)), order[p[k]], order[q[k]], cost[k])
+    i, j = order[p[k]].tolist(), order[q[k]].tolist()
+    return InstantGraph(
+        positions=dict(zip(ids, zip(x.tolist(), y.tolist()))),
+        edges={
+            _edge_key(ids[a], ids[b]): c for a, b, c in zip(i, j, cost[k].tolist())
+        },
+    )
 
 
 @dataclass

@@ -1,7 +1,8 @@
 """Independent brute-force oracles the implementation is checked against.
 
 These deliberately avoid the package's algorithmic code paths: shortest
-paths by relaxation to a fixpoint instead of a heap, degree counting by
+paths one source at a time, by a binary-heap Dijkstra or by relaxation
+to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time, SLE/SIE maxima by sampling every frame, and
@@ -10,6 +11,7 @@ trajectory tables by reading a file one row at a time.
 
 from __future__ import annotations
 
+import heapq
 import math
 from bisect import bisect_left, bisect_right
 from collections import defaultdict
@@ -169,6 +171,45 @@ def scan_neighbors_in_lane(agents, ego, lane):
     return leader, follower
 
 
+def _closeness_from(dist, agent_id):
+    """(|C|-1) / the costs to the rest of the component, added in id order."""
+    if len(dist) == 1:
+        return 0.0
+    total = 0
+    for v in sorted(dist):
+        if v != agent_id:
+            total += dist[v]
+    return (len(dist) - 1) / total
+
+
+def dijkstra_shortest_costs(graph, source):
+    """Binary-heap Dijkstra from ``source`` over adjacency lists of the edges."""
+    if source not in graph.positions:
+        raise KeyError(source)
+    adj = {v: [] for v in graph.positions}
+    for (a, b), w in graph.edges.items():
+        adj[a].append((b, w))
+        adj[b].append((a, w))
+    dist = {source: 0.0}
+    done = set()
+    heap = [(0.0, source)]
+    while heap:
+        d, u = heapq.heappop(heap)
+        if u in done:
+            continue
+        done.add(u)
+        for v, w in adj[u]:
+            nd = d + w
+            if v not in dist or nd < dist[v]:
+                dist[v] = nd
+                heapq.heappush(heap, (nd, v))
+    return dist
+
+
+def dijkstra_closeness(graph, agent_id):
+    return _closeness_from(dijkstra_shortest_costs(graph, agent_id), agent_id)
+
+
 def relaxation_shortest_costs(graph, source):
     """Bellman-Ford-style sweeps until no edge can be relaxed."""
     dist = {v: math.inf for v in graph.positions}
@@ -187,11 +228,7 @@ def relaxation_shortest_costs(graph, source):
 
 
 def relaxation_closeness(graph, agent_id):
-    dist = relaxation_shortest_costs(graph, agent_id)
-    if len(dist) == 1:
-        return 0.0
-    total = sum(dist[v] for v in sorted(dist) if v != agent_id)
-    return (len(dist) - 1) / total
+    return _closeness_from(relaxation_shortest_costs(graph, agent_id), agent_id)
 
 
 def replay_degree(table, mu, capacity=None):

@@ -1,5 +1,6 @@
 import math
 from types import SimpleNamespace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,11 +8,17 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
+from drivestyle import centrality
 from drivestyle.centrality import closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import build_instant_graph
 from drivestyle.ingest import TrajectoryTable
-from oracles import all_pairs_edges, relaxation_closeness, replay_degree
+from oracles import (
+    all_pairs_edges,
+    dijkstra_closeness,
+    relaxation_closeness,
+    replay_degree,
+)
 
 
 def path_graph():
@@ -77,7 +84,8 @@ def test_closeness_matches_relaxation_oracle():
         ]
         g = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
         for v in g.positions:
-            assert closeness(g, v) == relaxation_closeness(g, v)
+            value = closeness(g, v)
+            assert value == dijkstra_closeness(g, v) == relaxation_closeness(g, v)
 
 
 def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
@@ -112,7 +120,7 @@ def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
         assert list(series) == list(g.positions)
         for v in g.positions:
             value = series[v].closeness[0]
-            assert value == closeness(g, v) == relaxation_closeness(g, v)
+            assert value == dijkstra_closeness(g, v) == relaxation_closeness(g, v)
     assert min(sizes.values()) > 50
 
 
@@ -329,9 +337,9 @@ def churning_runs(draw):
 @settings(max_examples=300, deadline=None)
 @given(churning_runs())
 def test_whole_run_series_equal_frame_by_frame_oracles(case):
-    # closeness against per-frame build_instant_graph + closeness and the
-    # relaxation oracle on all-pairs edges; degree against the replay
-    # oracle; every array byte for byte
+    # closeness against the heap Dijkstra oracle on per-frame
+    # build_instant_graph and the relaxation oracle on all-pairs edges;
+    # degree against the replay oracle; every array byte for byte
     table, mu, capacity = case
     series = compute_series(table, mu, capacity=capacity)
     dijkstra, relaxed = {}, {}
@@ -343,7 +351,9 @@ def test_whole_run_series_equal_frame_by_frame_oracles(case):
             edges=all_pairs_edges(frame, mu),
         )
         for fr in frame:
-            dijkstra.setdefault(fr.agent_id, []).append(closeness(graph, fr.agent_id))
+            dijkstra.setdefault(fr.agent_id, []).append(
+                dijkstra_closeness(graph, fr.agent_id)
+            )
             relaxed.setdefault(fr.agent_id, []).append(
                 relaxation_closeness(oracle, fr.agent_id)
             )
@@ -354,6 +364,82 @@ def test_whole_run_series_equal_frame_by_frame_oracles(case):
         assert clo.tobytes() == np.array(dijkstra[agent]).tobytes()
         assert clo.tobytes() == np.array(relaxed[agent]).tobytes()
         assert deg.tobytes() == np.array([v for _, v in degree[agent]]).tobytes()
+
+
+# the vertices one batched closeness run may hold in all its frames: the
+# relaxation oracle takes about 2 s on a chain of 256
+VERTEX_BUDGET = 320
+
+
+@st.composite
+def lattice_components(draw):
+    """(table, mu, block): frames of far-apart clusters on a unit lattice.
+
+    A "chain" cluster puts its vertices on one line (hop diameter C - 1);
+    a "grid" cluster takes random cells of a square, so that with mu 2.5
+    a diagonal (cost 2) ties its two-hop sum (1 + 1). Integer costs add
+    exactly in any order, so a cluster may be jittered off the lattice
+    (along its line, for a chain), which makes the order of a sum show.
+    A cluster size may repeat, so several components of one size share a
+    batch. Ids are numbered in random order ("a10" sorts before "a9"),
+    and the frame's records are shuffled. ``block`` is the lockstep block
+    size to run.
+    """
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    budget = VERTEX_BUDGET
+    clusters = []  # (frame, shape, size, jitter)
+    for idx in range(draw(st.integers(1, 2))):
+        while budget >= 3 and (not clusters or draw(st.booleans())):
+            size = draw(st.one_of(st.integers(3, 12), st.integers(3, 256)))
+            size = min(size, budget)
+            shape = draw(st.sampled_from(["chain", "grid"]))
+            jitter = draw(st.sampled_from([0.0, 0.2]))
+            for _ in range(min(draw(st.integers(1, 3)), budget // size)):
+                clusters.append((idx, shape, size, jitter))
+                budget -= size
+    frames = {}
+    ids = iter(rng.permutation(VERTEX_BUDGET).tolist())
+    for c, (idx, shape, size, jitter) in enumerate(clusters):
+        if shape == "chain":
+            points = np.c_[np.arange(size), np.zeros(size)]
+        else:
+            side = math.ceil(math.sqrt(1.25 * size))
+            cells = rng.choice(side * side, size=size, replace=False)
+            points = np.c_[cells % side, cells // side]
+        points = points + rng.uniform(-jitter, jitter, points.shape)
+        if shape == "chain":
+            points[:, 1] = 0.0
+        frames.setdefault(idx, []).extend(
+            make_frame(f"a{next(ids)}", 1000.0 * c + x, y, t=float(idx))
+            for x, y in points.tolist()
+        )
+    for frame in frames.values():
+        rng.shuffle(frame)
+    mu = draw(st.sampled_from([1.5, 2.5]))
+    block = draw(st.sampled_from([9, 50, centrality._BLOCK]))
+    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), mu, block
+
+
+@settings(max_examples=40, deadline=None)
+@given(lattice_components())
+def test_batched_closeness_equals_dijkstra_and_relaxation(case):
+    # every vertex, by ==; a small block splits a size's batch over
+    # several blocks (9 floats: one component per block)
+    table, mu, block = case
+    if not table.frames:
+        return
+    capacity = max(len(frame) for frame in table.frames.values())
+    with mock.patch.object(centrality, "_BLOCK", block):
+        series = compute_series(table, mu, capacity=capacity)
+    for idx, frame in table.frames.items():
+        graph = SimpleNamespace(
+            positions={fr.agent_id: fr.position for fr in frame},
+            edges=all_pairs_edges(frame, mu),
+        )
+        for fr in frame:
+            first, clo, _ = series[fr.agent_id]
+            assert clo[idx - first] == dijkstra_closeness(graph, fr.agent_id)
+            assert clo[idx - first] == relaxation_closeness(graph, fr.agent_id)
 
 
 def _frames(rows):
