@@ -21,8 +21,8 @@ sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 import numpy as np
 
 from drivestyle.centrality import compute_series
-from drivestyle.graph import build_instant_graph
-from drivestyle.ingest import AgentFrame, TrajectoryTable
+from drivestyle.graph import sweep_edges
+from drivestyle.ingest import TrajectoryTable
 
 RUNGS = ((50, 1000.0), (50, 250.0), (100, 250.0), (200, 250.0))  # agents, length m
 WIDTH_M = 14.0
@@ -36,21 +36,28 @@ def dense_table(agents: int, length_m: float, seed: int) -> TrajectoryTable:
     x = rng.uniform(0.0, length_m, agents)
     y = rng.uniform(0.0, WIDTH_M, agents)
     speed = rng.uniform(15.0, 30.0, agents)
-    # "a10" sorts before "a9": id order is not row order
-    ids = [f"a{k}" for k in range(agents)]
-    frames = {}
-    for k in range(FRAMES):
-        t = k / RATE_HZ
-        frames[k] = [
-            AgentFrame(t, agent_id, "car", (float(xa + v * t), float(ya)), (float(v), 0.0))
-            for agent_id, xa, ya, v in zip(ids, x, y, speed)
-        ]
-    return TrajectoryTable(frames=frames, frame_rate_hz=RATE_HZ)
+    t = np.arange(FRAMES) / RATE_HZ
+    rows = agents * FRAMES
+    return TrajectoryTable(
+        frame=np.repeat(np.arange(FRAMES), agents),
+        timestamp=np.repeat(t, agents),
+        x=(x + speed * t[:, None]).ravel(),
+        y=np.tile(y, FRAMES),
+        vx=np.tile(speed, FRAMES),
+        vy=np.zeros(rows),
+        agent=np.tile(np.arange(agents), FRAMES),
+        # "a10" sorts before "a9": id order is not row order
+        agent_ids=[f"a{k}" for k in range(agents)],
+        agent_type=np.full(rows, "car", dtype=object),
+        frame_rate_hz=RATE_HZ,
+    )
 
 
-def largest_component(graph) -> int:
-    adj = {v: [] for v in graph.positions}
-    for a, b in graph.edges:
+def edges_and_largest_component(table) -> tuple[int, int]:
+    """The number of edges in all frames, and the largest component."""
+    order, p, q, _ = sweep_edges(table.frame, table.x, table.y, MU)
+    adj = {row: [] for row in range(len(table.frame))}
+    for a, b in zip(order[p].tolist(), order[q].tolist()):
         adj[a].append(b)
         adj[b].append(a)
     seen, largest = set(), 0
@@ -66,7 +73,7 @@ def largest_component(graph) -> int:
                     seen.add(u)
                     stack.append(u)
         largest = max(largest, size)
-    return largest
+    return len(p), largest
 
 
 def digest(series) -> str:
@@ -88,9 +95,8 @@ def main() -> int:
           f"{'us/row':>8}  sha256")
     for agents, length_m in RUNGS:
         table = dense_table(agents, length_m, args.seed)
-        graphs = [build_instant_graph(frame, MU) for frame in table.frames.values()]
-        edges = sum(len(g.edges) for g in graphs) / len(graphs)
-        largest = max(largest_component(g) for g in graphs)
+        edges, largest = edges_and_largest_component(table)
+        edges /= FRAMES
         best = float("inf")
         for _ in range(args.repeat):
             start = time.perf_counter()

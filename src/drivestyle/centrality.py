@@ -16,8 +16,6 @@ all its vertices in lockstep, batched with the components of its size.
 from __future__ import annotations
 
 import math
-from itertools import chain, starmap
-from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -160,37 +158,16 @@ def _closeness(rank, i, j, cost) -> np.ndarray:
     return values
 
 
-def _columns(table: TrajectoryTable):
-    """(frame, agent id, x, y, speed) per record, in frame order; None if none.
-
-    The one pass over the table's records.
-    """
-    indices = sorted(table.frames)
-    records = list(chain.from_iterable(map(table.frames.__getitem__, indices)))
-    if not records:
-        return None
-    n = len(records)
-    frames = np.repeat(
-        np.array(indices, dtype=np.int64), [len(table.frames[k]) for k in indices]
-    )
-    ids = list(map(itemgetter(1), records))
-    x, y = np.fromiter(
-        chain.from_iterable(map(itemgetter(3), records)), float, 2 * n
-    ).reshape(n, 2).T
-    # math.hypot, as AgentFrame.speed: np.hypot may differ in the last bit
-    speed = np.fromiter(starmap(math.hypot, map(itemgetter(4), records)), float, n)
-    return frames, ids, x, y, speed
-
-
-def _first_error(graph, frames, ids, runs, by_agent, bounds, capacity):
+def _first_error(graph, frames, codes, ids, runs, by_agent, bounds, capacity):
     """The error a frame-by-frame pass would raise first, or None.
 
     Frame by frame, that pass raises, within a frame: the failed graph
     check ``graph`` (``graph_error``'s result), then a frame of more than
     ``capacity`` agents, then an agent whose frames have a gap (it
-    reappears after a frame without it). ``runs`` are the first rows of
-    the frames; ``by_agent`` orders the rows by agent, and ``bounds`` are
-    each agent's first position in it, then the row count.
+    reappears after a frame without it). Row r is agent ``ids[codes[r]]``;
+    ``runs`` are the first rows of the frames; ``by_agent`` orders the
+    rows by agent, and ``bounds`` are each agent's first position in it,
+    then the row count.
     """
     found = []  # (frame, check order within the frame, error)
     if graph is not None:
@@ -207,7 +184,8 @@ def _first_error(graph, frames, ids, runs, by_agent, bounds, capacity):
     if gap.size:
         row = gap.min()
         found.append((int(frames[row]), 2, ContractViolationError(
-            f"agent {ids[row]!r} has a gap in its frames before frame {frames[row]}"
+            f"agent {ids[codes[row]]!r} has a gap in its frames "
+            f"before frame {frames[row]}"
         )))
     return min(found, key=lambda error: error[:2], default=(None, None, None))[2]
 
@@ -261,26 +239,21 @@ def compute_series(
     ``update_cumulative`` applied frame by frame would count them. The
     degree chain must start at the beginning of the run to be meaningful,
     so callers slice the result rather than re-running on sub-windows.
+    Agents come in the order of ``table.agent_ids``.
 
-    The whole run is handled as columns (frame, agent, x, y, speed): one
-    ``sweep_edges`` gives every frame's edges, ``_closeness`` their
-    closeness and ``_degree`` the degree series. Raises the error
-    a frame-by-frame pass would raise first (see ``_first_error``).
+    The whole run is handled as the table's columns: one ``sweep_edges``
+    gives every frame's edges, ``_closeness`` their closeness and
+    ``_degree`` the degree series. Raises ValidationError on a table with
+    no rows, and otherwise the error a frame-by-frame pass would raise
+    first (see ``_first_error``).
     """
-    if not table.frames:
+    frames = table.frame
+    if not len(frames):
         raise ValidationError("cannot compute centralities on an empty table")
     if capacity <= 0:
         raise ValidationError(f"capacity must be positive, got {capacity}")
-    columns = _columns(table)
-    if columns is None:
-        return {}
     require_positive(mu, "mu")
-    frames, ids, x, y, speed = columns
-    del columns
-    n = len(ids)
-    agents = list(dict.fromkeys(ids))
-    code = {agent_id: k for k, agent_id in enumerate(agents)}
-    codes = np.fromiter(map(code.__getitem__, ids), np.intp, n)
+    agents, codes, x, y = table.agent_ids, table.agent, table.x, table.y
     runs = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
     # each agent's rows in frame order, from its first position in by_agent
     by_agent = np.argsort(codes, kind="stable")
@@ -288,18 +261,21 @@ def compute_series(
 
     order, p, q, cost = sweep_edges(frames, x, y, mu)
     error = _first_error(
-        graph_error(frames, codes, ids, x, y, order, p, q, cost),
-        frames, ids, runs, by_agent, bounds, capacity,
+        graph_error(frames, codes, agents, x, y, order, p, q, cost),
+        frames, codes, agents, runs, by_agent, bounds, capacity,
     )
     if error is not None:
         raise error
     i, j = order[p], order[q]
     # row-length arrays are dropped once they are read for the last time
-    del order, p, q, ids, x, y
+    del order, p, q
+    # math.hypot, as AgentFrame.speed: np.hypot may differ in the last bit
+    speed = np.fromiter(
+        map(math.hypot, table.vx.tolist(), table.vy.tolist()), float, len(frames)
+    )
     deg = _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
-    rank = _ranks(agents)[codes]
-    del speed, codes
-    clo = _closeness(rank, i, j, cost)[by_agent]
+    del speed
+    clo = _closeness(_ranks(agents)[codes], i, j, cost)[by_agent]
     firsts = frames[by_agent[bounds[:-1]]].tolist()
     return {
         agent_id: AgentSeries(f0, clo[start:end], deg[start:end])

@@ -139,7 +139,7 @@ def cmd_analyze(args) -> int:
     table = parse_trajectories(args.trajectories, cfg.frame_rate_hz)
     series = compute_series(table, params.mu, capacity=params.capacity)
     report = analyze_table(table, params, series=series)
-    del table  # the writers reuse the memory its records held
+    del table  # the writers reuse the memory its columns held
     out = _ensure_dir(args.out)
     report_to_json(report, out / "report.json")
     series_to_csv(series, out / "centrality.csv")

@@ -6,20 +6,21 @@ squared distance is the edge cost. The cumulative state remembers, per
 agent, which neighbors it has already seen, so that the degree-centrality
 chain can count only first encounters with slower vehicles.
 
-``sweep_edges`` finds the edges of many frames at once, as arrays;
-``build_instant_graph`` builds one frame's graph through it and is pure.
-``update_cumulative`` mutates shared state and must be applied in strict
-frame order by a single writer. ``centrality.compute_series`` computes
-what these two per-frame functions and ``centrality.closeness`` would,
-for a whole run; they remain as the per-frame form for tests and the
-benchmark's tracer.
+``sweep_edges`` finds the edges of many frames at once, from a table's
+frame and position columns: ``centrality.compute_series`` calls it once
+for a whole run. ``build_instant_graph`` builds one frame's graph from
+that frame's ``AgentFrame`` records (``TrajectoryTable.frames``) through
+it, and is pure. ``update_cumulative`` mutates shared state and must be
+applied in strict frame order by a single writer. ``compute_series``
+computes what these two per-frame functions and
+``centrality.closeness`` would, for a whole run; they remain as the
+per-frame form for tests and the benchmark's tracer.
 """
 
 from __future__ import annotations
 
 from collections.abc import Mapping, Sequence
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -36,20 +37,10 @@ class InstantGraph:
 
     ``edges`` maps an (id, id) pair, ordered by string comparison, to the
     squared-distance cost; every cost lies strictly inside (0, mu).
-    ``adjacency`` holds the same edges as per-vertex lists.
     """
 
     positions: dict[str, tuple[float, float]]
     edges: dict[tuple[str, str], float]
-
-    @cached_property
-    def adjacency(self) -> dict[str, list[tuple[str, float]]]:
-        """Each vertex's (neighbor, cost) pairs, built once per graph."""
-        adj: dict[str, list[tuple[str, float]]] = {v: [] for v in self.positions}
-        for (a, b), cost in self.edges.items():
-            adj[a].append((b, cost))
-            adj[b].append((a, cost))
-        return adj
 
 
 def _edge_key(a: str, b: str) -> tuple[str, str]:
@@ -98,8 +89,9 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
     The vertices are given in frame order. Within a frame, as one graph
     is built: each vertex in turn for a duplicate id, then for a
     non-finite position, then each edge in sweep order for a zero cost,
-    i.e. a shared position. ``codes`` number the distinct ids;
-    ``order, p, q, cost`` are ``sweep_edges``' result.
+    i.e. a shared position. Vertex r has id ``ids[codes[r]]``, and equal
+    ids have equal codes; ``order, p, q, cost`` are ``sweep_edges``'
+    result.
     """
     found = []  # (frame, check order within the frame, message)
     by_id = np.lexsort((codes, frames))
@@ -109,9 +101,9 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
     if dup.size or bad.size:
         row = min(np.concatenate([dup, bad]).tolist())
         if row in dup:
-            message = f"duplicate agent_id {ids[row]!r} in frame"
+            message = f"duplicate agent_id {ids[codes[row]]!r} in frame"
         else:
-            message = f"agent {ids[row]!r} has a non-finite position"
+            message = f"agent {ids[codes[row]]!r} has a non-finite position"
         found.append((int(frames[row]), 0, message))
     zero = np.flatnonzero(cost == 0.0)
     if zero.size:
@@ -120,7 +112,7 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
         found.append((
             int(frames[a]),
             1,
-            f"agents {ids[a]!r} and {ids[b]!r} share a position; "
+            f"agents {ids[codes[a]]!r} and {ids[codes[b]]!r} share a position; "
             "edge costs must be strictly positive",
         ))
     if not found:

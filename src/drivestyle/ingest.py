@@ -7,23 +7,26 @@ by finite differences when the file does not carry them.
 
 A file is read in bulk: its body is split a few thousand lines at a time
 into numpy columns, validated, differenced and ordered with array
-operations, and turned into records in one pass. Only a file that fails
-a check is read again row by row, to name the first offending line.
+operations, and those columns are the table. Only a file that fails a
+check is read again row by row, to name the first offending line.
 
-A parsed :class:`TrajectoryTable` is immutable by convention: nothing in
-this package mutates it after construction, so it is safe to share across
+A :class:`TrajectoryTable` is immutable by convention: nothing in this
+package mutates it after construction, so it is safe to share across
 threads.
 """
 
 from __future__ import annotations
 
-import gc
 import inspect
 import math
 import os
 import sys
-from dataclasses import dataclass, field
-from itertools import repeat
+from collections.abc import Mapping
+from dataclasses import dataclass
+from functools import cached_property
+from itertools import groupby, repeat
+from operator import itemgetter
+from types import MappingProxyType
 from typing import NamedTuple, NoReturn
 
 import numpy as np
@@ -65,7 +68,7 @@ def frame_index(timestamp: float, frame_rate_hz: float) -> int:
 
 
 class AgentFrame(NamedTuple):
-    """One agent's state at one sample: the graph-vertex source record."""
+    """One agent's state at one sample: a row of a table as a record."""
 
     timestamp: float
     agent_id: str
@@ -78,26 +81,59 @@ class AgentFrame(NamedTuple):
         return math.hypot(self.velocity[0], self.velocity[1])
 
 
-@dataclass
+@dataclass(frozen=True, eq=False)
 class TrajectoryTable:
-    """Frames keyed by discrete index, plus the rate that produced them.
+    """One row per agent per sample, as columns, plus the sampling rate.
 
-    Invariants enforced at construction: each agent occupies a contiguous
-    run of frame indices (an agent that disappears may not reappear under
-    the same id), and per-agent timestamps strictly increase.
+    Rows are ordered by frame index, then in the order their producer
+    gives them: ingest sorts a frame's rows by id, the simulator keeps
+    spawn order. ``frame`` is int64; ``timestamp``, ``x``, ``y``, ``vx``
+    and ``vy`` are float64; ``agent`` holds each row's index into
+    ``agent_ids``, the distinct ids, each of which has rows; and
+    ``agent_type`` holds each row's type.
+
+    Each agent occupies a contiguous run of frame indices (an agent that
+    disappears may not reappear under the same id), one row per frame,
+    and its timestamps strictly increase. The table does not check this:
+    ``parse_trajectories`` rejects a file that breaks it, and
+    ``compute_series`` a table whose agent skips a frame.
     """
 
-    frames: dict[int, list[AgentFrame]] = field(default_factory=dict)
-    frame_rate_hz: float = 1.0
+    frame: np.ndarray
+    timestamp: np.ndarray
+    x: np.ndarray
+    y: np.ndarray
+    vx: np.ndarray
+    vy: np.ndarray
+    agent: np.ndarray
+    agent_ids: list[str]
+    agent_type: np.ndarray
+    frame_rate_hz: float
 
-    def frame_indices(self) -> list[int]:
-        return sorted(self.frames)
+    @cached_property
+    def frames(self) -> Mapping[int, tuple[AgentFrame, ...]]:
+        """The rows as records, keyed by frame index: a read-only view.
+
+        Built on first use, for readers that take one frame's records
+        (``graph.build_instant_graph``); nothing in this package reads it.
+        """
+        records = map(
+            AgentFrame,
+            self.timestamp.tolist(),
+            map(self.agent_ids.__getitem__, self.agent.tolist()),
+            self.agent_type.tolist(),
+            zip(self.x.tolist(), self.y.tolist()),
+            zip(self.vx.tolist(), self.vy.tolist()),
+        )
+        return MappingProxyType({
+            index: tuple(map(itemgetter(1), rows))
+            for index, rows in groupby(zip(self.frame.tolist(), records), itemgetter(0))
+        })
 
     def span(self) -> tuple[int, int]:
-        idxs = self.frame_indices()
-        if not idxs:
+        if not len(self.frame):
             raise ValidationError("empty trajectory table has no frame span")
-        return idxs[0], idxs[-1]
+        return int(self.frame[0]), int(self.frame[-1])
 
 
 def read_source(source, text, what: str) -> str:
@@ -263,15 +299,7 @@ def parse_trajectories(
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     lines = read_source(source, text, "trajectories").splitlines()
-    # the records are tuples of floats and strings, which cannot form
-    # cycles: a collection while they are built would free nothing
-    enabled = gc.isenabled()
-    gc.disable()
-    try:
-        table = _bulk_parse(lines, frame_rate_hz)
-    finally:
-        if enabled:
-            gc.enable()
+    table = _bulk_parse(lines, frame_rate_hz)
     if table is None:
         _raise_row_error(lines, frame_rate_hz)
     return table
@@ -298,7 +326,7 @@ def _bulk_parse(lines: list[str], frame_rate_hz: float) -> TrajectoryTable | Non
     """The table of a valid file, column by column; None if any check fails.
 
     Makes every check ``_raise_row_error`` makes, on numpy columns, and
-    yields exactly the records the row-by-row reading would.
+    yields exactly the rows the row-by-row reading would.
     """
     start = next(
         (i for i, raw in enumerate(lines) if (s := raw.strip()) and s[0] != "#"), None
@@ -374,28 +402,16 @@ def _bulk_parse(lines: list[str], frame_rate_hz: float) -> TrajectoryTable | Non
 
     # canonical order: frames ascending, agents within a frame by id
     canon = np.lexsort((codes, frames))
-    frames = frames[canon]
-    # tuple.__new__ builds each record as AgentFrame._make does, without
-    # a Python-level call per row
-    records = list(
-        map(
-            tuple.__new__,
-            repeat(AgentFrame),
-            zip(
-                ts[canon].tolist(),
-                map(agents.__getitem__, codes[canon].tolist()),
-                map(types.__getitem__, order[canon].tolist()),
-                zip(x[canon].tolist(), y[canon].tolist()),
-                zip(vx[canon].tolist(), vy[canon].tolist()),
-            ),
-        )
-    )
-    bounds = [0, *(np.flatnonzero(frames[1:] != frames[:-1]) + 1).tolist(), len(frames)]
     return TrajectoryTable(
-        frames={
-            index: records[a:b]
-            for index, a, b in zip(frames[bounds[:-1]].tolist(), bounds, bounds[1:])
-        },
+        frame=frames[canon],
+        timestamp=ts[canon],
+        x=x[canon],
+        y=y[canon],
+        vx=vx[canon],
+        vy=vy[canon],
+        agent=codes[canon],
+        agent_ids=agents,
+        agent_type=np.array(types, dtype=object)[order[canon]],
         frame_rate_hz=frame_rate_hz,
     )
 
@@ -487,14 +503,18 @@ def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
     """Write a table back to the CSV record format (velocities included).
 
     Returns the text; when ``dest`` is a path the text is also written
-    there. parse(serialize(parse(x))) == parse(x) for all valid x.
+    there. Floats are written as ``repr`` text, so parsing the text of a
+    parsed file gives back the same rows.
     """
-    out = ["timestamp,agent_id,agent_type,x,y,vx,vy"]
-    for idx in table.frame_indices():
-        for fr in table.frames[idx]:
-            out.append(
-                f"{fr.timestamp!r},{fr.agent_id},{fr.agent_type},"
-                f"{fr.position[0]!r},{fr.position[1]!r},"
-                f"{fr.velocity[0]!r},{fr.velocity[1]!r}"
-            )
-    return write_text(dest, "\n".join(out) + "\n", "trajectories")
+    rows = map(
+        "{!r},{},{},{!r},{!r},{!r},{!r}".format,
+        table.timestamp.tolist(),
+        map(table.agent_ids.__getitem__, table.agent.tolist()),
+        table.agent_type.tolist(),
+        table.x.tolist(),
+        table.y.tolist(),
+        table.vx.tolist(),
+        table.vy.tolist(),
+    )
+    text = "\n".join(["timestamp,agent_id,agent_type,x,y,vx,vy", *rows]) + "\n"
+    return write_text(dest, text, "trajectories")

@@ -29,7 +29,6 @@ from .errors import (
 )
 from .evaluation import STYLE_CODES
 from .ingest import (
-    AgentFrame,
     TrajectoryTable,
     frame_index,
     read_source,
@@ -512,33 +511,43 @@ def build_world(config: ScenarioConfig) -> World:
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:
-    """Run a scenario and emit an ingest-compatible table plus labels."""
+    """Run a scenario and emit an ingest-compatible table plus labels.
+
+    Every agent has a row at every frame, in spawn order.
+    """
     world = build_world(config)
     cfg = config
     rate = 1.0 / cfg.timestep_s
-    frames: dict[int, list[AgentFrame]] = {}
+    width, duration = cfg.lane_width_m, cfg.lane_change_duration_s
+    agents = world.agents
+    frame, timestamp, x, y, vx, vy = [], [], [], [], [], []
     for k in range(cfg.frame_count()):
         ts = k * cfg.timestep_s
-        idx = frame_index(ts, rate)
-        frames[idx] = [
-            AgentFrame(
-                timestamp=ts,
-                agent_id=a.agent_id,
-                agent_type="car",
-                position=(a.x, a.lateral_y(cfg.lane_width_m)),
-                velocity=(
-                    a.speed,
-                    a.lateral_rate(cfg.lane_width_m, cfg.lane_change_duration_s),
-                ),
-            )
-            for a in world.agents
-        ]
+        frame.append(frame_index(ts, rate))
+        timestamp.append(ts)
+        x += [a.x for a in agents]
+        y += [a.lateral_y(width) for a in agents]
+        vx += [a.speed for a in agents]
+        vy += [a.lateral_rate(width, duration) for a in agents]
         step(world, cfg.timestep_s)
+    n = len(agents)
+    table = TrajectoryTable(
+        frame=np.repeat(np.array(frame, dtype=np.int64), n),
+        timestamp=np.repeat(np.array(timestamp, dtype=float), n),
+        x=np.array(x, dtype=float),
+        y=np.array(y, dtype=float),
+        vx=np.array(vx, dtype=float),
+        vy=np.array(vy, dtype=float),
+        agent=np.tile(np.arange(n), len(frame)),
+        agent_ids=[a.agent_id for a in agents],
+        agent_type=np.full(n * len(frame), "car", dtype=object),
+        frame_rate_hz=rate,
+    )
     return SimResult(
-        table=TrajectoryTable(frames=frames, frame_rate_hz=rate),
+        table=table,
         labels=list(cfg.maneuvers),
         collisions=list(world.collisions),
-        agent_classes={a.agent_id: a.vehicle_class for a in world.agents},
+        agent_classes={a.agent_id: a.vehicle_class for a in agents},
     )
 
 

@@ -18,9 +18,10 @@ from collections import defaultdict
 
 import numpy as np
 
+from conftest import records_table
 from drivestyle.centrality import compute_series
 from drivestyle.errors import InsufficientDataError, TrajectoryParseError, ValidationError
-from drivestyle.ingest import AGENT_TYPES, AgentFrame, TrajectoryTable, frame_index
+from drivestyle.ingest import AGENT_TYPES, AgentFrame, frame_index
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
 from drivestyle.regression import POLY_DEGREE, derivative, fit
 from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
@@ -129,10 +130,8 @@ def row_loop_parse(text, frame_rate_hz):
             frames.setdefault(idx, []).append(
                 AgentFrame(ts, agent_id, agent_type, (x, y), vel)
             )
-    frames = {
-        idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in sorted(frames)
-    }
-    return TrajectoryTable(frames=frames, frame_rate_hz=frame_rate_hz)
+    frames = {idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in frames}
+    return records_table(frames, frame_rate_hz)
 
 
 def all_pairs_edges(frame, mu):

@@ -7,12 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, make_table
+from conftest import make_frame, make_table, records_table
 from drivestyle import centrality
 from drivestyle.centrality import closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import build_instant_graph
-from drivestyle.ingest import TrajectoryTable
 from oracles import (
     all_pairs_edges,
     dijkstra_closeness,
@@ -116,7 +115,7 @@ def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
                 for k, (x, y) in enumerate(points)
             ]
         g = build_instant_graph(frame, mu=4.0)
-        series = compute_series(TrajectoryTable(frames={0: frame}), mu=4.0)
+        series = compute_series(records_table({0: frame}), mu=4.0)
         assert list(series) == list(g.positions)
         for v in g.positions:
             value = series[v].closeness[0]
@@ -238,10 +237,11 @@ def test_window_validation():
     assert first == 0
     assert len(clo) == len(deg) == 5
     with pytest.raises(ValidationError, match="empty table"):
-        compute_series(TrajectoryTable(), mu=4.0)
-    del table.frames[2]
+        compute_series(records_table({}), mu=4.0)
+    frames = dict(table.frames)
+    del frames[2]
     with pytest.raises(ContractViolationError, match="'a' has a gap in its frames"):
-        compute_series(table, mu=4.0)
+        compute_series(records_table(frames), mu=4.0)
 
 
 def test_series_csv_text_matches_oracles():
@@ -260,7 +260,7 @@ def test_series_csv_text_matches_oracles():
             frames.setdefault(k, []).append(
                 make_frame(agent, x + 0.3 * v * k, y, vx=v, t=float(k))
             )
-    table = TrajectoryTable(frames=frames, frame_rate_hz=1.0)
+    table = records_table(frames)
     mu, capacity = 4.0, 3
     text = series_to_csv(compute_series(table, mu, capacity=capacity))
 
@@ -331,7 +331,7 @@ def churning_runs(draw):
     largest = max(len(frame) for frame in frames.values())
     capacity = max(largest, draw(st.integers(1, 6)))
     mu = draw(st.sampled_from([1.5, 2.5, 4.5]))
-    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), mu, capacity
+    return records_table(frames), mu, capacity
 
 
 @settings(max_examples=300, deadline=None)
@@ -417,7 +417,7 @@ def lattice_components(draw):
         rng.shuffle(frame)
     mu = draw(st.sampled_from([1.5, 2.5]))
     block = draw(st.sampled_from([9, 50, centrality._BLOCK]))
-    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), mu, block
+    return records_table(frames), mu, block
 
 
 @settings(max_examples=40, deadline=None)
@@ -447,7 +447,7 @@ def _frames(rows):
     frames = {}
     for idx, agent, x, y in rows:
         frames.setdefault(idx, []).append(make_frame(agent, x, y, t=float(idx)))
-    return TrajectoryTable(frames=frames, frame_rate_hz=1.0)
+    return records_table(frames)
 
 
 def test_errors_name_the_first_offending_frame_and_agent():

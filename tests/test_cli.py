@@ -4,8 +4,10 @@ import math
 import pytest
 import yaml
 
+from drivestyle.calibrate import calibrate_thresholds
 from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
+from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import AnalysisParams
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
@@ -137,6 +139,36 @@ def test_calibrate_writes_thresholds(tmp_path, capsys):
     first = out.read_bytes()
     main(["calibrate", "--config", str(cfg), "--out", str(out)])
     assert out.read_bytes() == first  # deterministic
+
+
+def test_analysis_path_builds_no_records(slc_scenario, tmp_path, monkeypatch):
+    # the per-frame record view is for readers outside the package: every
+    # command and calibration runs with it broken, on a positions-only
+    # copy of the trajectories (velocities by differences) as well
+    def no_records(table):
+        raise AssertionError("TrajectoryTable.frames read")
+
+    monkeypatch.setattr(TrajectoryTable, "frames", property(no_records))
+    run = tmp_path / "run"
+    assert main(["simulate", "--scenario", str(slc_scenario), "--out", str(run)]) == 0
+    positions = tmp_path / "positions.csv"
+    positions.write_text("".join(
+        ",".join(line.split(",")[:5]) + "\n"
+        for line in (run / "trajectories.csv").read_text().splitlines()
+    ))
+    for trajectories in (run / "trajectories.csv", positions):
+        assert main([
+            "analyze", "--trajectories", str(trajectories), "--frame-rate", "10",
+            "--out", str(run),
+        ]) == 0
+    assert main([
+        "evaluate", "--report", str(run / "report.json"),
+        "--labels", str(run / "labels.csv"), "--out", str(run),
+    ]) == 0
+    thresholds = calibrate_thresholds(
+        [all_conservative_scenario(0)], AnalysisParams(window_s=1.0, stride_s=0.5)
+    )
+    assert thresholds.tau_degree > 0
 
 
 def test_calibrate_without_scenarios(tmp_path, capsys):

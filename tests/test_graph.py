@@ -5,11 +5,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame
+from conftest import make_frame, records_table
 from drivestyle.centrality import compute_series
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
-from drivestyle.ingest import TrajectoryTable
 from oracles import all_pairs_edges, replay_degree
 
 
@@ -50,7 +49,8 @@ def test_neighbors_lookup():
     g = build_instant_graph(
         [make_frame("a", 0, 0), make_frame("b", 1, 0), make_frame("c", 9, 9)], mu=4.0
     )
-    assert g.adjacency == {"a": [("b", 1.0)], "b": [("a", 1.0)], "c": []}
+    assert g.edges == {("a", "b"): 1.0}
+    assert list(g.positions) == ["a", "b", "c"]
 
 
 def test_new_neighbor_counts_faster_only():
@@ -211,10 +211,9 @@ def churn_tables(draw):
                 make_frame(f"v{k:02d}", rng.uniform(0.0, 8.0), 0.37 * k,
                            vx=float(rng.integers(0, 4)), t=float(idx))
             )
-    frames = {idx: frames[idx] for idx in sorted(frames)}
     concurrent = max(len(frame) for frame in frames.values())
     capacity = max(concurrent, draw(st.integers(2, 6)))
-    return TrajectoryTable(frames=frames, frame_rate_hz=1.0), capacity
+    return records_table(frames), capacity
 
 
 @settings(max_examples=80, deadline=None)

@@ -7,10 +7,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, make_table
+from conftest import make_frame, make_table, records_table
 from drivestyle.centrality import compute_series
 from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
-from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import (
     AnalysisParams,
     analyze_table,
@@ -73,12 +72,7 @@ def test_short_presence_skipped():
         "long": [(k, 0.0, 1.0, 0.0) for k in range(10)],
         "blip": [(50.0, 3.0, 1.0, 0.0)],
     }
-    frames = make_table(tracks).frames
-    # blip appears only at frame 0; rebuild with it present a single frame
-    table = make_table({"long": tracks["long"]})
-    table.frames[0].append(
-        make_table({"blip": tracks["blip"]}).frames[0][0]
-    )
+    table = make_table(tracks)  # blip is present at frame 0 only
     report = analyze_table(table, AnalysisParams(window_s=3.0, thresholds=THRESHOLDS))
     blip = report.agent("blip")
     assert blip.windows == []  # nothing fittable
@@ -254,10 +248,7 @@ def table_from_tracks(tracks, frame_rate_hz):
             frames.setdefault(k, []).append(
                 make_frame(f"a{n}", x, y, speed, 0.0, t=k / frame_rate_hz)
             )
-    return TrajectoryTable(
-        frames={k: frames[k] for k in sorted(frames)},
-        frame_rate_hz=frame_rate_hz,
-    )
+    return records_table(frames, frame_rate_hz)
 
 
 @settings(max_examples=60, deadline=None)
@@ -346,10 +337,13 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():
     table = table_from_tracks([(0, 12, 1.0, 0.0, 0), (0, 12, 0.0, 5.0, 1)], 1.0)
+    frames = dict(table.frames)
     for k in (5, 6):
-        table.frames[k] = [fr for fr in table.frames[k] if fr.agent_id != "a0"]
+        frames[k] = [fr for fr in frames[k] if fr.agent_id != "a0"]
     with pytest.raises(ContractViolationError, match="'a0' has a gap"):
-        analyze_table(table, AnalysisParams(mu=25.0, thresholds=THRESHOLDS))
+        analyze_table(
+            records_table(frames), AnalysisParams(mu=25.0, thresholds=THRESHOLDS)
+        )
 
 
 def test_sparse_span_matches_oracle():

@@ -1,5 +1,9 @@
+import hashlib
+
 import numpy as np
 
+from drivestyle.centrality import compute_series, series_to_csv
+from drivestyle.ingest import parse_trajectories, serialize_trajectories
 from drivestyle.scenarios import (
     all_conservative_scenario,
     calibration_scenarios,
@@ -147,3 +151,27 @@ def test_weaving_subject_flagged_aggressive_at_default_thresholds():
     subject = report.agent("subject")
     assert subject.styles[STYLE_WEAVING].count >= 2
     assert subject.global_label == "aggressive"
+
+
+def test_simulated_table_bytes_are_pinned():
+    # sha256 of the lane-change scenario's trajectory text, of its
+    # positions-only copy read back (velocities by differences) and of its
+    # centrality series CSV; no least-squares fit, so no BLAS, is involved
+    def sha(text):
+        return hashlib.sha256(text.encode()).hexdigest()
+
+    table = run_scenario(lane_change_scenario(0)).table
+    text = serialize_trajectories(table)
+    assert sha(text) == (
+        "3716c3f86541bad234f5f195feb61c0fb8ee34a4c75264a8baf7775ac6a6d30a"
+    )
+    positions = "".join(
+        ",".join(line.split(",")[:5]) + "\n" for line in text.splitlines()
+    )
+    again = parse_trajectories(text=positions, frame_rate_hz=10.0)
+    assert sha(serialize_trajectories(again)) == (
+        "9f10a85b2324607a3ae5908ed9926bee177f164be4b999210159a3fc122b97f3"
+    )
+    assert sha(series_to_csv(compute_series(table, 100.0))) == (
+        "df27af4bcd5e9e5b69e1a24bf89ae22d04cb2cbfc42f2d43c3627f502cbbb0e7"
+    )

@@ -7,6 +7,7 @@ import pytest
 
 from drivestyle.errors import ValidationError
 from drivestyle.ingest import serialize_trajectories
+from drivestyle.pipeline import analyze_table
 from drivestyle.sim import (
     AGGRESSIVE_PARAMS,
     CONSERVATIVE_PARAMS,
@@ -362,6 +363,23 @@ def test_zero_duration_scenario_is_empty():
     result = run_scenario(config)
     assert result.table.frames == {}
     assert result.labels == []
+    with pytest.raises(ValidationError, match="^cannot compute centralities on an empty"):
+        analyze_table(result.table)
+
+
+def test_zero_spawn_scenario_is_empty():
+    # 20 frames with no agent hold no rows: the same empty table, which
+    # analysis rejects as it rejects a zero-duration run
+    config = ScenarioConfig(
+        lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=2.0, spawns=[]
+    )
+    result = run_scenario(config)
+    assert len(result.table.frame) == 0 and result.table.frames == {}
+    assert serialize_trajectories(result.table).splitlines() == [
+        "timestamp,agent_id,agent_type,x,y,vx,vy"
+    ]
+    with pytest.raises(ValidationError, match="^cannot compute centralities on an empty"):
+        analyze_table(result.table)
 
 
 def test_scripted_lane_changes_echo_labels_and_move_laterally():
