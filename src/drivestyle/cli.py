@@ -24,10 +24,10 @@ from .errors import (
     TrajectoryParseError,
     ValidationError,
 )
-from .evaluation import annotations_from_labels, evaluate_run, parse_annotations
+from .evaluation import evaluate_run, parse_annotations
 from .ingest import parse_trajectories, read_source, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
-from .sim import load_scenario, parse_labels, run_scenario, write_labels
+from .sim import load_scenario, run_scenario, write_labels
 
 _INPUT_ERRORS = (
     ValidationError,
@@ -151,22 +151,11 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _load_any_labels(path: str, frame_rate_hz: float):
-    text = read_source(path, None, "labels")
-    first = next(
-        (line for line in map(str.strip, text.splitlines())
-         if line and not line.startswith("#")),
-        "",
-    )
-    if first.startswith("video_id,"):
-        return parse_annotations(text=text, frame_rate_hz=frame_rate_hz)
-    return annotations_from_labels(parse_labels(text=text), frame_rate_hz)
-
-
 def cmd_evaluate(args) -> int:
     report = report_from_json(args.report)
     rate = args.frame_rate if args.frame_rate is not None else report.frame_rate_hz
-    annotations = _load_any_labels(args.labels, rate)
+    labels = read_source(args.labels, None, "labels")
+    annotations = parse_annotations(text=labels, frame_rate_hz=rate)
     table = evaluate_run(report.agents, annotations)
     out = _ensure_dir(args.out)
     table.to_csv(out / "tde.csv")

@@ -3,9 +3,9 @@
 Each (video, agent, style) carries M annotator intervals [s_m, e_m] in
 frame units. The per-frame counter c_t tallies how many annotators cover
 frame t within [min S, max E]; normalizing the counts to a probability
-mass function gives the expected maneuver frame E[T]. The time deviation
-error compares E[T] against the model's maximum-likelihood frame,
-converted to seconds by the video frame rate.
+mass function gives the expected maneuver frame E[T], which is taken in
+closed form. The time deviation error compares E[T] against the model's
+maximum-likelihood frame, converted to seconds by the video frame rate.
 
 Style codes used in label files: OS (overspeeding), OT (overtaking),
 SLC (sudden lane-change), W (weaving).
@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError, require_positive
-from .ingest import read_source, write_text
+from .ingest import read_rows, read_source, write_text
 from .styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
@@ -26,6 +26,14 @@ from .styles import (
 )
 
 STYLE_CODES = ("OS", "OT", "SLC", "W")
+
+# the two label file formats: each name with its header
+_LABEL_FORMATS = {
+    "annotation": (
+        "video_id", "agent_id", "style", "annotator_id", "start_frame", "end_frame"
+    ),
+    "label": ("agent_id", "style", "start_frame", "end_frame"),
+}
 
 # label style code -> style entry of the report whose t_SLE answers it
 _CODE_TO_STYLE = {
@@ -58,6 +66,8 @@ class AnnotationSet:
             raise ValidationError(
                 f"unknown style code {style!r} (expected one of {STYLE_CODES})"
             )
+        if start_frame < 0:
+            raise ValidationError(f"negative start frame {start_frame}")
         if end_frame < start_frame:
             raise ValidationError(
                 f"annotation end {end_frame} precedes start {start_frame}"
@@ -74,40 +84,25 @@ class AnnotationSet:
 def parse_annotations(
     source=None, frame_rate_hz: float | None = None, *, text=None
 ) -> AnnotationSet:
-    """Parse an annotation CSV file (or CSV ``text=``).
+    """Parse a label file (or CSV ``text=``) of either format.
 
-    Header: ``video_id,agent_id,style,annotator_id,start_frame,end_frame``.
+    Annotation format: ``video_id,agent_id,style,annotator_id,start_frame,end_frame``.
+    Ground-truth format: ``agent_id,style,start_frame,end_frame``, read as
+    ``annotations_from_labels`` wraps labels. Frames are integers >= 0.
+    A bad row raises TrajectoryParseError naming its line.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     text = read_source(source, text, "annotations")
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
-    header = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if header is None:
-            header = parts
-            expected = ["video_id", "agent_id", "style", "annotator_id",
-                        "start_frame", "end_frame"]
-            if parts != expected:
-                raise TrajectoryParseError(
-                    f"annotation header must be {','.join(expected)}", line_no
-                )
-            continue
-        if len(parts) != 6:
-            raise TrajectoryParseError(f"expected 6 fields, got {len(parts)}", line_no)
+    for line_no, fields in read_rows(text, _LABEL_FORMATS):
+        if len(fields) == 4:  # ground truth: annotator "gt" of video "sim"
+            fields = ["sim", fields[0], fields[1], "gt", fields[2], fields[3]]
         try:
-            start, end = int(parts[4]), int(parts[5])
+            out.add(*fields[:4], int(fields[4]), int(fields[5]))
         except ValueError as exc:
             raise TrajectoryParseError(f"non-integer frame: {exc}", line_no) from None
-        try:
-            out.add(parts[0], parts[1], parts[2], parts[3], start, end)
         except ValidationError as exc:
             raise TrajectoryParseError(str(exc), line_no) from None
-    if header is None:
-        raise ValidationError("empty annotation stream")
     return out
 
 
@@ -135,11 +130,9 @@ def annotations_from_labels(
 
 @dataclass
 class TemporalDistribution:
-    """Annotator coverage counts over [s*, e*] and their expectation."""
+    """The support [s*, e*] of annotator coverage and its expectation E[T]."""
 
     support: tuple[int, int]
-    counts: dict[int, int]
-    pmf: dict[int, float]
     expectation: float
 
 
@@ -147,24 +140,21 @@ def expected_frame(intervals: list[tuple[int, int]]) -> TemporalDistribution:
     """Aggregate M annotator intervals into the expected maneuver frame.
 
     c_t counts the annotators covering frame t in [min S, max E]; the
-    expectation is taken under the normalized counts.
+    expectation is taken under the normalized counts. In closed form, as
+    each interval [s, e] adds (s + e)(e - s + 1) / 2 to the sum of t * c_t
+    and e - s + 1 to the sum of c_t, it is one division of exact integers,
+    whatever the length of the intervals.
     """
     if not intervals:
         raise ValidationError("cannot aggregate an empty annotation set")
     for s, e in intervals:
         if e < s:
             raise ValidationError(f"annotation interval ({s}, {e}) is reversed")
-    s_star = min(s for s, _ in intervals)
-    e_star = max(e for _, e in intervals)
-    counts = {
-        t: sum(1 for s, e in intervals if s <= t <= e)
-        for t in range(s_star, e_star + 1)
-    }
-    total = sum(counts.values())
-    pmf = {t: c / total for t, c in counts.items()}
-    expectation = sum(t * p for t, p in pmf.items())
+    weighted = sum((s + e) * (e - s + 1) // 2 for s, e in intervals)
+    covered = sum(e - s + 1 for s, e in intervals)
     return TemporalDistribution(
-        support=(s_star, e_star), counts=counts, pmf=pmf, expectation=expectation
+        support=(min(s for s, _ in intervals), max(e for _, e in intervals)),
+        expectation=weighted / covered,
     )
 
 

@@ -5,10 +5,14 @@ and an optional trailing ``vx,vy`` pair. Lines starting with ``#`` are
 comments. Extra columns are accepted and ignored. Velocities are derived
 by finite differences when the file does not carry them.
 
-A file is read in bulk: its body is split a few thousand lines at a time
-into numpy columns, validated, differenced and ordered with array
-operations, and those columns are the table. Only a file that fails a
-check is read again row by row, to name the first offending line.
+A file is read in one pass: its body is split a few thousand lines at a
+time into numpy columns, validated, differenced and ordered with array
+operations, and those columns are the table. Reading stops at the first
+row that does not split into its fields and numbers; each other check is
+a mask over the columns, and an error names its line from them.
+
+The label files that ``evaluation`` reads share ``read_rows``, one
+reader of small headed CSV files.
 
 A :class:`TrajectoryTable` is immutable by convention: nothing in this
 package mutates it after construction, so it is safe to share across
@@ -21,13 +25,13 @@ import inspect
 import math
 import os
 import sys
-from collections.abc import Mapping
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import groupby, repeat
+from itertools import groupby, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
-from typing import NamedTuple, NoReturn
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -161,6 +165,41 @@ def read_source(source, text, what: str) -> str:
         ) from None
 
 
+def read_rows(
+    text: str, formats: Mapping[str, tuple[str, ...]]
+) -> Iterator[tuple[int, list[str]]]:
+    """The line number and stripped fields of each data row of CSV ``text``.
+
+    Blank lines and lines starting with ``#`` are skipped; the first other
+    line is the header. ``formats`` maps each format's name to its header:
+    the file is read in the format whose header starts with the same
+    column, else in the last one. A header other than that format's, or
+    a row with another field count, raises TrajectoryParseError at its
+    line; text without a header raises ValidationError.
+    """
+    header, name = None, list(formats)[-1]
+    for line_no, raw in enumerate(text.splitlines(), start=1):
+        line = raw.strip()
+        if not line or line.startswith("#"):
+            continue
+        fields = [p.strip() for p in line.split(",")]
+        if header is None:
+            name = next((n for n, h in formats.items() if h[0] == fields[0]), name)
+            header = formats[name]
+            if tuple(fields) != header:
+                raise TrajectoryParseError(
+                    f"{name} header must be {','.join(header)}", line_no
+                )
+            continue
+        if len(fields) != len(header):
+            raise TrajectoryParseError(
+                f"expected {len(header)} fields, got {len(fields)}", line_no
+            )
+        yield line_no, fields
+    if header is None:
+        raise ValidationError(f"empty {name} stream")
+
+
 def write_text(dest, text: str, what: str) -> str:
     """Write ``text`` to the file ``dest``, unless it is None; return ``text``.
 
@@ -282,29 +321,6 @@ def yaml_record(cls, mapping, keys: dict, what: str):
     return cls(**arguments)
 
 
-def parse_trajectories(
-    source=None, frame_rate_hz: float | None = None, *, text=None
-) -> TrajectoryTable:
-    """Parse a trajectory file (or CSV ``text=``) into a TrajectoryTable.
-
-    Agents lacking velocity columns get forward-difference velocities
-    (the final sample reuses the last difference); an agent with a single
-    sample and no velocity columns gets (0, 0).
-
-    Raises TrajectoryParseError for malformed rows (with line number):
-    a wrong field count, a non-numeric, non-finite or negative value, an
-    unknown agent type, an empty id, or a timestamp whose frame index
-    reaches 2**53. Raises ValidationError for duplicate/non-monotone
-    timestamps, non-contiguous frame runs, or an empty stream.
-    """
-    require_positive(frame_rate_hz, "frame_rate_hz")
-    lines = read_source(source, text, "trajectories").splitlines()
-    table = _bulk_parse(lines, frame_rate_hz)
-    if table is None:
-        _raise_row_error(lines, frame_rate_hz)
-    return table
-
-
 def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
     """Field count, first column of each name, and whether vx,vy are given."""
     header = [p.strip() for p in line.split(",")]
@@ -322,77 +338,156 @@ def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
 
 
 @np.errstate(over="ignore")  # an overflow gives inf, as Python's float does
-def _bulk_parse(lines: list[str], frame_rate_hz: float) -> TrajectoryTable | None:
-    """The table of a valid file, column by column; None if any check fails.
+def parse_trajectories(
+    source=None, frame_rate_hz: float | None = None, *, text=None
+) -> TrajectoryTable:
+    """Parse a trajectory file (or CSV ``text=``) into a TrajectoryTable.
 
-    Makes every check ``_raise_row_error`` makes, on numpy columns, and
-    yields exactly the rows the row-by-row reading would.
+    Agents lacking velocity columns get forward-difference velocities
+    (the final sample reuses the last difference); an agent with a single
+    sample and no velocity columns gets (0, 0).
+
+    The error raised is the first one a reading row by row would meet:
+
+    1. a header that lacks a required column or has only one of vx, vy:
+       TrajectoryParseError at its line;
+    2. the first row, in file order, that fails a check, with the first
+       check it fails, in this order: field count, a non-numeric value,
+       an empty id, an unknown agent type, a non-finite or negative
+       timestamp or one whose frame index reaches 2**53, a non-finite
+       position, a non-finite velocity: TrajectoryParseError at its line;
+    3. the first agent, in order of first appearance, whose timestamps
+       do not strictly increase (naming the line) or, failing that, whose
+       frame indices do not form a contiguous run: ValidationError;
+    4. a stream without a header or without data rows: ValidationError.
     """
+    require_positive(frame_rate_hz, "frame_rate_hz")
+    lines = read_source(source, text, "trajectories").splitlines()
     start = next(
         (i for i, raw in enumerate(lines) if (s := raw.strip()) and s[0] != "#"), None
     )
     if start is None:
-        return None
+        raise ValidationError("empty trajectory stream (no header)")
     n_fields, columns, has_velocity = _header(lines[start].strip(), start + 1)
     names = ["timestamp", "x", "y"] + (["vx", "vy"] if has_velocity else [])
     numeric = [columns[name] for name in names]
     id_col, type_col = columns["agent_id"], columns["agent_type"]
 
-    values, ids, types = [], [], []
+    # a first chunk of no rows, so that a file without rows still has columns
+    values, ids, types = [[np.empty(0)] * len(numeric)], [], []
+
+    def read(body: list[str]) -> None:
+        """Append the rows ``body`` as columns; ValueError if one does not split."""
+        if not body:
+            return
+        if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
+            raise ValueError
+        cells = ",".join(body).split(",")
+        values.append([
+            np.fromiter(map(float, map(str.strip, cells[j::n_fields])), float, len(body))
+            for j in numeric
+        ])
+        # interned, so the lists hold one string per distinct id and type
+        ids.extend(map(sys.intern, map(str.strip, cells[id_col::n_fields])))
+        types.extend(map(sys.intern, map(str.strip, cells[type_col::n_fields])))
+
+    def split_error(row: str) -> str | None:
+        """Why ``row`` does not split into its fields and numbers, if it does not."""
+        parts = row.split(",")
+        if len(parts) != n_fields:
+            return f"expected {n_fields} fields, got {len(parts)}"
+        try:
+            for j in numeric:
+                float(parts[j].strip())
+        except ValueError as exc:
+            return f"non-numeric field: {exc}"
+        return None
+
+    error = None
     for lo in range(start + 1, len(lines), _CHUNK_LINES):
         chunk = map(str.strip, lines[lo : lo + _CHUNK_LINES])
         body = [s for s in chunk if s and s[0] != "#"]
-        if not body:
-            continue
-        if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
-            return None
-        cells = ",".join(body).split(",")
         try:
-            values.append(
-                [
-                    np.fromiter(
-                        map(float, map(str.strip, cells[j::n_fields])), float, len(body)
-                    )
-                    for j in numeric
-                ]
-            )
+            read(body)
         except ValueError:
-            return None
-        # interned, so the lists hold one string per distinct id and type
-        ids += map(sys.intern, map(str.strip, cells[id_col::n_fields]))
-        types += map(sys.intern, map(str.strip, cells[type_col::n_fields]))
-    if not ids or not set(types) <= AGENT_TYPES:
-        return None
+            # reading stops at the first row that does not split; the rows
+            # before it are still checked, as they come first in the file
+            bad, error = next(
+                (j, why) for j, row in enumerate(body) if (why := split_error(row))
+            )
+            read(body[:bad])
+            break
+    n = len(ids)
     ts, x, y, *vel = (np.concatenate(col) for col in zip(*values))
     del values
-    if not all(np.isfinite(col).all() for col in (ts, x, y, *vel)) or (ts < 0).any():
-        return None
+    vx, vy = vel or np.zeros((2, n))
     frame_float = np.floor(ts * frame_rate_hz + _FLOOR_GUARD)
-    if (frame_float >= _FRAME_LIMIT).any():
-        return None
-
     agents = sorted(set(ids))
-    if not agents[0]:
-        return None  # an empty id sorts first
     code = {agent_id: k for k, agent_id in enumerate(agents)}
-    codes = np.fromiter(map(code.__getitem__, ids), np.intp, len(ids))
+    codes = np.fromiter(map(code.__getitem__, ids), np.intp, n)
+    kinds = np.array(types, dtype=object)
+    unknown = list(set(types) - AGENT_TYPES)
+
+    # each row check once, as a mask, in the order a row-by-row reading
+    # makes them; the first row any mask holds for fails its first check
+    checks = (
+        (codes == code.get("", -1), lambda i: "empty agent_id"),
+        (
+            np.isin(kinds, unknown),
+            lambda i: f"unknown agent_type {kinds[i]!r} "
+            f"(expected one of {sorted(AGENT_TYPES)})",
+        ),
+        (~np.isfinite(ts), lambda i: f"non-finite timestamp {float(ts[i])}"),
+        (ts < 0, lambda i: f"negative timestamp {float(ts[i])}"),
+        (
+            frame_float >= _FRAME_LIMIT,
+            lambda i: f"timestamp {float(ts[i])} at {frame_rate_hz} Hz "
+            "is past frame index 2**53",
+        ),
+        (~(np.isfinite(x) & np.isfinite(y)), lambda i: "non-finite position"),
+        (~(np.isfinite(vx) & np.isfinite(vy)), lambda i: "non-finite velocity"),
+    )
+    failed = np.logical_or.reduce([mask for mask, _ in checks])
+    if failed.any():
+        i = int(failed.argmax())
+        message = next(say(i) for mask, say in checks if mask[i])
+        raise TrajectoryParseError(message, _line_no(lines, start, i))
+    if error is not None:
+        raise TrajectoryParseError(error, _line_no(lines, start, n))
+    if not n:
+        raise ValidationError("empty trajectory stream (no data rows)")
 
     # each agent's rows in file order: timestamps strictly increase and
     # frames step by one between consecutive rows of one agent
     order = np.argsort(codes, kind="stable")
-    codes, ts, x, y = codes[order], ts[order], x[order], y[order]
+    codes, ts, x, y, vx, vy = (col[order] for col in (codes, ts, x, y, vx, vy))
     frames = frame_float[order].astype(np.int64)
     same = codes[1:] == codes[:-1]
     k = np.flatnonzero(same)  # rows followed by a row of the same agent
-    if (ts[k + 1] <= ts[k]).any() or (frames[k + 1] - frames[k] != 1).any():
-        return None
+    back = ts[k + 1] <= ts[k]
+    skip = frames[k + 1] - frames[k] != 1
+    if (back | skip).any():
+        # the file row of each agent's first row, by agent code
+        first_row = order[np.flatnonzero(np.insert(~same, 0, True))]
+        culprits = codes[k[back | skip]]
+        agent = culprits[first_row[culprits].argmin()]
+        mine = codes[k] == agent
+        if (back & mine).any():
+            r = k[back & mine][0]
+            raise ValidationError(
+                f"agent {agents[agent]!r}: timestamps must strictly increase "
+                f"({float(ts[r + 1])} after {float(ts[r])}, "
+                f"line {_line_no(lines, start, order[r + 1])})"
+            )
+        r = k[skip & mine][0]
+        raise ValidationError(
+            f"agent {agents[agent]!r}: frame indices must form a contiguous run "
+            f"(got {frames[r]} then {frames[r + 1]}); departed agents may not reappear"
+        )
 
-    if vel:
-        vx, vy = vel[0][order], vel[1][order]
-    else:
+    if not vel:
         # forward differences; an agent's last row reuses its last one,
         # a one-row agent stays at (0, 0)
-        vx, vy = np.zeros(len(ts)), np.zeros(len(ts))
         dt = ts[k + 1] - ts[k]
         vx[k] = (x[k + 1] - x[k]) / dt
         vy[k] = (y[k + 1] - y[k]) / dt
@@ -411,92 +506,19 @@ def _bulk_parse(lines: list[str], frame_rate_hz: float) -> TrajectoryTable | Non
         vy=vy[canon],
         agent=codes[canon],
         agent_ids=agents,
-        agent_type=np.array(types, dtype=object)[order[canon]],
+        agent_type=kinds[order[canon]],
         frame_rate_hz=frame_rate_hz,
     )
 
 
-def _raise_row_error(lines: list[str], frame_rate_hz: float) -> NoReturn:
-    """Raise the first error of a file ``_bulk_parse`` rejected, row by row.
-
-    Checks each row in file order, then each agent's timestamps and frame
-    run in order of first appearance, so the message names the first
-    offending line. A file that passes every check here broke the
-    bulk parser's contract: ContractViolationError.
-    """
-    header = None
-    times_by_agent: dict[str, list[tuple[int, float]]] = {}
-    for line_no, raw in enumerate(lines, start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        if header is None:
-            header = _header(line, line_no)
-            n_fields, columns, has_velocity = header
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if len(parts) != n_fields:
-            raise TrajectoryParseError(
-                f"expected {n_fields} fields, got {len(parts)}", line_no
-            )
-        try:
-            ts = float(parts[columns["timestamp"]])
-            x = float(parts[columns["x"]])
-            y = float(parts[columns["y"]])
-            vel = (0.0, 0.0)
-            if has_velocity:
-                vel = (float(parts[columns["vx"]]), float(parts[columns["vy"]]))
-        except ValueError as exc:
-            raise TrajectoryParseError(f"non-numeric field: {exc}", line_no) from None
-        agent_id = parts[columns["agent_id"]]
-        agent_type = parts[columns["agent_type"]]
-        if not agent_id:
-            raise TrajectoryParseError("empty agent_id", line_no)
-        if agent_type not in AGENT_TYPES:
-            raise TrajectoryParseError(
-                f"unknown agent_type {agent_type!r} (expected one of {sorted(AGENT_TYPES)})",
-                line_no,
-            )
-        if not math.isfinite(ts):
-            raise TrajectoryParseError(f"non-finite timestamp {ts}", line_no)
-        if ts < 0:
-            raise TrajectoryParseError(f"negative timestamp {ts}", line_no)
-        if ts * frame_rate_hz + _FLOOR_GUARD >= _FRAME_LIMIT:
-            raise TrajectoryParseError(
-                f"timestamp {ts} at {frame_rate_hz} Hz is past frame index 2**53",
-                line_no,
-            )
-        if not (math.isfinite(x) and math.isfinite(y)):
-            raise TrajectoryParseError("non-finite position", line_no)
-        if not (math.isfinite(vel[0]) and math.isfinite(vel[1])):
-            raise TrajectoryParseError("non-finite velocity", line_no)
-        times_by_agent.setdefault(agent_id, []).append((line_no, ts))
-
-    if header is None:
-        raise ValidationError("empty trajectory stream (no header)")
-    if not times_by_agent:
-        raise ValidationError("empty trajectory stream (no data rows)")
-
-    for agent_id, rows in times_by_agent.items():
-        prev_ts = None
-        indices = []
-        for line_no, ts in rows:
-            if prev_ts is not None and ts <= prev_ts:
-                raise ValidationError(
-                    f"agent {agent_id!r}: timestamps must strictly increase "
-                    f"({ts} after {prev_ts}, line {line_no})"
-                )
-            prev_ts = ts
-            indices.append(frame_index(ts, frame_rate_hz))
-        for a, b in zip(indices, indices[1:]):
-            if b != a + 1:
-                raise ValidationError(
-                    f"agent {agent_id!r}: frame indices must form a contiguous run "
-                    f"(got {a} then {b}); departed agents may not reappear"
-                )
-    raise ContractViolationError(
-        "bulk trajectory parsing rejected a file that passes every row check"
+def _line_no(lines: list[str], header: int, row: int) -> int:
+    """1-based line number of data row ``row`` (0-based) under ``lines[header]``."""
+    data = (
+        line_no
+        for line_no, raw in enumerate(lines[header + 1 :], header + 2)
+        if (s := raw.strip()) and s[0] != "#"
     )
+    return next(islice(data, int(row), None))
 
 
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:

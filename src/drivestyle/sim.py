@@ -21,17 +21,11 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import yaml
 
-from .errors import (
-    TrajectoryParseError,
-    ValidationError,
-    require_non_negative,
-    require_positive,
-)
+from .errors import ValidationError, require_non_negative, require_positive
 from .evaluation import STYLE_CODES
 from .ingest import (
     TrajectoryTable,
     frame_index,
-    read_source,
     read_yaml,
     write_text,
     yaml_bool,
@@ -556,39 +550,14 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
 
 
 def write_labels(labels: list[ManeuverLabel], dest) -> str:
-    """Ground-truth label CSV: ``agent_id,style,start_frame,end_frame``."""
+    """Ground-truth label CSV: ``agent_id,style,start_frame,end_frame``.
+
+    ``evaluation.parse_annotations`` reads it back.
+    """
     lines = ["agent_id,style,start_frame,end_frame"]
     for lab in labels:
         lines.append(f"{lab.agent_id},{lab.style},{lab.start_frame},{lab.end_frame}")
     return write_text(dest, "\n".join(lines) + "\n", "labels")
-
-
-def parse_labels(source=None, *, text=None) -> list[ManeuverLabel]:
-    """Parse a ground-truth label file (or CSV ``text=``)."""
-    text = read_source(source, text, "labels")
-    labels = []
-    header = None
-    for line_no, raw in enumerate(text.splitlines(), start=1):
-        line = raw.strip()
-        if not line or line.startswith("#"):
-            continue
-        parts = [p.strip() for p in line.split(",")]
-        if header is None:
-            if parts != ["agent_id", "style", "start_frame", "end_frame"]:
-                raise TrajectoryParseError(
-                    "label header must be agent_id,style,start_frame,end_frame", line_no
-                )
-            header = parts
-            continue
-        if len(parts) != 4:
-            raise TrajectoryParseError(f"expected 4 fields, got {len(parts)}", line_no)
-        try:
-            labels.append(ManeuverLabel(parts[0], parts[1], int(parts[2]), int(parts[3])))
-        except ValueError as exc:
-            raise TrajectoryParseError(str(exc), line_no) from None
-    if header is None:
-        raise ValidationError("empty label stream")
-    return labels
 
 
 def _yaml_list(cls, what: str):

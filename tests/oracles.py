@@ -5,8 +5,9 @@ paths one source at a time, by a binary-heap Dijkstra or by relaxation
 to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
-fits one window at a time, SLE/SIE maxima by sampling every frame, and
-trajectory tables by reading a file one row at a time.
+fits one window at a time, SLE/SIE maxima by sampling every frame,
+trajectory tables by reading a file one row at a time, and the expected
+maneuver frame by counting the annotators of every frame.
 """
 
 from __future__ import annotations
@@ -132,6 +133,21 @@ def row_loop_parse(text, frame_rate_hz):
             )
     frames = {idx: sorted(frames[idx], key=lambda fr: fr.agent_id) for idx in frames}
     return records_table(frames, frame_rate_hz)
+
+
+def count_expected_frame(intervals):
+    """Annotator counts c_t of each frame t in [min S, max E], and E[T].
+
+    c_t is the number of intervals [s, e] with s <= t <= e; E[T] is the
+    mean of t weighted by c_t, one division of exact integer sums.
+    """
+    s_star = min(s for s, _ in intervals)
+    e_star = max(e for _, e in intervals)
+    counts = {
+        t: sum(1 for s, e in intervals if s <= t <= e)
+        for t in range(s_star, e_star + 1)
+    }
+    return counts, sum(t * c for t, c in counts.items()) / sum(counts.values())
 
 
 def all_pairs_edges(frame, mu):

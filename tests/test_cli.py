@@ -1,5 +1,6 @@
 import json
 import math
+import time
 
 import pytest
 import yaml
@@ -8,9 +9,10 @@ from drivestyle.calibrate import calibrate_thresholds
 from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
 from drivestyle.ingest import TrajectoryTable
-from drivestyle.pipeline import AnalysisParams
+from drivestyle.pipeline import AnalysisParams, report_from_json
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
+from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE
 
 
 @pytest.fixture
@@ -319,6 +321,68 @@ def test_unreadable_input_file_exits_1_with_one_line(kind, analyzed_run, tmp_pat
     err = capsys.readouterr().err
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
     assert repr(str(path)) in err
+
+
+LABEL_HEADERS = {
+    "label": "agent_id,style,start_frame,end_frame",
+    "annotation": "video_id,agent_id,style,annotator_id,start_frame,end_frame",
+}
+# fault -> (style, start_frame, end_frame) of a bad row, and its message
+ROW_FAULTS = {
+    "non_integer": (("OS", "1.5", "3"),
+                    "non-integer frame: invalid literal for int() with base 10: '1.5'"),
+    "unknown_style": (("XYZ", "1", "2"),
+                      "unknown style code 'XYZ' (expected one of ('OS', 'OT', 'SLC', 'W'))"),
+    "reversed": (("SLC", "9", "2"), "annotation end 2 precedes start 9"),
+    "negative": (("SLC", "-5", "2"), "negative start frame -5"),
+}
+
+
+@pytest.mark.parametrize("fault", ["header", "field_count", *ROW_FAULTS])
+@pytest.mark.parametrize("fmt", list(LABEL_HEADERS))
+def test_evaluate_bad_label_row_exits_1_with_one_line(
+    fmt, fault, analyzed_run, tmp_path, capsys
+):
+    header = LABEL_HEADERS[fmt]
+
+    def row(style, start, end):
+        if fmt == "label":
+            return f"car0,{style},{start},{end}"
+        return f"v,car0,{style},p1,{start},{end}"
+
+    if fault == "header":
+        text, line = header.replace("start_frame", "start") + "\n", 1
+        message = f"{fmt} header must be {header}"
+    elif fault == "field_count":
+        text, line = f"{header}\n{row('OS', '1', '2')},x\n", 2
+        message = f"expected {header.count(',') + 1} fields, got {header.count(',') + 2}"
+    else:
+        fields, message = ROW_FAULTS[fault]
+        text, line = f"# labels\n{header}\n{row('OS', '1', '2')}\n\n{row(*fields)}\n", 5
+    labels = tmp_path / "labels.csv"
+    labels.write_text(text)
+    assert main([
+        "evaluate", "--report", str(analyzed_run / "report.json"),
+        "--labels", str(labels), "--out", str(tmp_path / "out"),
+    ]) == 1
+    assert capsys.readouterr().err == f"error: line {line}: {message}\n"
+
+
+def test_evaluate_reads_a_huge_interval_in_closed_form(analyzed_run, tmp_path):
+    labels = tmp_path / "labels.csv"
+    labels.write_text(f"agent_id,style,start_frame,end_frame\nsubject,SLC,0,{10**20}\n")
+    start = time.perf_counter()
+    assert main([
+        "evaluate", "--report", str(analyzed_run / "report.json"),
+        "--labels", str(labels), "--out", str(tmp_path / "out"),
+    ]) == 0
+    assert time.perf_counter() - start < 1.0
+    (subject,) = [a for a in report_from_json(analyzed_run / "report.json").agents
+                  if a.agent_id == "subject"]
+    t_sle = subject.styles[STYLE_OVERTAKE_LANE_CHANGE].t_sle
+    (row,) = json.loads((tmp_path / "out" / "tde.json").read_text())["rows"]
+    # E[T] = 10**20 / 2 exactly; the report's frame rate is 10 Hz
+    assert row["mean_tde_s"] == abs((t_sle * 10.0 - 5e19) / 10.0)
 
 
 @pytest.mark.parametrize(

@@ -20,18 +20,20 @@ from drivestyle.styles import (
     StyleSummary,
     WeavingSummary,
 )
+from oracles import count_expected_frame
 
 
 def test_single_annotator_interval():
     dist = expected_frame([(10, 12)])
-    assert dist.counts == {10: 1, 11: 1, 12: 1}
+    assert count_expected_frame([(10, 12)])[0] == {10: 1, 11: 1, 12: 1}
     assert dist.expectation == pytest.approx(11.0)
     assert dist.support == (10, 12)
 
 
 def test_two_overlapping_annotators():
     dist = expected_frame([(10, 12), (12, 14)])
-    assert dist.counts == {10: 1, 11: 1, 12: 2, 13: 1, 14: 1}
+    counts, _ = count_expected_frame([(10, 12), (12, 14)])
+    assert counts == {10: 1, 11: 1, 12: 2, 13: 1, 14: 1}
     assert dist.expectation == pytest.approx(12.0)
 
 
@@ -41,8 +43,9 @@ def test_point_annotation():
 
 def test_pmf_normalized():
     dist = expected_frame([(0, 4), (2, 9), (3, 3)])
-    assert abs(sum(dist.pmf.values()) - 1.0) <= 1e-12
-    assert dist.support[0] <= dist.expectation <= dist.support[1]
+    # sum of t * c_t over the sum of c_t: (10 + 44 + 3) / (5 + 8 + 1)
+    assert dist.expectation == 57 / 14
+    assert dist.support == (0, 9)
 
 
 def test_validation():
@@ -59,6 +62,21 @@ intervals_strategy = st.lists(
     min_size=1,
     max_size=6,
 )
+
+
+@given(st.lists(
+    st.tuples(st.integers(-2000, 2000), st.integers(0, 2000)).map(
+        lambda p: (p[0], p[0] + p[1])
+    ),
+    min_size=1,
+    max_size=4,
+) | intervals_strategy)
+@settings(max_examples=150, deadline=None)
+def test_expected_frame_matches_the_frame_counting_oracle(intervals):
+    dist = expected_frame(intervals)
+    counts, expectation = count_expected_frame(intervals)
+    assert dist.expectation == expectation
+    assert dist.support == (min(counts), max(counts))
 
 
 @given(intervals_strategy, st.randoms())

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from drivestyle.errors import ValidationError
+from drivestyle.evaluation import annotations_from_labels, parse_annotations
 from drivestyle.ingest import serialize_trajectories
 from drivestyle.pipeline import analyze_table
 from drivestyle.sim import (
@@ -23,7 +24,6 @@ from drivestyle.sim import (
     idm_acceleration,
     load_scenario,
     mobil_decision,
-    parse_labels,
     run_scenario,
     save_scenario,
     step,
@@ -525,11 +525,9 @@ def test_labels_round_trip(tmp_path):
     labels = [ManeuverLabel("a", "OS", 10, 20), ManeuverLabel("b", "W", 5, 9)]
     path = tmp_path / "labels.csv"
     write_labels(labels, path)
-    assert parse_labels(path) == labels
-    text = path.read_text()
-    assert parse_labels(text=text) == labels
-    with pytest.raises(ValidationError, match="cannot read labels"):
-        parse_labels(text)  # a str is always a path
+    expected = annotations_from_labels(labels, 10.0).entries
+    assert parse_annotations(path, 10.0).entries == expected
+    assert parse_annotations(text=path.read_text(), frame_rate_hz=10.0).entries == expected
 
 
 def test_driver_params_validation():
