@@ -16,26 +16,11 @@ from . import __version__
 from .calibrate import calibrate_thresholds
 from .centrality import compute_series, series_to_csv
 from .config import RunConfig, load_run_config, load_thresholds, save_thresholds
-from .errors import (
-    ConditioningError,
-    ContractViolationError,
-    DriveStyleError,
-    InsufficientDataError,
-    TrajectoryParseError,
-    ValidationError,
-)
+from .errors import ContractViolationError, DriveStyleError, ValidationError
 from .evaluation import evaluate_run, parse_annotations
 from .ingest import parse_trajectories, read_source, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .sim import load_scenario, run_scenario, write_labels
-
-_INPUT_ERRORS = (
-    ValidationError,
-    TrajectoryParseError,
-    InsufficientDataError,
-    ConditioningError,
-    FileNotFoundError,
-)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -201,13 +186,10 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except _INPUT_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
     except (ContractViolationError, AssertionError) as exc:
         print(f"internal invariant violation: {exc}", file=sys.stderr)
         return 2
-    except DriveStyleError as exc:
+    except (DriveStyleError, FileNotFoundError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

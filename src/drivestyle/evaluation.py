@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError, require_positive
-from .ingest import read_rows, read_source, write_text
+from .ingest import FRAME_LIMIT, read_rows, read_source, write_text
 from .styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
@@ -72,6 +72,8 @@ class AnnotationSet:
             raise ValidationError(
                 f"annotation end {end_frame} precedes start {start_frame}"
             )
+        if end_frame >= FRAME_LIMIT:  # bounds the start too: it is not later
+            raise ValidationError(f"frame {end_frame} is past frame index 2**53")
         key = (video_id, agent_id, style)
         self.entries.setdefault(key, []).append(
             (annotator_id, int(start_frame), int(end_frame))
@@ -88,7 +90,7 @@ def parse_annotations(
 
     Annotation format: ``video_id,agent_id,style,annotator_id,start_frame,end_frame``.
     Ground-truth format: ``agent_id,style,start_frame,end_frame``, read as
-    ``annotations_from_labels`` wraps labels. Frames are integers >= 0.
+    ``annotations_from_labels`` wraps labels. Frames are integers in [0, 2**53).
     A bad row raises TrajectoryParseError naming its line.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")

@@ -53,9 +53,9 @@ _REQUIRED_COLUMNS = ("timestamp", "agent_id", "agent_type", "x", "y")
 # early; timestamps are only trusted to well above this resolution.
 _FLOOR_GUARD = 1e-9
 
-# Frame indices stay below 2**53, where every one is an exact float64 and
-# int64 value.
-_FRAME_LIMIT = 2.0**53
+# Frame indices, of trajectories and labels alike, stay below 2**53, where
+# every one is an exact float64 and int64 value.
+FRAME_LIMIT = 2.0**53
 
 # libyaml's parser where PyYAML was built with it: the same documents,
 # several times faster
@@ -440,7 +440,7 @@ def parse_trajectories(
         (~np.isfinite(ts), lambda i: f"non-finite timestamp {float(ts[i])}"),
         (ts < 0, lambda i: f"negative timestamp {float(ts[i])}"),
         (
-            frame_float >= _FRAME_LIMIT,
+            frame_float >= FRAME_LIMIT,
             lambda i: f"timestamp {float(ts[i])} at {frame_rate_hz} Hz "
             "is past frame index 2**53",
         ),

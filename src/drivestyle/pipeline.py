@@ -4,7 +4,9 @@ The centrality series are computed once over the whole run (the degree
 chain is cumulative), then fitted over sliding windows. Windows are laid
 out on the frame grid with 50% overlap by default and the final window
 is clamped to the run's end; a window longer than the run degenerates to
-a single window covering it. Agents and windows are independent after
+a single window covering it. Each agent's windows come by arithmetic on
+that grid from its own first and last frame, so the cost follows the
+rows, not the frame span. Agents and windows are independent after
 the series pass, so this stage is embarrassingly parallel; the
 implementation stays single-threaded for determinism.
 """
@@ -12,7 +14,6 @@ implementation stays single-threaded for determinism.
 from __future__ import annotations
 
 import json
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -73,21 +74,24 @@ class AnalysisParams:
         return self.stride_s if self.stride_s is not None else self.window_s / 2.0
 
 
+def _first_reaching(lo: int, frame: int, window_frames: int, stride_frames: int) -> int:
+    """Least k >= 0 whose window [lo + k * stride, lo + k * stride + W] reaches frame."""
+    return max(0, -((lo + window_frames - frame) // stride_frames))
+
+
 def frame_windows(
     lo: int, hi: int, window_frames: int, stride_frames: int
 ) -> list[tuple[int, int]]:
-    """Sliding frame-index windows [start, start + W] clamped to the run."""
+    """Sliding frame-index windows [start, start + W] clamped to the run.
+
+    The list form of the grid ``analyze_table`` walks per agent; it stays
+    for ``tests/oracles.per_window_analyze`` and perfbench's tracer.
+    """
     if hi < lo:
         raise ValidationError(f"empty frame range ({lo}, {hi})")
-    windows: list[tuple[int, int]] = []
-    start = lo
-    while True:
-        win = (start, min(start + window_frames, hi))
-        if not windows or windows[-1] != win:
-            windows.append(win)
-        if win[1] >= hi:
-            return windows
-        start += stride_frames
+    stop = lo + (_first_reaching(lo, hi, window_frames, stride_frames) + 1) * stride_frames
+    return [(start, min(start + window_frames, hi))
+            for start in range(lo, stop, stride_frames)]
 
 
 def _change_counts(values: np.ndarray) -> list[int]:
@@ -134,10 +138,11 @@ def analyze_table(
       any other window gets its own solve.
     ``fit_solve`` is a deterministic function of the design, mean time
     and samples, so sharing changes no output bit. An agent visits
-    only the windows that overlap its frames. The SLE/SIE maxima of all
-    of an agent's windows come from one ``sle_summaries`` call, in closed
-    form. Raises ConditioningError when a design is rank deficient at
-    alpha = 0.
+    only the windows that overlap its frames: their index range comes
+    from its first and last frame, and no list of the run's windows is
+    built. The SLE/SIE maxima of all of an agent's windows come from one
+    ``sle_summaries`` call, in closed form. Raises ConditioningError when
+    a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -147,9 +152,7 @@ def analyze_table(
     lo, hi = table.span()
     window_frames = max(POLY_DEGREE, int(round(params.window_s * f)))
     stride_frames = max(1, int(round(params.effective_stride() * f)))
-    windows = frame_windows(lo, hi, window_frames, stride_frames)
-    starts = [w0 for w0, _ in windows]
-    ends = [w1 for _, w1 in windows]  # non-decreasing, like the starts
+    last = _first_reaching(lo, hi, window_frames, stride_frames)  # the run's last window
 
     # kept for this call only: fit designs by centered time grid, window
     # slices by (first frame, sample count), and constant-window fits by
@@ -175,9 +178,13 @@ def analyze_table(
         deg_changes = _change_counts(deg)
         clo_changes = _change_counts(clo)
         heads, degree, closeness = [], [], []
-        for k in range(bisect_left(ends, f0), bisect_right(starts, f1)):
-            first = max(starts[k], f0)
-            n = min(ends[k], f1) - first + 1
+        # the windows that meet frames f0..f1: from the first reaching f0
+        # to the last starting at or before f1
+        k0 = _first_reaching(lo, f0, window_frames, stride_frames)
+        for k in range(k0, min(last, (f1 - lo) // stride_frames) + 1):
+            start = lo + k * stride_frames
+            first = max(start, f0)
+            n = min(start + window_frames, f1) - first + 1
             if n < POLY_DEGREE + 1:
                 continue
             slice_key = (first, n)

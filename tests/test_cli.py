@@ -335,6 +335,12 @@ ROW_FAULTS = {
                       "unknown style code 'XYZ' (expected one of ('OS', 'OT', 'SLC', 'W'))"),
     "reversed": (("SLC", "9", "2"), "annotation end 2 precedes start 9"),
     "negative": (("SLC", "-5", "2"), "negative start frame -5"),
+    # past 2**53 a frame is no longer an exact float; E[T] of 10**320
+    # overflows one
+    "past_2_53": (("SLC", "0", str(2**53)),
+                  f"frame {2**53} is past frame index 2**53"),
+    "past_float": (("SLC", "0", str(10**320)),
+                   f"frame {10**320} is past frame index 2**53"),
 }
 
 
@@ -369,8 +375,10 @@ def test_evaluate_bad_label_row_exits_1_with_one_line(
 
 
 def test_evaluate_reads_a_huge_interval_in_closed_form(analyzed_run, tmp_path):
+    # the largest interval a label may hold: counting its frames one by one
+    # would take 2**53 steps
     labels = tmp_path / "labels.csv"
-    labels.write_text(f"agent_id,style,start_frame,end_frame\nsubject,SLC,0,{10**20}\n")
+    labels.write_text(f"agent_id,style,start_frame,end_frame\nsubject,SLC,0,{2**53 - 1}\n")
     start = time.perf_counter()
     assert main([
         "evaluate", "--report", str(analyzed_run / "report.json"),
@@ -381,8 +389,8 @@ def test_evaluate_reads_a_huge_interval_in_closed_form(analyzed_run, tmp_path):
                   if a.agent_id == "subject"]
     t_sle = subject.styles[STYLE_OVERTAKE_LANE_CHANGE].t_sle
     (row,) = json.loads((tmp_path / "out" / "tde.json").read_text())["rows"]
-    # E[T] = 10**20 / 2 exactly; the report's frame rate is 10 Hz
-    assert row["mean_tde_s"] == abs((t_sle * 10.0 - 5e19) / 10.0)
+    # E[T] = (2**53 - 1) / 2 exactly; the report's frame rate is 10 Hz
+    assert row["mean_tde_s"] == abs((t_sle * 10.0 - 4503599627370495.5) / 10.0)
 
 
 @pytest.mark.parametrize(

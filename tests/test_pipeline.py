@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -355,6 +356,22 @@ def test_sparse_span_matches_oracle():
     report = analyze_table(table, params)
     assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
     assert all(a.windows for a in report.agents)
+
+
+def test_analysis_memory_follows_rows_not_frame_span():
+    # 60 rows over 2e6 frames at 10 Hz: the run spans about 400,000 window
+    # positions, and only the 12 that meet an agent may cost anything
+    table = table_from_tracks([(0, 30, 4.0, 0.0, 0), (2_000_000, 30, 2.0, 0.0, 0)], 10.0)
+    params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
+    tracemalloc.start()
+    try:
+        report = analyze_table(table, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5e6
+    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
+    assert [len(a.windows) for a in report.agents] == [6, 6]
 
 
 def test_rank_deficient_alpha_0_design_raises():
