@@ -21,7 +21,7 @@ import numpy as np
 from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import TrajectoryTable, read_source, write_text
+from .ingest import FRAME_LIMIT, TrajectoryTable, read_source, write_text
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
@@ -49,6 +49,9 @@ from .regression import fit  # noqa: F401
 from .styles import sle_sie  # noqa: F401
 
 SCHEMA_VERSION = "3"
+
+# rows per fit_solve call: bounds the stacked samples held at once
+_SOLVE_ROWS = 256
 
 
 @dataclass
@@ -94,14 +97,6 @@ def frame_windows(
             for start in range(lo, stop, stride_frames)]
 
 
-def _change_counts(values: np.ndarray) -> list[int]:
-    """Entry k: how many of samples 1..k differ in any bit from the one before."""
-    bits = values.view(np.int64)
-    changes = np.zeros(len(bits), dtype=np.int64)
-    np.cumsum(bits[1:] != bits[:-1], out=changes[1:])
-    return changes.tolist()
-
-
 @dataclass
 class RunReport:
     """Analysis output for one trajectory table."""
@@ -127,22 +122,15 @@ def analyze_table(
     ``series`` may carry precomputed centralities (from compute_series
     with the same mu/capacity) to avoid a second pass.
 
-    Each distinct piece of fit work is done once per call, and every
-    least-squares input is the one a per-window fit would build:
-    - the design (alpha, condition number, matrix) once per centered time
-      grid, so the alpha policy runs once per grid;
-    - the mean time, span and design lookup once per window slice
-      (first frame, sample count), which fixes the sample times;
-    - one solve per (slice, value) for a window whose samples are all
-      equal, shared by every agent and kind with that slice and value;
-      any other window gets its own solve.
-    ``fit_solve`` is a deterministic function of the design, mean time
-    and samples, so sharing changes no output bit. An agent visits
-    only the windows that overlap its frames: their index range comes
-    from its first and last frame, and no list of the run's windows is
-    built. The SLE/SIE maxima of all of an agent's windows come from one
-    ``sle_summaries`` call, in closed form. Raises ConditioningError when
-    a design is rank deficient at alpha = 0.
+    Each agent visits only the windows that overlap its frames, found
+    from its first and last frame. Every window's degree and closeness
+    samples are queued under its centered time grid, whose design is
+    built once (so the alpha policy runs once per grid); rows with equal
+    mean time and equal sample bits are queued once and share one
+    coefficient tuple. Then each grid's rows are solved ``_SOLVE_ROWS``
+    at a time by ``fit_solve``, and each agent's SLE/SIE maxima come
+    from one ``sle_summaries`` call. Raises ConditioningError when a
+    design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -150,34 +138,22 @@ def analyze_table(
     if series is None:
         series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
-    window_frames = max(POLY_DEGREE, int(round(params.window_s * f)))
-    stride_frames = max(1, int(round(params.effective_stride() * f)))
+    # clamped at FRAME_LIMIT, which no frame index reaches
+    window_frames = max(POLY_DEGREE, int(round(min(params.window_s * f, FRAME_LIMIT))))
+    stride_frames = max(1, int(round(min(params.effective_stride() * f, FRAME_LIMIT))))
     last = _first_reaching(lo, hi, window_frames, stride_frames)  # the run's last window
 
-    # kept for this call only: fit designs by centered time grid, window
-    # slices by (first frame, sample count), and constant-window fits by
-    # (first frame, sample count, value bytes)
-    designs: dict[bytes, tuple] = {}
+    # for this call only: per centered time grid its design, its rows and
+    # their index by (mean time, hash of the samples); per window slice
+    # (first frame, sample count) its (span, alpha, kappa), grid and mean time
+    grids: dict[bytes, tuple] = {}
     slices: dict[tuple[int, int], tuple] = {}
-    constant_fits: dict[tuple[int, int, bytes], tuple[float, float, float]] = {}
-
-    def window_fit(slice_key, solve, values, changes, i, j):
-        # samples i..j-1 are bit-equal iff no change is counted in i+1..j-1
-        if changes[j - 1] != changes[i]:
-            return fit_solve(*solve, values[i:j])
-        key = (*slice_key, values[i].tobytes())
-        coefficients = constant_fits.get(key)
-        if coefficients is None:
-            coefficients = constant_fits[key] = fit_solve(*solve, values[i:j])
-        return coefficients
-
-    reports = []
+    rows = []  # each queued row's (mean time, samples), then its coefficients
+    layout = []  # per agent: id, window heads, degree and closeness row numbers
     for agent_id in sorted(series):
         f0, clo, deg = series[agent_id]
         f1 = f0 + len(deg) - 1
-        deg_changes = _change_counts(deg)
-        clo_changes = _change_counts(clo)
-        heads, degree, closeness = [], [], []
+        heads, queued = [], []
         # the windows that meet frames f0..f1: from the first reaching f0
         # to the last starting at or before f1
         k0 = _first_reaching(lo, f0, window_frames, stride_frames)
@@ -187,35 +163,50 @@ def analyze_table(
             n = min(start + window_frames, f1) - first + 1
             if n < POLY_DEGREE + 1:
                 continue
-            slice_key = (first, n)
-            slice_fit = slices.get(slice_key)
+            slice_fit = slices.get((first, n))
             if slice_fit is None:
                 # frame / f: the sample times every per-window fit computes
                 t = np.arange(first, first + n) / f
                 t_bar = float(t.mean())
                 tc = t - t_bar
                 key = tc.tobytes()
-                design = designs.get(key)
-                if design is None:
-                    design = designs[key] = fit_design(tc, params.alpha_policy)
-                # (span, alpha, condition number), then what fit_solve takes
-                head = ((float(t[0]), float(t[-1])), design[0], design[1])
-                slice_fit = slices[slice_key] = (head, (design, t_bar))
-            head, solve = slice_fit
-            i = first - f0
-            j = i + n
+                grid = grids.get(key)
+                if grid is None:
+                    grid = grids[key] = (fit_design(tc, params.alpha_policy), [], {})
+                head = ((float(t[0]), float(t[-1])), *grid[0][:2])
+                slice_fit = slices[first, n] = (head, grid, t_bar)
+            head, (_, grid_rows, index), t_bar = slice_fit
             heads.append(head)
-            degree.append(window_fit(slice_key, solve, deg, deg_changes, i, j))
-            closeness.append(window_fit(slice_key, solve, clo, clo_changes, i, j))
-        spans = [span for span, _, _ in heads]
-        sle = sle_summaries(degree + closeness, spans + spans, f)
+            i = first - f0
+            for values in (deg, clo):
+                samples = values[i:i + n]
+                data = samples.tobytes()
+                row = index.setdefault((t_bar, hash(data)), len(rows))
+                # a hash shared by unequal samples only costs a solve
+                if row == len(rows) or rows[row][1].tobytes() != data:
+                    grid_rows.append(row := len(rows))
+                    rows.append((t_bar, samples))
+                queued.append(row)
+        layout.append((agent_id, heads, queued))
+
+    for design, grid_rows, _ in grids.values():
+        for b in range(0, len(grid_rows), _SOLVE_ROWS):
+            block = grid_rows[b:b + _SOLVE_ROWS]
+            t_bars, samples = zip(*[rows[r] for r in block])
+            for r, coefficients in zip(block, fit_solve(design, t_bars, np.stack(samples))):
+                rows[r] = coefficients
+    del grids, slices  # the row index above all: gone before the reports are built
+
+    reports = []
+    for agent_id, heads, queued in layout:
+        fits = [rows[r] for r in queued]  # degree, closeness, degree, ...
+        sle = sle_summaries(fits, [span for span, _, _ in heads for _ in (0, 1)], f)
         windows = [
             WindowAnalysis(*head, d, c, detect_weaving(c, head[0], params.epsilon_s))
-            for head, d, c in zip(heads, degree, closeness)
+            for head, d, c in zip(heads, fits[0::2], fits[1::2])
         ]
         reports.append(classify(
-            agent_id, windows, sle[: len(spans)], sle[len(spans):],
-            params.thresholds, params.epsilon_s,
+            agent_id, windows, sle[0::2], sle[1::2], params.thresholds, params.epsilon_s,
         ))
     return RunReport(frame_rate_hz=f, params=params, agents=reports)
 

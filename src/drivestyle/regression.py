@@ -1,12 +1,14 @@
 """Quadratic centrality polynomials fitted by regularized least squares.
 
 The minimizer of ||z - M b||^2 + alpha^2 ||b||^2 over a degree-2
-Vandermonde system is solved through an orthogonal factorization of the
+Vandermonde system is solved by LAPACK's SVD solver (gelsd) on the
 augmented system [M; alpha*I] rather than by inverting the normal
 equations, which is exactly what the raw-Vandermonde condition numbers
 punish. Sample times are centered before building M (this changes the
 conditioning, not the minimizer) and the coefficients are mapped back to
-the absolute-time basis afterwards.
+the absolute-time basis afterwards. All rows of samples on one time grid
+go to one call of numpy's lstsq gufunc, which runs gelsd once per row:
+the call ``np.linalg.lstsq`` makes for a single row, bit for bit.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
+from numpy.linalg import LinAlgError, _umath_linalg
 
 from .errors import (
     ConditioningError,
@@ -157,27 +160,32 @@ def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
     return alpha, kappa, np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
 
 
-def fit_solve(
-    design: tuple[float, float, np.ndarray],
-    t_bar: float,
-    values: np.ndarray,
-) -> tuple[float, float, float]:
-    """Solve one ``fit_design`` system for ``values`` sampled at t_bar + tc.
+def _svd_failed(err, flag):
+    raise LinAlgError("SVD did not converge in Linear Least Squares")
 
-    Returns the coefficients (b0, b1, b2), mapped back from the centered
-    basis to absolute time.
+
+def fit_solve(design: tuple, t_bars, rows: np.ndarray) -> list[tuple[float, float, float]]:
+    """Coefficients (b0, b1, b2) in absolute time of each row of ``rows`` (K x T).
+
+    Row k is sampled at t_bars[k] + tc and solved on ``design`` as
+    ``np.linalg.lstsq(A, row, rcond=None)`` solves it, bit for bit; an
+    SVD that does not converge raises LinAlgError, as it does there.
     """
-    alpha, _, a = design
-    rhs = values if alpha == 0.0 else np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
-    beta_c, *_ = np.linalg.lstsq(a, rhs, rcond=None)
-
-    c0, c1, c2 = beta_c.tolist()
+    a = design[2]
+    m, n = a.shape
+    b = np.zeros((len(rows), m, 1))  # zero targets for the alpha*I rows, if any
+    b[:, :rows.shape[1], 0] = rows
+    # numpy 1.x has one gufunc per shape and picks it as below
+    lstsq = getattr(_umath_linalg, "lstsq", None) or (
+        _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n)
+    with np.errstate(call=_svd_failed, invalid="call",
+                     over="ignore", divide="ignore", under="ignore"):
+        beta_c = lstsq(a, b, np.finfo(float).eps * max(m, n), signature="ddd->ddid")[0]
     # zeta(t) = c0 + c1*(t - t_bar) + c2*(t - t_bar)^2, expanded in t:
-    return (
-        c0 - c1 * t_bar + c2 * t_bar * t_bar,
-        c1 - 2.0 * c2 * t_bar,
-        c2,
-    )
+    return [
+        (c0 - c1 * t_bar + c2 * t_bar * t_bar, c1 - 2.0 * c2 * t_bar, c2)
+        for (c0, c1, c2), t_bar in zip(beta_c[:, :, 0].tolist(), t_bars)
+    ]
 
 
 def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
@@ -200,7 +208,7 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
     t_bar = float(t.mean())
     alpha, kappa, _ = design = fit_design(t - t_bar, policy)
     domain = (float(t.min()), float(t.max()))
-    return CentralityPolynomial(fit_solve(design, t_bar, z), domain, alpha, kappa)
+    return CentralityPolynomial(fit_solve(design, [t_bar], z[None])[0], domain, alpha, kappa)
 
 
 def fit(

@@ -5,9 +5,10 @@ paths one source at a time, by a binary-heap Dijkstra or by relaxation
 to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
-fits one window at a time, SLE/SIE maxima by sampling every frame,
-trajectory tables by reading a file one row at a time, and the expected
-maneuver frame by counting the annotators of every frame.
+fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
+maxima by sampling every frame, trajectory tables by reading a file one
+row at a time, and the expected maneuver frame by counting the
+annotators of every frame.
 """
 
 from __future__ import annotations
@@ -21,10 +22,10 @@ import numpy as np
 
 from conftest import records_table
 from drivestyle.centrality import compute_series
-from drivestyle.errors import InsufficientDataError, TrajectoryParseError, ValidationError
+from drivestyle.errors import TrajectoryParseError, ValidationError
 from drivestyle.ingest import AGENT_TYPES, AgentFrame, frame_index
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
-from drivestyle.regression import POLY_DEGREE, derivative, fit
+from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
 from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
 
 
@@ -317,12 +318,35 @@ def sampled_sle(poly, window, frame_rate_hz) -> SleSummary:
     )
 
 
+def lstsq_solve(design, t_bar, values):
+    """Absolute-time coefficients of one ``fit_design`` system by ``np.linalg.lstsq``.
+
+    ``values`` are sampled at t_bar + tc; the alpha*I rows get zero targets.
+    """
+    alpha, _, a = design
+    rhs = values if alpha == 0.0 else np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
+    c0, c1, c2 = np.linalg.lstsq(a, rhs, rcond=None)[0].tolist()
+    return (c0 - c1 * t_bar + c2 * t_bar * t_bar, c1 - 2.0 * c2 * t_bar, c2)
+
+
+def lstsq_fit(first_frame, values, alpha_policy, frame_rate_hz):
+    """One window's fit: ``fit_design``, then ``lstsq_solve``.
+
+    The samples sit at frames first_frame, first_frame + 1, ...
+    """
+    t = np.arange(first_frame, first_frame + len(values)) / frame_rate_hz
+    t_bar = float(t.mean())
+    alpha, kappa, _ = design = fit_design(t - t_bar, alpha_policy)
+    coefficients = lstsq_solve(design, t_bar, values)
+    return CentralityPolynomial(coefficients, (float(t[0]), float(t[-1])), alpha, kappa)
+
+
 def per_window_analyze(table, params=None, series=None):
     """``analyze_table`` one window at a time, sharing nothing between fits.
 
-    Each window gets its own slice of the series arrays, its own ``fit``
-    per kind (design, alpha selection and solve) and its own SLE/SIE
-    sampling.
+    Each window gets its own slice of the series arrays, its own
+    ``lstsq_fit`` per kind (design, alpha selection and solve) and its
+    own SLE/SIE sampling.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -345,11 +369,8 @@ def per_window_analyze(table, params=None, series=None):
             i, j = bisect_left(frames, w0), bisect_right(frames, w1)
             if j - i < POLY_DEGREE + 1:
                 continue
-            try:
-                deg_poly = fit(frames[i], deg[i:j], policy, f)
-                clo_poly = fit(frames[i], clo[i:j], policy, f)
-            except InsufficientDataError:
-                continue
+            deg_poly = lstsq_fit(frames[i], deg[i:j], policy, f)
+            clo_poly = lstsq_fit(frames[i], clo[i:j], policy, f)
             # the one record stores these once: both fits must agree on them
             shared = (deg_poly.domain, deg_poly.alpha, deg_poly.condition_number)
             assert shared == (clo_poly.domain, clo_poly.alpha, clo_poly.condition_number)

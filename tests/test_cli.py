@@ -525,6 +525,23 @@ def test_non_finite_parameter_exits_1_with_one_line(kind, analyzed_run, tmp_path
     assert message in err
 
 
+@pytest.mark.parametrize("option", ["--window", "--stride"])
+def test_huge_window_or_stride_acts_as_one_longer_than_the_run(
+    option, analyzed_run, tmp_path, capsys
+):
+    # 1e308 s at 10 Hz has no integer frame count; the count is clamped at
+    # 2**53, past every frame index, and once ended in an OverflowError
+    def agent_windows(value):
+        out = tmp_path / value
+        assert main(["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                     "--frame-rate", "10", option, value, "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        return [(agent["agent_id"], agent["windows"]) for agent in report["agents"]]
+
+    assert agent_windows("1e308") == agent_windows("1e6")
+    assert "Traceback" not in capsys.readouterr().err
+
+
 # (header, row 3, message): a non-finite or overflowing value in a
 # trajectory row, which once escaped as a traceback or was accepted
 NON_FINITE_ROWS = {

@@ -1,6 +1,7 @@
 import importlib.util
 import json
 import tracemalloc
+from collections import defaultdict
 from pathlib import Path
 
 import numpy as np
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from conftest import make_frame, make_table, records_table
 from drivestyle.centrality import compute_series
+from drivestyle import pipeline
 from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
 from drivestyle.pipeline import (
     AnalysisParams,
@@ -18,7 +20,7 @@ from drivestyle.pipeline import (
     report_from_json,
     report_to_json,
 )
-from drivestyle.regression import FixedAlpha, GridSearchAlpha
+from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_solve
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
@@ -292,7 +294,23 @@ def test_constant_degree_windows_match_oracle_exactly():
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
 
-def test_each_distinct_window_fit_is_solved_once(monkeypatch):
+def solved_rows(monkeypatch):
+    """Patch ``pipeline.fit_solve`` to log each call's (time grid, row count).
+
+    A call's grid is its design's centered times, the first T entries of
+    the Vandermonde matrix's t column.
+    """
+    calls = []
+
+    def counted(design, t_bars, rows):
+        calls.append((design[2][: rows.shape[1], 1].tobytes(), len(rows)))
+        return fit_solve(design, t_bars, rows)
+
+    monkeypatch.setattr(pipeline, "fit_solve", counted)
+    return calls
+
+
+def parked_and_movers():
     # five parked agents, each alone on its own road (degree and closeness
     # 0.0 throughout, entering at two different frames), plus three movers
     # that overtake one another on the main road
@@ -301,39 +319,53 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     movers = [(0, 60, 4.0, 0.0, 0), (0, 60, 1.0, 8.0, 0), (12, 40, 0.0, 20.0, 0)]
     table = table_from_tracks(parked + movers, 10.0)
     params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
+    return table, params
+
+
+def test_each_distinct_window_fit_is_solved_once(monkeypatch):
+    table, params = parked_and_movers()
     expected = report_to_json(per_window_analyze(table, params))
 
-    # what a per-window fit solves, told apart by whether its samples are equal
+    # what the per-window fits solve, by centered time grid: rows with
+    # equal mean time and equal sample bits are one distinct row
     series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
-    shared, own, windows = set(), 0, 0
+    distinct, windows = defaultdict(set), 0
     for f0, clo, deg in series.values():
         for w0, w1 in frame_windows(lo, hi, 10, 5):
+            first, last = max(w0, f0), min(w1, f0 + len(deg) - 1)
+            if last - first + 1 < 3:
+                continue
+            t = np.arange(first, last + 1) / 10.0
+            grid = (t - t.mean()).tobytes()
             for s in (clo, deg):
-                samples = [
-                    (k, v) for k, v in enumerate(s.tolist(), f0) if w0 <= k <= w1
-                ]
-                if len(samples) < 3:
-                    continue
                 windows += 1
-                values = {v for _, v in samples}
-                if len(values) == 1:
-                    shared.add((samples[0][0], len(samples), values.pop()))
-                else:
-                    own += 1
+                distinct[grid].add((t.mean(), s[first - f0:last - f0 + 1].tobytes()))
 
-    calls = []
-    lstsq = np.linalg.lstsq
-
-    def counted_lstsq(*args, **kwargs):
-        calls.append(args)
-        return lstsq(*args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "lstsq", counted_lstsq)
+    calls = solved_rows(monkeypatch)
     report = analyze_table(table, params)
-    monkeypatch.undo()
     assert report_to_json(report) == expected
-    assert own > 0 and len(calls) == len(shared) + own < windows / 2
+    solved = defaultdict(int)
+    for grid, rows in calls:
+        solved[grid] += rows
+    assert solved == {grid: len(rows) for grid, rows in distinct.items()}
+    # one call per grid at the default block size
+    assert len(calls) == len(distinct) and sum(solved.values()) < windows / 2
+
+
+def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
+    table, params = parked_and_movers()
+    expected = report_to_json(analyze_table(table, params))
+    calls = solved_rows(monkeypatch)
+    monkeypatch.setattr(pipeline, "_SOLVE_ROWS", 3)
+    assert report_to_json(analyze_table(table, params)) == expected
+    per_grid = defaultdict(list)
+    for grid, rows in calls:
+        per_grid[grid].append(rows)
+    # every block full but a grid's last, and some grid needs several
+    assert all(rows[:-1] == [3] * (len(rows) - 1) and 0 < rows[-1] <= 3
+               for rows in per_grid.values())
+    assert max(len(rows) for rows in per_grid.values()) > 2
 
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():

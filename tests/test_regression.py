@@ -1,6 +1,12 @@
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from numpy.linalg import LinAlgError, _umath_linalg
 
+from drivestyle import regression
 from drivestyle.errors import (
     ConditioningError,
     InsufficientDataError,
@@ -12,11 +18,13 @@ from drivestyle.regression import (
     condition_diagnostics,
     derivative,
     fit,
+    fit_design,
     fit_samples,
+    fit_solve,
     gram_condition,
     vandermonde,
 )
-from oracles import central_difference
+from oracles import central_difference, lstsq_solve
 
 
 def test_exact_quadratic_recovery():
@@ -180,3 +188,90 @@ def test_reported_condition_number_is_regularized():
         gram_condition(vandermonde(t - t.mean()), 1.0)
     )
     assert poly.alpha == 1.0
+
+
+# repeated values, signed zeros, magnitudes from 1e-12 to 1e9, and NaN;
+# a row holding NaN gets what np.linalg.lstsq gives it (NaN coefficients
+# where LAPACK's SVD of the design converges, LinAlgError where it fails)
+SAMPLES = st.sampled_from([0.0, -0.0, 1.0, 2.0, 1e-12, -1e-12, 1e9, -1e9, float("nan")]) | (
+    st.floats(-1e9, 1e9, allow_nan=False)
+)
+
+
+def bits(values):
+    return np.array(values, dtype=float).view(np.int64).tolist()
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    t_count=st.integers(3, 64),
+    first=st.integers(0, 10**6),
+    rate=st.sampled_from([1.0, 10.0]),
+    alpha=st.sampled_from([0.0, 1e-3, 0.5]),
+    data=st.data(),
+)
+def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alpha, data):
+    t = np.arange(first, first + t_count) / rate
+    design = fit_design(t - t.mean(), FixedAlpha(alpha))
+    count = data.draw(st.integers(1, 5))
+    rows = np.array(data.draw(st.lists(
+        st.lists(SAMPLES, min_size=t_count, max_size=t_count), min_size=count, max_size=count
+    )))
+    t_bars = data.draw(st.lists(
+        st.sampled_from([float(t.mean()), 0.0]) | st.floats(-1e6, 1e6), min_size=count,
+        max_size=count,
+    ))
+    expected = []
+    for t_bar, row in zip(t_bars, rows):
+        try:
+            expected.append(bits(lstsq_solve(design, t_bar, row)))
+        except LinAlgError:
+            expected.append(LinAlgError)
+    if LinAlgError in expected:
+        with pytest.raises(LinAlgError):
+            fit_solve(design, t_bars, rows)
+    else:
+        assert [bits(c) for c in fit_solve(design, t_bars, rows)] == expected
+
+
+def test_nan_rows_and_unconverged_svd_behave_as_lstsq():
+    t = np.arange(6.0)
+    alpha, kappa, a = design = fit_design(t - t.mean(), FixedAlpha(0.0))
+    rows = np.ones((2, 6))
+    rows[1, 3] = np.nan
+    try:
+        expected = [bits(lstsq_solve(design, 2.5, row)) for row in rows]
+    except LinAlgError:
+        with pytest.raises(LinAlgError):
+            fit_solve(design, [2.5, 2.5], rows)
+    else:
+        assert [bits(c) for c in fit_solve(design, [2.5, 2.5], rows)] == expected
+    # a design holding NaN: gelsd's SVD fails, and np.linalg.lstsq raises
+    a = a.copy()
+    a[2, 1] = np.nan
+    with pytest.raises(LinAlgError):
+        lstsq_solve((alpha, kappa, a), 2.5, np.ones(6))
+    with pytest.raises(LinAlgError, match="SVD did not converge"):
+        fit_solve((alpha, kappa, a), [2.5], np.ones((1, 6)))
+
+
+def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
+    # numpy 1.x has no ``lstsq`` gufunc but one per shape: lstsq_m for an
+    # m x n system with m <= n, lstsq_n otherwise
+    picked = []
+
+    def named(name):
+        def gufunc(*args, **kwargs):
+            picked.append(name)
+            return _umath_linalg.lstsq(*args, **kwargs)
+        return gufunc
+
+    if not hasattr(_umath_linalg, "lstsq"):
+        pytest.skip("numpy 1.x: the per-shape gufuncs are the real ones")
+    cases = [(np.arange(float(t_count)), alpha)
+             for t_count, alpha in ((3, 0.0), (4, 0.0), (3, 1e-3))]
+    expected = [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases]
+    monkeypatch.setattr(regression, "_umath_linalg",
+                        SimpleNamespace(lstsq_m=named("m"), lstsq_n=named("n")))
+    assert [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases] == expected
+    assert picked == ["m", "n", "n"]
