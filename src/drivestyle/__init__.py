@@ -43,9 +43,9 @@ from .sim import (
     DriverParams,
     ManeuverLabel,
     ScenarioConfig,
-    SimAgent,
     SpawnSpec,
     idm_acceleration,
+    idm_law,
     mobil_decision,
     run_scenario,
     step,

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import TrajectoryTable, write_text
+from .ingest import _CHUNK_LINES, TrajectoryTable, float_texts, write_text
 
 # Not called here: the per-frame forms of ``compute_series``.
 # perfbench/tracer.py wraps the layer names this module exposes, these two
@@ -286,11 +286,24 @@ def compute_series(
 
 
 def series_to_csv(series_map, dest=None) -> str:
-    """Flatten series to ``frame,agent_id,kind,value`` CSV for plotting."""
-    lines = ["frame,agent_id,kind,value"]
-    for agent_id in sorted(series_map):
+    """Flatten series to ``frame,agent_id,kind,value`` CSV for plotting.
+
+    Agents come in id order, each with its closeness rows, then its
+    degree rows. Whole agents are formatted about ``_CHUNK_LINES`` rows
+    at a time, each chunk's values by ``float_texts``.
+    """
+    parts, chunk, rows = ["frame,agent_id,kind,value\n"], [], 0
+    agents = sorted(series_map)
+    for k, agent_id in enumerate(agents, 1):
         first, clo, deg = series_map[agent_id]
-        for kind, values in (("closeness", clo), ("degree", deg)):
-            for t, v in enumerate(values.tolist(), first):
-                lines.append(f"{t},{agent_id},{kind},{v!r}")
-    return write_text(dest, "\n".join(lines) + "\n", "centrality series")
+        chunk += [(first, f",{agent_id},closeness,", clo), (first, f",{agent_id},degree,", deg)]
+        rows += len(clo) + len(deg)
+        if rows >= _CHUNK_LINES or k == len(agents):
+            texts = iter(float_texts(np.concatenate([values for *_, values in chunk])))
+            parts.append("".join([
+                f"{t}{middle}{next(texts)}\n"
+                for f0, middle, values in chunk
+                for t in range(f0, f0 + len(values))
+            ]))
+            chunk, rows = [], 0
+    return write_text(dest, "".join(parts), "centrality series")

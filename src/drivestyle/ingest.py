@@ -27,7 +27,7 @@ import os
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 from itertools import groupby, islice, repeat
 from operator import itemgetter
 from types import MappingProxyType
@@ -61,8 +61,8 @@ FRAME_LIMIT = 2.0**53
 # several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# Body lines split into cells at a time: bounds the parser's transient
-# memory to one chunk's strings.
+# Lines parsed, or written, at a time: bounds the transient memory of the
+# parser and of the CSV writers to one chunk's strings.
 _CHUNK_LINES = 4096
 
 
@@ -316,9 +316,16 @@ def yaml_record(cls, mapping, keys: dict, what: str):
     for key, (name, read) in keys.items():
         if key in mapping:
             arguments[name] = read(mapping[key], key)
-        elif inspect.signature(cls).parameters[name].default is inspect.Parameter.empty:
+        elif name in _required_arguments(cls):
             raise KeyError(key)
     return cls(**arguments)
+
+
+@cache
+def _required_arguments(cls) -> frozenset[str]:
+    """The names of ``cls``'s arguments without a default."""
+    arguments = inspect.signature(cls).parameters.values()
+    return frozenset(a.name for a in arguments if a.default is a.empty)
 
 
 def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
@@ -358,7 +365,8 @@ def parse_trajectories(
        position, a non-finite velocity: TrajectoryParseError at its line;
     3. the first agent, in order of first appearance, whose timestamps
        do not strictly increase (naming the line) or, failing that, whose
-       frame indices do not form a contiguous run: ValidationError;
+       frame indices do not form a contiguous run: ValidationError, which
+       names the line of the second of two rows on one frame;
     4. a stream without a header or without data rows: ValidationError.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
@@ -480,6 +488,12 @@ def parse_trajectories(
                 f"line {_line_no(lines, start, order[r + 1])})"
             )
         r = k[skip & mine][0]
+        if frames[r + 1] == frames[r]:
+            raise ValidationError(
+                f"agent {agents[agent]!r}: timestamps {float(ts[r])} and "
+                f"{float(ts[r + 1])} both fall on frame {frames[r]} at {frame_rate_hz} Hz "
+                f"(line {_line_no(lines, start, order[r + 1])}); one row per frame"
+            )
         raise ValidationError(
             f"agent {agents[agent]!r}: frame indices must form a contiguous run "
             f"(got {frames[r]} then {frames[r + 1]}); departed agents may not reappear"
@@ -521,22 +535,37 @@ def _line_no(lines: list[str], header: int, row: int) -> int:
     return next(islice(data, int(row), None))
 
 
+def float_texts(values: np.ndarray) -> list[str]:
+    """``repr`` of each float64 value, as ``list(map(repr, values.tolist()))``.
+
+    Where at most half the values are distinct, each distinct bit pattern
+    is formatted once: ``repr`` of a 17-digit double is the writers' main
+    cost, and columns such as timestamps or degrees repeat. The patterns
+    are told apart as int64, so 0.0 and -0.0 stay apart.
+    """
+    values = np.asarray(values, dtype=np.float64)
+    bits, where = np.unique(values.view(np.int64), return_inverse=True)
+    if 2 * len(bits) > len(values):
+        return list(map(repr, values.tolist()))
+    texts = list(map(repr, bits.view(np.float64).tolist()))
+    return list(map(texts.__getitem__, where.tolist()))
+
+
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
     """Write a table back to the CSV record format (velocities included).
 
     Returns the text; when ``dest`` is a path the text is also written
     there. Floats are written as ``repr`` text, so parsing the text of a
-    parsed file gives back the same rows.
+    parsed file gives back the same rows. Rows are formatted
+    ``_CHUNK_LINES`` at a time, each chunk's floats by ``float_texts``.
     """
-    rows = map(
-        "{!r},{},{},{!r},{!r},{!r},{!r}".format,
-        table.timestamp.tolist(),
-        map(table.agent_ids.__getitem__, table.agent.tolist()),
-        table.agent_type.tolist(),
-        table.x.tolist(),
-        table.y.tolist(),
-        table.vx.tolist(),
-        table.vy.tolist(),
-    )
-    text = "\n".join(["timestamp,agent_id,agent_type,x,y,vx,vy", *rows]) + "\n"
-    return write_text(dest, text, "trajectories")
+    parts = ["timestamp,agent_id,agent_type,x,y,vx,vy\n"]
+    for lo in range(0, len(table.frame), _CHUNK_LINES):
+        rows = slice(lo, lo + _CHUNK_LINES)
+        ts, x, y, vx, vy = (
+            float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
+        )
+        agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
+        lines = map(",".join, zip(ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy))
+        parts.append("\n".join(lines) + "\n")
+    return write_text(dest, "".join(parts), "trajectories")

@@ -15,8 +15,9 @@ seed) pairs produce identical output bytes.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right, insort
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from typing import NamedTuple
 
 import numpy as np
 import yaml
@@ -58,16 +59,8 @@ class DriverParams:
     b_safe: float  # deceleration limit imposed on the new follower, m/s^2
 
     def __post_init__(self):
-        positives = {
-            "v0": self.v0,
-            "T_gap": self.T_gap,
-            "s0": self.s0,
-            "a_max": self.a_max,
-            "b_comf": self.b_comf,
-            "b_safe": self.b_safe,
-        }
-        for name, value in positives.items():
-            require_positive(value, name)
+        for name in ("v0", "T_gap", "s0", "a_max", "b_comf", "b_safe"):
+            require_positive(getattr(self, name), name)
         if not 0.0 <= self.politeness <= 1.0:
             raise ValidationError(f"politeness must lie in [0, 1], got {self.politeness}")
         require_non_negative(self.delta_a_th, "delta_a_th")
@@ -85,44 +78,6 @@ CLASS_PARAMS = {
     CLASS_CONSERVATIVE: CONSERVATIVE_PARAMS,
     CLASS_AGGRESSIVE: AGGRESSIVE_PARAMS,
 }
-
-
-@dataclass
-class LaneChangeState:
-    from_lane: int
-    to_lane: int
-    progress: float = 0.0  # fraction of the transition completed
-
-
-@dataclass
-class SimAgent:
-    """Mutable state of one simulated vehicle."""
-
-    agent_id: str
-    vehicle_class: str
-    lane: int
-    x: float
-    speed: float
-    params: DriverParams
-    longitudinal: str = MODE_IDM
-    mobil_enabled: bool = True
-    lane_change: LaneChangeState | None = None
-
-    def lateral_y(self, lane_width: float) -> float:
-        if self.lane_change is None:
-            return self.lane * lane_width
-        lc = self.lane_change
-        blend = 0.5 * (1.0 - math.cos(math.pi * lc.progress))
-        return (lc.from_lane + (lc.to_lane - lc.from_lane) * blend) * lane_width
-
-    def lateral_rate(self, lane_width: float, duration: float) -> float:
-        if self.lane_change is None:
-            return 0.0
-        lc = self.lane_change
-        return (
-            (lc.to_lane - lc.from_lane) * lane_width
-            * math.pi / (2.0 * duration) * math.sin(math.pi * lc.progress)
-        )
 
 
 @dataclass(frozen=True)
@@ -244,228 +199,261 @@ class ScenarioConfig:
                 )
 
 
+def idm_law(params: DriverParams) -> tuple[float, ...]:
+    """A driver's car-following inputs, as ``idm_acceleration`` takes them.
+
+    ``(v0, a_max, b_comf, s0, T_gap, 2 sqrt(a_max b_comf))``: the root is
+    taken once per driver, the same bits as taking it in every call.
+    """
+    p = params
+    return (p.v0, p.a_max, p.b_comf, p.s0, p.T_gap, 2.0 * math.sqrt(p.a_max * p.b_comf))
+
+
 def idm_acceleration(
-    ego: SimAgent,
-    leader: SimAgent | None,
-    collisions: list[CollisionEvent] | None = None,
-    frame: int = 0,
+    law: tuple[float, ...], speed: float, gap: float | None = None, lead_speed: float = 0.0
 ) -> float:
     """Car-following acceleration: free-road term minus interaction term.
 
-    A non-positive gap is a collision: it is appended to the scenario log
-    and answered with the emergency deceleration -b_comf so the run can
-    continue.
+    ``law`` is the driver's ``idm_law``, ``gap`` the bumper-to-bumper
+    distance to the leader (None on a free road) and ``lead_speed`` the
+    leader's speed. A non-positive gap is a collision, answered with the
+    emergency deceleration -b_comf so the run can continue (``step``
+    logs it). The powers are Python's ``**``: numpy's ``power`` differs
+    from it in the last bit on some values.
     """
-    p = ego.params
-    free = 1.0 - (ego.speed / p.v0) ** 4
-    if leader is None:
-        return p.a_max * free
-    gap = leader.x - ego.x - VEHICLE_LENGTH_M
+    v0, a_max, b_comf, s0, t_gap, root = law
+    free = 1.0 - (speed / v0) ** 4
+    if gap is None:
+        return a_max * free
     if gap <= 0.0:
-        if collisions is not None:
-            collisions.append(CollisionEvent(frame, ego.agent_id, leader.agent_id))
-        return -p.b_comf
-    dv = ego.speed - leader.speed
-    s_star = p.s0 + ego.speed * p.T_gap + ego.speed * dv / (
-        2.0 * math.sqrt(p.a_max * p.b_comf)
-    )
-    return p.a_max * (free - (s_star / gap) ** 2)
+        return -b_comf
+    s_star = s0 + speed * t_gap + speed * (speed - lead_speed) / root
+    return a_max * (free - (s_star / gap) ** 2)
 
 
-@dataclass(frozen=True)
-class MobilDecision:
+class MobilDecision(NamedTuple):
     approved: bool
     safety_ok: bool
     incentive: float
     new_follower_acceleration: float  # the deceleration imposed in the target lane
 
 
+def _follow(back, front) -> float:
+    """``idm_acceleration`` of car ``back`` behind ``front`` (None: free road)."""
+    if front is None:
+        return idm_acceleration(back[2], back[1])
+    return idm_acceleration(back[2], back[1], front[0] - back[0] - VEHICLE_LENGTH_M, front[1])
+
+
 def mobil_decision(
-    ego: SimAgent,
-    current_leader: SimAgent | None,
-    current_follower: SimAgent | None,
-    target_leader: SimAgent | None,
-    target_follower: SimAgent | None,
+    params: DriverParams, ego, current_leader, current_follower, target_leader, target_follower
 ) -> MobilDecision:
     """Approve a lane change iff it is safe and worth the bother.
 
-    Safety: the would-be follower in the target lane must not be forced
-    below -b_safe. Incentive: the ego acceleration gain plus the
-    politeness-weighted gains of both affected followers must exceed the
-    ego's threshold. All accelerations come from the car-following law
-    evaluated on the hypothetical arrangement. Non-positive insertion
-    gaps are rejected outright as unsafe.
+    A car is ``(x, speed, idm_law)``, or None where the neighbour is
+    absent; ``params`` are the ego's. Safety: the would-be follower in
+    the target lane must not be forced below -b_safe. Incentive: the ego
+    acceleration gain plus the politeness-weighted gains of both affected
+    followers must exceed the ego's threshold. All accelerations come
+    from the car-following law evaluated on the hypothetical arrangement.
+    Non-positive insertion gaps are rejected outright as unsafe.
     """
-    p = ego.params
-    feasible = True
-    if target_leader is not None and target_leader.x - ego.x - VEHICLE_LENGTH_M <= 0:
-        feasible = False
-    if target_follower is not None and ego.x - target_follower.x - VEHICLE_LENGTH_M <= 0:
-        feasible = False
-    if not feasible:
-        return MobilDecision(
-            approved=False,
-            safety_ok=False,
-            incentive=float("-inf"),
-            new_follower_acceleration=float("-inf"),
-        )
+    if (target_leader is not None and target_leader[0] - ego[0] - VEHICLE_LENGTH_M <= 0) or (
+        target_follower is not None and ego[0] - target_follower[0] - VEHICLE_LENGTH_M <= 0
+    ):
+        return MobilDecision(False, False, -math.inf, -math.inf)
 
-    a_ego = idm_acceleration(ego, current_leader)
-    a_ego_new = idm_acceleration(ego, target_leader)
-    gain_ego = a_ego_new - a_ego
-
+    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
+    a_n = a_n_new = a_o = a_o_new = 0.0
     if target_follower is not None:
-        a_n = idm_acceleration(target_follower, target_leader)
-        a_n_new = idm_acceleration(target_follower, ego)
-    else:
-        a_n = a_n_new = 0.0
+        a_n, a_n_new = _follow(target_follower, target_leader), _follow(target_follower, ego)
     if current_follower is not None:
-        a_o = idm_acceleration(current_follower, ego)
-        a_o_new = idm_acceleration(current_follower, current_leader)
-    else:
-        a_o = a_o_new = 0.0
-
-    safety_ok = target_follower is None or a_n_new >= -p.b_safe
-    incentive = gain_ego + p.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
+        a_o, a_o_new = _follow(current_follower, ego), _follow(current_follower, current_leader)
+    safety_ok = target_follower is None or a_n_new >= -params.b_safe
+    incentive = gain_ego + params.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
+    new_follower = math.inf if target_follower is None else a_n_new
     return MobilDecision(
-        approved=safety_ok and incentive > p.delta_a_th,
-        safety_ok=safety_ok,
-        incentive=incentive,
-        new_follower_acceleration=a_n_new if target_follower is not None else math.inf,
+        safety_ok and incentive > params.delta_a_th, safety_ok, incentive, new_follower
     )
 
 
 @dataclass
 class World:
-    """One running scenario: agents, clock, collision log."""
+    """One running scenario: per-agent list columns in spawn order, clock, collision log.
+
+    ``law`` holds each agent's ``idm_law``; ``mobil`` whether lane-change
+    decisions are its own (an IDM agent with MOBIL on). ``lane_change``
+    maps the position of each agent mid-change to its (from lane,
+    progress); its ``lane`` is already the target lane, which
+    car-following commits to at once. ``scripts`` maps a frame to its
+    scripted changes, {position: target lane}.
+    """
 
     config: ScenarioConfig
-    agents: list[SimAgent]
+    ids: list[str]
+    x: list[float]
+    speed: list[float]
+    lane: list[int]
+    params: list[DriverParams]
+    law: list[tuple[float, ...]]
+    cruise: list[bool]
+    mobil: list[bool]
+    scripts: dict[int, dict[int, int]]
+    lane_change: dict[int, tuple[int, float]] = field(default_factory=dict)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
 
-    def __post_init__(self):
-        self._scripts = {
-            (s.agent_id, s.frame): s.target_lane
-            for s in self.config.lane_change_scripts
-        }
+
+# Neighbour lookup. Each lane holds its agents' x in increasing order, and
+# their positions in the agent list, ties in list order: a scan of the
+# agent list answers the same. The leader is the nearest agent strictly
+# ahead, the first of the next larger x; the follower the nearest other
+# agent at or behind, the earliest in list order.
 
 
-class LaneIndex:
-    """Every agent as a sorted (lane, x, position in the agent list) key.
+def _lanes(lane: list[int], x: list[float], lane_count: int):
+    """(xs, ps) per lane: the x of its agents in increasing order, and their positions."""
+    ps: list[list[int]] = [[] for _ in range(lane_count)]
+    for pos, k in enumerate(lane):
+        ps[k].append(pos)
+    for members in ps:
+        members.sort(key=x.__getitem__)  # stable: ties stay in list order
+    return [[x[pos] for pos in members] for members in ps], ps
 
-    Answers the same leader and follower as a scan of the agent list in
-    order: the leader is the nearest agent strictly ahead, the follower
-    the nearest at or behind ego, and ties go to the earlier agent.
+
+def _leader(xs: list[float], ps: list[int], x: float) -> int | None:
+    """Position of the nearest agent of a lane strictly ahead of ``x``."""
+    k = bisect_right(xs, x)
+    return ps[k] if k < len(xs) else None
+
+
+def _follower(xs: list[float], ps: list[int], x: float, pos: int) -> int | None:
+    """Position of the nearest agent of a lane at or behind ``x``, other than ``pos``."""
+    end = bisect_right(xs, x)
+    while end:
+        # the agents at the largest x left, in list order; ego is at most one
+        start = bisect_left(xs, xs[end - 1], 0, end)
+        if ps[start] != pos:
+            return ps[start]
+        if start + 1 < end:
+            return ps[start + 1]
+        end = start
+    return None
+
+
+def _refile(lanes, pos: int, x: float, from_lane: int, to_lane: int) -> None:
+    """Move the agent at ``pos`` from one lane's lists to another's.
+
+    Among the agents at ``x``, it is found, and goes, by its position.
     """
-
-    def __init__(self, agents: list[SimAgent]):
-        self.agents = agents
-        self.keys = sorted([(a.lane, a.x, pos) for pos, a in enumerate(agents)])
-
-    def leader(self, pos: int, lane: int) -> SimAgent | None:
-        """Nearest agent in ``lane`` strictly ahead of the agent at ``pos``."""
-        keys = self.keys
-        ahead = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
-        if ahead < len(keys) and keys[ahead][0] == lane:
-            return self.agents[keys[ahead][2]]
-        return None
-
-    def follower(self, pos: int, lane: int) -> SimAgent | None:
-        """Nearest other agent in ``lane`` at or behind the agent at ``pos``."""
-        keys = self.keys
-        end = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
-        while end > 0 and keys[end - 1][0] == lane:
-            # the keys sharing the largest x left, in list order; ego is at
-            # most one of them
-            start = bisect_left(keys, (lane, keys[end - 1][1], -1), 0, end)
-            if keys[start][2] != pos:
-                return self.agents[keys[start][2]]
-            if start + 1 < end:
-                return self.agents[keys[start + 1][2]]
-            end = start
-        return None
-
-    def move(self, pos: int, from_lane: int) -> None:
-        """Re-file the agent at ``pos`` after its lane changed."""
-        agent = self.agents[pos]
-        del self.keys[bisect_left(self.keys, (from_lane, agent.x, pos))]
-        insort(self.keys, (agent.lane, agent.x, pos))
+    xs, ps = lanes[0][from_lane], lanes[1][from_lane]
+    k = bisect_left(ps, pos, bisect_left(xs, x), bisect_right(xs, x))
+    del xs[k], ps[k]
+    xs, ps = lanes[0][to_lane], lanes[1][to_lane]
+    k = bisect_left(ps, pos, bisect_left(xs, x), bisect_right(xs, x))
+    xs.insert(k, x)
+    ps.insert(k, pos)
 
 
-def _begin_lane_change(agent: SimAgent, target_lane: int) -> None:
-    current = agent.lane_change.from_lane if agent.lane_change else agent.lane
-    agent.lane_change = LaneChangeState(from_lane=current, to_lane=target_lane)
-    agent.lane = target_lane  # car-following commits to the target lane at once
+def _leaders(lanes, n: int) -> list[int | None]:
+    """Every agent's leader in its own lane, by one walk down each lane."""
+    leaders: list[int | None] = [None] * n
+    for xs, ps in zip(*lanes):
+        ahead = None
+        for k in range(len(xs) - 1, 0, -1):
+            if xs[k] != xs[k - 1]:
+                ahead = ps[k]
+            leaders[ps[k - 1]] = ahead
+    return leaders
+
+
+def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
+    world.lane_change[pos] = (world.lane_change.get(pos, (world.lane[pos],))[0], 0.0)
+    world.lane[pos] = target_lane
+
+
+def _mobil_pass(world: World, lanes) -> None:
+    """Lane-change decisions in agent order; an approval re-files the agent."""
+    x, speed, lane, law = world.x, world.speed, world.lane, world.law
+    xs, ps = lanes
+    lane_count = world.config.lane_count
+
+    def car(pos):
+        return None if pos is None else (x[pos], speed[pos], law[pos])
+
+    for pos, decides in enumerate(world.mobil):
+        if not decides or pos in world.lane_change:
+            continue
+        at, own, params = x[pos], lane[pos], world.params[pos]
+        ego = car(pos)
+        cur_leader = car(_leader(xs[own], ps[own], at))
+        cur_follower = car(_follower(xs[own], ps[own], at, pos))
+        best: tuple[MobilDecision, int] | None = None
+        for target in (own - 1, own + 1):
+            if not 0 <= target < lane_count:
+                continue
+            decision = mobil_decision(
+                params, ego, cur_leader, cur_follower,
+                car(_leader(xs[target], ps[target], at)),
+                car(_follower(xs[target], ps[target], at, pos)),
+            )
+            if decision.approved and (best is None or decision.incentive > best[0].incentive):
+                best = (decision, target)
+        if best is not None:
+            decision, target = best
+            # internal invariant: an approved change is a safe change
+            assert decision.safety_ok
+            assert decision.new_follower_acceleration >= -params.b_safe
+            assert decision.incentive > params.delta_a_th
+            _begin_lane_change(world, pos, target)
+            _refile(lanes, pos, at, own, target)
 
 
 def step(world: World, dt: float) -> World:
     """Advance the world one timestep, in place.
 
     Order per frame: scripted lane changes, lane-change decisions at the
-    decision period, one batch of accelerations from the pre-step state,
-    then the Euler position/speed update and lateral progress.
+    decision period, one batch of accelerations from the pre-step state
+    (collisions logged in agent order), then the Euler position/speed
+    update and lateral progress.
     """
     cfg = world.config
     if abs(dt - cfg.timestep_s) > 1e-12:
         raise ValidationError(
             f"dt {dt} does not match the scenario timestep {cfg.timestep_s}"
         )
+    lane = world.lane
+    for pos, target in world.scripts.get(world.frame, {}).items():
+        if target != lane[pos]:
+            _begin_lane_change(world, pos, target)
 
-    for agent in world.agents:
-        target = world._scripts.get((agent.agent_id, world.frame))
-        if target is not None and target != agent.lane:
-            _begin_lane_change(agent, target)
+    lanes = _lanes(lane, world.x, cfg.lane_count)
+    if world.frame % max(1, int(round(cfg.mobil_period_s / dt))) == 0:
+        _mobil_pass(world, lanes)
 
-    lanes = LaneIndex(world.agents)
-    mobil_stride = max(1, int(round(cfg.mobil_period_s / dt)))
-    if world.frame % mobil_stride == 0:
-        for pos, agent in enumerate(world.agents):
-            if (
-                agent.longitudinal != MODE_IDM
-                or not agent.mobil_enabled
-                or agent.lane_change is not None
-            ):
-                continue
-            cur_leader = lanes.leader(pos, agent.lane)
-            cur_follower = lanes.follower(pos, agent.lane)
-            best: tuple[float, int, MobilDecision] | None = None
-            for target in (agent.lane - 1, agent.lane + 1):
-                if not 0 <= target < cfg.lane_count:
-                    continue
-                t_leader = lanes.leader(pos, target)
-                t_follower = lanes.follower(pos, target)
-                decision = mobil_decision(
-                    agent, cur_leader, cur_follower, t_leader, t_follower
-                )
-                if decision.approved and (best is None or decision.incentive > best[0]):
-                    best = (decision.incentive, target, decision)
-            if best is not None:
-                _, target, decision = best
-                # internal invariant: an approved change is a safe change
-                assert decision.safety_ok
-                assert decision.new_follower_acceleration >= -agent.params.b_safe
-                assert decision.incentive > agent.params.delta_a_th
-                from_lane = agent.lane
-                _begin_lane_change(agent, target)
-                lanes.move(pos, from_lane)
-
+    x, speed, law, ids = world.x, world.speed, world.law, world.ids
     accels = []
-    for pos, agent in enumerate(world.agents):
-        if agent.longitudinal == MODE_CRUISE:
+    for pos, (leader, cruise) in enumerate(zip(_leaders(lanes, len(x)), world.cruise)):
+        if cruise:
             accels.append(0.0)
-            continue
-        leader = lanes.leader(pos, agent.lane)
-        accels.append(idm_acceleration(agent, leader, world.collisions, world.frame))
+        elif leader is None:
+            accels.append(idm_acceleration(law[pos], speed[pos]))
+        else:
+            gap = x[leader] - x[pos] - VEHICLE_LENGTH_M
+            if gap <= 0.0:
+                world.collisions.append(CollisionEvent(world.frame, ids[pos], ids[leader]))
+            accels.append(idm_acceleration(law[pos], speed[pos], gap, speed[leader]))
 
-    for agent, acc in zip(world.agents, accels):
-        agent.x += agent.speed * dt
-        agent.speed = max(0.0, agent.speed + acc * dt)
-        if agent.lane_change is not None:
-            agent.lane_change.progress += dt / cfg.lane_change_duration_s
-            if agent.lane_change.progress >= 1.0 - 1e-12:
-                agent.lane_change = None
-
+    world.x = [xi + v * dt for xi, v in zip(x, speed)]
+    # max(0.0, w), which is w only where w > 0.0
+    world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
+    progress_step = dt / cfg.lane_change_duration_s
+    for pos, (from_lane, progress) in list(world.lane_change.items()):
+        progress += progress_step
+        if progress >= 1.0 - 1e-12:
+            del world.lane_change[pos]
+        else:
+            world.lane_change[pos] = (from_lane, progress)
     world.frame += 1
     return world
 
@@ -479,52 +467,67 @@ class SimResult:
 
 
 def build_world(config: ScenarioConfig) -> World:
-    """Instantiate agents from the spawn list (seeded desired speeds)."""
+    """The columns of the spawn list, with the seeded desired speeds."""
     config.validate()
     rng = np.random.default_rng(config.seed)
-    agents = []
+    params = []
     for spawn in config.spawns:
-        params = CLASS_PARAMS[spawn.vehicle_class]
+        p = CLASS_PARAMS[spawn.vehicle_class]
         if spawn.vehicle_class == CLASS_CONSERVATIVE and config.randomize_conservative_v0:
-            params = replace(params, v0=params.v0 * float(rng.uniform(0.9, 1.1)))
+            p = replace(p, v0=p.v0 * float(rng.uniform(0.9, 1.1)))
         if spawn.v0 is not None:
-            params = replace(params, v0=spawn.v0)
-        agents.append(
-            SimAgent(
-                agent_id=spawn.agent_id,
-                vehicle_class=spawn.vehicle_class,
-                lane=spawn.lane,
-                x=spawn.position,
-                speed=spawn.speed,
-                params=params,
-                longitudinal=spawn.longitudinal,
-                mobil_enabled=spawn.mobil_enabled,
-            )
-        )
-    return World(config=config, agents=agents)
+            p = replace(p, v0=spawn.v0)
+        params.append(p)
+    spawns, ids = config.spawns, [s.agent_id for s in config.spawns]
+    scripts: dict[int, dict[int, int]] = {}
+    for s in config.lane_change_scripts:  # a later script of an agent and frame wins
+        scripts.setdefault(s.frame, {})[ids.index(s.agent_id)] = s.target_lane
+    return World(
+        config=config,
+        ids=ids,
+        x=[s.position for s in spawns],
+        speed=[s.speed for s in spawns],
+        lane=[s.lane for s in spawns],
+        params=params,
+        law=list(map(idm_law, params)),
+        cruise=[s.longitudinal == MODE_CRUISE for s in spawns],
+        mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
+        scripts=scripts,
+    )
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:
     """Run a scenario and emit an ingest-compatible table plus labels.
 
-    Every agent has a row at every frame, in spawn order.
+    Every agent has a row at every frame, in spawn order. An agent's
+    lateral position and rate follow a cosine blend from its from-lane
+    to its lane while it changes lanes, and are its lane's centre and 0
+    otherwise.
     """
     world = build_world(config)
     cfg = config
     rate = 1.0 / cfg.timestep_s
     width, duration = cfg.lane_width_m, cfg.lane_change_duration_s
-    agents = world.agents
+    centre = [k * width for k in range(cfg.lane_count)]
+    n = len(world.ids)
     frame, timestamp, x, y, vx, vy = [], [], [], [], [], []
     for k in range(cfg.frame_count()):
         ts = k * cfg.timestep_s
         frame.append(frame_index(ts, rate))
         timestamp.append(ts)
-        x += [a.x for a in agents]
-        y += [a.lateral_y(width) for a in agents]
-        vx += [a.speed for a in agents]
-        vy += [a.lateral_rate(width, duration) for a in agents]
+        x += world.x
+        vx += world.speed
+        lateral, lateral_rate = list(map(centre.__getitem__, world.lane)), [0.0] * n
+        for pos, (from_lane, progress) in world.lane_change.items():
+            shift = world.lane[pos] - from_lane
+            blend = 0.5 * (1.0 - math.cos(math.pi * progress))
+            lateral[pos] = (from_lane + shift * blend) * width
+            lateral_rate[pos] = (
+                shift * width * math.pi / (2.0 * duration) * math.sin(math.pi * progress)
+            )
+        y += lateral
+        vy += lateral_rate
         step(world, cfg.timestep_s)
-    n = len(agents)
     table = TrajectoryTable(
         frame=np.repeat(np.array(frame, dtype=np.int64), n),
         timestamp=np.repeat(np.array(timestamp, dtype=float), n),
@@ -533,7 +536,7 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
         vx=np.array(vx, dtype=float),
         vy=np.array(vy, dtype=float),
         agent=np.tile(np.arange(n), len(frame)),
-        agent_ids=[a.agent_id for a in agents],
+        agent_ids=world.ids,
         agent_type=np.full(n * len(frame), "car", dtype=object),
         frame_rate_hz=rate,
     )
@@ -541,7 +544,7 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
         table=table,
         labels=list(cfg.maneuvers),
         collisions=list(world.collisions),
-        agent_classes={a.agent_id: a.vehicle_class for a in agents},
+        agent_classes={s.agent_id: s.vehicle_class for s in cfg.spawns},
     )
 
 

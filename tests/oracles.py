@@ -8,15 +8,19 @@ by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
 maxima by sampling every frame, trajectory tables by reading a file one
 row at a time, and the expected maneuver frame by counting the
-annotators of every frame.
+annotators of every frame. The simulator is replayed on one mutable
+object per vehicle with a sorted (lane, x, position) index, calling the
+package's one car-following law and lane-change rule, and the CSV
+writers format one row at a time.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -26,6 +30,18 @@ from drivestyle.errors import TrajectoryParseError, ValidationError
 from drivestyle.ingest import AGENT_TYPES, AgentFrame, frame_index
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
 from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
+from drivestyle.sim import (
+    CLASS_CONSERVATIVE,
+    CLASS_PARAMS,
+    MODE_CRUISE,
+    MODE_IDM,
+    VEHICLE_LENGTH_M,
+    CollisionEvent,
+    DriverParams,
+    idm_acceleration,
+    idm_law,
+    mobil_decision,
+)
 from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
 
 
@@ -112,7 +128,13 @@ def row_loop_parse(text, frame_rate_hz):
                 )
             prev_ts = ts
             indices.append(frame_index(ts, frame_rate_hz))
-        for a, b in zip(indices, indices[1:]):
+        for a, b, row_a, row_b in zip(indices, indices[1:], rows, rows[1:]):
+            if b == a:
+                raise ValidationError(
+                    f"agent {agent_id!r}: timestamps {row_a[1]} and {row_b[1]} both "
+                    f"fall on frame {a} at {frame_rate_hz} Hz (line {row_b[0]}); "
+                    "one row per frame"
+                )
             if b != a + 1:
                 raise ValidationError(
                     f"agent {agent_id!r}: frame indices must form a contiguous run "
@@ -170,20 +192,21 @@ def all_pairs_edges(frame, mu):
     return edges
 
 
-def scan_neighbors_in_lane(agents, ego, lane):
-    """(leader, follower) of ego within a lane, by a scan in list order.
+def scan_neighbors_in_lane(lane, x, at, target, ego=None):
+    """(leader, follower) positions around ``at`` in lane ``target``, by a scan.
 
-    Leader: nearest agent strictly ahead. Follower: nearest agent at or
-    behind ego's x, ego excluded. Ties go to the earlier agent in the list.
+    ``lane`` and ``x`` are the agents' columns. Leader: nearest agent
+    strictly ahead of ``at``. Follower: nearest agent at or behind it,
+    ``ego`` excluded. Ties go to the earlier agent in the list.
     """
     leader = follower = None
-    for other in agents:
-        if other is ego or other.lane != lane:
+    for pos, (other_lane, other_x) in enumerate(zip(lane, x)):
+        if pos == ego or other_lane != target:
             continue
-        if other.x > ego.x and (leader is None or other.x < leader.x):
-            leader = other
-        elif other.x <= ego.x and (follower is None or other.x > follower.x):
-            follower = other
+        if other_x > at and (leader is None or other_x < x[leader]):
+            leader = pos
+        elif other_x <= at and (follower is None or other_x > x[follower]):
+            follower = pos
     return leader, follower
 
 
@@ -393,3 +416,215 @@ def per_window_analyze(table, params=None, series=None):
             params.thresholds, params.epsilon_s,
         ))
     return RunReport(frame_rate_hz=f, params=params, agents=reports)
+
+
+# --- the object simulator --------------------------------------------------
+
+
+@dataclass
+class LaneChangeState:
+    from_lane: int
+    to_lane: int
+    progress: float = 0.0  # fraction of the transition completed
+
+
+@dataclass
+class SimAgent:
+    """Mutable state of one simulated vehicle."""
+
+    agent_id: str
+    vehicle_class: str
+    lane: int
+    x: float
+    speed: float
+    params: DriverParams
+    longitudinal: str = MODE_IDM
+    mobil_enabled: bool = True
+    lane_change: LaneChangeState | None = None
+
+    def car(self):
+        """The agent as ``sim.mobil_decision`` takes a car."""
+        return (self.x, self.speed, idm_law(self.params))
+
+    def lateral_y(self, lane_width: float) -> float:
+        if self.lane_change is None:
+            return self.lane * lane_width
+        lc = self.lane_change
+        blend = 0.5 * (1.0 - math.cos(math.pi * lc.progress))
+        return (lc.from_lane + (lc.to_lane - lc.from_lane) * blend) * lane_width
+
+    def lateral_rate(self, lane_width: float, duration: float) -> float:
+        if self.lane_change is None:
+            return 0.0
+        lc = self.lane_change
+        return (
+            (lc.to_lane - lc.from_lane) * lane_width
+            * math.pi / (2.0 * duration) * math.sin(math.pi * lc.progress)
+        )
+
+
+class LaneIndex:
+    """Every agent as a sorted (lane, x, position in the agent list) key.
+
+    Answers the same leader and follower as a scan of the agent list in
+    order: the leader is the nearest agent strictly ahead, the follower
+    the nearest at or behind ego, and ties go to the earlier agent.
+    """
+
+    def __init__(self, agents):
+        self.agents = agents
+        self.keys = sorted([(a.lane, a.x, pos) for pos, a in enumerate(agents)])
+
+    def leader(self, pos, lane):
+        keys = self.keys
+        ahead = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
+        if ahead < len(keys) and keys[ahead][0] == lane:
+            return self.agents[keys[ahead][2]]
+        return None
+
+    def follower(self, pos, lane):
+        keys = self.keys
+        end = bisect_right(keys, (lane, self.agents[pos].x, len(keys)))
+        while end > 0 and keys[end - 1][0] == lane:
+            start = bisect_left(keys, (lane, keys[end - 1][1], -1), 0, end)
+            if keys[start][2] != pos:
+                return self.agents[keys[start][2]]
+            if start + 1 < end:
+                return self.agents[keys[start + 1][2]]
+            end = start
+        return None
+
+    def move(self, pos, from_lane):
+        agent = self.agents[pos]
+        del self.keys[bisect_left(self.keys, (from_lane, agent.x, pos))]
+        insort(self.keys, (agent.lane, agent.x, pos))
+
+
+def _begin_lane_change(agent, target_lane):
+    current = agent.lane_change.from_lane if agent.lane_change else agent.lane
+    agent.lane_change = LaneChangeState(from_lane=current, to_lane=target_lane)
+    agent.lane = target_lane
+
+
+def object_step(cfg, agents, frame, collisions):
+    """``sim.step`` on SimAgent objects, one agent at a time, with a LaneIndex."""
+    dt = cfg.timestep_s
+    scripts = {(s.agent_id, s.frame): s.target_lane for s in cfg.lane_change_scripts}
+    for agent in agents:
+        target = scripts.get((agent.agent_id, frame))
+        if target is not None and target != agent.lane:
+            _begin_lane_change(agent, target)
+
+    lanes = LaneIndex(agents)
+    if frame % max(1, int(round(cfg.mobil_period_s / dt))) == 0:
+        for pos, agent in enumerate(agents):
+            if (
+                agent.longitudinal != MODE_IDM
+                or not agent.mobil_enabled
+                or agent.lane_change is not None
+            ):
+                continue
+            cur_leader = lanes.leader(pos, agent.lane)
+            cur_follower = lanes.follower(pos, agent.lane)
+            best = None
+            for target in (agent.lane - 1, agent.lane + 1):
+                if not 0 <= target < cfg.lane_count:
+                    continue
+                cars = [
+                    None if other is None else other.car()
+                    for other in (cur_leader, cur_follower,
+                                  lanes.leader(pos, target), lanes.follower(pos, target))
+                ]
+                decision = mobil_decision(agent.params, agent.car(), *cars)
+                if decision.approved and (best is None or decision.incentive > best[0]):
+                    best = (decision.incentive, target, decision)
+            if best is not None:
+                _, target, decision = best
+                assert decision.safety_ok
+                assert decision.new_follower_acceleration >= -agent.params.b_safe
+                assert decision.incentive > agent.params.delta_a_th
+                from_lane = agent.lane
+                _begin_lane_change(agent, target)
+                lanes.move(pos, from_lane)
+
+    accels = []
+    for pos, agent in enumerate(agents):
+        if agent.longitudinal == MODE_CRUISE:
+            accels.append(0.0)
+            continue
+        leader = lanes.leader(pos, agent.lane)
+        law = idm_law(agent.params)
+        if leader is None:
+            accels.append(idm_acceleration(law, agent.speed))
+            continue
+        gap = leader.x - agent.x - VEHICLE_LENGTH_M
+        if gap <= 0.0:
+            collisions.append(CollisionEvent(frame, agent.agent_id, leader.agent_id))
+        accels.append(idm_acceleration(law, agent.speed, gap, leader.speed))
+
+    for agent, acc in zip(agents, accels):
+        agent.x += agent.speed * dt
+        agent.speed = max(0.0, agent.speed + acc * dt)
+        if agent.lane_change is not None:
+            agent.lane_change.progress += dt / cfg.lane_change_duration_s
+            if agent.lane_change.progress >= 1.0 - 1e-12:
+                agent.lane_change = None
+
+
+def object_run_scenario(cfg):
+    """(table, collision log) of ``sim.run_scenario`` from SimAgent objects.
+
+    Desired speeds are drawn in spawn order, each agent's row recorded
+    as an ``AgentFrame`` before each ``object_step``.
+    """
+    cfg.validate()
+    rng = np.random.default_rng(cfg.seed)
+    agents = []
+    for spawn in cfg.spawns:
+        params = CLASS_PARAMS[spawn.vehicle_class]
+        if spawn.vehicle_class == CLASS_CONSERVATIVE and cfg.randomize_conservative_v0:
+            params = replace(params, v0=params.v0 * float(rng.uniform(0.9, 1.1)))
+        if spawn.v0 is not None:
+            params = replace(params, v0=spawn.v0)
+        agents.append(SimAgent(spawn.agent_id, spawn.vehicle_class, spawn.lane,
+                               spawn.position, spawn.speed, params,
+                               spawn.longitudinal, spawn.mobil_enabled))
+    rate = 1.0 / cfg.timestep_s
+    frames, collisions = {}, []
+    for k in range(cfg.frame_count()):
+        ts = k * cfg.timestep_s
+        frames[frame_index(ts, rate)] = [
+            AgentFrame(
+                ts, a.agent_id, "car", (a.x, a.lateral_y(cfg.lane_width_m)),
+                (a.speed, a.lateral_rate(cfg.lane_width_m, cfg.lane_change_duration_s)),
+            )
+            for a in agents
+        ]
+        object_step(cfg, agents, k, collisions)
+    return records_table(frames, rate), collisions
+
+
+# --- the writers, one row at a time ----------------------------------------
+
+
+def row_serialize_trajectories(table):
+    """``serialize_trajectories``' text, one row at a time from the record view."""
+    lines = ["timestamp,agent_id,agent_type,x,y,vx,vy"]
+    for index in sorted(table.frames):
+        for fr in table.frames[index]:
+            lines.append(
+                f"{fr.timestamp!r},{fr.agent_id},{fr.agent_type},{fr.position[0]!r},"
+                f"{fr.position[1]!r},{fr.velocity[0]!r},{fr.velocity[1]!r}"
+            )
+    return "\n".join(lines) + "\n"
+
+
+def row_series_to_csv(series_map):
+    """``series_to_csv``' text, one value at a time."""
+    lines = ["frame,agent_id,kind,value"]
+    for agent_id in sorted(series_map):
+        first, clo, deg = series_map[agent_id]
+        for kind, values in (("closeness", clo), ("degree", deg)):
+            for t, v in enumerate(values.tolist(), first):
+                lines.append(f"{t},{agent_id},{kind},{v!r}")
+    return "\n".join(lines) + "\n"

@@ -40,10 +40,10 @@ from drivestyle.sim import (
     VEHICLE_LENGTH_M,
     DriverParams,
     ScenarioConfig,
-    SimAgent,
     SpawnSpec,
     build_world,
     idm_acceleration,
+    idm_law,
     mobil_decision,
     run_scenario,
     step,
@@ -186,10 +186,9 @@ def test_criterion_7_idm_anchors():
         v0=40.0, T_gap=1.2, s0=2.5, a_max=6.0, b_comf=9.0,
         politeness=0.0, delta_a_th=0.0, b_safe=9.0,
     )
-    resting = SimAgent("r", "conservative", 0, 0.0, 0.0, CONSERVATIVE_PARAMS)
-    assert idm_acceleration(resting, None) == CONSERVATIVE_PARAMS.a_max
-    cruising = SimAgent("c", "conservative", 0, 0.0, 25.0, CONSERVATIVE_PARAMS)
-    assert idm_acceleration(cruising, None) == pytest.approx(0.0, abs=1e-12)
+    law = idm_law(CONSERVATIVE_PARAMS)
+    assert idm_acceleration(law, 0.0) == CONSERVATIVE_PARAMS.a_max
+    assert idm_acceleration(law, 25.0) == pytest.approx(0.0, abs=1e-12)
 
     spawns = [SpawnSpec("lead", "conservative", 0, 500.0, 10.0, longitudinal="cruise")]
     spawns += [
@@ -205,10 +204,8 @@ def test_criterion_7_idm_anchors():
     for _ in range(config.frame_count()):
         step(world, 0.1)
     s_star = CONSERVATIVE_PARAMS.s0 + 10.0 * CONSERVATIVE_PARAMS.T_gap
-    ordered = sorted(world.agents, key=lambda a: -a.x)
-    gaps = [
-        front.x - back.x - VEHICLE_LENGTH_M for front, back in zip(ordered, ordered[1:])
-    ]
+    ordered = sorted(world.x, reverse=True)
+    gaps = [front - back - VEHICLE_LENGTH_M for front, back in zip(ordered, ordered[1:])]
     for gap in gaps:
         assert abs(gap - s_star) / s_star <= 0.02
     _ok(7, f"a(0)=a_max, a(v0)=0; platoon gaps {[f'{g:.2f}' for g in gaps]} m "
@@ -218,35 +215,37 @@ def test_criterion_7_idm_anchors():
 def test_criterion_8_mobil_soundness_1000_scenes():
     rng = np.random.default_rng(99)
 
-    def maybe(aid, lane, lo, hi):
+    # a car is (x, speed, idm_law), as the lane-change rule takes it
+    def maybe(lo, hi):
         if rng.random() < 0.75:
-            return SimAgent(aid, "conservative", lane, float(rng.uniform(lo, hi)),
-                            float(rng.uniform(0.0, 40.0)), CONSERVATIVE_PARAMS)
+            return (float(rng.uniform(lo, hi)), float(rng.uniform(0.0, 40.0)),
+                    idm_law(CONSERVATIVE_PARAMS))
         return None
+
+    def follow(back, front):
+        if front is None:
+            return idm_acceleration(back[2], back[1])
+        return idm_acceleration(back[2], back[1], front[0] - back[0] - VEHICLE_LENGTH_M,
+                                front[1])
 
     approved = 0
     for _ in range(1000):
         params = AGGRESSIVE_PARAMS if rng.random() < 0.5 else CONSERVATIVE_PARAMS
-        cls = "aggressive" if params is AGGRESSIVE_PARAMS else "conservative"
-        ego = SimAgent("e", cls, 0, 0.0, float(rng.uniform(0.0, 40.0)), params)
-        cl = maybe("cl", 0, 6.0, 150.0)
-        cf = maybe("cf", 0, -150.0, -6.0)
-        tl = maybe("tl", 1, -20.0, 150.0)
-        tf = maybe("tf", 1, -150.0, 20.0)
-        decision = mobil_decision(ego, cl, cf, tl, tf)
+        ego = (0.0, float(rng.uniform(0.0, 40.0)), idm_law(params))
+        cl = maybe(6.0, 150.0)
+        cf = maybe(-150.0, -6.0)
+        tl = maybe(-20.0, 150.0)
+        tf = maybe(-150.0, 20.0)
+        decision = mobil_decision(params, ego, cl, cf, tl, tf)
         if not decision.approved:
             continue
         approved += 1
         if tf is not None:
-            assert idm_acceleration(tf, ego) >= -ego.params.b_safe
-        gain_ego = idm_acceleration(ego, tl) - idm_acceleration(ego, cl)
-        gain_n = 0.0 if tf is None else (
-            idm_acceleration(tf, ego) - idm_acceleration(tf, tl)
-        )
-        gain_o = 0.0 if cf is None else (
-            idm_acceleration(cf, cl) - idm_acceleration(cf, ego)
-        )
-        assert gain_ego + ego.params.politeness * (gain_n + gain_o) > ego.params.delta_a_th
+            assert follow(tf, ego) >= -params.b_safe
+        gain_ego = follow(ego, tl) - follow(ego, cl)
+        gain_n = 0.0 if tf is None else follow(tf, ego) - follow(tf, tl)
+        gain_o = 0.0 if cf is None else follow(cf, cl) - follow(cf, ego)
+        assert gain_ego + params.politeness * (gain_n + gain_o) > params.delta_a_th
     assert approved >= 50
     _ok(8, f"{approved} approved changes out of 1000 random scenes; all "
            f"satisfy safety and incentive on replay")

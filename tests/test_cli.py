@@ -323,6 +323,24 @@ def test_unreadable_input_file_exits_1_with_one_line(kind, analyzed_run, tmp_pat
     assert repr(str(path)) in err
 
 
+@pytest.mark.parametrize("rate", ["1", "1e-300"])
+def test_analyze_too_low_frame_rate_names_two_rows_on_one_frame(
+    rate, analyzed_run, tmp_path, capsys
+):
+    # a 10 Hz file read at a lower rate puts two rows of an agent on one
+    # frame: the error says so, with the second row's line
+    trajectories = analyzed_run / "trajectories.csv"
+    lines = trajectories.read_text().splitlines()
+    agent = lines[1].split(",")[1]
+    line = next(n for n, row in enumerate(lines[2:], 3) if row.split(",")[1] == agent)
+    assert main(["analyze", "--trajectories", str(trajectories), "--frame-rate", rate,
+                 "--out", str(tmp_path / "out")]) == 1
+    assert capsys.readouterr().err == (
+        f"error: agent {agent!r}: timestamps 0.0 and 0.1 both fall on frame 0 at "
+        f"{float(rate)} Hz (line {line}); one row per frame\n"
+    )
+
+
 LABEL_HEADERS = {
     "label": "agent_id,style,start_frame,end_frame",
     "annotation": "video_id,agent_id,style,annotator_id,start_frame,end_frame",

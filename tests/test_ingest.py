@@ -1,6 +1,7 @@
 import math
 from unittest import mock
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -10,14 +11,17 @@ from drivestyle.errors import (
     TrajectoryParseError,
     ValidationError,
 )
-from drivestyle import ingest
+from drivestyle import centrality, ingest
+from drivestyle.centrality import AgentSeries, series_to_csv
 from drivestyle.ingest import (
+    TrajectoryTable,
+    float_texts,
     frame_index,
     parse_trajectories,
     serialize_trajectories,
     write_text,
 )
-from oracles import row_loop_parse
+from oracles import row_loop_parse, row_serialize_trajectories, row_series_to_csv
 
 HEADER = "timestamp,agent_id,agent_type,x,y"
 HEADER_V = HEADER + ",vx,vy"
@@ -230,7 +234,7 @@ LONE_ROW_ERRORS = {
 }
 ERRORS = [
     *LONE_ROW_ERRORS, "opposite_field_counts", "non_numeric", "position_inf",
-    "velocity_nan", "unknown_type", "gap", "repeat_timestamp", "shuffle",
+    "velocity_nan", "unknown_type", "gap", "repeat_timestamp", "same_frame", "shuffle",
 ]
 
 
@@ -277,6 +281,9 @@ def trajectory_files(draw):
         row["timestamp"] = repr(float(row["timestamp"]) + 1.0)
     elif error == "repeat_timestamp":
         rows.insert(target, dict(row))
+    elif error == "same_frame":
+        # a later row of the same agent on the same frame
+        rows.insert(target + 1, {**row, "timestamp": repr(float(row["timestamp"]) + 0.5 / f)})
     elif error == "shuffle":
         rows = draw(st.permutations(rows))
 
@@ -326,3 +333,72 @@ def test_files_longer_than_one_chunk():
         with pytest.raises(TrajectoryParseError) as exc:
             parse_trajectories(text=broken, frame_rate_hz=1.0)
         assert str(exc.value) == message
+
+
+# --- writers ----------------------------------------------------------------
+
+# zeros of both signs, subnormals, the extremes and a few repeating values
+SPECIAL_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308,
+                  1.7976931348623157e308, -1.0, 0.1, 1 / 3, math.inf, -math.inf]
+floats_with_repeats = st.one_of(
+    # every value distinct (or nearly)
+    st.lists(st.floats(allow_nan=False), max_size=60),
+    # heavy repeats of a few values
+    st.lists(st.floats(allow_nan=False), min_size=1, max_size=4).flatmap(
+        lambda pool: st.lists(st.sampled_from(pool), max_size=60)
+    ),
+    st.lists(st.sampled_from(SPECIAL_FLOATS), max_size=60),
+)
+
+
+@given(floats_with_repeats)
+@settings(max_examples=300, deadline=None)
+def test_float_texts_is_repr_of_each_value(values):
+    array = np.array(values, dtype=float)
+    assert float_texts(array) == list(map(repr, array.tolist()))
+
+
+@st.composite
+def writer_inputs(draw):
+    """A table of up to 5 agents over up to 6 frames, and a series map."""
+    ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, unique=True))
+    frames = draw(st.integers(1, 6))
+    n = frames * len(ids)
+    value = st.sampled_from(SPECIAL_FLOATS[:8]) | st.floats(-1e3, 1e3)
+
+    def column():
+        return np.array(draw(st.lists(value, min_size=n, max_size=n)), dtype=float)
+
+    table = TrajectoryTable(
+        frame=np.repeat(np.arange(frames, dtype=np.int64), len(ids)),
+        timestamp=np.repeat(np.arange(frames) / 10.0, len(ids)),
+        x=column(), y=column(), vx=column(), vy=column(),
+        agent=np.tile(np.arange(len(ids)), frames),
+        agent_ids=ids,
+        agent_type=np.array(
+            draw(st.lists(st.sampled_from(["car", "bus"]), min_size=n, max_size=n)), object
+        ),
+        frame_rate_hz=10.0,
+    )
+    series = {}
+    for agent_id in ids:
+        length = draw(st.integers(0, 7))
+        values = st.lists(value, min_size=length, max_size=length)
+        series[agent_id] = AgentSeries(
+            draw(st.integers(0, 5)),
+            np.array(draw(values), dtype=float),
+            np.array(draw(values), dtype=float),
+        )
+    return table, series
+
+
+@given(writer_inputs(), st.sampled_from([3, ingest._CHUNK_LINES]))
+@settings(max_examples=150, deadline=None)
+def test_writers_match_row_writers(inputs, chunk_lines):
+    # at 3 rows a chunk, chunks end mid-frame and split the series' agents
+    # into chunks of one or two
+    table, series = inputs
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
+            mock.patch.object(centrality, "_CHUNK_LINES", chunk_lines):
+        assert serialize_trajectories(table) == row_serialize_trajectories(table)
+        assert series_to_csv(series) == row_series_to_csv(series)
