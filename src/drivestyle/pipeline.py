@@ -6,15 +6,18 @@ out on the frame grid with 50% overlap by default and the final window
 is clamped to the run's end; a window longer than the run degenerates to
 a single window covering it. Each agent's windows come by arithmetic on
 that grid from its own first and last frame, so the cost follows the
-rows, not the frame span. Agents and windows are independent after
-the series pass, so this stage is embarrassingly parallel; the
-implementation stays single-threaded for determinism.
+rows, not the frame span. Every agent-window of a run is laid out,
+fitted and scored as arrays; Python objects are built only for the
+report (one ``WindowAnalysis`` per window, one ``StyleReport`` per
+agent).
 """
 
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
+from itertools import repeat
 
 import numpy as np
 
@@ -29,29 +32,33 @@ from .regression import (
     fit_design,
     fit_solve,
     make_alpha_policy,
+    uncenter,
 )
 from .styles import (
     DEFAULT_THRESHOLDS,
+    LABEL_AGGRESSIVE,
+    LABEL_CONSERVATIVE,
     StyleReport,
     StyleSummary,
     Thresholds,
     WeavingSummary,
     WindowAnalysis,
-    classify,
-    detect_weaving,
+    classify_agents,
+    critical_points,
     sle_summaries,
 )
 
-# Not called here: the one-window forms of the loop in ``analyze_table``.
-# perfbench/tracer.py wraps the layer names this module exposes, these two
+# Not called here: the one-window forms of the arrays in ``analyze_table``.
+# perfbench/tracer.py wraps the layer names this module exposes, these
 # among them.
 from .regression import fit  # noqa: F401
-from .styles import sle_sie  # noqa: F401
+from .styles import classify, detect_weaving, sle_sie  # noqa: F401
 
 SCHEMA_VERSION = "3"
 
-# rows per fit_solve call: bounds the stacked samples held at once
-_SOLVE_ROWS = 256
+# agent-windows per block of gathered samples: bounds the samples, keys
+# and stacked designs held at once
+_BLOCK_WINDOWS = 1024
 
 
 @dataclass
@@ -77,9 +84,12 @@ class AnalysisParams:
         return self.stride_s if self.stride_s is not None else self.window_s / 2.0
 
 
-def _first_reaching(lo: int, frame: int, window_frames: int, stride_frames: int) -> int:
-    """Least k >= 0 whose window [lo + k * stride, lo + k * stride + W] reaches frame."""
-    return max(0, -((lo + window_frames - frame) // stride_frames))
+def _first_reaching(lo: int, frame, window_frames: int, stride_frames: int):
+    """Least k >= 0 whose window [lo + k * stride, lo + k * stride + W] reaches frame.
+
+    ``frame`` may be an int64 array: one k per frame.
+    """
+    return np.maximum(0, -((lo + window_frames - frame) // stride_frames))
 
 
 def frame_windows(
@@ -87,8 +97,8 @@ def frame_windows(
 ) -> list[tuple[int, int]]:
     """Sliding frame-index windows [start, start + W] clamped to the run.
 
-    The list form of the grid ``analyze_table`` walks per agent; it stays
-    for ``tests/oracles.per_window_analyze`` and perfbench's tracer.
+    The list form of the grid ``analyze_table`` lays out per agent; it
+    stays for ``tests/oracles.per_window_analyze`` and perfbench's tracer.
     """
     if hi < lo:
         raise ValidationError(f"empty frame range ({lo}, {hi})")
@@ -112,6 +122,35 @@ class RunReport:
         raise KeyError(agent_id)
 
 
+def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(inverse, heads) of the rows of ``keys`` (K x C int64): row i equals row heads[inverse[i]].
+
+    One stable sort of the rows' bytes and an adjacent compare (np.unique
+    would import numpy.ma); ``heads`` holds each distinct row's first index.
+    """
+    keys = np.ascontiguousarray(keys)
+    order = np.argsort(keys.view(np.dtype((np.void, keys.shape[1] * 8))).ravel(),
+                       kind="stable")
+    ordered = keys[order]
+    new = np.ones(len(order), dtype=bool)
+    np.any(ordered[1:] != ordered[:-1], axis=1, out=new[1:])
+    inverse = np.empty(len(order), dtype=np.int64)
+    inverse[order] = np.cumsum(new) - 1
+    return inverse, order[new]
+
+
+def slice_times(first: np.ndarray, count: int, frame_rate_hz: float):
+    """(t_bar, tc, t0, t1) of the window slices of ``count`` frames from each of ``first``.
+
+    Row r samples t = (first[r] + j) / rate, j < count: its mean time,
+    the centered times, and the first and last time, each bit-equal to
+    the same step on that slice alone.
+    """
+    t = (first[:, None] + np.arange(count)) / frame_rate_hz
+    t_bar = t.mean(axis=1)
+    return t_bar, t - t_bar[:, None], t[:, 0], t[:, -1]
+
+
 def analyze_table(
     table: TrajectoryTable,
     params: AnalysisParams | None = None,
@@ -122,15 +161,18 @@ def analyze_table(
     ``series`` may carry precomputed centralities (from compute_series
     with the same mu/capacity) to avoid a second pass.
 
-    Each agent visits only the windows that overlap its frames, found
-    from its first and last frame. Every window's degree and closeness
-    samples are queued under its centered time grid, whose design is
-    built once (so the alpha policy runs once per grid); rows with equal
-    mean time and equal sample bits are queued once and share one
-    coefficient tuple. Then each grid's rows are solved ``_SOLVE_ROWS``
-    at a time by ``fit_solve``, and each agent's SLE/SIE maxima come
-    from one ``sle_summaries`` call. Raises ConditioningError when a
-    design is rank deficient at alpha = 0.
+    Every agent-window is laid out as arrays (agent, first frame, sample
+    count) from each agent's first and last frame; windows of fewer than
+    three samples are dropped. Each distinct slice (first frame, count)
+    gets its mean time, span and centered time grid once, and each grid
+    its design once (so the alpha policy runs once per grid). Windows are
+    then taken in blocks of ``_BLOCK_WINDOWS`` by design shape: their
+    degree and closeness samples are gathered, each distinct (grid,
+    sample bits) row is solved once by ``fit_solve``, and each distinct
+    (solved row, slice) pair is mapped to absolute time once and shares
+    one coefficient tuple. SLE/SIE, weaving points and the per-agent
+    aggregates are scored over all windows at once. Raises
+    ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -141,74 +183,119 @@ def analyze_table(
     # clamped at FRAME_LIMIT, which no frame index reaches
     window_frames = max(POLY_DEGREE, int(round(min(params.window_s * f, FRAME_LIMIT))))
     stride_frames = max(1, int(round(min(params.effective_stride() * f, FRAME_LIMIT))))
-    last = _first_reaching(lo, hi, window_frames, stride_frames)  # the run's last window
 
-    # for this call only: per centered time grid its design, its rows and
-    # their index by (mean time, hash of the samples); per window slice
-    # (first frame, sample count) its (span, alpha, kappa), grid and mean time
-    grids: dict[bytes, tuple] = {}
-    slices: dict[tuple[int, int], tuple] = {}
-    rows = []  # each queued row's (mean time, samples), then its coefficients
-    layout = []  # per agent: id, window heads, degree and closeness row numbers
-    for agent_id in sorted(series):
-        f0, clo, deg = series[agent_id]
-        f1 = f0 + len(deg) - 1
-        heads, queued = [], []
-        # the windows that meet frames f0..f1: from the first reaching f0
-        # to the last starting at or before f1
-        k0 = _first_reaching(lo, f0, window_frames, stride_frames)
-        for k in range(k0, min(last, (f1 - lo) // stride_frames) + 1):
-            start = lo + k * stride_frames
-            first = max(start, f0)
-            n = min(start + window_frames, f1) - first + 1
-            if n < POLY_DEGREE + 1:
-                continue
-            slice_fit = slices.get((first, n))
-            if slice_fit is None:
-                # frame / f: the sample times every per-window fit computes
-                t = np.arange(first, first + n) / f
-                t_bar = float(t.mean())
-                tc = t - t_bar
-                key = tc.tobytes()
-                grid = grids.get(key)
-                if grid is None:
-                    grid = grids[key] = (fit_design(tc, params.alpha_policy), [], {})
-                head = ((float(t[0]), float(t[-1])), *grid[0][:2])
-                slice_fit = slices[first, n] = (head, grid, t_bar)
-            head, (_, grid_rows, index), t_bar = slice_fit
-            heads.append(head)
-            i = first - f0
-            for values in (deg, clo):
-                samples = values[i:i + n]
-                data = samples.tobytes()
-                row = index.setdefault((t_bar, hash(data)), len(rows))
-                # a hash shared by unequal samples only costs a solve
-                if row == len(rows) or rows[row][1].tobytes() != data:
-                    grid_rows.append(row := len(rows))
-                    rows.append((t_bar, samples))
-                queued.append(row)
-        layout.append((agent_id, heads, queued))
+    agent_ids = sorted(series)
+    f0 = np.array([series[a].first for a in agent_ids], dtype=np.int64)
+    sizes = np.array([len(series[a].degree) for a in agent_ids], dtype=np.int64)
+    agent, first, n = _agent_windows(
+        f0, f0 + sizes - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
+        window_frames, stride_frames)
 
-    for design, grid_rows, _ in grids.values():
-        for b in range(0, len(grid_rows), _SOLVE_ROWS):
-            block = grid_rows[b:b + _SOLVE_ROWS]
-            t_bars, samples = zip(*[rows[r] for r in block])
-            for r, coefficients in zip(block, fit_solve(design, t_bars, np.stack(samples))):
-                rows[r] = coefficients
-    del grids, slices  # the row index above all: gone before the reports are built
+    # distinct slices: mean time, span and centered time grid; per grid its design
+    window_slice, heads = _distinct(np.column_stack([n, first]))
+    slice_first, slice_n = first[heads], n[heads]
+    t_bar, t0, t1 = (np.empty(len(heads)) for _ in range(3))
+    slice_grid = np.empty(len(heads), dtype=np.int64)
+    grids: dict[bytes, int] = {}  # centered times -> grid number
+    designs, grid_shape = [], []  # per grid: (alpha, kappa, A); (rows of A, samples)
+    for rows in _blocks(np.argsort(slice_n, kind="stable"), slice_n):
+        count = int(slice_n[rows[0]])
+        t_bar[rows], tc, t0[rows], t1[rows] = slice_times(slice_first[rows], count, f)
+        same, grid_heads = _distinct(tc.view(np.int64))
+        local = []
+        for key in map(bytes, tc[grid_heads]):
+            if key not in grids:
+                grids[key] = len(designs)
+                designs.append(fit_design(np.frombuffer(key), params.alpha_policy))
+                grid_shape.append((len(designs[-1][2]), count))
+            local.append(grids[key])
+        slice_grid[rows] = np.array(local, dtype=np.int64)[same]
+    del grids
 
-    reports = []
-    for agent_id, heads, queued in layout:
-        fits = [rows[r] for r in queued]  # degree, closeness, degree, ...
-        sle = sle_summaries(fits, [span for span, _, _ in heads for _ in (0, 1)], f)
-        windows = [
-            WindowAnalysis(*head, d, c, detect_weaving(c, head[0], params.epsilon_s))
-            for head, d, c in zip(heads, fits[0::2], fits[1::2])
-        ]
-        reports.append(classify(
-            agent_id, windows, sle[0::2], sle[1::2], params.thresholds, params.epsilon_s,
-        ))
+    # solve: windows by design shape, then grid; per block each distinct
+    # (grid, samples) row once, each distinct (row, slice) pair uncentered once
+    rank, stacks, index = _design_stacks(designs, grid_shape)
+    window_grid = slice_grid[window_slice]
+    # each agent's samples in one array, from offset[agent]
+    offset = np.cumsum(sizes) - sizes - f0
+    degree = np.concatenate([series[a].degree for a in agent_ids] or [np.empty(0)])
+    closeness = np.concatenate([series[a].closeness for a in agent_ids] or [np.empty(0)])
+    coefficients = np.empty((2, len(agent), 3))  # degree, closeness
+    tuples = np.empty((2, len(agent)), dtype=object)
+    for block in _blocks(np.lexsort((window_grid, rank[window_grid])), rank[window_grid]):
+        grid = window_grid[block]
+        gather = (offset[agent[block]] + first[block])[:, None] \
+            + np.arange(grid_shape[grid[0]][1])
+        samples = np.concatenate([degree[gather], closeness[gather]])
+        row_grid, row_slice = np.tile(grid, 2), np.tile(window_slice[block], 2)
+        solved, rows = _distinct(np.column_stack([row_grid, samples.view(np.int64)]))
+        beta = fit_solve(stacks[rank[grid[0]]][index[row_grid[rows]]], samples[rows])
+        pair, pairs = _distinct(np.column_stack([solved, row_slice]))
+        fits = uncenter(beta[solved[pairs]], t_bar[row_slice[pairs]])
+        shared = np.fromiter(map(tuple, fits.tolist()), dtype=object, count=len(pairs))
+        coefficients[:, block] = fits[pair].reshape(2, len(block), 3)
+        tuples[:, block] = shared[pair].reshape(2, len(block))
+
+    # scores over every window, then one report per agent
+    spans = np.column_stack([t0[window_slice], t1[window_slice]])
+    points = critical_points(coefficients[1], spans, params.epsilon_s)
+    weaving = [[] for _ in range(len(agent))]
+    for r, t_c, sharpness in zip(*(a.tolist() for a in points)):
+        weaving[r] = [(t_c, sharpness)]  # a quadratic has one critical point
+    # one head tuple per slice: (span, alpha, kappa)
+    heads = [((s, e), alpha, kappa) for s, e, (alpha, kappa, _)
+             in zip(t0.tolist(), t1.tolist(), map(designs.__getitem__, slice_grid.tolist()))]
+    windows = list(map(tuple.__new__, repeat(WindowAnalysis), map(
+        tuple.__add__, map(heads.__getitem__, window_slice.tolist()),
+        zip(*tuples.tolist(), weaving))))
+    reports = classify_agents(
+        agent_ids, windows, np.bincount(agent, minlength=len(agent_ids)), spans,
+        sle_summaries(coefficients[0], spans, f), sle_summaries(coefficients[1], spans, f),
+        points, params.thresholds, params.epsilon_s,
+    )
     return RunReport(frame_rate_hz=f, params=params, agents=reports)
+
+
+def _agent_windows(f0, f1, lo: int, last: int, window_frames: int, stride_frames: int):
+    """(agent, first frame, sample count) of every window of 3 or more samples.
+
+    Agent i on frames f0[i]..f1[i] meets windows k from the first whose
+    end reaches f0 to the last starting at or before f1, at most
+    ``last``; rows come agent by agent, k ascending.
+    """
+    k0 = _first_reaching(lo, f0, window_frames, stride_frames)
+    counts = np.maximum(0, np.minimum(last, (f1 - lo) // stride_frames) - k0 + 1)
+    agent = np.repeat(np.arange(len(f0)), counts)
+    k = np.repeat(k0 - np.cumsum(counts) + counts, counts) + np.arange(len(agent))
+    start = lo + k * stride_frames
+    first = np.maximum(start, f0[agent])
+    n = np.minimum(start + window_frames, f1[agent]) - first + 1
+    keep = n >= POLY_DEGREE + 1
+    return agent[keep], first[keep], n[keep]
+
+
+def _blocks(order: np.ndarray, key: np.ndarray):
+    """``order`` cut where ``key[order]`` changes, and into ``_BLOCK_WINDOWS`` pieces."""
+    for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
+        for b in range(0, len(run), _BLOCK_WINDOWS):
+            yield run[b:b + _BLOCK_WINDOWS]
+
+
+def _design_stacks(designs: list, grid_shape: list):
+    """(rank, stacks, index): grid g's matrix is stacks[rank[g]][index[g]].
+
+    One (G, m, 3) stack per distinct (rows of A, samples) shape.
+    """
+    rank = np.empty(len(designs), dtype=np.int64)
+    index = np.empty(len(designs), dtype=np.int64)
+    members: dict[tuple[int, int], list[int]] = {}
+    for g, shape in enumerate(grid_shape):
+        members.setdefault(shape, []).append(g)
+    stacks = []
+    for r, gs in enumerate(members.values()):
+        rank[gs], index[gs] = r, np.arange(len(gs))
+        stacks.append(np.stack([designs[g][2] for g in gs]))
+    return rank, stacks, index
 
 
 # ---------------------------------------------------------------------------
@@ -256,8 +343,12 @@ def report_from_json(source=None, *, text=None) -> RunReport:
     ``source`` is always a file path; JSON text comes in only through
     ``text=``. Reconstructs the parameters and what evaluation needs
     (labels, maxima, t_SLE); the windows stay raw lists in
-    ``StyleReport.windows``. An unreadable file, malformed JSON, or a
-    schema other than the current one raises ValidationError.
+    ``StyleReport.windows``. An unreadable file, malformed JSON, a schema
+    other than the current one, or a field ``evaluate`` reads holding what
+    ``analyze`` never writes (a frame rate that is not a finite positive
+    number, a maximum that is not finite, a t_SLE that is neither null nor
+    a finite time below frame 2**53, a ``detected`` that is not a bool, an
+    unknown label, an agent id that is not a string) raises ValidationError.
     """
     text = read_source(source, text, "report")
     where = "report text" if source is None else f"report {source}"
@@ -276,14 +367,44 @@ def report_from_json(source=None, *, text=None) -> RunReport:
         raise ValidationError(f"{where} is malformed: {exc!r}") from None
 
 
+def _finite(value, name: str):
+    """``value`` if it is a finite JSON number, not a bool; ValueError otherwise."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not math.isfinite(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return value
+
+
+def _check_style(raw: dict, rate: float, name: str) -> None:
+    """ValueError unless the fields ``evaluate`` reads hold what analyze writes."""
+    for key in ("sle_max", "sie_max"):  # weaving has no sle_max
+        if key in raw:
+            _finite(raw[key], f"{name} {key}")
+    t_sle = raw["t_sle"]
+    if t_sle is not None and not abs(_finite(t_sle, f"{name} t_sle") * rate) < FRAME_LIMIT:
+        raise ValueError(f"{name} t_sle {t_sle!r} is past frame index 2**53")
+    if not isinstance(raw["detected"], bool):
+        raise ValueError(f"{name} detected must be true or false, got {raw['detected']!r}")
+
+
 def _report_from_payload(payload: dict) -> RunReport:
     given = payload["params"]
     params = AnalysisParams(**{**given, "thresholds": Thresholds(**given["thresholds"]),
                                "alpha_policy": make_alpha_policy(given["alpha_policy"])})
+    rate = payload["frame_rate_hz"]
+    if not _finite(rate, "frame_rate_hz") > 0:
+        raise ValueError(f"frame_rate_hz must be positive, got {rate!r}")
     agents = []
     for entry in payload["agents"]:
+        agent_id = entry["agent_id"]
+        if not isinstance(agent_id, str):
+            raise ValueError(f"agent_id must be a string, got {agent_id!r}")
+        if entry["global_label"] not in (LABEL_AGGRESSIVE, LABEL_CONSERVATIVE):
+            raise ValueError(f"agent {agent_id!r} has unknown global_label "
+                             f"{entry['global_label']!r}")
         styles = {}
         for name, raw in entry["styles"].items():
+            _check_style(raw, rate, f"agent {agent_id!r} {name}")
             if "count" in raw:
                 points = [tuple(p) for p in raw["critical_points"]]
                 styles[name] = WeavingSummary(**{**raw, "critical_points": points})
@@ -291,13 +412,11 @@ def _report_from_payload(payload: dict) -> RunReport:
                 styles[name] = StyleSummary(**raw)
         agents.append(
             StyleReport(
-                agent_id=entry["agent_id"],
+                agent_id=agent_id,
                 window=tuple(entry["window"]),
                 styles=styles,
                 global_label=entry["global_label"],
                 windows=entry["windows"],
             )
         )
-    return RunReport(
-        frame_rate_hz=payload["frame_rate_hz"], params=params, agents=agents
-    )
+    return RunReport(frame_rate_hz=rate, params=params, agents=agents)

@@ -6,9 +6,10 @@ augmented system [M; alpha*I] rather than by inverting the normal
 equations, which is exactly what the raw-Vandermonde condition numbers
 punish. Sample times are centered before building M (this changes the
 conditioning, not the minimizer) and the coefficients are mapped back to
-the absolute-time basis afterwards. All rows of samples on one time grid
-go to one call of numpy's lstsq gufunc, which runs gelsd once per row:
-the call ``np.linalg.lstsq`` makes for a single row, bit for bit.
+the absolute-time basis afterwards. A stack of designs of one shape and
+their rows of samples go to numpy's lstsq gufunc, ``_SOLVE_ROWS`` rows
+per call; it runs gelsd once per row: the call ``np.linalg.lstsq``
+makes for a single row, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,6 +39,9 @@ _SINGULAR_KAPPA = 1e12
 DEFAULT_KAPPA_CAP = 1e6
 ALPHA_GRID = (0.0,) + tuple(10.0**k for k in range(-6, 1))
 
+# rows per lstsq gufunc call in fit_solve: bounds the stacked systems held at once
+_SOLVE_ROWS = 256
+
 
 def vandermonde(times: np.ndarray) -> np.ndarray:
     """T x 3 design matrix with rows (1, t, t^2)."""
@@ -45,10 +49,18 @@ def vandermonde(times: np.ndarray) -> np.ndarray:
     return np.column_stack([np.ones_like(t), t, t * t])
 
 
+def gram_eigenvalues(m: np.ndarray) -> np.ndarray:
+    """Eigenvalues of MᵀM, ascending."""
+    return np.linalg.eigvalsh(m.T @ m)
+
+
 def gram_condition(m: np.ndarray, alpha: float) -> float:
     """Condition number of MᵀM + alpha^2 I (ratio of extreme eigenvalues)."""
-    gram = m.T @ m
-    eig = np.linalg.eigvalsh(gram)
+    return _condition(gram_eigenvalues(m), alpha)
+
+
+def _condition(eig: np.ndarray, alpha: float) -> float:
+    """``gram_condition`` from the eigenvalues of MᵀM."""
     lo = max(float(eig[0]), 0.0) + alpha * alpha
     hi = float(eig[-1]) + alpha * alpha
     if lo <= 0.0:
@@ -65,12 +77,17 @@ class FixedAlpha:
     def select(self, times: np.ndarray) -> float:
         return self.alpha
 
+    def alpha_for(self, eig: np.ndarray) -> float:
+        return self.alpha
+
 
 class GridSearchAlpha:
     """Smallest grid alpha whose regularized condition number meets a cap.
 
     Falls back to the largest grid value when no candidate meets the cap.
     Holds no state: ``analyze_table`` already selects once per time grid.
+    ``alpha_for`` reads the eigenvalues of MᵀM that ``fit_design`` also
+    takes its condition number from; ``select`` computes them from times.
     """
 
     def __init__(self, cap: float = DEFAULT_KAPPA_CAP):
@@ -81,9 +98,11 @@ class GridSearchAlpha:
         self.cap = cap
 
     def select(self, times: np.ndarray) -> float:
-        m = vandermonde(times)
+        return self.alpha_for(gram_eigenvalues(vandermonde(times)))
+
+    def alpha_for(self, eig: np.ndarray) -> float:
         for alpha in ALPHA_GRID:
-            if gram_condition(m, alpha) <= self.cap:
+            if _condition(eig, alpha) <= self.cap:
                 return alpha
         return ALPHA_GRID[-1]
 
@@ -148,8 +167,9 @@ def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
     is rank deficient and the policy selected alpha = 0.
     """
     m = vandermonde(tc)
-    alpha = float(alpha_policy.select(tc))
-    kappa = gram_condition(m, alpha)
+    eig = gram_eigenvalues(m)  # once per design: the policy and kappa share it
+    alpha = float(alpha_policy.alpha_for(eig))
+    kappa = _condition(eig, alpha)
     if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
         raise ConditioningError(
             "design matrix is rank deficient with alpha = 0; "
@@ -164,28 +184,36 @@ def _svd_failed(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def fit_solve(design: tuple, t_bars, rows: np.ndarray) -> list[tuple[float, float, float]]:
-    """Coefficients (b0, b1, b2) in absolute time of each row of ``rows`` (K x T).
+def fit_solve(designs: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Centered coefficients (K x 3) of row k of ``rows`` (K x T) on ``designs[k]``.
 
-    Row k is sampled at t_bars[k] + tc and solved on ``design`` as
-    ``np.linalg.lstsq(A, row, rcond=None)`` solves it, bit for bit; an
-    SVD that does not converge raises LinAlgError, as it does there.
+    ``designs`` is a (K, m, 3) stack of ``fit_design`` matrices of one
+    shape; each row is solved as ``np.linalg.lstsq(A, row, rcond=None)``
+    solves it, bit for bit, ``_SOLVE_ROWS`` rows per gufunc call. An SVD
+    that does not converge raises LinAlgError, as it does there.
     """
-    a = design[2]
-    m, n = a.shape
-    b = np.zeros((len(rows), m, 1))  # zero targets for the alpha*I rows, if any
-    b[:, :rows.shape[1], 0] = rows
+    k, m, n = designs.shape
     # numpy 1.x has one gufunc per shape and picks it as below
     lstsq = getattr(_umath_linalg, "lstsq", None) or (
         _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n)
+    rcond = np.finfo(float).eps * max(m, n)
+    out = np.empty((k, n))
     with np.errstate(call=_svd_failed, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        beta_c = lstsq(a, b, np.finfo(float).eps * max(m, n), signature="ddd->ddid")[0]
+        for b in range(0, k, _SOLVE_ROWS):
+            a = designs[b:b + _SOLVE_ROWS]
+            rhs = np.zeros((len(a), m, 1))  # zero targets for the alpha*I rows, if any
+            rhs[:, :rows.shape[1], 0] = rows[b:b + _SOLVE_ROWS]
+            out[b:b + _SOLVE_ROWS] = lstsq(a, rhs, rcond, signature="ddd->ddid")[0][:, :, 0]
+    return out
+
+
+def uncenter(beta_c: np.ndarray, t_bars: np.ndarray) -> np.ndarray:
+    """Absolute-time coefficients (K x 3) of centered ones fitted about ``t_bars``."""
+    c0, c1, c2 = beta_c.T
     # zeta(t) = c0 + c1*(t - t_bar) + c2*(t - t_bar)^2, expanded in t:
-    return [
-        (c0 - c1 * t_bar + c2 * t_bar * t_bar, c1 - 2.0 * c2 * t_bar, c2)
-        for (c0, c1, c2), t_bar in zip(beta_c[:, :, 0].tolist(), t_bars)
-    ]
+    return np.stack([c0 - c1 * t_bars + c2 * t_bars * t_bars,
+                     c1 - 2.0 * c2 * t_bars, c2], axis=1)
 
 
 def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
@@ -205,10 +233,11 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
         )
     policy = alpha_policy if alpha_policy is not None else DEFAULT_ALPHA_POLICY
 
-    t_bar = float(t.mean())
-    alpha, kappa, _ = design = fit_design(t - t_bar, policy)
+    t_bar = t.mean()
+    alpha, kappa, a = fit_design(t - t_bar, policy)
+    coefficients = uncenter(fit_solve(a[None], z[None]), t_bar)[0]
     domain = (float(t.min()), float(t.max()))
-    return CentralityPolynomial(fit_solve(design, [t_bar], z[None])[0], domain, alpha, kappa)
+    return CentralityPolynomial(tuple(coefficients.tolist()), domain, alpha, kappa)
 
 
 def fit(

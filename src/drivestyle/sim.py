@@ -283,8 +283,9 @@ class World:
 
     ``law`` holds each agent's ``idm_law``; ``mobil`` whether lane-change
     decisions are its own (an IDM agent with MOBIL on). ``lane_change``
-    maps the position of each agent mid-change to its (from lane,
-    progress); its ``lane`` is already the target lane, which
+    maps the position of each agent mid-change to its (start, progress),
+    the start a lateral position in lane units (a float lane index); its
+    ``lane`` is already the target lane, which
     car-following commits to at once. ``scripts`` maps a frame to its
     scripted changes, {position: target lane}.
     """
@@ -299,7 +300,7 @@ class World:
     cruise: list[bool]
     mobil: list[bool]
     scripts: dict[int, dict[int, int]]
-    lane_change: dict[int, tuple[int, float]] = field(default_factory=dict)
+    lane_change: dict[int, tuple[float, float]] = field(default_factory=dict)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
 
@@ -368,7 +369,19 @@ def _leaders(lanes, n: int) -> list[int | None]:
 
 
 def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
-    world.lane_change[pos] = (world.lane_change.get(pos, (world.lane[pos],))[0], 0.0)
+    """Start a change to ``target_lane`` from where the agent is now.
+
+    A change starts from the agent's lateral position in lane units: its
+    lane, or, mid-change, the blended position of that change, so a
+    retarget continues from where the agent is.
+    """
+    if pos in world.lane_change:
+        start, progress = world.lane_change[pos]
+        blend = 0.5 * (1.0 - math.cos(math.pi * progress))
+        start += (world.lane[pos] - start) * blend
+    else:
+        start = float(world.lane[pos])
+    world.lane_change[pos] = (start, 0.0)
     world.lane[pos] = target_lane
 
 
@@ -448,12 +461,12 @@ def step(world: World, dt: float) -> World:
     # max(0.0, w), which is w only where w > 0.0
     world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
     progress_step = dt / cfg.lane_change_duration_s
-    for pos, (from_lane, progress) in list(world.lane_change.items()):
+    for pos, (start, progress) in list(world.lane_change.items()):
         progress += progress_step
         if progress >= 1.0 - 1e-12:
             del world.lane_change[pos]
         else:
-            world.lane_change[pos] = (from_lane, progress)
+            world.lane_change[pos] = (start, progress)
     world.frame += 1
     return world
 
@@ -518,10 +531,10 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
         x += world.x
         vx += world.speed
         lateral, lateral_rate = list(map(centre.__getitem__, world.lane)), [0.0] * n
-        for pos, (from_lane, progress) in world.lane_change.items():
-            shift = world.lane[pos] - from_lane
+        for pos, (start, progress) in world.lane_change.items():
+            shift = world.lane[pos] - start
             blend = 0.5 * (1.0 - math.cos(math.pi * progress))
-            lateral[pos] = (from_lane + shift * blend) * width
+            lateral[pos] = (start + shift * blend) * width
             lateral_rate[pos] = (
                 shift * width * math.pi / (2.0 * duration) * math.sin(math.pi * progress)
             )

@@ -71,20 +71,25 @@ class SleSummary:
     sie_max: float
 
 
-def sle_summaries(
-    coefficients: list[Coefficients],
-    windows: list[tuple[float, float]],
-    frame_rate_hz: float,
-) -> list[SleSummary]:
-    """``sle_sie`` for many (coefficients, window) pairs in one array pass.
+class SleArrays(NamedTuple):
+    """``SleSummary`` fields of many (polynomial, window) rows, one array each."""
 
-    Row r reads the quadratic ``coefficients[r]`` at the frame samples
-    t = k / rate of the closed window ``windows[r]``, k0 <= k <= k1. SIE
-    is the constant |2 b2|. SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate);
-    each step of d is monotone under round-to-nearest, so the computed d
-    is monotone in k and |d| peaks at k0 or k1, ties going to k0. When k1
-    wins, d may have rounded to the same value on earlier samples (a
-    plateau); only then is the row sampled, to find the earliest one.
+    sle_max: np.ndarray
+    t_sle: np.ndarray
+    sie_max: np.ndarray
+
+
+def sle_summaries(coefficients, windows, frame_rate_hz: float) -> SleArrays:
+    """``sle_sie`` for many (coefficients, window) rows in one array pass.
+
+    Row r reads the quadratic ``coefficients[r]`` (an N x 3 array or a
+    list of triples) at the frame samples t = k / rate of the closed
+    window ``windows[r]``, k0 <= k <= k1. SIE is the constant |2 b2|.
+    SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate); each step of d is
+    monotone under round-to-nearest, so the computed d is monotone in k
+    and |d| peaks at k0 or k1, ties going to k0. When k1 wins, d may
+    have rounded to the same value on earlier samples (a plateau); only
+    then is the row sampled, to find the earliest one.
     """
     f = require_positive(frame_rate_hz, "frame_rate_hz")
     w = np.asarray(windows, dtype=float).reshape(-1, 2)
@@ -96,7 +101,7 @@ def sle_summaries(
     bad = np.flatnonzero(k1 < k0)
     if bad.size:
         raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
-    b = np.array(coefficients, dtype=float).reshape(-1, 3)
+    b = np.asarray(coefficients, dtype=float).reshape(-1, 3)
     b1, slope = b[:, 1], 2.0 * b[:, 2]
     first = np.abs(b1 + slope * (k0 / f))
     last = np.abs(b1 + slope * (k1 / f))
@@ -105,13 +110,7 @@ def sle_summaries(
     for r in np.flatnonzero(right & (np.abs(b1 + slope * ((k1 - 1) / f)) == last)):
         ks = np.arange(k0[r], k1[r] + 1)
         k[r] = ks[np.argmax(np.abs(b1[r] + slope[r] * (ks / f)))]
-    return [
-        SleSummary(sle_max=sle_max, t_sle=t_sle, sie_max=sie_max)
-        for sle_max, t_sle, sie_max in zip(
-            np.where(right, last, first).tolist(), (k / f).tolist(),
-            np.abs(slope).tolist(),
-        )
-    ]
+    return SleArrays(np.where(right, last, first), k / f, np.abs(slope))
 
 
 def sle_sie(
@@ -125,7 +124,34 @@ def sle_sie(
     of t, so its window maximum sits at an endpoint; ties break toward
     the earliest sample (see ``sle_summaries``).
     """
-    return sle_summaries([poly.coefficients], [window], frame_rate_hz)[0]
+    arrays = sle_summaries([poly.coefficients], [window], frame_rate_hz)
+    return SleSummary(*(float(a[0]) for a in arrays))
+
+
+def critical_points(closeness, windows, epsilon: float):
+    """(rows, t_c, sharpness): the weaving points of many closeness quadratics.
+
+    Row r's candidate is the zero t_c = -b1 / (2 b2) of the first
+    derivative of ``closeness[r]``, kept when b2 != 0 and t_c lies
+    strictly inside ``windows[r]``. Its sharpness is the largest
+    |dzeta/dt| over the epsilon-ball around it, 2 |b2| epsilon; a
+    candidate whose sharpness equals |b1 + 2 b2 t_c| there, as a flat
+    polynomial's does, is dropped. ``rows`` ascends. Each float step is
+    the one a Python-float evaluation of these formulas takes, so the
+    points equal the one-window scalar rule bit for bit.
+    """
+    require_positive(epsilon, "epsilon")
+    b = np.asarray(closeness, dtype=float).reshape(-1, 3)
+    w = np.asarray(windows, dtype=float).reshape(-1, 2)
+    b1, b2 = b[:, 1], b[:, 2]
+    # as Python floats: inf and nan where b2 is 0 or tiny, and no warning
+    with np.errstate(all="ignore"):
+        t_c = -b1 / (2.0 * b2)
+        sharpness = 2.0 * np.abs(b2) * epsilon
+        keep = (b2 != 0.0) & (w[:, 0] < t_c) & (t_c < w[:, 1])
+        keep &= sharpness != np.abs(b1 + 2.0 * b2 * t_c)
+    rows = np.flatnonzero(keep)
+    return rows, t_c[rows], sharpness[rows]
 
 
 def detect_weaving(
@@ -133,26 +159,12 @@ def detect_weaving(
     window: tuple[float, float],
     epsilon: float,
 ) -> list[tuple[float, float]]:
-    """Critical points of the closeness quadratic with their sharpness.
+    """The critical point of one closeness quadratic with its sharpness, if any.
 
-    A candidate is a zero of the first derivative strictly inside the
-    window. Its sharpness is the largest |dzeta/dt| over the epsilon-ball
-    around it; candidates whose ball maximum equals the (zero) derivative
-    at the point — constant polynomials — are discarded as flat.
+    The one-window form of ``critical_points``.
     """
-    require_positive(epsilon, "epsilon")
-    b0, b1, b2 = closeness
-    if b2 == 0.0:
-        # derivative is the constant b1: either no zeros, or flat everywhere
-        return []
-    t_c = -b1 / (2.0 * b2)
-    w0, w1 = window
-    if not (w0 < t_c < w1):
-        return []
-    sharpness = 2.0 * abs(b2) * epsilon  # max |b1 + 2 b2 t| over the ball
-    if sharpness == abs(b1 + 2.0 * b2 * t_c):
-        return []
-    return [(t_c, sharpness)]
+    _, t_c, sharpness = critical_points([closeness], [window], epsilon)
+    return list(zip(t_c.tolist(), sharpness.tolist()))
 
 
 class WindowAnalysis(NamedTuple):
@@ -222,42 +234,77 @@ def merge_critical_points(
     return [max(c, key=lambda p: (p[1], -p[0])) for c in clusters]
 
 
-def _aggregate_sle(summaries: list[SleSummary]) -> StyleSummary:
-    if not summaries:
-        return StyleSummary(sle_max=0.0, t_sle=None, sie_max=0.0, detected=False)
-    best = max(summaries, key=lambda s: (s.sle_max, -s.t_sle))
-    return StyleSummary(
-        sle_max=best.sle_max,
-        t_sle=best.t_sle,
-        sie_max=max(s.sie_max for s in summaries),
-        detected=False,
-    )
-
-
-def classify(
-    agent_id: str,
+def classify_agents(
+    agent_ids: list[str],
     windows: list[WindowAnalysis],
-    degree_sle: list[SleSummary],
-    closeness_sle: list[SleSummary],
+    counts,
+    spans,
+    degree_sle: SleArrays,
+    closeness_sle: SleArrays,
+    points,
     thresholds: Thresholds,
     epsilon: float,
-) -> StyleReport:
-    """Aggregate per-window estimates into the per-agent style report.
+) -> list[StyleReport]:
+    """Aggregate the windows of many agents into their style reports.
 
-    ``degree_sle`` and ``closeness_sle`` hold the windows' SLE maxima.
+    Rows are agent-major: agent i owns the next ``counts[i]`` of
+    ``windows``, of the (N x 2) ``spans`` and of the two ``SleArrays``;
+    ``points`` is ``critical_points``' (rows, t_c, sharpness) over them.
     The whole-run t_SLE of a derivative style is the t_SLE of the window
     attaining the largest SLE maximum (earliest on ties). Weaving points
     from overlapping windows are merged within ``epsilon`` and filtered
     by the sharpness floor; the weaving t_SLE is the center of the span
     the surviving critical points cover. The agent is aggressive iff any
-    aggressive style crosses its threshold, conservative otherwise.
+    aggressive style crosses its threshold, conservative otherwise; an
+    agent without windows is conservative with empty summaries.
     """
-    overspeed = _aggregate_sle(degree_sle)
-    overtake = _aggregate_sle(closeness_sle)
+    counts = np.asarray(counts, dtype=np.int64)
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    spans = np.asarray(spans, dtype=float).reshape(-1, 2)
+    owner = np.repeat(np.arange(len(counts)), counts)
+    heads = starts[counts > 0]  # reduceat segments: the agents with windows
 
-    merged = merge_critical_points(
-        [p for w in windows for p in w.weaving_points], tolerance=epsilon
-    )
+    def best(sle: SleArrays):
+        # per agent the largest SLE, earliest t_sle on ties (t_sle is not
+        # monotone over overlapping windows, so the order must be sorted)
+        pick = np.lexsort((sle.t_sle, -sle.sle_max, owner))[heads]
+        return (sle.sle_max[pick].tolist(), sle.t_sle[pick].tolist(),
+                _reduce(np.maximum, sle.sie_max, heads))
+
+    overspeed, overtake = best(degree_sle), best(closeness_sle)
+    run_start = _reduce(np.minimum, spans[:, 0], heads)
+    run_end = _reduce(np.maximum, spans[:, 1], heads)
+    rows, t_c, sharpness = points
+    cut = np.searchsorted(rows, ends).tolist()
+    t_c, sharpness = t_c.tolist(), sharpness.tolist()
+
+    reports, at, begin = [], 0, 0
+    for agent_id, start, end, stop in zip(agent_ids, starts.tolist(), ends.tolist(), cut):
+        if start == end:
+            summaries = [StyleSummary(0.0, None, 0.0, False) for _ in (0, 1)]
+            run_window = (0.0, 0.0)
+        else:
+            summaries = [StyleSummary(s[0][at], s[1][at], s[2][at], False)
+                         for s in (overspeed, overtake)]
+            run_window = (run_start[at], run_end[at])
+            at += 1
+        points_of = list(zip(t_c[begin:stop], sharpness[begin:stop]))
+        begin = stop
+        reports.append(_report(agent_id, windows[start:end], run_window, *summaries,
+                               points_of, thresholds, epsilon))
+    return reports
+
+
+def _reduce(ufunc, values: np.ndarray, heads: np.ndarray) -> list[float]:
+    """``ufunc`` over each segment of ``values`` starting at ``heads``."""
+    return ufunc.reduceat(values, heads).tolist() if heads.size else []
+
+
+def _report(agent_id, windows, run_window, overspeed, overtake, points,
+            thresholds, epsilon) -> StyleReport:
+    """One agent's report from its two SLE aggregates and its weaving points."""
+    merged = merge_critical_points(points, tolerance=epsilon)
     significant = [p for p in merged if p[1] > thresholds.weaving_min_sharpness]
     if significant:
         times = [p[0] for p in significant]
@@ -283,10 +330,6 @@ def classify(
     )
 
     aggressive = overspeed.detected or overtake.detected or weaving.detected
-    spans = [w.window for w in windows]
-    run_window = (
-        (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else (0.0, 0.0)
-    )
     return StyleReport(
         agent_id=agent_id,
         window=run_window,
@@ -299,3 +342,30 @@ def classify(
         global_label=LABEL_AGGRESSIVE if aggressive else LABEL_CONSERVATIVE,
         windows=windows,
     )
+
+
+def classify(
+    agent_id: str,
+    windows: list[WindowAnalysis],
+    degree_sle: list[SleSummary],
+    closeness_sle: list[SleSummary],
+    thresholds: Thresholds,
+    epsilon: float,
+) -> StyleReport:
+    """The style report of one agent: the one-agent form of ``classify_agents``.
+
+    ``degree_sle`` and ``closeness_sle`` hold the windows' SLE maxima.
+    """
+    rows = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
+    points = (np.array([r for r, _ in rows], dtype=np.int64),
+              np.array([p[0] for _, p in rows], dtype=float),
+              np.array([p[1] for _, p in rows], dtype=float))
+    return classify_agents(
+        [agent_id], windows, [len(windows)], [w.window for w in windows],
+        _sle_arrays(degree_sle), _sle_arrays(closeness_sle), points, thresholds, epsilon,
+    )[0]
+
+
+def _sle_arrays(summaries: list[SleSummary]) -> SleArrays:
+    return SleArrays(*(np.array([getattr(s, name) for s in summaries], dtype=float)
+                       for name in SleArrays._fields))

@@ -6,7 +6,8 @@ to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
-maxima by sampling every frame, trajectory tables by reading a file one
+maxima by sampling every frame, weaving points and per-agent aggregates
+in Python floats, trajectory tables by reading a file one
 row at a time, and the expected maneuver frame by counting the
 annotators of every frame. The simulator is replayed on one mutable
 object per vehicle with a sorted (lane, x, position) index, calling the
@@ -42,7 +43,20 @@ from drivestyle.sim import (
     idm_law,
     mobil_decision,
 )
-from drivestyle.styles import SleSummary, WindowAnalysis, classify, detect_weaving
+from drivestyle.styles import (
+    LABEL_AGGRESSIVE,
+    LABEL_CONSERVATIVE,
+    STYLE_CONSERVATIVE,
+    STYLE_OVERSPEEDING,
+    STYLE_OVERTAKE_LANE_CHANGE,
+    STYLE_WEAVING,
+    SleSummary,
+    StyleReport,
+    StyleSummary,
+    WeavingSummary,
+    WindowAnalysis,
+    merge_critical_points,
+)
 
 
 def row_loop_parse(text, frame_rate_hz):
@@ -364,12 +378,90 @@ def lstsq_fit(first_frame, values, alpha_policy, frame_rate_hz):
     return CentralityPolynomial(coefficients, (float(t[0]), float(t[-1])), alpha, kappa)
 
 
+def scalar_detect_weaving(closeness, window, epsilon):
+    """The critical point of one closeness quadratic, in Python floats.
+
+    A candidate is a zero of the first derivative strictly inside the
+    window. Its sharpness is the largest |dzeta/dt| over the epsilon-ball
+    around it; candidates whose ball maximum equals the (zero) derivative
+    at the point — constant polynomials — are discarded as flat.
+    """
+    b0, b1, b2 = closeness
+    if b2 == 0.0:
+        # derivative is the constant b1: either no zeros, or flat everywhere
+        return []
+    t_c = -b1 / (2.0 * b2)
+    w0, w1 = window
+    if not (w0 < t_c < w1):
+        return []
+    sharpness = 2.0 * abs(b2) * epsilon  # max |b1 + 2 b2 t| over the ball
+    if sharpness == abs(b1 + 2.0 * b2 * t_c):
+        return []
+    return [(t_c, sharpness)]
+
+
+def scalar_aggregate_sle(summaries):
+    """The window attaining the largest SLE maximum, earliest t_sle on ties."""
+    if not summaries:
+        return StyleSummary(sle_max=0.0, t_sle=None, sie_max=0.0, detected=False)
+    best = max(summaries, key=lambda s: (s.sle_max, -s.t_sle))
+    return StyleSummary(
+        sle_max=best.sle_max,
+        t_sle=best.t_sle,
+        sie_max=max(s.sie_max for s in summaries),
+        detected=False,
+    )
+
+
+def scalar_classify(agent_id, windows, degree_sle, closeness_sle, thresholds, epsilon):
+    """``styles.classify`` one Python object at a time."""
+    overspeed = scalar_aggregate_sle(degree_sle)
+    overtake = scalar_aggregate_sle(closeness_sle)
+    merged = merge_critical_points(
+        [p for w in windows for p in w.weaving_points], tolerance=epsilon
+    )
+    significant = [p for p in merged if p[1] > thresholds.weaving_min_sharpness]
+    times = [p[0] for p in significant]
+    weaving = WeavingSummary(
+        count=len(significant),
+        t_sle=0.5 * (min(times) + max(times)) if times else None,
+        sie_max=max((p[1] for p in significant), default=0.0),
+        detected=len(significant) >= 1,
+        critical_points=significant,
+    )
+    overspeed.detected = overspeed.sle_max > thresholds.tau_degree
+    overtake.detected = overtake.sle_max > thresholds.tau_closeness
+    conservative = StyleSummary(
+        sle_max=max(overspeed.sle_max, overtake.sle_max),
+        t_sle=None,
+        sie_max=max(overspeed.sie_max, overtake.sie_max),
+        detected=not (overspeed.detected or overtake.detected or weaving.detected),
+    )
+    aggressive = overspeed.detected or overtake.detected or weaving.detected
+    spans = [w.window for w in windows]
+    run_window = (
+        (min(s[0] for s in spans), max(s[1] for s in spans)) if spans else (0.0, 0.0)
+    )
+    return StyleReport(
+        agent_id=agent_id,
+        window=run_window,
+        styles={
+            STYLE_OVERSPEEDING: overspeed,
+            STYLE_OVERTAKE_LANE_CHANGE: overtake,
+            STYLE_WEAVING: weaving,
+            STYLE_CONSERVATIVE: conservative,
+        },
+        global_label=LABEL_AGGRESSIVE if aggressive else LABEL_CONSERVATIVE,
+        windows=windows,
+    )
+
+
 def per_window_analyze(table, params=None, series=None):
     """``analyze_table`` one window at a time, sharing nothing between fits.
 
     Each window gets its own slice of the series arrays, its own
-    ``lstsq_fit`` per kind (design, alpha selection and solve) and its
-    own SLE/SIE sampling.
+    ``lstsq_fit`` per kind (design, alpha selection and solve), its own
+    SLE/SIE sampling and weaving test, and each agent its own aggregate.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -404,14 +496,14 @@ def per_window_analyze(table, params=None, series=None):
                     *shared,
                     degree=deg_poly.coefficients,
                     closeness=clo_poly.coefficients,
-                    weaving_points=detect_weaving(
+                    weaving_points=scalar_detect_weaving(
                         clo_poly.coefficients, span, params.epsilon_s
                     ),
                 )
             )
             degree_sle.append(sampled_sle(deg_poly, span, f))
             closeness_sle.append(sampled_sle(clo_poly, span, f))
-        reports.append(classify(
+        reports.append(scalar_classify(
             agent_id, analyses, degree_sle, closeness_sle,
             params.thresholds, params.epsilon_s,
         ))
@@ -423,7 +515,7 @@ def per_window_analyze(table, params=None, series=None):
 
 @dataclass
 class LaneChangeState:
-    from_lane: int
+    from_lane: float  # lateral start in lane units
     to_lane: int
     progress: float = 0.0  # fraction of the transition completed
 
@@ -446,12 +538,16 @@ class SimAgent:
         """The agent as ``sim.mobil_decision`` takes a car."""
         return (self.x, self.speed, idm_law(self.params))
 
-    def lateral_y(self, lane_width: float) -> float:
+    def lateral_lane(self) -> float:
+        """The lateral position in lane units."""
         if self.lane_change is None:
-            return self.lane * lane_width
+            return self.lane
         lc = self.lane_change
         blend = 0.5 * (1.0 - math.cos(math.pi * lc.progress))
-        return (lc.from_lane + (lc.to_lane - lc.from_lane) * blend) * lane_width
+        return lc.from_lane + (lc.to_lane - lc.from_lane) * blend
+
+    def lateral_y(self, lane_width: float) -> float:
+        return self.lateral_lane() * lane_width
 
     def lateral_rate(self, lane_width: float, duration: float) -> float:
         if self.lane_change is None:
@@ -501,8 +597,9 @@ class LaneIndex:
 
 
 def _begin_lane_change(agent, target_lane):
-    current = agent.lane_change.from_lane if agent.lane_change else agent.lane
-    agent.lane_change = LaneChangeState(from_lane=current, to_lane=target_lane)
+    # from where the agent is: mid-change, the blended position
+    agent.lane_change = LaneChangeState(from_lane=float(agent.lateral_lane()),
+                                        to_lane=target_lane)
     agent.lane = target_lane
 
 

@@ -9,7 +9,7 @@ from drivestyle.calibrate import calibrate_thresholds
 from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
 from drivestyle.ingest import TrajectoryTable
-from drivestyle.pipeline import AnalysisParams, report_from_json
+from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
 from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE
@@ -296,6 +296,47 @@ def analyzed_run(tmp_path_factory):
         "--frame-rate", "10", "--window", "1.0", "--stride", "0.5", "--out", str(run),
     ]) == 0
     return run
+
+
+# one field of the labelled agent's overtaking style, or the frame rate,
+# holding what analyze never writes
+REPORT_FAULTS = {
+    "rate_text": ("frame_rate_hz", "x"),
+    "t_sle_text": ("t_sle", "abc"),
+    "t_sle_list": ("t_sle", [1]),
+    "t_sle_bool": ("t_sle", True),
+    "t_sle_nan": ("t_sle", math.nan),
+    "t_sle_inf": ("t_sle", math.inf),
+    "t_sle_past_2_53": ("t_sle", 1e308),
+    "detected_text": ("detected", "no"),
+}
+
+
+@pytest.mark.parametrize("fault", list(REPORT_FAULTS))
+def test_evaluate_malformed_report_field_exits_1_with_one_line(
+    fault, analyzed_run, tmp_path, capsys
+):
+    payload = json.loads((analyzed_run / "report.json").read_text())
+    key, value = REPORT_FAULTS[fault]
+    if key == "frame_rate_hz":
+        payload[key] = value
+    else:
+        (subject,) = [a for a in payload["agents"] if a["agent_id"] == "subject"]
+        subject["styles"][STYLE_OVERTAKE_LANE_CHANGE][key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))  # NaN and Infinity as Python's json writes them
+    assert main([
+        "evaluate", "--report", str(report), "--labels", str(analyzed_run / "labels.csv"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
+    assert key in err
+
+
+def test_analyzed_report_reads_back_unchanged(analyzed_run):
+    text = (analyzed_run / "report.json").read_text()
+    assert report_to_json(report_from_json(text=text)) == text
 
 
 @pytest.mark.parametrize(

@@ -3,6 +3,7 @@ import json
 import tracemalloc
 from collections import defaultdict
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,8 @@ from drivestyle.pipeline import (
     report_from_json,
     report_to_json,
 )
-from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_solve
+from drivestyle import regression
+from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_design, fit_solve
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
@@ -288,23 +290,25 @@ def test_constant_degree_windows_match_oracle_exactly():
     expected = per_window_analyze(table, params)
     assert report_to_json(report) == report_to_json(expected)
     windows = report.agent("a0").windows
-    noise = [s.sle_max for s in sle_summaries(
+    noise = sle_summaries(
         [w.degree for w in windows], [w.window for w in windows], 10.0
-    )]
+    ).sle_max.tolist()
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
 
 def solved_rows(monkeypatch):
-    """Patch ``pipeline.fit_solve`` to log each call's (time grid, row count).
+    """Patch ``pipeline.fit_solve`` to log each call's rows as (time grid, sample bits).
 
-    A call's grid is its design's centered times, the first T entries of
+    A row's grid is its design's centered times, the first T entries of
     the Vandermonde matrix's t column.
     """
     calls = []
 
-    def counted(design, t_bars, rows):
-        calls.append((design[2][: rows.shape[1], 1].tobytes(), len(rows)))
-        return fit_solve(design, t_bars, rows)
+    def counted(designs, rows):
+        t_count = rows.shape[1]
+        calls.append([(a[:t_count, 1].tobytes(), row.tobytes())
+                      for a, row in zip(designs, rows)])
+        return fit_solve(designs, rows)
 
     monkeypatch.setattr(pipeline, "fit_solve", counted)
     return calls
@@ -326,46 +330,90 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     table, params = parked_and_movers()
     expected = report_to_json(per_window_analyze(table, params))
 
-    # what the per-window fits solve, by centered time grid: rows with
-    # equal mean time and equal sample bits are one distinct row
+    # what the per-window fits solve, by centered time grid: rows with equal
+    # sample bits on one grid are one distinct row, whatever their mean time
     series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
-    distinct, windows = defaultdict(set), 0
+    distinct, shapes, windows = defaultdict(set), set(), 0
     for f0, clo, deg in series.values():
         for w0, w1 in frame_windows(lo, hi, 10, 5):
             first, last = max(w0, f0), min(w1, f0 + len(deg) - 1)
             if last - first + 1 < 3:
                 continue
             t = np.arange(first, last + 1) / 10.0
-            grid = (t - t.mean()).tobytes()
+            tc = t - t.mean()
+            shapes.add(fit_design(tc, params.alpha_policy)[2].shape)
             for s in (clo, deg):
                 windows += 1
-                distinct[grid].add((t.mean(), s[first - f0:last - f0 + 1].tobytes()))
+                distinct[tc.tobytes()].add(s[first - f0:last - f0 + 1].tobytes())
 
     calls = solved_rows(monkeypatch)
     report = analyze_table(table, params)
     assert report_to_json(report) == expected
-    solved = defaultdict(int)
-    for grid, rows in calls:
-        solved[grid] += rows
-    assert solved == {grid: len(rows) for grid, rows in distinct.items()}
-    # one call per grid at the default block size
-    assert len(calls) == len(distinct) and sum(solved.values()) < windows / 2
+    solved = defaultdict(list)
+    for grid, samples in (row for call in calls for row in call):
+        solved[grid].append(samples)
+    assert {grid: sorted(rows) for grid, rows in solved.items()} == {
+        grid: sorted(rows) for grid, rows in distinct.items()}
+    # one call per design shape at the default block sizes
+    assert len(calls) == len(shapes) and sum(map(len, calls)) < windows / 2
 
 
 def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
     table, params = parked_and_movers()
     expected = report_to_json(analyze_table(table, params))
-    calls = solved_rows(monkeypatch)
-    monkeypatch.setattr(pipeline, "_SOLVE_ROWS", 3)
+    calls, gufunc = [], regression._umath_linalg
+    names = [name for name in ("lstsq", "lstsq_m", "lstsq_n") if hasattr(gufunc, name)]
+
+    def logged(name):
+        def call(a, b, *args, **kwargs):
+            calls.append(a.shape)
+            return getattr(gufunc, name)(a, b, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(regression, "_umath_linalg",
+                        SimpleNamespace(**{name: logged(name) for name in names}))
+    monkeypatch.setattr(regression, "_SOLVE_ROWS", 3)
     assert report_to_json(analyze_table(table, params)) == expected
-    per_grid = defaultdict(list)
-    for grid, rows in calls:
-        per_grid[grid].append(rows)
-    # every block full but a grid's last, and some grid needs several
-    assert all(rows[:-1] == [3] * (len(rows) - 1) and 0 < rows[-1] <= 3
-               for rows in per_grid.values())
-    assert max(len(rows) for rows in per_grid.values()) > 2
+    # every gufunc call solves at most 3 systems of one shape, and some
+    # fit_solve call of one shape needs several gufunc calls
+    assert calls and all(1 <= shape[0] <= 3 for shape in calls)
+    assert sum(shape[0] == 3 for shape in calls) > 2
+    # windows cut into blocks of 4: rows shared across blocks are solved
+    # again, and no bit changes
+    monkeypatch.setattr(pipeline, "_BLOCK_WINDOWS", 4)
+    assert report_to_json(analyze_table(table, params)) == expected
+
+
+@settings(max_examples=100, deadline=None)
+@given(
+    firsts=st.lists(st.integers(0, 2**40), min_size=1, max_size=6),
+    count=st.integers(3, 300) | st.sampled_from([8192, 8193, 10_000]),
+    rate=st.sampled_from([1.0, 3.0, 10.0, 29.97, 1e4]) | st.floats(0.01, 1e5),
+)
+def test_row_mean_times_equal_per_slice_mean_bit_for_bit(firsts, count, rate):
+    t_bar, tc, t0, t1 = pipeline.slice_times(np.array(firsts), count, rate)
+    for r, first in enumerate(firsts):
+        t = np.arange(first, first + count) / rate
+        mean = float(t.mean())
+        assert (t_bar[r], t0[r], t1[r]) == (mean, float(t[0]), float(t[-1]))
+        assert tc[r].tobytes() == (t - mean).tobytes()
+
+
+def test_run_mixing_alpha_0_and_alpha_above_0_designs_matches_oracle():
+    # capped at 1000, 10 Hz grids of 7 or more samples fit at alpha = 0 and
+    # shorter ones need alpha > 0; 5 samples at alpha > 0 and 8 at alpha = 0
+    # make systems of 8 rows each
+    tracks = [(0, 60, 4.0, 0.0, 0), (3, 50, 1.0, 8.0, 0), (6, 40, 0.0, 20.0, 0),
+              (0, 60, 0.0, 0.0, 1), (2, 21, 0.0, 0.0, 2)]
+    table = table_from_tracks(tracks, 10.0)
+    params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS,
+                            alpha_policy=GridSearchAlpha(cap=1000.0))
+    report = analyze_table(table, params)
+    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
+    kinds = {(round((w.window[1] - w.window[0]) * 10) + 1, w.alpha > 0)
+             for a in report.agents for w in a.windows}
+    assert {(5, True), (8, False), (11, False)} <= kinds
 
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():

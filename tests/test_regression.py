@@ -22,6 +22,7 @@ from drivestyle.regression import (
     fit_samples,
     fit_solve,
     gram_condition,
+    uncenter,
     vandermonde,
 )
 from oracles import central_difference, lstsq_solve
@@ -202,6 +203,11 @@ def bits(values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
+def solve(designs, t_bars, rows):
+    """``fit_solve`` then ``uncenter``: absolute-time coefficients per row."""
+    return uncenter(fit_solve(np.asarray(designs), rows), np.asarray(t_bars, dtype=float))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     t_count=st.integers(3, 64),
@@ -211,27 +217,30 @@ def bits(values):
     data=st.data(),
 )
 def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alpha, data):
-    t = np.arange(first, first + t_count) / rate
-    design = fit_design(t - t.mean(), FixedAlpha(alpha))
+    # a stack of the designs of two grids of one shape, rows of each
+    grids = []
+    for start in (first, first + data.draw(st.integers(1, 10**6))):
+        t = np.arange(start, start + t_count) / rate
+        grids.append((float(t.mean()), fit_design(t - t.mean(), FixedAlpha(alpha))))
     count = data.draw(st.integers(1, 5))
+    which = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
     rows = np.array(data.draw(st.lists(
         st.lists(SAMPLES, min_size=t_count, max_size=t_count), min_size=count, max_size=count
     )))
-    t_bars = data.draw(st.lists(
-        st.sampled_from([float(t.mean()), 0.0]) | st.floats(-1e6, 1e6), min_size=count,
-        max_size=count,
-    ))
+    t_bars = [data.draw(st.sampled_from([grids[g][0], 0.0]) | st.floats(-1e6, 1e6))
+              for g in which]
     expected = []
-    for t_bar, row in zip(t_bars, rows):
+    for g, t_bar, row in zip(which, t_bars, rows):
         try:
-            expected.append(bits(lstsq_solve(design, t_bar, row)))
+            expected.append(bits(lstsq_solve(grids[g][1], t_bar, row)))
         except LinAlgError:
             expected.append(LinAlgError)
+    designs = [grids[g][1][2] for g in which]
     if LinAlgError in expected:
         with pytest.raises(LinAlgError):
-            fit_solve(design, t_bars, rows)
+            solve(designs, t_bars, rows)
     else:
-        assert [bits(c) for c in fit_solve(design, t_bars, rows)] == expected
+        assert [bits(c) for c in solve(designs, t_bars, rows)] == expected
 
 
 def test_nan_rows_and_unconverged_svd_behave_as_lstsq():
@@ -243,16 +252,16 @@ def test_nan_rows_and_unconverged_svd_behave_as_lstsq():
         expected = [bits(lstsq_solve(design, 2.5, row)) for row in rows]
     except LinAlgError:
         with pytest.raises(LinAlgError):
-            fit_solve(design, [2.5, 2.5], rows)
+            solve([a, a], [2.5, 2.5], rows)
     else:
-        assert [bits(c) for c in fit_solve(design, [2.5, 2.5], rows)] == expected
+        assert [bits(c) for c in solve([a, a], [2.5, 2.5], rows)] == expected
     # a design holding NaN: gelsd's SVD fails, and np.linalg.lstsq raises
     a = a.copy()
     a[2, 1] = np.nan
     with pytest.raises(LinAlgError):
         lstsq_solve((alpha, kappa, a), 2.5, np.ones(6))
     with pytest.raises(LinAlgError, match="SVD did not converge"):
-        fit_solve((alpha, kappa, a), [2.5], np.ones((1, 6)))
+        solve([a], [2.5], np.ones((1, 6)))
 
 
 def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
@@ -271,7 +280,17 @@ def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
     cases = [(np.arange(float(t_count)), alpha)
              for t_count, alpha in ((3, 0.0), (4, 0.0), (3, 1e-3))]
     expected = [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases]
+    # stacks of three designs of one shape, solved two rows per call
+    stacks = [np.stack([fit_design(t - t.mean() + d, FixedAlpha(alpha))[2]
+                        for d in (0.0, 0.25, 0.5)]) for t, alpha in cases]
+    rows = [np.arange(3 * len(t), dtype=float).reshape(3, -1) for t, _ in cases]
+    stacked = [fit_solve(a, r) for a, r in zip(stacks, rows)]
     monkeypatch.setattr(regression, "_umath_linalg",
                         SimpleNamespace(lstsq_m=named("m"), lstsq_n=named("n")))
     assert [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases] == expected
     assert picked == ["m", "n", "n"]
+    picked.clear()
+    monkeypatch.setattr(regression, "_SOLVE_ROWS", 2)
+    for a, r, before in zip(stacks, rows, stacked):
+        assert bits(fit_solve(a, r)) == bits(before)
+    assert picked == ["m", "m", "n", "n", "n", "n"]

@@ -452,8 +452,28 @@ def test_colliding_example_collides_and_retargets_mid_change():
     result = run_scenario(_COLLIDING)
     assert result.collisions and result.collisions[0] == CollisionEvent(0, "a", "b")
     ys = result.table.y[result.table.agent == 2]
-    # lane 1 towards 0 from frame 3, then from lane 1 towards 2 at frame 5
-    assert ys[3] == 4.0 and ys[5] < ys[4] < 4.0 < ys[6]
+    # lane 1 towards 0 from frame 3, then, from where it is at frame 5,
+    # back towards 2
+    assert ys[3] == 4.0 and ys[5] < ys[4] < 4.0 and ys[5] < ys[6] < 4.0 < ys[7]
+
+
+def test_retarget_mid_change_continues_from_the_current_position():
+    # a cruiser scripted 0 -> 1 at frame 0 and -> 2 at frame 15, halfway
+    # through a 3 s change: it turns from where it is, with no snap back
+    config = ScenarioConfig(
+        lane_count=3, road_length_m=500.0, timestep_s=0.1, duration_s=6.0,
+        spawns=[SpawnSpec("c", "conservative", 0, 0.0, 20.0, longitudinal="cruise")],
+        lane_change_scripts=[LaneChangeScript("c", 0, 1), LaneChangeScript("c", 15, 2)],
+    )
+    result = run_scenario(config)
+    ys = result.table.y
+    width = config.lane_width_m
+    # the fastest a blend moves: two lanes over one change
+    bound = 2 * width * math.pi / (2.0 * config.lane_change_duration_s) * config.timestep_s
+    assert np.abs(np.diff(ys)).max() <= bound
+    assert ys[14] < ys[15] < ys[16] < width and ys[-1] == 2 * width
+    table, _ = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
 
 
 def test_mobil_scenario_trajectory_bytes_are_pinned():

@@ -12,15 +12,19 @@ from drivestyle.styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
     STYLE_WEAVING,
+    SleArrays,
+    SleSummary,
     Thresholds,
     WindowAnalysis,
     classify,
+    classify_agents,
+    critical_points,
     detect_weaving,
     merge_critical_points,
     sle_sie,
     sle_summaries,
 )
-from oracles import sample_sle_sie, sampled_sle
+from oracles import sample_sle_sie, sampled_sle, scalar_classify, scalar_detect_weaving
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02, weaving_min_sharpness=0.01)
 
@@ -67,6 +71,11 @@ def summary_tuple(s):
     return (s.sle_max, s.t_sle, s.sie_max)
 
 
+def summary_rows(arrays):
+    """``sle_summaries``' arrays as one (sle_max, t_sle, sie_max) tuple per row."""
+    return list(zip(*(a.tolist() for a in arrays)))
+
+
 coefficient = st.floats(-50, 50, allow_nan=False)
 
 
@@ -102,8 +111,8 @@ def test_batched_rows_equal_one_window_sampling(rows, f):
     polys = [p for p, _ in pairs]
     windows = [w for _, w in pairs]
     coefficients = [p.coefficients for p in polys]
-    for s, (p, window) in zip(sle_summaries(coefficients, windows, f), pairs):
-        assert summary_tuple(s) == summary_tuple(sle_sie(p, window, f)) == (
+    for s, (p, window) in zip(summary_rows(sle_summaries(coefficients, windows, f)), pairs):
+        assert s == summary_tuple(sle_sie(p, window, f)) == (
             summary_tuple(sampled_sle(p, window, f))
         )
 
@@ -117,18 +126,18 @@ def test_unequal_windows_in_one_batch_and_earliest_tie_wins():
     polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0),
              poly(0.0, -2.0, 0.5), poly(0.0, 1.0, 1e-17)]
     windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3), (1.0, 3.0), (0.0, 10.0)]
-    summaries = sle_summaries([p.coefficients for p in polys], windows, 10.0)
+    summaries = summary_rows(sle_summaries([p.coefficients for p in polys], windows, 10.0))
     rising, flat, linear, vee, plateau = summaries
-    assert (flat.sle_max, flat.t_sle, flat.sie_max) == (0.0, 0.5, 0.0)
-    assert (linear.sle_max, linear.t_sle) == (2.0, 1.0)
-    assert (rising.sle_max, rising.t_sle) == (3.0, 2.0)
-    assert (vee.sle_max, vee.t_sle, vee.sie_max) == (1.0, 1.0, 1.0)
-    assert (plateau.sle_max, plateau.t_sle) == (1.0 + 2.0**-52, 5.6)
-    for s, p, window in zip(summaries, polys, windows):
+    assert flat == (0.0, 0.5, 0.0)
+    assert linear[:2] == (2.0, 1.0)
+    assert rising[:2] == (3.0, 2.0)
+    assert vee == (1.0, 1.0, 1.0)
+    assert plateau[:2] == (1.0 + 2.0**-52, 5.6)
+    for (sle_max, t_sle, _), p, window in zip(summaries, polys, windows):
         times, sle, _ = sample_sle_sie(p, window, 10.0)
         assert (times[0], times[-1]) == window
-        assert sle.max() == s.sle_max
-        assert times[sle == s.sle_max][0] == s.t_sle
+        assert sle.max() == sle_max
+        assert times[sle == sle_max][0] == t_sle
 
 
 def test_batched_sampling_rejects_windows_without_samples():
@@ -207,8 +216,10 @@ def _classify(windows, f=1.0):
     spans = [w.window for w in windows]
     return classify(
         "a", windows,
-        sle_summaries([w.degree for w in windows], spans, f),
-        sle_summaries([w.closeness for w in windows], spans, f),
+        [SleSummary(*row) for row in summary_rows(
+            sle_summaries([w.degree for w in windows], spans, f))],
+        [SleSummary(*row) for row in summary_rows(
+            sle_summaries([w.closeness for w in windows], spans, f))],
         THRESHOLDS, epsilon=0.5,
     )
 
@@ -299,3 +310,85 @@ def test_faster_neighbor_accumulation_dominates():
     s_slow = sle_sie(slow, (0.0, 4.0), 5.0)
     s_fast = sle_sie(fast, (0.0, 4.0), 5.0)
     assert s_fast.sle_max >= s_slow.sle_max
+
+
+# weaving rows: b2 of either zero sign, tiny or ordinary; a window edge on
+# the vertex; and a flat row, whose sharpness 2 |b2| eps equals the
+# rounding residue |b1 + 2 b2 t_c| at its vertex
+FLAT = ((0.0, -3.31405702961694, 5.847850858517242), (0.0, 1.0), 3.79702920435512e-17)
+weaving_row = st.tuples(
+    st.floats(-5, 5, allow_nan=False),
+    st.sampled_from([0.0, -0.0, 1e-300, -2.5e-310]) | st.floats(-5, 5, allow_nan=False),
+    st.floats(-3, 3, allow_nan=False),
+    st.floats(0.0, 4.0, allow_nan=False),
+    st.sampled_from(["free", "left_edge", "right_edge"]),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(rows=st.lists(weaving_row, min_size=1, max_size=8),
+       epsilon=st.sampled_from([0.25, 0.5, FLAT[2]]))
+def test_array_weaving_equals_scalar_oracle(rows, epsilon):
+    closeness, windows = [FLAT[0]], [FLAT[1]]
+    for b1, b2, w0, width, edge in rows:
+        if edge != "free" and b2 != 0.0:
+            t_c = -b1 / (2.0 * b2)
+            w0 = t_c if edge == "left_edge" else t_c - width
+        closeness.append((0.0, b1, b2))
+        windows.append((w0, w0 + width))
+    expected = [(r, p) for r, (c, w) in enumerate(zip(closeness, windows))
+                for p in scalar_detect_weaving(c, w, epsilon)]
+    rows, t_c, sharpness = critical_points(closeness, windows, epsilon)
+    assert list(zip(rows.tolist(), zip(t_c.tolist(), sharpness.tolist()))) == expected
+    assert [detect_weaving(c, w, epsilon) for c, w in zip(closeness, windows)] == [
+        scalar_detect_weaving(c, w, epsilon) for c, w in zip(closeness, windows)]
+
+
+def test_flat_row_is_dropped_only_at_its_own_epsilon():
+    closeness, window, epsilon = FLAT
+    assert scalar_detect_weaving(closeness, window, epsilon) == []
+    assert detect_weaving(closeness, window, epsilon) == []
+    assert detect_weaving(closeness, window, 2 * epsilon) != []
+
+
+# one agent's windows: SLE maxima from a small set, so equal maxima meet
+# with t_sle out of order; spans and weaving points as drawn
+window_rows = st.lists(
+    st.tuples(
+        st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([3.0, 0.5, 1.5]),
+        st.sampled_from([0.0, 1.0, 2.5]), st.sampled_from([2.0, 0.0, 1.0]),
+        st.floats(0.0, 3.0, allow_nan=False),
+        st.floats(0.0, 10.0, allow_nan=False), st.floats(0.1, 3.0, allow_nan=False),
+        st.lists(st.tuples(st.floats(0.0, 12.0, allow_nan=False),
+                           st.sampled_from([0.005, 0.01, 0.5])), max_size=1),
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(agents=st.lists(window_rows, min_size=1, max_size=5))
+def test_per_agent_aggregate_equals_scalar_rule(agents):
+    windows, spans, sle, expected = [], [], ([], []), []
+    for n, rows in enumerate(agents):
+        mine = []
+        for d_max, d_t, c_max, c_t, sie, w0, width, points in rows:
+            span = (w0, w0 + width)
+            mine.append(WindowAnalysis(span, 0.0, 1.0, (0.0,) * 3, (0.0,) * 3, points))
+            sle[0].append(SleSummary(d_max, d_t, sie))
+            sle[1].append(SleSummary(c_max, c_t, 2.0 * sie))
+            spans.append(span)
+        k = len(windows)
+        expected.append(scalar_classify(f"a{n}", mine, sle[0][k:], sle[1][k:],
+                                        THRESHOLDS, 0.5))
+        windows += mine
+    points = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
+    reports = classify_agents(
+        [f"a{n}" for n in range(len(agents))], windows, [len(rows) for rows in agents],
+        spans, *(SleArrays(*(np.array([getattr(s, name) for s in rows], dtype=float)
+                             for name in SleArrays._fields)) for rows in sle),
+        (np.array([r for r, _ in points], dtype=np.int64),
+         np.array([p[0] for _, p in points]), np.array([p[1] for _, p in points])),
+        THRESHOLDS, 0.5,
+    )
+    assert reports == expected
