@@ -9,7 +9,7 @@ time-deviation evaluation protocol runs end to end at desk scale.
 
 __version__ = "0.1.0"
 
-from .centrality import AgentSeries, closeness, compute_series
+from .centrality import AgentSeries, compute_series
 from .errors import (
     ConditioningError,
     ContractViolationError,
@@ -25,8 +25,7 @@ from .evaluation import (
     expected_frame,
     tde,
 )
-from .graph import CumulativeAdjacency, InstantGraph, build_instant_graph, update_cumulative
-from .ingest import AgentFrame, TrajectoryTable, parse_trajectories, serialize_trajectories
+from .ingest import TrajectoryTable, parse_trajectories, serialize_trajectories
 from .pipeline import AnalysisParams, RunReport, analyze_table
 from .regression import (
     CentralityPolynomial,
@@ -34,7 +33,6 @@ from .regression import (
     GridSearchAlpha,
     condition_diagnostics,
     derivative,
-    fit,
     fit_samples,
 )
 from .sim import (
@@ -50,12 +48,6 @@ from .sim import (
     run_scenario,
     step,
 )
-from .styles import (
-    StyleReport,
-    Thresholds,
-    classify,
-    detect_weaving,
-    sle_sie,
-)
+from .styles import StyleReport, Thresholds
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -24,9 +24,8 @@ from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
 from .ingest import _CHUNK_LINES, TrajectoryTable, float_texts, write_text
 
-# Not called here: the per-frame forms of ``compute_series``.
-# perfbench/tracer.py wraps the layer names this module exposes, these two
-# among them.
+# Not called here: the per-frame forms of ``compute_series``. Their only
+# reader is perfbench/tracer.py, which wraps them under these names.
 from .graph import build_instant_graph, update_cumulative  # noqa: F401
 
 
@@ -269,7 +268,7 @@ def compute_series(
     i, j = order[p], order[q]
     # row-length arrays are dropped once they are read for the last time
     del order, p, q
-    # math.hypot, as AgentFrame.speed: np.hypot may differ in the last bit
+    # math.hypot, as the oracles' speeds: np.hypot may differ in the last bit
     speed = np.fromiter(
         map(math.hypot, table.vx.tolist(), table.vy.tolist()), float, len(frames)
     )

@@ -9,12 +9,11 @@ chain can count only first encounters with slower vehicles.
 ``sweep_edges`` finds the edges of many frames at once, from a table's
 frame and position columns: ``centrality.compute_series`` calls it once
 for a whole run. ``build_instant_graph`` builds one frame's graph from
-that frame's ``AgentFrame`` records (``TrajectoryTable.frames``) through
-it, and is pure. ``update_cumulative`` mutates shared state and must be
-applied in strict frame order by a single writer. ``compute_series``
-computes what these two per-frame functions and
-``centrality.closeness`` would, for a whole run; they remain as the
-per-frame form for tests and the benchmark's tracer.
+records with an ``agent_id`` and a ``position`` through it, and is pure.
+``update_cumulative`` mutates shared state and must be applied in strict
+frame order by a single writer. ``compute_series`` computes what these
+two per-frame functions and ``centrality.closeness`` would, for a whole
+run; the benchmark's tracer is their only reader in the package.
 """
 
 from __future__ import annotations
@@ -25,7 +24,6 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
-from .ingest import AgentFrame
 
 DEFAULT_MU = 100.0  # m^2: a 10 m proximity radius
 DEFAULT_CAPACITY = 256
@@ -121,10 +119,12 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
     return frame, message
 
 
-def build_instant_graph(frame: Sequence[AgentFrame], mu: float) -> InstantGraph:
+def build_instant_graph(frame: Sequence, mu: float) -> InstantGraph:
     """Connect exactly the agent pairs with squared distance < mu.
 
-    Pure function of (frame, mu), built by ``sweep_edges`` as one frame.
+    Pure function of (frame, mu), built by ``sweep_edges`` as one frame;
+    ``frame`` holds one record per agent, with ``agent_id`` and
+    ``position``.
     Raises ValidationError on an empty frame, a non-positive mu,
     duplicate agent ids, a non-finite position, or coincident agent
     positions (which would produce a zero-cost edge).

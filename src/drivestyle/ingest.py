@@ -7,9 +7,10 @@ by finite differences when the file does not carry them.
 
 A file is read in one pass: its body is split a few thousand lines at a
 time into numpy columns, validated, differenced and ordered with array
-operations, and those columns are the table. Reading stops at the first
-row that does not split into its fields and numbers; each other check is
-a mask over the columns, and an error names its line from them.
+operations, and those columns are the table; it holds no per-row records.
+Reading stops at the first row that does not split into its fields and
+numbers; each other check is a mask over the columns, and an error names
+its line from them.
 
 The label files that ``evaluation`` reads share ``read_rows``, one
 reader of small headed CSV files.
@@ -22,16 +23,12 @@ threads.
 from __future__ import annotations
 
 import inspect
-import math
 import os
 import sys
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
-from functools import cache, cached_property
-from itertools import groupby, islice, repeat
-from operator import itemgetter
-from types import MappingProxyType
-from typing import NamedTuple
+from functools import cache
+from itertools import islice, repeat
 
 import numpy as np
 import yaml
@@ -49,7 +46,7 @@ AGENT_TYPES = frozenset(
 
 _REQUIRED_COLUMNS = ("timestamp", "agent_id", "agent_type", "x", "y")
 
-# Guard against float products like 0.7 * 10 == 6.999... landing one frame
+# Guard against float products like 0.29 * 100 == 28.999... landing one frame
 # early; timestamps are only trusted to well above this resolution.
 _FLOOR_GUARD = 1e-9
 
@@ -66,25 +63,6 @@ _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _CHUNK_LINES = 4096
 
 
-def frame_index(timestamp: float, frame_rate_hz: float) -> int:
-    """Discrete frame index of a timestamp: floor(timestamp * rate)."""
-    return int(math.floor(timestamp * frame_rate_hz + _FLOOR_GUARD))
-
-
-class AgentFrame(NamedTuple):
-    """One agent's state at one sample: a row of a table as a record."""
-
-    timestamp: float
-    agent_id: str
-    agent_type: str
-    position: tuple[float, float]
-    velocity: tuple[float, float]
-
-    @property
-    def speed(self) -> float:
-        return math.hypot(self.velocity[0], self.velocity[1])
-
-
 @dataclass(frozen=True, eq=False)
 class TrajectoryTable:
     """One row per agent per sample, as columns, plus the sampling rate.
@@ -94,7 +72,8 @@ class TrajectoryTable:
     spawn order. ``frame`` is int64; ``timestamp``, ``x``, ``y``, ``vx``
     and ``vy`` are float64; ``agent`` holds each row's index into
     ``agent_ids``, the distinct ids, each of which has rows; and
-    ``agent_type`` holds each row's type.
+    ``agent_type`` holds each row's type. ``frames`` maps each frame index
+    to the range of its rows.
 
     Each agent occupies a contiguous run of frame indices (an agent that
     disappears may not reappear under the same id), one row per frame,
@@ -114,25 +93,15 @@ class TrajectoryTable:
     agent_type: np.ndarray
     frame_rate_hz: float
 
-    @cached_property
-    def frames(self) -> Mapping[int, tuple[AgentFrame, ...]]:
-        """The rows as records, keyed by frame index: a read-only view.
+    @property
+    def frames(self) -> dict[int, range]:
+        """Each frame index's rows, as a range of row positions, in frame order.
 
-        Built on first use, for readers that take one frame's records
-        (``graph.build_instant_graph``); nothing in this package reads it.
+        Built from ``frame`` on each access; read only outside the package.
         """
-        records = map(
-            AgentFrame,
-            self.timestamp.tolist(),
-            map(self.agent_ids.__getitem__, self.agent.tolist()),
-            self.agent_type.tolist(),
-            zip(self.x.tolist(), self.y.tolist()),
-            zip(self.vx.tolist(), self.vy.tolist()),
-        )
-        return MappingProxyType({
-            index: tuple(map(itemgetter(1), rows))
-            for index, rows in groupby(zip(self.frame.tolist(), records), itemgetter(0))
-        })
+        n = len(self.frame)
+        starts = [0, *(np.flatnonzero(np.diff(self.frame)) + 1).tolist()] if n else []
+        return dict(zip(self.frame[starts].tolist(), map(range, starts, [*starts[1:], n])))
 
     def span(self) -> tuple[int, int]:
         if not len(self.frame):

@@ -38,6 +38,8 @@ from .styles import (
     DEFAULT_THRESHOLDS,
     LABEL_AGGRESSIVE,
     LABEL_CONSERVATIVE,
+    STYLE_WEAVING,
+    STYLES,
     StyleReport,
     StyleSummary,
     Thresholds,
@@ -49,8 +51,7 @@ from .styles import (
 )
 
 # Not called here: the one-window forms of the arrays in ``analyze_table``.
-# perfbench/tracer.py wraps the layer names this module exposes, these
-# among them.
+# Their only reader is perfbench/tracer.py, which wraps them under these names.
 from .regression import fit  # noqa: F401
 from .styles import classify, detect_weaving, sle_sie  # noqa: F401
 
@@ -348,7 +349,8 @@ def report_from_json(source=None, *, text=None) -> RunReport:
     ``analyze`` never writes (a frame rate that is not a finite positive
     number, a maximum that is not finite, a t_SLE that is neither null nor
     a finite time below frame 2**53, a ``detected`` that is not a bool, an
-    unknown label, an agent id that is not a string) raises ValidationError.
+    unknown label, an agent id that is not a string, styles other than the
+    four ``analyze`` writes) raises ValidationError.
     """
     text = read_source(source, text, "report")
     where = "report text" if source is None else f"report {source}"
@@ -402,10 +404,13 @@ def _report_from_payload(payload: dict) -> RunReport:
         if entry["global_label"] not in (LABEL_AGGRESSIVE, LABEL_CONSERVATIVE):
             raise ValueError(f"agent {agent_id!r} has unknown global_label "
                              f"{entry['global_label']!r}")
+        if set(entry["styles"]) != set(STYLES):
+            raise ValueError(f"agent {agent_id!r} styles must be {list(STYLES)}, "
+                             f"got {list(entry['styles'])}")
         styles = {}
         for name, raw in entry["styles"].items():
             _check_style(raw, rate, f"agent {agent_id!r} {name}")
-            if "count" in raw:
+            if name == STYLE_WEAVING:
                 points = [tuple(p) for p in raw["critical_points"]]
                 styles[name] = WeavingSummary(**{**raw, "critical_points": points})
             else:

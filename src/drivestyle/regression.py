@@ -245,7 +245,7 @@ def fit(
 ) -> CentralityPolynomial:
     """Fit a centrality series sampled at consecutive frames from ``first_frame``.
 
-    Sample times are frame_index / frame_rate_hz seconds.
+    Sample times are frame / frame_rate_hz seconds.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     times = np.arange(first_frame, first_frame + len(values)) / frame_rate_hz

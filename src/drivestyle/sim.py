@@ -26,7 +26,6 @@ from .errors import ValidationError, require_non_negative, require_positive
 from .evaluation import STYLE_CODES
 from .ingest import (
     TrajectoryTable,
-    frame_index,
     read_yaml,
     write_text,
     yaml_bool,
@@ -135,6 +134,8 @@ class ScenarioConfig:
         return int(round(self.duration_s / self.timestep_s))
 
     def validate(self) -> None:
+        if self.seed < 0:
+            raise ValidationError(f"seed must be non-negative, got {self.seed}")
         require_positive(self.timestep_s, "timestep_s")
         require_non_negative(self.duration_s, "duration_s")
         if self.lane_count < 1:
@@ -422,8 +423,8 @@ def _mobil_pass(world: World, lanes) -> None:
             _refile(lanes, pos, at, own, target)
 
 
-def step(world: World, dt: float) -> World:
-    """Advance the world one timestep, in place.
+def step(world: World) -> World:
+    """Advance the world one timestep of its scenario, in place.
 
     Order per frame: scripted lane changes, lane-change decisions at the
     decision period, one batch of accelerations from the pre-step state
@@ -431,10 +432,7 @@ def step(world: World, dt: float) -> World:
     update and lateral progress.
     """
     cfg = world.config
-    if abs(dt - cfg.timestep_s) > 1e-12:
-        raise ValidationError(
-            f"dt {dt} does not match the scenario timestep {cfg.timestep_s}"
-        )
+    dt = cfg.timestep_s
     lane = world.lane
     for pos, target in world.scripts.get(world.frame, {}).items():
         if target != lane[pos]:
@@ -512,10 +510,10 @@ def build_world(config: ScenarioConfig) -> World:
 def run_scenario(config: ScenarioConfig) -> SimResult:
     """Run a scenario and emit an ingest-compatible table plus labels.
 
-    Every agent has a row at every frame, in spawn order. An agent's
-    lateral position and rate follow a cosine blend from its from-lane
-    to its lane while it changes lanes, and are its lane's centre and 0
-    otherwise.
+    Every agent has a row at every frame, in spawn order; step k is frame
+    k, at ``k * timestep_s``. An agent's lateral position and rate follow
+    a cosine blend from its from-lane to its lane while it changes lanes,
+    and are its lane's centre and 0 otherwise.
     """
     world = build_world(config)
     cfg = config
@@ -523,11 +521,9 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
     width, duration = cfg.lane_width_m, cfg.lane_change_duration_s
     centre = [k * width for k in range(cfg.lane_count)]
     n = len(world.ids)
-    frame, timestamp, x, y, vx, vy = [], [], [], [], [], []
-    for k in range(cfg.frame_count()):
-        ts = k * cfg.timestep_s
-        frame.append(frame_index(ts, rate))
-        timestamp.append(ts)
+    frames = cfg.frame_count()
+    x, y, vx, vy = [], [], [], []
+    for _ in range(frames):
         x += world.x
         vx += world.speed
         lateral, lateral_rate = list(map(centre.__getitem__, world.lane)), [0.0] * n
@@ -540,17 +536,17 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
             )
         y += lateral
         vy += lateral_rate
-        step(world, cfg.timestep_s)
+        step(world)
     table = TrajectoryTable(
-        frame=np.repeat(np.array(frame, dtype=np.int64), n),
-        timestamp=np.repeat(np.array(timestamp, dtype=float), n),
+        frame=np.repeat(np.arange(frames, dtype=np.int64), n),
+        timestamp=np.repeat(np.arange(frames) * cfg.timestep_s, n),
         x=np.array(x, dtype=float),
         y=np.array(y, dtype=float),
         vx=np.array(vx, dtype=float),
         vy=np.array(vy, dtype=float),
-        agent=np.tile(np.arange(n), len(frame)),
+        agent=np.tile(np.arange(n), frames),
         agent_ids=world.ids,
-        agent_type=np.full(n * len(frame), "car", dtype=object),
+        agent_type=np.full(n * frames, "car", dtype=object),
         frame_rate_hz=rate,
     )
     return SimResult(

@@ -25,6 +25,8 @@ STYLE_OVERSPEEDING = "overspeeding"
 STYLE_OVERTAKE_LANE_CHANGE = "overtaking_or_sudden_lane_change"
 STYLE_WEAVING = "weaving"
 STYLE_CONSERVATIVE = "conservative"
+# every agent's report holds exactly these styles
+STYLES = (STYLE_OVERSPEEDING, STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING, STYLE_CONSERVATIVE)
 
 LABEL_AGGRESSIVE = "aggressive"
 LABEL_CONSERVATIVE = "conservative"

@@ -7,12 +7,13 @@ replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
 maxima by sampling every frame, weaving points and per-agent aggregates
-in Python floats, trajectory tables by reading a file one
-row at a time, and the expected maneuver frame by counting the
-annotators of every frame. The simulator is replayed on one mutable
-object per vehicle with a sorted (lane, x, position) index, calling the
-package's one car-following law and lane-change rule, and the CSV
-writers format one row at a time.
+in Python floats, trajectory tables by reading a file one row at a time
+into ``AgentFrame`` records (``records`` gives any table's rows back as
+records), and the expected maneuver frame by counting the annotators of
+every frame. The simulator is replayed on one mutable object per vehicle
+with a sorted (lane, x, position) index, calling the package's one
+car-following law and lane-change rule, and the CSV writers format one
+row at a time.
 """
 
 from __future__ import annotations
@@ -22,13 +23,13 @@ import math
 from bisect import bisect_left, bisect_right, insort
 from collections import defaultdict
 from dataclasses import dataclass, replace
+from typing import NamedTuple
 
 import numpy as np
 
-from conftest import records_table
 from drivestyle.centrality import compute_series
 from drivestyle.errors import TrajectoryParseError, ValidationError
-from drivestyle.ingest import AGENT_TYPES, AgentFrame, frame_index
+from drivestyle.ingest import _FLOOR_GUARD, AGENT_TYPES, TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
 from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
 from drivestyle.sim import (
@@ -57,6 +58,72 @@ from drivestyle.styles import (
     WindowAnalysis,
     merge_critical_points,
 )
+
+
+# --- a table's rows as records ----------------------------------------------
+
+
+def frame_index(timestamp, frame_rate_hz):
+    """Discrete frame index of a timestamp: floor(timestamp * rate), guarded."""
+    return int(math.floor(timestamp * frame_rate_hz + _FLOOR_GUARD))
+
+
+class AgentFrame(NamedTuple):
+    """One agent's state at one sample: a row of a table as a record."""
+
+    timestamp: float
+    agent_id: str
+    agent_type: str
+    position: tuple[float, float]
+    velocity: tuple[float, float]
+
+    @property
+    def speed(self):
+        return math.hypot(self.velocity[0], self.velocity[1])
+
+
+def records(table):
+    """``{frame index: (AgentFrame, ...)}`` of a table's rows, one row at a time."""
+    frames = {}
+    rows = zip(
+        table.frame.tolist(),
+        table.timestamp.tolist(),
+        [table.agent_ids[code] for code in table.agent.tolist()],
+        table.agent_type.tolist(),
+        zip(table.x.tolist(), table.y.tolist()),
+        zip(table.vx.tolist(), table.vy.tolist()),
+    )
+    for index, *row in rows:
+        frames.setdefault(index, []).append(AgentFrame(*row))
+    return {index: tuple(group) for index, group in frames.items()}
+
+
+def records_table(frames, frame_rate_hz=1.0):
+    """The TrajectoryTable of ``{frame index: [AgentFrame, ...]}``.
+
+    Rows go in index order, then in each list's order; agent codes number
+    the ids in order of first appearance. The one way tests and oracles
+    build a table from records; ``records`` gives them back.
+    """
+    rows = [(idx, fr) for idx in sorted(frames) for fr in frames[idx]]
+    ids = list(dict.fromkeys(fr.agent_id for _, fr in rows))
+    code = {agent_id: k for k, agent_id in enumerate(ids)}
+
+    def column(values, dtype=float):
+        return np.array(list(values), dtype=dtype)
+
+    return TrajectoryTable(
+        frame=column((idx for idx, _ in rows), np.int64),
+        timestamp=column(fr.timestamp for _, fr in rows),
+        x=column(fr.position[0] for _, fr in rows),
+        y=column(fr.position[1] for _, fr in rows),
+        vx=column(fr.velocity[0] for _, fr in rows),
+        vy=column(fr.velocity[1] for _, fr in rows),
+        agent=column((code[fr.agent_id] for _, fr in rows), np.intp),
+        agent_ids=ids,
+        agent_type=column((fr.agent_type for _, fr in rows), object),
+        frame_rate_hz=frame_rate_hz,
+    )
 
 
 def row_loop_parse(text, frame_rate_hz):
@@ -298,8 +365,9 @@ def replay_degree(table, mu, capacity=None):
     remembered = set()
     totals = defaultdict(float)
     series = defaultdict(list)
-    for idx in sorted(table.frames):
-        frame = table.frames[idx]
+    frames = records(table)
+    for idx in sorted(frames):
+        frame = frames[idx]
         ids = {fr.agent_id for fr in frame}
         if capacity is not None and len(remembered | ids) > capacity:
             seen.clear()
@@ -705,10 +773,11 @@ def object_run_scenario(cfg):
 
 
 def row_serialize_trajectories(table):
-    """``serialize_trajectories``' text, one row at a time from the record view."""
+    """``serialize_trajectories``' text, one row at a time from the table's records."""
     lines = ["timestamp,agent_id,agent_type,x,y,vx,vy"]
-    for index in sorted(table.frames):
-        for fr in table.frames[index]:
+    frames = records(table)
+    for index in sorted(frames):
+        for fr in frames[index]:
             lines.append(
                 f"{fr.timestamp!r},{fr.agent_id},{fr.agent_type},{fr.position[0]!r},"
                 f"{fr.position[1]!r},{fr.velocity[0]!r},{fr.velocity[1]!r}"

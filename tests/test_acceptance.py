@@ -5,20 +5,20 @@ per criterion.
 """
 
 import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from conftest import make_frame
 from drivestyle.calibrate import calibrate_thresholds
-from drivestyle.centrality import closeness
+from drivestyle.centrality import compute_series
 from drivestyle.evaluation import (
     annotations_from_labels,
     evaluate_run,
     expected_frame,
     tde,
 )
-from drivestyle.graph import build_instant_graph
 from drivestyle.pipeline import analyze_table
 from drivestyle.regression import (
     FixedAlpha,
@@ -49,7 +49,13 @@ from drivestyle.sim import (
     step,
 )
 from drivestyle.styles import STYLE_OVERSPEEDING
-from oracles import central_difference, relaxation_closeness
+from oracles import (
+    all_pairs_edges,
+    central_difference,
+    dijkstra_closeness,
+    records_table,
+    relaxation_closeness,
+)
 
 
 def _ok(n, text):
@@ -150,13 +156,20 @@ def test_criterion_5_closeness_oracle_equivalence():
             make_frame(f"v{i}", rng.uniform(0.0, 6.0), rng.uniform(0.0, 6.0))
             for i in range(n)
         ]
-        graph = build_instant_graph(frame, mu=float(rng.uniform(2.0, 20.0)))
+        mu = float(rng.uniform(2.0, 20.0))
+        series = compute_series(records_table({0: frame}), mu)
+        graph = SimpleNamespace(
+            positions={fr.agent_id: fr.position for fr in frame},
+            edges=all_pairs_edges(frame, mu),
+        )
         for v in graph.positions:
-            assert closeness(graph, v) == relaxation_closeness(graph, v)
+            (got,) = series[v].closeness
+            assert got == relaxation_closeness(graph, v)
+            assert got == dijkstra_closeness(graph, v)
             vertices += 1
         graphs += 1
-    _ok(5, f"closeness exactly matches the relaxation oracle on "
-           f"{graphs} graphs / {vertices} vertices")
+    _ok(5, f"compute_series closeness exactly matches the relaxation and "
+           f"Dijkstra oracles on {graphs} one-frame tables / {vertices} vertices")
 
 
 def test_criterion_6_exact_recovery_and_derivatives():
@@ -202,7 +215,7 @@ def test_criterion_7_idm_anchors():
     )
     world = build_world(config)
     for _ in range(config.frame_count()):
-        step(world, 0.1)
+        step(world)
     s_star = CONSERVATIVE_PARAMS.s0 + 10.0 * CONSERVATIVE_PARAMS.T_gap
     ordered = sorted(world.x, reverse=True)
     gaps = [front - back - VEHICLE_LENGTH_M for front, back in zip(ordered, ordered[1:])]

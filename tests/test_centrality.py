@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, make_table, records_table
+from conftest import make_frame, make_table
 from drivestyle import centrality
 from drivestyle.centrality import closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
@@ -15,6 +15,8 @@ from drivestyle.graph import build_instant_graph
 from oracles import (
     all_pairs_edges,
     dijkstra_closeness,
+    records,
+    records_table,
     relaxation_closeness,
     replay_degree,
 )
@@ -139,7 +141,7 @@ def test_series_closeness_matches_relaxation_oracle_frame_by_frame():
     mu = 16.0
     series = compute_series(table, mu)
     linked = 0
-    for idx, frame in table.frames.items():
+    for idx, frame in records(table).items():
         edges = all_pairs_edges(frame, mu)
         oracle = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame}, edges=edges
@@ -238,7 +240,7 @@ def test_window_validation():
     assert len(clo) == len(deg) == 5
     with pytest.raises(ValidationError, match="empty table"):
         compute_series(records_table({}), mu=4.0)
-    frames = dict(table.frames)
+    frames = records(table)
     del frames[2]
     with pytest.raises(ContractViolationError, match="'a' has a gap in its frames"):
         compute_series(records_table(frames), mu=4.0)
@@ -265,7 +267,7 @@ def test_series_csv_text_matches_oracles():
     text = series_to_csv(compute_series(table, mu, capacity=capacity))
 
     clo = {}
-    for idx, frame in table.frames.items():
+    for idx, frame in records(table).items():
         graph = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame},
             edges=all_pairs_edges(frame, mu),
@@ -343,8 +345,7 @@ def test_whole_run_series_equal_frame_by_frame_oracles(case):
     table, mu, capacity = case
     series = compute_series(table, mu, capacity=capacity)
     dijkstra, relaxed = {}, {}
-    for idx in sorted(table.frames):
-        frame = table.frames[idx]
+    for idx, frame in sorted(records(table).items()):
         graph = build_instant_graph(frame, mu)
         oracle = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame},
@@ -426,12 +427,13 @@ def test_batched_closeness_equals_dijkstra_and_relaxation(case):
     # every vertex, by ==; a small block splits a size's batch over
     # several blocks (9 floats: one component per block)
     table, mu, block = case
-    if not table.frames:
+    frames = records(table)
+    if not frames:
         return
-    capacity = max(len(frame) for frame in table.frames.values())
+    capacity = max(len(frame) for frame in frames.values())
     with mock.patch.object(centrality, "_BLOCK", block):
         series = compute_series(table, mu, capacity=capacity)
-    for idx, frame in table.frames.items():
+    for idx, frame in frames.items():
         graph = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame},
             edges=all_pairs_edges(frame, mu),

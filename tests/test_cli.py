@@ -12,7 +12,7 @@ from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
 from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
 from drivestyle.sim import save_scenario
-from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE
+from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING
 
 
 @pytest.fixture
@@ -44,6 +44,13 @@ def test_simulate_is_idempotent(slc_scenario, tmp_path):
         out_b / "trajectories.csv"
     ).read_bytes()
     assert (out_a / "labels.csv").read_bytes() == (out_b / "labels.csv").read_bytes()
+
+
+def test_simulate_negative_seed_exits_1_with_one_line(slc_scenario, tmp_path, capsys):
+    argv = ["simulate", "--scenario", str(slc_scenario), "--seed", "-1"]
+    assert main(argv + ["--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
+    assert not (tmp_path / "run").exists()
 
 
 def test_simulate_missing_scenario(tmp_path, capsys):
@@ -144,9 +151,9 @@ def test_calibrate_writes_thresholds(tmp_path, capsys):
 
 
 def test_analysis_path_builds_no_records(slc_scenario, tmp_path, monkeypatch):
-    # the per-frame record view is for readers outside the package: every
-    # command and calibration runs with it broken, on a positions-only
-    # copy of the trajectories (velocities by differences) as well
+    # the per-frame row index is for the benchmark's tracer: every command
+    # and calibration runs with it broken, on a positions-only copy of the
+    # trajectories (velocities by differences) as well
     def no_records(table):
         raise AssertionError("TrajectoryTable.frames read")
 
@@ -332,6 +339,31 @@ def test_evaluate_malformed_report_field_exits_1_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
     assert key in err
+
+
+# the labelled agent's styles other than the four analyze writes
+STYLE_FAULTS = {
+    "missing_style": lambda styles: styles.pop(STYLE_OVERTAKE_LANE_CHANGE),
+    "unknown_style": lambda styles: styles.update(tailgating=styles[STYLE_WEAVING]),
+}
+
+
+@pytest.mark.parametrize("fault", list(STYLE_FAULTS))
+def test_evaluate_report_with_other_styles_exits_1_with_one_line(
+    fault, analyzed_run, tmp_path, capsys
+):
+    payload = json.loads((analyzed_run / "report.json").read_text())
+    (subject,) = [a for a in payload["agents"] if a["agent_id"] == "subject"]
+    STYLE_FAULTS[fault](subject["styles"])
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert main([
+        "evaluate", "--report", str(report), "--labels", str(analyzed_run / "labels.csv"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
+    assert "agent 'subject' styles must be" in err
 
 
 def test_analyzed_report_reads_back_unchanged(analyzed_run):
@@ -746,6 +778,7 @@ OUT_OF_RANGE = {
     "tau_block": ("config", ("thresholds", "tau_degree"), -1, "tau_degree must be finite"),
     "tau_file": ("thresholds", ("tau_closeness",), 0, "tau_closeness must be finite"),
     "scenario_lanes": ("scenario", ("lane_count",), 0, "need at least one lane, got 0"),
+    "scenario_seed": ("scenario", ("seed",), -3, "seed must be non-negative, got -3"),
 }
 
 

@@ -5,11 +5,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, records_table
+from conftest import make_frame
 from drivestyle.centrality import compute_series
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
-from oracles import all_pairs_edges, replay_degree
+from oracles import all_pairs_edges, records_table, replay_degree
 
 
 def test_edge_below_threshold():

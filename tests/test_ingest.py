@@ -16,12 +16,11 @@ from drivestyle.centrality import AgentSeries, series_to_csv
 from drivestyle.ingest import (
     TrajectoryTable,
     float_texts,
-    frame_index,
     parse_trajectories,
     serialize_trajectories,
     write_text,
 )
-from oracles import row_loop_parse, row_serialize_trajectories, row_series_to_csv
+from oracles import records, row_loop_parse, row_serialize_trajectories, row_series_to_csv
 
 HEADER = "timestamp,agent_id,agent_type,x,y"
 HEADER_V = HEADER + ",vx,vy"
@@ -31,25 +30,24 @@ def test_forward_backward_difference_velocity():
     # 2 rows at t=0.0 (0,0) and t=0.5 (5,0) at 2 Hz: forward difference
     # gives (10,0) at the first frame and the last frame reuses it.
     text = f"{HEADER}\n0.0,a,car,0,0\n0.5,a,car,5,0\n"
-    table = parse_trajectories(text=text, frame_rate_hz=2.0)
-    assert sorted(table.frames) == [0, 1]
-    vels = [fr.velocity for idx in sorted(table.frames) for fr in table.frames[idx]]
+    frames = records(parse_trajectories(text=text, frame_rate_hz=2.0))
+    assert sorted(frames) == [0, 1]
+    vels = [fr.velocity for idx in sorted(frames) for fr in frames[idx]]
     assert vels == [(10.0, 0.0), (10.0, 0.0)]
 
 
 def test_velocity_passthrough_single_frame():
     text = f"{HEADER_V}\n0.0,a,car,1,2,3,4\n"
-    table = parse_trajectories(text=text, frame_rate_hz=2.0)
-    assert list(table.frames) == [0]
-    (fr,) = table.frames[0]
+    frames = records(parse_trajectories(text=text, frame_rate_hz=2.0))
+    assert list(frames) == [0]
+    (fr,) = frames[0]
     assert fr.velocity == (3.0, 4.0)
     assert fr.position == (1.0, 2.0)
 
 
 def test_single_sample_without_velocity_gets_zero():
     text = f"{HEADER}\n0.0,a,car,1,2\n"
-    table = parse_trajectories(text=text, frame_rate_hz=2.0)
-    (fr,) = table.frames[0]
+    (fr,) = records(parse_trajectories(text=text, frame_rate_hz=2.0))[0]
     assert fr.velocity == (0.0, 0.0)
 
 
@@ -80,7 +78,7 @@ def test_comments_and_extra_columns_ignored():
         "1.0,a,car,1,0,downtown\n"
     )
     table = parse_trajectories(text=text, frame_rate_hz=1.0)
-    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in table.frames.items()}
+    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in records(table).items()}
     assert ids == {0: ["a"], 1: ["a"]}
 
 
@@ -128,9 +126,11 @@ def test_gap_in_frame_run_rejected():
 
 
 def test_frame_index_guard_against_float_product():
-    assert frame_index(0.7, 10.0) == 7
-    assert frame_index(4.1, 10.0) == 41
-    assert frame_index(1.15, 20.0) == 23
+    # 0.29 * 100 is 28.999999999999996: only the guard lifts it to frame 29
+    cases = ((0.7, 10.0, 7), (4.1, 10.0, 41), (1.15, 20.0, 23), (0.29, 100.0, 29))
+    for ts, rate, frame in cases:
+        table = parse_trajectories(text=f"{HEADER}\n{ts!r},a,car,0,0\n", frame_rate_hz=rate)
+        assert table.frame.tolist() == [frame]
 
 
 def test_interior_speeds_match_displacement_rate():
@@ -138,7 +138,8 @@ def test_interior_speeds_match_displacement_rate():
     f = 4.0
     rows = [f"{k / f!r},a,car,{3.0 * k / f!r},{4.0 * k / f!r}" for k in range(10)]
     table = parse_trajectories(text=HEADER + "\n" + "\n".join(rows), frame_rate_hz=f)
-    track = [table.frames[idx][0] for idx in sorted(table.frames)]
+    frames = records(table)
+    track = [frames[idx][0] for idx in sorted(frames)]
     assert len(track) == 10
     for fr, nxt in zip(track, track[1:]):
         dp = math.hypot(
@@ -151,7 +152,7 @@ def test_round_trip_identity():
     text = f"{HEADER_V}\n0.0,a,car,0,0,1,0\n0.5,a,car,5,0,1,0\n0.5,b,bus,9,9,0,0\n"
     table = parse_trajectories(text=text, frame_rate_hz=2.0)
     again = parse_trajectories(text=serialize_trajectories(table), frame_rate_hz=2.0)
-    assert again.frames == table.frames
+    assert records(again) == records(table)
 
 
 @st.composite
@@ -175,7 +176,7 @@ def table_texts(draw):
 def test_round_trip_property(text):
     table = parse_trajectories(text=text, frame_rate_hz=4.0)
     again = parse_trajectories(text=serialize_trajectories(table), frame_rate_hz=4.0)
-    assert again.frames == table.frames
+    assert records(again) == records(table)
 
 
 def test_source_is_a_path_and_text_comes_through_text(tmp_path):
@@ -183,8 +184,8 @@ def test_source_is_a_path_and_text_comes_through_text(tmp_path):
     path = tmp_path / "t.csv"
     path.write_text(text)
     from_text = parse_trajectories(text=text, frame_rate_hz=1.0)
-    assert parse_trajectories(path, 1.0).frames == from_text.frames
-    assert parse_trajectories(str(path), 1.0).frames == from_text.frames
+    assert records(parse_trajectories(path, 1.0)) == records(from_text)
+    assert records(parse_trajectories(str(path), 1.0)) == records(from_text)
     with pytest.raises(ValidationError, match="cannot read trajectories"):
         parse_trajectories(text, 1.0)  # a str is always a path
     with pytest.raises(ValidationError, match=r"cannot read trajectories .*missing\.csv"):
@@ -202,7 +203,7 @@ def test_source_is_a_path_and_text_comes_through_text(tmp_path):
 def test_table_helpers():
     text = f"{HEADER}\n0.0,a,car,0,0\n1.0,a,car,1,0\n1.0,b,bus,5,5\n"
     table = parse_trajectories(text=text, frame_rate_hz=1.0)
-    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in table.frames.items()}
+    ids = {idx: [fr.agent_id for fr in frame] for idx, frame in records(table).items()}
     assert ids == {0: ["a"], 1: ["a", "b"]}
     assert table.span() == (0, 1)
 
@@ -305,7 +306,7 @@ def _outcome(parse):
         table = parse()
     except (TrajectoryParseError, ValidationError) as exc:
         return type(exc), str(exc)
-    return dict(table.frames)
+    return records(table)
 
 
 @given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]))
@@ -323,7 +324,7 @@ def test_files_longer_than_one_chunk():
     rows = [f"{k // 7}.0,a{k % 7},car,{k * 3.0!r},{k % 7 * 4.0!r}" for k in range(2 * n + 5)]
     text = "\n".join([HEADER, *rows]) + "\n"
     table = parse_trajectories(text=text, frame_rate_hz=1.0)
-    assert table.frames == row_loop_parse(text, 1.0).frames
+    assert records(table) == records(row_loop_parse(text, 1.0))
 
     # line n + 2 is the first line of the second chunk
     for bad, message in ((rows[n] + ",x", f"line {n + 2}: expected 5 fields, got 6"),

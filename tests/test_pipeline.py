@@ -10,10 +10,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import make_frame, make_table, records_table
+from conftest import make_frame, make_table
 from drivestyle.centrality import compute_series
 from drivestyle import pipeline
 from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
+from drivestyle.ingest import parse_trajectories
 from drivestyle.pipeline import (
     AnalysisParams,
     analyze_table,
@@ -31,7 +32,7 @@ from drivestyle.styles import (
     sle_summaries,
 )
 
-from oracles import per_window_analyze
+from oracles import per_window_analyze, records, records_table
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02,
                         weaving_min_sharpness=0.001)
@@ -418,7 +419,7 @@ def test_run_mixing_alpha_0_and_alpha_above_0_designs_matches_oracle():
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():
     table = table_from_tracks([(0, 12, 1.0, 0.0, 0), (0, 12, 0.0, 5.0, 1)], 1.0)
-    frames = dict(table.frames)
+    frames = records(table)
     for k in (5, 6):
         frames[k] = [fr for fr in frames[k] if fr.agent_id != "a0"]
     with pytest.raises(ContractViolationError, match="'a0' has a gap"):
@@ -466,11 +467,46 @@ def test_rank_deficient_alpha_0_design_raises():
         per_window_analyze(table, params)
 
 
-def test_every_traced_layer_name_resolves():
-    # perfbench/tracer.py times layers by wrapping these module attributes
+def _tracer():
+    """perfbench/tracer.py, which times layers by wrapping module attributes."""
     path = Path(__file__).resolve().parents[1] / "perfbench" / "tracer.py"
     spec = importlib.util.spec_from_file_location("perfbench_tracer", path)
     tracer = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(tracer)
-    for module_name, attr, *_ in tracer.TARGETS:
-        assert callable(getattr(importlib.import_module(module_name), attr))
+    return tracer
+
+
+def test_every_traced_layer_name_resolves():
+    for module_name, attr, *_ in _tracer().TARGETS:
+        assert callable(getattr(importlib.import_module(module_name), attr, None)), attr
+
+
+def _simulated_table():
+    from drivestyle.scenarios import lane_change_scenario
+    from drivestyle.sim import run_scenario
+
+    return run_scenario(lane_change_scenario(0)).table
+
+
+def _parsed_table():
+    # agents that come and go: frames of one, two and three rows
+    rows = [
+        f"{k / 10!r},{agent},car,{3.0 * k!r},{y!r}"
+        for agent, y, frames in (("b", 0.0, range(6)), ("a", 4.0, range(3, 9)),
+                                 ("c", 8.0, range(4, 5)))
+        for k in frames
+    ]
+    text = "\n".join(["timestamp,agent_id,agent_type,x,y", *rows])
+    return parse_trajectories(text=text, frame_rate_hz=10.0)
+
+
+@pytest.mark.parametrize("build", [_simulated_table, _parsed_table])
+def test_frames_index_is_each_frames_row_range(build):
+    # the tracer counts a table's rows through table.frames
+    table = build()
+    frames = table.frames
+    assert list(frames) == sorted(set(table.frame.tolist()))
+    assert sum(len(rows) for rows in frames.values()) == len(table.frame)
+    for frame, rows in frames.items():
+        assert rows and (table.frame[rows.start:rows.stop] == frame).all()
+    assert _tracer()._rows(table) == len(table.frame)

@@ -17,7 +17,7 @@ from drivestyle.scenarios import (
     weaving_scenario,
 )
 from drivestyle.sim import run_scenario
-from oracles import replay_degree
+from oracles import records, replay_degree
 
 
 def test_suite_composition():
@@ -61,8 +61,8 @@ def test_overtake_ground_truth_brackets_proximity():
         label = result.labels[0]
         # frames where the passer is inside anyone's proximity radius
         inside = []
-        for idx in sorted(result.table.frames):
-            frames = {fr.agent_id: fr.position for fr in result.table.frames[idx]}
+        for idx, frame in sorted(records(result.table).items()):
+            frames = {fr.agent_id: fr.position for fr in frame}
             px, py = frames["passer"]
             for aid, (x, y) in frames.items():
                 if aid != "passer" and (px - x) ** 2 + (py - y) ** 2 < 100.0:
@@ -84,8 +84,8 @@ def test_weaving_subject_visits_three_lanes():
     result = run_scenario(weaving_scenario(0))
     ys = [
         fr.position[1]
-        for idx in sorted(result.table.frames)
-        for fr in result.table.frames[idx]
+        for _, frame in sorted(records(result.table).items())
+        for fr in frame
         if fr.agent_id == "subject"
     ]
     assert min(ys) <= 0.5           # reached lane 0

@@ -32,7 +32,7 @@ from drivestyle.sim import (
     step,
     write_labels,
 )
-from oracles import object_run_scenario, scan_neighbors_in_lane
+from oracles import object_run_scenario, records, scan_neighbors_in_lane
 
 
 def car(x, speed, params=CONSERVATIVE_PARAMS):
@@ -77,7 +77,7 @@ def test_idm_collision_logged_with_emergency_braking():
     )
     world = build_world(config)
     world.frame = 17
-    step(world, 0.1)
+    step(world)
     assert world.collisions == [CollisionEvent(17, "e", "l")]
     assert world.speed[1] == 10.0 - CONSERVATIVE_PARAMS.b_comf * 0.1
 
@@ -194,15 +194,9 @@ def test_step_advances_at_desired_speed():
     for mode in ("cruise", "idm"):
         world = build_world(_single_agent_config(mode, 25.0))
         x0 = world.x[0]
-        step(world, 0.1)
+        step(world)
         assert world.x[0] == pytest.approx(x0 + 25.0 * 0.1)
         assert world.speed[0] == pytest.approx(25.0, abs=1e-9)
-
-
-def test_step_rejects_mismatched_dt():
-    world = build_world(_single_agent_config("idm", 25.0))
-    with pytest.raises(ValidationError):
-        step(world, 0.2)
 
 
 def test_speed_clamped_at_zero():
@@ -216,7 +210,7 @@ def test_speed_clamped_at_zero():
     )
     world = build_world(config)
     for _ in range(10):
-        step(world, 0.1)
+        step(world)
         assert world.speed[1] >= 0.0
 
 
@@ -235,7 +229,7 @@ def test_platoon_converges_to_equilibrium_gap():
     )
     world = build_world(config)
     for _ in range(config.frame_count()):
-        step(world, 0.1)
+        step(world)
     ordered = sorted(zip(world.x, world.speed), reverse=True)
     s_star = 5.0 + 10.0 * 1.5
     for (front_x, _), (back_x, back_speed) in zip(ordered, ordered[1:]):
@@ -329,7 +323,7 @@ def test_lane_index_matches_scan_at_every_step():
             sim._refile(lanes, int(pos), world.x[pos], from_lane, lane[pos])
             moves += 1
             _assert_lookup_matches_scan(lanes, lane, world.x, config.lane_count)
-        step(world, config.timestep_s)
+        step(world)
     assert ties > 100 and moves > 0
 
 
@@ -388,7 +382,7 @@ def test_step_lane_queries_match_scan(monkeypatch):
         config = _dense_tied_config(seed)
         live["world"] = world = build_world(config)
         for _ in range(config.frame_count()):
-            step(world, config.timestep_s)
+            step(world)
     assert seen["queries"] > 1000 and seen["moves"] > 0 and seen["ego_ties"] > 0
 
 
@@ -530,7 +524,7 @@ def test_scripted_lane_changes_echo_labels_and_move_laterally():
     )
     result = run_scenario(config)
     assert result.labels == [ManeuverLabel("w", "W", 10, 90)]
-    ys = [result.table.frames[k][0].position[1] for k in sorted(result.table.frames)]
+    ys = [frame[0].position[1] for _, frame in sorted(records(result.table).items())]
     assert ys[0] == 0.0
     assert max(ys) == pytest.approx(4.0, abs=1e-6)  # reached lane 1 center
     assert ys[-1] == pytest.approx(0.0, abs=1e-6)   # returned to lane 0
@@ -551,10 +545,8 @@ def test_mobil_overtake_happens_in_mixed_traffic():
         randomize_conservative_v0=False,
     )
     result = run_scenario(config)
-    lanes = {
-        fr.agent_id: fr.position[1]
-        for fr in result.table.frames[max(result.table.frames)]
-    }
+    frames = records(result.table)
+    lanes = {fr.agent_id: fr.position[1] for fr in frames[max(frames)]}
     assert lanes["agg"] == pytest.approx(4.0, abs=1e-6)  # moved to the free lane
     assert lanes["slow"] == 0.0
     assert not result.collisions
@@ -571,10 +563,8 @@ def test_polite_driver_yields_to_free_lane():
         randomize_conservative_v0=False,
     )
     result = run_scenario(config)
-    lanes = {
-        fr.agent_id: fr.position[1]
-        for fr in result.table.frames[max(result.table.frames)]
-    }
+    frames = records(result.table)
+    lanes = {fr.agent_id: fr.position[1] for fr in frames[max(frames)]}
     assert lanes["slow"] == pytest.approx(4.0, abs=1e-6)
 
 
