@@ -2,9 +2,12 @@
 
 The classification cut-offs are the 90th percentiles of the per-agent
 SLE maxima (and weaving sharpness maxima) observed for conservative
-agents across a calibration scenario set. The calibration set should
-include the roughest benign traffic the thresholds are expected to
-tolerate; percentiles of a too-gentle set will flag ordinary drivers.
+agents across a calibration scenario set, read from the threshold-free
+score columns of each run (``RunReport.scores``); merging keeps each
+cluster's sharpest point, so an agent's largest merged sharpness is its
+largest raw one. The calibration set should include the roughest benign
+traffic the thresholds are expected to tolerate; percentiles of a
+too-gentle set will flag ordinary drivers.
 """
 
 from __future__ import annotations
@@ -14,16 +17,14 @@ import numpy as np
 from .errors import ValidationError
 from .pipeline import AnalysisParams, analyze_table
 from .sim import CLASS_CONSERVATIVE, ScenarioConfig, run_scenario
-from .styles import STYLE_OVERSPEEDING, STYLE_OVERTAKE_LANE_CHANGE, Thresholds
+from .styles import Thresholds
 
 _POSITIVE_FLOOR = 1e-9  # thresholds are contractually strictly positive
 
 PERCENTILE = 90.0
 
 
-def calibrate_thresholds(
-    scenarios: list[ScenarioConfig], params: AnalysisParams
-) -> Thresholds:
+def calibrate_thresholds(scenarios: list[ScenarioConfig], params: AnalysisParams) -> Thresholds:
     """Run the pipeline over calibration scenarios and take percentiles.
 
     Deterministic for a fixed scenario list (scenario seeds drive all
@@ -32,26 +33,19 @@ def calibrate_thresholds(
     """
     if not scenarios:
         raise ValidationError("calibration scenario set is empty")
-    degree_maxima: list[float] = []
-    closeness_maxima: list[float] = []
-    sharpness_maxima: list[float] = []
+    pools = []  # per scenario: its conservative agents' three maxima
     for config in scenarios:
         result = run_scenario(config)
         report = analyze_table(result.table, params)
-        for agent_report in report.agents:
-            if result.agent_classes[agent_report.agent_id] != CLASS_CONSERVATIVE:
-                continue
-            degree_maxima.append(agent_report.styles[STYLE_OVERSPEEDING].sle_max)
-            closeness_maxima.append(
-                agent_report.styles[STYLE_OVERTAKE_LANE_CHANGE].sle_max
-            )
-            # merging near-duplicate points keeps each cluster's sharpest,
-            # so the maximum over the raw points is the merged maximum
-            sharpness_maxima.append(max(
-                (p[1] for w in agent_report.windows for p in w.weaving_points),
-                default=0.0,
-            ))
-    if not degree_maxima:
+        scores = report.scores
+        sharpest = np.zeros(len(scores.count))  # 0.0 for an agent without points
+        np.maximum.at(sharpest, scores.owner, scores.sharpness)
+        conservative = np.array([result.agent_classes[a.agent_id] == CLASS_CONSERVATIVE
+                                 for a in report.agents], dtype=bool)
+        pools.append(np.stack([scores.degree.sle_max, scores.closeness.sle_max,
+                               sharpest])[:, conservative])
+    degree_maxima, closeness_maxima, sharpness_maxima = np.concatenate(pools, axis=1)
+    if not degree_maxima.size:
         raise ValidationError("no conservative agents in the calibration set")
     # 'higher' interpolation returns an actually observed benign value, so
     # a benign agent tied with the threshold never crosses the strict >

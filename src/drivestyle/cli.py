@@ -166,11 +166,7 @@ def cmd_calibrate(args) -> int:
         scenarios.append(load_scenario(path))
     thresholds = calibrate_thresholds(scenarios, cfg.params)
     save_thresholds(thresholds, args.out)
-    print(
-        f"tau_degree={thresholds.tau_degree!r} "
-        f"tau_closeness={thresholds.tau_closeness!r} "
-        f"weaving_min_sharpness={thresholds.weaving_min_sharpness!r}"
-    )
+    print(" ".join(f"{name}={value!r}" for name, value in vars(thresholds).items()))
     return 0
 
 

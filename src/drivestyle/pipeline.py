@@ -7,9 +7,10 @@ is clamped to the run's end; a window longer than the run degenerates to
 a single window covering it. Each agent's windows come by arithmetic on
 that grid from its own first and last frame, so the cost follows the
 rows, not the frame span. Every agent-window of a run is laid out,
-fitted and scored as arrays; Python objects are built only for the
-report (one ``WindowAnalysis`` per window, one ``StyleReport`` per
-agent).
+fitted and scored as arrays, and the threshold-free per-agent scores
+(kept as ``RunReport.scores``) are labelled last by ``styles.label``;
+Python objects are built only for the report (one ``WindowAnalysis``
+per window, one ``StyleReport`` per agent).
 """
 
 from __future__ import annotations
@@ -40,14 +41,17 @@ from .styles import (
     LABEL_CONSERVATIVE,
     STYLE_WEAVING,
     STYLES,
+    AgentScores,
     StyleReport,
     StyleSummary,
     Thresholds,
     WeavingSummary,
     WindowAnalysis,
-    classify_agents,
     critical_points,
+    label,
+    score_agents,
     sle_summaries,
+    style_reports,
 )
 
 # Not called here: the one-window forms of the arrays in ``analyze_table``.
@@ -115,6 +119,8 @@ class RunReport:
     frame_rate_hz: float
     params: AnalysisParams
     agents: list[StyleReport]
+    # threshold-free per-agent columns; a report read back from JSON has none
+    scores: AgentScores | None = field(default=None, compare=False, repr=False)
 
     def agent(self, agent_id: str) -> StyleReport:
         for report in self.agents:
@@ -172,8 +178,9 @@ def analyze_table(
     sample bits) row is solved once by ``fit_solve``, and each distinct
     (solved row, slice) pair is mapped to absolute time once and shares
     one coefficient tuple. SLE/SIE, weaving points and the per-agent
-    aggregates are scored over all windows at once. Raises
-    ConditioningError when a design is rank deficient at alpha = 0.
+    scores are taken over all windows at once, then labelled at
+    ``params.thresholds``. Raises ConditioningError when a design is
+    rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -237,7 +244,7 @@ def analyze_table(
         coefficients[:, block] = fits[pair].reshape(2, len(block), 3)
         tuples[:, block] = shared[pair].reshape(2, len(block))
 
-    # scores over every window, then one report per agent
+    # scores over every window, then labels, then one report per agent
     spans = np.column_stack([t0[window_slice], t1[window_slice]])
     points = critical_points(coefficients[1], spans, params.epsilon_s)
     weaving = [[] for _ in range(len(agent))]
@@ -249,12 +256,11 @@ def analyze_table(
     windows = list(map(tuple.__new__, repeat(WindowAnalysis), map(
         tuple.__add__, map(heads.__getitem__, window_slice.tolist()),
         zip(*tuples.tolist(), weaving))))
-    reports = classify_agents(
-        agent_ids, windows, np.bincount(agent, minlength=len(agent_ids)), spans,
-        sle_summaries(coefficients[0], spans, f), sle_summaries(coefficients[1], spans, f),
-        points, params.thresholds, params.epsilon_s,
-    )
-    return RunReport(frame_rate_hz=f, params=params, agents=reports)
+    scores = score_agents(np.bincount(agent, minlength=len(agent_ids)), spans,
+                          *(sle_summaries(c, spans, f) for c in coefficients),
+                          points, params.epsilon_s)
+    reports = style_reports(agent_ids, windows, scores, label(scores, params.thresholds))
+    return RunReport(frame_rate_hz=f, params=params, agents=reports, scores=scores)
 
 
 def _agent_windows(f0, f1, lo: int, last: int, window_frames: int, stride_frames: int):

@@ -5,13 +5,15 @@ the relevant centrality polynomial, its intensity the absolute second
 derivative. Overspeeding reads the degree polynomial, overtaking and
 sudden lane-changes read the closeness polynomial (one merged style:
 the maneuvers are modeled identically), weaving counts sharp critical
-points of the closeness polynomial. An agent is conservative when no
-aggressive style crosses its threshold.
+points of the closeness polynomial. Scores come first and carry no
+threshold (``score_agents``); ``label`` is the one step that applies
+thresholds to them, and an agent is conservative when no aggressive
+style crosses its threshold.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -216,158 +218,158 @@ class StyleReport:
     windows: list[WindowAnalysis] = field(default_factory=list)
 
 
-def merge_critical_points(
-    points: list[tuple[float, float]], tolerance: float
-) -> list[tuple[float, float]]:
-    """Collapse near-duplicate critical points from overlapping windows.
+class AgentScores(NamedTuple):
+    """Threshold-free scores of many agents, agent-major.
 
-    Points within ``tolerance`` seconds of the previous point join its
-    cluster; each cluster is represented by its sharpest member.
+    Per agent: its window count, its run span (N x 2, (0, 0) without
+    windows) and per derivative style the SLE maximum and t_SLE of its
+    best window with its SIE maximum (0, NaN and 0 without windows). Per
+    merged critical point, ascending by (owner, t_c): the owning agent,
+    the point's time and its sharpness.
     """
-    if not points:
-        return []
-    ordered = sorted(points)
-    clusters: list[list[tuple[float, float]]] = [[ordered[0]]]
-    for p in ordered[1:]:
-        if p[0] - clusters[-1][-1][0] <= tolerance:
-            clusters[-1].append(p)
-        else:
-            clusters.append([p])
-    return [max(c, key=lambda p: (p[1], -p[0])) for c in clusters]
+
+    count: np.ndarray
+    span: np.ndarray
+    degree: SleArrays
+    closeness: SleArrays
+    owner: np.ndarray
+    t_c: np.ndarray
+    sharpness: np.ndarray
 
 
-def classify_agents(
-    agent_ids: list[str],
-    windows: list[WindowAnalysis],
-    counts,
-    spans,
-    degree_sle: SleArrays,
-    closeness_sle: SleArrays,
-    points,
-    thresholds: Thresholds,
-    epsilon: float,
-) -> list[StyleReport]:
-    """Aggregate the windows of many agents into their style reports.
+class Labels(NamedTuple):
+    """``label``'s per-agent columns, then ``kept`` per merged critical point."""
 
-    Rows are agent-major: agent i owns the next ``counts[i]`` of
-    ``windows``, of the (N x 2) ``spans`` and of the two ``SleArrays``;
-    ``points`` is ``critical_points``' (rows, t_c, sharpness) over them.
-    The whole-run t_SLE of a derivative style is the t_SLE of the window
-    attaining the largest SLE maximum (earliest on ties). Weaving points
-    from overlapping windows are merged within ``epsilon`` and filtered
-    by the sharpness floor; the weaving t_SLE is the center of the span
-    the surviving critical points cover. The agent is aggressive iff any
-    aggressive style crosses its threshold, conservative otherwise; an
-    agent without windows is conservative with empty summaries.
+    overspeeding: np.ndarray
+    overtaking: np.ndarray
+    weaving_count: np.ndarray
+    weaving_t_sle: np.ndarray  # NaN without kept points
+    weaving_sie_max: np.ndarray
+    aggressive: np.ndarray
+    kept: np.ndarray
+
+
+def score_agents(counts, spans, degree_sle: SleArrays, closeness_sle: SleArrays,
+                 points, epsilon: float) -> AgentScores:
+    """The threshold-free scores of many agents from their windows' scores.
+
+    Rows are agent-major: agent i owns the next ``counts[i]`` rows of the
+    (N x 2) ``spans`` and of the two ``SleArrays``; ``points`` is
+    ``critical_points``' (rows, t_c, sharpness) over them. A style's best
+    window has the largest SLE maximum, earliest t_SLE on ties. Critical
+    points from overlapping windows merge: in (agent, t_c) order a point
+    within ``epsilon`` of its agent's previous point joins that point's
+    cluster, and each cluster keeps its sharpest member, earliest on
+    ties.
     """
     counts = np.asarray(counts, dtype=np.int64)
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    spans = np.asarray(spans, dtype=float).reshape(-1, 2)
-    owner = np.repeat(np.arange(len(counts)), counts)
-    heads = starts[counts > 0]  # reduceat segments: the agents with windows
+    spans, n = np.asarray(spans, dtype=float).reshape(-1, 2), len(counts)
+    owner = np.repeat(np.arange(n), counts)
+    has = counts > 0
+    heads = (np.cumsum(counts) - counts)[has]  # reduceat segments: the agents with windows
 
-    def best(sle: SleArrays):
-        # per agent the largest SLE, earliest t_sle on ties (t_sle is not
-        # monotone over overlapping windows, so the order must be sorted)
+    def best(sle: SleArrays) -> SleArrays:
+        # t_sle is not monotone over overlapping windows, so the order must be sorted
         pick = np.lexsort((sle.t_sle, -sle.sle_max, owner))[heads]
-        return (sle.sle_max[pick].tolist(), sle.t_sle[pick].tolist(),
-                _reduce(np.maximum, sle.sie_max, heads))
+        out = SleArrays(np.zeros(n), np.full(n, np.nan), np.zeros(n))
+        out.sle_max[has], out.t_sle[has] = sle.sle_max[pick], sle.t_sle[pick]
+        out.sie_max[has] = _reduce(np.maximum, sle.sie_max, heads)
+        return out
 
-    overspeed, overtake = best(degree_sle), best(closeness_sle)
-    run_start = _reduce(np.minimum, spans[:, 0], heads)
-    run_end = _reduce(np.maximum, spans[:, 1], heads)
+    run = np.zeros((n, 2))
+    run[has, 0] = _reduce(np.minimum, spans[:, 0], heads)
+    run[has, 1] = _reduce(np.maximum, spans[:, 1], heads)
     rows, t_c, sharpness = points
-    cut = np.searchsorted(rows, ends).tolist()
-    t_c, sharpness = t_c.tolist(), sharpness.tolist()
+    return AgentScores(counts, run, best(degree_sle), best(closeness_sle),
+                       *_merge(owner[rows], t_c, sharpness, epsilon))
 
-    reports, at, begin = [], 0, 0
-    for agent_id, start, end, stop in zip(agent_ids, starts.tolist(), ends.tolist(), cut):
-        if start == end:
-            summaries = [StyleSummary(0.0, None, 0.0, False) for _ in (0, 1)]
-            run_window = (0.0, 0.0)
-        else:
-            summaries = [StyleSummary(s[0][at], s[1][at], s[2][at], False)
-                         for s in (overspeed, overtake)]
-            run_window = (run_start[at], run_end[at])
-            at += 1
-        points_of = list(zip(t_c[begin:stop], sharpness[begin:stop]))
-        begin = stop
-        reports.append(_report(agent_id, windows[start:end], run_window, *summaries,
-                               points_of, thresholds, epsilon))
+
+def _merge(owner, t_c, sharpness, epsilon: float):
+    """(owner, t_c, sharpness) of each cluster's sharpest point, by one sort."""
+    order = np.lexsort((t_c, owner))  # stable: equal t_c keep row order
+    owner, t_c, sharpness = owner[order], t_c[order], sharpness[order]
+    new = np.ones(len(order), dtype=bool)  # a point that starts a cluster
+    new[1:] = (np.diff(owner) != 0) | (np.diff(t_c) > epsilon)
+    cluster = np.cumsum(new) - 1
+    hits = np.flatnonzero(sharpness == _reduce(np.maximum, sharpness, np.flatnonzero(new))[cluster])
+    pick = hits[np.diff(cluster[hits], prepend=-1) > 0]  # t_c ascends: earliest hit
+    return owner[pick], t_c[pick], sharpness[pick]
+
+
+def _reduce(ufunc, values: np.ndarray, heads: np.ndarray) -> np.ndarray:
+    """``ufunc`` over each segment of ``values`` starting at ``heads``."""
+    return ufunc.reduceat(values, heads) if heads.size else values[:0]
+
+
+def label(scores: AgentScores, thresholds: Thresholds) -> Labels:
+    """The styles detected at ``thresholds``: the one step that reads them.
+
+    A derivative style is detected when its SLE maximum exceeds its tau.
+    Merged critical points sharper than ``weaving_min_sharpness`` are
+    kept; weaving is detected when any is, its t_SLE is the center of the
+    span the kept points cover and its SIE maximum their largest
+    sharpness. An agent is aggressive iff any style is detected.
+    """
+    n = len(scores.count)
+    kept = scores.sharpness > thresholds.weaving_min_sharpness
+    count = np.bincount(scores.owner[kept], minlength=n)
+    weaving = count > 0
+    end = np.cumsum(count)[weaving]
+    start = end - count[weaving]
+    t_c, sharpness = scores.t_c[kept], scores.sharpness[kept]
+    t_sle, sie_max = np.full(n, np.nan), np.zeros(n)
+    t_sle[weaving] = 0.5 * (t_c[start] + t_c[end - 1])  # t_c ascends per agent
+    sie_max[weaving] = _reduce(np.maximum, sharpness, start)
+    overspeeding = scores.degree.sle_max > thresholds.tau_degree
+    overtaking = scores.closeness.sle_max > thresholds.tau_closeness
+    return Labels(overspeeding, overtaking, count, t_sle, sie_max,
+                  overspeeding | overtaking | weaving, kept)
+
+
+def style_reports(agent_ids: list[str], windows: list[WindowAnalysis],
+                  scores: AgentScores, labels: Labels) -> list[StyleReport]:
+    """One ``StyleReport`` per agent from its scores and labels.
+
+    Agent i owns the next ``scores.count[i]`` of ``windows``; an agent
+    without windows is conservative with empty summaries.
+    """
+    points = list(zip(scores.t_c[labels.kept].tolist(),
+                      scores.sharpness[labels.kept].tolist()))
+    columns = (c.tolist() for c in (
+        *scores.degree, labels.overspeeding, *scores.closeness, labels.overtaking,
+        labels.weaving_count, labels.weaving_t_sle, labels.weaving_sie_max, labels.aggressive))
+    reports, start, begin = [], 0, 0
+    for (agent_id, end, span, d_max, d_t, d_sie, d_hit, c_max, c_t, c_sie, c_hit,
+         count, w_t, w_sie, aggressive) in zip(agent_ids, np.cumsum(scores.count).tolist(),
+                                               map(tuple, scores.span.tolist()), *columns):
+        styles = (
+            StyleSummary(d_max, d_t if end > start else None, d_sie, d_hit),
+            StyleSummary(c_max, c_t if end > start else None, c_sie, c_hit),
+            WeavingSummary(count, w_t if count else None, w_sie, count >= 1,
+                           points[begin:begin + count]),
+            StyleSummary(max(d_max, c_max), None, max(d_sie, c_sie), not aggressive),
+        )
+        reports.append(StyleReport(agent_id, span, dict(zip(STYLES, styles)),
+                                   LABEL_AGGRESSIVE if aggressive else LABEL_CONSERVATIVE,
+                                   windows[start:end]))
+        start, begin = end, begin + count
     return reports
 
 
-def _reduce(ufunc, values: np.ndarray, heads: np.ndarray) -> list[float]:
-    """``ufunc`` over each segment of ``values`` starting at ``heads``."""
-    return ufunc.reduceat(values, heads).tolist() if heads.size else []
-
-
-def _report(agent_id, windows, run_window, overspeed, overtake, points,
-            thresholds, epsilon) -> StyleReport:
-    """One agent's report from its two SLE aggregates and its weaving points."""
-    merged = merge_critical_points(points, tolerance=epsilon)
-    significant = [p for p in merged if p[1] > thresholds.weaving_min_sharpness]
-    if significant:
-        times = [p[0] for p in significant]
-        weaving_t = 0.5 * (min(times) + max(times))  # center of the oscillation
-    else:
-        weaving_t = None
-    weaving = WeavingSummary(
-        count=len(significant),
-        t_sle=weaving_t,
-        sie_max=max((p[1] for p in significant), default=0.0),
-        detected=len(significant) >= 1,
-        critical_points=significant,
-    )
-
-    overspeed.detected = overspeed.sle_max > thresholds.tau_degree
-    overtake.detected = overtake.sle_max > thresholds.tau_closeness
-
-    conservative = StyleSummary(
-        sle_max=max(overspeed.sle_max, overtake.sle_max),
-        t_sle=None,
-        sie_max=max(overspeed.sie_max, overtake.sie_max),
-        detected=not (overspeed.detected or overtake.detected or weaving.detected),
-    )
-
-    aggressive = overspeed.detected or overtake.detected or weaving.detected
-    return StyleReport(
-        agent_id=agent_id,
-        window=run_window,
-        styles={
-            STYLE_OVERSPEEDING: overspeed,
-            STYLE_OVERTAKE_LANE_CHANGE: overtake,
-            STYLE_WEAVING: weaving,
-            STYLE_CONSERVATIVE: conservative,
-        },
-        global_label=LABEL_AGGRESSIVE if aggressive else LABEL_CONSERVATIVE,
-        windows=windows,
-    )
-
-
-def classify(
-    agent_id: str,
-    windows: list[WindowAnalysis],
-    degree_sle: list[SleSummary],
-    closeness_sle: list[SleSummary],
-    thresholds: Thresholds,
-    epsilon: float,
-) -> StyleReport:
-    """The style report of one agent: the one-agent form of ``classify_agents``.
+def classify(agent_id: str, windows: list[WindowAnalysis], degree_sle: list[SleSummary],
+             closeness_sle: list[SleSummary], thresholds: Thresholds,
+             epsilon: float) -> StyleReport:
+    """The style report of one agent: ``score_agents`` and ``label`` of one.
 
     ``degree_sle`` and ``closeness_sle`` hold the windows' SLE maxima.
     """
-    rows = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
-    points = (np.array([r for r, _ in rows], dtype=np.int64),
-              np.array([p[0] for _, p in rows], dtype=float),
-              np.array([p[1] for _, p in rows], dtype=float))
-    return classify_agents(
-        [agent_id], windows, [len(windows)], [w.window for w in windows],
-        _sle_arrays(degree_sle), _sle_arrays(closeness_sle), points, thresholds, epsilon,
-    )[0]
-
-
-def _sle_arrays(summaries: list[SleSummary]) -> SleArrays:
-    return SleArrays(*(np.array([getattr(s, name) for s in summaries], dtype=float)
-                       for name in SleArrays._fields))
+    rows, t_c, sharpness = np.array(
+        [(r, *p) for r, w in enumerate(windows) for p in w.weaving_points], dtype=float
+    ).reshape(-1, 3).T
+    scores = score_agents(
+        [len(windows)], [w.window for w in windows],
+        *(SleArrays(*np.array([astuple(s) for s in sle], dtype=float).reshape(-1, 3).T)
+          for sle in (degree_sle, closeness_sle)),
+        (rows.astype(np.int64), t_c, sharpness), epsilon,
+    )
+    return style_reports([agent_id], windows, scores, label(scores, thresholds))[0]

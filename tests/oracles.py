@@ -6,11 +6,12 @@ to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
-maxima by sampling every frame, weaving points and per-agent aggregates
-in Python floats, trajectory tables by reading a file one row at a time
-into ``AgentFrame`` records (``records`` gives any table's rows back as
-records), and the expected maneuver frame by counting the annotators of
-every frame. The simulator is replayed on one mutable object per vehicle
+maxima by sampling every frame, weaving points, their merge and the
+per-agent aggregates in Python floats, the calibration pools by walking
+every window's raw weaving points, trajectory tables by reading a file
+one row at a time into ``AgentFrame`` records (``records`` gives any
+table's rows back as records), and the expected maneuver frame by
+counting the annotators of every frame. The simulator is replayed on one mutable object per vehicle
 with a sorted (lane, x, position) index, calling the package's one
 car-following law and lane-change rule, and the CSV writers format one
 row at a time.
@@ -27,10 +28,11 @@ from typing import NamedTuple
 
 import numpy as np
 
+from drivestyle.calibrate import _POSITIVE_FLOOR, PERCENTILE
 from drivestyle.centrality import compute_series
 from drivestyle.errors import TrajectoryParseError, ValidationError
 from drivestyle.ingest import _FLOOR_GUARD, AGENT_TYPES, TrajectoryTable
-from drivestyle.pipeline import AnalysisParams, RunReport, frame_windows
+from drivestyle.pipeline import AnalysisParams, RunReport, analyze_table, frame_windows
 from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
 from drivestyle.sim import (
     CLASS_CONSERVATIVE,
@@ -43,6 +45,7 @@ from drivestyle.sim import (
     idm_acceleration,
     idm_law,
     mobil_decision,
+    run_scenario,
 )
 from drivestyle.styles import (
     LABEL_AGGRESSIVE,
@@ -54,9 +57,9 @@ from drivestyle.styles import (
     SleSummary,
     StyleReport,
     StyleSummary,
+    Thresholds,
     WeavingSummary,
     WindowAnalysis,
-    merge_critical_points,
 )
 
 
@@ -481,6 +484,24 @@ def scalar_aggregate_sle(summaries):
     )
 
 
+def merge_critical_points(points, tolerance):
+    """Collapse near-duplicate critical points from overlapping windows.
+
+    Points within ``tolerance`` seconds of the previous point join its
+    cluster; each cluster is represented by its sharpest member.
+    """
+    if not points:
+        return []
+    ordered = sorted(points)
+    clusters = [[ordered[0]]]
+    for p in ordered[1:]:
+        if p[0] - clusters[-1][-1][0] <= tolerance:
+            clusters[-1].append(p)
+        else:
+            clusters.append([p])
+    return [max(c, key=lambda p: (p[1], -p[0])) for c in clusters]
+
+
 def scalar_classify(agent_id, windows, degree_sle, closeness_sle, thresholds, epsilon):
     """``styles.classify`` one Python object at a time."""
     overspeed = scalar_aggregate_sle(degree_sle)
@@ -576,6 +597,40 @@ def per_window_analyze(table, params=None, series=None):
             params.thresholds, params.epsilon_s,
         ))
     return RunReport(frame_rate_hz=f, params=params, agents=reports)
+
+
+def scalar_calibration_pools(scenarios, params):
+    """``calibrate_thresholds``' three pools, one report object at a time.
+
+    Per conservative agent: the two SLE maxima of its report and the
+    largest sharpness over every window's raw weaving points (0.0 when
+    none), before any merge.
+    """
+    pools = ([], [], [])
+    for config in scenarios:
+        result = run_scenario(config)
+        for report in analyze_table(result.table, params).agents:
+            if result.agent_classes[report.agent_id] != CLASS_CONSERVATIVE:
+                continue
+            pools[0].append(report.styles[STYLE_OVERSPEEDING].sle_max)
+            pools[1].append(report.styles[STYLE_OVERTAKE_LANE_CHANGE].sle_max)
+            pools[2].append(max(
+                (p[1] for w in report.windows for p in w.weaving_points), default=0.0
+            ))
+    return pools
+
+
+def scalar_calibrate(scenarios, params):
+    """``calibrate_thresholds`` over ``scalar_calibration_pools``."""
+    def pct(values):
+        return float(np.percentile(values, PERCENTILE, method="higher"))
+
+    degree, closeness, sharpness = scalar_calibration_pools(scenarios, params)
+    return Thresholds(
+        tau_degree=max(pct(degree), _POSITIVE_FLOOR),
+        tau_closeness=max(pct(closeness), _POSITIVE_FLOOR),
+        weaving_min_sharpness=pct(sharpness),
+    )
 
 
 # --- the object simulator --------------------------------------------------

@@ -48,7 +48,7 @@ from drivestyle.sim import (
     run_scenario,
     step,
 )
-from drivestyle.styles import STYLE_OVERSPEEDING
+from drivestyle.styles import DEFAULT_THRESHOLDS, STYLE_OVERSPEEDING
 from oracles import (
     all_pairs_edges,
     central_difference,
@@ -67,6 +67,14 @@ def calibrated_params():
     return suite_analysis_params(
         calibrate_thresholds(calibration_scenarios(), suite_analysis_params())
     )
+
+
+def test_packaged_defaults_are_the_calibrated_thresholds(calibrated_params):
+    # README: DEFAULT_THRESHOLDS were produced by calibrating at the suite
+    # settings, rounded to 3 significant figures
+    th = calibrated_params.thresholds
+    assert [float(f"{v:.3g}") for v in vars(th).values()] == list(
+        vars(DEFAULT_THRESHOLDS).values()) == [5.21, 0.122, 0.122]
 
 
 def test_criterion_1_tde_arithmetic_anchor():

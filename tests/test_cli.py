@@ -10,9 +10,15 @@ from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
 from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
-from drivestyle.scenarios import all_conservative_scenario, lane_change_scenario
+from drivestyle.scenarios import (
+    all_conservative_scenario,
+    lane_change_scenario,
+    mixed_behavior_scenario,
+    suite_analysis_params,
+)
 from drivestyle.sim import save_scenario
 from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING
+from oracles import scalar_calibrate, scalar_calibration_pools
 
 
 @pytest.fixture
@@ -148,6 +154,17 @@ def test_calibrate_writes_thresholds(tmp_path, capsys):
     first = out.read_bytes()
     main(["calibrate", "--config", str(cfg), "--out", str(out)])
     assert out.read_bytes() == first  # deterministic
+
+
+@pytest.mark.parametrize("params", [suite_analysis_params(), AnalysisParams()])
+def test_calibrate_equals_window_walk_oracle(params):
+    # the mixed scenario's aggressive agents leave the pools; its
+    # conservative agents have critical points, so the sharpness pool is live
+    scenarios = [all_conservative_scenario(0), mixed_behavior_scenario(0)]
+    assert any(scalar_calibration_pools(scenarios, params)[2])
+    # repr gives each float's shortest round-trip digits: equal bits, equal text
+    assert repr(calibrate_thresholds(scenarios, params)) == repr(
+        scalar_calibrate(scenarios, params))
 
 
 def test_analysis_path_builds_no_records(slc_scenario, tmp_path, monkeypatch):

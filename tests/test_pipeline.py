@@ -2,6 +2,7 @@ import importlib.util
 import json
 import tracemalloc
 from collections import defaultdict
+from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -29,7 +30,9 @@ from drivestyle.styles import (
     STYLE_OVERSPEEDING,
     STYLE_WEAVING,
     Thresholds,
+    label,
     sle_summaries,
+    style_reports,
 )
 
 from oracles import per_window_analyze, records, records_table
@@ -510,3 +513,40 @@ def test_frames_index_is_each_frames_row_range(build):
     for frame, rows in frames.items():
         assert rows and (table.frame[rows.start:rows.stop] == frame).all()
     assert _tracer()._rows(table) == len(table.frame)
+
+
+@pytest.fixture(scope="module")
+def analysed_tables():
+    """(table, params, report) of small tables, each analysed once."""
+    from drivestyle.scenarios import overtake_scenario, suite_analysis_params, weaving_scenario
+    from drivestyle.sim import run_scenario
+
+    runs = [(run_scenario(build(0)).table, suite_analysis_params())
+            for build in (weaving_scenario, overtake_scenario)]
+    # agent "c" of the parsed table has no window
+    runs.append((_parsed_table(), AnalysisParams(window_s=0.3, stride_s=0.1)))
+    return [(table, params, analyze_table(table, params)) for table, params in runs]
+
+
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_label_relabels_without_analysing_again(analysed_tables, data):
+    # thresholds from any positive range, or equal to a score of the run,
+    # where the strict comparisons decide
+    for table, params, report in analysed_tables:
+        scores = report.scores
+        taus = [st.sampled_from(c.tolist() + [1.0]).filter(lambda v: v > 0)
+                | st.floats(1e-6, 10.0) for c in (scores.degree.sle_max, scores.closeness.sle_max)]
+        th = Thresholds(
+            tau_degree=data.draw(taus[0]), tau_closeness=data.draw(taus[1]),
+            weaving_min_sharpness=data.draw(st.sampled_from(scores.sharpness.tolist() + [0.0])
+                                            | st.floats(0.0, 1.0)),
+        )
+        relabelled = style_reports(
+            [a.agent_id for a in report.agents], [w for a in report.agents for w in a.windows],
+            scores, label(scores, th))
+        params_th = replace(params, thresholds=th)
+        expected = analyze_table(table, params_th)
+        assert relabelled == expected.agents
+        assert report_to_json(replace(report, params=params_th, agents=relabelled)) \
+            == report_to_json(expected)

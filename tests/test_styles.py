@@ -17,14 +17,21 @@ from drivestyle.styles import (
     Thresholds,
     WindowAnalysis,
     classify,
-    classify_agents,
     critical_points,
     detect_weaving,
-    merge_critical_points,
+    label,
+    score_agents,
     sle_sie,
     sle_summaries,
+    style_reports,
 )
-from oracles import sample_sle_sie, sampled_sle, scalar_classify, scalar_detect_weaving
+from oracles import (
+    merge_critical_points,
+    sample_sle_sie,
+    sampled_sle,
+    scalar_classify,
+    scalar_detect_weaving,
+)
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02, weaving_min_sharpness=0.01)
 
@@ -202,6 +209,42 @@ def test_merge_critical_points_clusters_and_picks_sharpest():
     merged = merge_critical_points(points, tolerance=0.5)
     assert merged == [(1.2, 0.5), (3.0, 0.1)]
     assert merge_critical_points([], 0.5) == []
+
+
+def _bits(points):
+    """The float64 bit patterns of (t_c, sharpness) pairs: -0.0 is not 0.0."""
+    return np.array(points, dtype=float).reshape(-1, 2).view(np.int64).tolist()
+
+
+# critical points on a 1/8 s grid, so gaps of exactly epsilon and chains of
+# points each within epsilon of the previous one are common, plus tied t_c
+# (both zeros among them) and a few sharpness values so ties meet
+point = st.tuples(
+    st.integers(0, 24).map(lambda k: k * 0.125) | st.just(-0.0)
+    | st.floats(0.0, 3.0, allow_nan=False),
+    st.sampled_from([0.0, 0.01, 0.5]) | st.floats(0.0, 1.0, allow_nan=False),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(agents=st.lists(st.lists(point, max_size=8), min_size=1, max_size=5),
+       epsilon=st.sampled_from([0.125, 0.25, 0.5]))
+def test_array_merge_equals_scalar_merge(agents, epsilon):
+    # one window per point, in drawing order; the window scores do not matter
+    counts = [len(points) for points in agents]
+    flat = [p for points in agents for p in points]
+    zeros = SleArrays(*(np.zeros(len(flat)) for _ in range(3)))
+    scores = score_agents(
+        counts, [(0.0, 3.0)] * len(flat), zeros, zeros,
+        (np.arange(len(flat)), np.array([p[0] for p in flat], dtype=float),
+         np.array([p[1] for p in flat], dtype=float)),
+        epsilon,
+    )
+    for n, points in enumerate(agents):
+        mine = scores.owner == n
+        assert _bits(list(zip(scores.t_c[mine], scores.sharpness[mine]))) == _bits(
+            merge_critical_points(points, epsilon))
+    assert (np.diff(scores.owner) >= 0).all()
 
 
 def _window(deg_poly, clo_poly, span, epsilon=0.5):
@@ -383,12 +426,14 @@ def test_per_agent_aggregate_equals_scalar_rule(agents):
                                         THRESHOLDS, 0.5))
         windows += mine
     points = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
-    reports = classify_agents(
-        [f"a{n}" for n in range(len(agents))], windows, [len(rows) for rows in agents],
-        spans, *(SleArrays(*(np.array([getattr(s, name) for s in rows], dtype=float)
-                             for name in SleArrays._fields)) for rows in sle),
+    scores = score_agents(
+        [len(rows) for rows in agents], spans,
+        *(SleArrays(*(np.array([getattr(s, name) for s in rows], dtype=float)
+                      for name in SleArrays._fields)) for rows in sle),
         (np.array([r for r, _ in points], dtype=np.int64),
          np.array([p[0] for _, p in points]), np.array([p[1] for _, p in points])),
-        THRESHOLDS, 0.5,
+        0.5,
     )
+    reports = style_reports([f"a{n}" for n in range(len(agents))], windows, scores,
+                            label(scores, THRESHOLDS))
     assert reports == expected
