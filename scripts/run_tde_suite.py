@@ -4,8 +4,8 @@
 Calibrates thresholds on the packaged conservative-only scenarios, runs
 the four-style scenario suite through simulate -> analyze -> evaluate,
 and prints the per-style mean time deviation error. With --out, every
-intermediate artifact (scenario YAML, trajectories, labels, report, TDE
-table) is written per scenario.
+intermediate artifact (scenario YAML, trajectories, labels, report,
+window fits, TDE table) is written per scenario.
 """
 
 import argparse
@@ -20,7 +20,7 @@ import numpy as np
 from drivestyle.calibrate import calibrate_thresholds
 from drivestyle.evaluation import annotations_from_labels, evaluate_run
 from drivestyle.ingest import serialize_trajectories
-from drivestyle.pipeline import analyze_table, report_to_json
+from drivestyle.pipeline import analyze_table, report_to_json, windows_to_csv
 from drivestyle.scenarios import calibration_scenarios, suite_analysis_params, tde_suite
 from drivestyle.sim import run_scenario, save_scenario, write_labels
 
@@ -57,6 +57,7 @@ def main() -> int:
             serialize_trajectories(result.table, run_dir / "trajectories.csv")
             write_labels(result.labels, run_dir / "labels.csv")
             report_to_json(report, run_dir / "report.json")
+            windows_to_csv(report, run_dir / "windows.csv")
             table.to_csv(run_dir / "tde.csv")
         shown = ", ".join(
             f"{row.style}={row.mean_tde_s:.3f}s" for row in table.rows

@@ -20,6 +20,7 @@ from .errors import ContractViolationError, DriveStyleError, ValidationError
 from .evaluation import evaluate_run, parse_annotations
 from .ingest import parse_trajectories, read_source, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
+from .pipeline import windows_to_csv
 from .sim import load_scenario, run_scenario, write_labels
 
 
@@ -127,6 +128,7 @@ def cmd_analyze(args) -> int:
     del table  # the writers reuse the memory its columns held
     out = _ensure_dir(args.out)
     report_to_json(report, out / "report.json")
+    windows_to_csv(report, out / "windows.csv")
     series_to_csv(series, out / "centrality.csv")
     aggressive = sum(1 for a in report.agents if a.global_label == "aggressive")
     print(

@@ -8,9 +8,9 @@ a single window covering it. Each agent's windows come by arithmetic on
 that grid from its own first and last frame, so the cost follows the
 rows, not the frame span. Every agent-window of a run is laid out,
 fitted and scored as arrays, and the threshold-free per-agent scores
-(kept as ``RunReport.scores``) are labelled last by ``styles.label``;
-Python objects are built only for the report (one ``WindowAnalysis``
-per window, one ``StyleReport`` per agent).
+(kept as ``RunReport.scores``) are labelled last by ``styles.label``.
+The window fits stay columns (``RunReport.fits``) up to ``windows.csv``;
+only the per-agent summaries (``StyleReport``, ``report.json``) are objects.
 """
 
 from __future__ import annotations
@@ -18,14 +18,14 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from itertools import repeat
 
 import numpy as np
 
 from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import FRAME_LIMIT, TrajectoryTable, read_source, write_text
+from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, float_texts, read_source
+from .ingest import write_text
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
@@ -46,7 +46,7 @@ from .styles import (
     StyleSummary,
     Thresholds,
     WeavingSummary,
-    WindowAnalysis,
+    WindowFits,
     critical_points,
     label,
     score_agents,
@@ -59,7 +59,7 @@ from .styles import (
 from .regression import fit  # noqa: F401
 from .styles import classify, detect_weaving, sle_sie  # noqa: F401
 
-SCHEMA_VERSION = "3"
+SCHEMA_VERSION = "4"
 
 # agent-windows per block of gathered samples: bounds the samples, keys
 # and stacked designs held at once
@@ -119,8 +119,9 @@ class RunReport:
     frame_rate_hz: float
     params: AnalysisParams
     agents: list[StyleReport]
-    # threshold-free per-agent columns; a report read back from JSON has none
+    # agent-major scores and window fits; a report read back from JSON has neither
     scores: AgentScores | None = field(default=None, compare=False, repr=False)
+    fits: WindowFits | None = field(default=None, compare=False, repr=False)
 
     def agent(self, agent_id: str) -> StyleReport:
         for report in self.agents:
@@ -176,11 +177,11 @@ def analyze_table(
     then taken in blocks of ``_BLOCK_WINDOWS`` by design shape: their
     degree and closeness samples are gathered, each distinct (grid,
     sample bits) row is solved once by ``fit_solve``, and each distinct
-    (solved row, slice) pair is mapped to absolute time once and shares
-    one coefficient tuple. SLE/SIE, weaving points and the per-agent
-    scores are taken over all windows at once, then labelled at
-    ``params.thresholds``. Raises ConditioningError when a design is
-    rank deficient at alpha = 0.
+    (solved row, slice) pair is mapped to absolute time once. SLE/SIE,
+    weaving points and the per-agent scores are taken over all windows
+    at once, then labelled at ``params.thresholds``; the fits are
+    returned as ``RunReport.fits`` columns. Raises ConditioningError
+    when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -229,7 +230,6 @@ def analyze_table(
     degree = np.concatenate([series[a].degree for a in agent_ids] or [np.empty(0)])
     closeness = np.concatenate([series[a].closeness for a in agent_ids] or [np.empty(0)])
     coefficients = np.empty((2, len(agent), 3))  # degree, closeness
-    tuples = np.empty((2, len(agent)), dtype=object)
     for block in _blocks(np.lexsort((window_grid, rank[window_grid])), rank[window_grid]):
         grid = window_grid[block]
         gather = (offset[agent[block]] + first[block])[:, None] \
@@ -239,28 +239,21 @@ def analyze_table(
         solved, rows = _distinct(np.column_stack([row_grid, samples.view(np.int64)]))
         beta = fit_solve(stacks[rank[grid[0]]][index[row_grid[rows]]], samples[rows])
         pair, pairs = _distinct(np.column_stack([solved, row_slice]))
-        fits = uncenter(beta[solved[pairs]], t_bar[row_slice[pairs]])
-        shared = np.fromiter(map(tuple, fits.tolist()), dtype=object, count=len(pairs))
-        coefficients[:, block] = fits[pair].reshape(2, len(block), 3)
-        tuples[:, block] = shared[pair].reshape(2, len(block))
+        absolute = uncenter(beta[solved[pairs]], t_bar[row_slice[pairs]])
+        coefficients[:, block] = absolute[pair].reshape(2, len(block), 3)
 
     # scores over every window, then labels, then one report per agent
     spans = np.column_stack([t0[window_slice], t1[window_slice]])
     points = critical_points(coefficients[1], spans, params.epsilon_s)
-    weaving = [[] for _ in range(len(agent))]
-    for r, t_c, sharpness in zip(*(a.tolist() for a in points)):
-        weaving[r] = [(t_c, sharpness)]  # a quadratic has one critical point
-    # one head tuple per slice: (span, alpha, kappa)
-    heads = [((s, e), alpha, kappa) for s, e, (alpha, kappa, _)
-             in zip(t0.tolist(), t1.tolist(), map(designs.__getitem__, slice_grid.tolist()))]
-    windows = list(map(tuple.__new__, repeat(WindowAnalysis), map(
-        tuple.__add__, map(heads.__getitem__, window_slice.tolist()),
-        zip(*tuples.tolist(), weaving))))
+    t_c, sharpness = np.full(len(agent), np.nan), np.full(len(agent), np.nan)
+    t_c[points[0]], sharpness[points[0]] = points[1], points[2]
+    alpha, kappa = np.array([d[:2] for d in designs], dtype=float).reshape(-1, 2)[window_grid].T
+    fits = WindowFits(agent, *spans.T, alpha, kappa, *coefficients, t_c, sharpness)
     scores = score_agents(np.bincount(agent, minlength=len(agent_ids)), spans,
                           *(sle_summaries(c, spans, f) for c in coefficients),
                           points, params.epsilon_s)
-    reports = style_reports(agent_ids, windows, scores, label(scores, params.thresholds))
-    return RunReport(frame_rate_hz=f, params=params, agents=reports, scores=scores)
+    reports = style_reports(agent_ids, scores, label(scores, params.thresholds))
+    return RunReport(frame_rate_hz=f, params=params, agents=reports, scores=scores, fits=fits)
 
 
 def _agent_windows(f0, f1, lo: int, last: int, window_frames: int, stride_frames: int):
@@ -310,38 +303,52 @@ def _design_stacks(designs: list, grid_shape: list):
 
 
 def report_to_json(report: RunReport, dest=None) -> str:
-    """Schema-3 JSON text of ``report``, also written to ``dest`` when given.
+    """Schema-4 JSON text of ``report``, also written to ``dest`` when given.
 
-    Each window is one array; ``window_fields`` names its fields once.
+    It holds the parameters and the per-agent summaries; the window fits
+    go to ``windows_to_csv``.
     """
     params = report.params
     payload = {
         "schema_version": SCHEMA_VERSION,
         "frame_rate_hz": report.frame_rate_hz,
-        "params": {
-            "mu": params.mu,
-            "capacity": params.capacity,
-            "window_s": params.window_s,
-            "stride_s": params.effective_stride(),
-            "epsilon_s": params.epsilon_s,
-            "thresholds": vars(params.thresholds),
-            "alpha_policy": alpha_policy_spec(params.alpha_policy),
-        },
-        "window_fields": WindowAnalysis._fields,
-        "agents": [
-            {
-                "agent_id": rep.agent_id,
-                "window": rep.window,
-                "global_label": rep.global_label,
-                "styles": {name: vars(s) for name, s in rep.styles.items()},
-                "windows": rep.windows,
-            }
-            for rep in report.agents
-        ],
+        # the fields in AnalysisParams order
+        "params": {**vars(params), "stride_s": params.effective_stride(),
+                   "thresholds": vars(params.thresholds),
+                   "alpha_policy": alpha_policy_spec(params.alpha_policy)},
+        "agents": [{"agent_id": rep.agent_id, "window": rep.window,
+                    "global_label": rep.global_label,
+                    "styles": {name: vars(s) for name, s in rep.styles.items()}}
+                   for rep in report.agents],
     }
     # compact separators keep CPython on its C encoder; output stays deterministic
     text = json.dumps(payload, separators=(",", ":")) + "\n"
     return write_text(dest, text, "report")
+
+
+WINDOW_COLUMNS = ("agent_id", "start_s", "end_s", "alpha", "condition_number",
+                  *(f"{kind}_b{i}" for kind in ("degree", "closeness") for i in range(3)),
+                  "t_c", "sharpness")
+
+
+def windows_to_csv(report: RunReport, dest=None) -> str:
+    """``windows.csv`` text of ``report.fits``, also written to ``dest`` when given.
+
+    One row per window fit, agent-major, under a ``WINDOW_COLUMNS``
+    header. Rows are formatted ``_CHUNK_LINES`` at a time, each column's
+    floats by ``float_texts``; empty ``t_c`` and ``sharpness`` fields
+    mean the window has no critical point.
+    """
+    fits, parts = report.fits, [",".join(WINDOW_COLUMNS) + "\n"]
+    for lo in range(0, len(fits.agent), _CHUNK_LINES):
+        chunk = WindowFits(*(column[lo:lo + _CHUNK_LINES] for column in fits))
+        columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
+        columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
+                                     chunk.condition_number, *chunk.degree.T, *chunk.closeness.T))
+        columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
+                    for c in (chunk.t_c, chunk.sharpness))
+        parts.append("\n".join(map(",".join, zip(*columns))) + "\n")
+    return write_text(dest, "".join(parts), "windows")
 
 
 def report_from_json(source=None, *, text=None) -> RunReport:
@@ -349,8 +356,8 @@ def report_from_json(source=None, *, text=None) -> RunReport:
 
     ``source`` is always a file path; JSON text comes in only through
     ``text=``. Reconstructs the parameters and what evaluation needs
-    (labels, maxima, t_SLE); the windows stay raw lists in
-    ``StyleReport.windows``. An unreadable file, malformed JSON, a schema
+    (labels, maxima, t_SLE); the report holds no window fits, so each
+    ``StyleReport.windows`` is empty. An unreadable file, malformed JSON, a schema
     other than the current one, or a field ``evaluate`` reads holding what
     ``analyze`` never writes (a frame rate that is not a finite positive
     number, a maximum that is not finite, a t_SLE that is neither null nor
@@ -421,13 +428,6 @@ def _report_from_payload(payload: dict) -> RunReport:
                 styles[name] = WeavingSummary(**{**raw, "critical_points": points})
             else:
                 styles[name] = StyleSummary(**raw)
-        agents.append(
-            StyleReport(
-                agent_id=agent_id,
-                window=tuple(entry["window"]),
-                styles=styles,
-                global_label=entry["global_label"],
-                windows=entry["windows"],
-            )
-        )
+        agents.append(StyleReport(agent_id, tuple(entry["window"]), styles,
+                                  entry["global_label"]))
     return RunReport(frame_rate_hz=rate, params=params, agents=agents)

@@ -13,7 +13,7 @@ style crosses its threshold.
 
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -171,19 +171,22 @@ def detect_weaving(
     return list(zip(t_c.tolist(), sharpness.tolist()))
 
 
-class WindowAnalysis(NamedTuple):
-    """One agent's degree and closeness fits over one analysis window.
+class WindowFits(NamedTuple):
+    """Every agent-window's fits as columns, agent-major.
 
-    Both fits use the same sample times, so they share the span (seconds),
-    the alpha and the condition number of one design.
+    A window's degree and closeness fits share its span (s), alpha and
+    condition number; their coefficients are N x 3 absolute-time (b0, b1, b2).
     """
 
-    window: tuple[float, float]
-    alpha: float
-    condition_number: float
-    degree: Coefficients
-    closeness: Coefficients
-    weaving_points: list[tuple[float, float]]
+    agent: np.ndarray  # code into the run's sorted agent ids
+    start_s: np.ndarray
+    end_s: np.ndarray
+    alpha: np.ndarray
+    condition_number: np.ndarray
+    degree: np.ndarray
+    closeness: np.ndarray
+    t_c: np.ndarray  # the window's critical point (a quadratic has one at most)
+    sharpness: np.ndarray  # NaN, as t_c, where the window has none
 
 
 @dataclass
@@ -215,7 +218,8 @@ class StyleReport:
     window: tuple[float, float]
     styles: dict
     global_label: str
-    windows: list[WindowAnalysis] = field(default_factory=list)
+    # the agent's rows of the run's WindowFits; empty for a report read from JSON
+    windows: range = range(0)
 
 
 class AgentScores(NamedTuple):
@@ -326,12 +330,11 @@ def label(scores: AgentScores, thresholds: Thresholds) -> Labels:
                   overspeeding | overtaking | weaving, kept)
 
 
-def style_reports(agent_ids: list[str], windows: list[WindowAnalysis],
-                  scores: AgentScores, labels: Labels) -> list[StyleReport]:
+def style_reports(agent_ids: list[str], scores: AgentScores, labels: Labels) -> list[StyleReport]:
     """One ``StyleReport`` per agent from its scores and labels.
 
-    Agent i owns the next ``scores.count[i]`` of ``windows``; an agent
-    without windows is conservative with empty summaries.
+    Agent i owns the next ``scores.count[i]`` rows of the window columns;
+    an agent without windows is conservative with empty summaries.
     """
     points = list(zip(scores.t_c[labels.kept].tolist(),
                       scores.sharpness[labels.kept].tolist()))
@@ -351,25 +354,19 @@ def style_reports(agent_ids: list[str], windows: list[WindowAnalysis],
         )
         reports.append(StyleReport(agent_id, span, dict(zip(STYLES, styles)),
                                    LABEL_AGGRESSIVE if aggressive else LABEL_CONSERVATIVE,
-                                   windows[start:end]))
+                                   range(start, end)))
         start, begin = end, begin + count
     return reports
 
 
-def classify(agent_id: str, windows: list[WindowAnalysis], degree_sle: list[SleSummary],
-             closeness_sle: list[SleSummary], thresholds: Thresholds,
-             epsilon: float) -> StyleReport:
-    """The style report of one agent: ``score_agents`` and ``label`` of one.
-
-    ``degree_sle`` and ``closeness_sle`` hold the windows' SLE maxima.
-    """
-    rows, t_c, sharpness = np.array(
-        [(r, *p) for r, w in enumerate(windows) for p in w.weaving_points], dtype=float
-    ).reshape(-1, 3).T
+def classify(agent_id: str, fits: WindowFits, frame_rate_hz: float,
+             thresholds: Thresholds, epsilon: float) -> StyleReport:
+    """One agent's style report from its window columns: ``score_agents`` and ``label``."""
+    spans = np.column_stack([fits.start_s, fits.end_s])
+    rows = np.flatnonzero(~np.isnan(fits.t_c))
     scores = score_agents(
-        [len(windows)], [w.window for w in windows],
-        *(SleArrays(*np.array([astuple(s) for s in sle], dtype=float).reshape(-1, 3).T)
-          for sle in (degree_sle, closeness_sle)),
-        (rows.astype(np.int64), t_c, sharpness), epsilon,
+        [len(spans)], spans,
+        *(sle_summaries(c, spans, frame_rate_hz) for c in (fits.degree, fits.closeness)),
+        (rows, fits.t_c[rows], fits.sharpness[rows]), epsilon,
     )
-    return style_reports([agent_id], windows, scores, label(scores, thresholds))[0]
+    return style_reports([agent_id], scores, label(scores, thresholds))[0]

@@ -8,8 +8,9 @@ by testing every pair, lane leaders by scanning every agent, windowed
 fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
 maxima by sampling every frame, weaving points, their merge and the
 per-agent aggregates in Python floats, the calibration pools by walking
-every window's raw weaving points, trajectory tables by reading a file
-one row at a time into ``AgentFrame`` records (``records`` gives any
+each window's sharpness one value at a time, the window fits as
+``WindowAnalysis`` records written one ``repr`` per value, trajectory
+tables by reading a file one row at a time into ``AgentFrame`` records (``records`` gives any
 table's rows back as records), and the expected maneuver frame by
 counting the annotators of every frame. The simulator is replayed on one mutable object per vehicle
 with a sorted (lane, x, position) index, calling the package's one
@@ -59,7 +60,6 @@ from drivestyle.styles import (
     StyleSummary,
     Thresholds,
     WeavingSummary,
-    WindowAnalysis,
 )
 
 
@@ -502,8 +502,27 @@ def merge_critical_points(points, tolerance):
     return [max(c, key=lambda p: (p[1], -p[0])) for c in clusters]
 
 
+class WindowAnalysis(NamedTuple):
+    """One agent's degree and closeness fits over one analysis window.
+
+    Both fits use the same sample times, so they share the span (seconds),
+    the alpha and the condition number of one design.
+    """
+
+    window: tuple[float, float]
+    alpha: float
+    condition_number: float
+    degree: tuple[float, float, float]
+    closeness: tuple[float, float, float]
+    weaving_points: list[tuple[float, float]]
+
+
 def scalar_classify(agent_id, windows, degree_sle, closeness_sle, thresholds, epsilon):
-    """``styles.classify`` one Python object at a time."""
+    """The style report of one agent, one Python object at a time.
+
+    ``windows`` are its ``WindowAnalysis`` records, kept as the report's
+    ``windows``; ``degree_sle`` and ``closeness_sle`` their SLE summaries.
+    """
     overspeed = scalar_aggregate_sle(degree_sle)
     overtake = scalar_aggregate_sle(closeness_sle)
     merged = merge_critical_points(
@@ -551,6 +570,7 @@ def per_window_analyze(table, params=None, series=None):
     Each window gets its own slice of the series arrays, its own
     ``lstsq_fit`` per kind (design, alpha selection and solve), its own
     SLE/SIE sampling and weaving test, and each agent its own aggregate.
+    Each agent's report holds its ``WindowAnalysis`` records as ``windows``.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -603,21 +623,41 @@ def scalar_calibration_pools(scenarios, params):
     """``calibrate_thresholds``' three pools, one report object at a time.
 
     Per conservative agent: the two SLE maxima of its report and the
-    largest sharpness over every window's raw weaving points (0.0 when
+    largest sharpness over its windows' raw weaving points (0.0 when
     none), before any merge.
     """
     pools = ([], [], [])
     for config in scenarios:
         result = run_scenario(config)
-        for report in analyze_table(result.table, params).agents:
+        run = analyze_table(result.table, params)
+        sharpness = run.fits.sharpness.tolist()
+        for report in run.agents:
             if result.agent_classes[report.agent_id] != CLASS_CONSERVATIVE:
                 continue
             pools[0].append(report.styles[STYLE_OVERSPEEDING].sle_max)
             pools[1].append(report.styles[STYLE_OVERTAKE_LANE_CHANGE].sle_max)
             pools[2].append(max(
-                (p[1] for w in report.windows for p in w.weaving_points), default=0.0
+                (sharpness[r] for r in report.windows if not math.isnan(sharpness[r])),
+                default=0.0,
             ))
     return pools
+
+
+def scalar_windows_csv(report):
+    """``windows_to_csv`` of a ``per_window_analyze`` report, one ``repr`` per value.
+
+    Per agent in report order, one line per ``WindowAnalysis`` record;
+    the weaving point's two fields are empty when the window has none.
+    """
+    lines = ["agent_id,start_s,end_s,alpha,condition_number,degree_b0,degree_b1,"
+             "degree_b2,closeness_b0,closeness_b1,closeness_b2,t_c,sharpness"]
+    for agent in report.agents:
+        for w in agent.windows:
+            (point,) = w.weaving_points or [None]
+            values = (*w.window, w.alpha, w.condition_number, *w.degree, *w.closeness)
+            weaving = ("", "") if point is None else map(repr, map(float, point))
+            lines.append(",".join([agent.agent_id, *map(repr, map(float, values)), *weaving]))
+    return "\n".join(lines) + "\n"
 
 
 def scalar_calibrate(scenarios, params):

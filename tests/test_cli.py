@@ -76,9 +76,10 @@ def test_full_pipeline_and_evaluate(slc_scenario, tmp_path, capsys):
         "--out", str(run),
     ]) == 0
     assert (run / "report.json").exists()
+    assert (run / "windows.csv").exists()
     assert (run / "centrality.csv").exists()
     report = json.loads((run / "report.json").read_text())
-    assert report["schema_version"] == "3"
+    assert report["schema_version"] == "4"
     assert {a["agent_id"] for a in report["agents"]} == {"subject", "g0", "g1", "g2"}
 
     assert main([
@@ -283,15 +284,24 @@ def test_analyze_report_is_byte_identical(slc_scenario, tmp_path):
             "--frame-rate", "10", "--window", "1.0", "--stride", "0.5",
             "--out", str(tmp_path / out),
         ]) == 0
-    first = (tmp_path / "a" / "report.json").read_bytes()
-    assert first == (tmp_path / "b" / "report.json").read_bytes()
+    for name in ("report.json", "windows.csv"):
+        first = (tmp_path / "a" / name).read_bytes()
+        assert first == (tmp_path / "b" / name).read_bytes()
+
+
+# a schema-3 report of no agents: the format that held every window fit
+SCHEMA_V3 = ('{"schema_version":"3","frame_rate_hz":10.0,"params":{"mu":25.0,"capacity":256,'
+             '"window_s":1.0,"stride_s":0.5,"epsilon_s":0.5,"thresholds":{"tau_degree":5.21,'
+             '"tau_closeness":0.122,"weaving_min_sharpness":0.122},"alpha_policy":{"kind":'
+             '"grid","cap":1000000.0}},"window_fields":["window","alpha","condition_number",'
+             '"degree","closeness","weaving_points"],"agents":[]}')
 
 
 @pytest.mark.parametrize(
     "content",
     [None, "{not json", '{"schema_version": "1", "agents": []}',
-     '{"schema_version": "2", "agents": []}'],
-    ids=["missing", "malformed", "schema_v1", "schema_v2"],
+     '{"schema_version": "2", "agents": []}', SCHEMA_V3],
+    ids=["missing", "malformed", "schema_v1", "schema_v2", "schema_v3"],
 )
 def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
     report = tmp_path / "report.json"
@@ -643,8 +653,7 @@ def test_huge_window_or_stride_acts_as_one_longer_than_the_run(
         out = tmp_path / value
         assert main(["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
                      "--frame-rate", "10", option, value, "--out", str(out)]) == 0
-        report = json.loads((out / "report.json").read_text())
-        return [(agent["agent_id"], agent["windows"]) for agent in report["agents"]]
+        return (out / "windows.csv").read_text()
 
     assert agent_windows("1e308") == agent_windows("1e6")
     assert "Traceback" not in capsys.readouterr().err

@@ -22,6 +22,7 @@ from drivestyle.pipeline import (
     frame_windows,
     report_from_json,
     report_to_json,
+    windows_to_csv,
 )
 from drivestyle import regression
 from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_design, fit_solve
@@ -35,10 +36,20 @@ from drivestyle.styles import (
     style_reports,
 )
 
-from oracles import per_window_analyze, records, records_table
+from oracles import per_window_analyze, records, records_table, scalar_windows_csv
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02,
                         weaving_min_sharpness=0.001)
+
+
+def assert_equals_oracle(report, expected):
+    """``report`` writes what the per-window oracle's ``expected`` does, byte for byte.
+
+    The summaries as ``report.json`` text and every window fit as
+    ``windows.csv`` text, against the oracle's one-``repr``-per-value writer.
+    """
+    assert report_to_json(report) == report_to_json(expected)
+    assert windows_to_csv(report) == scalar_windows_csv(expected)
 
 
 def test_frame_window_grid():
@@ -72,8 +83,8 @@ def test_window_larger_than_run_uses_single_window():
         table, AnalysisParams(window_s=100.0, thresholds=THRESHOLDS)
     )
     (agent,) = report.agents
-    assert len(agent.windows) == 1
-    assert agent.windows[0].window == (0.0, 9.0)
+    assert agent.windows == range(1)
+    assert (report.fits.start_s.tolist(), report.fits.end_s.tolist()) == ([0.0], [9.0])
 
 
 def test_short_presence_skipped():
@@ -84,7 +95,7 @@ def test_short_presence_skipped():
     table = make_table(tracks)  # blip is present at frame 0 only
     report = analyze_table(table, AnalysisParams(window_s=3.0, thresholds=THRESHOLDS))
     blip = report.agent("blip")
-    assert blip.windows == []  # nothing fittable
+    assert len(blip.windows) == 0  # nothing fittable
     assert blip.global_label == "conservative"
 
 
@@ -124,11 +135,16 @@ def test_report_schema_guard():
 
 @pytest.fixture(scope="module")
 def weaving_report():
-    from drivestyle.scenarios import suite_analysis_params, weaving_scenario
+    from drivestyle.scenarios import suite_analysis_params
+
+    return analyze_table(weaving_report_table(), suite_analysis_params())
+
+
+def weaving_report_table():
+    from drivestyle.scenarios import weaving_scenario
     from drivestyle.sim import run_scenario
 
-    table = run_scenario(weaving_scenario(0)).table
-    return analyze_table(table, suite_analysis_params())
+    return run_scenario(weaving_scenario(0)).table
 
 
 def test_report_v2_round_trip_keeps_evaluated_fields(weaving_report, tmp_path):
@@ -162,25 +178,23 @@ def test_report_round_trip_keeps_styles_labels_and_windows(weaving_report):
         assert {name: vars(s) for name, s in back.styles.items()} == {
             name: vars(s) for name, s in orig.styles.items()
         }
-        assert back.windows == json.loads(json.dumps(orig.windows))
+        assert back.windows == range(0)  # the window fits go to windows.csv
+    assert windows_to_csv(weaving_report) == scalar_windows_csv(
+        per_window_analyze(weaving_report_table(), weaving_report.params))
 
 
-def test_report_file_is_v3_without_curves(weaving_report, tmp_path):
+def test_report_file_is_v4_summaries_only(weaving_report, tmp_path):
     path = tmp_path / "report.json"
     report_to_json(weaving_report, path)
     text = path.read_text()
     payload = json.loads(text)
-    assert payload["schema_version"] == "3"
+    assert payload["schema_version"] == "4"
     assert "sle_curve" not in text and "sie_curve" not in text
     assert '"domain"' not in text
-    assert text.count('"window_fields"') == 1
-    assert payload["window_fields"] == [
-        "window", "alpha", "condition_number", "degree", "closeness", "weaving_points"
-    ]
-    assert all(
-        isinstance(w, list) and len(w) == 6
-        for a in payload["agents"] for w in a["windows"]
-    )
+    assert '"window_fields"' not in text and '"windows"' not in text
+    assert set(payload) == {"schema_version", "frame_rate_hz", "params", "agents"}
+    assert all(set(a) == {"agent_id", "window", "global_label", "styles"}
+               for a in payload["agents"])
 
 
 @pytest.mark.parametrize("policy", [FixedAlpha(0.5), GridSearchAlpha()],
@@ -224,8 +238,10 @@ def test_report_from_json_reads_paths_not_text(weaving_report, tmp_path):
         report_from_json(text="[]")
     with pytest.raises(ValidationError, match="unsupported schema '2'"):
         report_from_json(text='{"schema_version": "2", "agents": []}')
+    with pytest.raises(ValidationError, match="unsupported schema '3'"):
+        report_from_json(text='{"schema_version": "3", "window_fields": [], "agents": []}')
     with pytest.raises(ValidationError, match="malformed"):
-        report_from_json(text='{"schema_version": "3"}')
+        report_from_json(text='{"schema_version": "4"}')
 
 
 # fresh policy objects per run, so neither side reuses the other's selections
@@ -277,11 +293,11 @@ def test_analyze_table_matches_per_window_oracle_byte_for_byte(
         return AnalysisParams(mu=25.0, window_s=window_s, stride_s=stride_s,
                               thresholds=THRESHOLDS, alpha_policy=POLICIES[policy]())
 
-    expected = report_to_json(per_window_analyze(table, params()))
+    expected = per_window_analyze(table, params())
     report = analyze_table(table, params())
-    assert report_to_json(report) == expected
+    assert_equals_oracle(report, expected)
     if policy in ("alpha_1e-3", "grid_capped"):
-        assert all(w.alpha > 0 for a in report.agents for w in a.windows)
+        assert (report.fits.alpha > 0).all()
 
 
 def test_constant_degree_windows_match_oracle_exactly():
@@ -291,11 +307,11 @@ def test_constant_degree_windows_match_oracle_exactly():
     table = table_from_tracks(tracks, 10.0)
     params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
     report = analyze_table(table, params)
-    expected = per_window_analyze(table, params)
-    assert report_to_json(report) == report_to_json(expected)
-    windows = report.agent("a0").windows
+    assert_equals_oracle(report, per_window_analyze(table, params))
+    rows = report.agent("a0").windows
+    fits = report.fits
     noise = sle_summaries(
-        [w.degree for w in windows], [w.window for w in windows], 10.0
+        fits.degree[rows], np.column_stack([fits.start_s, fits.end_s])[rows], 10.0
     ).sle_max.tolist()
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
@@ -332,7 +348,7 @@ def parked_and_movers():
 
 def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     table, params = parked_and_movers()
-    expected = report_to_json(per_window_analyze(table, params))
+    expected = per_window_analyze(table, params)
 
     # what the per-window fits solve, by centered time grid: rows with equal
     # sample bits on one grid are one distinct row, whatever their mean time
@@ -353,7 +369,7 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
 
     calls = solved_rows(monkeypatch)
     report = analyze_table(table, params)
-    assert report_to_json(report) == expected
+    assert_equals_oracle(report, expected)
     solved = defaultdict(list)
     for grid, samples in (row for call in calls for row in call):
         solved[grid].append(samples)
@@ -365,7 +381,8 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
 
 def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
     table, params = parked_and_movers()
-    expected = report_to_json(analyze_table(table, params))
+    report = analyze_table(table, params)
+    expected = (report_to_json(report), windows_to_csv(report))
     calls, gufunc = [], regression._umath_linalg
     names = [name for name in ("lstsq", "lstsq_m", "lstsq_n") if hasattr(gufunc, name)]
 
@@ -378,7 +395,8 @@ def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
     monkeypatch.setattr(regression, "_umath_linalg",
                         SimpleNamespace(**{name: logged(name) for name in names}))
     monkeypatch.setattr(regression, "_SOLVE_ROWS", 3)
-    assert report_to_json(analyze_table(table, params)) == expected
+    report = analyze_table(table, params)
+    assert (report_to_json(report), windows_to_csv(report)) == expected
     # every gufunc call solves at most 3 systems of one shape, and some
     # fit_solve call of one shape needs several gufunc calls
     assert calls and all(1 <= shape[0] <= 3 for shape in calls)
@@ -386,7 +404,8 @@ def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
     # windows cut into blocks of 4: rows shared across blocks are solved
     # again, and no bit changes
     monkeypatch.setattr(pipeline, "_BLOCK_WINDOWS", 4)
-    assert report_to_json(analyze_table(table, params)) == expected
+    report = analyze_table(table, params)
+    assert (report_to_json(report), windows_to_csv(report)) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -414,9 +433,10 @@ def test_run_mixing_alpha_0_and_alpha_above_0_designs_matches_oracle():
     params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS,
                             alpha_policy=GridSearchAlpha(cap=1000.0))
     report = analyze_table(table, params)
-    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
-    kinds = {(round((w.window[1] - w.window[0]) * 10) + 1, w.alpha > 0)
-             for a in report.agents for w in a.windows}
+    assert_equals_oracle(report, per_window_analyze(table, params))
+    fits = report.fits
+    kinds = {(round((end - start) * 10) + 1, alpha > 0) for start, end, alpha
+             in zip(fits.start_s.tolist(), fits.end_s.tolist(), fits.alpha.tolist())}
     assert {(5, True), (8, False), (11, False)} <= kinds
 
 
@@ -438,7 +458,7 @@ def test_sparse_span_matches_oracle():
     table = table_from_tracks(tracks, 2.0)
     params = AnalysisParams(mu=25.0, window_s=5.0, thresholds=THRESHOLDS)
     report = analyze_table(table, params)
-    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
+    assert_equals_oracle(report, per_window_analyze(table, params))
     assert all(a.windows for a in report.agents)
 
 
@@ -454,7 +474,7 @@ def test_analysis_memory_follows_rows_not_frame_span():
     finally:
         tracemalloc.stop()
     assert peak < 5e6
-    assert report_to_json(report) == report_to_json(per_window_analyze(table, params))
+    assert_equals_oracle(report, per_window_analyze(table, params))
     assert [len(a.windows) for a in report.agents] == [6, 6]
 
 
@@ -542,11 +562,61 @@ def test_label_relabels_without_analysing_again(analysed_tables, data):
             weaving_min_sharpness=data.draw(st.sampled_from(scores.sharpness.tolist() + [0.0])
                                             | st.floats(0.0, 1.0)),
         )
-        relabelled = style_reports(
-            [a.agent_id for a in report.agents], [w for a in report.agents for w in a.windows],
-            scores, label(scores, th))
+        relabelled = style_reports([a.agent_id for a in report.agents], scores,
+                                   label(scores, th))
         params_th = replace(params, thresholds=th)
         expected = analyze_table(table, params_th)
         assert relabelled == expected.agents
         assert report_to_json(replace(report, params=params_th, agents=relabelled)) \
             == report_to_json(expected)
+
+
+def _churn_table():
+    # agents enter and leave mid-run on one road, so an agent's first or
+    # last frame cuts many of its windows short
+    tracks = [(first, length, speed, 6.0 * n, 0) for n, (first, length, speed) in enumerate(
+        [(0, 23, 4.0), (3, 31, 1.0), (9, 17, 2.5), (14, 40, 0.0), (20, 7, 4.0), (27, 26, 1.0)])]
+    return table_from_tracks(tracks, 10.0)
+
+
+def _window_fit_runs():
+    from drivestyle.scenarios import suite_analysis_params
+
+    return {
+        "weaving": (weaving_report_table, suite_analysis_params),
+        "parsed": (_parsed_table, lambda: AnalysisParams(window_s=0.3, stride_s=0.1)),
+        "churn": (_churn_table, lambda: AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5,
+                                                       thresholds=THRESHOLDS)),
+    }
+
+
+@pytest.mark.parametrize("run", ["weaving", "parsed", "churn"])
+def test_windows_csv_fields_read_back_bit_equal_to_the_oracle(run):
+    table, params = (build() for build in _window_fit_runs()[run])
+    lines = windows_to_csv(analyze_table(table, params)).splitlines()
+    expected = [(agent.agent_id, w) for agent in per_window_analyze(table, params).agents
+                for w in agent.windows]
+    assert lines[0] == ",".join(pipeline.WINDOW_COLUMNS)
+    assert len(lines) == 1 + len(expected)
+    for line, (agent_id, w) in zip(lines[1:], expected):
+        name, *fields = line.split(",")
+        assert name == agent_id
+        if not w.weaving_points:
+            assert fields[-2:] == ["", ""]
+            fields = fields[:-2]
+        values = (*w.window, w.alpha, w.condition_number, *w.degree, *w.closeness,
+                  *(v for point in w.weaving_points for v in point))
+        # .hex() tells -0.0 from 0.0
+        assert [float(text).hex() for text in fields] == [float(v).hex() for v in values]
+    spans = {(w.window[1] - w.window[0]) for _, w in expected}
+    if run == "weaving":
+        assert any(w.weaving_points for _, w in expected)
+    elif run == "parsed":
+        assert "c" in table.agent_ids and "c" not in {a for a, _ in expected}
+    else:
+        assert len({round(10 * s) for s in spans}) > 2  # full and partial windows
+        # no fit of these runs is -0.0, so one column is set to it
+        report = analyze_table(table, params)
+        fits = report.fits._replace(alpha=np.full(len(expected), -0.0))
+        lines = windows_to_csv(replace(report, fits=fits)).splitlines()
+        assert {line.split(",")[3] for line in lines[1:]} == {"-0.0"}

@@ -1,4 +1,5 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -15,7 +16,7 @@ from drivestyle.styles import (
     SleArrays,
     SleSummary,
     Thresholds,
-    WindowAnalysis,
+    WindowFits,
     classify,
     critical_points,
     detect_weaving,
@@ -26,6 +27,7 @@ from drivestyle.styles import (
     style_reports,
 )
 from oracles import (
+    WindowAnalysis,
     merge_critical_points,
     sample_sle_sie,
     sampled_sle,
@@ -248,23 +250,25 @@ def test_array_merge_equals_scalar_merge(agents, epsilon):
 
 
 def _window(deg_poly, clo_poly, span, epsilon=0.5):
-    degree, closeness = deg_poly.coefficients, clo_poly.coefficients
-    return WindowAnalysis(
-        span, 0.0, 1.0, degree, closeness, detect_weaving(closeness, span, epsilon)
-    )
+    """(span, degree, closeness, weaving point or NaNs) of one window."""
+    closeness = clo_poly.coefficients
+    (point,) = detect_weaving(closeness, span, epsilon) or [(math.nan, math.nan)]
+    return span, deg_poly.coefficients, closeness, point
+
+
+def _fits(windows):
+    """One agent's ``WindowFits`` columns from ``_window`` rows."""
+    n = len(windows)
+    spans, degree, closeness, points = (
+        np.array([w[i] for w in windows], dtype=float).reshape(n, width)
+        for i, width in enumerate((2, 3, 3, 2)))
+    return WindowFits(np.zeros(n, dtype=np.int64), *spans.T, np.zeros(n), np.ones(n),
+                      degree, closeness, *points.T)
 
 
 def _classify(windows, f=1.0):
     """``classify`` of agent "a", reading the windows' SLE at ``f`` Hz."""
-    spans = [w.window for w in windows]
-    return classify(
-        "a", windows,
-        [SleSummary(*row) for row in summary_rows(
-            sle_summaries([w.degree for w in windows], spans, f))],
-        [SleSummary(*row) for row in summary_rows(
-            sle_summaries([w.closeness for w in windows], spans, f))],
-        THRESHOLDS, epsilon=0.5,
-    )
+    return classify("a", _fits(windows), f, THRESHOLDS, epsilon=0.5)
 
 
 def test_flat_agent_is_conservative():
@@ -339,7 +343,7 @@ def test_threshold_validation():
 
 
 def test_classify_with_no_windows_is_conservative():
-    report = classify("ghost", [], [], [], THRESHOLDS, epsilon=0.5)
+    report = classify("ghost", _fits([]), 1.0, THRESHOLDS, epsilon=0.5)
     assert report.global_label == "conservative"
     assert report.styles[STYLE_OVERSPEEDING].t_sle is None
 
@@ -422,8 +426,9 @@ def test_per_agent_aggregate_equals_scalar_rule(agents):
             sle[1].append(SleSummary(c_max, c_t, 2.0 * sie))
             spans.append(span)
         k = len(windows)
-        expected.append(scalar_classify(f"a{n}", mine, sle[0][k:], sle[1][k:],
-                                        THRESHOLDS, 0.5))
+        expected.append(replace(
+            scalar_classify(f"a{n}", mine, sle[0][k:], sle[1][k:], THRESHOLDS, 0.5),
+            windows=range(k, k + len(mine))))
         windows += mine
     points = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
     scores = score_agents(
@@ -434,6 +439,6 @@ def test_per_agent_aggregate_equals_scalar_rule(agents):
          np.array([p[0] for _, p in points]), np.array([p[1] for _, p in points])),
         0.5,
     )
-    reports = style_reports([f"a{n}" for n in range(len(agents))], windows, scores,
+    reports = style_reports([f"a{n}" for n in range(len(agents))], scores,
                             label(scores, THRESHOLDS))
     assert reports == expected
