@@ -11,6 +11,7 @@ singleton component.
 sweep over every frame, first encounters found by one sort, and the
 closeness of every component of three or more vertices by Dijkstra from
 all its vertices in lockstep, batched with the components of its size.
+``series_to_csv`` writes one ``frame,agent_id,closeness,degree`` row per agent-frame.
 """
 
 from __future__ import annotations
@@ -22,7 +23,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import _CHUNK_LINES, TrajectoryTable, float_texts, write_text
+from .ingest import _CHUNK_LINES, TrajectoryTable, csv_lines, float_texts, write_text
 
 # Not called here: the per-frame forms of ``compute_series``. Their only
 # reader is perfbench/tracer.py, which wraps them under these names.
@@ -285,24 +286,26 @@ def compute_series(
 
 
 def series_to_csv(series_map, dest=None) -> str:
-    """Flatten series to ``frame,agent_id,kind,value`` CSV for plotting.
+    """Write series as ``frame,agent_id,closeness,degree`` CSV for plotting.
 
-    Agents come in id order, each with its closeness rows, then its
-    degree rows. Whole agents are formatted about ``_CHUNK_LINES`` rows
-    at a time, each chunk's values by ``float_texts``.
+    One row per agent-frame: agents in id order, each agent's frames
+    ascending from its first, values by ``float_texts`` (degree, a running
+    count, as a float). The agents' columns are concatenated and formatted
+    ``_CHUNK_LINES`` rows at a time. Raises ContractViolationError when an
+    agent's two series differ in length.
     """
-    parts, chunk, rows = ["frame,agent_id,kind,value\n"], [], 0
-    agents = sorted(series_map)
-    for k, agent_id in enumerate(agents, 1):
-        first, clo, deg = series_map[agent_id]
-        chunk += [(first, f",{agent_id},closeness,", clo), (first, f",{agent_id},degree,", deg)]
-        rows += len(clo) + len(deg)
-        if rows >= _CHUNK_LINES or k == len(agents):
-            texts = iter(float_texts(np.concatenate([values for *_, values in chunk])))
-            parts.append("".join([
-                f"{t}{middle}{next(texts)}\n"
-                for f0, middle, values in chunk
-                for t in range(f0, f0 + len(values))
-            ]))
-            chunk, rows = [], 0
+    parts, agents = ["frame,agent_id,closeness,degree\n"], sorted(series_map)
+    if agents:
+        firsts, clo, deg = zip(*map(series_map.__getitem__, agents))
+        lengths = np.array(list(map(len, clo)))
+        if list(map(len, deg)) != lengths.tolist():  # a row pairs the two values
+            raise ContractViolationError("closeness and degree series differ in length")
+        clo, deg = np.concatenate(clo), np.concatenate(deg)
+        code = np.repeat(np.arange(len(agents)), lengths)
+        frame = np.arange(len(clo)) + (firsts - (lengths.cumsum() - lengths))[code]
+        for lo in range(0, len(clo), _CHUNK_LINES):
+            rows = slice(lo, lo + _CHUNK_LINES)
+            parts.append(csv_lines((map(str, frame[rows].tolist()),
+                                    map(agents.__getitem__, code[rows].tolist()),
+                                    float_texts(clo[rows]), float_texts(deg[rows]))))
     return write_text(dest, "".join(parts), "centrality series")

@@ -520,6 +520,11 @@ def float_texts(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, where.tolist()))
 
 
+def csv_lines(columns) -> str:
+    """CSV lines, each ending in a newline, of equal-length columns of field texts."""
+    return "\n".join(map(",".join, zip(*columns))) + "\n"
+
+
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
     """Write a table back to the CSV record format (velocities included).
 
@@ -535,6 +540,5 @@ def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
             float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
         )
         agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
-        lines = map(",".join, zip(ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy))
-        parts.append("\n".join(lines) + "\n")
+        parts.append(csv_lines((ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy)))
     return write_text(dest, "".join(parts), "trajectories")

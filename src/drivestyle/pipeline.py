@@ -24,7 +24,7 @@ import numpy as np
 from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, float_texts, read_source
+from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, csv_lines, float_texts, read_source
 from .ingest import write_text
 from .regression import (
     DEFAULT_ALPHA_POLICY,
@@ -347,7 +347,7 @@ def windows_to_csv(report: RunReport, dest=None) -> str:
                                      chunk.condition_number, *chunk.degree.T, *chunk.closeness.T))
         columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
                     for c in (chunk.t_c, chunk.sharpness))
-        parts.append("\n".join(map(",".join, zip(*columns))) + "\n")
+        parts.append(csv_lines(columns))
     return write_text(dest, "".join(parts), "windows")
 
 

@@ -881,11 +881,10 @@ def row_serialize_trajectories(table):
 
 
 def row_series_to_csv(series_map):
-    """``series_to_csv``' text, one value at a time."""
-    lines = ["frame,agent_id,kind,value"]
+    """``series_to_csv``' text, one agent-frame at a time."""
+    lines = ["frame,agent_id,closeness,degree"]
     for agent_id in sorted(series_map):
         first, clo, deg = series_map[agent_id]
-        for kind, values in (("closeness", clo), ("degree", deg)):
-            for t, v in enumerate(values.tolist(), first):
-                lines.append(f"{t},{agent_id},{kind},{v!r}")
+        for t, (c, d) in enumerate(zip(clo.tolist(), deg.tolist()), first):
+            lines.append(f"{t},{agent_id},{c!r},{d!r}")
     return "\n".join(lines) + "\n"

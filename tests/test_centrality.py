@@ -9,9 +9,12 @@ from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
 from drivestyle import centrality
-from drivestyle.centrality import closeness, compute_series, series_to_csv
+from drivestyle.centrality import AgentSeries, closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
-from drivestyle.graph import build_instant_graph
+from drivestyle.graph import DEFAULT_MU, build_instant_graph
+from drivestyle.ingest import parse_trajectories
+from drivestyle.scenarios import weaving_scenario
+from drivestyle.sim import run_scenario
 from oracles import (
     all_pairs_edges,
     dijkstra_closeness,
@@ -278,11 +281,63 @@ def test_series_csv_text_matches_oracles():
             )
     deg = replay_degree(table, mu, capacity=capacity)
     assert deg != replay_degree(table, mu)  # the reset changes a degree
-    rows = ["frame,agent_id,kind,value"]
+    rows = ["frame,agent_id,closeness,degree"]
     for agent in sorted(clo):
-        rows += [f"{t},{agent},closeness,{v!r}" for t, v in clo[agent]]
-        rows += [f"{t},{agent},degree,{v!r}" for t, v in deg[agent]]
+        assert [t for t, _ in clo[agent]] == [t for t, _ in deg[agent]]
+        rows += [f"{t},{agent},{c!r},{d!r}" for (t, c), (_, d) in zip(clo[agent], deg[agent])]
     assert text.splitlines() == rows
+
+
+def _read_back_matches(table, mu):
+    # every field read with float() is bit-equal to compute_series' arrays,
+    # one row per table row, agents in id order and frames ascending
+    series = compute_series(table, mu)
+    header, *lines = series_to_csv(series).splitlines()
+    assert header == "frame,agent_id,closeness,degree"
+    assert len(lines) == len(table.frame)
+    expected = [
+        (agent, t, c.hex(), d.hex())
+        for agent, (first, clo, deg) in sorted(series.items())
+        for t, (c, d) in enumerate(zip(clo.tolist(), deg.tolist()), first)
+    ]
+    got = [(a, int(t), float(c).hex(), float(d).hex())
+           for t, a, c, d in (line.split(",") for line in lines)]
+    assert got == expected
+    return series
+
+
+def test_series_csv_reads_back_bit_equal():
+    simulated = _read_back_matches(run_scenario(weaving_scenario(0)).table, DEFAULT_MU)
+    assert any(s.degree.any() for s in simulated.values())
+
+    # a parsed table whose agents come and go: "a" 0-5, "c" 2-9, "b" 4-7
+    # and "d" only at 8-9, at different speeds and a varying y
+    spans = {"a": (0, 5), "c": (2, 9), "b": (4, 7), "d": (8, 9)}
+    lines = ["timestamp,agent_id,agent_type,x,y"] + [
+        f"{k / 10!r},{agent},car,{(1 + 0.2 * n) * k + 0.5 * n!r},{0.1 * ((k * 7 + n) % 5)!r}"
+        for k in range(10)
+        for n, (agent, (lo, hi)) in enumerate(spans.items()) if lo <= k <= hi
+    ]
+    table = parse_trajectories(text="\n".join(lines) + "\n", frame_rate_hz=10.0)
+    series = _read_back_matches(table, 4.0)
+    assert {a: (s.first, len(s.degree)) for a, s in series.items()} == {
+        agent: (lo, hi - lo + 1) for agent, (lo, hi) in spans.items()
+    }
+    assert any(s.closeness.any() for s in series.values())
+    assert any(s.degree.any() for s in series.values())
+
+    # one agent, one row
+    lone = parse_trajectories(text="timestamp,agent_id,agent_type,x,y\n0.5,z,car,1.0,2.0\n",
+                              frame_rate_hz=10.0)
+    assert _read_back_matches(lone, 4.0)["z"].first == 5
+    assert series_to_csv({}) == "frame,agent_id,closeness,degree\n"
+    # a row pairs an agent's two values, so their series must be as long
+    uneven = {
+        "a": AgentSeries(0, np.zeros(3), np.ones(2)),
+        "b": AgentSeries(0, np.zeros(1), np.ones(2)),
+    }
+    with pytest.raises(ContractViolationError, match="differ in length"):
+        series_to_csv(uneven)
 
 
 # frame shapes of the whole-run property test, on a unit lattice so that

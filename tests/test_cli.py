@@ -77,7 +77,9 @@ def test_full_pipeline_and_evaluate(slc_scenario, tmp_path, capsys):
     ]) == 0
     assert (run / "report.json").exists()
     assert (run / "windows.csv").exists()
-    assert (run / "centrality.csv").exists()
+    series = (run / "centrality.csv").read_text().splitlines()
+    assert series[0] == "frame,agent_id,closeness,degree"
+    assert len(series) == len((run / "trajectories.csv").read_text().splitlines())
     report = json.loads((run / "report.json").read_text())
     assert report["schema_version"] == "4"
     assert {a["agent_id"] for a in report["agents"]} == {"subject", "g0", "g1", "g2"}

@@ -396,8 +396,7 @@ def writer_inputs(draw):
 @given(writer_inputs(), st.sampled_from([3, ingest._CHUNK_LINES]))
 @settings(max_examples=150, deadline=None)
 def test_writers_match_row_writers(inputs, chunk_lines):
-    # at 3 rows a chunk, chunks end mid-frame and split the series' agents
-    # into chunks of one or two
+    # at 3 rows a chunk, chunks end mid-frame, and mid-agent in the series
     table, series = inputs
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
             mock.patch.object(centrality, "_CHUNK_LINES", chunk_lines):

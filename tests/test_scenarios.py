@@ -156,7 +156,8 @@ def test_weaving_subject_flagged_aggressive_at_default_thresholds():
 def test_simulated_table_bytes_are_pinned():
     # sha256 of the lane-change scenario's trajectory text, of its
     # positions-only copy read back (velocities by differences) and of its
-    # centrality series CSV; no least-squares fit, so no BLAS, is involved
+    # centrality series CSV (one row per agent-frame); no least-squares fit,
+    # so no BLAS, is involved
     def sha(text):
         return hashlib.sha256(text.encode()).hexdigest()
 
@@ -173,5 +174,5 @@ def test_simulated_table_bytes_are_pinned():
         "9f10a85b2324607a3ae5908ed9926bee177f164be4b999210159a3fc122b97f3"
     )
     assert sha(series_to_csv(compute_series(table, 100.0))) == (
-        "df27af4bcd5e9e5b69e1a24bf89ae22d04cb2cbfc42f2d43c3627f502cbbb0e7"
+        "b8b8669f53aa57c223c0bf91ad49cc5afda7573edba33a0782a59bd3af2743b2"
     )
