@@ -257,36 +257,38 @@ def mobil_decision(
     acceleration gain plus the politeness-weighted gains of both affected
     followers must exceed the ego's threshold. All accelerations come
     from the car-following law evaluated on the hypothetical arrangement.
-    Non-positive insertion gaps are rejected outright as unsafe.
+    An unsafe change, a non-positive insertion gap included, is rejected
+    before its incentive terms are evaluated: its incentive is -inf.
     """
     if (target_leader is not None and target_leader[0] - ego[0] - VEHICLE_LENGTH_M <= 0) or (
         target_follower is not None and ego[0] - target_follower[0] - VEHICLE_LENGTH_M <= 0
     ):
         return MobilDecision(False, False, -math.inf, -math.inf)
 
-    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
     a_n = a_n_new = a_o = a_o_new = 0.0
     if target_follower is not None:
-        a_n, a_n_new = _follow(target_follower, target_leader), _follow(target_follower, ego)
+        a_n_new = _follow(target_follower, ego)
+        if not a_n_new >= -params.b_safe:
+            return MobilDecision(False, False, -math.inf, a_n_new)
+        a_n = _follow(target_follower, target_leader)
+    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
     if current_follower is not None:
         a_o, a_o_new = _follow(current_follower, ego), _follow(current_follower, current_leader)
-    safety_ok = target_follower is None or a_n_new >= -params.b_safe
     incentive = gain_ego + params.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
     new_follower = math.inf if target_follower is None else a_n_new
-    return MobilDecision(
-        safety_ok and incentive > params.delta_a_th, safety_ok, incentive, new_follower
-    )
+    return MobilDecision(incentive > params.delta_a_th, True, incentive, new_follower)
 
 
 @dataclass
 class World:
     """One running scenario: per-agent list columns in spawn order, clock, collision log.
 
-    ``law`` holds each agent's ``idm_law``; ``mobil`` whether lane-change
-    decisions are its own (an IDM agent with MOBIL on). ``lane_change``
-    maps the position of each agent mid-change to its (start, progress),
-    the start a lateral position in lane units (a float lane index); its
-    ``lane`` is already the target lane, which
+    ``law`` holds each agent's ``idm_law``; ``follows`` the positions of
+    the car-following (IDM) agents, ascending; ``mobil`` whether
+    lane-change decisions are its own (an IDM agent with MOBIL on).
+    ``lane_change`` maps the position of each agent mid-change to its
+    (start, progress), the start a lateral position in lane units (a
+    float lane index); its ``lane`` is already the target lane, which
     car-following commits to at once. ``scripts`` maps a frame to its
     scripted changes, {position: target lane}.
     """
@@ -298,7 +300,7 @@ class World:
     lane: list[int]
     params: list[DriverParams]
     law: list[tuple[float, ...]]
-    cruise: list[bool]
+    follows: list[int]
     mobil: list[bool]
     scripts: dict[int, dict[int, int]]
     lane_change: dict[int, tuple[float, float]] = field(default_factory=dict)
@@ -429,31 +431,32 @@ def step(world: World) -> World:
     Order per frame: scripted lane changes, lane-change decisions at the
     decision period, one batch of accelerations from the pre-step state
     (collisions logged in agent order), then the Euler position/speed
-    update and lateral progress.
+    update and lateral progress. Only car-following agents read a leader
+    or decide on lane changes, so a world without one (cruisers only)
+    builds no lane lists, and cruisers keep an acceleration of 0.
     """
     cfg = world.config
     dt = cfg.timestep_s
-    lane = world.lane
     for pos, target in world.scripts.get(world.frame, {}).items():
-        if target != lane[pos]:
+        if target != world.lane[pos]:
             _begin_lane_change(world, pos, target)
 
-    lanes = _lanes(lane, world.x, cfg.lane_count)
-    if world.frame % max(1, int(round(cfg.mobil_period_s / dt))) == 0:
-        _mobil_pass(world, lanes)
-
     x, speed, law, ids = world.x, world.speed, world.law, world.ids
-    accels = []
-    for pos, (leader, cruise) in enumerate(zip(_leaders(lanes, len(x)), world.cruise)):
-        if cruise:
-            accels.append(0.0)
-        elif leader is None:
-            accels.append(idm_acceleration(law[pos], speed[pos]))
-        else:
+    accels = [0.0] * len(x)
+    if world.follows:
+        lanes = _lanes(world.lane, x, cfg.lane_count)
+        if world.frame % max(1, int(round(cfg.mobil_period_s / dt))) == 0:
+            _mobil_pass(world, lanes)
+        leaders = _leaders(lanes, len(x))
+        for pos in world.follows:
+            leader = leaders[pos]
+            if leader is None:
+                accels[pos] = idm_acceleration(law[pos], speed[pos])
+                continue
             gap = x[leader] - x[pos] - VEHICLE_LENGTH_M
             if gap <= 0.0:
                 world.collisions.append(CollisionEvent(world.frame, ids[pos], ids[leader]))
-            accels.append(idm_acceleration(law[pos], speed[pos], gap, speed[leader]))
+            accels[pos] = idm_acceleration(law[pos], speed[pos], gap, speed[leader])
 
     world.x = [xi + v * dt for xi, v in zip(x, speed)]
     # max(0.0, w), which is w only where w > 0.0
@@ -501,7 +504,7 @@ def build_world(config: ScenarioConfig) -> World:
         lane=[s.lane for s in spawns],
         params=params,
         law=list(map(idm_law, params)),
-        cruise=[s.longitudinal == MODE_CRUISE for s in spawns],
+        follows=[pos for pos, s in enumerate(spawns) if s.longitudinal == MODE_IDM],
         mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
         scripts=scripts,
     )

@@ -14,7 +14,8 @@ tables by reading a file one row at a time into ``AgentFrame`` records (``record
 table's rows back as records), and the expected maneuver frame by
 counting the annotators of every frame. The simulator is replayed on one mutable object per vehicle
 with a sorted (lane, x, position) index, calling the package's one
-car-following law and lane-change rule, and the CSV writers format one
+car-following law and a lane-change rule that evaluates every term
+before judging safety, and the CSV writers format one
 row at a time.
 """
 
@@ -43,9 +44,9 @@ from drivestyle.sim import (
     VEHICLE_LENGTH_M,
     CollisionEvent,
     DriverParams,
+    MobilDecision,
     idm_acceleration,
     idm_law,
-    mobil_decision,
     run_scenario,
 )
 from drivestyle.styles import (
@@ -766,6 +767,39 @@ def _begin_lane_change(agent, target_lane):
     agent.lane = target_lane
 
 
+def _follow(back, front):
+    if front is None:
+        return idm_acceleration(back[2], back[1])
+    return idm_acceleration(back[2], back[1], front[0] - back[0] - VEHICLE_LENGTH_M, front[1])
+
+
+def full_mobil_decision(
+    params, ego, current_leader, current_follower, target_leader, target_follower
+):
+    """``sim.mobil_decision`` with every term evaluated, safe or not.
+
+    All six car-following evaluations run before safety and incentive
+    are judged together; only a non-positive insertion gap returns early.
+    """
+    if (target_leader is not None and target_leader[0] - ego[0] - VEHICLE_LENGTH_M <= 0) or (
+        target_follower is not None and ego[0] - target_follower[0] - VEHICLE_LENGTH_M <= 0
+    ):
+        return MobilDecision(False, False, -math.inf, -math.inf)
+
+    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
+    a_n = a_n_new = a_o = a_o_new = 0.0
+    if target_follower is not None:
+        a_n, a_n_new = _follow(target_follower, target_leader), _follow(target_follower, ego)
+    if current_follower is not None:
+        a_o, a_o_new = _follow(current_follower, ego), _follow(current_follower, current_leader)
+    safety_ok = target_follower is None or a_n_new >= -params.b_safe
+    incentive = gain_ego + params.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
+    new_follower = math.inf if target_follower is None else a_n_new
+    return MobilDecision(
+        safety_ok and incentive > params.delta_a_th, safety_ok, incentive, new_follower
+    )
+
+
 def object_step(cfg, agents, frame, collisions):
     """``sim.step`` on SimAgent objects, one agent at a time, with a LaneIndex."""
     dt = cfg.timestep_s
@@ -795,7 +829,7 @@ def object_step(cfg, agents, frame, collisions):
                     for other in (cur_leader, cur_follower,
                                   lanes.leader(pos, target), lanes.follower(pos, target))
                 ]
-                decision = mobil_decision(agent.params, agent.car(), *cars)
+                decision = full_mobil_decision(agent.params, agent.car(), *cars)
                 if decision.approved and (best is None or decision.incentive > best[0]):
                     best = (decision.incentive, target, decision)
             if best is not None:

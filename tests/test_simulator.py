@@ -12,7 +12,7 @@ from drivestyle.errors import ValidationError
 from drivestyle.evaluation import annotations_from_labels, parse_annotations
 from drivestyle.ingest import serialize_trajectories
 from drivestyle.pipeline import analyze_table
-from drivestyle.scenarios import calibration_scenarios
+from drivestyle.scenarios import calibration_scenarios, lane_change_scenario
 from drivestyle.sim import (
     AGGRESSIVE_PARAMS,
     CONSERVATIVE_PARAMS,
@@ -32,7 +32,7 @@ from drivestyle.sim import (
     step,
     write_labels,
 )
-from oracles import object_run_scenario, records, scan_neighbors_in_lane
+from oracles import full_mobil_decision, object_run_scenario, records, scan_neighbors_in_lane
 
 
 def car(x, speed, params=CONSERVATIVE_PARAMS):
@@ -175,6 +175,26 @@ def test_mobil_soundness_on_random_scenes():
         incentive = gain_ego + params.politeness * (gain_n + gain_o)
         assert incentive > params.delta_a_th
     assert approved > 10  # the sampler must actually exercise approvals
+
+
+def test_mobil_decision_matches_the_full_rule():
+    # the early exit on an unsafe target changes no decision: against the
+    # rule that evaluates all six terms, the same approvals, safety and
+    # new-follower acceleration, and a bit-equal incentive where approved
+    rng = np.random.default_rng(5)
+    unsafe = approved = 0
+    for _ in range(3000):
+        scene = _random_scene(rng)
+        got, want = mobil_decision(*scene), full_mobil_decision(*scene)
+        assert (got.approved, got.safety_ok) == (want.approved, want.safety_ok)
+        assert got.new_follower_acceleration == want.new_follower_acceleration
+        if got.approved:
+            approved += 1
+            assert got.incentive == want.incentive
+        if not got.safety_ok:
+            unsafe += 1
+            assert got.incentive == -math.inf
+    assert unsafe > 100 and approved > 100
 
 
 # --- stepping -------------------------------------------------------------
@@ -432,14 +452,69 @@ _COLLIDING = ScenarioConfig(
 )
 
 
+# cruisers only, three of them on one x: a scripted change, then a
+# retarget mid-change, with no lane lists built
+_CRUISING = ScenarioConfig(
+    lane_count=3, road_length_m=100.0, timestep_s=0.1, duration_s=2.0,
+    spawns=[SpawnSpec(f"c{i}", "conservative", i % 2, 20.0, 10.0 * i, longitudinal="cruise")
+            for i in range(3)],
+    lane_change_scripts=[LaneChangeScript("c0", 2, 1), LaneChangeScript("c0", 6, 2)],
+    lane_change_duration_s=0.5,
+)
+
+
 @given(sim_scenarios())
 @example(_COLLIDING)
+@example(_CRUISING)
 @settings(max_examples=150, deadline=None)
 def test_list_columns_match_the_object_simulator(config):
     result = run_scenario(config)
     table, collisions = object_run_scenario(config)
     assert serialize_trajectories(result.table) == serialize_trajectories(table)
     assert result.collisions == collisions
+
+
+def test_cruise_only_world_builds_no_lane_lists(monkeypatch):
+    # no agent follows, so no step files the lanes, takes lane-change
+    # decisions or looks for a leader, yet the scripted changes run
+    def forbidden(*args):
+        raise AssertionError("lane lists built in a cruise-only world")
+
+    config = lane_change_scenario(0)
+    assert all(s.longitudinal == "cruise" for s in config.spawns)
+    assert config.lane_change_scripts
+    for name in ("_lanes", "_leaders", "_mobil_pass"):
+        monkeypatch.setattr(sim, name, forbidden)
+    result = run_scenario(config)
+    table, collisions = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
+    assert result.collisions == collisions
+
+
+def test_dense_mobil_regime_matches_the_object_simulator(monkeypatch):
+    # the highway benchmark's layout: 200 IDM agents on 3 lanes at 10 m
+    # spacing for 30 s, where most lane-change targets are unsafe and are
+    # rejected before their incentive is scored
+    config = ScenarioConfig(
+        lane_count=3, road_length_m=2000.0, timestep_s=0.1, duration_s=30.0,
+        spawns=[SpawnSpec(f"h{i:03d}", "aggressive" if i % 7 == 0 else "conservative",
+                          i % 3, i * 10.0, 25.0) for i in range(200)],
+        seed=0,
+    )
+    decisions = []
+
+    def counted(*args):
+        decisions.append(decision := mobil_decision(*args))
+        return decision
+
+    monkeypatch.setattr(sim, "mobil_decision", counted)
+    result = run_scenario(config)
+    table, collisions = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
+    assert result.collisions == collisions
+    unsafe = sum(not d.safety_ok for d in decisions)
+    assert unsafe > len(decisions) / 2
+    assert any(d.approved for d in decisions)
 
 
 def test_colliding_example_collides_and_retargets_mid_change():
