@@ -76,12 +76,15 @@ def edges_and_largest_component(table) -> tuple[int, int]:
     return len(p), largest
 
 
-def digest(series) -> str:
-    h = hashlib.sha256()
-    for agent_id, (first, clo, deg) in series.items():
-        h.update(f"{agent_id},{first};".encode())
-        h.update(clo.tobytes())
-        h.update(deg.tobytes())
+def digest(series, agent_ids) -> str:
+    """sha256 of each agent's first frame and series, agents in ``agent_ids`` order."""
+    h, index = hashlib.sha256(), {agent_id: k for k, agent_id in enumerate(series.agent_ids)}
+    for agent_id in agent_ids:
+        k = index[agent_id]
+        rows = slice(series.bounds[k], series.bounds[k + 1])
+        h.update(f"{agent_id},{series.first[k]};".encode())
+        h.update(series.closeness[rows].tobytes())
+        h.update(series.degree[rows].tobytes())
     return h.hexdigest()
 
 
@@ -104,7 +107,7 @@ def main() -> int:
             best = min(best, time.perf_counter() - start)
         rows = agents * FRAMES
         print(f"{agents:>6} {length_m:>8.0f} {edges:>11.1f} {largest:>7} "
-              f"{1e6 * best / rows:>8.1f}  {digest(series)}")
+              f"{1e6 * best / rows:>8.1f}  {digest(series, table.agent_ids)}")
     return 0
 
 

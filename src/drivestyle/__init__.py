@@ -9,7 +9,7 @@ time-deviation evaluation protocol runs end to end at desk scale.
 
 __version__ = "0.1.0"
 
-from .centrality import AgentSeries, compute_series
+from .centrality import CentralitySeries, compute_series
 from .errors import (
     ConditioningError,
     ContractViolationError,

@@ -11,7 +11,9 @@ singleton component.
 sweep over every frame, first encounters found by one sort, and the
 closeness of every component of three or more vertices by Dijkstra from
 all its vertices in lockstep, batched with the components of its size.
-``series_to_csv`` writes one ``frame,agent_id,closeness,degree`` row per agent-frame.
+It returns one ``CentralitySeries`` of agent-major columns, which
+``series_to_csv`` writes as they are: one ``frame,agent_id,closeness,degree``
+row per agent-frame.
 """
 
 from __future__ import annotations
@@ -30,10 +32,16 @@ from .ingest import _CHUNK_LINES, TrajectoryTable, csv_lines, float_texts, write
 from .graph import build_instant_graph, update_cumulative  # noqa: F401
 
 
-class AgentSeries(NamedTuple):
-    """One agent's centralities, sampled at frames ``first, first + 1, ...``."""
+class CentralitySeries(NamedTuple):
+    """Every agent's centralities, agent-major, agents in id order.
 
-    first: int
+    Agent k is ``agent_ids[k]``; its rows ``bounds[k]:bounds[k + 1]`` of
+    ``closeness`` and ``degree`` sample frames ``first[k], first[k] + 1, ...``.
+    """
+
+    agent_ids: list[str]
+    first: np.ndarray  # int64, one per agent
+    bounds: np.ndarray  # int64, one per agent and one more
     closeness: np.ndarray
     degree: np.ndarray
 
@@ -230,8 +238,8 @@ def compute_series(
     table: TrajectoryTable,
     mu: float,
     capacity: int = DEFAULT_CAPACITY,
-) -> dict[str, AgentSeries]:
-    """Per-agent closeness and degree series over the table's whole span.
+) -> CentralitySeries:
+    """Every agent's closeness and degree series over the table's whole span.
 
     Covers the frames present, in order (never the empty indices between
     them): instantaneous closeness per agent present, and the running sum
@@ -239,7 +247,7 @@ def compute_series(
     ``update_cumulative`` applied frame by frame would count them. The
     degree chain must start at the beginning of the run to be meaningful,
     so callers slice the result rather than re-running on sub-windows.
-    Agents come in the order of ``table.agent_ids``.
+    Agents come in id order, whatever order ``table.agent_ids`` holds.
 
     The whole run is handled as the table's columns: one ``sweep_edges``
     gives every frame's edges, ``_closeness`` their closeness and
@@ -255,9 +263,11 @@ def compute_series(
     require_positive(mu, "mu")
     agents, codes, x, y = table.agent_ids, table.agent, table.x, table.y
     runs = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
-    # each agent's rows in frame order, from its first position in by_agent
-    by_agent = np.argsort(codes, kind="stable")
-    bounds = np.searchsorted(codes[by_agent], np.arange(len(agents) + 1))
+    # each agent's rows in frame order, agents in id order, from its first
+    # position in by_agent
+    rank = _ranks(agents)[codes]
+    by_agent = np.argsort(rank, kind="stable")
+    bounds = np.searchsorted(rank[by_agent], np.arange(len(agents) + 1))
 
     order, p, q, cost = sweep_edges(frames, x, y, mu)
     error = _first_error(
@@ -275,37 +285,25 @@ def compute_series(
     )
     deg = _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
     del speed
-    clo = _closeness(_ranks(agents)[codes], i, j, cost)[by_agent]
-    firsts = frames[by_agent[bounds[:-1]]].tolist()
-    return {
-        agent_id: AgentSeries(f0, clo[start:end], deg[start:end])
-        for agent_id, f0, start, end in zip(
-            agents, firsts, bounds[:-1].tolist(), bounds[1:].tolist()
-        )
-    }
+    clo = _closeness(rank, i, j, cost)[by_agent]
+    return CentralitySeries(sorted(agents), frames[by_agent[bounds[:-1]]],
+                            bounds.astype(np.int64, copy=False), clo, deg)
 
 
-def series_to_csv(series_map, dest=None) -> str:
+def series_to_csv(series: CentralitySeries, dest=None) -> str:
     """Write series as ``frame,agent_id,closeness,degree`` CSV for plotting.
 
     One row per agent-frame: agents in id order, each agent's frames
     ascending from its first, values by ``float_texts`` (degree, a running
-    count, as a float). The agents' columns are concatenated and formatted
-    ``_CHUNK_LINES`` rows at a time. Raises ContractViolationError when an
-    agent's two series differ in length.
+    count, as a float), formatted ``_CHUNK_LINES`` rows at a time.
     """
-    parts, agents = ["frame,agent_id,closeness,degree\n"], sorted(series_map)
-    if agents:
-        firsts, clo, deg = zip(*map(series_map.__getitem__, agents))
-        lengths = np.array(list(map(len, clo)))
-        if list(map(len, deg)) != lengths.tolist():  # a row pairs the two values
-            raise ContractViolationError("closeness and degree series differ in length")
-        clo, deg = np.concatenate(clo), np.concatenate(deg)
-        code = np.repeat(np.arange(len(agents)), lengths)
-        frame = np.arange(len(clo)) + (firsts - (lengths.cumsum() - lengths))[code]
-        for lo in range(0, len(clo), _CHUNK_LINES):
-            rows = slice(lo, lo + _CHUNK_LINES)
-            parts.append(csv_lines((map(str, frame[rows].tolist()),
-                                    map(agents.__getitem__, code[rows].tolist()),
-                                    float_texts(clo[rows]), float_texts(deg[rows]))))
+    parts, agents = ["frame,agent_id,closeness,degree\n"], series.agent_ids
+    code = np.repeat(np.arange(len(agents)), np.diff(series.bounds))
+    frame = np.arange(len(code)) + (series.first - series.bounds[:-1])[code]
+    for lo in range(0, len(code), _CHUNK_LINES):
+        rows = slice(lo, lo + _CHUNK_LINES)
+        parts.append(csv_lines((map(str, frame[rows].tolist()),
+                                map(agents.__getitem__, code[rows].tolist()),
+                                float_texts(series.closeness[rows]),
+                                float_texts(series.degree[rows]))))
     return write_text(dest, "".join(parts), "centrality series")

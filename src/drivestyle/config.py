@@ -4,7 +4,10 @@ A run config is a flat key-value document: ``frame_rate_hz``,
 ``calibration_scenarios`` and the fields of ``pipeline.AnalysisParams``,
 whose defaults fill every key left out. Any other key is an error, and
 every value must have its field's YAML type (``mu: true`` or
-``window_s: "5"`` is an error, not 1.0 or 5.0). ``analyze`` flags
+``window_s: "5"`` is an error, not 1.0 or 5.0; ``mu: null`` is an error,
+not the default, and only ``stride_s`` and ``frame_rate_hz``, whose
+default is none, may be null). ``pipeline.params_from_dict`` reads the
+parameters, as it reads a report's. ``analyze`` flags
 override ``frame_rate_hz``, ``mu``, ``window_s``, ``stride_s``,
 ``epsilon_s`` and ``thresholds``. Example:
 
@@ -21,14 +24,13 @@ override ``frame_rate_hz``, ``mu``, ``window_s``, ``stride_s``,
 
 from __future__ import annotations
 
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import yaml
 
-from .errors import ValidationError, require_positive
-from .ingest import read_yaml, write_text, yaml_float, yaml_int, yaml_record
-from .pipeline import AnalysisParams
-from .regression import make_alpha_policy
+from .errors import require_positive
+from .ingest import read_yaml, write_text, yaml_float
+from .pipeline import AnalysisParams, params_from_dict, thresholds_from_dict
 from .styles import Thresholds
 
 
@@ -46,35 +48,16 @@ def load_run_config(path) -> RunConfig:
     return read_yaml(path, "run config", _run_config_from_dict)
 
 
-def _thresholds_from_dict(raw, name: str = "thresholds") -> Thresholds:
-    keys = {f.name: (f.name, yaml_float) for f in fields(Thresholds)}
-    return yaml_record(Thresholds, raw, keys, name)
-
-
-# reader of each AnalysisParams field that is not a real number
-_PARAM_READERS = {
-    "capacity": yaml_int,
-    "alpha_policy": make_alpha_policy,
-    "thresholds": _thresholds_from_dict,
-}
-
-
 def _run_config_from_dict(payload: dict) -> RunConfig:
-    params = {f.name for f in fields(AnalysisParams)}
-    unknown = set(payload) - params - {"frame_rate_hz", "calibration_scenarios"}
-    if unknown:
-        raise ValidationError(f"unknown run-config keys: {sorted(unknown, key=str)}")
-    given = {key: value for key, value in payload.items() if value is not None}
-    cfg = RunConfig(params=AnalysisParams(**{
-        key: _PARAM_READERS.get(key, yaml_float)(value, key)
-        for key, value in given.items()
-        if key in params
-    }))
-    if "frame_rate_hz" in given:
-        rate = yaml_float(given["frame_rate_hz"], "frame_rate_hz")
+    own = ("frame_rate_hz", "calibration_scenarios")
+    cfg = RunConfig(params=params_from_dict(
+        {key: value for key, value in payload.items() if key not in own}, "run-config"
+    ))
+    if payload.get("frame_rate_hz") is not None:
+        rate = yaml_float(payload["frame_rate_hz"], "frame_rate_hz")
         cfg.frame_rate_hz = require_positive(rate, "frame_rate_hz")
-    if "calibration_scenarios" in given:
-        paths = given["calibration_scenarios"]
+    if "calibration_scenarios" in payload:
+        paths = payload["calibration_scenarios"]
         if not isinstance(paths, list) or not all(isinstance(p, str) for p in paths):
             raise ValueError(
                 f"calibration_scenarios must be a list of strings, got {paths!r}"
@@ -90,4 +73,4 @@ def save_thresholds(thresholds: Thresholds, dest) -> None:
 
 def load_thresholds(path) -> Thresholds:
     """Read a thresholds YAML file (see ``ingest.read_yaml`` for its errors)."""
-    return read_yaml(path, "thresholds file", _thresholds_from_dict)
+    return read_yaml(path, "thresholds file", thresholds_from_dict)

@@ -71,7 +71,9 @@ class TrajectoryTable:
     gives them: ingest sorts a frame's rows by id, the simulator keeps
     spawn order. ``frame`` is int64; ``timestamp``, ``x``, ``y``, ``vx``
     and ``vy`` are float64; ``agent`` holds each row's index into
-    ``agent_ids``, the distinct ids, each of which has rows; and
+    ``agent_ids``, the distinct ids, each of which has rows, in the order
+    their producer gives them (ingest: id order; simulator: spawn order;
+    ``compute_series`` orders its result by id either way); and
     ``agent_type`` holds each row's type. ``frames`` maps each frame index
     to the range of its rows.
 

@@ -17,7 +17,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -25,7 +25,7 @@ from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, csv_lines, float_texts, read_source
-from .ingest import write_text
+from .ingest import write_text, yaml_float, yaml_int, yaml_record
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
@@ -87,6 +87,26 @@ class AnalysisParams:
 
     def effective_stride(self) -> float:
         return self.stride_s if self.stride_s is not None else self.window_s / 2.0
+
+
+def thresholds_from_dict(raw, name: str = "thresholds") -> Thresholds:
+    """``Thresholds`` from a mapping of its fields, each a number."""
+    keys = {f.name: (f.name, yaml_float) for f in fields(Thresholds)}
+    return yaml_record(Thresholds, raw, keys, name)
+
+
+def params_from_dict(raw, what: str) -> AnalysisParams:
+    """``AnalysisParams`` from a mapping of its fields: a run config's or a report's.
+
+    A value not of its field's type (``mu: true``, ``capacity: "abc"``, a
+    null but for ``stride_s``, whose default it is) raises ValueError or
+    ValidationError naming the key. An absent key takes its default.
+    """
+    readers = {"capacity": yaml_int, "alpha_policy": make_alpha_policy,
+               "thresholds": thresholds_from_dict,
+               "stride_s": lambda value, key: None if value is None else yaml_float(value, key)}
+    keys = {f.name: (f.name, readers.get(f.name, yaml_float)) for f in fields(AnalysisParams)}
+    return yaml_record(AnalysisParams, raw, keys, what)
 
 
 def _first_reaching(lo: int, frame, window_frames: int, stride_frames: int):
@@ -193,11 +213,9 @@ def analyze_table(
     window_frames = max(POLY_DEGREE, int(round(min(params.window_s * f, FRAME_LIMIT))))
     stride_frames = max(1, int(round(min(params.effective_stride() * f, FRAME_LIMIT))))
 
-    agent_ids = sorted(series)
-    f0 = np.array([series[a].first for a in agent_ids], dtype=np.int64)
-    sizes = np.array([len(series[a].degree) for a in agent_ids], dtype=np.int64)
+    agent_ids, f0, bounds = series.agent_ids, series.first, series.bounds
     agent, first, n = _agent_windows(
-        f0, f0 + sizes - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
+        f0, f0 + np.diff(bounds) - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
         window_frames, stride_frames)
 
     # distinct slices: mean time, span and centered time grid; per grid its design
@@ -225,10 +243,9 @@ def analyze_table(
     # (grid, samples) row once, each distinct (row, slice) pair uncentered once
     rank, stacks, index = _design_stacks(designs, grid_shape)
     window_grid = slice_grid[window_slice]
-    # each agent's samples in one array, from offset[agent]
-    offset = np.cumsum(sizes) - sizes - f0
-    degree = np.concatenate([series[a].degree for a in agent_ids] or [np.empty(0)])
-    closeness = np.concatenate([series[a].closeness for a in agent_ids] or [np.empty(0)])
+    # agent a's sample at frame t is row offset[a] + t of the series
+    offset = bounds[:-1] - f0
+    degree, closeness = series.degree, series.closeness
     coefficients = np.empty((2, len(agent), 3))  # degree, closeness
     for block in _blocks(np.lexsort((window_grid, rank[window_grid])), rank[window_grid]):
         grid = window_grid[block]
@@ -378,7 +395,7 @@ def report_from_json(source=None, *, text=None) -> RunReport:
         )
     try:
         return _report_from_payload(payload)
-    except (KeyError, TypeError, ValueError, AttributeError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ValidationError) as exc:
         raise ValidationError(f"{where} is malformed: {exc!r}") from None
 
 
@@ -403,9 +420,7 @@ def _check_style(raw: dict, rate: float, name: str) -> None:
 
 
 def _report_from_payload(payload: dict) -> RunReport:
-    given = payload["params"]
-    params = AnalysisParams(**{**given, "thresholds": Thresholds(**given["thresholds"]),
-                               "alpha_policy": make_alpha_policy(given["alpha_policy"])})
+    params = params_from_dict(payload["params"], "report params")
     rate = payload["frame_rate_hz"]
     if not _finite(rate, "frame_rate_hz") > 0:
         raise ValueError(f"frame_rate_hz must be positive, got {rate!r}")

@@ -355,6 +355,25 @@ def relaxation_closeness(graph, agent_id):
     return _closeness_from(relaxation_shortest_costs(graph, agent_id), agent_id)
 
 
+class AgentSlice(NamedTuple):
+    """One agent's rows of a ``CentralitySeries``, at frames ``first, first + 1, ...``."""
+
+    first: int
+    closeness: np.ndarray
+    degree: np.ndarray
+
+
+def by_agent(series):
+    """``series`` indexed by agent id: each agent's ``AgentSlice``, in the series' order."""
+    return {
+        agent_id: AgentSlice(first, series.closeness[lo:hi], series.degree[lo:hi])
+        for agent_id, first, lo, hi in zip(
+            series.agent_ids, series.first.tolist(),
+            series.bounds[:-1].tolist(), series.bounds[1:].tolist(),
+        )
+    }
+
+
 def replay_degree(table, mu, capacity=None):
     """Re-derive per-agent cumulative degree series from raw frames.
 
@@ -584,8 +603,7 @@ def per_window_analyze(table, params=None, series=None):
     windows = frame_windows(lo, hi, window_frames, stride_frames)
 
     reports = []
-    for agent_id in sorted(series):
-        f0, clo, deg = series[agent_id]
+    for agent_id, (f0, clo, deg) in sorted(by_agent(series).items()):
         frames = range(f0, f0 + len(deg))
         analyses, degree_sle, closeness_sle = [], [], []
         for w0, w1 in windows:
@@ -914,11 +932,10 @@ def row_serialize_trajectories(table):
     return "\n".join(lines) + "\n"
 
 
-def row_series_to_csv(series_map):
+def row_series_to_csv(series):
     """``series_to_csv``' text, one agent-frame at a time."""
     lines = ["frame,agent_id,closeness,degree"]
-    for agent_id in sorted(series_map):
-        first, clo, deg = series_map[agent_id]
+    for agent_id, (first, clo, deg) in sorted(by_agent(series).items()):
         for t, (c, d) in enumerate(zip(clo.tolist(), deg.tolist()), first):
             lines.append(f"{t},{agent_id},{c!r},{d!r}")
     return "\n".join(lines) + "\n"

@@ -51,6 +51,7 @@ from drivestyle.sim import (
 from drivestyle.styles import DEFAULT_THRESHOLDS, STYLE_OVERSPEEDING
 from oracles import (
     all_pairs_edges,
+    by_agent,
     central_difference,
     dijkstra_closeness,
     records_table,
@@ -165,7 +166,7 @@ def test_criterion_5_closeness_oracle_equivalence():
             for i in range(n)
         ]
         mu = float(rng.uniform(2.0, 20.0))
-        series = compute_series(records_table({0: frame}), mu)
+        series = by_agent(compute_series(records_table({0: frame}), mu))
         graph = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame},
             edges=all_pairs_edges(frame, mu),

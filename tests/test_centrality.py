@@ -9,14 +9,15 @@ from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
 from drivestyle import centrality
-from drivestyle.centrality import AgentSeries, closeness, compute_series, series_to_csv
+from drivestyle.centrality import CentralitySeries, closeness, compute_series, series_to_csv
 from drivestyle.errors import ContractViolationError, ValidationError
-from drivestyle.graph import DEFAULT_MU, build_instant_graph
+from drivestyle.graph import DEFAULT_CAPACITY, DEFAULT_MU, build_instant_graph
 from drivestyle.ingest import parse_trajectories
-from drivestyle.scenarios import weaving_scenario
+from drivestyle.scenarios import overspeed_scenario, weaving_scenario
 from drivestyle.sim import run_scenario
 from oracles import (
     all_pairs_edges,
+    by_agent,
     dijkstra_closeness,
     records,
     records_table,
@@ -120,7 +121,7 @@ def test_frame_closeness_closed_forms_match_dijkstra_and_relaxation():
                 for k, (x, y) in enumerate(points)
             ]
         g = build_instant_graph(frame, mu=4.0)
-        series = compute_series(records_table({0: frame}), mu=4.0)
+        series = by_agent(compute_series(records_table({0: frame}), mu=4.0))
         assert list(series) == list(g.positions)
         for v in g.positions:
             value = series[v].closeness[0]
@@ -142,7 +143,7 @@ def test_series_closeness_matches_relaxation_oracle_frame_by_frame():
     }
     table = make_table(tracks)
     mu = 16.0
-    series = compute_series(table, mu)
+    series = by_agent(compute_series(table, mu))
     linked = 0
     for idx, frame in records(table).items():
         edges = all_pairs_edges(frame, mu)
@@ -175,14 +176,14 @@ def test_two_stationary_agents_constant_series():
         "a": [(0.0, 0.0, 0.0, 0.0)] * 10,
         "b": [(3.0, 0.0, 0.0, 0.0)] * 10,
     }
-    series = compute_series(make_table(tracks), mu=16.0)
+    series = by_agent(compute_series(make_table(tracks), mu=16.0))
     _, clo_a, deg_a = series["a"]
     assert all(v == pytest.approx(1.0 / 9.0) for v in clo_a)
     assert all(v == 0.0 for v in deg_a)  # equal speeds: nobody is "new"
 
 
 def test_lone_agent_series_all_zero():
-    series = compute_series(make_table({"a": [(0, 0, 5, 0)] * 6}), mu=16.0)
+    series = by_agent(compute_series(make_table({"a": [(0, 0, 5, 0)] * 6}), mu=16.0))
     _, clo, deg = series["a"]
     assert all(v == 0.0 for v in clo)
     assert all(v == 0.0 for v in deg)
@@ -195,7 +196,7 @@ def test_sweeping_agent_degree_increments_at_first_encounters():
     for i in range(5):
         x = 16.0 + 20.0 * i
         tracks[f"s{i}"] = [(x, 3.0, 0.0, 0.0) for _ in range(n)]
-    series = compute_series(make_table(tracks), mu=25.0)
+    series = by_agent(compute_series(make_table(tracks), mu=25.0))
     values = series["fast"].degree.tolist()
     assert values[-1] == 5.0
     diffs = [b - a for a, b in zip(values, values[1:])]
@@ -212,7 +213,7 @@ def test_degree_series_non_decreasing_random():
         ]
         for i in range(6)
     }
-    series = compute_series(make_table(tracks), mu=20.0)
+    series = by_agent(compute_series(make_table(tracks), mu=20.0))
     for _, _, deg in series.values():
         values = deg.tolist()
         assert all(b >= a for a, b in zip(values, values[1:]))
@@ -230,7 +231,7 @@ def test_approach_to_cluster_center_closeness_non_decreasing():
     tracks = {"probe": [(x, 0.0, 1.0, 0.0) for x in xs]}
     for cid, (cx, cy) in cluster.items():
         tracks[cid] = [(cx, cy, 0.0, 0.0)] * len(xs)
-    series = compute_series(make_table(tracks), mu=100.0)
+    series = by_agent(compute_series(make_table(tracks), mu=100.0))
     clo = series["probe"].closeness.tolist()
     assert all(b >= a - 1e-12 for a, b in zip(clo, clo[1:]))
 
@@ -238,7 +239,7 @@ def test_approach_to_cluster_center_closeness_non_decreasing():
 def test_window_validation():
     # a series holds one sample per frame of its agent, from its first frame
     table = make_table({"a": [(0, 0, 0, 0)] * 5})
-    first, clo, deg = compute_series(table, mu=4.0)["a"]
+    first, clo, deg = by_agent(compute_series(table, mu=4.0))["a"]
     assert first == 0
     assert len(clo) == len(deg) == 5
     with pytest.raises(ValidationError, match="empty table"):
@@ -290,25 +291,45 @@ def test_series_csv_text_matches_oracles():
 
 def _read_back_matches(table, mu):
     # every field read with float() is bit-equal to compute_series' arrays,
-    # one row per table row, agents in id order and frames ascending
+    # one row per table row, agents in id order and frames ascending; each
+    # agent's columns are bit-equal to the per-frame oracles'
     series = compute_series(table, mu)
+    assert series.agent_ids == sorted(table.agent_ids)
     header, *lines = series_to_csv(series).splitlines()
     assert header == "frame,agent_id,closeness,degree"
     assert len(lines) == len(table.frame)
+    agents = by_agent(series)
     expected = [
         (agent, t, c.hex(), d.hex())
-        for agent, (first, clo, deg) in sorted(series.items())
+        for agent, (first, clo, deg) in agents.items()
         for t, (c, d) in enumerate(zip(clo.tolist(), deg.tolist()), first)
     ]
     got = [(a, int(t), float(c).hex(), float(d).hex())
            for t, a, c, d in (line.split(",") for line in lines)]
     assert got == expected
-    return series
+
+    relaxed = {}
+    for frame in records(table).values():
+        graph = SimpleNamespace(positions={fr.agent_id: fr.position for fr in frame},
+                                edges=all_pairs_edges(frame, mu))
+        for fr in frame:
+            relaxed.setdefault(fr.agent_id, []).append(relaxation_closeness(graph, fr.agent_id))
+    degree = replay_degree(table, mu, capacity=DEFAULT_CAPACITY)
+    for agent, (first, clo, deg) in agents.items():
+        assert first == degree[agent][0][0]
+        assert clo.tobytes() == np.array(relaxed[agent]).tobytes()
+        assert deg.tobytes() == np.array([v for _, v in degree[agent]]).tobytes()
+    return agents
 
 
 def test_series_csv_reads_back_bit_equal():
-    simulated = _read_back_matches(run_scenario(weaving_scenario(0)).table, DEFAULT_MU)
-    assert any(s.degree.any() for s in simulated.values())
+    # simulated tables keep spawn order ("subject, qa0, qb0, ..." and
+    # "passer, p0, ..."), which is not id order
+    for scenario in (weaving_scenario(0), overspeed_scenario(0)):
+        table = run_scenario(scenario).table
+        assert table.agent_ids != sorted(table.agent_ids)
+        simulated = _read_back_matches(table, DEFAULT_MU)
+        assert any(s.degree.any() for s in simulated.values())
 
     # a parsed table whose agents come and go: "a" 0-5, "c" 2-9, "b" 4-7
     # and "d" only at 8-9, at different speeds and a varying y
@@ -330,14 +351,9 @@ def test_series_csv_reads_back_bit_equal():
     lone = parse_trajectories(text="timestamp,agent_id,agent_type,x,y\n0.5,z,car,1.0,2.0\n",
                               frame_rate_hz=10.0)
     assert _read_back_matches(lone, 4.0)["z"].first == 5
-    assert series_to_csv({}) == "frame,agent_id,closeness,degree\n"
-    # a row pairs an agent's two values, so their series must be as long
-    uneven = {
-        "a": AgentSeries(0, np.zeros(3), np.ones(2)),
-        "b": AgentSeries(0, np.zeros(1), np.ones(2)),
-    }
-    with pytest.raises(ContractViolationError, match="differ in length"):
-        series_to_csv(uneven)
+    empty = CentralitySeries([], np.empty(0, np.int64), np.zeros(1, np.int64),
+                             np.empty(0), np.empty(0))
+    assert series_to_csv(empty) == "frame,agent_id,closeness,degree\n"
 
 
 # frame shapes of the whole-run property test, on a unit lattice so that
@@ -398,7 +414,7 @@ def test_whole_run_series_equal_frame_by_frame_oracles(case):
     # build_instant_graph and the relaxation oracle on all-pairs edges;
     # degree against the replay oracle; every array byte for byte
     table, mu, capacity = case
-    series = compute_series(table, mu, capacity=capacity)
+    series = by_agent(compute_series(table, mu, capacity=capacity))
     dijkstra, relaxed = {}, {}
     for idx, frame in sorted(records(table).items()):
         graph = build_instant_graph(frame, mu)
@@ -414,7 +430,7 @@ def test_whole_run_series_equal_frame_by_frame_oracles(case):
                 relaxation_closeness(oracle, fr.agent_id)
             )
     degree = replay_degree(table, mu, capacity=capacity)
-    assert list(series) == list(dijkstra)  # agents in order of first appearance
+    assert list(series) == sorted(dijkstra)  # agents in id order
     for agent, (first, clo, deg) in series.items():
         assert first == degree[agent][0][0]
         assert clo.tobytes() == np.array(dijkstra[agent]).tobytes()
@@ -487,7 +503,7 @@ def test_batched_closeness_equals_dijkstra_and_relaxation(case):
         return
     capacity = max(len(frame) for frame in frames.values())
     with mock.patch.object(centrality, "_BLOCK", block):
-        series = compute_series(table, mu, capacity=capacity)
+        series = by_agent(compute_series(table, mu, capacity=capacity))
     for idx, frame in frames.items():
         graph = SimpleNamespace(
             positions={fr.agent_id: fr.position for fr in frame},

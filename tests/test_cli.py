@@ -299,13 +299,27 @@ SCHEMA_V3 = ('{"schema_version":"3","frame_rate_hz":10.0,"params":{"mu":25.0,"ca
              '"degree","closeness","weaving_points"],"agents":[]}')
 
 
+# a schema-4 report of no agents, whose params analyze writes
+SCHEMA_V4 = SCHEMA_V3.replace('"3"', '"4"').replace(
+    ',"window_fields":["window","alpha","condition_number","degree","closeness",'
+    '"weaving_points"]', "")
+
+
 @pytest.mark.parametrize(
-    "content",
-    [None, "{not json", '{"schema_version": "1", "agents": []}',
-     '{"schema_version": "2", "agents": []}', SCHEMA_V3],
-    ids=["missing", "malformed", "schema_v1", "schema_v2", "schema_v3"],
+    "content, named",
+    [(None, None), ("{not json", None),
+     ('{"schema_version": "1", "agents": []}', "unsupported schema '1'"),
+     ('{"schema_version": "2", "agents": []}', "unsupported schema '2'"),
+     (SCHEMA_V3, "unsupported schema '3'"),
+     # a param of the wrong type is an error, not a value analyze never writes
+     (SCHEMA_V4.replace('"capacity":256', '"capacity":"abc"'), "capacity must"),
+     (SCHEMA_V4.replace('"tau_degree":5.21', '"tau_degree":true'), "tau_degree must"),
+     # an integer no float holds
+     (SCHEMA_V4.replace('"mu":25.0', '"mu":1' + "0" * 400), "int too large")],
+    ids=["missing", "malformed", "schema_v1", "schema_v2", "schema_v3",
+         "capacity_text", "tau_degree_bool", "mu_huge_int"],
 )
-def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
+def test_evaluate_bad_report_exits_1_with_one_line(content, named, tmp_path, capsys):
     report = tmp_path / "report.json"
     if content is not None:
         report.write_text(content)
@@ -317,8 +331,8 @@ def test_evaluate_bad_report_exits_1_with_one_line(content, tmp_path, capsys):
     ]) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
-    if content and "schema_version" in content:
-        assert f"unsupported schema '{json.loads(content)['schema_version']}'" in err
+    if named is not None:
+        assert named in err
 
 
 @pytest.fixture(scope="module")
@@ -517,6 +531,7 @@ def test_evaluate_reads_a_huge_interval_in_closed_form(analyzed_run, tmp_path):
     "kind",
     ["scenario_yaml", "scenario_type", "scenario_list", "scenario_control",
      "config_yaml", "config_type", "config_alpha", "config_control",
+     "config_null_mu", "config_null_window", "config_null_thresholds",
      "thresholds_yaml", "thresholds_missing_key", "thresholds_control"],
 )
 def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
@@ -533,6 +548,10 @@ def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, caps
             "config_yaml": "window_s: 1.0\nmu: {\n",
             "config_type": "window_s: fast\n",
             "config_alpha": "alpha_policy: {kind: grid, cap: abc}\n",
+            # null is not the default: only stride_s and frame_rate_hz may be null
+            "config_null_mu": "mu: null\n",
+            "config_null_window": "window_s: ~\n",
+            "config_null_thresholds": "thresholds: null\n",
             "thresholds_yaml": "tau_degree: [1\n",
             "thresholds_missing_key": "tau_degree: 1.0\n",
             # a control character: the YAML reader rejects the stream itself
@@ -550,6 +569,8 @@ def test_malformed_yaml_exits_1_with_one_line(kind, analyzed_run, tmp_path, caps
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1
     assert repr(str(path)) in err
+    if kind.startswith("config_null"):
+        assert f"{path.read_text().partition(':')[0]} must" in err
 
 
 @pytest.mark.parametrize("kind", ["analyze_out_file", "simulate_out_file", "calibrate_out_dir"])
@@ -595,6 +616,9 @@ def test_run_config_defaults_are_the_analysis_defaults(tmp_path):
     cfg.write_text("frame_rate_hz: 10\n")
     for loaded in (RunConfig(), load_run_config(cfg)):
         assert loaded.params == AnalysisParams()
+    # null is the default only where the default is None
+    cfg.write_text("frame_rate_hz: null\nstride_s: ~\n")
+    assert load_run_config(cfg) == RunConfig()
 
 
 NON_FINITE = {

@@ -9,7 +9,7 @@ from conftest import make_frame
 from drivestyle.centrality import compute_series
 from drivestyle.errors import ContractViolationError, ValidationError
 from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
-from oracles import all_pairs_edges, records_table, replay_degree
+from oracles import all_pairs_edges, by_agent, records_table, replay_degree
 
 
 def test_edge_below_threshold():
@@ -182,7 +182,7 @@ def test_replay_oracle_agrees_on_degree_totals(tmp_path):
         for i in range(5)
     }
     table = make_table(tracks)
-    series = compute_series(table, mu=16.0)
+    series = by_agent(compute_series(table, mu=16.0))
     oracle = replay_degree(table, mu=16.0)
     for agent, (f0, _, deg) in series.items():
         assert list(enumerate(deg.tolist(), f0)) == oracle[agent]
@@ -220,7 +220,7 @@ def churn_tables(draw):
 @given(churn_tables())
 def test_degree_series_match_replay_across_capacity_resets(case):
     table, capacity = case
-    series = compute_series(table, mu=16.0, capacity=capacity)
+    series = by_agent(compute_series(table, mu=16.0, capacity=capacity))
     oracle = replay_degree(table, mu=16.0, capacity=capacity)
     replayed = {
         a: list(enumerate(s.degree.tolist(), s.first)) for a, s in series.items()

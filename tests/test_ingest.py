@@ -12,7 +12,7 @@ from drivestyle.errors import (
     ValidationError,
 )
 from drivestyle import centrality, ingest
-from drivestyle.centrality import AgentSeries, series_to_csv
+from drivestyle.centrality import CentralitySeries, series_to_csv
 from drivestyle.ingest import (
     TrajectoryTable,
     float_texts,
@@ -361,7 +361,7 @@ def test_float_texts_is_repr_of_each_value(values):
 
 @st.composite
 def writer_inputs(draw):
-    """A table of up to 5 agents over up to 6 frames, and a series map."""
+    """A table of up to 5 agents over up to 6 frames, and a centrality series."""
     ids = draw(st.lists(st.sampled_from(["a", "b", "c", "d", "e"]), min_size=1, unique=True))
     frames = draw(st.integers(1, 6))
     n = frames * len(ids)
@@ -381,15 +381,17 @@ def writer_inputs(draw):
         ),
         frame_rate_hz=10.0,
     )
-    series = {}
+    drawn = {}
     for agent_id in ids:
         length = draw(st.integers(0, 7))
         values = st.lists(value, min_size=length, max_size=length)
-        series[agent_id] = AgentSeries(
-            draw(st.integers(0, 5)),
-            np.array(draw(values), dtype=float),
-            np.array(draw(values), dtype=float),
-        )
+        drawn[agent_id] = (draw(st.integers(0, 5)), draw(values), draw(values))
+    agents = sorted(drawn)
+    firsts, clo, deg = zip(*map(drawn.__getitem__, agents))
+    series = CentralitySeries(
+        agents, np.array(firsts, dtype=np.int64), np.cumsum([0, *map(len, clo)]),
+        np.array(sum(clo, []), dtype=float), np.array(sum(deg, []), dtype=float),
+    )
     return table, series
 
 

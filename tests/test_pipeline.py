@@ -36,7 +36,7 @@ from drivestyle.styles import (
     style_reports,
 )
 
-from oracles import per_window_analyze, records, records_table, scalar_windows_csv
+from oracles import by_agent, per_window_analyze, records, records_table, scalar_windows_csv
 
 THRESHOLDS = Thresholds(tau_degree=0.5, tau_closeness=0.02,
                         weaving_min_sharpness=0.001)
@@ -355,7 +355,7 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
     distinct, shapes, windows = defaultdict(set), set(), 0
-    for f0, clo, deg in series.values():
+    for f0, clo, deg in by_agent(series).values():
         for w0, w1 in frame_windows(lo, hi, 10, 5):
             first, last = max(w0, f0), min(w1, f0 + len(deg) - 1)
             if last - first + 1 < 3:
