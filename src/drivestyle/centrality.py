@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import _CHUNK_LINES, TrajectoryTable, csv_lines, float_texts, write_text
+from .ingest import _CHUNK_LINES, TrajectoryTable, csv_lines, float_texts, write_chunks
 
 # Not called here: the per-frame forms of ``compute_series``. Their only
 # reader is perfbench/tracer.py, which wraps them under these names.
@@ -198,9 +198,10 @@ def _first_error(graph, frames, codes, ids, runs, by_agent, bounds, capacity):
     return min(found, key=lambda error: error[:2], default=(None, None, None))[2]
 
 
-def _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity):
+def _degree(frames, codes, vx, vy, i, j, runs, by_agent, bounds, capacity):
     """Per row in ``by_agent`` order, its agent's degree: the running count
-    of first encounters with a strictly slower agent (exact in float64).
+    of first encounters with a strictly slower agent (exact in float64),
+    speed being ``hypot(vx, vy)``.
 
     Ids never return after they leave, so a frame's ids that are not yet
     admitted are exactly its arrivals: a frame resets the state when the
@@ -210,8 +211,8 @@ def _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity):
     found by one sort.
     """
     sizes = np.diff(runs, append=len(frames))
-    group = np.repeat(np.arange(len(runs)), sizes)
-    arrivals = np.bincount(group[by_agent[bounds[:-1]]], minlength=len(runs))
+    first_frames = np.searchsorted(runs, by_agent[bounds[:-1]], side="right") - 1
+    arrivals = np.bincount(first_frames, minlength=len(runs))
     epoch = np.empty(len(runs), np.intp)
     current = admitted = 0
     for k, (size, new) in enumerate(zip(sizes.tolist(), arrivals.tolist())):
@@ -222,16 +223,21 @@ def _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity):
             admitted += new
         epoch[k] = current
 
-    epochs = epoch[group[i]]
+    epochs = epoch[np.searchsorted(runs, i, side="right") - 1]
     low, high = np.minimum(codes[i], codes[j]), np.maximum(codes[i], codes[j])
     s = np.lexsort((frames[i], high, low, epochs))
     key = np.stack([epochs[s], low[s], high[s]])
     first = s[(np.diff(key, prepend=-1) != 0).any(axis=0)]
     a, b = i[first], j[first]
-    faster = np.concatenate([a[speed[a] > speed[b]], b[speed[b] > speed[a]]])
-    total = np.cumsum(np.bincount(faster, minlength=len(frames))[by_agent])
-    offset = np.r_[0, total[bounds[1:-1] - 1]]
-    return (total - np.repeat(offset, np.diff(bounds))).astype(float)
+    # the speeds of the pairs' rows only, by math.hypot as the oracles'
+    # speeds: np.hypot may differ in the last bit
+    sa, sb = (np.fromiter(map(math.hypot, vx[r].tolist(), vy[r].tolist()), float, len(r))
+              for r in (a, b))
+    faster = np.concatenate([a[sa > sb], b[sb > sa]])
+    total = np.bincount(faster, minlength=len(frames))[by_agent]
+    np.cumsum(total, out=total)
+    total -= np.repeat(np.r_[0, total[bounds[1:-1] - 1]], np.diff(bounds))
+    return total.astype(float)
 
 
 def compute_series(
@@ -265,9 +271,9 @@ def compute_series(
     runs = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
     # each agent's rows in frame order, agents in id order, from its first
     # position in by_agent
-    rank = _ranks(agents)[codes]
-    by_agent = np.argsort(rank, kind="stable")
-    bounds = np.searchsorted(rank[by_agent], np.arange(len(agents) + 1))
+    ranks = _ranks(agents)
+    by_agent = np.argsort(ranks[codes], kind="stable")
+    bounds = np.searchsorted(ranks[codes[by_agent]], np.arange(len(agents) + 1))
 
     order, p, q, cost = sweep_edges(frames, x, y, mu)
     error = _first_error(
@@ -279,13 +285,8 @@ def compute_series(
     i, j = order[p], order[q]
     # row-length arrays are dropped once they are read for the last time
     del order, p, q
-    # math.hypot, as the oracles' speeds: np.hypot may differ in the last bit
-    speed = np.fromiter(
-        map(math.hypot, table.vx.tolist(), table.vy.tolist()), float, len(frames)
-    )
-    deg = _degree(frames, codes, speed, i, j, runs, by_agent, bounds, capacity)
-    del speed
-    clo = _closeness(rank, i, j, cost)[by_agent]
+    deg = _degree(frames, codes, table.vx, table.vy, i, j, runs, by_agent, bounds, capacity)
+    clo = _closeness(ranks[codes], i, j, cost)[by_agent]
     return CentralitySeries(sorted(agents), frames[by_agent[bounds[:-1]]],
                             bounds.astype(np.int64, copy=False), clo, deg)
 
@@ -295,15 +296,20 @@ def series_to_csv(series: CentralitySeries, dest=None) -> str:
 
     One row per agent-frame: agents in id order, each agent's frames
     ascending from its first, values by ``float_texts`` (degree, a running
-    count, as a float), formatted ``_CHUNK_LINES`` rows at a time.
+    count, as a float), formatted ``_CHUNK_LINES`` rows at a time. Returns
+    the text, or ``""`` once each chunk is written to the path ``dest``.
     """
-    parts, agents = ["frame,agent_id,closeness,degree\n"], series.agent_ids
+    agents = series.agent_ids
     code = np.repeat(np.arange(len(agents)), np.diff(series.bounds))
     frame = np.arange(len(code)) + (series.first - series.bounds[:-1])[code]
-    for lo in range(0, len(code), _CHUNK_LINES):
-        rows = slice(lo, lo + _CHUNK_LINES)
-        parts.append(csv_lines((map(str, frame[rows].tolist()),
-                                map(agents.__getitem__, code[rows].tolist()),
-                                float_texts(series.closeness[rows]),
-                                float_texts(series.degree[rows]))))
-    return write_text(dest, "".join(parts), "centrality series")
+
+    def chunks():
+        yield "frame,agent_id,closeness,degree\n"
+        for lo in range(0, len(code), _CHUNK_LINES):
+            rows = slice(lo, lo + _CHUNK_LINES)
+            yield csv_lines((map(str, frame[rows].tolist()),
+                             map(agents.__getitem__, code[rows].tolist()),
+                             float_texts(series.closeness[rows]),
+                             float_texts(series.degree[rows])))
+
+    return write_chunks(dest, chunks(), "centrality series")

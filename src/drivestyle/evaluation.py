@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError, require_positive
-from .ingest import FRAME_LIMIT, read_rows, read_source, write_text
+from .ingest import FRAME_LIMIT, read_lines, read_rows, read_through, write_text
 from .styles import (
     STYLE_OVERSPEEDING,
     STYLE_OVERTAKE_LANE_CHANGE,
@@ -94,17 +94,17 @@ def parse_annotations(
     A bad row raises TrajectoryParseError naming its line.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
-    text = read_source(source, text, "annotations")
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
-    for line_no, fields in read_rows(text, _LABEL_FORMATS):
-        if len(fields) == 4:  # ground truth: annotator "gt" of video "sim"
-            fields = ["sim", fields[0], fields[1], "gt", fields[2], fields[3]]
-        try:
-            out.add(*fields[:4], int(fields[4]), int(fields[5]))
-        except ValueError as exc:
-            raise TrajectoryParseError(f"non-integer frame: {exc}", line_no) from None
-        except ValidationError as exc:
-            raise TrajectoryParseError(str(exc), line_no) from None
+    with read_through(read_lines(source, text, "annotations")) as lines:
+        for line_no, fields in read_rows(lines, _LABEL_FORMATS):
+            if len(fields) == 4:  # ground truth: annotator "gt" of video "sim"
+                fields = ["sim", fields[0], fields[1], "gt", fields[2], fields[3]]
+            try:
+                out.add(*fields[:4], int(fields[4]), int(fields[5]))
+            except ValueError as exc:
+                raise TrajectoryParseError(f"non-integer frame: {exc}", line_no) from None
+            except ValidationError as exc:
+                raise TrajectoryParseError(str(exc), line_no) from None
     return out
 
 

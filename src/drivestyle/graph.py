@@ -66,8 +66,9 @@ def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
     order = np.lexsort((x, frames))
     fs, xs, ys = frames[order], x[order], y[order]
     ps, qs, costs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    squares = np.empty(len(order))  # each offset's dx*dx, in one buffer
     for k in range(1, len(order)):
-        dx2 = xs[:-k] - xs[k:]
+        dx2 = np.subtract(xs[:-k], xs[k:], out=squares[k:])
         dx2 *= dx2
         near = np.flatnonzero((fs[:-k] == fs[k:]) & (dx2 < mu))
         if not near.size:

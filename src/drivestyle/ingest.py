@@ -5,15 +5,16 @@ and an optional trailing ``vx,vy`` pair. Lines starting with ``#`` are
 comments. Extra columns are accepted and ignored. Velocities are derived
 by finite differences when the file does not carry them.
 
-A file is read in one pass: its body is split a few thousand lines at a
-time into numpy columns, validated, differenced and ordered with array
-operations, and those columns are the table; it holds no per-row records.
-Reading stops at the first row that does not split into its fields and
-numbers; each other check is a mask over the columns, and an error names
-its line from them.
+A file is read a block at a time (``read_lines``), never whole: a few
+thousand lines at a time become numpy columns, which are validated,
+differenced and ordered with array operations, one copy of each at a
+time; those columns are the table, which holds no per-row records.
+Reading rows stops at the first one that does not split into its fields
+and numbers; each other check is a mask over the columns, and an error
+names its line from the line numbers counted while reading.
 
 The label files that ``evaluation`` reads share ``read_rows``, one
-reader of small headed CSV files.
+reader of small headed CSV files, fed by the same ``read_lines``.
 
 A :class:`TrajectoryTable` is immutable by convention: nothing in this
 package mutates it after construction, so it is safe to share across
@@ -25,9 +26,12 @@ from __future__ import annotations
 import inspect
 import os
 import sys
-from collections.abc import Iterator, Mapping
+from bisect import bisect_right
+from collections import deque
+from collections.abc import Iterable, Iterator, Mapping
+from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, partial
 from itertools import islice, repeat
 
 import numpy as np
@@ -58,9 +62,12 @@ FRAME_LIMIT = 2.0**53
 # several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# Lines parsed, or written, at a time: bounds the transient memory of the
-# parser and of the CSV writers to one chunk's strings.
+# Lines parsed, or formatted and written, at a time: bounds the transient
+# memory of the parser and of the CSV writers to one chunk's strings.
 _CHUNK_LINES = 4096
+
+# Characters read from a file at a time: a block's strings stay a few MB
+_BLOCK_CHARS = 1 << 18
 
 
 @dataclass(frozen=True, eq=False)
@@ -136,10 +143,49 @@ def read_source(source, text, what: str) -> str:
         ) from None
 
 
+def read_lines(source, text, what: str) -> Iterator[str]:
+    """``read_source``'s content, line by line as ``str.splitlines`` splits it.
+
+    A file is read ``_BLOCK_CHARS`` characters at a time, never whole, the
+    line a block cuts carried into the next (text mode joins a cut ``\\r\\n``).
+    A file that cannot be opened or decoded is read again by ``read_source``,
+    for the same error message."""
+    if source is None or text is not None or not isinstance(source, (str, os.PathLike)):
+        yield from read_source(source, text, what).splitlines()  # text=, or an error
+        return
+    tail = []  # the pieces of a line that blocks cut, joined once it ends
+    try:
+        with open(source, "r", encoding="utf-8") as fh:
+            for block in iter(partial(fh.read, _BLOCK_CHARS), ""):
+                lines = block.splitlines()
+                ends = block[-1].splitlines() == [""]  # on a line break
+                if len(lines) == 1 and not ends:
+                    tail.append(block)
+                    continue
+                lines[0] = "".join(tail) + lines[0]
+                tail = [] if ends else [lines.pop()]
+                yield from lines
+    except (OSError, UnicodeDecodeError):
+        read_source(source, None, what)
+        raise
+    if tail:
+        yield "".join(tail)
+
+
+@contextmanager
+def read_through(lines: Iterator[str]):
+    """``lines``, read to the end as the ``with`` body leaves, even by an error:
+    a byte that is not UTF-8 anywhere in the file is then reported first."""
+    try:
+        yield lines
+    finally:
+        deque(lines, maxlen=0)
+
+
 def read_rows(
-    text: str, formats: Mapping[str, tuple[str, ...]]
+    lines: Iterable[str], formats: Mapping[str, tuple[str, ...]]
 ) -> Iterator[tuple[int, list[str]]]:
-    """The line number and stripped fields of each data row of CSV ``text``.
+    """The line number and stripped fields of each data row of CSV ``lines``.
 
     Blank lines and lines starting with ``#`` are skipped; the first other
     line is the header. ``formats`` maps each format's name to its header:
@@ -149,7 +195,7 @@ def read_rows(
     line; text without a header raises ValidationError.
     """
     header, name = None, list(formats)[-1]
-    for line_no, raw in enumerate(text.splitlines(), start=1):
+    for line_no, raw in enumerate(lines, start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
@@ -171,22 +217,28 @@ def read_rows(
         raise ValidationError(f"empty {name} stream")
 
 
-def write_text(dest, text: str, what: str) -> str:
-    """Write ``text`` to the file ``dest``, unless it is None; return ``text``.
-
-    The mirror of ``read_source``: a file that cannot be written (a
-    missing parent, a directory in the way, no permission) raises a
-    one-line ValidationError naming the path.
+def write_chunks(dest, chunks: Iterable[str], what: str) -> str:
+    """The texts ``chunks`` joined or, given a path ``dest``, ``""`` once they
+    are written there one at a time. A file that cannot be written (a missing
+    parent, a directory in the way, no permission) raises a one-line
+    ValidationError naming the path, the mirror of ``read_source``.
     """
-    if dest is not None:
-        try:
-            with open(dest, "w", encoding="utf-8") as fh:
-                fh.write(text)
-        except OSError as exc:
-            reason = exc.strerror or exc
-            raise ValidationError(
-                f"cannot write {what} {os.fspath(dest)!r}: {reason}"
-            ) from None
+    if dest is None:
+        return "".join(chunks)
+    try:
+        with open(dest, "w", encoding="utf-8") as fh:
+            fh.writelines(chunks)
+    except OSError as exc:
+        reason = exc.strerror or exc
+        raise ValidationError(
+            f"cannot write {what} {os.fspath(dest)!r}: {reason}"
+        ) from None
+    return ""
+
+
+def write_text(dest, text: str, what: str) -> str:
+    """Write ``text`` to the file ``dest``, unless it is None; return ``text``."""
+    write_chunks(dest, [text], what)
     return text
 
 
@@ -196,8 +248,8 @@ def read_yaml(path, what: str, build):
     The one reader of the package's YAML files (scenarios, run configs,
     thresholds); an empty file is an empty mapping. An unreadable file,
     malformed YAML, a document that is not a mapping, a missing key, a
-    field of the wrong type (a KeyError, TypeError, ValueError or, for an
-    integer too large for a float, OverflowError from ``build``) and a
+    field of the wrong type (a KeyError, TypeError, ValueError or
+    OverflowError from ``build``) and a
     ValidationError from ``build`` (an unknown key, a value out of range)
     raise a one-line ValidationError naming the file.
     """
@@ -252,7 +304,10 @@ def yaml_float(value, name: str) -> float:
     """``value`` of a real field: an int or a float, as a float."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ValueError(f"{name} must be a number, got {value!r}")
-    return float(value)
+    try:
+        return float(value)
+    except OverflowError as exc:  # an int past the float range
+        raise ValueError(f"{name}: {exc}") from None
 
 
 def yaml_bool(value, name: str) -> bool:
@@ -339,66 +394,81 @@ def parse_trajectories(
        frame indices do not form a contiguous run: ValidationError, which
        names the line of the second of two rows on one frame;
     4. a stream without a header or without data rows: ValidationError.
+
+    Before any of these, a file that cannot be read raises ``read_source``'s.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
-    lines = read_source(source, text, "trajectories").splitlines()
-    start = next(
-        (i for i, raw in enumerate(lines) if (s := raw.strip()) and s[0] != "#"), None
-    )
-    if start is None:
-        raise ValidationError("empty trajectory stream (no header)")
-    n_fields, columns, has_velocity = _header(lines[start].strip(), start + 1)
-    names = ["timestamp", "x", "y"] + (["vx", "vy"] if has_velocity else [])
-    numeric = [columns[name] for name in names]
-    id_col, type_col = columns["agent_id"], columns["agent_type"]
+    # per chunk of lines, its first row and its rows' line numbers (a range
+    # where the chunk has no blank or comment line)
+    firsts, numbers = [], []
 
-    # a first chunk of no rows, so that a file without rows still has columns
-    values, ids, types = [[np.empty(0)] * len(numeric)], [], []
+    def line_of(row) -> int:
+        k = bisect_right(firsts, row) - 1
+        return int(numbers[k][row - firsts[k]])
 
-    def read(body: list[str]) -> None:
-        """Append the rows ``body`` as columns; ValueError if one does not split."""
-        if not body:
-            return
-        if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
-            raise ValueError
-        cells = ",".join(body).split(",")
-        values.append([
-            np.fromiter(map(float, map(str.strip, cells[j::n_fields])), float, len(body))
-            for j in numeric
-        ])
-        # interned, so the lists hold one string per distinct id and type
-        ids.extend(map(sys.intern, map(str.strip, cells[id_col::n_fields])))
-        types.extend(map(sys.intern, map(str.strip, cells[type_col::n_fields])))
+    with read_through(read_lines(source, text, "trajectories")) as lines:
+        seen, header = next(((k, s) for k, raw in enumerate(lines, start=1)
+                             if (s := raw.strip()) and s[0] != "#"), (0, None))
+        if header is None:
+            raise ValidationError("empty trajectory stream (no header)")
+        n_fields, columns, has_velocity = _header(header, seen)
+        names = ["timestamp", "x", "y"] + (["vx", "vy"] if has_velocity else [])
+        numeric = [columns[name] for name in names]
+        id_col, type_col = columns["agent_id"], columns["agent_type"]
 
-    def split_error(row: str) -> str | None:
-        """Why ``row`` does not split into its fields and numbers, if it does not."""
-        parts = row.split(",")
-        if len(parts) != n_fields:
-            return f"expected {n_fields} fields, got {len(parts)}"
-        try:
-            for j in numeric:
-                float(parts[j].strip())
-        except ValueError as exc:
-            return f"non-numeric field: {exc}"
-        return None
+        # a first chunk of no rows, so that a file without rows still has columns
+        values, ids, types = [[np.empty(0)] * len(numeric)], [], []
 
-    error = None
-    for lo in range(start + 1, len(lines), _CHUNK_LINES):
-        chunk = map(str.strip, lines[lo : lo + _CHUNK_LINES])
-        body = [s for s in chunk if s and s[0] != "#"]
-        try:
-            read(body)
-        except ValueError:
-            # reading stops at the first row that does not split; the rows
-            # before it are still checked, as they come first in the file
-            bad, error = next(
-                (j, why) for j, row in enumerate(body) if (why := split_error(row))
-            )
-            read(body[:bad])
-            break
+        def read(body: list[str]) -> None:
+            """Append the rows ``body`` as columns; ValueError if one does not split."""
+            if not body:
+                return
+            if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
+                raise ValueError
+            cells = ",".join(body).split(",")
+            values.append([
+                np.fromiter(map(float, map(str.strip, cells[j::n_fields])), float, len(body))
+                for j in numeric
+            ])
+            # interned, so the lists hold one string per distinct id and type
+            ids.extend(map(sys.intern, map(str.strip, cells[id_col::n_fields])))
+            types.extend(map(sys.intern, map(str.strip, cells[type_col::n_fields])))
+
+        def split_error(row: str) -> str | None:
+            """Why ``row`` does not split into its fields and numbers, if it does not."""
+            parts = row.split(",")
+            if len(parts) != n_fields:
+                return f"expected {n_fields} fields, got {len(parts)}"
+            try:
+                for j in numeric:
+                    float(parts[j].strip())
+            except ValueError as exc:
+                return f"non-numeric field: {exc}"
+            return None
+
+        error = None
+        for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
+            body = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
+            firsts.append(len(ids))
+            numbers.append(range(seen + 1, seen + 1 + len(chunk)) if len(body) == len(chunk)
+                           else seen + 1 + np.flatnonzero([s[:1] not in ("", "#")
+                                                           for s in map(str.strip, chunk)]))
+            seen += len(chunk)
+            try:
+                read(body)
+            except ValueError:
+                # reading stops at the first row that does not split; the rows
+                # before it are still checked, as they come first in the file
+                bad, error = next(
+                    (j, why) for j, row in enumerate(body) if (why := split_error(row))
+                )
+                read(body[:bad])
+                break
     n = len(ids)
-    ts, x, y, *vel = (np.concatenate(col) for col in zip(*values))
+    # one column at a time, each column's chunks freed once it is joined
+    by_column = list(zip(*values))
     del values
+    ts, x, y, *vel = (np.concatenate(by_column.pop(0)) for _ in numeric)
     vx, vy = vel or np.zeros((2, n))
     frame_float = np.floor(ts * frame_rate_hz + _FLOOR_GUARD)
     agents = sorted(set(ids))
@@ -406,6 +476,7 @@ def parse_trajectories(
     codes = np.fromiter(map(code.__getitem__, ids), np.intp, n)
     kinds = np.array(types, dtype=object)
     unknown = list(set(types) - AGENT_TYPES)
+    del ids, types
 
     # each row check once, as a mask, in the order a row-by-row reading
     # makes them; the first row any mask holds for fails its first check
@@ -430,80 +501,67 @@ def parse_trajectories(
     if failed.any():
         i = int(failed.argmax())
         message = next(say(i) for mask, say in checks if mask[i])
-        raise TrajectoryParseError(message, _line_no(lines, start, i))
+        raise TrajectoryParseError(message, line_of(i))
+    del checks, failed
     if error is not None:
-        raise TrajectoryParseError(error, _line_no(lines, start, n))
+        raise TrajectoryParseError(error, line_of(n))
     if not n:
         raise ValidationError("empty trajectory stream (no data rows)")
 
-    # each agent's rows in file order: timestamps strictly increase and
-    # frames step by one between consecutive rows of one agent
+    # each agent's rows in file order: row a[r] is followed by b[r], its
+    # agent's next row; timestamps strictly increase and frames step by one
+    frames = frame_float.astype(np.int64)
+    del frame_float
     order = np.argsort(codes, kind="stable")
-    codes, ts, x, y, vx, vy = (col[order] for col in (codes, ts, x, y, vx, vy))
-    frames = frame_float[order].astype(np.int64)
-    same = codes[1:] == codes[:-1]
-    k = np.flatnonzero(same)  # rows followed by a row of the same agent
-    back = ts[k + 1] <= ts[k]
-    skip = frames[k + 1] - frames[k] != 1
+    same = np.diff(codes[order]) == 0
+    a, b = order[:-1][same], order[1:][same]
+    back = ts[b] <= ts[a]
+    skip = frames[b] - frames[a] != 1
     if (back | skip).any():
         # the file row of each agent's first row, by agent code
         first_row = order[np.flatnonzero(np.insert(~same, 0, True))]
-        culprits = codes[k[back | skip]]
+        culprits = codes[a[back | skip]]
         agent = culprits[first_row[culprits].argmin()]
-        mine = codes[k] == agent
+        mine = codes[a] == agent
         if (back & mine).any():
-            r = k[back & mine][0]
+            p, q = a[back & mine][0], b[back & mine][0]
             raise ValidationError(
                 f"agent {agents[agent]!r}: timestamps must strictly increase "
-                f"({float(ts[r + 1])} after {float(ts[r])}, "
-                f"line {_line_no(lines, start, order[r + 1])})"
+                f"({float(ts[q])} after {float(ts[p])}, line {line_of(q)})"
             )
-        r = k[skip & mine][0]
-        if frames[r + 1] == frames[r]:
+        p, q = a[skip & mine][0], b[skip & mine][0]
+        if frames[q] == frames[p]:
             raise ValidationError(
-                f"agent {agents[agent]!r}: timestamps {float(ts[r])} and "
-                f"{float(ts[r + 1])} both fall on frame {frames[r]} at {frame_rate_hz} Hz "
-                f"(line {_line_no(lines, start, order[r + 1])}); one row per frame"
+                f"agent {agents[agent]!r}: timestamps {float(ts[p])} and "
+                f"{float(ts[q])} both fall on frame {frames[p]} at {frame_rate_hz} Hz "
+                f"(line {line_of(q)}); one row per frame"
             )
         raise ValidationError(
             f"agent {agents[agent]!r}: frame indices must form a contiguous run "
-            f"(got {frames[r]} then {frames[r + 1]}); departed agents may not reappear"
+            f"(got {frames[p]} then {frames[q]}); departed agents may not reappear"
         )
 
-    if not vel:
-        # forward differences; an agent's last row reuses its last one,
-        # a one-row agent stays at (0, 0)
-        dt = ts[k + 1] - ts[k]
-        vx[k] = (x[k + 1] - x[k]) / dt
-        vy[k] = (y[k + 1] - y[k]) / dt
+    if not has_velocity:
+        # forward differences, scattered back to the file rows; an agent's
+        # last row reuses its last one, a one-row agent stays at (0, 0)
+        dt = ts[b] - ts[a]
+        vx[a] = (x[b] - x[a]) / dt
+        vy[a] = (y[b] - y[a]) / dt
+        del dt
         last = np.flatnonzero(np.append(~same, True) & np.insert(same, 0, False))
-        vx[last] = vx[last - 1]
-        vy[last] = vy[last - 1]
+        vx[order[last]] = vx[order[last - 1]]
+        vy[order[last]] = vy[order[last - 1]]
+    del order, same, a, b
 
-    # canonical order: frames ascending, agents within a frame by id
+    # canonical order: frames ascending, agents within a frame by id (each
+    # pair is one row), applied one column at a time
     canon = np.lexsort((codes, frames))
-    return TrajectoryTable(
-        frame=frames[canon],
-        timestamp=ts[canon],
-        x=x[canon],
-        y=y[canon],
-        vx=vx[canon],
-        vy=vy[canon],
-        agent=codes[canon],
-        agent_ids=agents,
-        agent_type=kinds[order[canon]],
-        frame_rate_hz=frame_rate_hz,
-    )
-
-
-def _line_no(lines: list[str], header: int, row: int) -> int:
-    """1-based line number of data row ``row`` (0-based) under ``lines[header]``."""
-    data = (
-        line_no
-        for line_no, raw in enumerate(lines[header + 1 :], header + 2)
-        if (s := raw.strip()) and s[0] != "#"
-    )
-    return next(islice(data, int(row), None))
+    table = dict(frame=frames, timestamp=ts, x=x, y=y, vx=vx, vy=vy, agent=codes,
+                 agent_type=kinds)
+    del frames, ts, x, y, vx, vy, vel, codes, kinds
+    for name, column in table.items():
+        table[name] = column[canon]
+    return TrajectoryTable(**table, agent_ids=agents, frame_rate_hz=frame_rate_hz)
 
 
 def float_texts(values: np.ndarray) -> list[str]:
@@ -530,17 +588,20 @@ def csv_lines(columns) -> str:
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
     """Write a table back to the CSV record format (velocities included).
 
-    Returns the text; when ``dest`` is a path the text is also written
-    there. Floats are written as ``repr`` text, so parsing the text of a
-    parsed file gives back the same rows. Rows are formatted
-    ``_CHUNK_LINES`` at a time, each chunk's floats by ``float_texts``.
+    Returns the text or, when ``dest`` is a path, writes it there and
+    returns ``""``. Floats are written as ``repr`` text, so parsing the
+    text of a parsed file gives back the same rows. Rows are formatted and
+    written ``_CHUNK_LINES`` at a time, each chunk's floats by
+    ``float_texts``.
     """
-    parts = ["timestamp,agent_id,agent_type,x,y,vx,vy\n"]
-    for lo in range(0, len(table.frame), _CHUNK_LINES):
-        rows = slice(lo, lo + _CHUNK_LINES)
-        ts, x, y, vx, vy = (
-            float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
-        )
-        agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
-        parts.append(csv_lines((ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy)))
-    return write_text(dest, "".join(parts), "trajectories")
+    def chunks():
+        yield "timestamp,agent_id,agent_type,x,y,vx,vy\n"
+        for lo in range(0, len(table.frame), _CHUNK_LINES):
+            rows = slice(lo, lo + _CHUNK_LINES)
+            ts, x, y, vx, vy = (
+                float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
+            )
+            agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
+            yield csv_lines((ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy))
+
+    return write_chunks(dest, chunks(), "trajectories")

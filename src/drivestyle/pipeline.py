@@ -25,7 +25,7 @@ from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
 from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, csv_lines, float_texts, read_source
-from .ingest import write_text, yaml_float, yaml_int, yaml_record
+from .ingest import write_chunks, write_text, yaml_float, yaml_int, yaml_record
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
@@ -349,23 +349,28 @@ WINDOW_COLUMNS = ("agent_id", "start_s", "end_s", "alpha", "condition_number",
 
 
 def windows_to_csv(report: RunReport, dest=None) -> str:
-    """``windows.csv`` text of ``report.fits``, also written to ``dest`` when given.
+    """``windows.csv`` text of ``report.fits``, or ``""`` once written to ``dest``.
 
     One row per window fit, agent-major, under a ``WINDOW_COLUMNS``
-    header. Rows are formatted ``_CHUNK_LINES`` at a time, each column's
-    floats by ``float_texts``; empty ``t_c`` and ``sharpness`` fields
-    mean the window has no critical point.
+    header. Rows are formatted and written ``_CHUNK_LINES`` at a time,
+    each column's floats by ``float_texts``; empty ``t_c`` and
+    ``sharpness`` fields mean the window has no critical point.
     """
-    fits, parts = report.fits, [",".join(WINDOW_COLUMNS) + "\n"]
-    for lo in range(0, len(fits.agent), _CHUNK_LINES):
-        chunk = WindowFits(*(column[lo:lo + _CHUNK_LINES] for column in fits))
-        columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
-        columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
-                                     chunk.condition_number, *chunk.degree.T, *chunk.closeness.T))
-        columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
-                    for c in (chunk.t_c, chunk.sharpness))
-        parts.append(csv_lines(columns))
-    return write_text(dest, "".join(parts), "windows")
+    fits = report.fits
+
+    def chunks():
+        yield ",".join(WINDOW_COLUMNS) + "\n"
+        for lo in range(0, len(fits.agent), _CHUNK_LINES):
+            chunk = WindowFits(*(column[lo:lo + _CHUNK_LINES] for column in fits))
+            columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
+            columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
+                                         chunk.condition_number, *chunk.degree.T,
+                                         *chunk.closeness.T))
+            columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
+                        for c in (chunk.t_c, chunk.sharpness))
+            yield csv_lines(columns)
+
+    return write_chunks(dest, chunks(), "windows")
 
 
 def report_from_json(source=None, *, text=None) -> RunReport:

@@ -315,7 +315,8 @@ SCHEMA_V4 = SCHEMA_V3.replace('"3"', '"4"').replace(
      (SCHEMA_V4.replace('"capacity":256', '"capacity":"abc"'), "capacity must"),
      (SCHEMA_V4.replace('"tau_degree":5.21', '"tau_degree":true'), "tau_degree must"),
      # an integer no float holds
-     (SCHEMA_V4.replace('"mu":25.0', '"mu":1' + "0" * 400), "int too large")],
+     (SCHEMA_V4.replace('"mu":25.0', '"mu":1' + "0" * 400),
+      "mu: int too large to convert to float")],
     ids=["missing", "malformed", "schema_v1", "schema_v2", "schema_v3",
          "capacity_text", "tau_degree_bool", "mu_huge_int"],
 )
@@ -633,6 +634,9 @@ NON_FINITE = {
                           "window_s must be finite"),
     "config_capacity_inf": ("analyze", ["--config", "capacity: .inf\n"],
                             "has a bad field: capacity must be an integer, got inf"),
+    # an integer no float holds
+    "config_mu_huge_int": ("analyze", ["--config", "mu: 1" + "0" * 400 + "\n"],
+                           "has a bad field: mu: int too large to convert to float"),
     "thresholds_nan": ("analyze", ["--thresholds", "tau_degree: .nan\ntau_closeness: 1\n"],
                        "tau_degree must be finite"),
     "scenario_duration_nan": ("simulate", {"duration_s": math.nan},

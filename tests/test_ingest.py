@@ -3,7 +3,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from drivestyle.errors import (
@@ -13,6 +13,7 @@ from drivestyle.errors import (
 )
 from drivestyle import centrality, ingest
 from drivestyle.centrality import CentralitySeries, series_to_csv
+from drivestyle.evaluation import parse_annotations
 from drivestyle.ingest import (
     TrajectoryTable,
     float_texts,
@@ -297,8 +298,13 @@ def trajectory_files(draw):
         a, b = draw(st.permutations(data))[:2]
         lines[a] += ",extra"
         lines[b] = lines[b].rsplit(",", 1)[0]
-    newline = draw(st.sampled_from(["\n", "\r\n"]))
-    return newline.join(lines) + draw(st.sampled_from(["", newline]))
+    # every line end str.splitlines knows, "\r\n" included, mixed in one file
+    newlines = st.sampled_from(["\n", "\r\n", "\r", "\x0b", "\x0c", "\x1c", "\x1d",
+                                "\x1e", "\x85", "\u2028"])
+    ends = [draw(newlines) for _ in lines]
+    if draw(st.booleans()):
+        ends[-1] = ""  # no line end after the last line
+    return "".join(map(str.__add__, lines, ends))
 
 
 def _outcome(parse):
@@ -309,13 +315,20 @@ def _outcome(parse):
     return records(table)
 
 
-@given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]))
-@settings(max_examples=200, deadline=None)
-def test_bulk_parse_matches_row_loop(text, chunk_lines):
+@given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]), st.integers(1, 9))
+@settings(max_examples=200, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_bulk_parse_matches_row_loop(tmp_path, text, chunk_lines, block_chars):
     expected = _outcome(lambda: row_loop_parse(text, 4.0))
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
         got = _outcome(lambda: parse_trajectories(text=text, frame_rate_hz=4.0))
     assert got == expected
+    # the same file from a path, read a few characters at a time: line ends,
+    # blank and comment lines fall on block edges and inside blocks
+    path = tmp_path / "drawn.csv"
+    path.write_bytes(text.encode())
+    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+        assert _outcome(lambda: parse_trajectories(path, 4.0)) == expected
 
 
 def test_files_longer_than_one_chunk():
@@ -334,6 +347,54 @@ def test_files_longer_than_one_chunk():
         with pytest.raises(TrajectoryParseError) as exc:
             parse_trajectories(text=broken, frame_rate_hz=1.0)
         assert str(exc.value) == message
+
+
+def test_a_bad_row_in_the_last_block_of_a_file_names_its_line(tmp_path):
+    # agent a<k % 7> is at frame k // 7; the file is several blocks long, and
+    # its first block holds a comment and a blank line
+    rows = [f"{k // 7}.0,a{k % 7},car,{k * 3.0!r},{k % 7 * 4.0!r}" for k in range(40_000)]
+    lines = [HEADER, "# a comment", "", *rows]
+    n = len(rows) - 2  # a row of the last block, at line len(lines) - 1
+    path = tmp_path / "long.csv"
+    for bad, error, message in (
+        (rows[n] + ",x", TrajectoryParseError, f"line {len(lines) - 1}: expected 5 fields, got 6"),
+        (rows[n].replace("car", "tram"), TrajectoryParseError,
+         f"line {len(lines) - 1}: unknown agent_type 'tram' "
+         f"(expected one of {sorted(ingest.AGENT_TYPES)})"),
+        (rows[n].replace(f"{n // 7}.0,", "0.0,", 1), ValidationError,
+         f"agent 'a{n % 7}': timestamps must strictly increase "
+         f"(0.0 after {n // 7 - 1}.0, line {len(lines) - 1})"),
+    ):
+        text = "\n".join([*lines[:-2], bad, lines[-1]]) + "\n"
+        path.write_text(text)
+        assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
+        for parse in (lambda: parse_trajectories(path, 1.0),
+                      lambda: parse_trajectories(text=text, frame_rate_hz=1.0)):
+            with pytest.raises(error) as exc:
+                parse()
+            assert str(exc.value) == message
+
+
+def test_an_undecodable_byte_is_reported_before_an_earlier_bad_row(tmp_path):
+    path = tmp_path / "t.csv"
+    rows = b"".join(b"%d.0,a,car,%d,0\n" % (k, k) for k in range(1, 60_000))
+    # a bad header, a row that does not split and a row of an unknown type,
+    # each before a byte that is not UTF-8, several blocks later
+    for head in (b"timestamp,x\n", HEADER.encode() + b"\n0.0,a,car,0,0,x\n",
+                 HEADER.encode() + b"\n0.0,a,tram,0,0\n"):
+        path.write_bytes(head + rows + b"9e9,a,car,\xff,0\n")
+        assert path.stat().st_size > 3 * ingest._BLOCK_CHARS
+        with pytest.raises(ValidationError) as whole:
+            ingest.read_source(path, None, "trajectories")
+        with pytest.raises(ValidationError) as exc:
+            parse_trajectories(path, 1.0)
+        assert str(exc.value) == str(whole.value)
+        assert str(exc.value).startswith(f"cannot read trajectories {str(path)!r}: ")
+        assert "position" in str(exc.value)
+    labels = b"agent_id,style,start_frame,end_frame\na,SLC,0\n" + rows + b"\xff\n"
+    path.write_bytes(labels)
+    with pytest.raises(ValidationError, match=r"^cannot read annotations .*position"):
+        parse_annotations(path, 10.0)
 
 
 # --- writers ----------------------------------------------------------------
@@ -396,11 +457,31 @@ def writer_inputs(draw):
 
 
 @given(writer_inputs(), st.sampled_from([3, ingest._CHUNK_LINES]))
-@settings(max_examples=150, deadline=None)
-def test_writers_match_row_writers(inputs, chunk_lines):
-    # at 3 rows a chunk, chunks end mid-frame, and mid-agent in the series
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+def test_writers_match_row_writers(tmp_path, inputs, chunk_lines):
+    # at 3 rows a chunk, chunks end mid-frame, and mid-agent in the series;
+    # written to a path, each writer writes the text it returns without one
     table, series = inputs
+    path = tmp_path / "out.csv"
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
             mock.patch.object(centrality, "_CHUNK_LINES", chunk_lines):
-        assert serialize_trajectories(table) == row_serialize_trajectories(table)
-        assert series_to_csv(series) == row_series_to_csv(series)
+        for write, data, row_write in ((serialize_trajectories, table, row_serialize_trajectories),
+                                       (series_to_csv, series, row_series_to_csv)):
+            text = write(data)
+            assert text == row_write(data)
+            assert write(data, path) == ""
+            assert path.read_bytes() == text.encode()
+
+
+def test_csv_writers_name_an_unwritable_path(tmp_path):
+    table = parse_trajectories(text=f"{HEADER}\n0.0,a,car,0,0\n1.0,a,car,1,0\n",
+                               frame_rate_hz=1.0)
+    series = CentralitySeries(["a"], np.zeros(1, np.int64), np.array([0, 2]),
+                              np.zeros(2), np.zeros(2))
+    for write, data, what in ((serialize_trajectories, table, "trajectories"),
+                              (series_to_csv, series, "centrality series")):
+        for bad in (tmp_path, tmp_path / "missing" / "out.csv"):
+            with pytest.raises(ValidationError, match=rf"^cannot write {what} ") as exc:
+                write(data, bad)
+            assert repr(str(bad)) in str(exc.value) and "\n" not in str(exc.value)

@@ -183,6 +183,28 @@ def test_report_round_trip_keeps_styles_labels_and_windows(weaving_report):
         per_window_analyze(weaving_report_table(), weaving_report.params))
 
 
+@pytest.mark.parametrize("chunk_lines", [3, pipeline._CHUNK_LINES])
+def test_windows_csv_written_to_a_path_is_the_text_it_returns(
+    weaving_report, chunk_lines, tmp_path, monkeypatch
+):
+    # at 3 rows a chunk the weaving run's fits span many chunks; a run of
+    # two frames has no window and writes the header alone
+    monkeypatch.setattr(pipeline, "_CHUNK_LINES", chunk_lines)
+    two_frames = make_table({"a": [(0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0)]})
+    empty = analyze_table(two_frames, AnalysisParams(thresholds=THRESHOLDS))
+    path = tmp_path / "windows.csv"
+    for report in (weaving_report, empty):
+        text = windows_to_csv(report)
+        assert windows_to_csv(report, path) == ""
+        assert path.read_bytes() == text.encode()
+    assert len(weaving_report.fits.agent) > 6  # several chunks of 3 rows
+    assert text == ",".join(pipeline.WINDOW_COLUMNS) + "\n"
+    for bad in (tmp_path, tmp_path / "missing" / "windows.csv"):
+        with pytest.raises(ValidationError, match=r"^cannot write windows ") as exc:
+            windows_to_csv(weaving_report, bad)
+        assert repr(str(bad)) in str(exc.value) and "\n" not in str(exc.value)
+
+
 def test_report_file_is_v4_summaries_only(weaving_report, tmp_path):
     path = tmp_path / "report.json"
     report_to_json(weaving_report, path)
