@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import _CHUNK_LINES, TrajectoryTable, csv_lines, float_texts, write_chunks
+from .ingest import TrajectoryTable, float_texts, write_csv
 
 # Not called here: the per-frame forms of ``compute_series``. Their only
 # reader is perfbench/tracer.py, which wraps them under these names.
@@ -296,20 +296,16 @@ def series_to_csv(series: CentralitySeries, dest=None) -> str:
 
     One row per agent-frame: agents in id order, each agent's frames
     ascending from its first, values by ``float_texts`` (degree, a running
-    count, as a float), formatted ``_CHUNK_LINES`` rows at a time. Returns
-    the text, or ``""`` once each chunk is written to the path ``dest``.
+    count, as a float), written by ``ingest.write_csv``. Returns the text,
+    or ``""`` once it is written to the path ``dest``.
     """
     agents = series.agent_ids
     code = np.repeat(np.arange(len(agents)), np.diff(series.bounds))
     frame = np.arange(len(code)) + (series.first - series.bounds[:-1])[code]
 
-    def chunks():
-        yield "frame,agent_id,closeness,degree\n"
-        for lo in range(0, len(code), _CHUNK_LINES):
-            rows = slice(lo, lo + _CHUNK_LINES)
-            yield csv_lines((map(str, frame[rows].tolist()),
-                             map(agents.__getitem__, code[rows].tolist()),
-                             float_texts(series.closeness[rows]),
-                             float_texts(series.degree[rows])))
+    def texts(rows):
+        return (map(str, frame[rows].tolist()), map(agents.__getitem__, code[rows].tolist()),
+                float_texts(series.closeness[rows]), float_texts(series.degree[rows]))
 
-    return write_chunks(dest, chunks(), "centrality series")
+    return write_csv(dest, "frame,agent_id,closeness,degree", len(code), texts,
+                     "centrality series")

@@ -18,7 +18,7 @@ from .centrality import compute_series, series_to_csv
 from .config import RunConfig, load_run_config, load_thresholds, save_thresholds
 from .errors import ContractViolationError, DriveStyleError, ValidationError
 from .evaluation import evaluate_run, parse_annotations
-from .ingest import parse_trajectories, read_source, serialize_trajectories
+from .ingest import parse_trajectories, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .pipeline import windows_to_csv
 from .sim import load_scenario, run_scenario, write_labels
@@ -141,8 +141,7 @@ def cmd_analyze(args) -> int:
 def cmd_evaluate(args) -> int:
     report = report_from_json(args.report)
     rate = args.frame_rate if args.frame_rate is not None else report.frame_rate_hz
-    labels = read_source(args.labels, None, "labels")
-    annotations = parse_annotations(text=labels, frame_rate_hz=rate)
+    annotations = parse_annotations(args.labels, rate)
     table = evaluate_run(report.agents, annotations)
     out = _ensure_dir(args.out)
     table.to_csv(out / "tde.csv")

@@ -5,16 +5,19 @@ and an optional trailing ``vx,vy`` pair. Lines starting with ``#`` are
 comments. Extra columns are accepted and ignored. Velocities are derived
 by finite differences when the file does not carry them.
 
-A file is read a block at a time (``read_lines``), never whole: a few
-thousand lines at a time become numpy columns, which are validated,
-differenced and ordered with array operations, one copy of each at a
-time; those columns are the table, which holds no per-row records.
+A file is read a block at a time (``read_lines``), never whole, each
+block ending on a line break: a few thousand lines at a time become
+numpy columns, which are validated, differenced and ordered with array
+operations, one copy of each at a time; those columns are the table,
+which holds no per-row records.
 Reading rows stops at the first one that does not split into its fields
 and numbers; each other check is a mask over the columns, and an error
 names its line from the line numbers counted while reading.
 
 The label files that ``evaluation`` reads share ``read_rows``, one
-reader of small headed CSV files, fed by the same ``read_lines``.
+reader of small headed CSV files, fed by the same ``read_lines``. The
+package's CSV writers hand ``write_csv`` a formatter of a slice of rows,
+and it formats and writes ``_CHUNK_LINES`` rows at a time.
 
 A :class:`TrajectoryTable` is immutable by convention: nothing in this
 package mutates it after construction, so it is safe to share across
@@ -31,8 +34,8 @@ from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import cache, partial
-from itertools import islice, repeat
+from functools import cache
+from itertools import chain, islice, repeat
 
 import numpy as np
 import yaml
@@ -62,11 +65,13 @@ FRAME_LIMIT = 2.0**53
 # several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 
-# Lines parsed, or formatted and written, at a time: bounds the transient
-# memory of the parser and of the CSV writers to one chunk's strings.
+# Lines parsed, or formatted and written by ``write_csv``, at a time: bounds
+# the transient memory of the parser and of the CSV writers to one chunk's
+# strings.
 _CHUNK_LINES = 4096
 
-# Characters read from a file at a time: a block's strings stay a few MB
+# Characters read from a file at a time, and the rest of the line they end
+# in: a block's strings stay a few MB
 _BLOCK_CHARS = 1 << 18
 
 
@@ -146,30 +151,21 @@ def read_source(source, text, what: str) -> str:
 def read_lines(source, text, what: str) -> Iterator[str]:
     """``read_source``'s content, line by line as ``str.splitlines`` splits it.
 
-    A file is read ``_BLOCK_CHARS`` characters at a time, never whole, the
-    line a block cuts carried into the next (text mode joins a cut ``\\r\\n``).
-    A file that cannot be opened or decoded is read again by ``read_source``,
-    for the same error message."""
+    A file is read a block at a time, never whole: ``_BLOCK_CHARS``
+    characters and the rest of the line they end in, so a block ends on a
+    line break (text mode turns ``\\r\\n`` and ``\\r`` into one ``\\n``) or
+    at the end of the file. A file that cannot be opened or decoded is read
+    again by ``read_source``, for the same error message."""
     if source is None or text is not None or not isinstance(source, (str, os.PathLike)):
         yield from read_source(source, text, what).splitlines()  # text=, or an error
         return
-    tail = []  # the pieces of a line that blocks cut, joined once it ends
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            for block in iter(partial(fh.read, _BLOCK_CHARS), ""):
-                lines = block.splitlines()
-                ends = block[-1].splitlines() == [""]  # on a line break
-                if len(lines) == 1 and not ends:
-                    tail.append(block)
-                    continue
-                lines[0] = "".join(tail) + lines[0]
-                tail = [] if ends else [lines.pop()]
-                yield from lines
+            for block in iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), ""):
+                yield from block.splitlines()
     except (OSError, UnicodeDecodeError):
         read_source(source, None, what)
         raise
-    if tail:
-        yield "".join(tail)
 
 
 @contextmanager
@@ -219,9 +215,10 @@ def read_rows(
 
 def write_chunks(dest, chunks: Iterable[str], what: str) -> str:
     """The texts ``chunks`` joined or, given a path ``dest``, ``""`` once they
-    are written there one at a time. A file that cannot be written (a missing
-    parent, a directory in the way, no permission) raises a one-line
-    ValidationError naming the path, the mirror of ``read_source``.
+    are written there one at a time (for ``write_text`` and ``write_csv``).
+    A file that cannot be written (a missing parent, a directory in the
+    way, no permission) raises a one-line ValidationError naming the path,
+    the mirror of ``read_source``.
     """
     if dest is None:
         return "".join(chunks)
@@ -580,9 +577,16 @@ def float_texts(values: np.ndarray) -> list[str]:
     return list(map(texts.__getitem__, where.tolist()))
 
 
-def csv_lines(columns) -> str:
-    """CSV lines, each ending in a newline, of equal-length columns of field texts."""
-    return "\n".join(map(",".join, zip(*columns))) + "\n"
+def write_csv(dest, header: str, count: int, texts, what: str) -> str:
+    """CSV of ``count`` rows under the line ``header``, as ``write_chunks`` writes it.
+
+    ``texts(rows)`` gives the rows of the slice ``rows`` as equal-length
+    columns of field texts; it is called for ``_CHUNK_LINES`` rows at a
+    time, and each chunk's lines are written before the next is formatted.
+    """
+    chunks = ("\n".join(map(",".join, zip(*texts(slice(lo, lo + _CHUNK_LINES))))) + "\n"
+              for lo in range(0, count, _CHUNK_LINES))
+    return write_chunks(dest, chain([header + "\n"], chunks), what)
 
 
 def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
@@ -590,18 +594,15 @@ def serialize_trajectories(table: TrajectoryTable, dest=None) -> str:
 
     Returns the text or, when ``dest`` is a path, writes it there and
     returns ``""``. Floats are written as ``repr`` text, so parsing the
-    text of a parsed file gives back the same rows. Rows are formatted and
-    written ``_CHUNK_LINES`` at a time, each chunk's floats by
-    ``float_texts``.
+    text of a parsed file gives back the same rows. Rows are written by
+    ``write_csv``, each chunk's floats formatted by ``float_texts``.
     """
-    def chunks():
-        yield "timestamp,agent_id,agent_type,x,y,vx,vy\n"
-        for lo in range(0, len(table.frame), _CHUNK_LINES):
-            rows = slice(lo, lo + _CHUNK_LINES)
-            ts, x, y, vx, vy = (
-                float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
-            )
-            agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
-            yield csv_lines((ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy))
+    def texts(rows):
+        ts, x, y, vx, vy = (
+            float_texts(getattr(table, c)[rows]) for c in ("timestamp", "x", "y", "vx", "vy")
+        )
+        agents = map(table.agent_ids.__getitem__, table.agent[rows].tolist())
+        return ts, agents, table.agent_type[rows].tolist(), x, y, vx, vy
 
-    return write_chunks(dest, chunks(), "trajectories")
+    return write_csv(dest, "timestamp,agent_id,agent_type,x,y,vx,vy", len(table.frame),
+                     texts, "trajectories")

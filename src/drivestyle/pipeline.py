@@ -24,8 +24,8 @@ import numpy as np
 from .centrality import compute_series
 from .errors import ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, DEFAULT_MU
-from .ingest import _CHUNK_LINES, FRAME_LIMIT, TrajectoryTable, csv_lines, float_texts, read_source
-from .ingest import write_chunks, write_text, yaml_float, yaml_int, yaml_record
+from .ingest import FRAME_LIMIT, TrajectoryTable, float_texts, read_source, write_csv
+from .ingest import write_text, yaml_float, yaml_int, yaml_record
 from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
@@ -61,8 +61,8 @@ from .styles import classify, detect_weaving, sle_sie  # noqa: F401
 
 SCHEMA_VERSION = "4"
 
-# agent-windows per block of gathered samples: bounds the samples, keys
-# and stacked designs held at once
+# agent-windows per block of gathered samples: bounds the samples, keys,
+# stacked designs and the systems of one fit_solve call held at once
 _BLOCK_WINDOWS = 1024
 
 
@@ -196,11 +196,11 @@ def analyze_table(
     its design once (so the alpha policy runs once per grid). Windows are
     then taken in blocks of ``_BLOCK_WINDOWS`` by design shape: their
     degree and closeness samples are gathered, each distinct (grid,
-    sample bits) row is solved once by ``fit_solve``, and each distinct
-    (solved row, slice) pair is mapped to absolute time once. SLE/SIE,
-    weaving points and the per-agent scores are taken over all windows
-    at once, then labelled at ``params.thresholds``; the fits are
-    returned as ``RunReport.fits`` columns. Raises ConditioningError
+    sample bits) row is solved once, in one ``fit_solve`` call per block,
+    and each distinct (solved row, slice) pair is mapped to absolute time
+    once. SLE/SIE, weaving points and the per-agent scores are taken over
+    all windows at once, then labelled at ``params.thresholds``; the fits
+    are returned as ``RunReport.fits`` columns. Raises ConditioningError
     when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
@@ -352,25 +352,23 @@ def windows_to_csv(report: RunReport, dest=None) -> str:
     """``windows.csv`` text of ``report.fits``, or ``""`` once written to ``dest``.
 
     One row per window fit, agent-major, under a ``WINDOW_COLUMNS``
-    header. Rows are formatted and written ``_CHUNK_LINES`` at a time,
-    each column's floats by ``float_texts``; empty ``t_c`` and
-    ``sharpness`` fields mean the window has no critical point.
+    header, written by ``ingest.write_csv``, each column's floats by
+    ``float_texts``; empty ``t_c`` and ``sharpness`` fields mean the
+    window has no critical point.
     """
     fits = report.fits
 
-    def chunks():
-        yield ",".join(WINDOW_COLUMNS) + "\n"
-        for lo in range(0, len(fits.agent), _CHUNK_LINES):
-            chunk = WindowFits(*(column[lo:lo + _CHUNK_LINES] for column in fits))
-            columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
-            columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
-                                         chunk.condition_number, *chunk.degree.T,
-                                         *chunk.closeness.T))
-            columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
-                        for c in (chunk.t_c, chunk.sharpness))
-            yield csv_lines(columns)
+    def texts(rows):
+        chunk = WindowFits(*(column[rows] for column in fits))
+        columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
+        columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
+                                     chunk.condition_number, *chunk.degree.T,
+                                     *chunk.closeness.T))
+        columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point
+                    for c in (chunk.t_c, chunk.sharpness))
+        return columns
 
-    return write_chunks(dest, chunks(), "windows")
+    return write_csv(dest, ",".join(WINDOW_COLUMNS), len(fits.agent), texts, "windows")
 
 
 def report_from_json(source=None, *, text=None) -> RunReport:

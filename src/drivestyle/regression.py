@@ -7,9 +7,9 @@ equations, which is exactly what the raw-Vandermonde condition numbers
 punish. Sample times are centered before building M (this changes the
 conditioning, not the minimizer) and the coefficients are mapped back to
 the absolute-time basis afterwards. A stack of designs of one shape and
-their rows of samples go to numpy's lstsq gufunc, ``_SOLVE_ROWS`` rows
-per call; it runs gelsd once per row: the call ``np.linalg.lstsq``
-makes for a single row, bit for bit.
+their rows of samples go to numpy's lstsq gufunc in one call (its caller
+bounds the stack); it runs gelsd once per row: the call
+``np.linalg.lstsq`` makes for a single row, bit for bit.
 """
 
 from __future__ import annotations
@@ -38,9 +38,6 @@ _SINGULAR_KAPPA = 1e12
 
 DEFAULT_KAPPA_CAP = 1e6
 ALPHA_GRID = (0.0,) + tuple(10.0**k for k in range(-6, 1))
-
-# rows per lstsq gufunc call in fit_solve: bounds the stacked systems held at once
-_SOLVE_ROWS = 256
 
 
 def vandermonde(times: np.ndarray) -> np.ndarray:
@@ -189,23 +186,20 @@ def fit_solve(designs: np.ndarray, rows: np.ndarray) -> np.ndarray:
 
     ``designs`` is a (K, m, 3) stack of ``fit_design`` matrices of one
     shape; each row is solved as ``np.linalg.lstsq(A, row, rcond=None)``
-    solves it, bit for bit, ``_SOLVE_ROWS`` rows per gufunc call. An SVD
-    that does not converge raises LinAlgError, as it does there.
+    solves it, bit for bit, in one gufunc call: ``analyze_table`` hands it
+    the degree and closeness rows of at most ``_BLOCK_WINDOWS`` windows.
+    An SVD that does not converge raises LinAlgError, as it does there.
     """
     k, m, n = designs.shape
     # numpy 1.x has one gufunc per shape and picks it as below
     lstsq = getattr(_umath_linalg, "lstsq", None) or (
         _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n)
     rcond = np.finfo(float).eps * max(m, n)
-    out = np.empty((k, n))
+    rhs = np.zeros((k, m, 1))  # zero targets for the alpha*I rows, if any
+    rhs[:, :rows.shape[1], 0] = rows
     with np.errstate(call=_svd_failed, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        for b in range(0, k, _SOLVE_ROWS):
-            a = designs[b:b + _SOLVE_ROWS]
-            rhs = np.zeros((len(a), m, 1))  # zero targets for the alpha*I rows, if any
-            rhs[:, :rows.shape[1], 0] = rows[b:b + _SOLVE_ROWS]
-            out[b:b + _SOLVE_ROWS] = lstsq(a, rhs, rcond, signature="ddd->ddid")[0][:, :, 0]
-    return out
+        return lstsq(designs, rhs, rcond, signature="ddd->ddid")[0][:, :, 0]
 
 
 def uncenter(beta_c: np.ndarray, t_bars: np.ndarray) -> np.ndarray:

@@ -37,6 +37,9 @@ from .ingest import (
 
 VEHICLE_LENGTH_M = 5.0
 
+# More lanes than any road has: a scenario's lane lists stay small
+MAX_LANE_COUNT = 64
+
 CLASS_CONSERVATIVE = "conservative"
 CLASS_AGGRESSIVE = "aggressive"
 
@@ -140,6 +143,8 @@ class ScenarioConfig:
         require_non_negative(self.duration_s, "duration_s")
         if self.lane_count < 1:
             raise ValidationError(f"need at least one lane, got {self.lane_count}")
+        if self.lane_count > MAX_LANE_COUNT:
+            raise ValidationError(f"lane_count must be at most {MAX_LANE_COUNT}")
         require_positive(self.road_length_m, "road_length_m")
         require_positive(self.lane_width_m, "lane_width_m")
         require_positive(self.lane_change_duration_s, "lane_change_duration_s")
@@ -345,20 +350,6 @@ def _follower(xs: list[float], ps: list[int], x: float, pos: int) -> int | None:
     return None
 
 
-def _refile(lanes, pos: int, x: float, from_lane: int, to_lane: int) -> None:
-    """Move the agent at ``pos`` from one lane's lists to another's.
-
-    Among the agents at ``x``, it is found, and goes, by its position.
-    """
-    xs, ps = lanes[0][from_lane], lanes[1][from_lane]
-    k = bisect_left(ps, pos, bisect_left(xs, x), bisect_right(xs, x))
-    del xs[k], ps[k]
-    xs, ps = lanes[0][to_lane], lanes[1][to_lane]
-    k = bisect_left(ps, pos, bisect_left(xs, x), bisect_right(xs, x))
-    xs.insert(k, x)
-    ps.insert(k, pos)
-
-
 def _leaders(lanes, n: int) -> list[int | None]:
     """Every agent's leader in its own lane, by one walk down each lane."""
     leaders: list[int | None] = [None] * n
@@ -389,7 +380,7 @@ def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
 
 
 def _mobil_pass(world: World, lanes) -> None:
-    """Lane-change decisions in agent order; an approval re-files the agent."""
+    """Lane-change decisions in agent order; an approval rebuilds ``lanes`` in place."""
     x, speed, lane, law = world.x, world.speed, world.lane, world.law
     xs, ps = lanes
     lane_count = world.config.lane_count
@@ -422,7 +413,7 @@ def _mobil_pass(world: World, lanes) -> None:
             assert decision.new_follower_acceleration >= -params.b_safe
             assert decision.incentive > params.delta_a_th
             _begin_lane_change(world, pos, target)
-            _refile(lanes, pos, at, own, target)
+            xs[:], ps[:] = _lanes(lane, x, lane_count)
 
 
 def step(world: World) -> World:

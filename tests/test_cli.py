@@ -8,6 +8,7 @@ import yaml
 from drivestyle.calibrate import calibrate_thresholds
 from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
+from drivestyle import ingest
 from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
 from drivestyle.scenarios import (
@@ -16,7 +17,7 @@ from drivestyle.scenarios import (
     mixed_behavior_scenario,
     suite_analysis_params,
 )
-from drivestyle.sim import save_scenario
+from drivestyle.sim import MAX_LANE_COUNT, save_scenario
 from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING
 from oracles import scalar_calibrate, scalar_calibration_pools
 
@@ -509,6 +510,34 @@ def test_evaluate_bad_label_row_exits_1_with_one_line(
     assert capsys.readouterr().err == f"error: line {line}: {message}\n"
 
 
+@pytest.mark.parametrize("fault", ["bad_row_last", "byte_after_bad_row"])
+def test_labels_stream_through_evaluate(fault, analyzed_run, tmp_path, capsys):
+    # a labels file several blocks long, read a block at a time: a bad row
+    # in its last block is named by its line, and a byte that is not UTF-8
+    # is reported before an earlier bad row
+    header = "agent_id,style,start_frame,end_frame"
+    padding = ["# " + "x" * 998] * (3 * ingest._BLOCK_CHARS // 1000)
+    if fault == "bad_row_last":
+        lines = [header, "subject,SLC,0,5", *padding, "subject,SLC,1,x"]
+    else:
+        lines = [header, "subject,SLC,1,x", *padding, "subject,SLC,0,5"]
+    labels = tmp_path / "labels.csv"
+    labels.write_bytes("\n".join(lines).encode() + b"\n"
+                       + (b"subject,\xff,0,5\n" if fault == "byte_after_bad_row" else b""))
+    assert labels.stat().st_size > 3 * ingest._BLOCK_CHARS
+    assert main([
+        "evaluate", "--report", str(analyzed_run / "report.json"),
+        "--labels", str(labels), "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    if fault == "bad_row_last":
+        assert err == (f"error: line {len(lines)}: non-integer frame: "
+                       "invalid literal for int() with base 10: 'x'\n")
+    else:
+        assert err.startswith(f"error: cannot read annotations {str(labels)!r}: ")
+        assert "can't decode byte 0xff in position" in err and err.count("\n") == 1
+
+
 def test_evaluate_reads_a_huge_interval_in_closed_form(analyzed_run, tmp_path):
     # the largest interval a label may hold: counting its frames one by one
     # would take 2**53 steps
@@ -834,6 +863,9 @@ OUT_OF_RANGE = {
     "tau_block": ("config", ("thresholds", "tau_degree"), -1, "tau_degree must be finite"),
     "tau_file": ("thresholds", ("tau_closeness",), 0, "tau_closeness must be finite"),
     "scenario_lanes": ("scenario", ("lane_count",), 0, "need at least one lane, got 0"),
+    # more lanes than any road: the simulator would allocate without bound
+    "scenario_lanes_huge": ("scenario", ("lane_count",), 10**400,
+                            f"lane_count must be at most {MAX_LANE_COUNT}"),
     "scenario_seed": ("scenario", ("seed",), -3, "seed must be non-negative, got -3"),
 }
 

@@ -11,7 +11,7 @@ from drivestyle.errors import (
     TrajectoryParseError,
     ValidationError,
 )
-from drivestyle import centrality, ingest
+from drivestyle import ingest
 from drivestyle.centrality import CentralitySeries, series_to_csv
 from drivestyle.evaluation import parse_annotations
 from drivestyle.ingest import (
@@ -464,8 +464,7 @@ def test_writers_match_row_writers(tmp_path, inputs, chunk_lines):
     # written to a path, each writer writes the text it returns without one
     table, series = inputs
     path = tmp_path / "out.csv"
-    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
-            mock.patch.object(centrality, "_CHUNK_LINES", chunk_lines):
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
         for write, data, row_write in ((serialize_trajectories, table, row_serialize_trajectories),
                                        (series_to_csv, series, row_series_to_csv)):
             text = write(data)

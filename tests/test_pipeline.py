@@ -1,7 +1,7 @@
 import importlib.util
 import json
 import tracemalloc
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import replace
 from pathlib import Path
 from types import SimpleNamespace
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from conftest import make_frame, make_table
 from drivestyle.centrality import compute_series
-from drivestyle import pipeline
+from drivestyle import ingest, pipeline
 from drivestyle.errors import ConditioningError, ContractViolationError, ValidationError
 from drivestyle.ingest import parse_trajectories
 from drivestyle.pipeline import (
@@ -183,13 +183,13 @@ def test_report_round_trip_keeps_styles_labels_and_windows(weaving_report):
         per_window_analyze(weaving_report_table(), weaving_report.params))
 
 
-@pytest.mark.parametrize("chunk_lines", [3, pipeline._CHUNK_LINES])
+@pytest.mark.parametrize("chunk_lines", [3, ingest._CHUNK_LINES])
 def test_windows_csv_written_to_a_path_is_the_text_it_returns(
     weaving_report, chunk_lines, tmp_path, monkeypatch
 ):
     # at 3 rows a chunk the weaving run's fits span many chunks; a run of
     # two frames has no window and writes the header alone
-    monkeypatch.setattr(pipeline, "_CHUNK_LINES", chunk_lines)
+    monkeypatch.setattr(ingest, "_CHUNK_LINES", chunk_lines)
     two_frames = make_table({"a": [(0.0, 0.0, 1.0, 0.0), (1.0, 0.0, 1.0, 0.0)]})
     empty = analyze_table(two_frames, AnalysisParams(thresholds=THRESHOLDS))
     path = tmp_path / "windows.csv"
@@ -416,18 +416,15 @@ def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
 
     monkeypatch.setattr(regression, "_umath_linalg",
                         SimpleNamespace(**{name: logged(name) for name in names}))
-    monkeypatch.setattr(regression, "_SOLVE_ROWS", 3)
-    report = analyze_table(table, params)
-    assert (report_to_json(report), windows_to_csv(report)) == expected
-    # every gufunc call solves at most 3 systems of one shape, and some
-    # fit_solve call of one shape needs several gufunc calls
-    assert calls and all(1 <= shape[0] <= 3 for shape in calls)
-    assert sum(shape[0] == 3 for shape in calls) > 2
-    # windows cut into blocks of 4: rows shared across blocks are solved
+    # windows cut into blocks of 4: each gufunc call solves the degree and
+    # closeness rows of one block, at most 8 systems of one shape, some
+    # shape takes several calls, rows shared across blocks are solved
     # again, and no bit changes
     monkeypatch.setattr(pipeline, "_BLOCK_WINDOWS", 4)
     report = analyze_table(table, params)
     assert (report_to_json(report), windows_to_csv(report)) == expected
+    assert calls and all(1 <= shape[0] <= 8 for shape in calls)
+    assert max(Counter(shape[1:] for shape in calls).values()) > 2
 
 
 @settings(max_examples=100, deadline=None)

@@ -280,7 +280,7 @@ def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
     cases = [(np.arange(float(t_count)), alpha)
              for t_count, alpha in ((3, 0.0), (4, 0.0), (3, 1e-3))]
     expected = [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases]
-    # stacks of three designs of one shape, solved two rows per call
+    # stacks of three designs of one shape
     stacks = [np.stack([fit_design(t - t.mean() + d, FixedAlpha(alpha))[2]
                         for d in (0.0, 0.25, 0.5)]) for t, alpha in cases]
     rows = [np.arange(3 * len(t), dtype=float).reshape(3, -1) for t, _ in cases]
@@ -289,8 +289,9 @@ def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
                         SimpleNamespace(lstsq_m=named("m"), lstsq_n=named("n")))
     assert [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases] == expected
     assert picked == ["m", "n", "n"]
+    # a stack is one call, whose rows each solve as they do alone
     picked.clear()
-    monkeypatch.setattr(regression, "_SOLVE_ROWS", 2)
     for a, r, before in zip(stacks, rows, stacked):
         assert bits(fit_solve(a, r)) == bits(before)
-    assert picked == ["m", "m", "n", "n", "n", "n"]
+        assert [bits(fit_solve(a[k:k + 1], r[k:k + 1])[0]) for k in range(3)] == bits(before)
+    assert picked == ["m"] * 4 + ["n"] * 8

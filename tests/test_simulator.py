@@ -331,34 +331,34 @@ def test_lane_index_matches_scan_at_every_step():
     rng = np.random.default_rng(17)
     config = _dense_tied_config(3)
     world = build_world(config)
-    ties = moves = 0
+    ties = rebuilds = 0
     for _ in range(config.frame_count()):
         lanes = sim._lanes(world.lane, world.x, config.lane_count)
         ties += _assert_lookup_matches_scan(lanes, world.lane, world.x, config.lane_count)
-        # lane changes made after the lists were built, on a copy of the lanes
+        # lane changes made after the lists were built, on a copy of the lanes,
+        # each followed by a rebuild, as an approved MOBIL change is
         lane = list(world.lane)
         for pos in rng.choice(len(lane), 8, replace=False):
-            from_lane = lane[pos]
             lane[pos] = int(rng.integers(0, config.lane_count))
-            sim._refile(lanes, int(pos), world.x[pos], from_lane, lane[pos])
-            moves += 1
+            lanes = sim._lanes(lane, world.x, config.lane_count)
+            rebuilds += 1
             _assert_lookup_matches_scan(lanes, lane, world.x, config.lane_count)
         step(world)
-    assert ties > 100 and moves > 0
+    assert ties > 100 and rebuilds > 0
 
 
 def test_step_lane_queries_match_scan(monkeypatch):
     # every query step() makes, including those after a MOBIL change in the
     # same step, answers what a scan of the live columns answers
-    seen = {"queries": 0, "moves": 0, "ego_ties": 0}
+    seen = {"queries": 0, "builds": 0, "steps": 0, "ego_ties": 0}
     live = {}
-    lanes_of, leader, follower = sim._lanes, sim._leader, sim._follower
-    refile, leaders = sim._refile, sim._leaders
+    lanes_of, leader, follower, leaders = sim._lanes, sim._leader, sim._follower, sim._leaders
 
     def lane_of(xs):
         return next(k for k, lane_xs in enumerate(live["lanes"][0]) if lane_xs is xs)
 
     def built(lane, x, lane_count):
+        seen["builds"] += 1
         live["lanes"] = lanes_of(lane, x, lane_count)
         return live["lanes"]
 
@@ -380,10 +380,6 @@ def test_step_lane_queries_match_scan(monkeypatch):
         )
         return got
 
-    def counted_refile(*args):
-        seen["moves"] += 1
-        refile(*args)
-
     def checked_leaders(lanes, n):
         world = live["world"]
         got = leaders(lanes, n)
@@ -396,14 +392,15 @@ def test_step_lane_queries_match_scan(monkeypatch):
     monkeypatch.setattr(sim, "_lanes", built)
     monkeypatch.setattr(sim, "_leader", checked_leader)
     monkeypatch.setattr(sim, "_follower", checked_follower)
-    monkeypatch.setattr(sim, "_refile", counted_refile)
     monkeypatch.setattr(sim, "_leaders", checked_leaders)
     for seed in range(3):
         config = _dense_tied_config(seed)
         live["world"] = world = build_world(config)
         for _ in range(config.frame_count()):
             step(world)
-    assert seen["queries"] > 1000 and seen["moves"] > 0 and seen["ego_ties"] > 0
+            seen["steps"] += 1
+    # one build per step, and a rebuild after each approved MOBIL change
+    assert seen["queries"] > 1000 and seen["builds"] > seen["steps"] and seen["ego_ties"] > 0
 
 
 @st.composite
