@@ -26,10 +26,8 @@ from __future__ import annotations
 
 from dataclasses import asdict, dataclass, field
 
-import yaml
-
 from .errors import require_positive
-from .ingest import read_yaml, write_text, yaml_float
+from .ingest import read_yaml, write_yaml, yaml_float
 from .pipeline import AnalysisParams, params_from_dict, thresholds_from_dict
 from .styles import Thresholds
 
@@ -68,7 +66,7 @@ def _run_config_from_dict(payload: dict) -> RunConfig:
 
 def save_thresholds(thresholds: Thresholds, dest) -> None:
     payload = {name: float(value) for name, value in asdict(thresholds).items()}
-    write_text(dest, yaml.safe_dump(payload, sort_keys=False), "thresholds file")
+    write_yaml(dest, payload, "thresholds file")
 
 
 def load_thresholds(path) -> Thresholds:

@@ -61,9 +61,10 @@ _FLOOR_GUARD = 1e-9
 # every one is an exact float64 and int64 value.
 FRAME_LIMIT = 2.0**53
 
-# libyaml's parser where PyYAML was built with it: the same documents,
-# several times faster
+# libyaml's parser and emitter where PyYAML was built with them: the same
+# documents and text, several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
+_YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
 
 # Lines parsed, or formatted and written by ``write_csv``, at a time: bounds
 # the transient memory of the parser and of the CSV writers to one chunk's
@@ -239,6 +240,11 @@ def write_text(dest, text: str, what: str) -> str:
     return text
 
 
+def write_yaml(dest, mapping: dict, what: str) -> str:
+    """``mapping`` as block YAML in key order, written as by ``write_text``."""
+    return write_text(dest, yaml.dump(mapping, Dumper=_YAML_DUMPER, sort_keys=False), what)
+
+
 def read_yaml(path, what: str, build):
     """``build(mapping)`` for the YAML mapping in file ``path``.
 
@@ -254,14 +260,14 @@ def read_yaml(path, what: str, build):
     where = f"{what} {os.fspath(path)!r}"
     try:
         document = yaml.load(text, Loader=_YAML_LOADER)
-    except yaml.YAMLError as exc:
+    except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
         mark = getattr(exc, "problem_mark", None)
         position = getattr(exc, "position", None)  # a ReaderError's offset
         if mark:
             at = f" at line {mark.line + 1}, column {mark.column + 1}"
         else:
             at = "" if position is None else f" at position {position}"
-        # a ReaderError has no problem; its text ends in a second line
+        # a ReaderError or ValueError has no problem; a ReaderError's text ends in a second line
         problem = getattr(exc, "problem", None) or str(exc).partition("\n")[0]
         raise ValidationError(f"{where} is not valid YAML{at}: {problem}") from None
     if document is None:

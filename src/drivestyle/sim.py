@@ -20,7 +20,6 @@ from dataclasses import dataclass, field, replace
 from typing import NamedTuple
 
 import numpy as np
-import yaml
 
 from .errors import ValidationError, require_non_negative, require_positive
 from .evaluation import STYLE_CODES
@@ -28,6 +27,7 @@ from .ingest import (
     TrajectoryTable,
     read_yaml,
     write_text,
+    write_yaml,
     yaml_bool,
     yaml_float,
     yaml_int,
@@ -292,10 +292,12 @@ class World:
     the car-following (IDM) agents, ascending; ``mobil`` whether
     lane-change decisions are its own (an IDM agent with MOBIL on).
     ``lane_change`` maps the position of each agent mid-change to its
-    (start, progress), the start a lateral position in lane units (a
+    (start, frame begun), the start a lateral position in lane units (a
     float lane index); its ``lane`` is already the target lane, which
-    car-following commits to at once. ``scripts`` maps a frame to its
-    scripted changes, {position: target lane}.
+    car-following commits to at once. ``changes`` logs every change as
+    (frame, position, start, target lane), and ``ramp`` is a change's
+    progress at each frame after it begins. ``scripts`` maps a frame to
+    its scripted changes, {position: target lane}.
     """
 
     config: ScenarioConfig
@@ -308,7 +310,9 @@ class World:
     follows: list[int]
     mobil: list[bool]
     scripts: dict[int, dict[int, int]]
-    lane_change: dict[int, tuple[float, float]] = field(default_factory=dict)
+    ramp: list[float]
+    lane_change: dict[int, tuple[float, int]] = field(default_factory=dict)
+    changes: list[tuple[int, int, float, int]] = field(default_factory=list)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
 
@@ -363,20 +367,28 @@ def _leaders(lanes, n: int) -> list[int | None]:
 
 
 def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
-    """Start a change to ``target_lane`` from where the agent is now.
+    """Start a change to ``target_lane`` from where the agent is now, and log it.
 
     A change starts from the agent's lateral position in lane units: its
-    lane, or, mid-change, the blended position of that change, so a
-    retarget continues from where the agent is.
+    lane, or, mid-change (as told by the frame it began), the blended
+    position of that change, so a retarget continues from where it is.
     """
+    start = float(world.lane[pos])
     if pos in world.lane_change:
-        start, progress = world.lane_change[pos]
-        blend = 0.5 * (1.0 - math.cos(math.pi * progress))
-        start += (world.lane[pos] - start) * blend
-    else:
-        start = float(world.lane[pos])
-    world.lane_change[pos] = (start, 0.0)
+        begun_at, begun = world.lane_change[pos]
+        if (age := world.frame - begun) <= len(world.ramp):
+            blend = 0.5 * (1.0 - math.cos(math.pi * world.ramp[age - 1]))
+            start = begun_at + (world.lane[pos] - begun_at) * blend
+    world.lane_change[pos] = (start, world.frame)
+    world.changes.append((world.frame, pos, start, target_lane))
     world.lane[pos] = target_lane
+
+
+def _scripted_changes(world: World) -> None:
+    """Begin the changes scripted for ``world.frame``, but none to an agent's own lane."""
+    for pos, target in world.scripts.get(world.frame, {}).items():
+        if target != world.lane[pos]:
+            _begin_lane_change(world, pos, target)
 
 
 def _mobil_pass(world: World, lanes) -> None:
@@ -422,15 +434,13 @@ def step(world: World) -> World:
     Order per frame: scripted lane changes, lane-change decisions at the
     decision period, one batch of accelerations from the pre-step state
     (collisions logged in agent order), then the Euler position/speed
-    update and lateral progress. Only car-following agents read a leader
-    or decide on lane changes, so a world without one (cruisers only)
-    builds no lane lists, and cruisers keep an acceleration of 0.
+    update and the end of finished changes. Only car-following agents
+    read a leader or decide on lane changes, so a world without one
+    (cruisers only) builds no lane lists; cruisers keep an acceleration of 0.
     """
     cfg = world.config
     dt = cfg.timestep_s
-    for pos, target in world.scripts.get(world.frame, {}).items():
-        if target != world.lane[pos]:
-            _begin_lane_change(world, pos, target)
+    _scripted_changes(world)
 
     x, speed, law, ids = world.x, world.speed, world.law, world.ids
     accels = [0.0] * len(x)
@@ -452,13 +462,8 @@ def step(world: World) -> World:
     world.x = [xi + v * dt for xi, v in zip(x, speed)]
     # max(0.0, w), which is w only where w > 0.0
     world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
-    progress_step = dt / cfg.lane_change_duration_s
-    for pos, (start, progress) in list(world.lane_change.items()):
-        progress += progress_step
-        if progress >= 1.0 - 1e-12:
-            del world.lane_change[pos]
-        else:
-            world.lane_change[pos] = (start, progress)
+    last, changes = len(world.ramp), world.lane_change
+    world.lane_change = {pos: c for pos, c in changes.items() if world.frame - c[1] < last}
     world.frame += 1
     return world
 
@@ -498,57 +503,88 @@ def build_world(config: ScenarioConfig) -> World:
         follows=[pos for pos, s in enumerate(spawns) if s.longitudinal == MODE_IDM],
         mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
         scripts=scripts,
+        ramp=_ramp(config),
     )
+
+
+def _ramp(config: ScenarioConfig) -> list[float]:
+    """Progress of a change at each frame after it begins, summed a frame at a time."""
+    rate, ramp = config.timestep_s / config.lane_change_duration_s, [0.0]
+    while (progress := ramp[-1] + rate) < 1.0 - 1e-12 and len(ramp) <= config.frame_count():
+        ramp.append(progress)
+    return ramp[1:]
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:
     """Run a scenario and emit an ingest-compatible table plus labels.
 
     Every agent has a row at every frame, in spawn order; step k is frame
-    k, at ``k * timestep_s``. An agent's lateral position and rate follow
-    a cosine blend from its from-lane to its lane while it changes lanes,
-    and are its lane's centre and 0 otherwise.
+    k, at ``k * timestep_s``. Where no agent follows, only scripts change
+    lanes, and x and speed are ``step``'s sums, taken with no frame loop.
     """
     world = build_world(config)
-    cfg = config
-    rate = 1.0 / cfg.timestep_s
-    width, duration = cfg.lane_width_m, cfg.lane_change_duration_s
-    centre = [k * width for k in range(cfg.lane_count)]
-    n = len(world.ids)
-    frames = cfg.frame_count()
-    x, y, vx, vy = [], [], [], []
-    for _ in range(frames):
-        x += world.x
-        vx += world.speed
-        lateral, lateral_rate = list(map(centre.__getitem__, world.lane)), [0.0] * n
-        for pos, (start, progress) in world.lane_change.items():
-            shift = world.lane[pos] - start
-            blend = 0.5 * (1.0 - math.cos(math.pi * progress))
-            lateral[pos] = (start + shift * blend) * width
-            lateral_rate[pos] = (
-                shift * width * math.pi / (2.0 * duration) * math.sin(math.pi * progress)
-            )
-        y += lateral
-        vy += lateral_rate
-        step(world)
+    n, frames = len(world.ids), config.frame_count()
+    if world.follows:
+        x, vx = [], []
+        for _ in range(frames):
+            x += world.x
+            vx += world.speed
+            step(world)
+    else:
+        for world.frame in sorted(world.scripts):
+            _scripted_changes(world)
+        dt, v = config.timestep_s, np.array(world.speed)
+        vx = np.empty((frames, n))  # the spawn speed, then v + 0 dt clamped at 0
+        vx[:1], vx[1:] = v, np.where((w := v + 0.0 * dt) > 0.0, w, 0.0)
+        x = np.empty_like(vx)
+        x[:1], x[1:] = world.x, vx[:-1] * dt
+        np.cumsum(x, axis=0, out=x)  # row after row: ``xi + v * dt``, in step's order
+    y, vy = _lateral(world, frames)
     table = TrajectoryTable(
         frame=np.repeat(np.arange(frames, dtype=np.int64), n),
-        timestamp=np.repeat(np.arange(frames) * cfg.timestep_s, n),
-        x=np.array(x, dtype=float),
-        y=np.array(y, dtype=float),
-        vx=np.array(vx, dtype=float),
-        vy=np.array(vy, dtype=float),
+        timestamp=np.repeat(np.arange(frames) * config.timestep_s, n),
+        x=np.asarray(x, dtype=float).ravel(),
+        y=y,
+        vx=np.asarray(vx, dtype=float).ravel(),
+        vy=vy,
         agent=np.tile(np.arange(n), frames),
         agent_ids=world.ids,
-        agent_type=np.full(n * frames, "car", dtype=object),
-        frame_rate_hz=rate,
+        agent_type=np.array(["car"], dtype=object).repeat(n * frames),  # one str
+        frame_rate_hz=1.0 / config.timestep_s,
     )
     return SimResult(
         table=table,
-        labels=list(cfg.maneuvers),
+        labels=list(config.maneuvers),
         collisions=list(world.collisions),
-        agent_classes={s.agent_id: s.vehicle_class for s in cfg.spawns},
+        agent_classes={s.agent_id: s.vehicle_class for s in config.spawns},
     )
+
+
+def _lateral(world: World, frames: int):
+    """(y, vy) columns from the spawn lanes and the lane-change log.
+
+    A change begun in the step of frame k shows from frame k + 1 until it
+    ends or is retargeted, as a cosine blend from its start to its lane
+    (``math``'s trigonometry: numpy's may differ in the last bit). Otherwise
+    an agent is at its lane's centre, at rate 0.
+    """
+    cfg, ramp = world.config, world.ramp
+    width, duration = cfg.lane_width_m, cfg.lane_change_duration_s
+    y = np.tile(np.array([s.lane for s in cfg.spawns], dtype=float), (frames, 1))
+    for k, pos, _, target in world.changes:
+        y[k + 1:, pos] = target
+    y *= width
+    vy = np.zeros_like(y)
+    blend = np.array([0.5 * (1.0 - math.cos(math.pi * p)) for p in ramp])
+    sine = np.array([math.sin(math.pi * p) for p in ramp])
+    until: dict[int, int] = {}  # the frame of each agent's next change
+    for k, pos, start, target in reversed(world.changes):
+        span = max(0, min(len(ramp), until.get(pos, frames - 1) - k))
+        until[pos] = k
+        shift = target - start
+        y[k + 1:k + 1 + span, pos] = (start + shift * blend[:span]) * width
+        vy[k + 1:k + 1 + span, pos] = shift * width * math.pi / (2.0 * duration) * sine[:span]
+    return y.ravel(), vy.ravel()
 
 
 # ---------------------------------------------------------------------------
@@ -631,7 +667,7 @@ def _to_yaml(record) -> dict:
 
 
 def save_scenario(config: ScenarioConfig, dest) -> None:
-    write_text(dest, yaml.safe_dump(_to_yaml(config), sort_keys=False), "scenario")
+    write_yaml(dest, _to_yaml(config), "scenario")
 
 
 def load_scenario(source) -> ScenarioConfig:

@@ -854,29 +854,42 @@ def test_unknown_key_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys)
     assert err == f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}: {message}\n"
 
 
-# (file, path to the field, value, message): values out of range
+# An integer past Python's 4,300-digit limit for int-string conversion:
+# no int of it can be dumped, so its digits go into the file as text
+_PAST_DIGIT_LIMIT = "1" + "0" * 5000
+
+# (file, path to the field, value, message after the file name): values
+# out of range
 OUT_OF_RANGE = {
-    "window": ("config", ("window_s",), -1, "window_s must be finite and positive, got -1.0"),
-    "rate": ("config", ("frame_rate_hz",), 0, "frame_rate_hz must be finite and positive"),
+    "window": ("config", ("window_s",), -1, ": window_s must be finite and positive, got -1.0"),
+    "rate": ("config", ("frame_rate_hz",), 0, ": frame_rate_hz must be finite and positive"),
     "cap": ("config", ("alpha_policy", "cap"), 0.5,
-            "condition-number cap must be finite and exceed 1, got 0.5"),
-    "tau_block": ("config", ("thresholds", "tau_degree"), -1, "tau_degree must be finite"),
-    "tau_file": ("thresholds", ("tau_closeness",), 0, "tau_closeness must be finite"),
-    "scenario_lanes": ("scenario", ("lane_count",), 0, "need at least one lane, got 0"),
+            ": condition-number cap must be finite and exceed 1, got 0.5"),
+    "tau_block": ("config", ("thresholds", "tau_degree"), -1, ": tau_degree must be finite"),
+    "tau_file": ("thresholds", ("tau_closeness",), 0, ": tau_closeness must be finite"),
+    "scenario_lanes": ("scenario", ("lane_count",), 0, ": need at least one lane, got 0"),
     # more lanes than any road: the simulator would allocate without bound
     "scenario_lanes_huge": ("scenario", ("lane_count",), 10**400,
-                            f"lane_count must be at most {MAX_LANE_COUNT}"),
-    "scenario_seed": ("scenario", ("seed",), -3, "seed must be non-negative, got -3"),
+                            f": lane_count must be at most {MAX_LANE_COUNT}"),
+    "scenario_lanes_past_digit_limit": (
+        "scenario", ("lane_count",), _PAST_DIGIT_LIMIT,
+        " is not valid YAML: Exceeds the limit (4300 digits) for integer string conversion",
+    ),
+    "scenario_seed": ("scenario", ("seed",), -3, ": seed must be non-negative, got -3"),
 }
 
 
 @pytest.mark.parametrize("kind", sorted(OUT_OF_RANGE))
 def test_out_of_range_value_names_its_file(kind, analyzed_run, tmp_path, capsys):
     source, path, value, message = OUT_OF_RANGE[kind]
-    assert main(_cli_with_yaml_field(source, path, value, analyzed_run, tmp_path)) == 1
+    argv = _cli_with_yaml_field(source, path, value, analyzed_run, tmp_path)
+    if value is _PAST_DIGIT_LIMIT:
+        document = tmp_path / "input.yaml"
+        document.write_text(document.read_text().replace(f"'{value}'", value))
+    assert main(argv) == 1
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}: ")
-    assert err.count("\n") == 1 and message in err
+    assert err.startswith(f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}{message}")
+    assert err.count("\n") == 1
 
 
 def test_calibration_scenarios_must_be_a_list_of_strings(tmp_path, capsys):

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 from unittest import mock
 
 import numpy as np
 import pytest
+import yaml
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -12,7 +14,9 @@ from drivestyle.errors import (
     ValidationError,
 )
 from drivestyle import ingest
+from drivestyle import scenarios as sc
 from drivestyle.centrality import CentralitySeries, series_to_csv
+from drivestyle.config import save_thresholds
 from drivestyle.evaluation import parse_annotations
 from drivestyle.ingest import (
     TrajectoryTable,
@@ -21,6 +25,8 @@ from drivestyle.ingest import (
     serialize_trajectories,
     write_text,
 )
+from drivestyle.sim import _to_yaml, save_scenario
+from drivestyle.styles import DEFAULT_THRESHOLDS
 from oracles import records, row_loop_parse, row_serialize_trajectories, row_series_to_csv
 
 HEADER = "timestamp,agent_id,agent_type,x,y"
@@ -484,3 +490,29 @@ def test_csv_writers_name_an_unwritable_path(tmp_path):
             with pytest.raises(ValidationError, match=rf"^cannot write {what} ") as exc:
                 write(data, bad)
             assert repr(str(bad)) in str(exc.value) and "\n" not in str(exc.value)
+
+
+def test_yaml_writer_writes_the_pure_python_dumpers_text(tmp_path):
+    # libyaml's emitter, where PyYAML has it, writes SafeDumper's bytes: on
+    # every packaged scenario, on agent ids that need quoting or escapes,
+    # and on a thresholds file
+    def safe_dump(mapping):
+        return yaml.dump(mapping, Dumper=yaml.SafeDumper, sort_keys=False)
+
+    packaged = (sc.overspeed_scenario, sc.overtake_scenario, sc.lane_change_scenario,
+                sc.weaving_scenario, sc.mixed_behavior_scenario,
+                sc.all_conservative_scenario, sc.congested_wave_scenario)
+    configs = [make(seed) for make in packaged for seed in range(2)]
+    configs += sc.calibration_scenarios()
+    ids = ["yes", "#x", "é", "1e3", "a\nb", "x" * 100, "null", "- a", "'q'"]
+    configs.append(replace(configs[0], spawns=[
+        replace(spawn, agent_id=agent_id) for spawn, agent_id in zip(configs[0].spawns * 9, ids)
+    ]))
+    assert len(configs[-1].spawns) == len(ids)
+    path = tmp_path / "out.yaml"
+    for config in configs:
+        save_scenario(config, path)
+        assert path.read_text(encoding="utf-8") == safe_dump(_to_yaml(config))
+    save_thresholds(replace(DEFAULT_THRESHOLDS, tau_closeness=1e-300), path)
+    payload = {**vars(DEFAULT_THRESHOLDS), "tau_closeness": 1e-300}
+    assert path.read_text(encoding="utf-8") == safe_dump(payload)

@@ -471,16 +471,92 @@ def test_list_columns_match_the_object_simulator(config):
     assert result.collisions == collisions
 
 
+@st.composite
+def cruise_worlds(draw):
+    """Cruise-only scenarios: spawn speeds and positions of 0.0 and -0.0
+    among others, speeds whose sums round, scripts that may retarget an
+    agent mid-change, name its own lane or fall on the last frame, and
+    changes shorter than a step; 0 and 1 frames and 0 spawns included."""
+    lane_count = draw(st.integers(1, 3))
+    spawns = [
+        SpawnSpec(
+            f"c{i}",
+            draw(st.sampled_from(["conservative", "aggressive"])),
+            draw(st.integers(0, lane_count - 1)),
+            draw(st.sampled_from([-0.0, 0.0, 2.5, 17.3])),
+            draw(st.sampled_from([-0.0, 0.0, 7.5, 20.1, 33.3])),
+            longitudinal="cruise",
+            mobil_enabled=draw(st.booleans()),
+        )
+        for i in range(draw(st.integers(0, 5)))
+    ]
+    timestep = draw(st.sampled_from([0.1, 0.04, 1 / 3]))
+    frames = draw(st.integers(0, 40))
+    scripts = [
+        LaneChangeScript(draw(st.sampled_from(spawns)).agent_id,
+                         draw(st.integers(0, max(frames, 1) - 1)),
+                         draw(st.integers(0, lane_count - 1)))
+        for _ in range(draw(st.integers(0, 8)) if spawns else 0)
+    ]
+    return ScenarioConfig(
+        lane_count=lane_count, road_length_m=100.0, timestep_s=timestep,
+        duration_s=frames * timestep, spawns=spawns, lane_change_scripts=scripts,
+        seed=draw(st.integers(0, 3)),
+        lane_change_duration_s=draw(st.sampled_from([0.05, 0.5, 1.0, 3.0])),
+    )
+
+
+def _cruise_world(frames, spawns, scripts):
+    return ScenarioConfig(
+        lane_count=3, road_length_m=100.0, timestep_s=0.1, duration_s=frames * 0.1,
+        spawns=[SpawnSpec(agent_id, "conservative", lane, position, speed, longitudinal="cruise")
+                for agent_id, lane, position, speed in spawns],
+        lane_change_scripts=[LaneChangeScript(*script) for script in scripts],
+        lane_change_duration_s=0.5,
+    )
+
+
+# -0.0 and 0.0 spawns, a retarget mid-change, a script to the agent's own
+# lane (mid-change and not) and one on the last frame
+_CRUISE_EDGES = _cruise_world(
+    12, [("z", 0, -0.0, -0.0), ("p", 1, 0.0, 0.0), ("m", 2, -0.0, 12.3)],
+    [("z", 0, 1), ("z", 2, 2), ("z", 3, 2), ("p", 4, 1), ("m", 1, 2), ("m", 5, 0),
+     ("p", 11, 0)],
+)
+
+
+@given(cruise_worlds())
+@example(_CRUISE_EDGES)
+@example(_cruise_world(1, [("a", 0, 5.0, 10.0)], [("a", 0, 1)]))
+@example(_cruise_world(0, [("a", 0, 5.0, 10.0)], [("a", 0, 1)]))
+@example(_cruise_world(5, [], []))
+@settings(max_examples=200, deadline=None)
+def test_cruise_only_worlds_match_the_object_simulator(config):
+    # no agent follows: the columns are built with no frame loop
+    result = run_scenario(config)
+    table, collisions = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
+    assert result.collisions == collisions == []
+
+
+def test_agent_type_column_holds_one_str():
+    # with and without a frame loop, every row's type is the same object
+    for config in (lane_change_scenario(0), calibration_scenarios()[1]):
+        table = run_scenario(config).table
+        assert len(table.agent_type) > 1 and set(table.agent_type) == {"car"}
+        assert len({id(t) for t in table.agent_type}) == 1
+
+
 def test_cruise_only_world_builds_no_lane_lists(monkeypatch):
-    # no agent follows, so no step files the lanes, takes lane-change
+    # no agent follows, so nothing steps, files the lanes, takes lane-change
     # decisions or looks for a leader, yet the scripted changes run
     def forbidden(*args):
-        raise AssertionError("lane lists built in a cruise-only world")
+        raise AssertionError("a frame loop or lane lists in a cruise-only world")
 
     config = lane_change_scenario(0)
     assert all(s.longitudinal == "cruise" for s in config.spawns)
     assert config.lane_change_scripts
-    for name in ("_lanes", "_leaders", "_mobil_pass"):
+    for name in ("_lanes", "_leaders", "_mobil_pass", "step"):
         monkeypatch.setattr(sim, name, forbidden)
     result = run_scenario(config)
     table, collisions = object_run_scenario(config)
