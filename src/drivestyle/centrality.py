@@ -296,15 +296,20 @@ def series_to_csv(series: CentralitySeries, dest=None) -> str:
 
     One row per agent-frame: agents in id order, each agent's frames
     ascending from its first, values by ``float_texts`` (degree, a running
-    count, as a float), written by ``ingest.write_csv``. Returns the text,
-    or ``""`` once it is written to the path ``dest``.
+    count, as a float), written by ``ingest.write_csv``. Each frame number
+    is formatted once where the run spans no more frames than it has rows.
+    Returns the text, or ``""`` once it is written to the path ``dest``.
     """
     agents = series.agent_ids
     code = np.repeat(np.arange(len(agents)), np.diff(series.bounds))
     frame = np.arange(len(code)) + (series.first - series.bounds[:-1])[code]
+    lo, hi = (int(frame.min()), int(frame.max())) if len(frame) else (0, -1)
+    names = list(map(str, range(lo, hi + 1))) if hi - lo < len(frame) else None
 
     def texts(rows):
-        return (map(str, frame[rows].tolist()), map(agents.__getitem__, code[rows].tolist()),
+        frames = (map(str, frame[rows].tolist()) if names is None
+                  else map(names.__getitem__, (frame[rows] - lo).tolist()))
+        return (frames, map(agents.__getitem__, code[rows].tolist()),
                 float_texts(series.closeness[rows]), float_texts(series.degree[rows]))
 
     return write_csv(dest, "frame,agent_id,closeness,degree", len(code), texts,

@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from operator import lt
 from typing import NamedTuple
 
 import numpy as np
@@ -289,15 +290,19 @@ class World:
     """One running scenario: per-agent list columns in spawn order, clock, collision log.
 
     ``law`` holds each agent's ``idm_law``; ``follows`` the positions of
-    the car-following (IDM) agents, ascending; ``mobil`` whether
-    lane-change decisions are its own (an IDM agent with MOBIL on).
+    the car-following (IDM) agents, ascending, each with its ``idm_law``;
+    ``mobil`` whether lane-change decisions are its own (an IDM agent
+    with MOBIL on), taken every ``period`` frames.
     ``lane_change`` maps the position of each agent mid-change to its
     (start, frame begun), the start a lateral position in lane units (a
     float lane index); its ``lane`` is already the target lane, which
     car-following commits to at once. ``changes`` logs every change as
     (frame, position, start, target lane), and ``ramp`` is a change's
     progress at each frame after it begins. ``scripts`` maps a frame to
-    its scripted changes, {position: target lane}.
+    its scripted changes, {position: target lane}. ``kept`` is the last
+    step's lane order while it may serve the next (see ``_kept_lanes``):
+    (ps, leaders, the length of ``changes``, behind, ahead), each agent of
+    ``behind`` next behind its partner of ``ahead`` in their lane.
     """
 
     config: ScenarioConfig
@@ -307,10 +312,12 @@ class World:
     lane: list[int]
     params: list[DriverParams]
     law: list[tuple[float, ...]]
-    follows: list[int]
+    follows: list[tuple[int, tuple[float, ...]]]
     mobil: list[bool]
+    period: int
     scripts: dict[int, dict[int, int]]
     ramp: list[float]
+    kept: tuple | None = None
     lane_change: dict[int, tuple[float, int]] = field(default_factory=dict)
     changes: list[tuple[int, int, float, int]] = field(default_factory=list)
     frame: int = 0
@@ -364,6 +371,22 @@ def _leaders(lanes, n: int) -> list[int | None]:
                 ahead = ps[k]
             leaders[ps[k - 1]] = ahead
     return leaders
+
+
+def _kept_lanes(world: World, with_xs: bool):
+    """The kept lanes, (xs if ``with_xs`` else None, ps), or None after forgetting them.
+
+    The order serves while no lane change has begun since it was kept and
+    every lane's x increases strictly along it (no pass, no tie): then the
+    stable sort gives that order, and each leader is the next agent in its lane.
+    """
+    if world.kept is not None:
+        ps, _, changes, behind, ahead = world.kept
+        get = world.x.__getitem__
+        if changes == len(world.changes) and all(map(lt, map(get, behind), map(get, ahead))):
+            return [list(map(get, members)) for members in ps] if with_xs else None, ps
+    world.kept = None
+    return None
 
 
 def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
@@ -437,27 +460,35 @@ def step(world: World) -> World:
     update and the end of finished changes. Only car-following agents
     read a leader or decide on lane changes, so a world without one
     (cruisers only) builds no lane lists; cruisers keep an acceleration of 0.
+    The last step's lane lists and leaders serve while ``_kept_lanes`` keeps them.
     """
-    cfg = world.config
-    dt = cfg.timestep_s
+    dt = world.config.timestep_s
     _scripted_changes(world)
 
-    x, speed, law, ids = world.x, world.speed, world.law, world.ids
+    x, speed, ids = world.x, world.speed, world.ids
     accels = [0.0] * len(x)
     if world.follows:
-        lanes = _lanes(world.lane, x, cfg.lane_count)
-        if world.frame % max(1, int(round(cfg.mobil_period_s / dt))) == 0:
+        decides = world.frame % world.period == 0
+        lanes = _kept_lanes(world, decides) or _lanes(world.lane, x, world.config.lane_count)
+        if decides:
             _mobil_pass(world, lanes)
-        leaders = _leaders(lanes, len(x))
-        for pos in world.follows:
+        if world.kept is not None and world.kept[2] == len(world.changes):
+            leaders = world.kept[1]
+        else:
+            leaders, ps = _leaders(lanes, len(x)), lanes[1]
+            behind = [pos for members in ps for pos in members[:-1]]
+            ahead = [pos for members in ps for pos in members[1:]]
+            world.kept = ps, leaders, len(world.changes), behind, ahead
+            _kept_lanes(world, False)  # forgets a tie: leaders walked on one differ
+        for pos, law in world.follows:
             leader = leaders[pos]
             if leader is None:
-                accels[pos] = idm_acceleration(law[pos], speed[pos])
+                accels[pos] = idm_acceleration(law, speed[pos])
                 continue
             gap = x[leader] - x[pos] - VEHICLE_LENGTH_M
             if gap <= 0.0:
                 world.collisions.append(CollisionEvent(world.frame, ids[pos], ids[leader]))
-            accels[pos] = idm_acceleration(law[pos], speed[pos], gap, speed[leader])
+            accels[pos] = idm_acceleration(law, speed[pos], gap, speed[leader])
 
     world.x = [xi + v * dt for xi, v in zip(x, speed)]
     # max(0.0, w), which is w only where w > 0.0
@@ -499,9 +530,12 @@ def build_world(config: ScenarioConfig) -> World:
         speed=[s.speed for s in spawns],
         lane=[s.lane for s in spawns],
         params=params,
-        law=list(map(idm_law, params)),
-        follows=[pos for pos, s in enumerate(spawns) if s.longitudinal == MODE_IDM],
+        law=(law := list(map(idm_law, params))),
+        follows=[(pos, law[pos]) for pos, s in enumerate(spawns) if s.longitudinal == MODE_IDM],
         mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
+        # a period of the whole run or longer decides at frame 0 alone
+        period=max(1, round(min(config.mobil_period_s / config.timestep_s,
+                                max(config.frame_count(), 1)))),
         scripts=scripts,
         ramp=_ramp(config),
     )

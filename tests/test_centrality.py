@@ -351,6 +351,14 @@ def test_series_csv_reads_back_bit_equal():
     lone = parse_trajectories(text="timestamp,agent_id,agent_type,x,y\n0.5,z,car,1.0,2.0\n",
                               frame_rate_hz=10.0)
     assert _read_back_matches(lone, 4.0)["z"].first == 5
+    # two agents 1,000 frames apart: the frames span more than the rows, and
+    # each row's frame number is formatted on its own
+    far = parse_trajectories(
+        text="timestamp,agent_id,agent_type,x,y\n0.0,a,car,0.0,0.0\n0.1,a,car,1.0,0.0\n"
+             "100.0,b,car,0.0,0.0\n100.1,b,car,1.0,0.0\n",
+        frame_rate_hz=10.0,
+    )
+    assert [s.first for s in _read_back_matches(far, 4.0).values()] == [0, 1000]
     empty = CentralitySeries([], np.empty(0, np.int64), np.zeros(1, np.int64),
                              np.empty(0), np.empty(0))
     assert series_to_csv(empty) == "frame,agent_id,closeness,degree\n"

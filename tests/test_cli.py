@@ -17,7 +17,7 @@ from drivestyle.scenarios import (
     mixed_behavior_scenario,
     suite_analysis_params,
 )
-from drivestyle.sim import MAX_LANE_COUNT, save_scenario
+from drivestyle.sim import MAX_LANE_COUNT, ScenarioConfig, SpawnSpec, save_scenario
 from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING
 from oracles import scalar_calibrate, scalar_calibration_pools
 
@@ -58,6 +58,30 @@ def test_simulate_negative_seed_exits_1_with_one_line(slc_scenario, tmp_path, ca
     assert main(argv + ["--out", str(tmp_path / "run")]) == 1
     assert capsys.readouterr().err == "error: seed must be non-negative, got -1\n"
     assert not (tmp_path / "run").exists()
+
+
+def test_simulate_decision_period_past_the_run_decides_at_frame_0_alone(tmp_path, capsys):
+    # a period of 1e308 s is 1e309 frames, past float range: it decides at
+    # frame 0 alone, as a period of the whole run does
+    def scenario(period):
+        return ScenarioConfig(
+            lane_count=2, road_length_m=500.0, timestep_s=0.1, duration_s=5.0,
+            spawns=[SpawnSpec("a", "aggressive", 0, 0.0, 30.0),
+                    SpawnSpec("c", "conservative", 0, 40.0, 10.0, longitudinal="cruise")],
+            mobil_period_s=period,
+        )
+
+    outs = []
+    for name, period in (("long", 1.0e308), ("run", 5.0)):
+        save_scenario(scenario(period), tmp_path / f"{name}.yaml")
+        outs.append(tmp_path / name)
+        argv = ["simulate", "--scenario", str(tmp_path / f"{name}.yaml"), "--out", str(outs[-1])]
+        assert main(argv) == 0
+    assert "mobil_period_s: 1.0e+308" in (tmp_path / "long.yaml").read_text()
+    assert capsys.readouterr().err == ""
+    trajectories = [(out / "trajectories.csv").read_bytes() for out in outs]
+    assert trajectories[0] == trajectories[1]
+    assert b",4.0," in trajectories[0]  # the agent changed lanes at frame 0
 
 
 def test_simulate_missing_scenario(tmp_path, capsys):
