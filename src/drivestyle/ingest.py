@@ -53,9 +53,9 @@ AGENT_TYPES = frozenset(
 
 _REQUIRED_COLUMNS = ("timestamp", "agent_id", "agent_type", "x", "y")
 
-# Guard against float products like 0.29 * 100 == 28.999... landing one frame
-# early; timestamps are only trusted to well above this resolution.
-_FLOOR_GUARD = 1e-9
+# A product like 0.29 * 100 == 28.999... within 1e-9 or 4 ulps (repr(k / rate) scaled back
+# falls up to 2 ulps short of k) below a frame moves up to it; the cap keeps times in their frames.
+_FLOOR_GUARD, _GUARD_CAP = 1e-9, 1e-3
 
 # Frame indices, of trajectories and labels alike, stay below 2**53, where
 # every one is an exact float64 and int64 value.
@@ -373,7 +373,7 @@ def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
     return len(header), columns, "vx" in columns
 
 
-@np.errstate(over="ignore")  # an overflow gives inf, as Python's float does
+@np.errstate(over="ignore", invalid="ignore")  # inf as Python's float; bad ts fail below
 def parse_trajectories(
     source=None, frame_rate_hz: float | None = None, *, text=None
 ) -> TrajectoryTable:
@@ -473,7 +473,11 @@ def parse_trajectories(
     del values
     ts, x, y, *vel = (np.concatenate(by_column.pop(0)) for _ in numeric)
     vx, vy = vel or np.zeros((2, n))
-    frame_float = np.floor(ts * frame_rate_hz + _FLOOR_GUARD)
+    product = ts * frame_rate_hz
+    frame_float = np.floor(product)  # the gap to the next frame is exact from 1 up
+    frame_float += frame_float + 1 - product <= np.fmin(
+        np.fmax(_FLOOR_GUARD, 4 * np.spacing(product)), _GUARD_CAP)
+    del product
     agents = sorted(set(ids))
     code = {agent_id: k for k, agent_id in enumerate(agents)}
     codes = np.fromiter(map(code.__getitem__, ids), np.intp, n)

@@ -6,9 +6,9 @@ out on the frame grid with 50% overlap by default and the final window
 is clamped to the run's end; a window longer than the run degenerates to
 a single window covering it. Each agent's windows come by arithmetic on
 that grid from its own first and last frame, so the cost follows the
-rows, not the frame span. Every agent-window of a run is laid out,
-fitted and scored as arrays, and the threshold-free per-agent scores
-(kept as ``RunReport.scores``) are labelled last by ``styles.label``.
+rows, not the frame span. Every agent-window of a run, its frame range
+throughout, is laid out, fitted and scored as arrays; the threshold-free
+per-agent scores (``RunReport.scores``) are labelled last by ``styles.label``.
 The window fits stay columns (``RunReport.fits``) up to ``windows.csv``;
 only the per-agent summaries (``StyleReport``, ``report.json``) are objects.
 """
@@ -168,15 +168,14 @@ def _distinct(keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def slice_times(first: np.ndarray, count: int, frame_rate_hz: float):
-    """(t_bar, tc, t0, t1) of the window slices of ``count`` frames from each of ``first``.
+    """(t_bar, tc) of the window slices of ``count`` frames from each of ``first``.
 
-    Row r samples t = (first[r] + j) / rate, j < count: its mean time,
-    the centered times, and the first and last time, each bit-equal to
-    the same step on that slice alone.
+    Row r samples t = (first[r] + j) / rate, j < count: its mean time and
+    the centered times, each bit-equal to the same step on that slice alone.
     """
     t = (first[:, None] + np.arange(count)) / frame_rate_hz
     t_bar = t.mean(axis=1)
-    return t_bar, t - t_bar[:, None], t[:, 0], t[:, -1]
+    return t_bar, t - t_bar[:, None]
 
 
 def analyze_table(
@@ -192,16 +191,16 @@ def analyze_table(
     Every agent-window is laid out as arrays (agent, first frame, sample
     count) from each agent's first and last frame; windows of fewer than
     three samples are dropped. Each distinct slice (first frame, count)
-    gets its mean time, span and centered time grid once, and each grid
-    its design once (so the alpha policy runs once per grid). Windows are
-    then taken in blocks of ``_BLOCK_WINDOWS`` by design shape: their
-    degree and closeness samples are gathered, each distinct (grid,
-    sample bits) row is solved once, in one ``fit_solve`` call per block,
-    and each distinct (solved row, slice) pair is mapped to absolute time
-    once. SLE/SIE, weaving points and the per-agent scores are taken over
-    all windows at once, then labelled at ``params.thresholds``; the fits
-    are returned as ``RunReport.fits`` columns. Raises ConditioningError
-    when a design is rank deficient at alpha = 0.
+    gets its mean time and centered time grid once, and each grid its
+    design once (so the alpha policy runs once per grid). Windows are
+    then taken in blocks of ``_BLOCK_WINDOWS`` by design shape and grid:
+    their samples are gathered, the block's designs stacked, each
+    distinct (grid, sample bits) row solved once, in one ``fit_solve``
+    call per block, and every row uncentered. SLE/SIE (at each window's
+    frames), weaving points (NaN where none) and the per-agent scores
+    are taken over all windows at once, then labelled at
+    ``params.thresholds``; the fits are returned as ``RunReport.fits``
+    columns. Raises ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -218,16 +217,16 @@ def analyze_table(
         f0, f0 + np.diff(bounds) - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
         window_frames, stride_frames)
 
-    # distinct slices: mean time, span and centered time grid; per grid its design
+    # distinct slices: mean time and centered time grid; per grid its design
     window_slice, heads = _distinct(np.column_stack([n, first]))
     slice_first, slice_n = first[heads], n[heads]
-    t_bar, t0, t1 = (np.empty(len(heads)) for _ in range(3))
+    t_bar = np.empty(len(heads))
     slice_grid = np.empty(len(heads), dtype=np.int64)
     grids: dict[bytes, int] = {}  # centered times -> grid number
     designs, grid_shape = [], []  # per grid: (alpha, kappa, A); (rows of A, samples)
     for rows in _blocks(np.argsort(slice_n, kind="stable"), slice_n):
         count = int(slice_n[rows[0]])
-        t_bar[rows], tc, t0[rows], t1[rows] = slice_times(slice_first[rows], count, f)
+        t_bar[rows], tc = slice_times(slice_first[rows], count, f)
         same, grid_heads = _distinct(tc.view(np.int64))
         local = []
         for key in map(bytes, tc[grid_heads]):
@@ -239,36 +238,36 @@ def analyze_table(
         slice_grid[rows] = np.array(local, dtype=np.int64)[same]
     del grids
 
-    # solve: windows by design shape, then grid; per block each distinct
-    # (grid, samples) row once, each distinct (row, slice) pair uncentered once
-    rank, stacks, index = _design_stacks(designs, grid_shape)
+    # solve: windows by design shape, then grid; per block the designs of
+    # its grids stacked and each distinct (grid, samples) row solved once
+    shapes: dict[tuple[int, int], int] = {}
+    shape = np.array([shapes.setdefault(s, len(shapes)) for s in grid_shape], dtype=np.int64)
     window_grid = slice_grid[window_slice]
     # agent a's sample at frame t is row offset[a] + t of the series
     offset = bounds[:-1] - f0
     degree, closeness = series.degree, series.closeness
     coefficients = np.empty((2, len(agent), 3))  # degree, closeness
-    for block in _blocks(np.lexsort((window_grid, rank[window_grid])), rank[window_grid]):
+    for block in _blocks(np.lexsort((window_grid, shape[window_grid])), shape[window_grid]):
         grid = window_grid[block]
-        gather = (offset[agent[block]] + first[block])[:, None] \
-            + np.arange(grid_shape[grid[0]][1])
+        local, grid_heads = _distinct(grid[:, None])
+        stack = np.stack([designs[g][2] for g in grid[grid_heads].tolist()])
+        gather = (offset[agent[block]] + first[block])[:, None] + np.arange(n[block[0]])
         samples = np.concatenate([degree[gather], closeness[gather]])
-        row_grid, row_slice = np.tile(grid, 2), np.tile(window_slice[block], 2)
-        solved, rows = _distinct(np.column_stack([row_grid, samples.view(np.int64)]))
-        beta = fit_solve(stacks[rank[grid[0]]][index[row_grid[rows]]], samples[rows])
-        pair, pairs = _distinct(np.column_stack([solved, row_slice]))
-        absolute = uncenter(beta[solved[pairs]], t_bar[row_slice[pairs]])
-        coefficients[:, block] = absolute[pair].reshape(2, len(block), 3)
+        local = np.tile(local, 2)
+        solved, rows = _distinct(np.column_stack([local, samples.view(np.int64)]))
+        beta = fit_solve(stack[local[rows]], samples[rows])
+        absolute = uncenter(beta[solved], np.tile(t_bar[window_slice[block]], 2))
+        coefficients[:, block] = absolute.reshape(2, len(block), 3)
 
     # scores over every window, then labels, then one report per agent
-    spans = np.column_stack([t0[window_slice], t1[window_slice]])
-    points = critical_points(coefficients[1], spans, params.epsilon_s)
-    t_c, sharpness = np.full(len(agent), np.nan), np.full(len(agent), np.nan)
-    t_c[points[0]], sharpness[points[0]] = points[1], points[2]
+    frames = np.column_stack([first, first + n - 1])
+    spans = frames / f
+    t_c, sharpness = critical_points(coefficients[1], spans, params.epsilon_s)
     alpha, kappa = np.array([d[:2] for d in designs], dtype=float).reshape(-1, 2)[window_grid].T
     fits = WindowFits(agent, *spans.T, alpha, kappa, *coefficients, t_c, sharpness)
     scores = score_agents(np.bincount(agent, minlength=len(agent_ids)), spans,
-                          *(sle_summaries(c, spans, f) for c in coefficients),
-                          points, params.epsilon_s)
+                          *(sle_summaries(c, frames, f) for c in coefficients),
+                          t_c, sharpness, params.epsilon_s)
     reports = style_reports(agent_ids, scores, label(scores, params.thresholds))
     return RunReport(frame_rate_hz=f, params=params, agents=reports, scores=scores, fits=fits)
 
@@ -296,23 +295,6 @@ def _blocks(order: np.ndarray, key: np.ndarray):
     for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
         for b in range(0, len(run), _BLOCK_WINDOWS):
             yield run[b:b + _BLOCK_WINDOWS]
-
-
-def _design_stacks(designs: list, grid_shape: list):
-    """(rank, stacks, index): grid g's matrix is stacks[rank[g]][index[g]].
-
-    One (G, m, 3) stack per distinct (rows of A, samples) shape.
-    """
-    rank = np.empty(len(designs), dtype=np.int64)
-    index = np.empty(len(designs), dtype=np.int64)
-    members: dict[tuple[int, int], list[int]] = {}
-    for g, shape in enumerate(grid_shape):
-        members.setdefault(shape, []).append(g)
-    stacks = []
-    for r, gs in enumerate(members.values()):
-        rank[gs], index[gs] = r, np.arange(len(gs))
-        stacks.append(np.stack([designs[g][2] for g in gs]))
-    return rank, stacks, index
 
 
 # ---------------------------------------------------------------------------

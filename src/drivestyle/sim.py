@@ -17,6 +17,7 @@ from __future__ import annotations
 import math
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field, replace
+from itertools import accumulate, repeat, takewhile
 from operator import lt
 from typing import NamedTuple
 
@@ -40,6 +41,9 @@ VEHICLE_LENGTH_M = 5.0
 
 # More lanes than any road has: a scenario's lane lists stay small
 MAX_LANE_COUNT = 64
+
+# Rows (frames x agents, one at least) of the largest scenario: 0.6-1.4 GB simulated
+MAX_SCENARIO_ROWS = 10**7
 
 CLASS_CONSERVATIVE = "conservative"
 CLASS_AGGRESSIVE = "aggressive"
@@ -142,6 +146,10 @@ class ScenarioConfig:
             raise ValidationError(f"seed must be non-negative, got {self.seed}")
         require_positive(self.timestep_s, "timestep_s")
         require_non_negative(self.duration_s, "duration_s")
+        steps = self.duration_s / self.timestep_s  # inf past the largest float
+        if math.isinf(steps) or self.frame_count() * max(1, len(self.spawns)) > MAX_SCENARIO_ROWS:
+            raise ValidationError(f"duration_s / timestep_s = {steps:.15g} frames x "
+                                  f"{len(self.spawns)} agents is over {MAX_SCENARIO_ROWS} rows")
         if self.lane_count < 1:
             raise ValidationError(f"need at least one lane, got {self.lane_count}")
         if self.lane_count > MAX_LANE_COUNT:
@@ -543,10 +551,8 @@ def build_world(config: ScenarioConfig) -> World:
 
 def _ramp(config: ScenarioConfig) -> list[float]:
     """Progress of a change at each frame after it begins, summed a frame at a time."""
-    rate, ramp = config.timestep_s / config.lane_change_duration_s, [0.0]
-    while (progress := ramp[-1] + rate) < 1.0 - 1e-12 and len(ramp) <= config.frame_count():
-        ramp.append(progress)
-    return ramp[1:]
+    steps = repeat(config.timestep_s / config.lane_change_duration_s, config.frame_count())
+    return list(takewhile(lambda progress: progress < 1.0 - 1e-12, accumulate(steps)))
 
 
 def run_scenario(config: ScenarioConfig) -> SimResult:

@@ -5,10 +5,11 @@ the relevant centrality polynomial, its intensity the absolute second
 derivative. Overspeeding reads the degree polynomial, overtaking and
 sudden lane-changes read the closeness polynomial (one merged style:
 the maneuvers are modeled identically), weaving counts sharp critical
-points of the closeness polynomial. Scores come first and carry no
-threshold (``score_agents``); ``label`` is the one step that applies
-thresholds to them, and an agent is conservative when no aggressive
-style crosses its threshold.
+points of the closeness polynomial. A window is sampled at its integer
+frame range and holds one critical point, NaN when it has none. Scores
+come first and carry no threshold (``score_agents``); ``label`` is the
+one step that applies thresholds to them, and an agent is conservative
+when no aggressive style crosses its threshold.
 """
 
 from __future__ import annotations
@@ -32,8 +33,6 @@ STYLES = (STYLE_OVERSPEEDING, STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING, STYLE_C
 
 LABEL_AGGRESSIVE = "aggressive"
 LABEL_CONSERVATIVE = "conservative"
-
-_GRID_GUARD = 1e-9
 
 
 @dataclass(frozen=True)
@@ -83,12 +82,13 @@ class SleArrays(NamedTuple):
     sie_max: np.ndarray
 
 
-def sle_summaries(coefficients, windows, frame_rate_hz: float) -> SleArrays:
-    """``sle_sie`` for many (coefficients, window) rows in one array pass.
+def sle_summaries(coefficients, frames, frame_rate_hz: float) -> SleArrays:
+    """``sle_sie`` for many (coefficients, frame range) rows in one array pass.
 
     Row r reads the quadratic ``coefficients[r]`` (an N x 3 array or a
     list of triples) at the frame samples t = k / rate of the closed
-    window ``windows[r]``, k0 <= k <= k1. SIE is the constant |2 b2|.
+    integer range ``frames[r]``, k0 <= k <= k1 (a float range, such as a
+    span in seconds, raises TypeError). SIE is the constant |2 b2|.
     SLE is |d(k)| with d(k) = b1 + 2 b2 (k / rate); each step of d is
     monotone under round-to-nearest, so the computed d is monotone in k
     and |d| peaks at k0 or k1, ties going to k0. When k1 wins, d may
@@ -96,15 +96,10 @@ def sle_summaries(coefficients, windows, frame_rate_hz: float) -> SleArrays:
     then is the row sampled, to find the earliest one.
     """
     f = require_positive(frame_rate_hz, "frame_rate_hz")
-    w = np.asarray(windows, dtype=float).reshape(-1, 2)
-    bad = np.flatnonzero(w[:, 1] < w[:, 0])
-    if bad.size:
-        raise ValidationError(f"empty window {tuple(w[bad[0]].tolist())}")
-    k0 = np.ceil(w[:, 0] * f - _GRID_GUARD).astype(np.int64)
-    k1 = np.floor(w[:, 1] * f + _GRID_GUARD).astype(np.int64)
+    k0, k1 = np.asarray(frames).astype(np.int64, casting="safe").reshape(-1, 2).T
     bad = np.flatnonzero(k1 < k0)
     if bad.size:
-        raise ValidationError(f"window {tuple(w[bad[0]].tolist())} holds no frame times")
+        raise ValidationError(f"empty frame range ({k0[bad[0]]}, {k1[bad[0]]})")
     b = np.asarray(coefficients, dtype=float).reshape(-1, 3)
     b1, slope = b[:, 1], 2.0 * b[:, 2]
     first = np.abs(b1 + slope * (k0 / f))
@@ -117,32 +112,29 @@ def sle_summaries(coefficients, windows, frame_rate_hz: float) -> SleArrays:
     return SleArrays(np.where(right, last, first), k / f, np.abs(slope))
 
 
-def sle_sie(
-    poly: CentralityPolynomial,
-    window: tuple[float, float],
-    frame_rate_hz: float,
-) -> SleSummary:
-    """SLE(t) = |dzeta/dt|, SIE(t) = |d2zeta/dt2| at frame resolution.
+def sle_sie(poly: CentralityPolynomial, frames: tuple[int, int],
+            frame_rate_hz: float) -> SleSummary:
+    """SLE(t) = |dzeta/dt|, SIE(t) = |d2zeta/dt2| at the frames k0..k1.
 
     For a quadratic the SLE is the absolute value of an affine function
     of t, so its window maximum sits at an endpoint; ties break toward
     the earliest sample (see ``sle_summaries``).
     """
-    arrays = sle_summaries([poly.coefficients], [window], frame_rate_hz)
+    arrays = sle_summaries([poly.coefficients], [frames], frame_rate_hz)
     return SleSummary(*(float(a[0]) for a in arrays))
 
 
 def critical_points(closeness, windows, epsilon: float):
-    """(rows, t_c, sharpness): the weaving points of many closeness quadratics.
+    """(t_c, sharpness): the weaving point of each closeness quadratic, NaN if none.
 
     Row r's candidate is the zero t_c = -b1 / (2 b2) of the first
     derivative of ``closeness[r]``, kept when b2 != 0 and t_c lies
-    strictly inside ``windows[r]``. Its sharpness is the largest
+    strictly inside ``windows[r]`` (s). Its sharpness is the largest
     |dzeta/dt| over the epsilon-ball around it, 2 |b2| epsilon; a
     candidate whose sharpness equals |b1 + 2 b2 t_c| there, as a flat
-    polynomial's does, is dropped. ``rows`` ascends. Each float step is
-    the one a Python-float evaluation of these formulas takes, so the
-    points equal the one-window scalar rule bit for bit.
+    polynomial's does, is dropped. Each float step is the one a
+    Python-float evaluation of these formulas takes, so the points
+    equal the one-window scalar rule bit for bit.
     """
     require_positive(epsilon, "epsilon")
     b = np.asarray(closeness, dtype=float).reshape(-1, 3)
@@ -154,8 +146,7 @@ def critical_points(closeness, windows, epsilon: float):
         sharpness = 2.0 * np.abs(b2) * epsilon
         keep = (b2 != 0.0) & (w[:, 0] < t_c) & (t_c < w[:, 1])
         keep &= sharpness != np.abs(b1 + 2.0 * b2 * t_c)
-    rows = np.flatnonzero(keep)
-    return rows, t_c[rows], sharpness[rows]
+    return np.where(keep, t_c, np.nan), np.where(keep, sharpness, np.nan)
 
 
 def detect_weaving(
@@ -167,15 +158,15 @@ def detect_weaving(
 
     The one-window form of ``critical_points``.
     """
-    _, t_c, sharpness = critical_points([closeness], [window], epsilon)
-    return list(zip(t_c.tolist(), sharpness.tolist()))
+    (t_c,), (sharpness,) = critical_points([closeness], [window], epsilon)
+    return [] if np.isnan(t_c) else [(float(t_c), float(sharpness))]
 
 
 class WindowFits(NamedTuple):
     """Every agent-window's fits as columns, agent-major.
 
-    A window's degree and closeness fits share its span (s), alpha and
-    condition number; their coefficients are N x 3 absolute-time (b0, b1, b2).
+    A window's degree and closeness fits share its span (two frame times, s),
+    alpha and condition number; their coefficients are N x 3 absolute-time (b0, b1, b2).
     """
 
     agent: np.ndarray  # code into the run's sorted agent ids
@@ -254,12 +245,12 @@ class Labels(NamedTuple):
 
 
 def score_agents(counts, spans, degree_sle: SleArrays, closeness_sle: SleArrays,
-                 points, epsilon: float) -> AgentScores:
+                 t_c, sharpness, epsilon: float) -> AgentScores:
     """The threshold-free scores of many agents from their windows' scores.
 
     Rows are agent-major: agent i owns the next ``counts[i]`` rows of the
-    (N x 2) ``spans`` and of the two ``SleArrays``; ``points`` is
-    ``critical_points``' (rows, t_c, sharpness) over them. A style's best
+    (N x 2) ``spans``, of the two ``SleArrays`` and of ``critical_points``'
+    ``t_c`` and ``sharpness``, NaN where a window has no point. A style's best
     window has the largest SLE maximum, earliest t_SLE on ties. Critical
     points from overlapping windows merge: in (agent, t_c) order a point
     within ``epsilon`` of its agent's previous point joins that point's
@@ -283,9 +274,9 @@ def score_agents(counts, spans, degree_sle: SleArrays, closeness_sle: SleArrays,
     run = np.zeros((n, 2))
     run[has, 0] = _reduce(np.minimum, spans[:, 0], heads)
     run[has, 1] = _reduce(np.maximum, spans[:, 1], heads)
-    rows, t_c, sharpness = points
+    rows = np.flatnonzero(~np.isnan(t_c))
     return AgentScores(counts, run, best(degree_sle), best(closeness_sle),
-                       *_merge(owner[rows], t_c, sharpness, epsilon))
+                       *_merge(owner[rows], t_c[rows], sharpness[rows], epsilon))
 
 
 def _merge(owner, t_c, sharpness, epsilon: float):
@@ -363,10 +354,11 @@ def classify(agent_id: str, fits: WindowFits, frame_rate_hz: float,
              thresholds: Thresholds, epsilon: float) -> StyleReport:
     """One agent's style report from its window columns: ``score_agents`` and ``label``."""
     spans = np.column_stack([fits.start_s, fits.end_s])
-    rows = np.flatnonzero(~np.isnan(fits.t_c))
+    f = require_positive(frame_rate_hz, "frame_rate_hz")
+    frames = np.rint(spans * f).astype(np.int64)  # a span is two frame times
     scores = score_agents(
         [len(spans)], spans,
-        *(sle_summaries(c, spans, frame_rate_hz) for c in (fits.degree, fits.closeness)),
-        (rows, fits.t_c[rows], fits.sharpness[rows]), epsilon,
+        *(sle_summaries(c, frames, f) for c in (fits.degree, fits.closeness)),
+        fits.t_c, fits.sharpness, epsilon,
     )
     return style_reports([agent_id], scores, label(scores, thresholds))[0]

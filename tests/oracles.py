@@ -33,7 +33,7 @@ import numpy as np
 from drivestyle.calibrate import _POSITIVE_FLOOR, PERCENTILE
 from drivestyle.centrality import compute_series
 from drivestyle.errors import TrajectoryParseError, ValidationError
-from drivestyle.ingest import _FLOOR_GUARD, AGENT_TYPES, TrajectoryTable
+from drivestyle.ingest import _FLOOR_GUARD, _GUARD_CAP, AGENT_TYPES, TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, RunReport, analyze_table, frame_windows
 from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
 from drivestyle.sim import (
@@ -68,8 +68,15 @@ from drivestyle.styles import (
 
 
 def frame_index(timestamp, frame_rate_hz):
-    """Discrete frame index of a timestamp: floor(timestamp * rate), guarded."""
-    return int(math.floor(timestamp * frame_rate_hz + _FLOOR_GUARD))
+    """Discrete frame index of a timestamp: floor(timestamp * rate), guarded.
+
+    A product within 1e-9 or 4 ulps (whichever is larger, at most 1e-3)
+    below the next integer is read as that integer.
+    """
+    product = timestamp * frame_rate_hz
+    frame = math.floor(product)
+    guard = min(max(_FLOOR_GUARD, 4 * math.ulp(product)), _GUARD_CAP)
+    return frame + (frame + 1 - product <= guard)
 
 
 class AgentFrame(NamedTuple):
@@ -185,7 +192,8 @@ def row_loop_parse(text, frame_rate_hz):
             raise TrajectoryParseError(f"non-finite timestamp {ts}", line_no)
         if ts < 0:
             raise TrajectoryParseError(f"negative timestamp {ts}", line_no)
-        if ts * frame_rate_hz + 1e-9 >= 2.0**53:
+        # no guard lifts a product below 2**53 to it: floats there are whole
+        if ts * frame_rate_hz >= 2.0**53:
             raise TrajectoryParseError(
                 f"timestamp {ts} at {frame_rate_hz} Hz is past frame index 2**53",
                 line_no,
@@ -422,24 +430,23 @@ def central_difference(fn, t, h=1e-5):
     return (fn(t + h) - fn(t - h)) / (2.0 * h)
 
 
-def sample_sle_sie(poly, window, frame_rate_hz):
-    """(times, SLE, SIE) of one polynomial at every frame sample of a window.
+def sample_sle_sie(poly, frames, frame_rate_hz):
+    """(times, SLE, SIE) of one polynomial at every frame of a frame range.
 
-    The samples are t = k / rate for every integer k in the closed window,
-    its ends snapped to the frame grid within 1e-9 of a frame; SLE and SIE
-    are the absolute first and second derivatives there.
+    The samples are t = k / rate for every integer k in the closed range
+    ``frames`` = (k0, k1); SLE and SIE are the absolute first and second
+    derivatives there.
     """
-    k0 = math.ceil(window[0] * frame_rate_hz - 1e-9)
-    k1 = math.floor(window[1] * frame_rate_hz + 1e-9)
+    k0, k1 = frames
     times = np.arange(k0, k1 + 1) / frame_rate_hz
     sle = np.abs(derivative(poly, 1).evaluate(times))
     sie = np.abs(derivative(poly, 2).evaluate(times))
     return times, sle, sie
 
 
-def sampled_sle(poly, window, frame_rate_hz) -> SleSummary:
+def sampled_sle(poly, frames, frame_rate_hz) -> SleSummary:
     """The SLE/SIE maxima over every sample; the earliest SLE tie wins."""
-    times, sle, sie = sample_sle_sie(poly, window, frame_rate_hz)
+    times, sle, sie = sample_sle_sie(poly, frames, frame_rate_hz)
     k = int(np.argmax(sle))
     return SleSummary(
         sle_max=float(sle[k]), t_sle=float(times[k]), sie_max=float(sie.max())
@@ -629,8 +636,8 @@ def per_window_analyze(table, params=None, series=None):
                     ),
                 )
             )
-            degree_sle.append(sampled_sle(deg_poly, span, f))
-            closeness_sle.append(sampled_sle(clo_poly, span, f))
+            degree_sle.append(sampled_sle(deg_poly, (frames[i], frames[j - 1]), f))
+            closeness_sle.append(sampled_sle(clo_poly, (frames[i], frames[j - 1]), f))
         reports.append(scalar_classify(
             agent_id, analyses, degree_sle, closeness_sle,
             params.thresholds, params.epsilon_s,

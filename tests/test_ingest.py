@@ -133,11 +133,35 @@ def test_gap_in_frame_run_rejected():
 
 
 def test_frame_index_guard_against_float_product():
-    # 0.29 * 100 is 28.999999999999996: only the guard lifts it to frame 29
-    cases = ((0.7, 10.0, 7), (4.1, 10.0, 41), (1.15, 20.0, 23), (0.29, 100.0, 29))
+    # 0.29 * 100 is 28.999999999999996: only the guard lifts it to frame 29;
+    # at 2**49 an ulp is 0.125, and 2**49 + 0.625 is 3 ulps short of the
+    # next frame but a time inside its own, which the capped guard keeps
+    cases = ((0.7, 10.0, 7), (4.1, 10.0, 41), (1.15, 20.0, 23), (0.29, 100.0, 29),
+             (2**49 + 0.625, 1.0, 2**49))
     for ts, rate, frame in cases:
         table = parse_trajectories(text=f"{HEADER}\n{ts!r},a,car,0,0\n", frame_rate_hz=rate)
         assert table.frame.tolist() == [frame]
+
+
+@pytest.mark.parametrize("rate, frames", [
+    # repr(k / 25) read back times 25 falls up to 2 ulps short of k, far
+    # more than 1e-9 at frame 8.6e8; the guard grows with the product
+    (25.0, 860_000_000 + np.arange(200)),
+    # 4 ulps of the product are a whole frame or more here: the cap keeps
+    # frame k off k + 1, and 2**53 - 1 below the 2**53 limit
+    (1.0, 2**50 + np.arange(-1, 1)),
+    (1.0, 2**52 + np.arange(-1, 1)),
+    (1.0, 2**53 + np.arange(-2, 0)),
+])
+def test_large_frame_timestamps_round_trip_on_their_frames(rate, frames):
+    text = HEADER + "\n" + "".join(
+        f"{k / rate!r},a,car,{0.1 * j!r},0\n" for j, k in enumerate(frames.tolist()))
+    table = parse_trajectories(text=text, frame_rate_hz=rate)
+    assert table.frame.tolist() == frames.tolist()
+    assert records(table) == records(row_loop_parse(text, rate))
+    again = parse_trajectories(text=serialize_trajectories(table), frame_rate_hz=rate)
+    assert again.frame.tolist() == frames.tolist()
+    assert again.timestamp.tobytes() == table.timestamp.tobytes()
 
 
 def test_interior_speeds_match_displacement_rate():

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import math
 import tracemalloc
 from collections import Counter, defaultdict
 from dataclasses import replace
@@ -332,9 +333,8 @@ def test_constant_degree_windows_match_oracle_exactly():
     assert_equals_oracle(report, per_window_analyze(table, params))
     rows = report.agent("a0").windows
     fits = report.fits
-    noise = sle_summaries(
-        fits.degree[rows], np.column_stack([fits.start_s, fits.end_s])[rows], 10.0
-    ).sle_max.tolist()
+    frames = np.rint(np.column_stack([fits.start_s, fits.end_s])[rows] * 10.0).astype(int)
+    noise = sle_summaries(fits.degree[rows], frames, 10.0).sle_max.tolist()
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
 
@@ -434,11 +434,13 @@ def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):
     rate=st.sampled_from([1.0, 3.0, 10.0, 29.97, 1e4]) | st.floats(0.01, 1e5),
 )
 def test_row_mean_times_equal_per_slice_mean_bit_for_bit(firsts, count, rate):
-    t_bar, tc, t0, t1 = pipeline.slice_times(np.array(firsts), count, rate)
+    t_bar, tc = pipeline.slice_times(np.array(firsts), count, rate)
+    spans = np.column_stack([firsts, np.array(firsts) + count - 1]) / rate
     for r, first in enumerate(firsts):
         t = np.arange(first, first + count) / rate
         mean = float(t.mean())
-        assert (t_bar[r], t0[r], t1[r]) == (mean, float(t[0]), float(t[-1]))
+        # a window's span in seconds is its frame range over the rate
+        assert (t_bar[r], *spans[r]) == (mean, float(t[0]), float(t[-1]))
         assert tc[r].tobytes() == (t - mean).tobytes()
 
 
@@ -457,6 +459,23 @@ def test_run_mixing_alpha_0_and_alpha_above_0_designs_matches_oracle():
     kinds = {(round((end - start) * 10) + 1, alpha > 0) for start, end, alpha
              in zip(fits.start_s.tolist(), fits.end_s.tolist(), fits.alpha.tolist())}
     assert {(5, True), (8, False), (11, False)} <= kinds
+
+
+def test_windows_at_large_frame_indices_keep_their_frames():
+    # a 25 Hz recording from frame 8.6e8, timestamps mid-frame: there
+    # (k / 25) * 25 is not always k, so a window read back from its span in
+    # seconds can lose a frame at either end; the SLE samples its own frames
+    f, base = 25.0, 860_000_000
+    rows = ["timestamp,agent_id,agent_type,x,y"]
+    for n in range(12):
+        first, speed, y = 7 * n, 4.0 + 3.0 * (n % 4), 3.0 * (n % 3)
+        for k in range(first, first + 150 - 5 * n):
+            x = 10.0 * n + speed * (k - first) / f + 2.0 * math.sin(0.05 * k + n)
+            rows.append(f"{(base + k + 0.5) / f!r},v{n:02d},car,{x!r},{y!r}")
+    table = parse_trajectories(text="\n".join(rows) + "\n", frame_rate_hz=f)
+    assert table.span() == (base, base + 171)
+    params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
+    assert_equals_oracle(analyze_table(table, params), per_window_analyze(table, params))
 
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():

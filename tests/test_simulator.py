@@ -858,6 +858,35 @@ def test_scenario_keys_left_out_take_the_dataclass_defaults(tmp_path):
         load_scenario(path)
 
 
+CRUISER = "agents:\n  - {id: c, class: conservative, lane: 0, position: 0, speed: 20, " \
+    "longitudinal: cruise}\n"
+
+
+@pytest.mark.parametrize("text", [
+    "duration_s: 1.0e+308\n",  # the frame count overflows to inf
+    "duration_s: 1.0e+12\n" + CRUISER,  # 1e13 frames, each a row
+    "duration_s: 1.0e+9\nlane_change_duration_s: 1.0e+12\n",  # no agents; a long ramp
+], ids=["inf_frames", "cruiser", "ramp"])
+def test_scenario_too_long_to_simulate_is_rejected_on_load(tmp_path, text):
+    path = tmp_path / "scenario.yaml"
+    path.write_text("lane_count: 1\nroad_length_m: 100\ntimestep_s: 0.1\n" + text)
+    with pytest.raises(ValidationError, match=r"^.*duration_s / timestep_s = .* rows$"):
+        load_scenario(path)
+
+
+def test_scenario_rows_are_bounded_by_frames_times_agents():
+    spawns = [SpawnSpec(k, "conservative", 0, 0.0, 1.0, longitudinal="cruise") for k in "ab"]
+    frames = sim.MAX_SCENARIO_ROWS // 2
+    config = ScenarioConfig(lane_count=1, road_length_m=100.0, timestep_s=1.0,
+                            duration_s=float(frames), spawns=spawns)
+    config.validate()
+    with pytest.raises(ValidationError, match=f"{frames + 1} frames x 2 agents"):
+        replace(config, duration_s=frames + 1.0).validate()
+    replace(config, spawns=[], duration_s=2.0 * frames).validate()  # one row per frame
+    with pytest.raises(ValidationError, match="x 0 agents"):
+        replace(config, spawns=[], duration_s=2.0 * frames + 1).validate()
+
+
 def test_labels_round_trip(tmp_path):
     labels = [ManeuverLabel("a", "OS", 10, 20), ManeuverLabel("b", "W", 5, 9)]
     path = tmp_path / "labels.csv"

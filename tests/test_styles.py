@@ -44,13 +44,13 @@ def poly(b0, b1, b2):
 
 def test_constant_polynomial_zero_sle_sie():
     p = poly(5.0, 0.0, 0.0)
-    _, sle, sie = sample_sle_sie(p, (0.0, 2.0), 1.0)
+    _, sle, sie = sample_sle_sie(p, (0, 2), 1.0)
     assert not sle.any() and not sie.any()
-    assert sle_sie(p, (0.0, 2.0), 1.0).sle_max == 0.0
+    assert sle_sie(p, (0, 2), 1.0).sle_max == 0.0
 
 
 def test_linear_polynomial_ties_break_earliest():
-    s = sle_sie(poly(0.0, 3.0, 0.0), (0.0, 2.0), 1.0)
+    s = sle_sie(poly(0.0, 3.0, 0.0), (0, 2), 1.0)
     assert s.sle_max == 3.0
     assert s.t_sle == 0.0
     assert s.sie_max == 0.0
@@ -58,18 +58,18 @@ def test_linear_polynomial_ties_break_earliest():
 
 def test_quadratic_polynomial_endpoint_max():
     p = poly(0.0, 0.0, 1.0)
-    s = sle_sie(p, (0.0, 2.0), 1.0)
+    s = sle_sie(p, (0, 2), 1.0)
     assert s.sle_max == 4.0
     assert s.t_sle == 2.0
-    assert (sample_sle_sie(p, (0.0, 2.0), 1.0)[2] == 2.0).all()
+    assert (sample_sle_sie(p, (0, 2), 1.0)[2] == 2.0).all()
 
 
 @pytest.mark.parametrize(
     "coefficients", [(0.0, 3.0, 0.0), (0.0, 0.0, 1.0), (1.0, 2.0, -1.5), (5.0, 0.0, 0.0)]
 )
 def test_derived_sle_curve_peaks_at_t_sle(coefficients):
-    s = sle_sie(poly(*coefficients), (0.0, 2.0), 4.0)
-    times, sle, sie = sample_sle_sie(poly(*coefficients), (0.0, 2.0), 4.0)
+    s = sle_sie(poly(*coefficients), (0, 8), 4.0)
+    times, sle, sie = sample_sle_sie(poly(*coefficients), (0, 8), 4.0)
     assert len(times) == len(sle) == len(sie) == 9
     assert sle.max() == s.sle_max
     assert times[sle == s.sle_max][0] == s.t_sle
@@ -89,7 +89,7 @@ coefficient = st.floats(-50, 50, allow_nan=False)
 
 
 def sle_row(kind, b0, x, y, k, n, f):
-    """(polynomial, window) of one row; see the test below for the kinds."""
+    """(polynomial, frame range) of one row; see the test below for the kinds."""
     if kind == "near_linear":
         b1, b2 = x, x * y * 1e-18
     elif kind == "symmetric":
@@ -97,7 +97,7 @@ def sle_row(kind, b0, x, y, k, n, f):
         b1 = -2.0 * b2 * ((2 * k + n) / (2.0 * f))  # vertex at the window centre
     else:
         b1, b2 = x, y
-    return poly(b0, b1, b2), (k / f, (k + n) / f)
+    return poly(b0, b1, b2), (k, k + n)
 
 
 @settings(max_examples=300, deadline=None)
@@ -111,18 +111,18 @@ def sle_row(kind, b0, x, y, k, n, f):
     f=st.sampled_from([1.0, 2.0, 4.0, 10.0, 25.0, 30.0]),
 )
 def test_batched_rows_equal_one_window_sampling(rows, f):
-    # the closed form against the per-frame oracle, on unequal windows.
+    # the closed form against the per-frame oracle, on unequal frame ranges.
     # Near-linear rows (|b2| ~ 1e-18 |b1|) move d(k) = b1 + 2 b2 k / f by a
     # few ulps across the window, so the right end often wins on a rounding
     # plateau that starts before it; symmetric rows tie |d| at both ends
     # exactly at 1, 2 and 4 Hz, where the earlier end must win
     pairs = [sle_row(*row, f) for row in rows]
     polys = [p for p, _ in pairs]
-    windows = [w for _, w in pairs]
+    frames = [k for _, k in pairs]
     coefficients = [p.coefficients for p in polys]
-    for s, (p, window) in zip(summary_rows(sle_summaries(coefficients, windows, f)), pairs):
-        assert s == summary_tuple(sle_sie(p, window, f)) == (
-            summary_tuple(sampled_sle(p, window, f))
+    for s, (p, k) in zip(summary_rows(sle_summaries(coefficients, frames, f)), pairs):
+        assert s == summary_tuple(sle_sie(p, k, f)) == (
+            summary_tuple(sampled_sle(p, k, f))
         )
 
 
@@ -134,30 +134,31 @@ def test_unequal_windows_in_one_batch_and_earliest_tie_wins():
     # t_sle is the plateau's first sample
     polys = [poly(0.0, 1.0, 0.5), poly(7.0, 0.0, 0.0), poly(0.0, -2.0, 0.0),
              poly(0.0, -2.0, 0.5), poly(0.0, 1.0, 1e-17)]
-    windows = [(0.0, 2.0), (0.5, 0.8), (1.0, 1.3), (1.0, 3.0), (0.0, 10.0)]
-    summaries = summary_rows(sle_summaries([p.coefficients for p in polys], windows, 10.0))
+    frames = [(0, 20), (5, 8), (10, 13), (10, 30), (0, 100)]
+    summaries = summary_rows(sle_summaries([p.coefficients for p in polys], frames, 10.0))
     rising, flat, linear, vee, plateau = summaries
     assert flat == (0.0, 0.5, 0.0)
     assert linear[:2] == (2.0, 1.0)
     assert rising[:2] == (3.0, 2.0)
     assert vee == (1.0, 1.0, 1.0)
     assert plateau[:2] == (1.0 + 2.0**-52, 5.6)
-    for (sle_max, t_sle, _), p, window in zip(summaries, polys, windows):
-        times, sle, _ = sample_sle_sie(p, window, 10.0)
-        assert (times[0], times[-1]) == window
+    for (sle_max, t_sle, _), p, (k0, k1) in zip(summaries, polys, frames):
+        times, sle, _ = sample_sle_sie(p, (k0, k1), 10.0)
+        assert (times[0], times[-1]) == (k0 / 10.0, k1 / 10.0)
         assert sle.max() == sle_max
         assert times[sle == sle_max][0] == t_sle
 
 
 def test_batched_sampling_rejects_windows_without_samples():
     rows = [(0.0, 1.0, 0.0)] * 2
-    with pytest.raises(ValidationError, match=r"empty window \(2.0, 1.0\)"):
-        sle_summaries(rows, [(0.0, 1.0), (2.0, 1.0)], 10.0)
-    with pytest.raises(ValidationError, match="holds no frame times"):
+    with pytest.raises(ValidationError, match=r"empty frame range \(20, 10\)"):
+        sle_summaries(rows, [(0, 10), (20, 10)], 10.0)
+    # a window in seconds is not a frame range
+    with pytest.raises(TypeError, match="safe"):
         sle_summaries(rows, [(0.0, 1.0), (0.01, 0.09)], 10.0)
     for rate in (0.0, math.nan, math.inf):
         with pytest.raises(ValidationError, match="frame_rate_hz"):
-            sle_sie(poly(*rows[0]), (0.0, 1.0), rate)
+            sle_sie(poly(*rows[0]), (0, 10), rate)
 
 
 def test_weaving_vertex_and_sharpness():
@@ -238,8 +239,8 @@ def test_array_merge_equals_scalar_merge(agents, epsilon):
     zeros = SleArrays(*(np.zeros(len(flat)) for _ in range(3)))
     scores = score_agents(
         counts, [(0.0, 3.0)] * len(flat), zeros, zeros,
-        (np.arange(len(flat)), np.array([p[0] for p in flat], dtype=float),
-         np.array([p[1] for p in flat], dtype=float)),
+        np.array([p[0] for p in flat], dtype=float),
+        np.array([p[1] for p in flat], dtype=float),
         epsilon,
     )
     for n, points in enumerate(agents):
@@ -326,8 +327,8 @@ def test_scaling_leaves_argmax_fixed():
     z = 0.2 + 0.05 * t + 0.4 * t * t + rng.normal(0, 0.01, t.size)
     base = fit_samples(t, z, FixedAlpha(0.0))
     scaled = fit_samples(t, 7.5 * z, FixedAlpha(0.0))
-    s_base = sle_sie(base, (0.0, 3.0), 5.0)
-    s_scaled = sle_sie(scaled, (0.0, 3.0), 5.0)
+    s_base = sle_sie(base, (0, 15), 5.0)
+    s_scaled = sle_sie(scaled, (0, 15), 5.0)
     assert s_scaled.t_sle == s_base.t_sle
     assert s_scaled.sle_max == pytest.approx(7.5 * s_base.sle_max, rel=1e-9)
     assert s_scaled.sie_max == pytest.approx(7.5 * s_base.sie_max, rel=1e-9)
@@ -354,8 +355,8 @@ def test_faster_neighbor_accumulation_dominates():
     t = np.linspace(0.0, 4.0, 20)
     slow = fit_samples(t, 1.0 * t, FixedAlpha(0.0))
     fast = fit_samples(t, 2.0 * t, FixedAlpha(0.0))
-    s_slow = sle_sie(slow, (0.0, 4.0), 5.0)
-    s_fast = sle_sie(fast, (0.0, 4.0), 5.0)
+    s_slow = sle_sie(slow, (0, 20), 5.0)
+    s_fast = sle_sie(fast, (0, 20), 5.0)
     assert s_fast.sle_max >= s_slow.sle_max
 
 
@@ -385,8 +386,10 @@ def test_array_weaving_equals_scalar_oracle(rows, epsilon):
         windows.append((w0, w0 + width))
     expected = [(r, p) for r, (c, w) in enumerate(zip(closeness, windows))
                 for p in scalar_detect_weaving(c, w, epsilon)]
-    rows, t_c, sharpness = critical_points(closeness, windows, epsilon)
-    assert list(zip(rows.tolist(), zip(t_c.tolist(), sharpness.tolist()))) == expected
+    t_c, sharpness = critical_points(closeness, windows, epsilon)
+    rows = np.flatnonzero(~np.isnan(t_c))
+    assert np.isnan(sharpness).tolist() == np.isnan(t_c).tolist()
+    assert list(zip(rows.tolist(), zip(t_c[rows].tolist(), sharpness[rows].tolist()))) == expected
     assert [detect_weaving(c, w, epsilon) for c, w in zip(closeness, windows)] == [
         scalar_detect_weaving(c, w, epsilon) for c, w in zip(closeness, windows)]
 
@@ -430,14 +433,14 @@ def test_per_agent_aggregate_equals_scalar_rule(agents):
             scalar_classify(f"a{n}", mine, sle[0][k:], sle[1][k:], THRESHOLDS, 0.5),
             windows=range(k, k + len(mine))))
         windows += mine
-    points = [(r, p) for r, w in enumerate(windows) for p in w.weaving_points]
+    # at most one point per window: NaN-marked columns
+    points = [(w.weaving_points or [(math.nan, math.nan)])[0] for w in windows]
+    t_c, sharpness = np.array(points, dtype=float).reshape(-1, 2).T
     scores = score_agents(
         [len(rows) for rows in agents], spans,
         *(SleArrays(*(np.array([getattr(s, name) for s in rows], dtype=float)
                       for name in SleArrays._fields)) for rows in sle),
-        (np.array([r for r, _ in points], dtype=np.int64),
-         np.array([p[0] for _, p in points]), np.array([p[1] for _, p in points])),
-        0.5,
+        t_c, sharpness, 0.5,
     )
     reports = style_reports([f"a{n}" for n in range(len(agents))], scores,
                             label(scores, THRESHOLDS))
