@@ -50,9 +50,11 @@ def _edge_key(a: str, b: str) -> tuple[str, str]:
 def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
     """Every same-frame vertex pair with squared distance < mu, as arrays.
 
-    ``frames``, ``x`` and ``y`` hold one entry per vertex. A stable sort
-    by (frame, x) puts each frame's vertices in one run, in x order, and
-    the sweep pairs sorted positions ``(p, p + k)`` for k = 1, 2, ...: a
+    ``frames``, ``x`` and ``y`` hold one entry per vertex; ``frames``
+    ascends, as a table's does. A stable sort by (frame run, x) puts each
+    frame's vertices in one run, in x order: the frame run numbers sort as
+    the frames do and, up to 2**16 runs, are a uint16 key that numpy sorts
+    by radix. The sweep pairs sorted positions ``(p, p + k)`` for k = 1, 2, ...: a
     pair is an edge iff it is in one frame, ``dx*dx < mu`` and its cost
     ``(x_p - x_q)**2 + (y_p - y_q)**2 < mu``. A pair that fails the first
     two tests fails them at every larger offset too (x is sorted within a
@@ -63,8 +65,13 @@ def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
     Returns ``(order, p, q, cost)``: the sort order of the vertices, and
     each edge as sorted positions ``p < q`` with its cost.
     """
-    order = np.lexsort((x, frames))
-    fs, xs, ys = frames[order], x[order], y[order]
+    key, step = frames, frames[1:] != frames[:-1]
+    if np.count_nonzero(step) < 2**16:  # at most 2**16 runs: a uint16 key
+        key = np.zeros(len(frames), np.uint16)
+        np.cumsum(step, dtype=np.uint16, out=key[1:])
+    del step
+    order = np.lexsort((x, key))
+    fs, xs, ys = key[order], x[order], y[order]
     ps, qs, costs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     squares = np.empty(len(order))  # each offset's dx*dx, in one buffer
     for k in range(1, len(order)):

@@ -35,7 +35,7 @@ from collections.abc import Iterable, Iterator, Mapping
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import cache
-from itertools import chain, islice, repeat
+from itertools import chain, islice
 
 import numpy as np
 import yaml
@@ -399,6 +399,8 @@ def parse_trajectories(
     4. a stream without a header or without data rows: ValidationError.
 
     Before any of these, a file that cannot be read raises ``read_source``'s.
+    Field counts are checked once per chunk of lines, on its cells split at
+    once; a chunk that fails is read again row by row for the error.
     """
     require_positive(frame_rate_hz, "frame_rate_hz")
     # per chunk of lines, its first row and its rows' line numbers (a range
@@ -426,16 +428,20 @@ def parse_trajectories(
             """Append the rows ``body`` as columns; ValueError if one does not split."""
             if not body:
                 return
-            if set(map(str.count, body, repeat(","))) != {n_fields - 1}:
+            # rows joined by a "\n" cell, which no row holds: each row has
+            # n_fields fields iff every (n_fields + 1)-th cell is one of them
+            cells = ",\n,".join(body).split(",")
+            width = n_fields + 1
+            if (len(cells) != width * len(body) - 1
+                    or cells[n_fields::width].count("\n") != len(body) - 1):
                 raise ValueError
-            cells = ",".join(body).split(",")
             values.append([
-                np.fromiter(map(float, map(str.strip, cells[j::n_fields])), float, len(body))
+                np.fromiter(map(float, map(str.strip, cells[j::width])), float, len(body))
                 for j in numeric
             ])
             # interned, so the lists hold one string per distinct id and type
-            ids.extend(map(sys.intern, map(str.strip, cells[id_col::n_fields])))
-            types.extend(map(sys.intern, map(str.strip, cells[type_col::n_fields])))
+            ids.extend(map(sys.intern, map(str.strip, cells[id_col::width])))
+            types.extend(map(sys.intern, map(str.strip, cells[type_col::width])))
 
         def split_error(row: str) -> str | None:
             """Why ``row`` does not split into its fields and numbers, if it does not."""
@@ -574,14 +580,15 @@ def parse_trajectories(
 def float_texts(values: np.ndarray) -> list[str]:
     """``repr`` of each float64 value, as ``list(map(repr, values.tolist()))``.
 
-    Where at most half the values are distinct, each distinct bit pattern
-    is formatted once: ``repr`` of a 17-digit double is the writers' main
-    cost, and columns such as timestamps or degrees repeat. The patterns
-    are told apart as int64, so 0.0 and -0.0 stay apart.
+    Where at most 9/10 of the values are distinct, each distinct bit
+    pattern is formatted once: ``repr`` of a 17-digit double is the
+    writers' main cost, and columns such as timestamps, degrees or window
+    fits repeat. The patterns are told apart as int64, so 0.0 and -0.0
+    stay apart.
     """
     values = np.asarray(values, dtype=np.float64)
     bits, where = np.unique(values.view(np.int64), return_inverse=True)
-    if 2 * len(bits) > len(values):
+    if 10 * len(bits) > 9 * len(values):
         return list(map(repr, values.tolist()))
     texts = list(map(repr, bits.view(np.float64).tolist()))
     return list(map(texts.__getitem__, where.tolist()))

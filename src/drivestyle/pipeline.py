@@ -30,7 +30,7 @@ from .regression import (
     DEFAULT_ALPHA_POLICY,
     POLY_DEGREE,
     alpha_policy_spec,
-    fit_design,
+    fit_designs,
     fit_solve,
     make_alpha_policy,
     uncenter,
@@ -192,7 +192,8 @@ def analyze_table(
     count) from each agent's first and last frame; windows of fewer than
     three samples are dropped. Each distinct slice (first frame, count)
     gets its mean time and centered time grid once, and each grid its
-    design once (so the alpha policy runs once per grid). Windows are
+    design once (so the alpha policy runs once per grid), the new grids of
+    each sample count in one ``fit_designs`` call. Windows are
     then taken in blocks of ``_BLOCK_WINDOWS`` by design shape and grid:
     their samples are gathered, the block's designs stacked, each
     distinct (grid, sample bits) row solved once, in one ``fit_solve``
@@ -223,25 +224,26 @@ def analyze_table(
     t_bar = np.empty(len(heads))
     slice_grid = np.empty(len(heads), dtype=np.int64)
     grids: dict[bytes, int] = {}  # centered times -> grid number
-    designs, grid_shape = [], []  # per grid: (alpha, kappa, A); (rows of A, samples)
+    designs = []  # per grid: (alpha, kappa, A)
     for rows in _blocks(np.argsort(slice_n, kind="stable"), slice_n):
         count = int(slice_n[rows[0]])
         t_bar[rows], tc = slice_times(slice_first[rows], count, f)
         same, grid_heads = _distinct(tc.view(np.int64))
-        local = []
-        for key in map(bytes, tc[grid_heads]):
-            if key not in grids:
-                grids[key] = len(designs)
-                designs.append(fit_design(np.frombuffer(key), params.alpha_policy))
-                grid_shape.append((len(designs[-1][2]), count))
-            local.append(grids[key])
-        slice_grid[rows] = np.array(local, dtype=np.int64)[same]
+        keys = list(map(bytes, tc[grid_heads]))
+        new = [i for i, key in enumerate(keys) if key not in grids]
+        for i in new:  # the block's unseen grids, designed in one call
+            grids[keys[i]] = len(grids)
+        if new:
+            designs += fit_designs(tc[grid_heads[new]], params.alpha_policy)
+        slice_grid[rows] = np.array([grids[key] for key in keys], dtype=np.int64)[same]
     del grids
 
     # solve: windows by design shape, then grid; per block the designs of
     # its grids stacked and each distinct (grid, samples) row solved once
-    shapes: dict[tuple[int, int], int] = {}
-    shape = np.array([shapes.setdefault(s, len(shapes)) for s in grid_shape], dtype=np.int64)
+    # a design's shape is its rows of A and whether alpha > 0 (so its samples)
+    shapes: dict[tuple[int, bool], int] = {}
+    shape = np.array([shapes.setdefault((len(a), alpha > 0), len(shapes))
+                      for alpha, _, a in designs], dtype=np.int64)
     window_grid = slice_grid[window_slice]
     # agent a's sample at frame t is row offset[a] + t of the series
     offset = bounds[:-1] - f0

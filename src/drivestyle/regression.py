@@ -41,14 +41,14 @@ ALPHA_GRID = (0.0,) + tuple(10.0**k for k in range(-6, 1))
 
 
 def vandermonde(times: np.ndarray) -> np.ndarray:
-    """T x 3 design matrix with rows (1, t, t^2)."""
+    """T x 3 design matrix with rows (1, t, t^2); a (G, T, 3) stack of G grids."""
     t = np.asarray(times, dtype=float)
-    return np.column_stack([np.ones_like(t), t, t * t])
+    return np.stack([np.ones_like(t), t, t * t], axis=-1)
 
 
 def gram_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of MᵀM, ascending."""
-    return np.linalg.eigvalsh(m.T @ m)
+    """Eigenvalues of MᵀM, ascending; of each matrix of a stack, in one call."""
+    return np.linalg.eigvalsh(np.matmul(np.swapaxes(m, -1, -2), m))
 
 
 def gram_condition(m: np.ndarray, alpha: float) -> float:
@@ -83,7 +83,7 @@ class GridSearchAlpha:
 
     Falls back to the largest grid value when no candidate meets the cap.
     Holds no state: ``analyze_table`` already selects once per time grid.
-    ``alpha_for`` reads the eigenvalues of MᵀM that ``fit_design`` also
+    ``alpha_for`` reads the eigenvalues of MᵀM that ``fit_designs`` also
     takes its condition number from; ``select`` computes them from times.
     """
 
@@ -154,27 +154,36 @@ class CentralityPolynomial:
         return float(out) if out.ndim == 0 else out
 
 
-def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
-    """(alpha, kappa, A): the least-squares system for centered times ``tc``.
+def fit_designs(tcs: np.ndarray, alpha_policy) -> list[tuple[float, float, np.ndarray]]:
+    """(alpha, kappa, A) of each row of ``tcs``, a (G, T) stack of centered time grids.
 
-    ``A`` is the Vandermonde matrix of ``tc``, stacked over alpha*I when
+    ``A`` is the Vandermonde matrix of a grid, stacked over alpha*I when
     the policy selects alpha > 0; kappa is the condition number of its
     Gram matrix. The design depends on the times only, so samples that
-    share a time grid share it. Raises ConditioningError when the system
-    is rank deficient and the policy selected alpha = 0.
+    share a time grid share it. The Gram matrices and their eigenvalues
+    come from one stacked call each, which runs the BLAS/LAPACK routine
+    the one-grid call runs, per matrix; the policy then reads each grid's
+    eigenvalues. Raises ConditioningError at the first grid whose system
+    is rank deficient where the policy selected alpha = 0.
     """
-    m = vandermonde(tc)
-    eig = gram_eigenvalues(m)  # once per design: the policy and kappa share it
-    alpha = float(alpha_policy.alpha_for(eig))
-    kappa = _condition(eig, alpha)
-    if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
-        raise ConditioningError(
-            "design matrix is rank deficient with alpha = 0; "
-            "select a regularized alpha policy"
-        )
-    if alpha == 0.0:
-        return alpha, kappa, m
-    return alpha, kappa, np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
+    ms = vandermonde(tcs)
+    designs = []
+    for m, eig in zip(ms, gram_eigenvalues(ms)):  # the policy and kappa share eig
+        alpha = float(alpha_policy.alpha_for(eig))
+        kappa = _condition(eig, alpha)
+        if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
+            raise ConditioningError(
+                "design matrix is rank deficient with alpha = 0; "
+                "select a regularized alpha policy"
+            )
+        designs.append((alpha, kappa, m if alpha == 0.0 else
+                        np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])))
+    return designs
+
+
+def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
+    """``fit_designs`` of the one grid ``tc``."""
+    return fit_designs(tc[None], alpha_policy)[0]
 
 
 def _svd_failed(err, flag):
@@ -184,7 +193,7 @@ def _svd_failed(err, flag):
 def fit_solve(designs: np.ndarray, rows: np.ndarray) -> np.ndarray:
     """Centered coefficients (K x 3) of row k of ``rows`` (K x T) on ``designs[k]``.
 
-    ``designs`` is a (K, m, 3) stack of ``fit_design`` matrices of one
+    ``designs`` is a (K, m, 3) stack of ``fit_designs`` matrices of one
     shape; each row is solved as ``np.linalg.lstsq(A, row, rcond=None)``
     solves it, bit for bit, in one gufunc call: ``analyze_table`` hands it
     the degree and closeness rows of at most ``_BLOCK_WINDOWS`` windows.

@@ -4,9 +4,10 @@ These deliberately avoid the package's algorithmic code paths: shortest
 paths one source at a time, by a binary-heap Dijkstra or by relaxation
 to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
-by testing every pair, lane leaders by scanning every agent, windowed
-fits one window at a time by numpy's public ``np.linalg.lstsq``, SLE/SIE
-maxima by sampling every frame, weaving points, their merge and the
+by testing every pair or by sweeping vertices sorted on their int64
+frames, lane leaders by scanning every agent, each time grid's design by
+two-dimensional numpy calls, windowed fits one window at a time by
+numpy's public ``np.linalg.lstsq``, SLE/SIE maxima by sampling every frame, weaving points, their merge and the
 per-agent aggregates in Python floats, the calibration pools by walking
 each window's sharpness one value at a time, the window fits as
 ``WindowAnalysis`` records written one ``repr`` per value, trajectory
@@ -32,10 +33,17 @@ import numpy as np
 
 from drivestyle.calibrate import _POSITIVE_FLOOR, PERCENTILE
 from drivestyle.centrality import compute_series
-from drivestyle.errors import TrajectoryParseError, ValidationError
+from drivestyle.errors import ConditioningError, TrajectoryParseError, ValidationError
 from drivestyle.ingest import _FLOOR_GUARD, _GUARD_CAP, AGENT_TYPES, TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, RunReport, analyze_table, frame_windows
-from drivestyle.regression import POLY_DEGREE, CentralityPolynomial, derivative, fit_design
+from drivestyle.regression import (
+    _SINGULAR_KAPPA,
+    POLY_DEGREE,
+    CentralityPolynomial,
+    _condition,
+    derivative,
+    fit_design,
+)
 from drivestyle.sim import (
     CLASS_CONSERVATIVE,
     CLASS_PARAMS,
@@ -285,6 +293,31 @@ def all_pairs_edges(frame, mu):
     return edges
 
 
+@np.errstate(over="ignore", invalid="ignore")
+def lexsort_sweep_edges(frames, x, y, mu):
+    """``graph.sweep_edges`` with the int64 frames as its sort key.
+
+    The vertices are sorted by ``np.lexsort((x, frames))``, then swept as
+    ``sweep_edges`` sweeps them; frames need not ascend.
+    """
+    order = np.lexsort((x, frames))
+    fs, xs, ys = frames[order], x[order], y[order]
+    ps, qs, costs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
+    for k in range(1, len(order)):
+        dx2 = xs[:-k] - xs[k:]
+        dx2 *= dx2
+        near = np.flatnonzero((fs[:-k] == fs[k:]) & (dx2 < mu))
+        if not near.size:
+            break
+        dy = ys[near] - ys[near + k]
+        cost = dx2[near] + dy * dy
+        edge = near[cost < mu]
+        ps.append(edge)
+        qs.append(edge + k)
+        costs.append(cost[cost < mu])
+    return order, np.concatenate(ps), np.concatenate(qs), np.concatenate(costs)
+
+
 def scan_neighbors_in_lane(lane, x, at, target, ego=None):
     """(leader, follower) positions around ``at`` in lane ``target``, by a scan.
 
@@ -451,6 +484,27 @@ def sampled_sle(poly, frames, frame_rate_hz) -> SleSummary:
     return SleSummary(
         sle_max=float(sle[k]), t_sle=float(times[k]), sie_max=float(sie.max())
     )
+
+
+def one_grid_design(tc, alpha_policy):
+    """``regression.fit_design`` of one grid by two-dimensional numpy calls.
+
+    A column-stacked Vandermonde matrix, ``eigvalsh(m.T @ m)``, the
+    policy's alpha and the condition number, then ``alpha * I`` stacked
+    below where alpha > 0.
+    """
+    m = np.column_stack([np.ones_like(tc), tc, tc * tc])
+    eig = np.linalg.eigvalsh(m.T @ m)
+    alpha = float(alpha_policy.alpha_for(eig))
+    kappa = _condition(eig, alpha)
+    if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
+        raise ConditioningError(
+            "design matrix is rank deficient with alpha = 0; "
+            "select a regularized alpha policy"
+        )
+    if alpha == 0.0:
+        return alpha, kappa, m
+    return alpha, kappa, np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
 
 
 def lstsq_solve(design, t_bar, values):

@@ -8,8 +8,21 @@ from hypothesis import strategies as st
 from conftest import make_frame
 from drivestyle.centrality import compute_series
 from drivestyle.errors import ContractViolationError, ValidationError
-from drivestyle.graph import CumulativeAdjacency, build_instant_graph, update_cumulative
-from oracles import all_pairs_edges, by_agent, records_table, replay_degree
+from drivestyle import graph
+from drivestyle.graph import (
+    CumulativeAdjacency,
+    build_instant_graph,
+    graph_error,
+    sweep_edges,
+    update_cumulative,
+)
+from oracles import (
+    all_pairs_edges,
+    by_agent,
+    lexsort_sweep_edges,
+    records_table,
+    replay_degree,
+)
 
 
 def test_edge_below_threshold():
@@ -301,6 +314,78 @@ def test_sweep_rejects_coincident_positions_anywhere_in_a_frame():
         i, j = rng.choice(n, 2, replace=False)
         frame[j] = make_frame(frame[j].agent_id, *frame[i].position)
         assert not _assert_sweep_matches_oracle(frame, 100.0)
+
+
+@pytest.fixture
+def swept(monkeypatch):
+    """``sweep_edges`` checked against the lexsort oracle, bit for bit.
+
+    Returns its result and the dtype of the frame key it sorted by.
+    """
+    keys = []
+
+    def lexsort(sort_keys):
+        keys.append(sort_keys[-1].dtype)
+        return real(sort_keys)
+
+    real = np.lexsort
+    monkeypatch.setattr(graph.np, "lexsort", lexsort)
+
+    def sweep(frames, x, y, mu):
+        expected = lexsort_sweep_edges(frames, x, y, mu)
+        keys.clear()
+        got = sweep_edges(frames, x, y, mu)
+        for a, b in zip(got, expected):
+            assert a.dtype == b.dtype
+            assert a.tobytes() == b.tobytes()
+        (key,) = keys
+        return got, key
+
+    return sweep
+
+
+def test_sweep_key_changes_no_edge(swept):
+    rng = np.random.default_rng(31)
+    for trial in range(40):
+        # ascending frames with gaps, several vertices each, x on a coarse
+        # grid so that vertices of one frame tie on x
+        frame_count = int(rng.integers(1, 200))
+        base = int(rng.choice([0, 10**6, 2**53 - 10**4]))
+        steps = rng.integers(1, 50, frame_count)
+        frames = np.repeat(base + np.cumsum(steps) - steps[0],
+                           rng.integers(1, 12, frame_count)).astype(np.int64)
+        x = rng.integers(-20, 20, len(frames)) * 2.5
+        y = rng.uniform(-8.0, 8.0, len(frames))
+        _, key = swept(frames, x, y, float(rng.uniform(1.0, 120.0)))
+        assert key == np.uint16
+
+
+@pytest.mark.parametrize("runs, dtype", [(2**16, np.uint16), (2**16 + 1, np.int64)])
+def test_sweep_key_at_the_uint16_bound(swept, runs, dtype):
+    # one or two vertices per frame: the most runs a uint16 key numbers,
+    # and one more, where the sort takes the frames themselves
+    rng = np.random.default_rng(runs)
+    frames = np.repeat(np.arange(runs, dtype=np.int64) * 3 + 2**52,
+                       rng.integers(1, 3, runs))
+    x = rng.integers(0, 4, len(frames)) * 4.0
+    y = rng.uniform(0.0, 1.0, len(frames))
+    (_, p, _, _), key = swept(frames, x, y, 100.0)
+    assert key == dtype and p.size
+
+
+def test_sweep_key_names_the_same_shared_position(swept):
+    rng = np.random.default_rng(8)
+    codes = np.tile(np.arange(6), 10)
+    ids = [f"v{k}" for k in range(6)]
+    for _ in range(30):
+        frames = np.repeat(np.arange(10, dtype=np.int64) + 2**53 - 20, 6)
+        x = rng.integers(0, 3, len(frames)) * 5.0  # many x ties per frame
+        y = rng.integers(0, 3, len(frames)) * 1.0  # and some shared positions
+        got, _ = swept(frames, x, y, 100.0)
+        error = graph_error(frames, codes, ids, x, y, *got)
+        expected = graph_error(frames, codes, ids, x, y,
+                               *lexsort_sweep_edges(frames, x, y, 100.0))
+        assert error == expected and "share a position" in error[1]
 
 
 def test_non_finite_position_rejected():

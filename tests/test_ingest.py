@@ -379,6 +379,40 @@ def test_files_longer_than_one_chunk():
         assert str(exc.value) == message
 
 
+# name -> (row index -> text added, or None for the last field dropped; the
+# bad row; its field count), for ``3 * c`` rows read ``c`` lines a chunk
+_FIELD_COUNT_CASES = {
+    # one field too many, then one too few, in the second chunk: the
+    # chunk's cell count is right, its row ends are not
+    "too_many_then_too_few": lambda c: ({c: ",x", c + 1: None}, c, 7),
+    "too_few_then_too_many": lambda c: ({c: None, c + 1: ",x"}, c, 5),
+    "trailing_comma": lambda c: ({c + 1: ","}, c + 1, 7),
+    "last_row_of_a_chunk": lambda c: ({2 * c - 1: ",1.0"}, 2 * c - 1, 7),
+    "last_row_of_the_file": lambda c: ({3 * c - 1: None}, 3 * c - 1, 5),
+}
+
+
+@pytest.mark.parametrize("chunk_lines", [2, 3])
+@pytest.mark.parametrize("case", list(_FIELD_COUNT_CASES))
+def test_field_counts_across_chunk_edges(chunk_lines, case):
+    # numeric ids and an unread last column: a row one field short followed
+    # by one a field long reads as rows of numbers and known types, shifted
+    rows = [f"{k // 3}.0,{k * 3.0!r},{k % 3 * 4.0!r},{k % 3},car,car"
+            for k in range(3 * chunk_lines)]
+    changes, bad, fields = _FIELD_COUNT_CASES[case](chunk_lines)
+    for k, end in changes.items():
+        rows[k] = rows[k] + end if end is not None else rows[k].rsplit(",", 1)[0]
+    # row k is on line k + 2
+    text = "\n".join(["timestamp,x,y,agent_id,agent_type,note", *rows]) + "\n"
+    with pytest.raises(TrajectoryParseError) as expected:
+        row_loop_parse(text, 1.0)
+    with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines), \
+            pytest.raises(TrajectoryParseError) as got:
+        parse_trajectories(text=text, frame_rate_hz=1.0)
+    assert str(got.value) == str(expected.value) == (
+        f"line {bad + 2}: expected 6 fields, got {fields}")
+
+
 def test_a_bad_row_in_the_last_block_of_a_file_names_its_line(tmp_path):
     # agent a<k % 7> is at frame k // 7; the file is several blocks long, and
     # its first block holds a comment and a blank line

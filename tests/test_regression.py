@@ -19,13 +19,15 @@ from drivestyle.regression import (
     derivative,
     fit,
     fit_design,
+    fit_designs,
     fit_samples,
     fit_solve,
     gram_condition,
     uncenter,
     vandermonde,
 )
-from oracles import central_difference, lstsq_solve
+from drivestyle.pipeline import slice_times
+from oracles import central_difference, lstsq_solve, one_grid_design
 
 
 def test_exact_quadratic_recovery():
@@ -241,6 +243,53 @@ def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alph
             solve(designs, t_bars, rows)
     else:
         assert [bits(c) for c in solve(designs, t_bars, rows)] == expected
+
+
+def design_bits(design):
+    alpha, kappa, a = design
+    return bits([alpha, kappa]), a.shape, a.tobytes()
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    count=st.integers(3, 60),
+    firsts=st.lists(st.integers(0, 2**40), min_size=1, max_size=8),
+    rate=st.sampled_from([10.0, 25.0, 30000 / 1001]),
+    policy=st.sampled_from([FixedAlpha(0.0), FixedAlpha(1e-3), FixedAlpha(0.5),
+                            GridSearchAlpha(), GridSearchAlpha(50.0), GridSearchAlpha(1.5)]),
+)
+def test_stacked_designs_equal_per_grid_designs_bit_for_bit(count, firsts, rate, policy):
+    # the centered grids of windows of one sample count, as analyze_table makes them
+    _, tcs = slice_times(np.array(firsts, dtype=np.int64), count, rate)
+    expected = [design_bits(one_grid_design(tc, policy)) for tc in tcs]
+    assert [design_bits(d) for d in fit_designs(tcs, policy)] == expected
+    assert [design_bits(fit_design(tc, policy)) for tc in tcs] == expected
+
+
+def test_stacked_designs_take_alpha_rows_and_refuse_rank_deficiency():
+    # a small cap sends short grids to alpha > 0 (alpha*I rows below) and
+    # leaves long ones at alpha = 0, in one stack
+    policy = GridSearchAlpha(50.0)
+    shapes = set()
+    for count in range(3, 61):
+        _, tcs = slice_times(np.array([0, 7, 2**40]), count, 25.0)
+        designs = fit_designs(tcs, policy)
+        for tc, design in zip(tcs, designs):
+            assert design_bits(design) == design_bits(one_grid_design(tc, policy))
+            shapes.add((design[0] > 0, len(design[2]) - count))
+    assert shapes == {(False, 0), (True, 3)}
+    # a grid of two distinct times has rank 2: the stack holding it raises
+    # as the one-grid design does, at alpha = 0 only
+    _, (good,) = slice_times(np.array([5]), 4, 10.0)
+    flat = np.array([-1.0, -1.0, 1.0, 1.0])
+    message = "design matrix is rank deficient with alpha = 0; select a regularized alpha policy"
+    for form in (lambda: one_grid_design(flat, FixedAlpha(0.0)),
+                 lambda: fit_design(flat, FixedAlpha(0.0)),
+                 lambda: fit_designs(np.stack([good, flat, good]), FixedAlpha(0.0))):
+        with pytest.raises(ConditioningError) as exc:
+            form()
+        assert str(exc.value) == message
+    assert len(fit_designs(np.stack([good, flat]), FixedAlpha(0.5))) == 2
 
 
 def test_nan_rows_and_unconverged_svd_behave_as_lstsq():
