@@ -45,6 +45,16 @@ MAX_LANE_COUNT = 64
 # Rows (frames x agents, one at least) of the largest scenario: 0.6-1.4 GB simulated
 MAX_SCENARIO_ROWS = 10**7
 
+# The fastest a car may go (m/s), and the most its speed may be of its desired
+# speed: bounds under which no power of the car-following law overflows
+# (see ``ScenarioConfig.validate``)
+MAX_SPEED_MPS = 1.0e6
+MAX_SPEED_RATIO = 1.0e12
+
+# Car-following agents from which a world steps as numpy columns: below it
+# a list step is faster (measured on the highway layout, see README)
+ARRAY_STEP_MIN_FOLLOWERS = 35
+
 CLASS_CONSERVATIVE = "conservative"
 CLASS_AGGRESSIVE = "aggressive"
 
@@ -180,6 +190,7 @@ class ScenarioConfig:
                 raise ValidationError(
                     f"{spawn.agent_id!r}: unknown longitudinal mode {spawn.longitudinal!r}"
                 )
+            self._validate_speeds(spawn)
         frames = self.frame_count()
         for script in self.lane_change_scripts:
             if script.agent_id not in seen_ids:
@@ -213,6 +224,33 @@ class ScenarioConfig:
                     f"outside scenario duration of {frames} frames"
                 )
 
+    def _validate_speeds(self, spawn: SpawnSpec) -> None:
+        """Refuse an agent at whose speeds a power of the car-following law could overflow.
+
+        The law speeds a car up only below its desired speed v0, by at most
+        a_max dt a step, so no speed of a run is above a spawn speed or, for
+        a car-following agent, v0 + a_max dt. Those must be at most
+        ``MAX_SPEED_MPS``, and at most ``MAX_SPEED_RATIO`` times v0. A
+        positive gap is at least 2**-50 m (the last bit of 5 m), so
+        ``(v/v0)**4`` stays under 1e49 and ``(s*/s)**2`` under 1e53, far
+        inside float range (a class v0 is checked before its ±10% draw,
+        which that margin covers).
+        """
+        name, speed = repr(spawn.agent_id), spawn.speed
+        if speed > MAX_SPEED_MPS:
+            raise ValidationError(f"{name}: speed {speed} is over {MAX_SPEED_MPS:g} m/s")
+        if spawn.longitudinal != MODE_IDM:
+            return
+        params = CLASS_PARAMS[spawn.vehicle_class]
+        v0 = params.v0 if spawn.v0 is None else require_positive(spawn.v0, f"{name}: v0")
+        top = max(speed, v0 + params.a_max * self.timestep_s)
+        if top > MAX_SPEED_MPS:
+            raise ValidationError(f"{name}: v0 + a_max * timestep_s = {top:g} m/s "
+                                  f"is over {MAX_SPEED_MPS:g} m/s")
+        if top / v0 > MAX_SPEED_RATIO:
+            raise ValidationError(f"{name}: v0 {v0} lets speed / v0 reach {top / v0:g}, "
+                                  f"over {MAX_SPEED_RATIO:g}")
+
 
 def idm_law(params: DriverParams) -> tuple[float, ...]:
     """A driver's car-following inputs, as ``idm_acceleration`` takes them.
@@ -233,8 +271,10 @@ def idm_acceleration(
     distance to the leader (None on a free road) and ``lead_speed`` the
     leader's speed. A non-positive gap is a collision, answered with the
     emergency deceleration -b_comf so the run can continue (``step``
-    logs it). The powers are Python's ``**``: numpy's ``power`` differs
-    from it in the last bit on some values.
+    logs it). The powers are Python's ``**``, libm's ``pow``, as the
+    column law ``_idm_columns`` takes them through ``np.float_power``
+    (numpy's ``power`` differs from it in the last bit on some values).
+    ``ScenarioConfig.validate`` bounds speeds so that neither overflows.
     """
     v0, a_max, b_comf, s0, t_gap, root = law
     free = 1.0 - (speed / v0) ** 4
@@ -501,10 +541,222 @@ def step(world: World) -> World:
     world.x = [xi + v * dt for xi, v in zip(x, speed)]
     # max(0.0, w), which is w only where w > 0.0
     world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
+    _end_step(world)
+    return world
+
+
+def _end_step(world: World) -> None:
+    """End the changes that have run their course, and move to the next frame."""
     last, changes = len(world.ramp), world.lane_change
     world.lane_change = {pos: c for pos, c in changes.items() if world.frame - c[1] < last}
     world.frame += 1
-    return world
+
+
+# ---------------------------------------------------------------------------
+# the step on numpy columns
+#
+# A world of many car-following agents steps as arrays, in ``step``'s order
+# and with its arithmetic, operation for operation: elementwise float
+# operations round as Python's do, and ``np.float_power`` calls libm's
+# ``pow`` as ``**`` does, so every output byte is the list step's. Column
+# ``n`` is a car at x = inf and column ``n + 1`` one at x = -inf, both at
+# rest: a missing leader is the first, so the law reads an infinite gap
+# and gives the free-road value, and a missing follower the second, whose
+# gain from any change is 0 and which never brakes. (An agent's x stays
+# finite: it starts on the road, and validated speeds are bounded.)
+
+
+def _idm_columns(law, speed, gap, lead_speed):
+    """``idm_acceleration`` of each column: ``law`` rows (v0, a_max, -b_comf, s0, T, root)."""
+    v0, a_max, brake, s0, t_gap, root = law
+    free = 1.0 - np.float_power(speed / v0, 4.0)
+    s_star = s0 + speed * t_gap + speed * (speed - lead_speed) / root
+    return np.where(gap <= 0.0, brake, a_max * (free - np.float_power(s_star / gap, 2.0)))
+
+
+class _Filed(NamedTuple):
+    """The agents filed by (lane, x, position in the agent list), as ``_lanes`` files them.
+
+    ``place`` is each agent's lane + x·i: a complex number sorts by its
+    real part, then its imaginary part, so a stable sort of ``place``
+    gives the filing ``order`` and ``searchsorted`` on ``key`` (``place``
+    filed) finds a (lane, x). ``first[i]`` is the index of the first
+    agent of ``key[i]``, the earliest in list order. ``place``, ``order``
+    and ``key`` have one more entry, past every other and read at n and
+    at -1: column n, no agent, in lane inf. ``leader`` is each agent's
+    leader in its lane, the first agent of the next larger x (column n
+    where there is none). ``behind`` and ``ahead`` pair each agent with
+    the next in its lane: while no change begins and x increases strictly
+    along every pair, the filing stays the same and so do the leaders, if
+    ``strict`` (no tie when filed).
+    """
+
+    place: np.ndarray
+    order: np.ndarray
+    key: np.ndarray
+    first: np.ndarray
+    leader: np.ndarray
+    behind: np.ndarray
+    ahead: np.ndarray
+    strict: bool
+    changes: int
+
+
+def _file(x: np.ndarray, lane: np.ndarray, changes: int) -> _Filed:
+    """File the agents of columns ``x`` and ``lane``, after ``changes`` lane changes."""
+    n = len(lane)
+    place = np.empty(n + 1, dtype=np.complex128)
+    place.real[:n], place.imag[:n] = lane, x
+    place[n] = complex(math.inf, math.inf)
+    order = np.argsort(place, kind="stable")
+    key = place[order]
+    lanes = key.real
+    after = np.searchsorted(key, key[:n], side="right")  # the first of the next larger x
+    leader = np.empty(n, dtype=np.int64)
+    leader[order[:n]] = np.where(lanes[after] == lanes[:n], order[after], n)
+    same = lanes[1:n] == lanes[:n - 1]
+    return _Filed(place, order, key, np.searchsorted(key, key), leader, order[:n - 1][same],
+                  order[1:n][same], bool(np.all(key[1:n] != key[:n - 1])), changes)
+
+
+def _kept(filed: _Filed | None, x: np.ndarray, changes: int) -> bool:
+    """Whether ``filed`` still files the agents at ``x`` (see ``_kept_lanes``)."""
+    return (filed is not None and filed.strict and filed.changes == changes
+            and bool((x[filed.behind] < x[filed.ahead]).all()))
+
+
+class _Drivers(NamedTuple):
+    """A run's per-agent constants as columns; ``law`` also covers columns n and n + 1."""
+
+    law: np.ndarray  # rows v0, a_max, -b_comf, s0, T, 2 sqrt(a_max b_comf)
+    politeness: np.ndarray
+    delta_a_th: np.ndarray
+    brake_safe: np.ndarray  # -b_safe
+    mobil: np.ndarray
+    cruisers: np.ndarray  # the positions of the agents that do not follow
+
+
+def _drivers(world: World) -> _Drivers:
+    n, params = len(world.ids), world.params
+    law = np.array([*world.law] + [idm_law(CONSERVATIVE_PARAMS)] * 2).T.copy()
+    law[2] = -law[2]
+    follows = np.zeros(n, dtype=bool)
+    follows[[pos for pos, _ in world.follows]] = True
+    return _Drivers(
+        law=law,
+        politeness=np.array([p.politeness for p in params]),
+        delta_a_th=np.array([p.delta_a_th for p in params]),
+        brake_safe=-np.array([p.b_safe for p in params]),
+        mobil=np.array(world.mobil, dtype=bool),
+        cruisers=np.flatnonzero(~follows),
+    )
+
+
+def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos, lane_count: int):
+    """(position, target lane) of the first of ``egos`` whose lane change is approved, or None.
+
+    ``mobil_decision`` for every ego and both neighbouring lanes at once,
+    with ``_leader``/``_follower``'s neighbours: every term is evaluated,
+    and an unsafe change, a non-positive insertion gap included, is then
+    refused, as its incentive would not have been scored. Of two approved
+    targets the one to the left wins unless the right one scores more.
+    """
+    m, n, key, order, lanes = len(egos), len(filed.leader), filed.key, filed.order, filed.key.real
+    at = filed.place[egos]
+    # the current follower: the first agent at ego's x, the next one if
+    # that is ego, or else the first at the next smaller x in its lane
+    start = np.searchsorted(key, at)
+    follower = np.where(lanes[start - 1] == at.real, order[filed.first[start - 1]], n + 1)
+    follower = np.where(key[start + 1] == at, order[start + 1], follower)
+    follower = np.where(order[start] != egos, order[start], follower)
+    leader = filed.leader[egos]
+    target = np.stack((at - 1.0, at + 1.0))  # ego's x in the lanes either side
+    end = np.searchsorted(key, target, side="right")
+    target = target.real
+    target_leader = np.where(lanes[end] == target, order[end], n).ravel()
+    target_follower = np.where(lanes[end - 1] == target, order[filed.first[end - 1]], n + 1).ravel()
+    both = np.concatenate((egos, egos))
+    back = np.concatenate((egos, follower, follower, both, target_follower, target_follower))
+    front = np.concatenate((leader, egos, leader, target_leader, both, target_leader))
+    gap = x[front] - x[back] - VEHICLE_LENGTH_M
+    acc = _idm_columns(drivers.law[:, back], v[back], gap, v[front])
+    now, old_follower, old_follower_after = acc[:3 * m].reshape(3, m)
+    gain, new_follower, new_follower_before = acc[3 * m:].reshape(3, 2, m)
+    incentive = (gain - now) + drivers.politeness[egos] * (
+        (new_follower - new_follower_before) + (old_follower_after - old_follower))
+    gap_ahead, gap_behind = gap[3 * m:7 * m].reshape(2, 2, m)
+    approved = ((gap_ahead > 0.0) & (gap_behind > 0.0)
+                & (new_follower >= drivers.brake_safe[egos])
+                & (incentive > drivers.delta_a_th[egos]) & (target >= 0) & (target < lane_count))
+    chosen = approved[0] | approved[1]
+    if not chosen.any():
+        return None
+    k = int(np.argmax(chosen))
+    right = approved[1, k] and not (approved[0, k] and incentive[1, k] <= incentive[0, k])
+    return int(egos[k]), int(target[int(right), k])
+
+
+def _mobil_columns(world: World, drivers: _Drivers, x, v, lane, filed: _Filed) -> _Filed:
+    """``_mobil_pass`` on columns: an approval refiles and decides again for the agents after it."""
+    eligible = drivers.mobil.copy()
+    eligible[list(world.lane_change)] = False
+    egos = np.flatnonzero(eligible)
+    while egos.size:
+        found = _first_approval(drivers, x, v, filed, egos, world.config.lane_count)
+        if found is None:
+            break
+        pos, target = found
+        _begin_lane_change(world, pos, target)
+        lane[pos] = target
+        filed = _file(x[:len(lane)], lane, len(world.changes))
+        egos = egos[egos > pos]
+    return filed
+
+
+def _run_columns(world: World, frames: int):
+    """x and speed as (frames, agents) arrays, from ``step`` taken on numpy columns.
+
+    Row k holds frame k. The lanes are filed anew on decision frames and
+    wherever the last filing does not hold (``_kept``). ``world`` keeps
+    its lanes, changes and collision log as ``step`` does; its x and
+    speed lists stay the spawn's.
+    """
+    n, dt = len(world.ids), world.config.timestep_s
+    x = np.empty((frames + 1, n + 2))
+    v = np.zeros_like(x)
+    x[0, :n], v[0, :n] = world.x, world.speed
+    x[:, n], x[:, n + 1] = math.inf, -math.inf
+    drivers = _drivers(world)
+    law = drivers.law[:, :n]
+    lane = np.array(world.lane, dtype=np.int64)
+    filed = None
+    # a gap of 0 divides by 0: the law answers every gap <= 0 with -b_comf
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for k in range(frames):
+            world.frame = k
+            xk, vk, changes = x[k], v[k], len(world.changes)
+            _scripted_changes(world)
+            if len(world.changes) != changes:
+                lane = np.array(world.lane, dtype=np.int64)
+            decides = k % world.period == 0
+            if decides or not _kept(filed, xk, len(world.changes)):
+                filed = _file(xk[:n], lane, len(world.changes))
+            if decides:
+                filed = _mobil_columns(world, drivers, xk, vk, lane, filed)
+            lead = filed.leader
+            gap = xk[lead] - xk[:n] - VEHICLE_LENGTH_M
+            acc = _idm_columns(law, vk[:n], gap, vk[lead])
+            acc[drivers.cruisers] = 0.0
+            if gap.min() <= 0.0:
+                crashed = (gap <= 0.0)
+                crashed[drivers.cruisers] = False
+                world.collisions += [CollisionEvent(k, world.ids[pos], world.ids[lead[pos]])
+                                     for pos in np.flatnonzero(crashed).tolist()]
+            np.add(xk[:n], vk[:n] * dt, out=x[k + 1, :n])
+            w = vk[:n] + acc * dt
+            v[k + 1, :n] = np.where(w > 0.0, w, 0.0)
+            _end_step(world)
+    return x[:frames, :n], v[:frames, :n]
 
 
 @dataclass
@@ -561,10 +813,14 @@ def run_scenario(config: ScenarioConfig) -> SimResult:
     Every agent has a row at every frame, in spawn order; step k is frame
     k, at ``k * timestep_s``. Where no agent follows, only scripts change
     lanes, and x and speed are ``step``'s sums, taken with no frame loop.
+    Where at least ``ARRAY_STEP_MIN_FOLLOWERS`` agents follow, the world
+    steps on numpy columns (``_run_columns``), to the same bytes.
     """
     world = build_world(config)
     n, frames = len(world.ids), config.frame_count()
-    if world.follows:
+    if world.follows and len(world.follows) >= ARRAY_STEP_MIN_FOLLOWERS:
+        x, vx = _run_columns(world, frames)
+    elif world.follows:
         x, vx = [], []
         for _ in range(frames):
             x += world.x

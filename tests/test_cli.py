@@ -84,6 +84,33 @@ def test_simulate_decision_period_past_the_run_decides_at_frame_0_alone(tmp_path
     assert b",4.0," in trajectories[0]  # the agent changed lanes at frame 0
 
 
+_IDM_AGENT = "  - {id: a, class: conservative, lane: 0, position: 0.0, speed: 20.0"
+
+# (agents, the start of the message after the file name): speeds at which a
+# power of the car-following law overflows, each of which ended a run
+# with a traceback before ScenarioConfig.validate bounded them
+OVERFLOWING = {
+    "idm_speed": (_IDM_AGENT.replace("20.0", "1.0e+100") + "}\n", "'a': speed 1e+100 is over"),
+    "cruiser_speed": (
+        _IDM_AGENT + "}\n  - {id: c, class: conservative, lane: 0, position: 50.0, "
+        "speed: 1.0e+200, longitudinal: cruise}\n", "'c': speed 1e+200 is over"),
+    "v0": (_IDM_AGENT + ", v0: 1.0e-300}\n", "'a': v0 1e-300 lets speed / v0 reach"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(OVERFLOWING))
+def test_simulate_overflowing_speed_exits_1_with_one_line(kind, tmp_path, capsys):
+    agents, message = OVERFLOWING[kind]
+    path = tmp_path / "scenario.yaml"
+    path.write_text("lane_count: 1\nroad_length_m: 100.0\ntimestep_s: 0.1\n"
+                    "duration_s: 1.0\nagents:\n" + agents)
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario {str(path)!r}: {message}")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_missing_scenario(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["simulate", "--scenario", str(missing), "--out", str(tmp_path)]) == 1

@@ -1,7 +1,9 @@
 import hashlib
 import math
 import os
+import re
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -92,6 +94,73 @@ def test_idm_never_exceeds_max_acceleration():
         if rng.random() < 0.7:
             leader = car(float(rng.uniform(6, 120)), float(rng.uniform(0, 45)))
         assert follow(ego, leader) <= params.a_max + 1e-12
+
+
+# finite floats: of any size, near where x**4 and x**2 overflow, and
+# subnormal (hypothesis draws ±0.0 and subnormals among all of them)
+_POWER_BASES = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(min_value=-1.2e77, max_value=1.2e77),
+    st.floats(min_value=-1.4e154, max_value=1.4e154),
+    st.floats(min_value=-1e-300, max_value=1e-300),
+)
+
+
+@given(st.lists(_POWER_BASES, min_size=1, max_size=40))
+@settings(max_examples=500, deadline=None)
+def test_float_power_is_pythons_power(values):
+    # the column law's premise: np.float_power over an array takes libm's
+    # pow as Python's ** does, bit for bit; draws whose power overflows
+    # (Python raises, numpy gives inf) are left out
+    for exponent in (4, 2):
+        kept = []
+        for v in values:
+            try:
+                kept.append((v, v ** exponent))
+            except OverflowError:
+                pass
+        if kept:
+            got = np.float_power(np.array([v for v, _ in kept]), float(exponent))
+            assert got.tobytes() == np.array([p for _, p in kept]).tobytes()
+
+
+def test_no_power_overflows_at_the_speed_bounds():
+    # the smallest positive gap is the last bit of 5 m; at the fastest speed
+    # a scenario may reach and the smallest v0 it may pair with (a drawn v0
+    # down to 0.9 times the class's), both powers stay finite
+    gap = math.nextafter(5.0, math.inf) - 5.0
+    assert gap == 2.0 ** -50
+    top = sim.MAX_SPEED_MPS
+    for params in (CONSERVATIVE_PARAMS, AGGRESSIVE_PARAMS):
+        law = idm_law(replace(params, v0=0.9 * top / sim.MAX_SPEED_RATIO))
+        for lead in (0.0, top):
+            assert math.isfinite(idm_acceleration(law, top, gap, lead))
+            assert math.isfinite(idm_acceleration(law, 0.0, gap, lead))
+
+
+def test_speed_bounds_name_the_agent_and_field():
+    def config(*spawns, timestep=0.1):
+        return ScenarioConfig(lane_count=1, road_length_m=100.0, timestep_s=timestep,
+                              duration_s=0.0, spawns=list(spawns))
+
+    top = sim.MAX_SPEED_MPS
+    config(SpawnSpec("a", "aggressive", 0, 0.0, top - 1.0)).validate()
+    config(SpawnSpec("c", "aggressive", 0, 0.0, top, longitudinal="cruise")).validate()
+    faults = {
+        "'a': speed 1e+100 is over": config(SpawnSpec("a", "conservative", 0, 0.0, 1e100)),
+        "'c': speed 1e+200 is over": config(
+            SpawnSpec("a", "conservative", 0, 0.0, 20.0),
+            SpawnSpec("c", "conservative", 0, 50.0, 1e200, longitudinal="cruise")),
+        "'a': v0 1e-300 lets speed / v0 reach": config(
+            SpawnSpec("a", "conservative", 0, 0.0, 20.0, v0=1e-300)),
+        "'a': v0 + a_max * timestep_s = ": config(
+            SpawnSpec("a", "conservative", 0, 0.0, 20.0), timestep=1e6),
+        "'a': v0 must be finite and positive": config(
+            SpawnSpec("a", "conservative", 0, 0.0, 20.0, v0=0.0)),
+    }
+    for message, fault in faults.items():
+        with pytest.raises(ValidationError, match="^" + re.escape(message)):
+            fault.validate()
 
 
 # --- lane-change rule -----------------------------------------------------
@@ -522,17 +591,86 @@ _SEPARATING = ScenarioConfig(
 )
 
 
-# CI runs this test with SIM_ORACLE_EXAMPLES=3000, deeper than tier-1's 150
+# an aggressive driver behind a slow cruiser in the middle lane, both
+# other lanes empty: the two changes score the same, and the left one wins
+_SYMMETRIC = ScenarioConfig(
+    lane_count=3, road_length_m=100.0, timestep_s=0.1, duration_s=1.0,
+    spawns=[SpawnSpec("e", "aggressive", 1, 0.0, 30.0),
+            SpawnSpec("s", "conservative", 1, 20.0, 10.0, longitudinal="cruise")],
+)
+
+
+# a deciding driver tied at one x behind an earlier agent of the list:
+# that agent, not ego, is its current follower
+_TIED_EGO = ScenarioConfig(
+    lane_count=2, road_length_m=100.0, timestep_s=0.1, duration_s=0.2,
+    spawns=[SpawnSpec("a", "conservative", 1, 10.0, 0.0, mobil_enabled=False),
+            SpawnSpec("b", "conservative", 0, 0.0, 0.0, mobil_enabled=False),
+            SpawnSpec("e", "conservative", 1, 10.0, 20.0, v0=15.0)],
+    randomize_conservative_v0=False, lane_change_duration_s=0.5, mobil_period_s=0.1,
+)
+
+
+def _matches_the_object_simulator(config, gate):
+    with mock.patch.object(sim, "ARRAY_STEP_MIN_FOLLOWERS", gate):
+        result = run_scenario(config)
+    table, collisions = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
+    assert result.collisions == collisions
+
+
+# CI runs this test and the next with SIM_ORACLE_EXAMPLES=3000, deeper than
+# tier-1's 150: the list step, whatever the number of followers
 @given(sim_scenarios())
 @example(_COLLIDING)
 @example(_CRUISING)
 @example(_SEPARATING)
+@example(_SYMMETRIC)
+@example(_TIED_EGO)
 @settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
 def test_list_columns_match_the_object_simulator(config):
+    _matches_the_object_simulator(config, math.inf)
+
+
+# the step on numpy columns for every world where an agent follows
+@given(sim_scenarios())
+@example(_COLLIDING)
+@example(_CRUISING)
+@example(_SEPARATING)
+@example(_SYMMETRIC)
+@example(_TIED_EGO)
+@settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
+def test_array_columns_match_the_object_simulator(config):
+    _matches_the_object_simulator(config, 1)
+
+
+def test_array_step_above_the_gate_equals_the_list_step():
+    # the highway_cli layout for 10 s, on the array step by default, with a
+    # tie at the first frame (b000 spawned on h000, faster, so h000 runs
+    # into it at the next) and approved lane changes: every byte and the
+    # collision log equal the list step's (np.power in place of
+    # np.float_power changes them)
+    spawns = [SpawnSpec(f"h{i:03d}", "aggressive" if i % 7 == 0 else "conservative",
+                        i % 3, i * 10.0, 25.0) for i in range(200)]
+    config = ScenarioConfig(
+        lane_count=3, road_length_m=2000.0, timestep_s=0.1, duration_s=10.0,
+        spawns=[SpawnSpec("b000", "aggressive", 0, 0.0, 30.0), *spawns], seed=0,
+    )
+    assert len(config.spawns) >= sim.ARRAY_STEP_MIN_FOLLOWERS
     result = run_scenario(config)
-    table, collisions = object_run_scenario(config)
-    assert serialize_trajectories(result.table) == serialize_trajectories(table)
-    assert result.collisions == collisions
+    with mock.patch.object(sim, "ARRAY_STEP_MIN_FOLLOWERS", math.inf):
+        listed = run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(listed.table)
+    assert result.collisions == listed.collisions
+    assert result.collisions[0] == CollisionEvent(1, "h000", "b000")
+    assert (result.table.vy != 0.0).any() and not config.lane_change_scripts
+
+
+def test_dense_tied_worlds_on_the_array_step_match_the_object_simulator():
+    # 45 IDM agents of 60, tied on a 5 m grid, deciding every step, with
+    # scripts: many collisions, retargets and approvals
+    for seed in range(3):
+        _matches_the_object_simulator(_dense_tied_config(seed), 1)
 
 
 @st.composite
@@ -645,6 +783,7 @@ def test_dense_mobil_regime_matches_the_object_simulator(monkeypatch):
         return decision
 
     monkeypatch.setattr(sim, "mobil_decision", counted)
+    monkeypatch.setattr(sim, "ARRAY_STEP_MIN_FOLLOWERS", math.inf)  # the list step
     result = run_scenario(config)
     table, collisions = object_run_scenario(config)
     assert serialize_trajectories(result.table) == serialize_trajectories(table)
