@@ -27,6 +27,10 @@ from .styles import (
 
 STYLE_CODES = ("OS", "OT", "SLC", "W")
 
+# the (video_id, annotator_id) of every ground-truth label: one annotator of one video
+GROUND_TRUTH_VIDEO = "sim"
+GROUND_TRUTH_ANNOTATOR = "gt"
+
 # the two label file formats: each name with its header
 _LABEL_FORMATS = {
     "annotation": (
@@ -36,7 +40,7 @@ _LABEL_FORMATS = {
 }
 
 # label style code -> style entry of the report whose t_SLE answers it
-_CODE_TO_STYLE = {
+CODE_TO_STYLE = {
     "OS": STYLE_OVERSPEEDING,
     "OT": STYLE_OVERTAKE_LANE_CHANGE,
     "SLC": STYLE_OVERTAKE_LANE_CHANGE,
@@ -97,8 +101,8 @@ def parse_annotations(
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
     with read_through(read_lines(source, text, "annotations")) as lines:
         for line_no, fields in read_rows(lines, _LABEL_FORMATS):
-            if len(fields) == 4:  # ground truth: annotator "gt" of video "sim"
-                fields = ["sim", fields[0], fields[1], "gt", fields[2], fields[3]]
+            if len(fields) == 4:  # ground truth
+                fields = [GROUND_TRUTH_VIDEO, *fields[:2], GROUND_TRUTH_ANNOTATOR, *fields[2:]]
             try:
                 out.add(*fields[:4], int(fields[4]), int(fields[5]))
             except ValueError as exc:
@@ -108,9 +112,7 @@ def parse_annotations(
     return out
 
 
-def annotations_from_labels(
-    labels, frame_rate_hz: float, video_id: str = "sim", annotator_id: str = "gt"
-) -> AnnotationSet:
+def annotations_from_labels(labels, frame_rate_hz: float) -> AnnotationSet:
     """Wrap simulator ground-truth labels as a single-annotator set.
 
     Accepts any objects carrying agent_id/style/start_frame/end_frame, so
@@ -120,10 +122,10 @@ def annotations_from_labels(
     out = AnnotationSet(frame_rate_hz=frame_rate_hz)
     for label in labels:
         out.add(
-            video_id,
+            GROUND_TRUTH_VIDEO,
             label.agent_id,
             label.style,
-            annotator_id,
+            GROUND_TRUTH_ANNOTATOR,
             label.start_frame,
             label.end_frame,
         )
@@ -232,7 +234,7 @@ def evaluate_run(reports: list[StyleReport], annotations: AnnotationSet) -> TdeT
             missing[code] += 1
             warnings.append(f"{video}/{agent}/{code}: agent missing from reports")
             continue
-        summary = report.styles[_CODE_TO_STYLE[code]]
+        summary = report.styles[CODE_TO_STYLE[code]]
         if summary.t_sle is None:
             missing[code] += 1
             warnings.append(f"{video}/{agent}/{code}: no prediction for style")

@@ -49,8 +49,7 @@ from .styles import (
     WindowFits,
     critical_points,
     label,
-    score_agents,
-    sle_summaries,
+    score_fits,
     style_reports,
 )
 
@@ -192,16 +191,16 @@ def analyze_table(
     count) from each agent's first and last frame; windows of fewer than
     three samples are dropped. Each distinct slice (first frame, count)
     gets its mean time and centered time grid once, and each grid its
-    design once (so the alpha policy runs once per grid), the new grids of
-    each sample count in one ``fit_designs`` call. Windows are
+    design once (so the alpha policy runs once per grid), the distinct
+    grids of each sample count in one ``fit_designs`` call. Windows are
     then taken in blocks of ``_BLOCK_WINDOWS`` by design shape and grid:
     their samples are gathered, the block's designs stacked, each
     distinct (grid, sample bits) row solved once, in one ``fit_solve``
-    call per block, and every row uncentered. SLE/SIE (at each window's
-    frames), weaving points (NaN where none) and the per-agent scores
-    are taken over all windows at once, then labelled at
-    ``params.thresholds``; the fits are returned as ``RunReport.fits``
-    columns. Raises ConditioningError when a design is rank deficient at alpha = 0.
+    call per block, and every row uncentered. Weaving points (NaN where
+    none) are taken over all windows at once, the per-agent scores by
+    ``styles.score_fits``, then labelled at ``params.thresholds``; the
+    fits are returned as ``RunReport.fits`` columns. Raises
+    ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
     f = table.frame_rate_hz
@@ -218,25 +217,19 @@ def analyze_table(
         f0, f0 + np.diff(bounds) - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
         window_frames, stride_frames)
 
-    # distinct slices: mean time and centered time grid; per grid its design
+    # distinct slices: mean time and centered time grid; per grid its design,
+    # each sample count's grids in one call (grids of two counts differ in length)
     window_slice, heads = _distinct(np.column_stack([n, first]))
     slice_first, slice_n = first[heads], n[heads]
     t_bar = np.empty(len(heads))
     slice_grid = np.empty(len(heads), dtype=np.int64)
-    grids: dict[bytes, int] = {}  # centered times -> grid number
     designs = []  # per grid: (alpha, kappa, A)
-    for rows in _blocks(np.argsort(slice_n, kind="stable"), slice_n):
-        count = int(slice_n[rows[0]])
-        t_bar[rows], tc = slice_times(slice_first[rows], count, f)
+    order = np.argsort(slice_n, kind="stable")
+    for rows in np.split(order, np.flatnonzero(np.diff(slice_n[order])) + 1) if heads.size else ():
+        t_bar[rows], tc = slice_times(slice_first[rows], int(slice_n[rows[0]]), f)
         same, grid_heads = _distinct(tc.view(np.int64))
-        keys = list(map(bytes, tc[grid_heads]))
-        new = [i for i, key in enumerate(keys) if key not in grids]
-        for i in new:  # the block's unseen grids, designed in one call
-            grids[keys[i]] = len(grids)
-        if new:
-            designs += fit_designs(tc[grid_heads[new]], params.alpha_policy)
-        slice_grid[rows] = np.array([grids[key] for key in keys], dtype=np.int64)[same]
-    del grids
+        slice_grid[rows] = len(designs) + same
+        designs += fit_designs(tc[grid_heads], params.alpha_policy)
 
     # solve: windows by design shape, then grid; per block the designs of
     # its grids stacked and each distinct (grid, samples) row solved once
@@ -262,14 +255,12 @@ def analyze_table(
         coefficients[:, block] = absolute.reshape(2, len(block), 3)
 
     # scores over every window, then labels, then one report per agent
-    frames = np.column_stack([first, first + n - 1])
-    spans = frames / f
-    t_c, sharpness = critical_points(coefficients[1], spans, params.epsilon_s)
+    last = first + n - 1
+    t_c, sharpness = critical_points(coefficients[1], np.column_stack([first, last]) / f,
+                                     params.epsilon_s)
     alpha, kappa = np.array([d[:2] for d in designs], dtype=float).reshape(-1, 2)[window_grid].T
-    fits = WindowFits(agent, *spans.T, alpha, kappa, *coefficients, t_c, sharpness)
-    scores = score_agents(np.bincount(agent, minlength=len(agent_ids)), spans,
-                          *(sle_summaries(c, frames, f) for c in coefficients),
-                          t_c, sharpness, params.epsilon_s)
+    fits = WindowFits(agent, first, last, alpha, kappa, *coefficients, t_c, sharpness)
+    scores = score_fits(fits, np.bincount(agent, minlength=len(agent_ids)), f, params.epsilon_s)
     reports = style_reports(agent_ids, scores, label(scores, params.thresholds))
     return RunReport(frame_rate_hz=f, params=params, agents=reports, scores=scores, fits=fits)
 
@@ -345,7 +336,9 @@ def windows_to_csv(report: RunReport, dest=None) -> str:
     def texts(rows):
         chunk = WindowFits(*(column[rows] for column in fits))
         columns = [[report.agents[k].agent_id for k in chunk.agent.tolist()]]
-        columns += map(float_texts, (chunk.start_s, chunk.end_s, chunk.alpha,
+        # start_s/end_s: the frame range over the rate, the spans the scores read
+        columns += map(float_texts, (chunk.first_frame / report.frame_rate_hz,
+                                     chunk.last_frame / report.frame_rate_hz, chunk.alpha,
                                      chunk.condition_number, *chunk.degree.T,
                                      *chunk.closeness.T))
         columns += ([t if t != "nan" else "" for t in float_texts(c)]  # NaN: no critical point

@@ -165,13 +165,13 @@ def detect_weaving(
 class WindowFits(NamedTuple):
     """Every agent-window's fits as columns, agent-major.
 
-    A window's degree and closeness fits share its span (two frame times, s),
+    A window's degree and closeness fits share its closed frame range (int64),
     alpha and condition number; their coefficients are N x 3 absolute-time (b0, b1, b2).
     """
 
     agent: np.ndarray  # code into the run's sorted agent ids
-    start_s: np.ndarray
-    end_s: np.ndarray
+    first_frame: np.ndarray
+    last_frame: np.ndarray
     alpha: np.ndarray
     condition_number: np.ndarray
     degree: np.ndarray
@@ -350,15 +350,18 @@ def style_reports(agent_ids: list[str], scores: AgentScores, labels: Labels) -> 
     return reports
 
 
+def score_fits(fits: WindowFits, counts, frame_rate_hz: float, epsilon: float) -> AgentScores:
+    """``score_agents`` of the agents owning the next ``counts[i]`` rows of ``fits``:
+    each window's span is its frame range over the rate, its SLE/SIE read at its frames."""
+    f = require_positive(frame_rate_hz, "frame_rate_hz")
+    frames = np.column_stack([fits.first_frame, fits.last_frame])
+    return score_agents(counts, frames / f,
+                        *(sle_summaries(c, frames, f) for c in (fits.degree, fits.closeness)),
+                        fits.t_c, fits.sharpness, epsilon)
+
+
 def classify(agent_id: str, fits: WindowFits, frame_rate_hz: float,
              thresholds: Thresholds, epsilon: float) -> StyleReport:
-    """One agent's style report from its window columns: ``score_agents`` and ``label``."""
-    spans = np.column_stack([fits.start_s, fits.end_s])
-    f = require_positive(frame_rate_hz, "frame_rate_hz")
-    frames = np.rint(spans * f).astype(np.int64)  # a span is two frame times
-    scores = score_agents(
-        [len(spans)], spans,
-        *(sle_summaries(c, frames, f) for c in (fits.degree, fits.closeness)),
-        fits.t_c, fits.sharpness, epsilon,
-    )
+    """One agent's style report from its window columns: ``score_fits`` and ``label``."""
+    scores = score_fits(fits, [len(fits.agent)], frame_rate_hz, epsilon)
     return style_reports([agent_id], scores, label(scores, thresholds))[0]

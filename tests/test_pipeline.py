@@ -32,6 +32,8 @@ from drivestyle.styles import (
     STYLE_OVERSPEEDING,
     STYLE_WEAVING,
     Thresholds,
+    WindowFits,
+    classify,
     label,
     sle_summaries,
     style_reports,
@@ -85,7 +87,7 @@ def test_window_larger_than_run_uses_single_window():
     )
     (agent,) = report.agents
     assert agent.windows == range(1)
-    assert (report.fits.start_s.tolist(), report.fits.end_s.tolist()) == ([0.0], [9.0])
+    assert (report.fits.first_frame.tolist(), report.fits.last_frame.tolist()) == ([0], [9])
 
 
 def test_short_presence_skipped():
@@ -333,7 +335,7 @@ def test_constant_degree_windows_match_oracle_exactly():
     assert_equals_oracle(report, per_window_analyze(table, params))
     rows = report.agent("a0").windows
     fits = report.fits
-    frames = np.rint(np.column_stack([fits.start_s, fits.end_s])[rows] * 10.0).astype(int)
+    frames = np.column_stack([fits.first_frame, fits.last_frame])[rows]
     noise = sle_summaries(fits.degree[rows], frames, 10.0).sle_max.tolist()
     assert noise and all(0.0 < v < 1e-12 for v in noise)
 
@@ -456,8 +458,8 @@ def test_run_mixing_alpha_0_and_alpha_above_0_designs_matches_oracle():
     report = analyze_table(table, params)
     assert_equals_oracle(report, per_window_analyze(table, params))
     fits = report.fits
-    kinds = {(round((end - start) * 10) + 1, alpha > 0) for start, end, alpha
-             in zip(fits.start_s.tolist(), fits.end_s.tolist(), fits.alpha.tolist())}
+    kinds = {(last - first + 1, alpha > 0) for first, last, alpha
+             in zip(fits.first_frame.tolist(), fits.last_frame.tolist(), fits.alpha.tolist())}
     assert {(5, True), (8, False), (11, False)} <= kinds
 
 
@@ -476,6 +478,42 @@ def test_windows_at_large_frame_indices_keep_their_frames():
     assert table.span() == (base, base + 171)
     params = AnalysisParams(mu=25.0, window_s=1.0, stride_s=0.5, thresholds=THRESHOLDS)
     assert_equals_oracle(analyze_table(table, params), per_window_analyze(table, params))
+
+
+def assert_classify_equals_analyze(table, params):
+    """``classify`` of each agent's own rows of ``report.fits`` is its ``analyze_table`` report."""
+    report = analyze_table(table, params)
+    for agent in report.agents:
+        rows = slice(agent.windows.start, agent.windows.stop)
+        fits = WindowFits(*(column[rows] for column in report.fits))
+        got = classify(agent.agent_id, fits, table.frame_rate_hz, params.thresholds,
+                       params.epsilon_s)
+        assert (got.styles, got.window, got.global_label) == \
+            (agent.styles, agent.window, agent.global_label), agent.agent_id
+    return report
+
+
+def test_classify_of_a_runs_fits_near_frame_2_52_is_its_report():
+    # a0 meets the parked a1 in frame 0, so its degree is 1.0 throughout and
+    # its overspeeding SLE is fit noise: a window read back from seconds at
+    # 25 Hz there moves that noise's argmax by a frame
+    base = 2**52 - 10**6
+    table = table_from_tracks([(base, 200, 4.0, 0.0, 0), (base, 200, 0.0, 3.0, 0)], 25.0)
+    report = assert_classify_equals_analyze(table, AnalysisParams(mu=25.0, thresholds=THRESHOLDS))
+    over = report.agent("a0").styles[STYLE_OVERSPEEDING]
+    assert 0.0 < over.sle_max < 1e-12 and over.t_sle * 25.0 > base
+
+
+@settings(max_examples=60, deadline=None)
+@given(tracks=st.lists(track, min_size=1, max_size=4),
+       # drawn down from the top, where (k / rate) * rate misses k most
+       base=st.integers(0, 2**52 - 10**6).map(lambda k: 2**52 - 10**6 - k),
+       frame_rate_hz=st.sampled_from([10.0, 25.0, 30000 / 1001]),
+       window_s=st.sampled_from([1.0, 2.5]))
+def test_classify_of_an_agents_fits_is_its_report(tracks, base, frame_rate_hz, window_s):
+    table = table_from_tracks([(base + first, *rest) for first, *rest in tracks], frame_rate_hz)
+    assert_classify_equals_analyze(
+        table, AnalysisParams(mu=25.0, window_s=window_s, thresholds=THRESHOLDS))
 
 
 def test_gap_in_an_agents_frames_is_a_contract_violation():

@@ -250,30 +250,32 @@ def test_array_merge_equals_scalar_merge(agents, epsilon):
     assert (np.diff(scores.owner) >= 0).all()
 
 
-def _window(deg_poly, clo_poly, span, epsilon=0.5):
-    """(span, degree, closeness, weaving point or NaNs) of one window."""
+def _window(deg_poly, clo_poly, frames, f=1.0, epsilon=0.5):
+    """(frame range, degree, closeness, weaving point or NaNs) of one window at ``f`` Hz."""
     closeness = clo_poly.coefficients
+    span = (frames[0] / f, frames[1] / f)
     (point,) = detect_weaving(closeness, span, epsilon) or [(math.nan, math.nan)]
-    return span, deg_poly.coefficients, closeness, point
+    return frames, deg_poly.coefficients, closeness, point
 
 
 def _fits(windows):
     """One agent's ``WindowFits`` columns from ``_window`` rows."""
     n = len(windows)
-    spans, degree, closeness, points = (
+    frames = np.array([w[0] for w in windows], dtype=np.int64).reshape(n, 2)
+    degree, closeness, points = (
         np.array([w[i] for w in windows], dtype=float).reshape(n, width)
-        for i, width in enumerate((2, 3, 3, 2)))
-    return WindowFits(np.zeros(n, dtype=np.int64), *spans.T, np.zeros(n), np.ones(n),
+        for i, width in ((1, 3), (2, 3), (3, 2)))
+    return WindowFits(np.zeros(n, dtype=np.int64), *frames.T, np.zeros(n), np.ones(n),
                       degree, closeness, *points.T)
 
 
 def _classify(windows, f=1.0):
-    """``classify`` of agent "a", reading the windows' SLE at ``f`` Hz."""
+    """``classify`` of agent "a", reading windows built at ``f`` Hz."""
     return classify("a", _fits(windows), f, THRESHOLDS, epsilon=0.5)
 
 
 def test_flat_agent_is_conservative():
-    w = _window(poly(3.0, 0.0, 0.0), poly(0.4, 0.0, 0.0), (0.0, 2.0))
+    w = _window(poly(3.0, 0.0, 0.0), poly(0.4, 0.0, 0.0), (0, 2))
     report = _classify([w])
     assert report.global_label == "conservative"
     assert report.styles[STYLE_CONSERVATIVE].detected
@@ -283,7 +285,7 @@ def test_flat_agent_is_conservative():
 
 
 def test_steep_degree_flags_overspeeding():
-    w = _window(poly(0.0, 2.0, 0.0), poly(0.4, 0.0, 0.0), (0.0, 2.0))
+    w = _window(poly(0.0, 2.0, 0.0), poly(0.4, 0.0, 0.0), (0, 2))
     report = _classify([w])
     assert report.styles[STYLE_OVERSPEEDING].detected
     assert report.global_label == "aggressive"
@@ -292,19 +294,19 @@ def test_steep_degree_flags_overspeeding():
 
 def test_weaving_counts_only_sharp_points():
     sharp = poly(0.0, -1.0, 0.5)  # vertex at t=1, sharpness 0.5 at eps=0.5
-    report = _classify([_window(poly(0.0, 0.0, 0.0), sharp, (0.0, 2.0))])
+    report = _classify([_window(poly(0.0, 0.0, 0.0), sharp, (0, 2))])
     assert report.styles[STYLE_WEAVING].count == 1
     assert report.styles[STYLE_WEAVING].t_sle == pytest.approx(1.0)
 
     dull = poly(0.0, -0.002, 0.001)  # same vertex, sharpness 0.001 < floor
-    report = _classify([_window(poly(0.0, 0.0, 0.0), dull, (0.0, 2.0))])
+    report = _classify([_window(poly(0.0, 0.0, 0.0), dull, (0, 2))])
     assert report.styles[STYLE_WEAVING].count == 0
     assert report.styles[STYLE_WEAVING].t_sle is None
 
 
 def test_global_argmax_picks_strongest_window():
-    w1 = _window(poly(0.0, 1.0, 0.0), poly(0.0, 0.0, 0.0), (0.0, 2.0))
-    w2 = _window(poly(0.0, 4.0, 0.0), poly(0.0, 0.0, 0.0), (2.0, 4.0))
+    w1 = _window(poly(0.0, 1.0, 0.0), poly(0.0, 0.0, 0.0), (0, 2))
+    w2 = _window(poly(0.0, 4.0, 0.0), poly(0.0, 0.0, 0.0), (2, 4))
     report = _classify([w1, w2])
     over = report.styles[STYLE_OVERSPEEDING]
     assert over.sle_max == 4.0
@@ -312,9 +314,9 @@ def test_global_argmax_picks_strongest_window():
 
 
 def test_weaving_time_is_center_of_critical_span():
-    w1 = _window(poly(0, 0, 0), poly(0.0, -2.0, 1.0), (0.0, 2.0))   # vertex 1.0
-    w2 = _window(poly(0, 0, 0), poly(0.0, -6.0, 1.0), (2.0, 4.0))   # vertex 3.0
-    w3 = _window(poly(0, 0, 0), poly(0.0, -11.0, 1.0), (4.0, 6.0))  # vertex 5.5
+    w1 = _window(poly(0, 0, 0), poly(0.0, -2.0, 1.0), (0, 2))   # vertex 1.0
+    w2 = _window(poly(0, 0, 0), poly(0.0, -6.0, 1.0), (2, 4))   # vertex 3.0
+    w3 = _window(poly(0, 0, 0), poly(0.0, -11.0, 1.0), (4, 6))  # vertex 5.5
     report = _classify([w1, w2, w3])
     weaving = report.styles[STYLE_WEAVING]
     assert weaving.count == 3
