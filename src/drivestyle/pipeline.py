@@ -404,11 +404,14 @@ def _report_from_payload(payload: dict) -> RunReport:
     rate = payload["frame_rate_hz"]
     if not _finite(rate, "frame_rate_hz") > 0:
         raise ValueError(f"frame_rate_hz must be positive, got {rate!r}")
-    agents = []
+    agents, seen = [], set()
     for entry in payload["agents"]:
         agent_id = entry["agent_id"]
         if not isinstance(agent_id, str):
             raise ValueError(f"agent_id must be a string, got {agent_id!r}")
+        if agent_id in seen:
+            raise ValueError(f"agent {agent_id!r} has more than one entry")
+        seen.add(agent_id)
         if entry["global_label"] not in (LABEL_AGGRESSIVE, LABEL_CONSERVATIVE):
             raise ValueError(f"agent {agent_id!r} has unknown global_label "
                              f"{entry['global_label']!r}")

@@ -170,6 +170,10 @@ class ScenarioConfig:
         require_positive(self.mobil_period_s, "mobil_period_s")
         seen_ids = set()
         for spawn in self.spawns:
+            name = spawn.agent_id  # a CSV field: the readers strip, split and skip '#' lines
+            if name.splitlines() != [name] or name != name.strip() or "," in name or name[0] == "#":
+                raise ValidationError(f"agent id {name!r} must be one line, not empty, with no "
+                                      "comma, no outer space and no leading '#'")
             if spawn.agent_id in seen_ids:
                 raise ValidationError(f"duplicate spawn agent_id {spawn.agent_id!r}")
             seen_ids.add(spawn.agent_id)
@@ -340,13 +344,16 @@ class World:
     ``law`` holds each agent's ``idm_law``; ``follows`` the positions of
     the car-following (IDM) agents, ascending, each with its ``idm_law``;
     ``mobil`` whether lane-change decisions are its own (an IDM agent
-    with MOBIL on), taken every ``period`` frames.
-    ``lane_change`` maps the position of each agent mid-change to its
-    (start, frame begun), the start a lateral position in lane units (a
-    float lane index); its ``lane`` is already the target lane, which
-    car-following commits to at once. ``changes`` logs every change as
-    (frame, position, start, target lane), and ``ramp`` is a change's
-    progress at each frame after it begins. ``scripts`` maps a frame to
+    with MOBIL on), taken every ``period`` frames. ``begun`` holds the
+    frame each agent's last lane change began (-inf before any) and
+    ``begun_at`` that change's start, a lateral position in lane units (a
+    float lane index). ``ramp`` is a change's progress at each frame after
+    it begins and ``blend`` its half-cosine blend, so an agent is
+    mid-change while ``frame - begun <= len(ramp)``; its ``lane`` is
+    already the target lane, which car-following commits to at once.
+    ``_run_columns`` makes ``lane`` an int64 and ``begun`` a float array.
+    ``changes`` logs every change as (frame, position, start, target
+    lane). ``scripts`` maps a frame to
     its scripted changes, {position: target lane}. ``kept`` is the last
     step's lane order while it may serve the next (see ``_kept_lanes``):
     (ps, leaders, the length of ``changes``, behind, ahead), each agent of
@@ -365,8 +372,10 @@ class World:
     period: int
     scripts: dict[int, dict[int, int]]
     ramp: list[float]
+    blend: list[float]
+    begun: list[float]
+    begun_at: list[float]
     kept: tuple | None = None
-    lane_change: dict[int, tuple[float, int]] = field(default_factory=dict)
     changes: list[tuple[int, int, float, int]] = field(default_factory=list)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
@@ -441,16 +450,14 @@ def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
     """Start a change to ``target_lane`` from where the agent is now, and log it.
 
     A change starts from the agent's lateral position in lane units: its
-    lane, or, mid-change (as told by the frame it began), the blended
-    position of that change, so a retarget continues from where it is.
+    lane, or, mid-change, the blended position of that change, so a
+    retarget continues from where it is.
     """
     start = float(world.lane[pos])
-    if pos in world.lane_change:
-        begun_at, begun = world.lane_change[pos]
-        if (age := world.frame - begun) <= len(world.ramp):
-            blend = 0.5 * (1.0 - math.cos(math.pi * world.ramp[age - 1]))
-            start = begun_at + (world.lane[pos] - begun_at) * blend
-    world.lane_change[pos] = (start, world.frame)
+    if (age := world.frame - world.begun[pos]) <= len(world.ramp):
+        begun_at = world.begun_at[pos]
+        start = begun_at + (world.lane[pos] - begun_at) * world.blend[int(age) - 1]
+    world.begun[pos], world.begun_at[pos] = world.frame, start
     world.changes.append((world.frame, pos, start, target_lane))
     world.lane[pos] = target_lane
 
@@ -466,13 +473,13 @@ def _mobil_pass(world: World, lanes) -> None:
     """Lane-change decisions in agent order; an approval rebuilds ``lanes`` in place."""
     x, speed, lane, law = world.x, world.speed, world.lane, world.law
     xs, ps = lanes
-    lane_count = world.config.lane_count
+    lane_count, frame, last = world.config.lane_count, world.frame, len(world.ramp)
 
     def car(pos):
         return None if pos is None else (x[pos], speed[pos], law[pos])
 
     for pos, decides in enumerate(world.mobil):
-        if not decides or pos in world.lane_change:
+        if not decides or frame - world.begun[pos] <= last:
             continue
         at, own, params = x[pos], lane[pos], world.params[pos]
         ego = car(pos)
@@ -505,9 +512,9 @@ def step(world: World) -> World:
     Order per frame: scripted lane changes, lane-change decisions at the
     decision period, one batch of accelerations from the pre-step state
     (collisions logged in agent order), then the Euler position/speed
-    update and the end of finished changes. Only car-following agents
-    read a leader or decide on lane changes, so a world without one
-    (cruisers only) builds no lane lists; cruisers keep an acceleration of 0.
+    update. Only car-following agents read a leader or decide on lane
+    changes, so a world without one (cruisers only) builds no lane lists;
+    cruisers keep an acceleration of 0.
     The last step's lane lists and leaders serve while ``_kept_lanes`` keeps them.
     """
     dt = world.config.timestep_s
@@ -541,15 +548,8 @@ def step(world: World) -> World:
     world.x = [xi + v * dt for xi, v in zip(x, speed)]
     # max(0.0, w), which is w only where w > 0.0
     world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
-    _end_step(world)
-    return world
-
-
-def _end_step(world: World) -> None:
-    """End the changes that have run their course, and move to the next frame."""
-    last, changes = len(world.ramp), world.lane_change
-    world.lane_change = {pos: c for pos, c in changes.items() if world.frame - c[1] < last}
     world.frame += 1
+    return world
 
 
 # ---------------------------------------------------------------------------
@@ -696,19 +696,17 @@ def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos, lane_count: in
     return int(egos[k]), int(target[int(right), k])
 
 
-def _mobil_columns(world: World, drivers: _Drivers, x, v, lane, filed: _Filed) -> _Filed:
+def _mobil_columns(world: World, drivers: _Drivers, x, v, filed: _Filed) -> _Filed:
     """``_mobil_pass`` on columns: an approval refiles and decides again for the agents after it."""
-    eligible = drivers.mobil.copy()
-    eligible[list(world.lane_change)] = False
-    egos = np.flatnonzero(eligible)
+    changing = world.frame - world.begun <= len(world.ramp)
+    egos = np.flatnonzero(drivers.mobil & ~changing)
     while egos.size:
         found = _first_approval(drivers, x, v, filed, egos, world.config.lane_count)
         if found is None:
             break
         pos, target = found
         _begin_lane_change(world, pos, target)
-        lane[pos] = target
-        filed = _file(x[:len(lane)], lane, len(world.changes))
+        filed = _file(x[:len(world.lane)], world.lane, len(world.changes))
         egos = egos[egos > pos]
     return filed
 
@@ -718,8 +716,8 @@ def _run_columns(world: World, frames: int):
 
     Row k holds frame k. The lanes are filed anew on decision frames and
     wherever the last filing does not hold (``_kept``). ``world`` keeps
-    its lanes, changes and collision log as ``step`` does; its x and
-    speed lists stay the spawn's.
+    its lanes, as an int64 column, its changes and its collision log as
+    ``step`` does; its x and speed lists stay the spawn's.
     """
     n, dt = len(world.ids), world.config.timestep_s
     x = np.empty((frames + 1, n + 2))
@@ -728,21 +726,18 @@ def _run_columns(world: World, frames: int):
     x[:, n], x[:, n + 1] = math.inf, -math.inf
     drivers = _drivers(world)
     law = drivers.law[:, :n]
-    lane = np.array(world.lane, dtype=np.int64)
+    world.lane, world.begun = np.array(world.lane, dtype=np.int64), np.array(world.begun)
     filed = None
     # a gap of 0 divides by 0: the law answers every gap <= 0 with -b_comf
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(frames):
-            world.frame = k
-            xk, vk, changes = x[k], v[k], len(world.changes)
+            world.frame, xk, vk = k, x[k], v[k]
             _scripted_changes(world)
-            if len(world.changes) != changes:
-                lane = np.array(world.lane, dtype=np.int64)
             decides = k % world.period == 0
             if decides or not _kept(filed, xk, len(world.changes)):
-                filed = _file(xk[:n], lane, len(world.changes))
+                filed = _file(xk[:n], world.lane, len(world.changes))
             if decides:
-                filed = _mobil_columns(world, drivers, xk, vk, lane, filed)
+                filed = _mobil_columns(world, drivers, xk, vk, filed)
             lead = filed.leader
             gap = xk[lead] - xk[:n] - VEHICLE_LENGTH_M
             acc = _idm_columns(law, vk[:n], gap, vk[lead])
@@ -755,7 +750,6 @@ def _run_columns(world: World, frames: int):
             np.add(xk[:n], vk[:n] * dt, out=x[k + 1, :n])
             w = vk[:n] + acc * dt
             v[k + 1, :n] = np.where(w > 0.0, w, 0.0)
-            _end_step(world)
     return x[:frames, :n], v[:frames, :n]
 
 
@@ -797,7 +791,10 @@ def build_world(config: ScenarioConfig) -> World:
         period=max(1, round(min(config.mobil_period_s / config.timestep_s,
                                 max(config.frame_count(), 1)))),
         scripts=scripts,
-        ramp=_ramp(config),
+        ramp=(ramp := _ramp(config)),
+        blend=[0.5 * (1.0 - math.cos(math.pi * p)) for p in ramp],
+        begun=[-math.inf] * len(spawns),
+        begun_at=[0.0] * len(spawns),
     )
 
 
@@ -871,7 +868,7 @@ def _lateral(world: World, frames: int):
         y[k + 1:, pos] = target
     y *= width
     vy = np.zeros_like(y)
-    blend = np.array([0.5 * (1.0 - math.cos(math.pi * p)) for p in ramp])
+    blend = np.array(world.blend)
     sine = np.array([math.sin(math.pi * p) for p in ramp])
     until: dict[int, int] = {}  # the frame of each agent's next change
     for k, pos, start, target in reversed(world.changes):

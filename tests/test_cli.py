@@ -111,6 +111,37 @@ def test_simulate_overflowing_speed_exits_1_with_one_line(kind, tmp_path, capsys
     assert not (tmp_path / "run").exists()
 
 
+# agent ids, as YAML text, that the package's CSV files cannot carry: simulate
+# wrote each before ScenarioConfig.validate refused it, and analyze then
+# failed on the row (comma, line breaks, empty), read another id (outer
+# space) or skipped the label row as a comment ('#')
+UNWRITABLE_IDS = {
+    "comma": '"a,b"',
+    "line_feed": '"a\\nb"',
+    "line_separator": '"a\\u2028b"',
+    "empty": '""',
+    "comment": '"#a"',
+    "leading_space": '" a"',
+    "trailing_tab": '"a\\t"',
+}
+
+
+@pytest.mark.parametrize("kind", sorted(UNWRITABLE_IDS))
+def test_simulate_id_the_csv_files_cannot_carry_exits_1_with_one_line(kind, tmp_path, capsys):
+    text = UNWRITABLE_IDS[kind]
+    path = tmp_path / "scenario.yaml"
+    path.write_text(
+        "lane_count: 1\nroad_length_m: 100.0\ntimestep_s: 0.1\nduration_s: 1.0\nagents:\n"
+        + "".join(f"  - {{id: {name}, class: conservative, lane: 0, position: {x}, "
+                  "speed: 20.0, longitudinal: cruise}\n" for name, x in (("b", 0.0), (text, 50.0)))
+        + f"maneuvers:\n  - {{agent: {text}, style: OS, start_frame: 1, end_frame: 5}}\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: scenario {str(path)!r}: agent id {yaml.safe_load(text)!r} ")
+    assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
 def test_simulate_missing_scenario(tmp_path, capsys):
     missing = tmp_path / "nope.yaml"
     assert main(["simulate", "--scenario", str(missing), "--out", str(tmp_path)]) == 1
@@ -460,6 +491,25 @@ def test_evaluate_report_with_other_styles_exits_1_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
     assert "agent 'subject' styles must be" in err
+
+
+def test_evaluate_report_with_a_repeated_agent_exits_1_with_one_line(
+    analyzed_run, tmp_path, capsys
+):
+    # analyze writes one entry per agent; evaluate matched the labels to the
+    # last of two and exited 0
+    payload = json.loads((analyzed_run / "report.json").read_text())
+    (subject,) = [a for a in payload["agents"] if a["agent_id"] == "subject"]
+    payload["agents"].append(subject)
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert main([
+        "evaluate", "--report", str(report), "--labels", str(analyzed_run / "labels.csv"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
+    assert "agent 'subject' has more than one entry" in err
 
 
 def test_analyzed_report_reads_back_unchanged(analyzed_run):

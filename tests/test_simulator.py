@@ -11,9 +11,9 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from drivestyle import sim
-from drivestyle.errors import ValidationError
+from drivestyle.errors import TrajectoryParseError, ValidationError
 from drivestyle.evaluation import annotations_from_labels, parse_annotations
-from drivestyle.ingest import serialize_trajectories
+from drivestyle.ingest import parse_trajectories, serialize_trajectories
 from drivestyle.pipeline import analyze_table
 from drivestyle.scenarios import calibration_scenarios, lane_change_scenario
 from drivestyle.sim import (
@@ -611,6 +611,31 @@ _TIED_EGO = ScenarioConfig(
 )
 
 
+# the last frame of a change, len(ramp) = 4 frames (0.5 s at 0.1 s steps)
+# after it began, and the first after it: an aggressive driver scripted at
+# frame 2 into the lane of a slow cruiser, deciding every step, is refused
+# the change back out at frame 6, mid-change, and approved at frame 7
+_BACKING_OUT = ScenarioConfig(
+    lane_count=2, road_length_m=100.0, timestep_s=0.1, duration_s=1.2,
+    spawns=[SpawnSpec("e", "aggressive", 1, 0.0, 30.0),
+            SpawnSpec("s", "conservative", 0, 40.0, 10.0, longitudinal="cruise")],
+    lane_change_scripts=[LaneChangeScript("e", 2, 0)],
+    lane_change_duration_s=0.5, mobil_period_s=0.1,
+)
+
+
+# retargets at those two frames: "p" at age 4 turns from its blended
+# position, "q" at age 5 from its lane
+_RETARGETS = ScenarioConfig(
+    lane_count=3, road_length_m=100.0, timestep_s=0.1, duration_s=1.2,
+    spawns=[SpawnSpec("p", "conservative", 0, 0.0, 10.0, mobil_enabled=False),
+            SpawnSpec("q", "conservative", 2, 50.0, 10.0, mobil_enabled=False)],
+    lane_change_scripts=[LaneChangeScript("p", 1, 1), LaneChangeScript("p", 5, 2),
+                         LaneChangeScript("q", 1, 1), LaneChangeScript("q", 6, 0)],
+    lane_change_duration_s=0.5,
+)
+
+
 def _matches_the_object_simulator(config, gate):
     with mock.patch.object(sim, "ARRAY_STEP_MIN_FOLLOWERS", gate):
         result = run_scenario(config)
@@ -627,6 +652,8 @@ def _matches_the_object_simulator(config, gate):
 @example(_SEPARATING)
 @example(_SYMMETRIC)
 @example(_TIED_EGO)
+@example(_BACKING_OUT)
+@example(_RETARGETS)
 @settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
 def test_list_columns_match_the_object_simulator(config):
     _matches_the_object_simulator(config, math.inf)
@@ -639,6 +666,8 @@ def test_list_columns_match_the_object_simulator(config):
 @example(_SEPARATING)
 @example(_SYMMETRIC)
 @example(_TIED_EGO)
+@example(_BACKING_OUT)
+@example(_RETARGETS)
 @settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
 def test_array_columns_match_the_object_simulator(config):
     _matches_the_object_simulator(config, 1)
@@ -1033,6 +1062,47 @@ def test_labels_round_trip(tmp_path):
     expected = annotations_from_labels(labels, 10.0).entries
     assert parse_annotations(path, 10.0).entries == expected
     assert parse_annotations(text=path.read_text(), frame_rate_hz=10.0).entries == expected
+
+
+def _carried(agent_id: str) -> bool:
+    """Whether ``agent_id`` comes back equal through the trajectory and the label CSV."""
+    config = ScenarioConfig(
+        lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=0.2,
+        spawns=[SpawnSpec("x", "conservative", 0, 0.0, 10.0, longitudinal="cruise")],
+    )
+    table = replace(run_scenario(config).table, agent_ids=[agent_id])
+    labels = write_labels([ManeuverLabel(agent_id, "OS", 0, 1)], None)
+    try:
+        parsed = parse_trajectories(text=serialize_trajectories(table), frame_rate_hz=10.0)
+        entries = parse_annotations(text=labels, frame_rate_hz=10.0).entries
+    except (TrajectoryParseError, ValidationError):
+        return False
+    return parsed.agent_ids == [agent_id] and [key[1] for key in entries] == [agent_id]
+
+
+@given(st.text(st.characters(codec="utf-8") | st.sampled_from(" \t,#\n\r\x1c\x85\u2028"),
+               max_size=5))
+@example("")
+@example("#a")
+@example("a#")
+@example(" a")
+@example("a\tb")
+@example("a\u2028b")
+@settings(max_examples=300, deadline=None)
+def test_an_agent_id_is_accepted_iff_the_csv_files_carry_it(agent_id):
+    # the scenario id rule refuses exactly the ids that a reader splits,
+    # strips, skips as a comment or finds empty
+    config = ScenarioConfig(
+        lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=0.2,
+        spawns=[SpawnSpec(agent_id, "conservative", 0, 0.0, 10.0, longitudinal="cruise")],
+    )
+    try:
+        config.validate()
+        accepted = True
+    except ValidationError as exc:
+        assert str(exc).startswith(f"agent id {agent_id!r} must be") and "\n" not in str(exc)
+        accepted = False
+    assert accepted == _carried(agent_id)
 
 
 def test_driver_params_validation():
