@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import TrajectoryTable, float_texts, write_csv
+from .ingest import TrajectoryTable, float_texts, stable_order, write_csv
 
 # Not called here: the per-frame forms of ``compute_series``. Their only
 # reader is perfbench/tracer.py, which wraps them under these names.
@@ -272,7 +272,7 @@ def compute_series(
     # each agent's rows in frame order, agents in id order, from its first
     # position in by_agent
     ranks = _ranks(agents)
-    by_agent = np.argsort(ranks[codes], kind="stable")
+    by_agent = stable_order(ranks[codes], len(agents))
     bounds = np.searchsorted(ranks[codes[by_agent]], np.arange(len(agents) + 1))
 
     order, p, q, cost = sweep_edges(frames, x, y, mu)

@@ -14,6 +14,7 @@ SLC (sudden lane-change), W (weaving).
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 from .errors import TrajectoryParseError, ValidationError, require_positive
@@ -203,7 +204,7 @@ class TdeTable:
             ],
             "warnings": self.warnings,
         }
-        return write_text(dest, json.dumps(payload, indent=2) + "\n", "TDE table")
+        return write_text(dest, json.dumps(payload, indent=2, allow_nan=False) + "\n", "TDE table")
 
     def mean(self, style: str) -> float | None:
         for row in self.rows:
@@ -217,7 +218,9 @@ def evaluate_run(reports: list[StyleReport], annotations: AnnotationSet) -> TdeT
 
     Labels whose agent is missing from the reports, or whose style has no
     prediction (e.g. no weaving critical points), are excluded from the
-    means and surface in the missing counts and warnings.
+    means and surface in the missing counts and warnings. A TDE or a mean
+    that is not finite (a frame rate so small that seconds overflow)
+    raises ValidationError naming the style and the rate.
     """
     by_agent = {r.agent_id: r for r in reports}
     f = annotations.frame_rate_hz
@@ -248,12 +251,8 @@ def evaluate_run(reports: list[StyleReport], annotations: AnnotationSet) -> TdeT
         if code not in labeled:
             continue
         vals = errors[code]
-        rows.append(
-            TdeRow(
-                style=code,
-                mean_tde_s=sum(vals) / len(vals) if vals else None,
-                maneuver_count=len(vals),
-                missing_count=missing[code],
-            )
-        )
+        mean = sum(vals) / len(vals) if vals else None
+        if mean is not None and not math.isfinite(mean):  # a TDE or their sum overflowed
+            raise ValidationError(f"{code} TDE is not finite at frame rate {f!r} Hz")
+        rows.append(TdeRow(code, mean, len(vals), missing[code]))
     return TdeTable(rows=rows, warnings=warnings)

@@ -24,9 +24,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
+from .ingest import in_frame_order
 
 DEFAULT_MU = 100.0  # m^2: a 10 m proximity radius
 DEFAULT_CAPACITY = 256
+_GRID_CELLS = 1 << 15  # cells of the grid of frames ``sweep_edges`` sorts at a time
 
 
 @dataclass
@@ -52,15 +54,17 @@ def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
 
     ``frames``, ``x`` and ``y`` hold one entry per vertex; ``frames``
     ascends, as a table's does. A stable sort by (frame run, x) puts each
-    frame's vertices in one run, in x order: the frame run numbers sort as
-    the frames do and, up to 2**16 runs, are a uint16 key that numpy sorts
-    by radix. The sweep pairs sorted positions ``(p, p + k)`` for k = 1, 2, ...: a
-    pair is an edge iff it is in one frame, ``dx*dx < mu`` and its cost
-    ``(x_p - x_q)**2 + (y_p - y_q)**2 < mu``. A pair that fails the first
-    two tests fails them at every larger offset too (x is sorted within a
-    frame, frames are contiguous, and rounding is monotone), so the sweep
-    ends at the first k where no pair passes them. Non-finite coordinates
-    never pass ``dx*dx < mu``.
+    frame's vertices in one run, in x order, and leaves each frame in place:
+    a row-wise ``argsort`` of a grid of frames, x padded with NaN (sorted
+    last, as by ``np.lexsort``), where it holds at most twice the vertices;
+    else ``np.lexsort``, by frame run numbers that, up to 2**16 runs, are a
+    uint16 key that numpy sorts by radix. The sweep pairs sorted positions
+    ``(p, p + k)`` for k = 1, 2, ...: a pair is an edge iff it is in one
+    frame, ``dx*dx < mu`` and its cost ``(x_p - x_q)**2 + (y_p - y_q)**2``
+    is below mu. A pair that fails the first two tests fails them at every
+    larger offset too (x is sorted within a frame, frames are contiguous,
+    and rounding is monotone), so the sweep ends at the first k where no
+    pair passes them. Non-finite coordinates never pass ``dx*dx < mu``.
 
     Returns ``(order, p, q, cost)``: the sort order of the vertices, and
     each edge as sorted positions ``p < q`` with its cost.
@@ -69,9 +73,21 @@ def sweep_edges(frames: np.ndarray, x: np.ndarray, y: np.ndarray, mu: float):
     if np.count_nonzero(step) < 2**16:  # at most 2**16 runs: a uint16 key
         key = np.zeros(len(frames), np.uint16)
         np.cumsum(step, dtype=np.uint16, out=key[1:])
-    del step
-    order = np.lexsort((x, key))
-    fs, xs, ys = key[order], x[order], y[order]
+    starts = np.flatnonzero(np.insert(step, 0, True))[:len(frames)]
+    sizes = np.diff(starts, append=len(frames))
+    width = int(sizes.max(initial=1))
+    if len(starts) * width > 2 * len(frames):
+        order = np.lexsort((x, key))
+    else:  # each frame a grid row, NaN past its end, at most _GRID_CELLS cells a group
+        order, rows = np.empty(len(frames), np.intp), max(1, _GRID_CELLS // width)
+        for g in range(0, len(starts), rows):
+            first, size = starts[g:g + rows], sizes[g:g + rows]
+            real = np.arange(width) < size[:, None]
+            lo, hi = first[0], first[0] + size.sum()
+            grid = np.full(real.shape, np.nan)
+            grid[real] = x[lo:hi]
+            order[lo:hi] = (first[:, None] + np.argsort(grid, axis=1, kind="stable"))[real]
+    fs, xs, ys = key, x[order], y[order]  # the sort keeps each frame in place
     ps, qs, costs = [np.empty(0, np.intp)], [np.empty(0, np.intp)], [np.empty(0)]
     squares = np.empty(len(order))  # each offset's dx*dx, in one buffer
     for k in range(1, len(order)):
@@ -100,7 +116,8 @@ def graph_error(frames, codes, ids, x, y, order, p, q, cost):
     result.
     """
     found = []  # (frame, check order within the frame, message)
-    by_id = np.lexsort((codes, frames))
+    ordered = in_frame_order(frames, codes)  # then a duplicate follows its twin
+    by_id = np.arange(len(frames)) if ordered else np.lexsort((codes, frames))
     a, b = by_id[:-1], by_id[1:]
     dup = b[(frames[a] == frames[b]) & (codes[a] == codes[b])]
     bad = np.flatnonzero(~(np.isfinite(x) & np.isfinite(y)))

@@ -9,7 +9,9 @@ A file is read a block at a time (``read_lines``), never whole, each
 block ending on a line break: a few thousand lines at a time become
 numpy columns, which are validated, differenced and ordered with array
 operations, one copy of each at a time; those columns are the table,
-which holds no per-row records.
+which holds no per-row records. A chunk without ``#`` or ``\x1f`` is read
+as it is, numbers unstripped; any other, or one that does not split, line
+by line.
 Reading rows stops at the first one that does not split into its fields
 and numbers; each other check is a mask over the columns, and an error
 names its line from the line numbers counted while reading.
@@ -32,7 +34,7 @@ import sys
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import dataclass
 from functools import cache
 from itertools import chain, islice
@@ -149,34 +151,34 @@ def read_source(source, text, what: str) -> str:
         ) from None
 
 
-def read_lines(source, text, what: str) -> Iterator[str]:
-    """``read_source``'s content, line by line as ``str.splitlines`` splits it.
+def read_lines(source, text, what: str) -> Iterator[list[str]]:
+    """``read_source``'s content, split by ``str.splitlines``, a block of lines at a time.
 
     A file is read a block at a time, never whole: ``_BLOCK_CHARS``
     characters and the rest of the line they end in, so a block ends on a
     line break (text mode turns ``\\r\\n`` and ``\\r`` into one ``\\n``) or
-    at the end of the file. A file that cannot be opened or decoded is read
-    again by ``read_source``, for the same error message."""
+    at the end of the file; ``text=`` is one block. An unreadable file is
+    read again by ``read_source``, for the same error message."""
     if source is None or text is not None or not isinstance(source, (str, os.PathLike)):
-        yield from read_source(source, text, what).splitlines()  # text=, or an error
+        yield read_source(source, text, what).splitlines()  # text=, or an error
         return
     try:
         with open(source, "r", encoding="utf-8") as fh:
-            for block in iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), ""):
-                yield from block.splitlines()
+            blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
+            yield from map(str.splitlines, blocks)  # a block's text is dropped once split
     except (OSError, UnicodeDecodeError):
         read_source(source, None, what)
         raise
 
 
 @contextmanager
-def read_through(lines: Iterator[str]):
-    """``lines``, read to the end as the ``with`` body leaves, even by an error:
-    a byte that is not UTF-8 anywhere in the file is then reported first."""
+def read_through(blocks: Iterator[list[str]]):
+    """The lines of ``blocks``, read to the end as the ``with`` body leaves, even
+    by an error: a byte that is not UTF-8 anywhere in the file is reported first."""
     try:
-        yield lines
+        yield chain.from_iterable(blocks)
     finally:
-        deque(lines, maxlen=0)
+        deque(blocks, maxlen=0)
 
 
 def read_rows(
@@ -357,6 +359,17 @@ def _required_arguments(cls) -> frozenset[str]:
     return frozenset(a.name for a in arguments if a.default is a.empty)
 
 
+def in_frame_order(frames: np.ndarray, codes: np.ndarray) -> bool:
+    """Whether rows are ordered by frame, then by agent code within a frame."""
+    step = np.diff(frames)
+    return bool(np.all((step > 0) | (step == 0) & (np.diff(codes) >= 0)))
+
+
+def stable_order(keys: np.ndarray, count: int) -> np.ndarray:
+    """``np.argsort(keys, kind="stable")`` of keys below ``count``, as uint16 (radix) to 2**16."""
+    return np.argsort(keys.astype(np.uint16) if count <= 2**16 else keys, kind="stable")
+
+
 def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
     """Field count, first column of each name, and whether vx,vy are given."""
     header = [p.strip() for p in line.split(",")]
@@ -424,19 +437,25 @@ def parse_trajectories(
         # a first chunk of no rows, so that a file without rows still has columns
         values, ids, types = [[np.empty(0)] * len(numeric)], [], []
 
-        def read(body: list[str]) -> None:
-            """Append the rows ``body`` as columns; ValueError if one does not split."""
+        def read(body: list[str], raw: bool = False) -> None:
+            """Append the rows ``body`` as columns; ValueError if one does not split
+            or, ``raw`` (lines as read, numbers unstripped), holds ``#`` or ``\\x1f``."""
             if not body:
                 return
             # rows joined by a "\n" cell, which no row holds: each row has
             # n_fields fields iff every (n_fields + 1)-th cell is one of them
-            cells = ",\n,".join(body).split(",")
+            text = ",\n,".join(body)
+            if raw and ("#" in text or "\x1f" in text):
+                raise ValueError
+            cells = text.split(",")
+            del text  # freed before the conversions: 3 MB off a 60-min recording's peak
             width = n_fields + 1
             if (len(cells) != width * len(body) - 1
                     or cells[n_fields::width].count("\n") != len(body) - 1):
                 raise ValueError
             values.append([
-                np.fromiter(map(float, map(str.strip, cells[j::width])), float, len(body))
+                np.fromiter(map(float, cells[j::width] if raw else
+                                map(str.strip, cells[j::width])), float, len(body))
                 for j in numeric
             ])
             # interned, so the lists hold one string per distinct id and type
@@ -457,12 +476,16 @@ def parse_trajectories(
 
         error = None
         for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
-            body = [s for s in map(str.strip, chunk) if s and s[0] != "#"]
             firsts.append(len(ids))
-            numbers.append(range(seen + 1, seen + 1 + len(chunk)) if len(body) == len(chunk)
-                           else seen + 1 + np.flatnonzero([s[:1] not in ("", "#")
-                                                           for s in map(str.strip, chunk)]))
+            numbers.append(range(seen + 1, seen + 1 + len(chunk)))
             seen += len(chunk)
+            with suppress(ValueError):
+                read(chunk, raw=True)
+                continue
+            # else line by line, without its blank and comment lines
+            body = list(map(str.strip, chunk))
+            numbers[-1] = numbers[-1].start + np.flatnonzero([s[:1] not in ("", "#") for s in body])
+            body = [s for s in body if s and s[0] != "#"]
             try:
                 read(body)
             except ValueError:
@@ -525,7 +548,7 @@ def parse_trajectories(
     # agent's next row; timestamps strictly increase and frames step by one
     frames = frame_float.astype(np.int64)
     del frame_float
-    order = np.argsort(codes, kind="stable")
+    order = stable_order(codes, len(agents))
     same = np.diff(codes[order]) == 0
     a, b = order[:-1][same], order[1:][same]
     back = ts[b] <= ts[a]
@@ -566,14 +589,15 @@ def parse_trajectories(
         vy[order[last]] = vy[order[last - 1]]
     del order, same, a, b
 
-    # canonical order: frames ascending, agents within a frame by id (each
-    # pair is one row), applied one column at a time
-    canon = np.lexsort((codes, frames))
     table = dict(frame=frames, timestamp=ts, x=x, y=y, vx=vx, vy=vy, agent=codes,
                  agent_type=kinds)
     del frames, ts, x, y, vx, vy, vel, codes, kinds
-    for name, column in table.items():
-        table[name] = column[canon]
+    # canonical order: frames ascending, agents within a frame by id (each
+    # pair is one row), applied one column at a time to a file not in it
+    if not in_frame_order(table["frame"], table["agent"]):
+        canon = np.lexsort((table["agent"], table["frame"]))
+        for name, column in table.items():
+            table[name] = column[canon]
     return TrajectoryTable(**table, agent_ids=agents, frame_rate_hz=frame_rate_hz)
 
 

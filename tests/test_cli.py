@@ -512,6 +512,30 @@ def test_evaluate_report_with_a_repeated_agent_exits_1_with_one_line(
     assert "agent 'subject' has more than one entry" in err
 
 
+# (label rows, frame rate): one TDE past the float range in seconds, and
+# two finite TDEs whose sum is
+NON_FINITE_TDE = {
+    "one_tde": ("subject,SLC,0,10\n", "1e-320"),
+    "mean": (f"subject,SLC,0,{2**53 - 1}\ng0,SLC,0,{2**53 - 1}\n", "4.5e-293"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(NON_FINITE_TDE))
+def test_evaluate_non_finite_tde_exits_1_with_one_line(kind, analyzed_run, tmp_path, capsys):
+    # tde.json once held a bare Infinity, which is not JSON, and tde.csv inf
+    rows, rate = NON_FINITE_TDE[kind]
+    labels = tmp_path / "labels.csv"
+    labels.write_text("agent_id,style,start_frame,end_frame\n" + rows)
+    out = tmp_path / "out"
+    assert main([
+        "evaluate", "--report", str(analyzed_run / "report.json"), "--labels", str(labels),
+        "--frame-rate", rate, "--out", str(out),
+    ]) == 1
+    assert capsys.readouterr().err == (
+        f"error: SLC TDE is not finite at frame rate {float(rate)!r} Hz\n")
+    assert not out.exists()
+
+
 def test_analyzed_report_reads_back_unchanged(analyzed_run):
     text = (analyzed_run / "report.json").read_text()
     assert report_to_json(report_from_json(text=text)) == text

@@ -5,6 +5,8 @@ from hypothesis import strategies as st
 from drivestyle.errors import TrajectoryParseError, ValidationError
 from drivestyle.evaluation import (
     AnnotationSet,
+    TdeRow,
+    TdeTable,
     annotations_from_labels,
     evaluate_run,
     expected_frame,
@@ -242,3 +244,10 @@ def test_tde_table_formats(tmp_path):
     assert csv_text.splitlines()[0] == "style,mean_tde_s,maneuver_count,missing_count"
     assert (tmp_path / "t.csv").exists() and (tmp_path / "t.json").exists()
     assert '"style": "OS"' in json_text
+
+
+def test_tde_table_json_refuses_a_non_finite_mean():
+    # evaluate_run raises first; the writer still writes no bare Infinity
+    table = TdeTable(rows=[TdeRow("OS", float("inf"), 1, 0)])
+    with pytest.raises(ValueError, match="not JSON compliant"):
+        table.to_json()

@@ -320,7 +320,8 @@ def test_sweep_rejects_coincident_positions_anywhere_in_a_frame():
 def swept(monkeypatch):
     """``sweep_edges`` checked against the lexsort oracle, bit for bit.
 
-    Returns its result and the dtype of the frame key it sorted by.
+    Returns its result and the dtype of the frame key ``np.lexsort`` sorted
+    by, or None where the frames were sorted as rows of a grid.
     """
     keys = []
 
@@ -338,8 +339,8 @@ def swept(monkeypatch):
         for a, b in zip(got, expected):
             assert a.dtype == b.dtype
             assert a.tobytes() == b.tobytes()
-        (key,) = keys
-        return got, key
+        assert len(keys) <= 1
+        return got, keys[0] if keys else None
 
     return sweep
 
@@ -348,13 +349,16 @@ def test_sweep_key_changes_no_edge(swept):
     rng = np.random.default_rng(31)
     for trial in range(40):
         # ascending frames with gaps, several vertices each, x on a coarse
-        # grid so that vertices of one frame tie on x
-        frame_count = int(rng.integers(1, 200))
+        # grid so that vertices of one frame tie on x; a last frame wider
+        # than all the others together, x 11 m apart, makes np.lexsort sort
+        frame_count = int(rng.integers(2, 200))
         base = int(rng.choice([0, 10**6, 2**53 - 10**4]))
         steps = rng.integers(1, 50, frame_count)
-        frames = np.repeat(base + np.cumsum(steps) - steps[0],
-                           rng.integers(1, 12, frame_count)).astype(np.int64)
+        sizes = rng.integers(1, 12, frame_count)
+        sizes[-1] = 2 * sizes[:-1].sum() + 1
+        frames = np.repeat(base + np.cumsum(steps) - steps[0], sizes).astype(np.int64)
         x = rng.integers(-20, 20, len(frames)) * 2.5
+        x[-sizes[-1]:] = np.arange(sizes[-1]) * 11.0
         y = rng.uniform(-8.0, 8.0, len(frames))
         _, key = swept(frames, x, y, float(rng.uniform(1.0, 120.0)))
         assert key == np.uint16
@@ -362,11 +366,13 @@ def test_sweep_key_changes_no_edge(swept):
 
 @pytest.mark.parametrize("runs, dtype", [(2**16, np.uint16), (2**16 + 1, np.int64)])
 def test_sweep_key_at_the_uint16_bound(swept, runs, dtype):
-    # one or two vertices per frame: the most runs a uint16 key numbers,
-    # and one more, where the sort takes the frames themselves
+    # one or two vertices per frame, eight in the first, so that np.lexsort
+    # sorts: the most runs a uint16 key numbers, and one more, where the
+    # sort takes the frames themselves
     rng = np.random.default_rng(runs)
-    frames = np.repeat(np.arange(runs, dtype=np.int64) * 3 + 2**52,
-                       rng.integers(1, 3, runs))
+    sizes = rng.integers(1, 3, runs)
+    sizes[0] = 8
+    frames = np.repeat(np.arange(runs, dtype=np.int64) * 3 + 2**52, sizes)
     x = rng.integers(0, 4, len(frames)) * 4.0
     y = rng.uniform(0.0, 1.0, len(frames))
     (_, p, _, _), key = swept(frames, x, y, 100.0)
@@ -386,6 +392,83 @@ def test_sweep_key_names_the_same_shared_position(swept):
         expected = graph_error(frames, codes, ids, x, y,
                                *lexsort_sweep_edges(frames, x, y, 100.0))
         assert error == expected and "share a position" in error[1]
+
+
+# x values a grid row sorts as np.lexsort does: NaN last, -0.0 tied with 0.0
+SPECIAL_X = [math.nan, math.inf, -math.inf, -0.0, 0.0]
+
+
+@pytest.mark.parametrize("cells", [1, 16, graph._GRID_CELLS])
+@pytest.mark.parametrize("wide", [False, True])
+def test_frame_rows_sort_as_lexsort_does(swept, monkeypatch, cells, wide):
+    # a grid of frames sorts each frame's row, in groups of at most ``cells``
+    # cells (one frame a group at 1); one frame far wider than the rest
+    # makes np.lexsort sort instead
+    monkeypatch.setattr(graph, "_GRID_CELLS", cells)
+    rng = np.random.default_rng(41)
+    grids = 0
+    for trial in range(30):
+        frame_count = int(rng.integers(2, 300))
+        sizes = rng.integers(1, 12, frame_count)
+        wide_frame = np.zeros(frame_count, bool)
+        wide_frame[rng.integers(frame_count)] = wide
+        sizes[wide_frame] = 2 * sizes.sum() + 1
+        frames = np.repeat(np.cumsum(rng.integers(1, 5, frame_count)), sizes)
+        x = rng.integers(-8, 8, len(frames)) * 2.5  # ties within a frame
+        special = rng.random(len(frames)) < 0.15
+        x[special] = rng.choice(SPECIAL_X, np.count_nonzero(special))
+        # the wide frame's x 11 m apart, bar its special values
+        spread = np.repeat(wide_frame, sizes) & ~special
+        x[spread] = np.arange(np.count_nonzero(spread)) * 11.0
+        y = rng.uniform(-8.0, 8.0, len(frames))
+        (_, p, _, _), key = swept(frames, x, y, float(rng.uniform(1.0, 120.0)))
+        grid = frame_count * sizes.max() <= 2 * sizes.sum()
+        assert key == (None if grid else np.uint16) and p.size
+        grids += grid
+    assert grids == 0 if wide else grids >= 10
+
+
+@pytest.mark.parametrize("runs", [2**16, 2**16 + 1])
+def test_frame_rows_sort_as_lexsort_does_past_the_uint16_bound(swept, runs):
+    # one or two vertices per frame: a grid of two columns, compared within
+    # a frame by the uint16 run key and, past 2**16 runs, by the frames
+    rng = np.random.default_rng(runs)
+    frames = np.repeat(np.arange(runs, dtype=np.int64) * 3 + 2**52,
+                       rng.integers(1, 3, runs))
+    x = rng.integers(0, 4, len(frames)) * 4.0
+    x[rng.random(len(frames)) < 0.05] = math.nan
+    y = rng.uniform(0.0, 1.0, len(frames))
+    (_, p, _, _), key = swept(frames, x, y, 100.0)
+    assert key is None and p.size
+
+
+def test_duplicates_in_and_out_of_frame_order_are_named_by_one_rule():
+    # graph_error reads a duplicate off the next row where the rows are in
+    # (frame, code) order and sorts them otherwise; either way it names the
+    # first row, in row order, that repeats an earlier row's id on its frame
+    rng = np.random.default_rng(12)
+    ids = [f"v{k}" for k in range(8)]
+    orders = set()
+    for _ in range(300):
+        frames = np.sort(rng.integers(0, 5, int(rng.integers(2, 30))))
+        codes = rng.integers(0, 8, len(frames))
+        x, y = rng.uniform(0.0, 500.0, (2, len(frames)))
+        x[rng.random(len(frames)) < 0.05] = math.nan
+        # in (frame, code) order, or shuffled within each frame
+        for rows in (np.lexsort((codes, frames)), np.lexsort((rng.random(len(frames)), frames))):
+            f, c = frames[rows], codes[rows]
+            by_id = np.lexsort((c, f))
+            later = [int(r) for r, s in zip(by_id[1:], by_id[:-1])
+                     if f[r] == f[s] and c[r] == c[s]]
+            bad = np.flatnonzero(np.isnan(x[rows])).tolist()
+            first = min(later + bad, default=None)
+            expected = first if first is None else (int(f[first]), (
+                f"duplicate agent_id {ids[c[first]]!r} in frame" if first in later
+                else f"agent {ids[c[first]]!r} has a non-finite position"))
+            assert graph_error(f, c, ids, x[rows], y[rows],
+                               *sweep_edges(f, x[rows], y[rows], 1e-6)) == expected
+            orders.add((graph.in_frame_order(f, c), expected is None))
+    assert len(orders) == 4
 
 
 def test_non_finite_position_rejected():

@@ -1,4 +1,5 @@
 import math
+import sys
 from dataclasses import replace
 from unittest import mock
 
@@ -255,6 +256,8 @@ def test_write_text_writes_returns_and_names_an_unwritable_path(tmp_path):
 # comments, blank lines, CRLF, padded cells, extra and duplicate columns
 # and interleaved rows, then optionally broken by one of ERRORS.
 PADS = ["", " ", "\t", "　", "\xa0", "\x1f"]
+# lines that hold no row: blank, whitespace only, and comments, some indented
+FILLER_LINES = ["", "  ", "\t\xa0", "# comment, with a comma", "  # indented", "\x1f#"]
 EXTRA_COLUMNS = ["note", "x", "lane", "agent_id"]
 IDS = ["a9", "a10", "a1", "a09", "b", "été"]
 LONE_ROW_ERRORS = {
@@ -319,11 +322,17 @@ def trajectory_files(draw):
     elif error == "shuffle":
         rows = draw(st.permutations(rows))
 
+    # a file may hold rows padded with any of PADS, with PADS but "\x1f", or
+    # bare, and lines without rows, of which a comment may hold as many
+    # commas as a row, or none of them
+    pads = draw(st.sampled_from([PADS, PADS[:-1], [""]]))
+    filler = draw(st.sampled_from([[*FILLER_LINES, "#" + ",0" * (len(columns) - 1)], []]))
     lines, data = [",".join(columns)], []
     for row in rows:
-        lines += draw(st.lists(st.sampled_from(["", "# comment, with a comma", "  "]), max_size=1))
+        lines += draw(st.lists(st.sampled_from(filler), max_size=1)) if filler else []
         data.append(len(lines))
-        lines.append(",".join(draw(st.sampled_from(PADS)) + row[c] for c in columns))
+        lines.append(",".join(draw(st.sampled_from(pads)) + row[c] + draw(st.sampled_from(pads))
+                              for c in columns))
     if error == "opposite_field_counts" and len(data) > 1:
         a, b = draw(st.permutations(data))[:2]
         lines[a] += ",extra"
@@ -345,20 +354,42 @@ def _outcome(parse):
     return records(table)
 
 
-@given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]), st.integers(1, 9))
+@given(trajectory_files(), st.sampled_from([2, 3, ingest._CHUNK_LINES]), st.integers(1, 64))
 @settings(max_examples=200, deadline=None,
           suppress_health_check=[HealthCheck.function_scoped_fixture])
 def test_bulk_parse_matches_row_loop(tmp_path, text, chunk_lines, block_chars):
+    # a chunk of lines without "#" or "\x1f" is read as it is, any other or
+    # one that does not split line by line: each gives the row loop's table,
+    # or its error, message and line number included
     expected = _outcome(lambda: row_loop_parse(text, 4.0))
     with mock.patch.object(ingest, "_CHUNK_LINES", chunk_lines):
         got = _outcome(lambda: parse_trajectories(text=text, frame_rate_hz=4.0))
-    assert got == expected
-    # the same file from a path, read a few characters at a time: line ends,
-    # blank and comment lines fall on block edges and inside blocks
-    path = tmp_path / "drawn.csv"
-    path.write_bytes(text.encode())
-    with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
-        assert _outcome(lambda: parse_trajectories(path, 4.0)) == expected
+        assert got == expected
+        # the same file from a path, read a few characters at a time: line
+        # ends, blank and comment lines fall on block edges and inside blocks
+        path = tmp_path / "drawn.csv"
+        path.write_bytes(text.encode())
+        with mock.patch.object(ingest, "_BLOCK_CHARS", block_chars):
+            assert _outcome(lambda: parse_trajectories(path, 4.0)) == expected
+
+
+def test_float_strips_what_str_strip_does_but_four_separators():
+    # the reader hands float() numbers unstripped only from lines without
+    # "\x1f": str.splitlines cuts lines at "\x1c"-"\x1e", so no other
+    # str.isspace character makes float() differ from float() after strip
+    def value(text):
+        try:
+            return float(text)
+        except ValueError:
+            return None
+
+    spaces = [c for c in map(chr, range(sys.maxunicode + 1)) if c.isspace()]
+    differ = [c for c in spaces
+              if value(c + "1.5") != value((c + "1.5").strip())
+              or value("1.5" + c) != value(("1.5" + c).strip())]
+    assert differ == ["\x1c", "\x1d", "\x1e", "\x1f"]
+    assert all(len(f"a{c}b".splitlines()) == 2 for c in differ[:3])
+    assert "a\x1fb".splitlines() == ["a\x1fb"]
 
 
 def test_files_longer_than_one_chunk():
@@ -574,3 +605,24 @@ def test_yaml_writer_writes_the_pure_python_dumpers_text(tmp_path):
     save_thresholds(replace(DEFAULT_THRESHOLDS, tau_closeness=1e-300), path)
     payload = {**vars(DEFAULT_THRESHOLDS), "tau_closeness": 1e-300}
     assert path.read_text(encoding="utf-8") == safe_dump(payload)
+
+
+@pytest.mark.parametrize("count, dtype", [(2**16, np.uint16), (2**16 + 1, np.intp)])
+def test_agent_order_as_uint16_equals_the_intp_order(monkeypatch, count, dtype):
+    # the agent-order sort of the parser and of compute_series: keys below
+    # 2**16 sort as uint16, by radix; one more agent, and 2**16 is a key
+    rng = np.random.default_rng(count)
+    keys = rng.integers(0, count, 3 * count)
+    keys[:2] = count - 1, 0
+    sorted_as = []
+
+    def argsort(a, *args, **kwargs):
+        sorted_as.append(a.dtype)
+        return real(a, *args, **kwargs)
+
+    real = np.argsort
+    monkeypatch.setattr(np, "argsort", argsort)
+    got = ingest.stable_order(keys, count)
+    monkeypatch.undo()
+    assert sorted_as == [dtype]
+    assert got.tobytes() == np.argsort(keys, kind="stable").tobytes()
