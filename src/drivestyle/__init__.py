@@ -42,11 +42,9 @@ from .sim import (
     ManeuverLabel,
     ScenarioConfig,
     SpawnSpec,
-    idm_acceleration,
     idm_law,
-    mobil_decision,
     run_scenario,
-    step,
+    run_scenarios,
 )
 from .styles import StyleReport, Thresholds
 

@@ -12,12 +12,18 @@ too-gentle set will flag ordinary drivers.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .errors import ValidationError
 from .pipeline import AnalysisParams, analyze_table
-from .sim import CLASS_CONSERVATIVE, ScenarioConfig, run_scenario
+from .sim import CLASS_CONSERVATIVE, ScenarioConfig, SimResult, iter_scenarios
 from .styles import Thresholds
+
+# Not called here: calibration runs its scenarios together. Its only reader
+# is perfbench/tracer.py, which wraps it under this name.
+from .sim import run_scenario  # noqa: F401
 
 _POSITIVE_FLOOR = 1e-9  # thresholds are contractually strictly positive
 
@@ -25,17 +31,22 @@ PERCENTILE = 90.0
 
 
 def calibrate_thresholds(scenarios: list[ScenarioConfig], params: AnalysisParams) -> Thresholds:
-    """Run the pipeline over calibration scenarios and take percentiles.
+    """Run the calibration scenarios and take percentiles (``thresholds_from_runs``).
 
-    Deterministic for a fixed scenario list (scenario seeds drive all
-    randomness). Raises ValidationError when the set contains no
-    conservative agents.
+    The worlds run together (``sim.run_scenarios``), and each table is
+    built as its run is analysed, so one is held at a time. Deterministic
+    for a fixed scenario list (scenario seeds drive all randomness).
     """
-    if not scenarios:
-        raise ValidationError("calibration scenario set is empty")
-    pools = []  # per scenario: its conservative agents' three maxima
-    for config in scenarios:
-        result = run_scenario(config)
+    return thresholds_from_runs(iter_scenarios(scenarios), params)
+
+
+def thresholds_from_runs(results: Iterable[SimResult], params: AnalysisParams) -> Thresholds:
+    """Analyse simulator runs and take percentiles of their conservative agents' maxima.
+
+    Raises ValidationError when there is no run, or no conservative agent.
+    """
+    pools = []  # per run: its conservative agents' three maxima
+    for result in results:
         report = analyze_table(result.table, params)
         scores = report.scores
         sharpest = np.zeros(len(scores.count))  # 0.0 for an agent without points
@@ -44,6 +55,8 @@ def calibrate_thresholds(scenarios: list[ScenarioConfig], params: AnalysisParams
                                  for a in report.agents], dtype=bool)
         pools.append(np.stack([scores.degree.sle_max, scores.closeness.sle_max,
                                sharpest])[:, conservative])
+    if not pools:
+        raise ValidationError("calibration scenario set is empty")
     degree_maxima, closeness_maxima, sharpness_maxima = np.concatenate(pools, axis=1)
     if not degree_maxima.size:
         raise ValidationError("no conservative agents in the calibration set")

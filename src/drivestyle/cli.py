@@ -13,7 +13,7 @@ from dataclasses import fields, replace
 from pathlib import Path
 
 from . import __version__
-from .calibrate import calibrate_thresholds
+from .calibrate import thresholds_from_runs
 from .centrality import compute_series, series_to_csv
 from .config import RunConfig, load_run_config, load_thresholds, save_thresholds
 from .errors import ContractViolationError, DriveStyleError, ValidationError
@@ -21,7 +21,7 @@ from .evaluation import evaluate_run, parse_annotations
 from .ingest import parse_trajectories, serialize_trajectories
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .pipeline import windows_to_csv
-from .sim import load_scenario, run_scenario, write_labels
+from .sim import load_scenario, run_scenario, run_scenarios, write_labels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -82,6 +82,14 @@ def _ensure_dir(path: str) -> Path:
     return out
 
 
+def _warn_collisions(collisions, scenario: str = "") -> None:
+    """One stderr line per collision, after ``scenario`` (a file name) if given."""
+    where = f"{scenario}: " if scenario else ""
+    for event in collisions:
+        print(f"warning: {where}collision at frame {event.frame}: "
+              f"{event.agent_id} into {event.leader_id}", file=sys.stderr)
+
+
 def cmd_simulate(args) -> int:
     config = load_scenario(args.scenario)
     if args.seed is not None:
@@ -90,12 +98,7 @@ def cmd_simulate(args) -> int:
     out = _ensure_dir(args.out)
     serialize_trajectories(result.table, out / "trajectories.csv")
     write_labels(result.labels, out / "labels.csv")
-    for event in result.collisions:
-        print(
-            f"warning: collision at frame {event.frame}: "
-            f"{event.agent_id} into {event.leader_id}",
-            file=sys.stderr,
-        )
+    _warn_collisions(result.collisions)
     print(f"wrote {out / 'trajectories.csv'} and {out / 'labels.csv'}")
     return 0
 
@@ -159,13 +162,11 @@ def cmd_calibrate(args) -> int:
     if not cfg.calibration_scenarios:
         raise ValidationError("run config lists no calibration_scenarios")
     base = Path(args.config).parent
-    scenarios = []
-    for entry in cfg.calibration_scenarios:
-        path = Path(entry)
-        if not path.is_absolute():
-            path = base / path
-        scenarios.append(load_scenario(path))
-    thresholds = calibrate_thresholds(scenarios, cfg.params)
+    paths = [base / entry for entry in cfg.calibration_scenarios]  # an absolute entry stays
+    results = run_scenarios([load_scenario(path) for path in paths])
+    for path, result in zip(paths, results):
+        _warn_collisions(result.collisions, str(path))
+    thresholds = thresholds_from_runs(results, cfg.params)
     save_thresholds(thresholds, args.out)
     print(" ".join(f"{name}={value!r}" for name, value in vars(thresholds).items()))
     return 0

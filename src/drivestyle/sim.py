@@ -7,18 +7,21 @@ population. Scenarios may additionally script agents: a constant-speed
 longitudinal mode and forced lane changes at fixed frames make maneuver
 timing predictable, which is what turns a scenario into ground truth.
 
-Stepping is single-threaded and deterministic: the RNG seeds only the
-conservative desired-speed draw at spawn time, so identical (config,
-seed) pairs produce identical output bytes.
+A world where an agent follows steps on numpy columns, one frame at a
+time (``_run_columns``); worlds of one shape handed to ``run_scenarios``
+step together in one set of columns, each world's agents filed under
+lanes of their own. A world of cruisers alone is summed with no frame
+loop. Stepping is single-threaded and deterministic: the RNG seeds only
+the conservative desired-speed draw at spawn time, so identical (config,
+seed) pairs produce identical output bytes, alone or in a stack.
 """
 
 from __future__ import annotations
 
 import math
-from bisect import bisect_left, bisect_right
+from collections.abc import Iterator
 from dataclasses import dataclass, field, replace
 from itertools import accumulate, repeat, takewhile
-from operator import lt
 from typing import NamedTuple
 
 import numpy as np
@@ -50,10 +53,6 @@ MAX_SCENARIO_ROWS = 10**7
 # (see ``ScenarioConfig.validate``)
 MAX_SPEED_MPS = 1.0e6
 MAX_SPEED_RATIO = 1.0e12
-
-# Car-following agents from which a world steps as numpy columns: below it
-# a list step is faster (measured on the highway layout, see README)
-ARRAY_STEP_MIN_FOLLOWERS = 35
 
 CLASS_CONSERVATIVE = "conservative"
 CLASS_AGGRESSIVE = "aggressive"
@@ -257,107 +256,33 @@ class ScenarioConfig:
 
 
 def idm_law(params: DriverParams) -> tuple[float, ...]:
-    """A driver's car-following inputs, as ``idm_acceleration`` takes them.
+    """A driver's car-following inputs: ``(v0, a_max, b_comf, s0, T_gap, 2 sqrt(a_max b_comf))``.
 
-    ``(v0, a_max, b_comf, s0, T_gap, 2 sqrt(a_max b_comf))``: the root is
-    taken once per driver, the same bits as taking it in every call.
+    The root is taken once per driver, the same bits as taking it at every
+    evaluation of the law.
     """
     p = params
     return (p.v0, p.a_max, p.b_comf, p.s0, p.T_gap, 2.0 * math.sqrt(p.a_max * p.b_comf))
 
 
-def idm_acceleration(
-    law: tuple[float, ...], speed: float, gap: float | None = None, lead_speed: float = 0.0
-) -> float:
-    """Car-following acceleration: free-road term minus interaction term.
-
-    ``law`` is the driver's ``idm_law``, ``gap`` the bumper-to-bumper
-    distance to the leader (None on a free road) and ``lead_speed`` the
-    leader's speed. A non-positive gap is a collision, answered with the
-    emergency deceleration -b_comf so the run can continue (``step``
-    logs it). The powers are Python's ``**``, libm's ``pow``, as the
-    column law ``_idm_columns`` takes them through ``np.float_power``
-    (numpy's ``power`` differs from it in the last bit on some values).
-    ``ScenarioConfig.validate`` bounds speeds so that neither overflows.
-    """
-    v0, a_max, b_comf, s0, t_gap, root = law
-    free = 1.0 - (speed / v0) ** 4
-    if gap is None:
-        return a_max * free
-    if gap <= 0.0:
-        return -b_comf
-    s_star = s0 + speed * t_gap + speed * (speed - lead_speed) / root
-    return a_max * (free - (s_star / gap) ** 2)
-
-
-class MobilDecision(NamedTuple):
-    approved: bool
-    safety_ok: bool
-    incentive: float
-    new_follower_acceleration: float  # the deceleration imposed in the target lane
-
-
-def _follow(back, front) -> float:
-    """``idm_acceleration`` of car ``back`` behind ``front`` (None: free road)."""
-    if front is None:
-        return idm_acceleration(back[2], back[1])
-    return idm_acceleration(back[2], back[1], front[0] - back[0] - VEHICLE_LENGTH_M, front[1])
-
-
-def mobil_decision(
-    params: DriverParams, ego, current_leader, current_follower, target_leader, target_follower
-) -> MobilDecision:
-    """Approve a lane change iff it is safe and worth the bother.
-
-    A car is ``(x, speed, idm_law)``, or None where the neighbour is
-    absent; ``params`` are the ego's. Safety: the would-be follower in
-    the target lane must not be forced below -b_safe. Incentive: the ego
-    acceleration gain plus the politeness-weighted gains of both affected
-    followers must exceed the ego's threshold. All accelerations come
-    from the car-following law evaluated on the hypothetical arrangement.
-    An unsafe change, a non-positive insertion gap included, is rejected
-    before its incentive terms are evaluated: its incentive is -inf.
-    """
-    if (target_leader is not None and target_leader[0] - ego[0] - VEHICLE_LENGTH_M <= 0) or (
-        target_follower is not None and ego[0] - target_follower[0] - VEHICLE_LENGTH_M <= 0
-    ):
-        return MobilDecision(False, False, -math.inf, -math.inf)
-
-    a_n = a_n_new = a_o = a_o_new = 0.0
-    if target_follower is not None:
-        a_n_new = _follow(target_follower, ego)
-        if not a_n_new >= -params.b_safe:
-            return MobilDecision(False, False, -math.inf, a_n_new)
-        a_n = _follow(target_follower, target_leader)
-    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
-    if current_follower is not None:
-        a_o, a_o_new = _follow(current_follower, ego), _follow(current_follower, current_leader)
-    incentive = gain_ego + params.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
-    new_follower = math.inf if target_follower is None else a_n_new
-    return MobilDecision(incentive > params.delta_a_th, True, incentive, new_follower)
-
-
 @dataclass
 class World:
-    """One running scenario: per-agent list columns in spawn order, clock, collision log.
+    """One running scenario, or a stack of them: per-agent columns in spawn order, clock, logs.
 
-    ``law`` holds each agent's ``idm_law``; ``follows`` the positions of
-    the car-following (IDM) agents, ascending, each with its ``idm_law``;
-    ``mobil`` whether lane-change decisions are its own (an IDM agent
-    with MOBIL on), taken every ``period`` frames. ``begun`` holds the
-    frame each agent's last lane change began (-inf before any) and
-    ``begun_at`` that change's start, a lateral position in lane units (a
-    float lane index). ``ramp`` is a change's progress at each frame after
-    it begins and ``blend`` its half-cosine blend, so an agent is
-    mid-change while ``frame - begun <= len(ramp)``; its ``lane`` is
-    already the target lane, which car-following commits to at once.
-    ``_run_columns`` makes ``lane`` an int64 and ``begun`` a float array.
-    ``changes`` logs every change as (frame, position, start, target
-    lane). ``scripts`` maps a frame to
-    its scripted changes, {position: target lane}. ``kept`` is the last
-    step's lane order while it may serve the next (see ``_kept_lanes``):
-    (ps, leaders, the length of ``changes``, behind, ahead), each agent of
-    ``behind`` next behind its partner of ``ahead`` in their lane.
+    ``follows`` marks the car-following (IDM) agents; ``mobil`` whether
+    lane-change decisions are an agent's own (an IDM agent with MOBIL on),
+    taken every ``period`` frames. ``begun`` holds the frame each agent's
+    last lane change began (-inf before any) and ``begun_at`` that
+    change's start, a lateral position in lane units (a float lane index).
+    ``ramp`` is a change's progress at each frame after it begins and
+    ``blend`` its half-cosine blend, so an agent is mid-change while
+    ``frame - begun <= len(ramp)``; its ``lane`` is already the target
+    lane, which car-following commits to at once. ``_run_columns`` makes
+    ``lane`` an int64 and ``begun`` a float array. ``changes`` logs every
+    change as (frame, position, start, target lane). ``scripts`` maps a
+    frame to its scripted changes, {position: target lane}. A stack of
+    worlds (``_stacked``) has its first world's ``config``, whose
+    timestep, frame count, period and ramp they all share.
     """
 
     config: ScenarioConfig
@@ -366,8 +291,7 @@ class World:
     speed: list[float]
     lane: list[int]
     params: list[DriverParams]
-    law: list[tuple[float, ...]]
-    follows: list[tuple[int, tuple[float, ...]]]
+    follows: list[bool]
     mobil: list[bool]
     period: int
     scripts: dict[int, dict[int, int]]
@@ -375,75 +299,9 @@ class World:
     blend: list[float]
     begun: list[float]
     begun_at: list[float]
-    kept: tuple | None = None
     changes: list[tuple[int, int, float, int]] = field(default_factory=list)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
-
-
-# Neighbour lookup. Each lane holds its agents' x in increasing order, and
-# their positions in the agent list, ties in list order: a scan of the
-# agent list answers the same. The leader is the nearest agent strictly
-# ahead, the first of the next larger x; the follower the nearest other
-# agent at or behind, the earliest in list order.
-
-
-def _lanes(lane: list[int], x: list[float], lane_count: int):
-    """(xs, ps) per lane: the x of its agents in increasing order, and their positions."""
-    ps: list[list[int]] = [[] for _ in range(lane_count)]
-    for pos, k in enumerate(lane):
-        ps[k].append(pos)
-    for members in ps:
-        members.sort(key=x.__getitem__)  # stable: ties stay in list order
-    return [[x[pos] for pos in members] for members in ps], ps
-
-
-def _leader(xs: list[float], ps: list[int], x: float) -> int | None:
-    """Position of the nearest agent of a lane strictly ahead of ``x``."""
-    k = bisect_right(xs, x)
-    return ps[k] if k < len(xs) else None
-
-
-def _follower(xs: list[float], ps: list[int], x: float, pos: int) -> int | None:
-    """Position of the nearest agent of a lane at or behind ``x``, other than ``pos``."""
-    end = bisect_right(xs, x)
-    while end:
-        # the agents at the largest x left, in list order; ego is at most one
-        start = bisect_left(xs, xs[end - 1], 0, end)
-        if ps[start] != pos:
-            return ps[start]
-        if start + 1 < end:
-            return ps[start + 1]
-        end = start
-    return None
-
-
-def _leaders(lanes, n: int) -> list[int | None]:
-    """Every agent's leader in its own lane, by one walk down each lane."""
-    leaders: list[int | None] = [None] * n
-    for xs, ps in zip(*lanes):
-        ahead = None
-        for k in range(len(xs) - 1, 0, -1):
-            if xs[k] != xs[k - 1]:
-                ahead = ps[k]
-            leaders[ps[k - 1]] = ahead
-    return leaders
-
-
-def _kept_lanes(world: World, with_xs: bool):
-    """The kept lanes, (xs if ``with_xs`` else None, ps), or None after forgetting them.
-
-    The order serves while no lane change has begun since it was kept and
-    every lane's x increases strictly along it (no pass, no tie): then the
-    stable sort gives that order, and each leader is the next agent in its lane.
-    """
-    if world.kept is not None:
-        ps, _, changes, behind, ahead = world.kept
-        get = world.x.__getitem__
-        if changes == len(world.changes) and all(map(lt, map(get, behind), map(get, ahead))):
-            return [list(map(get, members)) for members in ps] if with_xs else None, ps
-    world.kept = None
-    return None
 
 
 def _begin_lane_change(world: World, pos: int, target_lane: int) -> None:
@@ -469,105 +327,37 @@ def _scripted_changes(world: World) -> None:
             _begin_lane_change(world, pos, target)
 
 
-def _mobil_pass(world: World, lanes) -> None:
-    """Lane-change decisions in agent order; an approval rebuilds ``lanes`` in place."""
-    x, speed, lane, law = world.x, world.speed, world.lane, world.law
-    xs, ps = lanes
-    lane_count, frame, last = world.config.lane_count, world.frame, len(world.ramp)
-
-    def car(pos):
-        return None if pos is None else (x[pos], speed[pos], law[pos])
-
-    for pos, decides in enumerate(world.mobil):
-        if not decides or frame - world.begun[pos] <= last:
-            continue
-        at, own, params = x[pos], lane[pos], world.params[pos]
-        ego = car(pos)
-        cur_leader = car(_leader(xs[own], ps[own], at))
-        cur_follower = car(_follower(xs[own], ps[own], at, pos))
-        best: tuple[MobilDecision, int] | None = None
-        for target in (own - 1, own + 1):
-            if not 0 <= target < lane_count:
-                continue
-            decision = mobil_decision(
-                params, ego, cur_leader, cur_follower,
-                car(_leader(xs[target], ps[target], at)),
-                car(_follower(xs[target], ps[target], at, pos)),
-            )
-            if decision.approved and (best is None or decision.incentive > best[0].incentive):
-                best = (decision, target)
-        if best is not None:
-            decision, target = best
-            # internal invariant: an approved change is a safe change
-            assert decision.safety_ok
-            assert decision.new_follower_acceleration >= -params.b_safe
-            assert decision.incentive > params.delta_a_th
-            _begin_lane_change(world, pos, target)
-            xs[:], ps[:] = _lanes(lane, x, lane_count)
-
-
-def step(world: World) -> World:
-    """Advance the world one timestep of its scenario, in place.
-
-    Order per frame: scripted lane changes, lane-change decisions at the
-    decision period, one batch of accelerations from the pre-step state
-    (collisions logged in agent order), then the Euler position/speed
-    update. Only car-following agents read a leader or decide on lane
-    changes, so a world without one (cruisers only) builds no lane lists;
-    cruisers keep an acceleration of 0.
-    The last step's lane lists and leaders serve while ``_kept_lanes`` keeps them.
-    """
-    dt = world.config.timestep_s
-    _scripted_changes(world)
-
-    x, speed, ids = world.x, world.speed, world.ids
-    accels = [0.0] * len(x)
-    if world.follows:
-        decides = world.frame % world.period == 0
-        lanes = _kept_lanes(world, decides) or _lanes(world.lane, x, world.config.lane_count)
-        if decides:
-            _mobil_pass(world, lanes)
-        if world.kept is not None and world.kept[2] == len(world.changes):
-            leaders = world.kept[1]
-        else:
-            leaders, ps = _leaders(lanes, len(x)), lanes[1]
-            behind = [pos for members in ps for pos in members[:-1]]
-            ahead = [pos for members in ps for pos in members[1:]]
-            world.kept = ps, leaders, len(world.changes), behind, ahead
-            _kept_lanes(world, False)  # forgets a tie: leaders walked on one differ
-        for pos, law in world.follows:
-            leader = leaders[pos]
-            if leader is None:
-                accels[pos] = idm_acceleration(law, speed[pos])
-                continue
-            gap = x[leader] - x[pos] - VEHICLE_LENGTH_M
-            if gap <= 0.0:
-                world.collisions.append(CollisionEvent(world.frame, ids[pos], ids[leader]))
-            accels[pos] = idm_acceleration(law, speed[pos], gap, speed[leader])
-
-    world.x = [xi + v * dt for xi, v in zip(x, speed)]
-    # max(0.0, w), which is w only where w > 0.0
-    world.speed = [w if (w := v + a * dt) > 0.0 else 0.0 for v, a in zip(speed, accels)]
-    world.frame += 1
-    return world
-
-
 # ---------------------------------------------------------------------------
 # the step on numpy columns
 #
-# A world of many car-following agents steps as arrays, in ``step``'s order
-# and with its arithmetic, operation for operation: elementwise float
-# operations round as Python's do, and ``np.float_power`` calls libm's
-# ``pow`` as ``**`` does, so every output byte is the list step's. Column
-# ``n`` is a car at x = inf and column ``n + 1`` one at x = -inf, both at
-# rest: a missing leader is the first, so the law reads an infinite gap
-# and gives the free-road value, and a missing follower the second, whose
-# gain from any change is 0 and which never brakes. (An agent's x stays
-# finite: it starts on the road, and validated speeds are bounded.)
+# A frame's step applies its scripts; then, on decision frames (every
+# ``period`` frames), the lane-change decisions in agent order; then one
+# batch of accelerations from the pre-step state, collisions logged in
+# agent order; then the Euler update. Elementwise float operations round
+# as Python's do, and ``np.float_power`` calls libm's ``pow`` as ``**``
+# does, so every output byte is that of the one-object-per-vehicle
+# reference in ``tests/oracles.py``. Column ``n`` is a car at x = inf and
+# column ``n + 1`` one at x = -inf, both at rest: a missing leader is the
+# first, so the law reads an infinite gap and gives the free-road value,
+# and a missing follower the second, whose gain from any change is 0 and
+# which never brakes. (An agent's x stays finite: it starts on the road,
+# and validated speeds are bounded.)
+#
+# Worlds of one shape step as one set of columns. The agents of world w
+# are filed under lane ``offset_w + lane``, where ``offset_w`` sums
+# ``lane_count + 1`` over the worlds before it, so no leader, follower or
+# lane-change neighbour is ever another world's, and the lane past each
+# world's last is empty, as the lanes off a road are.
 
 
 def _idm_columns(law, speed, gap, lead_speed):
-    """``idm_acceleration`` of each column: ``law`` rows (v0, a_max, -b_comf, s0, T, root)."""
+    """The car-following law of each column: ``law`` rows (v0, a_max, -b_comf, s0, T, root).
+
+    Free-road term minus interaction term; a non-positive gap is a
+    collision, answered with the emergency deceleration -b_comf so the
+    run can continue. ``ScenarioConfig.validate`` bounds speeds so that
+    no power overflows.
+    """
     v0, a_max, brake, s0, t_gap, root = law
     free = 1.0 - np.float_power(speed / v0, 4.0)
     s_star = s0 + speed * t_gap + speed * (speed - lead_speed) / root
@@ -575,20 +365,20 @@ def _idm_columns(law, speed, gap, lead_speed):
 
 
 class _Filed(NamedTuple):
-    """The agents filed by (lane, x, position in the agent list), as ``_lanes`` files them.
+    """The agents filed by (lane key, x, position in the agent list).
 
-    ``place`` is each agent's lane + x·i: a complex number sorts by its
-    real part, then its imaginary part, so a stable sort of ``place``
+    ``place`` is each agent's lane key + x·i: a complex number sorts by
+    its real part, then its imaginary part, so a stable sort of ``place``
     gives the filing ``order`` and ``searchsorted`` on ``key`` (``place``
     filed) finds a (lane, x). ``first[i]`` is the index of the first
     agent of ``key[i]``, the earliest in list order. ``place``, ``order``
     and ``key`` have one more entry, past every other and read at n and
     at -1: column n, no agent, in lane inf. ``leader`` is each agent's
-    leader in its lane, the first agent of the next larger x (column n
-    where there is none). ``behind`` and ``ahead`` pair each agent with
-    the next in its lane: while no change begins and x increases strictly
-    along every pair, the filing stays the same and so do the leaders, if
-    ``strict`` (no tie when filed).
+    leader in its lane, the nearest agent strictly ahead: the first agent
+    of the next larger x (column n where there is none). ``behind`` and
+    ``ahead`` pair each agent with the next in its lane: while no change
+    begins and x increases strictly along every pair, the filing stays
+    the same and so do the leaders, if ``strict`` (no tie when filed).
     """
 
     place: np.ndarray
@@ -603,7 +393,7 @@ class _Filed(NamedTuple):
 
 
 def _file(x: np.ndarray, lane: np.ndarray, changes: int) -> _Filed:
-    """File the agents of columns ``x`` and ``lane``, after ``changes`` lane changes."""
+    """File the agents of columns ``x`` and ``lane`` (keys), after ``changes`` lane changes."""
     n = len(lane)
     place = np.empty(n + 1, dtype=np.complex128)
     place.real[:n], place.imag[:n] = lane, x
@@ -620,13 +410,19 @@ def _file(x: np.ndarray, lane: np.ndarray, changes: int) -> _Filed:
 
 
 def _kept(filed: _Filed | None, x: np.ndarray, changes: int) -> bool:
-    """Whether ``filed`` still files the agents at ``x`` (see ``_kept_lanes``)."""
+    """Whether ``filed`` still files the agents at ``x``.
+
+    It does while no lane change has begun since it was filed and every
+    lane's x increases strictly along it (no pass, no tie): then the
+    stable sort gives that order, and each leader is the next agent in
+    its lane.
+    """
     return (filed is not None and filed.strict and filed.changes == changes
             and bool((x[filed.behind] < x[filed.ahead]).all()))
 
 
 class _Drivers(NamedTuple):
-    """A run's per-agent constants as columns; ``law`` also covers columns n and n + 1."""
+    """A stack's per-agent constants as columns; ``law`` also covers columns n and n + 1."""
 
     law: np.ndarray  # rows v0, a_max, -b_comf, s0, T, 2 sqrt(a_max b_comf)
     politeness: np.ndarray
@@ -634,32 +430,54 @@ class _Drivers(NamedTuple):
     brake_safe: np.ndarray  # -b_safe
     mobil: np.ndarray
     cruisers: np.ndarray  # the positions of the agents that do not follow
+    offset: np.ndarray  # the key of the agent's world's lane 0
+    top: np.ndarray  # one past the key of its world's last lane
 
 
-def _drivers(world: World) -> _Drivers:
-    n, params = len(world.ids), world.params
-    law = np.array([*world.law] + [idm_law(CONSERVATIVE_PARAMS)] * 2).T.copy()
+def _stacked(worlds: list[World]) -> tuple[World, _Drivers]:
+    """One world of the agents of ``worlds``, in list order, and its drivers."""
+    starts = [0, *accumulate(len(w.ids) for w in worlds)]
+    scripts: dict[int, dict[int, int]] = {}
+    for w, start in zip(worlds, starts):
+        for frame, moves in w.scripts.items():
+            scripts.setdefault(frame, {}).update((pos + start, t) for pos, t in moves.items())
+
+    def joined(name):
+        return [value for w in worlds for value in getattr(w, name)]
+
+    world = replace(worlds[0], **{name: joined(name) for name in (
+        "ids", "x", "speed", "lane", "params", "follows", "mobil", "begun", "begun_at")},
+        scripts=scripts, changes=[], collisions=[])
+    params, sizes = world.params, np.diff(starts)
+    law = np.array([*map(idm_law, params)] + [idm_law(CONSERVATIVE_PARAMS)] * 2).T.copy()
     law[2] = -law[2]
-    follows = np.zeros(n, dtype=bool)
-    follows[[pos for pos, _ in world.follows]] = True
-    return _Drivers(
+    lanes = np.array([w.config.lane_count for w in worlds])
+    offset = np.repeat(np.cumsum(lanes + 1) - (lanes + 1), sizes)
+    return world, _Drivers(
         law=law,
         politeness=np.array([p.politeness for p in params]),
         delta_a_th=np.array([p.delta_a_th for p in params]),
         brake_safe=-np.array([p.b_safe for p in params]),
         mobil=np.array(world.mobil, dtype=bool),
-        cruisers=np.flatnonzero(~follows),
+        cruisers=np.flatnonzero(~np.array(world.follows, dtype=bool)),
+        offset=offset,
+        top=offset + np.repeat(lanes, sizes),
     )
 
 
-def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos, lane_count: int):
+def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos):
     """(position, target lane) of the first of ``egos`` whose lane change is approved, or None.
 
-    ``mobil_decision`` for every ego and both neighbouring lanes at once,
-    with ``_leader``/``_follower``'s neighbours: every term is evaluated,
-    and an unsafe change, a non-positive insertion gap included, is then
-    refused, as its incentive would not have been scored. Of two approved
-    targets the one to the left wins unless the right one scores more.
+    Every ego's decision for both neighbouring lanes at once. The current
+    and target leaders are the nearest agents strictly ahead, the
+    followers the nearest at or behind, the earliest in list order, ego
+    skipped. A change is approved iff it is safe, the would-be follower
+    in the target lane not forced below -b_safe and both insertion gaps
+    positive, and the ego's acceleration gain plus the politeness-weighted
+    gains of both affected followers exceeds the ego's threshold. Every
+    term is evaluated, and an unsafe change is then refused, as is a
+    target outside the ego's own world. Of two approved targets the one
+    to the left wins unless the right one scores more.
     """
     m, n, key, order, lanes = len(egos), len(filed.leader), filed.key, filed.order, filed.key.real
     at = filed.place[egos]
@@ -685,49 +503,52 @@ def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos, lane_count: in
     incentive = (gain - now) + drivers.politeness[egos] * (
         (new_follower - new_follower_before) + (old_follower_after - old_follower))
     gap_ahead, gap_behind = gap[3 * m:7 * m].reshape(2, 2, m)
+    offset = drivers.offset[egos]
     approved = ((gap_ahead > 0.0) & (gap_behind > 0.0)
                 & (new_follower >= drivers.brake_safe[egos])
-                & (incentive > drivers.delta_a_th[egos]) & (target >= 0) & (target < lane_count))
+                & (incentive > drivers.delta_a_th[egos])
+                & (target >= offset) & (target < drivers.top[egos]))
     chosen = approved[0] | approved[1]
     if not chosen.any():
         return None
     k = int(np.argmax(chosen))
     right = approved[1, k] and not (approved[0, k] and incentive[1, k] <= incentive[0, k])
-    return int(egos[k]), int(target[int(right), k])
+    return int(egos[k]), int(target[int(right), k]) - int(offset[k])
 
 
 def _mobil_columns(world: World, drivers: _Drivers, x, v, filed: _Filed) -> _Filed:
-    """``_mobil_pass`` on columns: an approval refiles and decides again for the agents after it."""
+    """A decision frame: an approval refiles, and the agents after it decide again."""
     changing = world.frame - world.begun <= len(world.ramp)
     egos = np.flatnonzero(drivers.mobil & ~changing)
     while egos.size:
-        found = _first_approval(drivers, x, v, filed, egos, world.config.lane_count)
+        found = _first_approval(drivers, x, v, filed, egos)
         if found is None:
             break
         pos, target = found
         _begin_lane_change(world, pos, target)
-        filed = _file(x[:len(world.lane)], world.lane, len(world.changes))
+        filed = _file(x[:len(world.lane)], world.lane + drivers.offset, len(world.changes))
         egos = egos[egos > pos]
     return filed
 
 
-def _run_columns(world: World, frames: int):
-    """x and speed as (frames, agents) arrays, from ``step`` taken on numpy columns.
+def _run_columns(worlds: list[World]) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Each world's x and speed as (frames, agents) arrays, its worlds stepped together.
 
-    Row k holds frame k. The lanes are filed anew on decision frames and
-    wherever the last filing does not hold (``_kept``). ``world`` keeps
-    its lanes, as an int64 column, its changes and its collision log as
-    ``step`` does; its x and speed lists stay the spawn's.
+    The worlds share one shape (``_stacks``). Row k holds frame k. The
+    lanes are filed anew on decision frames and wherever the last filing
+    does not hold (``_kept``). Each world gets back its changes and its
+    collisions, split off the stack's by position; its x, speed and
+    lane lists stay the spawn's.
     """
-    n, dt = len(world.ids), world.config.timestep_s
+    world, drivers = _stacked(worlds)
+    n, frames, dt = len(world.ids), world.config.frame_count(), world.config.timestep_s
     x = np.empty((frames + 1, n + 2))
     v = np.zeros_like(x)
     x[0, :n], v[0, :n] = world.x, world.speed
     x[:, n], x[:, n + 1] = math.inf, -math.inf
-    drivers = _drivers(world)
     law = drivers.law[:, :n]
     world.lane, world.begun = np.array(world.lane, dtype=np.int64), np.array(world.begun)
-    filed = None
+    filed, crashes = None, []
     # a gap of 0 divides by 0: the law answers every gap <= 0 with -b_comf
     with np.errstate(divide="ignore", invalid="ignore"):
         for k in range(frames):
@@ -735,7 +556,7 @@ def _run_columns(world: World, frames: int):
             _scripted_changes(world)
             decides = k % world.period == 0
             if decides or not _kept(filed, xk, len(world.changes)):
-                filed = _file(xk[:n], world.lane, len(world.changes))
+                filed = _file(xk[:n], world.lane + drivers.offset, len(world.changes))
             if decides:
                 filed = _mobil_columns(world, drivers, xk, vk, filed)
             lead = filed.leader
@@ -745,12 +566,38 @@ def _run_columns(world: World, frames: int):
             if gap.min() <= 0.0:
                 crashed = (gap <= 0.0)
                 crashed[drivers.cruisers] = False
-                world.collisions += [CollisionEvent(k, world.ids[pos], world.ids[lead[pos]])
-                                     for pos in np.flatnonzero(crashed).tolist()]
+                crashes += [(k, pos, int(lead[pos])) for pos in np.flatnonzero(crashed).tolist()]
             np.add(xk[:n], vk[:n] * dt, out=x[k + 1, :n])
             w = vk[:n] + acc * dt
             v[k + 1, :n] = np.where(w > 0.0, w, 0.0)
-    return x[:frames, :n], v[:frames, :n]
+    columns = []
+    for w, start in zip(worlds, accumulate((len(w.ids) for w in worlds), initial=0)):
+        end = start + len(w.ids)
+        w.changes = [(k, pos - start, at, target)
+                     for k, pos, at, target in world.changes if start <= pos < end]
+        w.collisions = [CollisionEvent(k, w.ids[pos - start], w.ids[lead - start])
+                        for k, pos, lead in crashes if start <= pos < end]
+        columns.append((x[:frames, start:end], v[:frames, start:end]))
+    return columns
+
+
+def _cruise_columns(world: World):
+    """x and speed as (frames, agents) arrays of a world where no agent follows.
+
+    Only scripts change lanes, and x and speed are the step's sums, taken
+    with no frame loop: speed is the spawn speed, then ``v + 0 dt``
+    clamped at 0, and x one ``np.cumsum`` of ``(x0, v0 dt, v1 dt, ...)``,
+    the additions ``x + v dt`` of a step in the same order.
+    """
+    for world.frame in sorted(world.scripts):
+        _scripted_changes(world)
+    frames, dt, v = world.config.frame_count(), world.config.timestep_s, np.array(world.speed)
+    vx = np.empty((frames, len(world.ids)))
+    vx[:1], vx[1:] = v, np.where((w := v + 0.0 * dt) > 0.0, w, 0.0)
+    x = np.empty_like(vx)
+    x[:1], x[1:] = world.x, vx[:-1] * dt
+    np.cumsum(x, axis=0, out=x)  # row after row
+    return x, vx
 
 
 @dataclass
@@ -784,8 +631,7 @@ def build_world(config: ScenarioConfig) -> World:
         speed=[s.speed for s in spawns],
         lane=[s.lane for s in spawns],
         params=params,
-        law=(law := list(map(idm_law, params))),
-        follows=[(pos, law[pos]) for pos, s in enumerate(spawns) if s.longitudinal == MODE_IDM],
+        follows=[s.longitudinal == MODE_IDM for s in spawns],
         mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
         # a period of the whole run or longer decides at frame 0 alone
         period=max(1, round(min(config.mobil_period_s / config.timestep_s,
@@ -804,41 +650,77 @@ def _ramp(config: ScenarioConfig) -> list[float]:
     return list(takewhile(lambda progress: progress < 1.0 - 1e-12, accumulate(steps)))
 
 
-def run_scenario(config: ScenarioConfig) -> SimResult:
-    """Run a scenario and emit an ingest-compatible table plus labels.
+def _stacks(worlds: list[World]) -> dict[int, list[int]]:
+    """The index of each world where an agent follows -> the indices of the worlds it steps with.
+
+    Worlds of one shape (timestep, frame count, decision period and
+    change duration, so one ramp) stack in list order while the stack's
+    rows, frames times agents, stay within ``MAX_SCENARIO_ROWS``; the
+    world that would pass it starts a new stack.
+    """
+    filling: dict[tuple, tuple[list[int], int]] = {}  # shape -> (its last stack, that stack's rows)
+    stack_of = {}
+    for k, world in enumerate(worlds):
+        if not any(world.follows):
+            continue
+        cfg = world.config
+        shape = (cfg.timestep_s, cfg.frame_count(), world.period, cfg.lane_change_duration_s)
+        rows = cfg.frame_count() * len(world.ids)
+        members, used = filling.get(shape, ([], 0))
+        if members and used + rows > MAX_SCENARIO_ROWS:
+            members, used = [], 0
+        members.append(k)
+        filling[shape] = members, used + rows
+        stack_of[k] = members
+    return stack_of
+
+
+def iter_scenarios(configs: list[ScenarioConfig]) -> Iterator[SimResult]:
+    """``run_scenarios``' results, each one's table built as it is handed out.
+
+    Every config is validated, in list order, before any world runs. A
+    stack runs when its first world's result is due, and its columns are
+    let go once its last world's result is out.
+    """
+    worlds = [build_world(config) for config in configs]
+    stack_of, columns = _stacks(worlds), {}
+    for k, world in enumerate(worlds):
+        if k not in columns:
+            if k in stack_of:
+                stack = stack_of[k]
+                columns.update(zip(stack, _run_columns([worlds[j] for j in stack])))
+            else:
+                columns[k] = _cruise_columns(world)
+        yield _result(world, *columns.pop(k))
+
+
+def run_scenarios(configs: list[ScenarioConfig]) -> list[SimResult]:
+    """Run scenarios and emit, for each in order, an ingest-compatible table plus labels.
 
     Every agent has a row at every frame, in spawn order; step k is frame
-    k, at ``k * timestep_s``. Where no agent follows, only scripts change
-    lanes, and x and speed are ``step``'s sums, taken with no frame loop.
-    Where at least ``ARRAY_STEP_MIN_FOLLOWERS`` agents follow, the world
-    steps on numpy columns (``_run_columns``), to the same bytes.
+    k, at ``k * timestep_s``. A world where no agent follows (cruisers
+    only) is never stepped: only scripts change its lanes. The worlds
+    where an agent follows step on numpy columns (``_run_columns``), those
+    of one shape together; a world's bytes and collision log are those of
+    its run alone. A bad config raises before any world runs.
     """
-    world = build_world(config)
-    n, frames = len(world.ids), config.frame_count()
-    if world.follows and len(world.follows) >= ARRAY_STEP_MIN_FOLLOWERS:
-        x, vx = _run_columns(world, frames)
-    elif world.follows:
-        x, vx = [], []
-        for _ in range(frames):
-            x += world.x
-            vx += world.speed
-            step(world)
-    else:
-        for world.frame in sorted(world.scripts):
-            _scripted_changes(world)
-        dt, v = config.timestep_s, np.array(world.speed)
-        vx = np.empty((frames, n))  # the spawn speed, then v + 0 dt clamped at 0
-        vx[:1], vx[1:] = v, np.where((w := v + 0.0 * dt) > 0.0, w, 0.0)
-        x = np.empty_like(vx)
-        x[:1], x[1:] = world.x, vx[:-1] * dt
-        np.cumsum(x, axis=0, out=x)  # row after row: ``xi + v * dt``, in step's order
+    return list(iter_scenarios(configs))
+
+
+def run_scenario(config: ScenarioConfig) -> SimResult:
+    """``run_scenarios`` of one scenario."""
+    return run_scenarios([config])[0]
+
+
+def _result(world: World, x: np.ndarray, vx: np.ndarray) -> SimResult:
+    config, n, frames = world.config, len(world.ids), len(x)
     y, vy = _lateral(world, frames)
     table = TrajectoryTable(
         frame=np.repeat(np.arange(frames, dtype=np.int64), n),
         timestamp=np.repeat(np.arange(frames) * config.timestep_s, n),
-        x=np.asarray(x, dtype=float).ravel(),
+        x=x.ravel(),
         y=y,
-        vx=np.asarray(vx, dtype=float).ravel(),
+        vx=vx.ravel(),
         vy=vy,
         agent=np.tile(np.arange(n), frames),
         agent_ids=world.ids,

@@ -14,10 +14,10 @@ each window's sharpness one value at a time, the window fits as
 tables by reading a file one row at a time into ``AgentFrame`` records (``records`` gives any
 table's rows back as records), and the expected maneuver frame by
 counting the annotators of every frame. The simulator is replayed on one mutable object per vehicle
-with a sorted (lane, x, position) index, calling the package's one
-car-following law and a lane-change rule that evaluates every term
-before judging safety, and the CSV writers format one
-row at a time.
+with a sorted (lane, x, position) index, a scalar car-following law in
+Python floats and a lane-change rule that evaluates every term before
+judging safety (beside it, the rule that judges safety first), and the
+CSV writers format one row at a time.
 """
 
 from __future__ import annotations
@@ -52,8 +52,6 @@ from drivestyle.sim import (
     VEHICLE_LENGTH_M,
     CollisionEvent,
     DriverParams,
-    MobilDecision,
-    idm_acceleration,
     idm_law,
     run_scenario,
 )
@@ -778,7 +776,7 @@ class SimAgent:
     lane_change: LaneChangeState | None = None
 
     def car(self):
-        """The agent as ``sim.mobil_decision`` takes a car."""
+        """The agent as ``mobil_decision`` takes a car."""
         return (self.x, self.speed, idm_law(self.params))
 
     def lateral_lane(self) -> float:
@@ -846,16 +844,74 @@ def _begin_lane_change(agent, target_lane):
     agent.lane = target_lane
 
 
+def idm_acceleration(law, speed, gap=None, lead_speed=0.0):
+    """Car-following acceleration: free-road term minus interaction term.
+
+    ``law`` is the driver's ``sim.idm_law``, ``gap`` the bumper-to-bumper
+    distance to the leader (None on a free road) and ``lead_speed`` the
+    leader's speed. A non-positive gap is a collision, answered with the
+    emergency deceleration -b_comf. The powers are Python's ``**``.
+    """
+    v0, a_max, b_comf, s0, t_gap, root = law
+    free = 1.0 - (speed / v0) ** 4
+    if gap is None:
+        return a_max * free
+    if gap <= 0.0:
+        return -b_comf
+    s_star = s0 + speed * t_gap + speed * (speed - lead_speed) / root
+    return a_max * (free - (s_star / gap) ** 2)
+
+
+class MobilDecision(NamedTuple):
+    approved: bool
+    safety_ok: bool
+    incentive: float
+    new_follower_acceleration: float  # the deceleration imposed in the target lane
+
+
 def _follow(back, front):
+    """``idm_acceleration`` of car ``back`` behind ``front`` (None: free road)."""
     if front is None:
         return idm_acceleration(back[2], back[1])
     return idm_acceleration(back[2], back[1], front[0] - back[0] - VEHICLE_LENGTH_M, front[1])
 
 
+def mobil_decision(
+    params, ego, current_leader, current_follower, target_leader, target_follower
+):
+    """Approve a lane change iff it is safe and worth the bother.
+
+    A car is ``(x, speed, idm_law)``, or None where the neighbour is
+    absent; ``params`` are the ego's. Safety: the would-be follower in
+    the target lane must not be forced below -b_safe. Incentive: the ego
+    acceleration gain plus the politeness-weighted gains of both affected
+    followers must exceed the ego's threshold. An unsafe change, a
+    non-positive insertion gap included, is rejected before its incentive
+    terms are evaluated: its incentive is -inf.
+    """
+    if (target_leader is not None and target_leader[0] - ego[0] - VEHICLE_LENGTH_M <= 0) or (
+        target_follower is not None and ego[0] - target_follower[0] - VEHICLE_LENGTH_M <= 0
+    ):
+        return MobilDecision(False, False, -math.inf, -math.inf)
+
+    a_n = a_n_new = a_o = a_o_new = 0.0
+    if target_follower is not None:
+        a_n_new = _follow(target_follower, ego)
+        if not a_n_new >= -params.b_safe:
+            return MobilDecision(False, False, -math.inf, a_n_new)
+        a_n = _follow(target_follower, target_leader)
+    gain_ego = _follow(ego, target_leader) - _follow(ego, current_leader)
+    if current_follower is not None:
+        a_o, a_o_new = _follow(current_follower, ego), _follow(current_follower, current_leader)
+    incentive = gain_ego + params.politeness * ((a_n_new - a_n) + (a_o_new - a_o))
+    new_follower = math.inf if target_follower is None else a_n_new
+    return MobilDecision(incentive > params.delta_a_th, True, incentive, new_follower)
+
+
 def full_mobil_decision(
     params, ego, current_leader, current_follower, target_leader, target_follower
 ):
-    """``sim.mobil_decision`` with every term evaluated, safe or not.
+    """``mobil_decision`` with every term evaluated, safe or not, as the simulator takes it.
 
     All six car-following evaluations run before safety and incentive
     are judged together; only a non-positive insertion gap returns early.
@@ -880,7 +936,7 @@ def full_mobil_decision(
 
 
 def object_step(cfg, agents, frame, collisions):
-    """``sim.step`` on SimAgent objects, one agent at a time, with a LaneIndex."""
+    """One step of the simulator on SimAgent objects, one agent at a time, with a LaneIndex."""
     dt = cfg.timestep_s
     scripts = {(s.agent_id, s.frame): s.target_lane for s in cfg.lane_change_scripts}
     for agent in agents:

@@ -17,7 +17,13 @@ from drivestyle.scenarios import (
     mixed_behavior_scenario,
     suite_analysis_params,
 )
-from drivestyle.sim import MAX_LANE_COUNT, ScenarioConfig, SpawnSpec, save_scenario
+from drivestyle.sim import (
+    MAX_LANE_COUNT,
+    ScenarioConfig,
+    SpawnSpec,
+    run_scenario,
+    save_scenario,
+)
 from drivestyle.styles import STYLE_OVERTAKE_LANE_CHANGE, STYLE_WEAVING
 from oracles import scalar_calibrate, scalar_calibration_pools
 
@@ -240,6 +246,32 @@ def test_calibrate_writes_thresholds(tmp_path, capsys):
     first = out.read_bytes()
     main(["calibrate", "--config", str(cfg), "--out", str(out)])
     assert out.read_bytes() == first  # deterministic
+
+
+def test_calibrate_warns_of_each_collision_naming_its_scenario(tmp_path, capsys):
+    # conservative agents only, one running into a stopped cruiser: the
+    # thresholds are calibrate_thresholds', and each collision is one stderr
+    # line naming the scenario file, as simulate words it
+    crash = ScenarioConfig(
+        lane_count=1, road_length_m=1000.0, timestep_s=0.1, duration_s=3.0,
+        spawns=[SpawnSpec("wall", "conservative", 0, 58.0, 0.0, longitudinal="cruise"),
+                SpawnSpec("bullet", "conservative", 0, 50.0, 40.0)],
+        randomize_conservative_v0=False,
+    )
+    calm = all_conservative_scenario(0)
+    save_scenario(calm, tmp_path / "calm.yaml")
+    save_scenario(crash, tmp_path / "crash.yaml")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("frame_rate_hz: 10\ncalibration_scenarios: [calm.yaml, crash.yaml]\n")
+    out = tmp_path / "thresholds.yaml"
+    assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 0
+    err = capsys.readouterr().err.splitlines()
+    collisions = run_scenario(crash).collisions
+    assert len(collisions) > 1
+    assert err == [f"warning: {tmp_path / 'crash.yaml'}: collision at frame {event.frame}: "
+                   "bullet into wall" for event in collisions]
+    thresholds = calibrate_thresholds([calm, crash], load_run_config(str(cfg)).params)
+    assert yaml.safe_load(out.read_text()) == vars(thresholds)
 
 
 @pytest.mark.parametrize("params", [suite_analysis_params(), AnalysisParams()])

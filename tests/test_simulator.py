@@ -25,17 +25,22 @@ from drivestyle.sim import (
     ManeuverLabel,
     ScenarioConfig,
     SpawnSpec,
-    build_world,
-    idm_acceleration,
     idm_law,
     load_scenario,
-    mobil_decision,
     run_scenario,
+    run_scenarios,
     save_scenario,
-    step,
     write_labels,
 )
-from oracles import full_mobil_decision, object_run_scenario, records, scan_neighbors_in_lane
+import oracles
+from oracles import (
+    full_mobil_decision,
+    idm_acceleration,
+    mobil_decision,
+    object_run_scenario,
+    records,
+    scan_neighbors_in_lane,
+)
 
 
 def car(x, speed, params=CONSERVATIVE_PARAMS):
@@ -69,20 +74,18 @@ def test_idm_hand_value_at_desired_gap():
 
 
 def test_idm_collision_logged_with_emergency_braking():
-    # a gap of -1 m: the law answers -b_comf, and a step logs the collision
+    # a gap of -1 m: the law answers -b_comf, and the step logs the collision
     law = idm_law(CONSERVATIVE_PARAMS)
     assert idm_acceleration(law, 10.0, -1.0, 10.0) == -CONSERVATIVE_PARAMS.b_comf
     config = ScenarioConfig(
-        lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=1.0,
+        lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=0.2,
         spawns=[SpawnSpec("l", "conservative", 0, 4.0, 10.0),
                 SpawnSpec("e", "conservative", 0, 0.0, 10.0)],
         randomize_conservative_v0=False,
     )
-    world = build_world(config)
-    world.frame = 17
-    step(world)
-    assert world.collisions == [CollisionEvent(17, "e", "l")]
-    assert world.speed[1] == 10.0 - CONSERVATIVE_PARAMS.b_comf * 0.1
+    result = run_scenario(config)
+    assert result.collisions == [CollisionEvent(0, "e", "l"), CollisionEvent(1, "e", "l")]
+    assert result.table.vx[3] == 10.0 - CONSERVATIVE_PARAMS.b_comf * 0.1  # e at frame 1
 
 
 def test_idm_never_exceeds_max_acceleration():
@@ -282,11 +285,9 @@ def _single_agent_config(mode, speed, duration=1.0):
 
 def test_step_advances_at_desired_speed():
     for mode in ("cruise", "idm"):
-        world = build_world(_single_agent_config(mode, 25.0))
-        x0 = world.x[0]
-        step(world)
-        assert world.x[0] == pytest.approx(x0 + 25.0 * 0.1)
-        assert world.speed[0] == pytest.approx(25.0, abs=1e-9)
+        table = run_scenario(_single_agent_config(mode, 25.0, duration=0.2)).table
+        assert table.x[1] == pytest.approx(table.x[0] + 25.0 * 0.1)
+        assert table.vx[1] == pytest.approx(25.0, abs=1e-9)
 
 
 def test_speed_clamped_at_zero():
@@ -298,10 +299,8 @@ def test_speed_clamped_at_zero():
         ],
         randomize_conservative_v0=False,
     )
-    world = build_world(config)
-    for _ in range(10):
-        step(world)
-        assert world.speed[1] >= 0.0
+    speeds = run_scenario(config).table.vx[1::2]  # the braker's, frame by frame
+    assert speeds.min() == 0.0 and speeds[0] == 3.0
 
 
 def test_platoon_converges_to_equilibrium_gap():
@@ -313,14 +312,13 @@ def test_platoon_converges_to_equilibrium_gap():
             SpawnSpec(f"f{i}", "conservative", 0, 470.0 - 30.0 * i, 10.0,
                       mobil_enabled=False)
         )
-    config = ScenarioConfig(
-        lane_count=1, road_length_m=50000.0, timestep_s=0.1, duration_s=300.0,
+    config = ScenarioConfig(  # frame 3000, after 300 s
+        lane_count=1, road_length_m=50000.0, timestep_s=0.1, duration_s=300.1,
         spawns=spawns, randomize_conservative_v0=False,
     )
-    world = build_world(config)
-    for _ in range(config.frame_count()):
-        step(world)
-    ordered = sorted(zip(world.x, world.speed), reverse=True)
+    table = run_scenario(config).table
+    last = table.frame == 3000
+    ordered = sorted(zip(table.x[last], table.vx[last]), reverse=True)
     s_star = 5.0 + 10.0 * 1.5
     for (front_x, _), (back_x, back_speed) in zip(ordered, ordered[1:]):
         gap = front_x - back_x - VEHICLE_LENGTH_M
@@ -382,145 +380,48 @@ def _dense_tied_config(seed):
     )
 
 
-def _assert_lookup_matches_scan(lanes, lane, x, lane_count):
-    """Every leader and follower query, and the leader walk, against a scan."""
-    xs, ps = lanes
-    ties = 0
-    for pos, at in enumerate(x):
-        for k in range(lane_count):
-            got = sim._leader(xs[k], ps[k], at), sim._follower(xs[k], ps[k], at, pos)
-            assert got == scan_neighbors_in_lane(lane, x, at, k, pos)
-            ties += sum(1 for o, xo in enumerate(x) if o != pos and lane[o] == k and xo == at)
-    assert sim._leaders(lanes, len(x)) == [
-        scan_neighbors_in_lane(lane, x, at, lane[pos])[0] for pos, at in enumerate(x)
-    ]
-    return ties
+def test_lane_index_matches_scan_at_every_step(monkeypatch):
+    # every filing the step makes, including those after a lane-change
+    # approval in the same step, gives each agent the leader a scan of the
+    # agent list gives, ties included, in a stack of worlds as alone
+    seen = {"filings": 0, "ties": 0}
+    file = sim._file
 
+    def checked(x, key, changes):
+        filed = file(x, key, changes)
+        x, key = x.tolist(), key.tolist()
+        want = [scan_neighbors_in_lane(key, x, at, key[pos])[0] for pos, at in enumerate(x)]
+        assert filed.leader.tolist() == [len(x) if p is None else p for p in want]
+        seen["filings"] += 1
+        seen["ties"] += len(set(zip(key, x))) < len(x)
+        return filed
 
-def test_lane_index_matches_scan_at_every_step():
-    rng = np.random.default_rng(17)
-    config = _dense_tied_config(3)
-    world = build_world(config)
-    ties = rebuilds = 0
-    for _ in range(config.frame_count()):
-        lanes = sim._lanes(world.lane, world.x, config.lane_count)
-        ties += _assert_lookup_matches_scan(lanes, world.lane, world.x, config.lane_count)
-        # lane changes made after the lists were built, on a copy of the lanes,
-        # each followed by a rebuild, as an approved MOBIL change is
-        lane = list(world.lane)
-        for pos in rng.choice(len(lane), 8, replace=False):
-            lane[pos] = int(rng.integers(0, config.lane_count))
-            lanes = sim._lanes(lane, world.x, config.lane_count)
-            rebuilds += 1
-            _assert_lookup_matches_scan(lanes, lane, world.x, config.lane_count)
-        step(world)
-    assert ties > 100 and rebuilds > 0
-
-
-def _tied(lanes):
-    return any(a >= b for xs in lanes[0] for a, b in zip(xs, xs[1:]))
-
-
-def test_step_lane_queries_match_scan(monkeypatch):
-    # every query step() makes, including those after a MOBIL change in the
-    # same step, and every leader the car-following pass uses, answers what a
-    # scan of the pre-step columns answers; lane lists are built only where
-    # the kept order cannot serve
-    seen = {"queries": 0, "builds": 0, "steps": 0, "kept": 0, "ego_ties": 0}
-    live = {}
-    lanes_of, leader, follower, leaders = sim._lanes, sim._leader, sim._follower, sim._leaders
-
-    def fresh():
-        # the lane lists a build would give on the live columns, as of the
-        # world's last lane change
-        world = live["world"]
-        key = (world.frame, len(world.changes))
-        if live.get("fresh", (None,))[0] != key:
-            live["fresh"] = key, lanes_of(world.lane, world.x, world.config.lane_count)
-        return live["fresh"][1]
-
-    def lane_of(xs, ps):
-        # the index of the lane whose fresh lists equal the queried ones: a
-        # stale kept order matches none
-        return next(k for k, lane in enumerate(zip(*fresh())) if lane == (xs, ps))
-
-    def built(lane, x, lane_count):
-        # the kept order could not serve: none yet, a change began since the
-        # last step, or the last or the new order holds a tie or differs
-        world, end = live["world"], live.get("end")
-        lanes = lanes_of(lane, x, lane_count)
-        assert (end is None or len(world.changes) > end[1] or _tied(end[0]) or _tied(lanes)
-                or lanes[1] != end[0][1])
-        seen["builds"] += 1
-        return lanes
-
-    def checked_leader(xs, ps, at):
-        world = live["world"]
-        got = leader(xs, ps, at)
-        assert got == scan_neighbors_in_lane(world.lane, world.x, at, lane_of(xs, ps))[0]
-        seen["queries"] += 1
-        return got
-
-    def checked_follower(xs, ps, at, pos):
-        world, k = live["world"], lane_of(xs, ps)
-        got = follower(xs, ps, at, pos)
-        assert got == scan_neighbors_in_lane(world.lane, world.x, at, k, pos)[1]
-        seen["queries"] += 1
-        seen["ego_ties"] += any(
-            o != pos and lane == k and xo == at
-            for o, (lane, xo) in enumerate(zip(world.lane, world.x))
-        )
-        return got
-
-    def walked(lanes, n):
-        live["walked"] = leaders(lanes, n)
-        return live["walked"]
-
-    monkeypatch.setattr(sim, "_lanes", built)
-    monkeypatch.setattr(sim, "_leader", checked_leader)
-    monkeypatch.setattr(sim, "_follower", checked_follower)
-    monkeypatch.setattr(sim, "_leaders", walked)
+    monkeypatch.setattr(sim, "_file", checked)
     configs = [_dense_tied_config(seed) for seed in range(3)]
-    configs += [calibration_scenarios()[1], _SEPARATING]
     for config in configs:
-        live["world"] = world = build_world(config)
-        live.pop("end", None)
-        for _ in range(config.frame_count()):
-            x, builds = world.x, seen["builds"]
-            live.pop("walked", None)
-            step(world)
-            # the leaders of this step's car-following pass: walked this step,
-            # or kept from the last
-            used = world.kept[1] if world.kept is not None else live["walked"]
-            assert used == [
-                scan_neighbors_in_lane(world.lane, x, at, world.lane[pos])[0]
-                for pos, at in enumerate(x)
-            ]
-            live["end"] = lanes_of(world.lane, x, config.lane_count), len(world.changes)
-            seen["steps"] += 1
-            seen["kept"] += seen["builds"] == builds
-    assert seen["queries"] > 1000 and seen["ego_ties"] > 0
-    assert seen["kept"] > 100 and seen["builds"] > 100
+        run_scenario(config)
+    run_scenarios(configs)
+    assert seen["filings"] > 200 and seen["ties"] > 100
 
 
-def test_car_following_world_builds_lane_lists_once_per_lane_change(monkeypatch):
-    # 9 MOBIL agents, no ties and no passing in a lane: the first step builds
-    # the lists, each of the two approved changes rebuilds them, and every
-    # other step keeps them
-    builds = []
-    lanes_of = sim._lanes
+def test_car_following_world_files_lanes_on_decision_frames_and_changes(monkeypatch):
+    # 9 MOBIL agents, no ties and no passing in a lane: each of the 60
+    # decision frames files the lanes, each of the two approved changes
+    # files them again, and every other step keeps the last filing
+    filings = []
+    file = sim._file
 
-    def counted(lane, x, lane_count):
-        builds.append(lane_count)
-        return lanes_of(lane, x, lane_count)
+    def counted(x, key, changes):
+        filings.append(changes)
+        return file(x, key, changes)
 
-    monkeypatch.setattr(sim, "_lanes", counted)
+    monkeypatch.setattr(sim, "_file", counted)
     config = calibration_scenarios()[1]
-    world = build_world(config)
-    for _ in range(config.frame_count()):
-        step(world)
-    assert len(world.changes) == 2 and not config.lane_change_scripts
-    assert len(builds) == 1 + 2
+    result = run_scenario(config)
+    assert not config.lane_change_scripts
+    assert len(set(result.table.agent[result.table.vy != 0.0].tolist())) == 2
+    assert config.frame_count() == 600 and len(filings) == 60 + 2
+    assert filings == sorted(filings) and set(filings) == {0, 1, 2}
 
 
 @st.composite
@@ -636,30 +537,15 @@ _RETARGETS = ScenarioConfig(
 )
 
 
-def _matches_the_object_simulator(config, gate):
-    with mock.patch.object(sim, "ARRAY_STEP_MIN_FOLLOWERS", gate):
-        result = run_scenario(config)
+def _matches_the_object_simulator(config):
+    result = run_scenario(config)
     table, collisions = object_run_scenario(config)
     assert serialize_trajectories(result.table) == serialize_trajectories(table)
     assert result.collisions == collisions
 
 
-# CI runs this test and the next with SIM_ORACLE_EXAMPLES=3000, deeper than
-# tier-1's 150: the list step, whatever the number of followers
-@given(sim_scenarios())
-@example(_COLLIDING)
-@example(_CRUISING)
-@example(_SEPARATING)
-@example(_SYMMETRIC)
-@example(_TIED_EGO)
-@example(_BACKING_OUT)
-@example(_RETARGETS)
-@settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
-def test_list_columns_match_the_object_simulator(config):
-    _matches_the_object_simulator(config, math.inf)
-
-
-# the step on numpy columns for every world where an agent follows
+# CI runs this test and the stacked one with SIM_ORACLE_EXAMPLES=3000,
+# deeper than tier-1's 150
 @given(sim_scenarios())
 @example(_COLLIDING)
 @example(_CRUISING)
@@ -670,36 +556,126 @@ def test_list_columns_match_the_object_simulator(config):
 @example(_RETARGETS)
 @settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
 def test_array_columns_match_the_object_simulator(config):
-    _matches_the_object_simulator(config, 1)
+    _matches_the_object_simulator(config)
 
 
-def test_array_step_above_the_gate_equals_the_list_step():
-    # the highway_cli layout for 10 s, on the array step by default, with a
-    # tie at the first frame (b000 spawned on h000, faster, so h000 runs
-    # into it at the next) and approved lane changes: every byte and the
-    # collision log equal the list step's (np.power in place of
-    # np.float_power changes them)
+@st.composite
+def stacked_scenarios(draw):
+    """1-4 drawn worlds, which reuse each other's ids; a world after the
+    first may take the first's shape (frames, decision period and change
+    duration), so that it steps in one stack with it."""
+    configs = draw(st.lists(sim_scenarios(), min_size=1, max_size=4))
+    first = configs[0]
+    return [replace(config, duration_s=first.duration_s,
+                    lane_change_scripts=[s for s in config.lane_change_scripts
+                                         if s.frame < max(first.frame_count(), 1)],
+                    lane_change_duration_s=first.lane_change_duration_s,
+                    mobil_period_s=first.mobil_period_s)
+            if draw(st.booleans()) else config
+            for config in configs]
+
+
+# a top-lane aggressive driver behind a slow cruiser on a one-lane road,
+# whose change would score as one into an empty lane, and a world after it
+# whose ids are the same: the change is refused, as off the road alone
+_TOP_LANE = ScenarioConfig(
+    lane_count=1, road_length_m=100.0, timestep_s=0.1, duration_s=1.0,
+    spawns=[SpawnSpec("e", "aggressive", 0, 0.0, 30.0),
+            SpawnSpec("s", "conservative", 0, 20.0, 10.0, longitudinal="cruise")],
+    mobil_period_s=0.1,
+)
+_SAME_IDS = replace(_COLLIDING, spawns=[
+    SpawnSpec("a", "aggressive", 1, 10.0, 35.0),
+    SpawnSpec("b", "conservative", 0, 15.0, 0.0, longitudinal="cruise"),
+    SpawnSpec("c", "conservative", 2, 15.0, 20.0)], lane_change_scripts=[])
+
+
+def _stack_matches_solo_runs(configs):
+    results = run_scenarios(configs)
+    assert len(results) == len(configs)
+    for config, result in zip(configs, results):
+        table, collisions = object_run_scenario(config)
+        assert serialize_trajectories(result.table) == serialize_trajectories(table)
+        assert result.collisions == collisions
+        assert result.labels == config.maneuvers
+    return results
+
+
+@given(stacked_scenarios())
+@example([_TOP_LANE, replace(_TOP_LANE, lane_count=2)])
+@example([_COLLIDING, _SAME_IDS])
+@example([_SYMMETRIC, _SEPARATING, _TIED_EGO, _CRUISING])
+@settings(max_examples=int(os.environ.get("SIM_ORACLE_EXAMPLES", 150)), deadline=None)
+def test_stacked_worlds_match_solo_object_runs(configs):
+    _stack_matches_solo_runs(configs)
+
+
+def test_stacked_worlds_keep_their_own_lanes_and_collisions():
+    top, wide = _stack_matches_solo_runs([_TOP_LANE, replace(_TOP_LANE, lane_count=2)])
+    assert not top.table.vy.any() and wide.table.vy.any()  # only the wide road changes lane
+    colliding, clear = _stack_matches_solo_runs([_COLLIDING, _SAME_IDS])
+    assert colliding.collisions and not clear.collisions
+
+
+def test_stacks_split_at_the_row_limit(monkeypatch):
+    # three worlds of one shape, 20 frames of 3 agents: 60 rows each, so a
+    # limit of 150 rows stacks the first two and starts a new stack for the
+    # third; a world of another shape steps in a stack of its own
+    stacks = []
+    run_columns = sim._run_columns
+
+    def counted(worlds):
+        stacks.append([w.ids for w in worlds])
+        return run_columns(worlds)
+
+    monkeypatch.setattr(sim, "_run_columns", counted)
+    monkeypatch.setattr(sim, "MAX_SCENARIO_ROWS", 150)
+    shaped = [replace(_SAME_IDS, seed=seed) for seed in range(3)]
+    other = replace(_SAME_IDS, duration_s=1.0)
+    _stack_matches_solo_runs([shaped[0], other, *shaped[1:]])
+    assert [len(stack) for stack in stacks] == [2, 1, 1]
+
+
+def test_a_bad_config_fails_the_list_before_any_run(monkeypatch):
+    # the message of the first bad config in list order, as a loop of
+    # run_scenario calls gives it, and no world steps
+    monkeypatch.setattr(sim, "_run_columns", mock.Mock(side_effect=AssertionError))
+    bad_lane = replace(_COLLIDING, lane_count=0)
+    bad_seed = replace(_COLLIDING, seed=-1)
+    for configs in ([_COLLIDING, bad_seed, bad_lane], [bad_lane, bad_seed]):
+        first_bad = next(c for c in configs if c is not _COLLIDING)
+        with pytest.raises(ValidationError) as expected:
+            first_bad.validate()
+        with pytest.raises(ValidationError, match="^" + re.escape(str(expected.value)) + "$"):
+            run_scenarios(configs)
+
+
+def test_highway_layout_with_a_tie_matches_the_object_simulator():
+    # the highway_cli layout for 10 s, with a tie at the first frame (b000
+    # spawned on h000, faster, so h000 runs into it at the next) and
+    # approved lane changes: every byte and the collision log equal the
+    # object simulator's (np.power in place of np.float_power changes them)
     spawns = [SpawnSpec(f"h{i:03d}", "aggressive" if i % 7 == 0 else "conservative",
                         i % 3, i * 10.0, 25.0) for i in range(200)]
     config = ScenarioConfig(
         lane_count=3, road_length_m=2000.0, timestep_s=0.1, duration_s=10.0,
         spawns=[SpawnSpec("b000", "aggressive", 0, 0.0, 30.0), *spawns], seed=0,
     )
-    assert len(config.spawns) >= sim.ARRAY_STEP_MIN_FOLLOWERS
     result = run_scenario(config)
-    with mock.patch.object(sim, "ARRAY_STEP_MIN_FOLLOWERS", math.inf):
-        listed = run_scenario(config)
-    assert serialize_trajectories(result.table) == serialize_trajectories(listed.table)
-    assert result.collisions == listed.collisions
+    table, collisions = object_run_scenario(config)
+    assert serialize_trajectories(result.table) == serialize_trajectories(table)
+    assert result.collisions == collisions
     assert result.collisions[0] == CollisionEvent(1, "h000", "b000")
     assert (result.table.vy != 0.0).any() and not config.lane_change_scripts
 
 
 def test_dense_tied_worlds_on_the_array_step_match_the_object_simulator():
     # 45 IDM agents of 60, tied on a 5 m grid, deciding every step, with
-    # scripts: many collisions, retargets and approvals
-    for seed in range(3):
-        _matches_the_object_simulator(_dense_tied_config(seed), 1)
+    # scripts: many collisions, retargets and approvals; alone and stacked
+    configs = [_dense_tied_config(seed) for seed in range(3)]
+    for config in configs:
+        _matches_the_object_simulator(config)
+    _stack_matches_solo_runs(configs)
 
 
 @st.composite
@@ -782,12 +758,12 @@ def test_cruise_only_world_builds_no_lane_lists(monkeypatch):
     # no agent follows, so nothing steps, files the lanes, takes lane-change
     # decisions or looks for a leader, yet the scripted changes run
     def forbidden(*args):
-        raise AssertionError("a frame loop or lane lists in a cruise-only world")
+        raise AssertionError("a frame loop or a filing in a cruise-only world")
 
     config = lane_change_scenario(0)
     assert all(s.longitudinal == "cruise" for s in config.spawns)
     assert config.lane_change_scripts
-    for name in ("_lanes", "_leaders", "_mobil_pass", "step"):
+    for name in ("_run_columns", "_file"):
         monkeypatch.setattr(sim, name, forbidden)
     result = run_scenario(config)
     table, collisions = object_run_scenario(config)
@@ -806,13 +782,13 @@ def test_dense_mobil_regime_matches_the_object_simulator(monkeypatch):
         seed=0,
     )
     decisions = []
+    rule = oracles.full_mobil_decision
 
     def counted(*args):
-        decisions.append(decision := mobil_decision(*args))
+        decisions.append(decision := rule(*args))
         return decision
 
-    monkeypatch.setattr(sim, "mobil_decision", counted)
-    monkeypatch.setattr(sim, "ARRAY_STEP_MIN_FOLLOWERS", math.inf)  # the list step
+    monkeypatch.setattr(oracles, "full_mobil_decision", counted)
     result = run_scenario(config)
     table, collisions = object_run_scenario(config)
     assert serialize_trajectories(result.table) == serialize_trajectories(table)
