@@ -61,7 +61,7 @@ from .styles import classify, detect_weaving, sle_sie  # noqa: F401
 SCHEMA_VERSION = "4"
 
 # agent-windows per block of gathered samples: bounds the samples, keys,
-# stacked designs and the systems of one fit_solve call held at once
+# designs and systems of one fit_solve call held at once
 _BLOCK_WINDOWS = 1024
 
 
@@ -190,16 +190,17 @@ def analyze_table(
     Every agent-window is laid out as arrays (agent, first frame, sample
     count) from each agent's first and last frame; windows of fewer than
     three samples are dropped. Each distinct slice (first frame, count)
-    gets its mean time and centered time grid once, and each grid its
-    design once (so the alpha policy runs once per grid), the distinct
-    grids of each sample count in one ``fit_designs`` call. Windows are
-    then taken in blocks of ``_BLOCK_WINDOWS`` by design shape and grid:
-    their samples are gathered, the block's designs stacked, each
-    distinct (grid, sample bits) row solved once, in one ``fit_solve``
-    call per block, and every row uncentered. Weaving points (NaN where
-    none) are taken over all windows at once, the per-agent scores by
-    ``styles.score_fits``, then labelled at ``params.thresholds``; the
-    fits are returned as ``RunReport.fits`` columns. Raises
+    gets its mean time and centered time grid once. Then one pass per
+    sample count: its distinct grids get their designs in one
+    ``fit_designs`` call (so the alpha policy runs once per grid), and
+    its windows, sorted by grid, are taken in blocks of
+    ``_BLOCK_WINDOWS``: their samples are gathered, each distinct (grid,
+    sample bits) row solved once, in one ``fit_solve`` call per block
+    (which adds the alpha*I rows where alpha > 0), and every row
+    uncentered. Weaving points (NaN where none) are taken over all
+    windows at once, the per-agent scores by ``styles.score_fits``, then
+    labelled at ``params.thresholds``; the fits are returned as
+    ``RunReport.fits`` columns. Raises
     ConditioningError when a design is rank deficient at alpha = 0.
     """
     params = params or AnalysisParams()
@@ -217,48 +218,39 @@ def analyze_table(
         f0, f0 + np.diff(bounds) - 1, lo, _first_reaching(lo, hi, window_frames, stride_frames),
         window_frames, stride_frames)
 
-    # distinct slices: mean time and centered time grid; per grid its design,
-    # each sample count's grids in one call (grids of two counts differ in length)
+    # distinct slices, then one pass per sample count (grids of two counts differ in length)
     window_slice, heads = _distinct(np.column_stack([n, first]))
     slice_first, slice_n = first[heads], n[heads]
     t_bar = np.empty(len(heads))
-    slice_grid = np.empty(len(heads), dtype=np.int64)
-    designs = []  # per grid: (alpha, kappa, A)
-    order = np.argsort(slice_n, kind="stable")
-    for rows in np.split(order, np.flatnonzero(np.diff(slice_n[order])) + 1) if heads.size else ():
-        t_bar[rows], tc = slice_times(slice_first[rows], int(slice_n[rows[0]]), f)
-        same, grid_heads = _distinct(tc.view(np.int64))
-        slice_grid[rows] = len(designs) + same
-        designs += fit_designs(tc[grid_heads], params.alpha_policy)
-
-    # solve: windows by design shape, then grid; per block the designs of
-    # its grids stacked and each distinct (grid, samples) row solved once
-    # a design's shape is its rows of A and whether alpha > 0 (so its samples)
-    shapes: dict[tuple[int, bool], int] = {}
-    shape = np.array([shapes.setdefault((len(a), alpha > 0), len(shapes))
-                      for alpha, _, a in designs], dtype=np.int64)
-    window_grid = slice_grid[window_slice]
+    slice_grid = np.empty(len(heads), dtype=np.int64)  # the grid within its count
     # agent a's sample at frame t is row offset[a] + t of the series
     offset = bounds[:-1] - f0
     degree, closeness = series.degree, series.closeness
+    alpha, kappa = np.empty(len(agent)), np.empty(len(agent))
     coefficients = np.empty((2, len(agent), 3))  # degree, closeness
-    for block in _blocks(np.lexsort((window_grid, shape[window_grid])), shape[window_grid]):
-        grid = window_grid[block]
-        local, grid_heads = _distinct(grid[:, None])
-        stack = np.stack([designs[g][2] for g in grid[grid_heads].tolist()])
-        gather = (offset[agent[block]] + first[block])[:, None] + np.arange(n[block[0]])
-        samples = np.concatenate([degree[gather], closeness[gather]])
-        local = np.tile(local, 2)
-        solved, rows = _distinct(np.column_stack([local, samples.view(np.int64)]))
-        beta = fit_solve(stack[local[rows]], samples[rows])
-        absolute = uncenter(beta[solved], np.tile(t_bar[window_slice[block]], 2))
-        coefficients[:, block] = absolute.reshape(2, len(block), 3)
+    for slices, windows in zip(_by_value(slice_n), _by_value(n)):
+        count = int(n[windows[0]])
+        t_bar[slices], tc = slice_times(slice_first[slices], count, f)
+        slice_grid[slices], grid_heads = _distinct(tc.view(np.int64))
+        grid_alpha, grid_kappa, m = fit_designs(tc[grid_heads], params.alpha_policy)
+        grid = slice_grid[window_slice[windows]]
+        alpha[windows], kappa[windows] = grid_alpha[grid], grid_kappa[grid]
+        windows = windows[np.argsort(grid, kind="stable")]
+        for b in range(0, len(windows), _BLOCK_WINDOWS):
+            block = windows[b:b + _BLOCK_WINDOWS]
+            gather = (offset[agent[block]] + first[block])[:, None] + np.arange(count)
+            samples = np.concatenate([degree[gather], closeness[gather]])
+            row_grid = np.tile(slice_grid[window_slice[block]], 2)
+            solved, rows = _distinct(np.column_stack([row_grid, samples.view(np.int64)]))
+            grid = row_grid[rows]
+            beta = fit_solve(m[grid], grid_alpha[grid], samples[rows])
+            absolute = uncenter(beta[solved], np.tile(t_bar[window_slice[block]], 2))
+            coefficients[:, block] = absolute.reshape(2, len(block), 3)
 
     # scores over every window, then labels, then one report per agent
     last = first + n - 1
     t_c, sharpness = critical_points(coefficients[1], np.column_stack([first, last]) / f,
                                      params.epsilon_s)
-    alpha, kappa = np.array([d[:2] for d in designs], dtype=float).reshape(-1, 2)[window_grid].T
     fits = WindowFits(agent, first, last, alpha, kappa, *coefficients, t_c, sharpness)
     scores = score_fits(fits, np.bincount(agent, minlength=len(agent_ids)), f, params.epsilon_s)
     reports = style_reports(agent_ids, scores, label(scores, params.thresholds))
@@ -283,11 +275,10 @@ def _agent_windows(f0, f1, lo: int, last: int, window_frames: int, stride_frames
     return agent[keep], first[keep], n[keep]
 
 
-def _blocks(order: np.ndarray, key: np.ndarray):
-    """``order`` cut where ``key[order]`` changes, and into ``_BLOCK_WINDOWS`` pieces."""
-    for run in np.split(order, np.flatnonzero(np.diff(key[order])) + 1):
-        for b in range(0, len(run), _BLOCK_WINDOWS):
-            yield run[b:b + _BLOCK_WINDOWS]
+def _by_value(key: np.ndarray) -> list[np.ndarray]:
+    """The indices of ``key``, one array per distinct value, values ascending."""
+    order = np.argsort(key, kind="stable")
+    return np.split(order, np.flatnonzero(np.diff(key[order])) + 1) if key.size else []
 
 
 # ---------------------------------------------------------------------------

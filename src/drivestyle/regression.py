@@ -6,9 +6,11 @@ augmented system [M; alpha*I] rather than by inverting the normal
 equations, which is exactly what the raw-Vandermonde condition numbers
 punish. Sample times are centered before building M (this changes the
 conditioning, not the minimizer) and the coefficients are mapped back to
-the absolute-time basis afterwards. A stack of designs of one shape and
-their rows of samples go to numpy's lstsq gufunc in one call (its caller
-bounds the stack); it runs gelsd once per row: the call
+the absolute-time basis afterwards. ``fit_designs`` gives a stack of time
+grids their alphas, condition numbers and Vandermonde matrices as
+columns; ``fit_solve``, the one place that adds the alpha*I rows, solves
+the rows of each system shape in one call of numpy's lstsq gufunc (its
+caller bounds the stack); it runs gelsd once per row: the call
 ``np.linalg.lstsq`` makes for a single row, bit for bit.
 """
 
@@ -53,16 +55,15 @@ def gram_eigenvalues(m: np.ndarray) -> np.ndarray:
 
 def gram_condition(m: np.ndarray, alpha: float) -> float:
     """Condition number of MᵀM + alpha^2 I (ratio of extreme eigenvalues)."""
-    return _condition(gram_eigenvalues(m), alpha)
+    return float(_condition(gram_eigenvalues(m), alpha))
 
 
-def _condition(eig: np.ndarray, alpha: float) -> float:
-    """``gram_condition`` from the eigenvalues of MᵀM."""
-    lo = max(float(eig[0]), 0.0) + alpha * alpha
-    hi = float(eig[-1]) + alpha * alpha
-    if lo <= 0.0:
-        return float("inf")
-    return hi / lo
+def _condition(eig: np.ndarray, alpha) -> np.ndarray:
+    """``gram_condition`` from the (..., 3) eigenvalues of MᵀM, broadcast against alpha."""
+    lo = np.maximum(eig[..., 0], 0.0) + alpha * alpha
+    hi = eig[..., -1] + alpha * alpha
+    with np.errstate(divide="ignore", invalid="ignore"):
+        return np.where(lo <= 0.0, np.inf, hi / lo)
 
 
 class FixedAlpha:
@@ -74,8 +75,8 @@ class FixedAlpha:
     def select(self, times: np.ndarray) -> float:
         return self.alpha
 
-    def alpha_for(self, eig: np.ndarray) -> float:
-        return self.alpha
+    def alpha_for(self, eig: np.ndarray) -> np.ndarray:
+        return np.full(eig.shape[:-1], self.alpha, dtype=float)
 
 
 class GridSearchAlpha:
@@ -83,8 +84,8 @@ class GridSearchAlpha:
 
     Falls back to the largest grid value when no candidate meets the cap.
     Holds no state: ``analyze_table`` already selects once per time grid.
-    ``alpha_for`` reads the eigenvalues of MᵀM that ``fit_designs`` also
-    takes its condition number from; ``select`` computes them from times.
+    ``alpha_for`` answers a (G, 3) stack of the eigenvalues of MᵀM by one
+    (G, 8) comparison; ``select`` computes one grid's from its times.
     """
 
     def __init__(self, cap: float = DEFAULT_KAPPA_CAP):
@@ -95,13 +96,12 @@ class GridSearchAlpha:
         self.cap = cap
 
     def select(self, times: np.ndarray) -> float:
-        return self.alpha_for(gram_eigenvalues(vandermonde(times)))
+        return float(self.alpha_for(gram_eigenvalues(vandermonde(times))))
 
-    def alpha_for(self, eig: np.ndarray) -> float:
-        for alpha in ALPHA_GRID:
-            if _condition(eig, alpha) <= self.cap:
-                return alpha
-        return ALPHA_GRID[-1]
+    def alpha_for(self, eig: np.ndarray) -> np.ndarray:
+        meets = _condition(eig[..., None, :], np.array(ALPHA_GRID)) <= self.cap
+        meets[..., -1] = True  # none meets the cap: the largest value
+        return np.take(ALPHA_GRID, np.argmax(meets, axis=-1))
 
 
 DEFAULT_ALPHA_POLICY = GridSearchAlpha()
@@ -154,61 +154,65 @@ class CentralityPolynomial:
         return float(out) if out.ndim == 0 else out
 
 
-def fit_designs(tcs: np.ndarray, alpha_policy) -> list[tuple[float, float, np.ndarray]]:
-    """(alpha, kappa, A) of each row of ``tcs``, a (G, T) stack of centered time grids.
+def fit_designs(tcs: np.ndarray, alpha_policy) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(alpha, kappa, m) of ``tcs``, a (G, T) stack of centered time grids.
 
-    ``A`` is the Vandermonde matrix of a grid, stacked over alpha*I when
-    the policy selects alpha > 0; kappa is the condition number of its
-    Gram matrix. The design depends on the times only, so samples that
-    share a time grid share it. The Gram matrices and their eigenvalues
-    come from one stacked call each, which runs the BLAS/LAPACK routine
-    the one-grid call runs, per matrix; the policy then reads each grid's
-    eigenvalues. Raises ConditioningError at the first grid whose system
-    is rank deficient where the policy selected alpha = 0.
+    Per grid, of shape (G,): the policy's alpha and the condition number of
+    the regularized Gram matrix; ``m`` is the (G, T, 3) Vandermonde stack.
+    A design depends on the times only, so samples that share a time grid
+    share it. The Gram matrices and their eigenvalues come from one stacked
+    call each, which runs the BLAS/LAPACK routine the one-grid call runs,
+    per matrix. Raises ConditioningError if a grid's system is rank
+    deficient where the policy selected alpha = 0.
     """
-    ms = vandermonde(tcs)
-    designs = []
-    for m, eig in zip(ms, gram_eigenvalues(ms)):  # the policy and kappa share eig
-        alpha = float(alpha_policy.alpha_for(eig))
-        kappa = _condition(eig, alpha)
-        if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
-            raise ConditioningError(
-                "design matrix is rank deficient with alpha = 0; "
-                "select a regularized alpha policy"
-            )
-        designs.append((alpha, kappa, m if alpha == 0.0 else
-                        np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])))
-    return designs
-
-
-def fit_design(tc: np.ndarray, alpha_policy) -> tuple[float, float, np.ndarray]:
-    """``fit_designs`` of the one grid ``tc``."""
-    return fit_designs(tc[None], alpha_policy)[0]
+    m = vandermonde(tcs)
+    eig = gram_eigenvalues(m)
+    alpha = alpha_policy.alpha_for(eig)
+    kappa = _condition(eig, alpha)
+    if np.any((alpha == 0.0) & (kappa > _SINGULAR_KAPPA)):
+        raise ConditioningError(
+            "design matrix is rank deficient with alpha = 0; "
+            "select a regularized alpha policy"
+        )
+    return alpha, kappa, m
 
 
 def _svd_failed(err, flag):
     raise LinAlgError("SVD did not converge in Linear Least Squares")
 
 
-def fit_solve(designs: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """Centered coefficients (K x 3) of row k of ``rows`` (K x T) on ``designs[k]``.
-
-    ``designs`` is a (K, m, 3) stack of ``fit_designs`` matrices of one
-    shape; each row is solved as ``np.linalg.lstsq(A, row, rcond=None)``
-    solves it, bit for bit, in one gufunc call: ``analyze_table`` hands it
-    the degree and closeness rows of at most ``_BLOCK_WINDOWS`` windows.
-    An SVD that does not converge raises LinAlgError, as it does there.
-    """
-    k, m, n = designs.shape
+def _lstsq(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Solution (K x n) of each system a[k] (m x n) against b[k], in one gufunc call."""
+    _, m, n = a.shape
     # numpy 1.x has one gufunc per shape and picks it as below
     lstsq = getattr(_umath_linalg, "lstsq", None) or (
         _umath_linalg.lstsq_m if m <= n else _umath_linalg.lstsq_n)
     rcond = np.finfo(float).eps * max(m, n)
-    rhs = np.zeros((k, m, 1))  # zero targets for the alpha*I rows, if any
-    rhs[:, :rows.shape[1], 0] = rows
     with np.errstate(call=_svd_failed, invalid="call",
                      over="ignore", divide="ignore", under="ignore"):
-        return lstsq(designs, rhs, rcond, signature="ddd->ddid")[0][:, :, 0]
+        return lstsq(a, b[:, :, None], rcond, signature="ddd->ddid")[0][:, :, 0]
+
+
+def fit_solve(m: np.ndarray, alpha: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """Centered coefficients (K x 3) of row k of ``rows`` (K x T) on design k.
+
+    Design k is ``m[k]``, stacked over ``alpha[k] * I`` with zero targets
+    where alpha[k] > 0 (``m`` and ``alpha`` as ``fit_designs`` gives them).
+    Each row is solved as ``np.linalg.lstsq(A, row, rcond=None)`` solves
+    it, bit for bit, the rows of each system shape in one gufunc call:
+    ``analyze_table`` hands it the rows of at most ``_BLOCK_WINDOWS``
+    windows. An SVD that does not converge raises LinAlgError, as there.
+    """
+    ridge = alpha > 0.0
+    if not ridge.any():
+        return _lstsq(m, rows)
+    a = np.concatenate([m[ridge], alpha[ridge, None, None] * np.eye(3)], axis=1)
+    z = np.concatenate([rows[ridge], np.zeros((len(a), 3))], axis=1)  # zero targets
+    beta = np.empty((len(m), 3))
+    beta[ridge] = _lstsq(a, z)
+    if not ridge.all():
+        beta[~ridge] = _lstsq(m[~ridge], rows[~ridge])
+    return beta
 
 
 def uncenter(beta_c: np.ndarray, t_bars: np.ndarray) -> np.ndarray:
@@ -220,11 +224,12 @@ def uncenter(beta_c: np.ndarray, t_bars: np.ndarray) -> np.ndarray:
 
 
 def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
-    """Fit a quadratic to (time, value) samples: ``fit_design`` then ``fit_solve``.
+    """Fit a quadratic to (time, value) samples: ``fit_designs`` then ``fit_solve``.
 
     ``times`` are absolute seconds. Raises InsufficientDataError below 3
-    samples and ConditioningError when the system is rank deficient and
-    the policy selected alpha = 0.
+    samples, ValidationError for a value, time or design entry that is
+    not finite, and ConditioningError when the system is rank deficient
+    and the policy selected alpha = 0.
     """
     t = np.asarray(times, dtype=float)
     z = np.asarray(values, dtype=float)
@@ -234,13 +239,15 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
         raise InsufficientDataError(
             f"need at least {POLY_DEGREE + 1} samples for a quadratic fit, got {t.size}"
         )
-    policy = alpha_policy if alpha_policy is not None else DEFAULT_ALPHA_POLICY
-
-    t_bar = t.mean()
-    alpha, kappa, a = fit_design(t - t_bar, policy)
-    coefficients = uncenter(fit_solve(a[None], z[None]), t_bar)[0]
-    domain = (float(t.min()), float(t.max()))
-    return CentralityPolynomial(tuple(coefficients.tolist()), domain, alpha, kappa)
+    with np.errstate(over="ignore", invalid="ignore"):
+        t_bar = t.mean()
+        tc = t - t_bar
+        if not (np.isfinite(z).all() and np.isfinite(tc * tc).all()):  # tc * tc: the t^2 column
+            raise ValidationError("values, times and squared centered times must be finite")
+    alpha, kappa, m = fit_designs(tc[None], alpha_policy or DEFAULT_ALPHA_POLICY)
+    coefficients = uncenter(fit_solve(m, alpha, z[None]), t_bar)[0]
+    return CentralityPolynomial(tuple(coefficients.tolist()), (float(t.min()), float(t.max())),
+                                float(alpha[0]), float(kappa[0]))
 
 
 def fit(

@@ -6,7 +6,8 @@ to a fixpoint, instead of all sources in lockstep, degree counting by
 replaying raw frames with plain dict/set bookkeeping, traffic-graph edges
 by testing every pair or by sweeping vertices sorted on their int64
 frames, lane leaders by scanning every agent, each time grid's design by
-two-dimensional numpy calls, windowed fits one window at a time by
+two-dimensional numpy calls and its alpha by walking the grid in Python
+floats, windowed fits one window at a time by
 numpy's public ``np.linalg.lstsq``, SLE/SIE maxima by sampling every frame, weaving points, their merge and the
 per-agent aggregates in Python floats, the calibration pools by walking
 each window's sharpness one value at a time, the window fits as
@@ -38,11 +39,12 @@ from drivestyle.ingest import _FLOOR_GUARD, _GUARD_CAP, AGENT_TYPES, TrajectoryT
 from drivestyle.pipeline import AnalysisParams, RunReport, analyze_table, frame_windows
 from drivestyle.regression import (
     _SINGULAR_KAPPA,
+    ALPHA_GRID,
     POLY_DEGREE,
     CentralityPolynomial,
-    _condition,
+    GridSearchAlpha,
     derivative,
-    fit_design,
+    fit_designs,
 )
 from drivestyle.sim import (
     CLASS_CONSERVATIVE,
@@ -484,48 +486,64 @@ def sampled_sle(poly, frames, frame_rate_hz) -> SleSummary:
     )
 
 
+def scalar_condition(eig, alpha):
+    """The condition number of MᵀM + alpha^2 I from its eigenvalues, in Python floats."""
+    lo = max(float(eig[0]), 0.0) + alpha * alpha
+    hi = float(eig[-1]) + alpha * alpha
+    if lo <= 0.0:
+        return float("inf")
+    return hi / lo
+
+
 def one_grid_design(tc, alpha_policy):
-    """``regression.fit_design`` of one grid by two-dimensional numpy calls.
+    """(alpha, kappa, m) of one grid, as ``regression.fit_designs`` gives each.
 
     A column-stacked Vandermonde matrix, ``eigvalsh(m.T @ m)``, the
-    policy's alpha and the condition number, then ``alpha * I`` stacked
-    below where alpha > 0.
+    policy's alpha (a grid search walks ``ALPHA_GRID`` one value at a
+    time) and the condition number in Python floats.
     """
     m = np.column_stack([np.ones_like(tc), tc, tc * tc])
     eig = np.linalg.eigvalsh(m.T @ m)
-    alpha = float(alpha_policy.alpha_for(eig))
-    kappa = _condition(eig, alpha)
+    if isinstance(alpha_policy, GridSearchAlpha):
+        alpha = next((a for a in ALPHA_GRID if scalar_condition(eig, a) <= alpha_policy.cap),
+                     ALPHA_GRID[-1])
+    else:
+        alpha = float(alpha_policy.alpha)
+    kappa = scalar_condition(eig, alpha)
     if alpha == 0.0 and kappa > _SINGULAR_KAPPA:
         raise ConditioningError(
             "design matrix is rank deficient with alpha = 0; "
             "select a regularized alpha policy"
         )
-    if alpha == 0.0:
-        return alpha, kappa, m
-    return alpha, kappa, np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
+    return alpha, kappa, m
 
 
 def lstsq_solve(design, t_bar, values):
-    """Absolute-time coefficients of one ``fit_design`` system by ``np.linalg.lstsq``.
+    """Absolute-time coefficients of one (alpha, kappa, m) design by ``np.linalg.lstsq``.
 
-    ``values`` are sampled at t_bar + tc; the alpha*I rows get zero targets.
+    ``values`` are sampled at t_bar + tc; where alpha > 0, ``alpha * I``
+    is stacked below m and its rows get zero targets.
     """
-    alpha, _, a = design
-    rhs = values if alpha == 0.0 else np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
+    alpha, _, m = design
+    a, rhs = m, values
+    if alpha != 0.0:
+        a = np.vstack([m, alpha * np.eye(POLY_DEGREE + 1)])
+        rhs = np.concatenate([values, np.zeros(POLY_DEGREE + 1)])
     c0, c1, c2 = np.linalg.lstsq(a, rhs, rcond=None)[0].tolist()
     return (c0 - c1 * t_bar + c2 * t_bar * t_bar, c1 - 2.0 * c2 * t_bar, c2)
 
 
 def lstsq_fit(first_frame, values, alpha_policy, frame_rate_hz):
-    """One window's fit: ``fit_design``, then ``lstsq_solve``.
+    """One window's fit: its grid's columns from ``fit_designs``, then ``lstsq_solve``.
 
     The samples sit at frames first_frame, first_frame + 1, ...
     """
     t = np.arange(first_frame, first_frame + len(values)) / frame_rate_hz
     t_bar = float(t.mean())
-    alpha, kappa, _ = design = fit_design(t - t_bar, alpha_policy)
+    alpha, kappa, m = fit_designs((t - t_bar)[None], alpha_policy)
+    design = (float(alpha[0]), float(kappa[0]), m[0])
     coefficients = lstsq_solve(design, t_bar, values)
-    return CentralityPolynomial(coefficients, (float(t[0]), float(t[-1])), alpha, kappa)
+    return CentralityPolynomial(coefficients, (float(t[0]), float(t[-1])), *design[:2])
 
 
 def scalar_detect_weaving(closeness, window, epsilon):

@@ -26,7 +26,7 @@ from drivestyle.pipeline import (
     windows_to_csv,
 )
 from drivestyle import regression
-from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_design, fit_solve
+from drivestyle.regression import FixedAlpha, GridSearchAlpha, fit_solve
 from drivestyle.styles import (
     STYLE_CONSERVATIVE,
     STYLE_OVERSPEEDING,
@@ -343,16 +343,14 @@ def test_constant_degree_windows_match_oracle_exactly():
 def solved_rows(monkeypatch):
     """Patch ``pipeline.fit_solve`` to log each call's rows as (time grid, sample bits).
 
-    A row's grid is its design's centered times, the first T entries of
-    the Vandermonde matrix's t column.
+    A row's grid is its design's centered times, the t column of its
+    Vandermonde matrix.
     """
     calls = []
 
-    def counted(designs, rows):
-        t_count = rows.shape[1]
-        calls.append([(a[:t_count, 1].tobytes(), row.tobytes())
-                      for a, row in zip(designs, rows)])
-        return fit_solve(designs, rows)
+    def counted(m, alpha, rows):
+        calls.append([(design[:, 1].tobytes(), row.tobytes()) for design, row in zip(m, rows)])
+        return fit_solve(m, alpha, rows)
 
     monkeypatch.setattr(pipeline, "fit_solve", counted)
     return calls
@@ -378,7 +376,7 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
     # sample bits on one grid are one distinct row, whatever their mean time
     series = compute_series(table, params.mu, capacity=params.capacity)
     lo, hi = table.span()
-    distinct, shapes, windows = defaultdict(set), set(), 0
+    distinct, counts, windows = defaultdict(set), set(), 0
     for f0, clo, deg in by_agent(series).values():
         for w0, w1 in frame_windows(lo, hi, 10, 5):
             first, last = max(w0, f0), min(w1, f0 + len(deg) - 1)
@@ -386,7 +384,7 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
                 continue
             t = np.arange(first, last + 1) / 10.0
             tc = t - t.mean()
-            shapes.add(fit_design(tc, params.alpha_policy)[2].shape)
+            counts.add(len(tc))
             for s in (clo, deg):
                 windows += 1
                 distinct[tc.tobytes()].add(s[first - f0:last - f0 + 1].tobytes())
@@ -399,8 +397,8 @@ def test_each_distinct_window_fit_is_solved_once(monkeypatch):
         solved[grid].append(samples)
     assert {grid: sorted(rows) for grid, rows in solved.items()} == {
         grid: sorted(rows) for grid, rows in distinct.items()}
-    # one call per design shape at the default block sizes
-    assert len(calls) == len(shapes) and sum(map(len, calls)) < windows / 2
+    # one call per sample count at the default block sizes
+    assert len(calls) == len(counts) and sum(map(len, calls)) < windows / 2
 
 
 def test_solve_blocks_split_a_grid_without_changing_a_bit(monkeypatch):

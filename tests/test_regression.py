@@ -18,7 +18,6 @@ from drivestyle.regression import (
     condition_diagnostics,
     derivative,
     fit,
-    fit_design,
     fit_designs,
     fit_samples,
     fit_solve,
@@ -205,9 +204,29 @@ def bits(values):
     return np.array(values, dtype=float).view(np.int64).tolist()
 
 
-def solve(designs, t_bars, rows):
+def solve(m, alpha, t_bars, rows):
     """``fit_solve`` then ``uncenter``: absolute-time coefficients per row."""
-    return uncenter(fit_solve(np.asarray(designs), rows), np.asarray(t_bars, dtype=float))
+    return uncenter(fit_solve(np.asarray(m), np.asarray(alpha, dtype=float), rows),
+                    np.asarray(t_bars, dtype=float))
+
+
+def expected_solves(designs, t_bars, rows):
+    """Each row's ``lstsq_solve`` bits, or LinAlgError if any row raises it."""
+    try:
+        return [bits(lstsq_solve(d, t_bar, row)) for d, t_bar, row in zip(designs, t_bars, rows)]
+    except LinAlgError:
+        return LinAlgError
+
+
+def assert_solves_as_lstsq(designs, t_bars, rows):
+    """One ``fit_solve`` of the rows on their (alpha, kappa, m) designs is per-row lstsq."""
+    expected = expected_solves(designs, t_bars, rows)
+    alpha, _, m = zip(*designs)
+    if expected is LinAlgError:
+        with pytest.raises(LinAlgError):
+            solve(m, alpha, t_bars, rows)
+    else:
+        assert [bits(c) for c in solve(m, alpha, t_bars, rows)] == expected
 
 
 @settings(max_examples=150, deadline=None)
@@ -215,15 +234,16 @@ def solve(designs, t_bars, rows):
     t_count=st.integers(3, 64),
     first=st.integers(0, 10**6),
     rate=st.sampled_from([1.0, 10.0]),
-    alpha=st.sampled_from([0.0, 1e-3, 0.5]),
+    alphas=st.lists(st.sampled_from([0.0, 1e-3, 0.5]), min_size=2, max_size=2),
     data=st.data(),
 )
-def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alpha, data):
-    # a stack of the designs of two grids of one shape, rows of each
+def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alphas, data):
+    # rows on the designs of two grids of one sample count, each grid at its
+    # own alpha: one call may hold rows at alpha = 0 and alpha > 0
     grids = []
-    for start in (first, first + data.draw(st.integers(1, 10**6))):
+    for start, alpha in zip((first, first + data.draw(st.integers(1, 10**6))), alphas):
         t = np.arange(start, start + t_count) / rate
-        grids.append((float(t.mean()), fit_design(t - t.mean(), FixedAlpha(alpha))))
+        grids.append((float(t.mean()), one_grid_design(t - t.mean(), FixedAlpha(alpha))))
     count = data.draw(st.integers(1, 5))
     which = data.draw(st.lists(st.integers(0, 1), min_size=count, max_size=count))
     rows = np.array(data.draw(st.lists(
@@ -231,23 +251,12 @@ def test_stacked_rows_equal_per_row_lstsq_bit_for_bit(t_count, first, rate, alph
     )))
     t_bars = [data.draw(st.sampled_from([grids[g][0], 0.0]) | st.floats(-1e6, 1e6))
               for g in which]
-    expected = []
-    for g, t_bar, row in zip(which, t_bars, rows):
-        try:
-            expected.append(bits(lstsq_solve(grids[g][1], t_bar, row)))
-        except LinAlgError:
-            expected.append(LinAlgError)
-    designs = [grids[g][1][2] for g in which]
-    if LinAlgError in expected:
-        with pytest.raises(LinAlgError):
-            solve(designs, t_bars, rows)
-    else:
-        assert [bits(c) for c in solve(designs, t_bars, rows)] == expected
+    assert_solves_as_lstsq([grids[g][1] for g in which], t_bars, rows)
 
 
 def design_bits(design):
-    alpha, kappa, a = design
-    return bits([alpha, kappa]), a.shape, a.tobytes()
+    alpha, kappa, m = design
+    return bits([alpha, kappa]), m.shape, m.tobytes()
 
 
 @settings(max_examples=200, deadline=None)
@@ -259,58 +268,91 @@ def design_bits(design):
                             GridSearchAlpha(), GridSearchAlpha(50.0), GridSearchAlpha(1.5)]),
 )
 def test_stacked_designs_equal_per_grid_designs_bit_for_bit(count, firsts, rate, policy):
-    # the centered grids of windows of one sample count, as analyze_table makes them
+    # the centered grids of windows of one sample count, as analyze_table makes
+    # them; each grid's alpha against the oracle's walk of the alpha grid
     _, tcs = slice_times(np.array(firsts, dtype=np.int64), count, rate)
     expected = [design_bits(one_grid_design(tc, policy)) for tc in tcs]
-    assert [design_bits(d) for d in fit_designs(tcs, policy)] == expected
-    assert [design_bits(fit_design(tc, policy)) for tc in tcs] == expected
+    assert [design_bits(d) for d in zip(*fit_designs(tcs, policy))] == expected
 
 
 def test_stacked_designs_take_alpha_rows_and_refuse_rank_deficiency():
-    # a small cap sends short grids to alpha > 0 (alpha*I rows below) and
-    # leaves long ones at alpha = 0, in one stack
+    # a small cap sends short grids to alpha > 0 and leaves long ones at
+    # alpha = 0, in one stack of plain (G, T, 3) Vandermonde matrices
     policy = GridSearchAlpha(50.0)
-    shapes = set()
+    ridge = set()
     for count in range(3, 61):
         _, tcs = slice_times(np.array([0, 7, 2**40]), count, 25.0)
-        designs = fit_designs(tcs, policy)
-        for tc, design in zip(tcs, designs):
+        alpha, kappa, m = fit_designs(tcs, policy)
+        assert alpha.shape == kappa.shape == (3,) and m.shape == (3, count, 3)
+        for tc, design in zip(tcs, zip(alpha, kappa, m)):
             assert design_bits(design) == design_bits(one_grid_design(tc, policy))
-            shapes.add((design[0] > 0, len(design[2]) - count))
-    assert shapes == {(False, 0), (True, 3)}
+        ridge.update((alpha > 0).tolist())
+    assert ridge == {False, True}
     # a grid of two distinct times has rank 2: the stack holding it raises
     # as the one-grid design does, at alpha = 0 only
     _, (good,) = slice_times(np.array([5]), 4, 10.0)
     flat = np.array([-1.0, -1.0, 1.0, 1.0])
     message = "design matrix is rank deficient with alpha = 0; select a regularized alpha policy"
     for form in (lambda: one_grid_design(flat, FixedAlpha(0.0)),
-                 lambda: fit_design(flat, FixedAlpha(0.0)),
+                 lambda: fit_designs(flat[None], FixedAlpha(0.0)),
                  lambda: fit_designs(np.stack([good, flat, good]), FixedAlpha(0.0))):
         with pytest.raises(ConditioningError) as exc:
             form()
         assert str(exc.value) == message
-    assert len(fit_designs(np.stack([good, flat]), FixedAlpha(0.5))) == 2
+    assert len(fit_designs(np.stack([good, flat]), FixedAlpha(0.5))[2]) == 2
 
 
 def test_nan_rows_and_unconverged_svd_behave_as_lstsq():
     t = np.arange(6.0)
-    alpha, kappa, a = design = fit_design(t - t.mean(), FixedAlpha(0.0))
+    design = one_grid_design(t - t.mean(), FixedAlpha(0.0))
     rows = np.ones((2, 6))
     rows[1, 3] = np.nan
-    try:
-        expected = [bits(lstsq_solve(design, 2.5, row)) for row in rows]
-    except LinAlgError:
-        with pytest.raises(LinAlgError):
-            solve([a, a], [2.5, 2.5], rows)
-    else:
-        assert [bits(c) for c in solve([a, a], [2.5, 2.5], rows)] == expected
+    assert_solves_as_lstsq([design, design], [2.5, 2.5], rows)
     # a design holding NaN: gelsd's SVD fails, and np.linalg.lstsq raises
-    a = a.copy()
-    a[2, 1] = np.nan
+    alpha, kappa, m = design
+    m = m.copy()
+    m[2, 1] = np.nan
     with pytest.raises(LinAlgError):
-        lstsq_solve((alpha, kappa, a), 2.5, np.ones(6))
+        lstsq_solve((alpha, kappa, m), 2.5, np.ones(6))
     with pytest.raises(LinAlgError, match="SVD did not converge"):
-        solve([a], [2.5], np.ones((1, 6)))
+        solve([m], [alpha], [2.5], np.ones((1, 6)))
+
+
+def logged_gufuncs(monkeypatch):
+    """Patch the lstsq gufuncs ``fit_solve`` calls to log each call's (name, A shape)."""
+    calls, gufunc = [], _umath_linalg
+    names = [name for name in ("lstsq", "lstsq_m", "lstsq_n") if hasattr(gufunc, name)]
+
+    def logged(name):
+        def call(a, b, *args, **kwargs):
+            calls.append((name, a.shape))
+            return getattr(gufunc, name)(a, b, *args, **kwargs)
+        return call
+
+    monkeypatch.setattr(regression, "_umath_linalg",
+                        SimpleNamespace(**{name: logged(name) for name in names}))
+    return calls
+
+
+def test_one_solve_mixing_alpha_0_and_alpha_above_0_rows_equals_lstsq(monkeypatch):
+    # rows at alpha = 0 and alpha > 0 interleaved in one fit_solve call: one
+    # gufunc call per system shape (T x 3 and (T + 3) x 3), every row bit-equal
+    # to np.linalg.lstsq on its own system, a NaN row on either side included
+    t = np.arange(5.0)
+    designs = [one_grid_design(t - t.mean() + shift, FixedAlpha(alpha))
+               for shift, alpha in ((0.0, 0.0), (0.0, 0.5), (0.25, 1e-3), (0.25, 0.0),
+                                    (0.0, 0.5), (0.0, 0.0))]
+    rows = np.array([t * t, t * t, -t, np.ones(5), np.full(5, np.nan), [1, 0, np.nan, 0, 1]])
+    t_bars = [2.0, 2.0, 2.25, 2.25, 0.0, 1e6]
+    calls = logged_gufuncs(monkeypatch)
+    assert_solves_as_lstsq(designs, t_bars, rows)
+    assert sorted(shape for _, shape in calls) == [(3, 5, 3), (3, 8, 3)]
+    # a design holding NaN among them: the SVD fails and the call raises
+    alpha, _, m = zip(*designs)
+    m = np.array(m)
+    m[1, 2, 1] = np.nan
+    with pytest.raises(LinAlgError, match="SVD did not converge"):
+        fit_solve(m, np.array(alpha), rows)
 
 
 def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
@@ -329,18 +371,38 @@ def test_numpy_1_gufunc_is_picked_by_shape(monkeypatch):
     cases = [(np.arange(float(t_count)), alpha)
              for t_count, alpha in ((3, 0.0), (4, 0.0), (3, 1e-3))]
     expected = [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases]
-    # stacks of three designs of one shape
-    stacks = [np.stack([fit_design(t - t.mean() + d, FixedAlpha(alpha))[2]
-                        for d in (0.0, 0.25, 0.5)]) for t, alpha in cases]
+    # stacks of the designs of three grids of one shape
+    stacks = [fit_designs(np.stack([t - t.mean() + d for d in (0.0, 0.25, 0.5)]),
+                          FixedAlpha(alpha)) for t, alpha in cases]
     rows = [np.arange(3 * len(t), dtype=float).reshape(3, -1) for t, _ in cases]
-    stacked = [fit_solve(a, r) for a, r in zip(stacks, rows)]
+    stacked = [fit_solve(m, a, r) for (a, _, m), r in zip(stacks, rows)]
     monkeypatch.setattr(regression, "_umath_linalg",
                         SimpleNamespace(lstsq_m=named("m"), lstsq_n=named("n")))
     assert [fit_samples(t, t * t, FixedAlpha(alpha)) for t, alpha in cases] == expected
     assert picked == ["m", "n", "n"]
     # a stack is one call, whose rows each solve as they do alone
     picked.clear()
-    for a, r, before in zip(stacks, rows, stacked):
-        assert bits(fit_solve(a, r)) == bits(before)
-        assert [bits(fit_solve(a[k:k + 1], r[k:k + 1])[0]) for k in range(3)] == bits(before)
+    for (a, _, m), r, before in zip(stacks, rows, stacked):
+        assert bits(fit_solve(m, a, r)) == bits(before)
+        assert [bits(fit_solve(m[k:k + 1], a[k:k + 1], r[k:k + 1])[0])
+                for k in range(3)] == bits(before)
     assert picked == ["m"] * 4 + ["n"] * 8
+
+
+NOT_FINITE = "^values, times and squared centered times must be finite$"
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
+                                   [0.0, 1.0, 1e308, -1e308]])
+def test_times_not_finite_or_overflowing_the_design_are_refused(times):
+    # the last grid's times are finite, but their squares overflow
+    with pytest.raises(ValidationError, match=NOT_FINITE):
+        fit_samples(times, np.ones(len(times)))
+
+
+def test_values_not_finite_are_refused():
+    for values in ([1.0, 2.0, np.nan], [1.0, np.inf, 2.0]):
+        with pytest.raises(ValidationError, match=NOT_FINITE):
+            fit(0, values, frame_rate_hz=10.0)
+        with pytest.raises(ValidationError, match=NOT_FINITE):
+            fit_samples([0.0, 1.0, 2.0], values, FixedAlpha(0.5))
