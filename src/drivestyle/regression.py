@@ -39,18 +39,24 @@ POLY_DEGREE = 2
 _SINGULAR_KAPPA = 1e12
 
 DEFAULT_KAPPA_CAP = 1e6
+_NOT_FINITE = "values, times and squared centered times must be finite"
 ALPHA_GRID = (0.0,) + tuple(10.0**k for k in range(-6, 1))
 
 
 def vandermonde(times: np.ndarray) -> np.ndarray:
     """T x 3 design matrix with rows (1, t, t^2); a (G, T, 3) stack of G grids."""
     t = np.asarray(times, dtype=float)
-    return np.stack([np.ones_like(t), t, t * t], axis=-1)
+    with np.errstate(over="ignore"):  # an infinite t^2 is refused by gram_eigenvalues
+        return np.stack([np.ones_like(t), t, t * t], axis=-1)
 
 
 def gram_eigenvalues(m: np.ndarray) -> np.ndarray:
-    """Eigenvalues of MᵀM, ascending; of each matrix of a stack, in one call."""
-    return np.linalg.eigvalsh(np.matmul(np.swapaxes(m, -1, -2), m))
+    """Eigenvalues of a finite MᵀM (else ValidationError), ascending; per matrix of a stack."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = np.matmul(np.swapaxes(m, -1, -2), m)
+    if not np.isfinite(gram).all():
+        raise ValidationError(_NOT_FINITE)
+    return np.linalg.eigvalsh(gram)
 
 
 def gram_condition(m: np.ndarray, alpha: float) -> float:
@@ -227,9 +233,9 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
     """Fit a quadratic to (time, value) samples: ``fit_designs`` then ``fit_solve``.
 
     ``times`` are absolute seconds. Raises InsufficientDataError below 3
-    samples, ValidationError for a value, time or design entry that is
-    not finite, and ConditioningError when the system is rank deficient
-    and the policy selected alpha = 0.
+    samples, ValidationError for a value that is not finite or a time
+    whose design is not (``gram_eigenvalues``), and ConditioningError
+    when the system is rank deficient and the policy selected alpha = 0.
     """
     t = np.asarray(times, dtype=float)
     z = np.asarray(values, dtype=float)
@@ -239,11 +245,11 @@ def fit_samples(times, values, alpha_policy=None) -> CentralityPolynomial:
         raise InsufficientDataError(
             f"need at least {POLY_DEGREE + 1} samples for a quadratic fit, got {t.size}"
         )
-    with np.errstate(over="ignore", invalid="ignore"):
+    if not np.isfinite(z).all():
+        raise ValidationError(_NOT_FINITE)
+    with np.errstate(over="ignore", invalid="ignore"):  # gram_eigenvalues refuses inf and NaN
         t_bar = t.mean()
         tc = t - t_bar
-        if not (np.isfinite(z).all() and np.isfinite(tc * tc).all()):  # tc * tc: the t^2 column
-            raise ValidationError("values, times and squared centered times must be finite")
     alpha, kappa, m = fit_designs(tc[None], alpha_policy or DEFAULT_ALPHA_POLICY)
     coefficients = uncenter(fit_solve(m, alpha, z[None]), t_bar)[0]
     return CentralityPolynomial(tuple(coefficients.tolist()), (float(t.min()), float(t.max())),

@@ -7,12 +7,13 @@ population. Scenarios may additionally script agents: a constant-speed
 longitudinal mode and forced lane changes at fixed frames make maneuver
 timing predictable, which is what turns a scenario into ground truth.
 
-A world where an agent follows steps on numpy columns, one frame at a
-time (``_run_columns``); worlds of one shape handed to ``run_scenarios``
-step together in one set of columns, each world's agents filed under
-lanes of their own. A world of cruisers alone is summed with no frame
-loop. Stepping is single-threaded and deterministic: the RNG seeds only
-the conservative desired-speed draw at spawn time, so identical (config,
+``build_world`` turns a spawn list into numpy columns (``World``). A
+world where an agent follows steps on them, one frame at a time
+(``_run_columns``); worlds of one shape handed to ``run_scenarios`` step
+together, their columns joined, each world's agents filed under lanes
+of their own. A world of cruisers alone is summed with no frame loop.
+Stepping is single-threaded and deterministic: the RNG seeds only the
+conservative desired-speed draw at spawn time, so identical (config,
 seed) pairs produce identical output bytes, alone or in a stack.
 """
 
@@ -233,7 +234,9 @@ class ScenarioConfig:
         The law speeds a car up only below its desired speed v0, by at most
         a_max dt a step, so no speed of a run is above a spawn speed or, for
         a car-following agent, v0 + a_max dt. Those must be at most
-        ``MAX_SPEED_MPS``, and at most ``MAX_SPEED_RATIO`` times v0. A
+        ``MAX_SPEED_MPS``, and at most ``MAX_SPEED_RATIO`` times v0, a
+        cruiser's too: a lane-change decision reads the law of the follower
+        it affects. A given v0 must be finite and positive. A
         positive gap is at least 2**-50 m (the last bit of 5 m), so
         ``(v/v0)**4`` stays under 1e49 and ``(s*/s)**2`` under 1e53, far
         inside float range (a class v0 is checked before its ±10% draw,
@@ -242,11 +245,11 @@ class ScenarioConfig:
         name, speed = repr(spawn.agent_id), spawn.speed
         if speed > MAX_SPEED_MPS:
             raise ValidationError(f"{name}: speed {speed} is over {MAX_SPEED_MPS:g} m/s")
-        if spawn.longitudinal != MODE_IDM:
-            return
         params = CLASS_PARAMS[spawn.vehicle_class]
         v0 = params.v0 if spawn.v0 is None else require_positive(spawn.v0, f"{name}: v0")
-        top = max(speed, v0 + params.a_max * self.timestep_s)
+        top = speed  # a cruiser's, whose law is read when it is a lane-change follower
+        if spawn.longitudinal == MODE_IDM:
+            top = max(speed, v0 + params.a_max * self.timestep_s)
         if top > MAX_SPEED_MPS:
             raise ValidationError(f"{name}: v0 + a_max * timestep_s = {top:g} m/s "
                                   f"is over {MAX_SPEED_MPS:g} m/s")
@@ -267,38 +270,36 @@ def idm_law(params: DriverParams) -> tuple[float, ...]:
 
 @dataclass
 class World:
-    """One running scenario, or a stack of them: per-agent columns in spawn order, clock, logs.
+    """One running scenario, or a stack of them: ``build_world``'s columns, clock, logs.
 
-    ``follows`` marks the car-following (IDM) agents; ``mobil`` whether
-    lane-change decisions are an agent's own (an IDM agent with MOBIL on),
-    taken every ``period`` frames. ``begun`` holds the frame each agent's
-    last lane change began (-inf before any) and ``begun_at`` that
-    change's start, a lateral position in lane units (a float lane index).
-    ``ramp`` is a change's progress at each frame after it begins and
-    ``blend`` its half-cosine blend, so an agent is mid-change while
-    ``frame - begun <= len(ramp)``; its ``lane`` is already the target
-    lane, which car-following commits to at once. ``_run_columns`` makes
-    ``lane`` an int64 and ``begun`` a float array. ``changes`` logs every
-    change as (frame, position, start, target lane). ``scripts`` maps a
-    frame to its scripted changes, {position: target lane}. A stack of
-    worlds (``_stacked``) has its first world's ``config``, whose
-    timestep, frame count, period and ramp they all share.
+    Every numpy field is per agent, in spawn order along its last axis
+    (``_stacked`` joins them there); ``ids`` names the agents. An agent is
+    mid-change while ``frame - begun <= len(ramp)``; its ``lane`` is then
+    already the target lane, which car-following commits to at once.
+    ``changes`` logs every change as (frame, position, start, target
+    lane). A stack of worlds (``_stacked``) has its first world's
+    ``config``, whose timestep, frame count, period and ramp they all share.
     """
 
     config: ScenarioConfig
     ids: list[str]
-    x: list[float]
-    speed: list[float]
-    lane: list[int]
-    params: list[DriverParams]
-    follows: list[bool]
-    mobil: list[bool]
+    x: np.ndarray  # the spawn's, as is speed
+    speed: np.ndarray
+    lane: np.ndarray  # int64, which lane changes write
+    follows: np.ndarray  # car-following (IDM), not cruising
+    mobil: np.ndarray  # an IDM agent with MOBIL on, deciding every ``period`` frames
+    law: np.ndarray  # rows v0 (drawn or given), a_max, -b_comf, s0, T, 2 sqrt(a_max b_comf)
+    politeness: np.ndarray
+    delta_a_th: np.ndarray
+    brake_safe: np.ndarray  # -b_safe
+    offset: np.ndarray  # the key of the agent's lane 0: its lane keys are offset + lane
+    top: np.ndarray  # one past the key of its last lane (lane_count for a world alone)
+    begun: np.ndarray  # the frame its last lane change began, -inf before any
+    begun_at: np.ndarray  # that change's start, a lateral position in lane units
     period: int
-    scripts: dict[int, dict[int, int]]
-    ramp: list[float]
-    blend: list[float]
-    begun: list[float]
-    begun_at: list[float]
+    scripts: dict[int, dict[int, int]]  # frame -> {position: target lane}
+    ramp: list[float]  # a change's progress at each frame after it begins
+    blend: list[float]  # its half-cosine blend
     changes: list[tuple[int, int, float, int]] = field(default_factory=list)
     frame: int = 0
     collisions: list[CollisionEvent] = field(default_factory=list)
@@ -421,51 +422,37 @@ def _kept(filed: _Filed | None, x: np.ndarray, changes: int) -> bool:
             and bool((x[filed.behind] < x[filed.ahead]).all()))
 
 
-class _Drivers(NamedTuple):
-    """A stack's per-agent constants as columns; ``law`` also covers columns n and n + 1."""
-
-    law: np.ndarray  # rows v0, a_max, -b_comf, s0, T, 2 sqrt(a_max b_comf)
-    politeness: np.ndarray
-    delta_a_th: np.ndarray
-    brake_safe: np.ndarray  # -b_safe
-    mobil: np.ndarray
-    cruisers: np.ndarray  # the positions of the agents that do not follow
-    offset: np.ndarray  # the key of the agent's world's lane 0
-    top: np.ndarray  # one past the key of its world's last lane
+def _driver_columns(params: list[DriverParams]) -> dict[str, np.ndarray]:
+    """The ``World`` columns ``law``, ``politeness``, ``delta_a_th`` and ``brake_safe``."""
+    columns = np.array([(*idm_law(p), p.politeness, p.delta_a_th, p.b_safe) for p in params],
+                       dtype=float).reshape(-1, 9).T.copy()
+    columns[[2, 8]] *= -1.0  # -b_comf and -b_safe
+    return dict(zip(("politeness", "delta_a_th", "brake_safe"), columns[6:]), law=columns[:6])
 
 
-def _stacked(worlds: list[World]) -> tuple[World, _Drivers]:
-    """One world of the agents of ``worlds``, in list order, and its drivers."""
-    starts = [0, *accumulate(len(w.ids) for w in worlds)]
+# the law of columns n and n + 1, the cars that stand for a missing leader and follower
+_MISSING_LAW = _driver_columns([CONSERVATIVE_PARAMS] * 2)["law"]
+
+
+def _stacked(worlds: list[World]) -> World:
+    """The agents of ``worlds`` as one, in list order: an ``np.concatenate`` per column."""
+    sizes = [len(w.ids) for w in worlds]
     scripts: dict[int, dict[int, int]] = {}
-    for w, start in zip(worlds, starts):
+    for w, start in zip(worlds, accumulate(sizes, initial=0)):
         for frame, moves in w.scripts.items():
             scripts.setdefault(frame, {}).update((pos + start, t) for pos, t in moves.items())
-
-    def joined(name):
-        return [value for w in worlds for value in getattr(w, name)]
-
-    world = replace(worlds[0], **{name: joined(name) for name in (
-        "ids", "x", "speed", "lane", "params", "follows", "mobil", "begun", "begun_at")},
-        scripts=scripts, changes=[], collisions=[])
-    params, sizes = world.params, np.diff(starts)
-    law = np.array([*map(idm_law, params)] + [idm_law(CONSERVATIVE_PARAMS)] * 2).T.copy()
-    law[2] = -law[2]
-    lanes = np.array([w.config.lane_count for w in worlds])
-    offset = np.repeat(np.cumsum(lanes + 1) - (lanes + 1), sizes)
-    return world, _Drivers(
-        law=law,
-        politeness=np.array([p.politeness for p in params]),
-        delta_a_th=np.array([p.delta_a_th for p in params]),
-        brake_safe=-np.array([p.b_safe for p in params]),
-        mobil=np.array(world.mobil, dtype=bool),
-        cruisers=np.flatnonzero(~np.array(world.follows, dtype=bool)),
-        offset=offset,
-        top=offset + np.repeat(lanes, sizes),
-    )
+    keys = np.array([w.config.lane_count + 1 for w in worlds])  # a world's lanes and one empty
+    shift = np.repeat(np.cumsum(keys) - keys, sizes)
+    stack = replace(worlds[0], ids=[i for w in worlds for i in w.ids], scripts=scripts, changes=[],
+                    collisions=[], **{name: np.concatenate([getattr(w, name) for w in worlds], -1)
+                                      for name, value in vars(worlds[0]).items()
+                                      if isinstance(value, np.ndarray)})
+    stack.offset += shift
+    stack.top += shift
+    return stack
 
 
-def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos):
+def _first_approval(world: World, law, x, v, filed: _Filed, egos):
     """(position, target lane) of the first of ``egos`` whose lane change is approved, or None.
 
     Every ego's decision for both neighbouring lanes at once. The current
@@ -477,7 +464,8 @@ def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos):
     gains of both affected followers exceeds the ego's threshold. Every
     term is evaluated, and an unsafe change is then refused, as is a
     target outside the ego's own world. Of two approved targets the one
-    to the left wins unless the right one scores more.
+    to the left wins unless the right one scores more. ``law`` is
+    ``world.law`` with columns n and n + 1.
     """
     m, n, key, order, lanes = len(egos), len(filed.leader), filed.key, filed.order, filed.key.real
     at = filed.place[egos]
@@ -497,17 +485,17 @@ def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos):
     back = np.concatenate((egos, follower, follower, both, target_follower, target_follower))
     front = np.concatenate((leader, egos, leader, target_leader, both, target_leader))
     gap = x[front] - x[back] - VEHICLE_LENGTH_M
-    acc = _idm_columns(drivers.law[:, back], v[back], gap, v[front])
+    acc = _idm_columns(law[:, back], v[back], gap, v[front])
     now, old_follower, old_follower_after = acc[:3 * m].reshape(3, m)
     gain, new_follower, new_follower_before = acc[3 * m:].reshape(3, 2, m)
-    incentive = (gain - now) + drivers.politeness[egos] * (
+    incentive = (gain - now) + world.politeness[egos] * (
         (new_follower - new_follower_before) + (old_follower_after - old_follower))
     gap_ahead, gap_behind = gap[3 * m:7 * m].reshape(2, 2, m)
-    offset = drivers.offset[egos]
+    offset = world.offset[egos]
     approved = ((gap_ahead > 0.0) & (gap_behind > 0.0)
-                & (new_follower >= drivers.brake_safe[egos])
-                & (incentive > drivers.delta_a_th[egos])
-                & (target >= offset) & (target < drivers.top[egos]))
+                & (new_follower >= world.brake_safe[egos])
+                & (incentive > world.delta_a_th[egos])
+                & (target >= offset) & (target < world.top[egos]))
     chosen = approved[0] | approved[1]
     if not chosen.any():
         return None
@@ -516,17 +504,17 @@ def _first_approval(drivers: _Drivers, x, v, filed: _Filed, egos):
     return int(egos[k]), int(target[int(right), k]) - int(offset[k])
 
 
-def _mobil_columns(world: World, drivers: _Drivers, x, v, filed: _Filed) -> _Filed:
+def _mobil_columns(world: World, law, x, v, filed: _Filed) -> _Filed:
     """A decision frame: an approval refiles, and the agents after it decide again."""
     changing = world.frame - world.begun <= len(world.ramp)
-    egos = np.flatnonzero(drivers.mobil & ~changing)
+    egos = np.flatnonzero(world.mobil & ~changing)
     while egos.size:
-        found = _first_approval(drivers, x, v, filed, egos)
+        found = _first_approval(world, law, x, v, filed, egos)
         if found is None:
             break
         pos, target = found
         _begin_lane_change(world, pos, target)
-        filed = _file(x[:len(world.lane)], world.lane + drivers.offset, len(world.changes))
+        filed = _file(x[:len(world.lane)], world.lane + world.offset, len(world.changes))
         egos = egos[egos > pos]
     return filed
 
@@ -537,17 +525,17 @@ def _run_columns(worlds: list[World]) -> list[tuple[np.ndarray, np.ndarray]]:
     The worlds share one shape (``_stacks``). Row k holds frame k. The
     lanes are filed anew on decision frames and wherever the last filing
     does not hold (``_kept``). Each world gets back its changes and its
-    collisions, split off the stack's by position; its x, speed and
-    lane lists stay the spawn's.
+    collisions, split off the stack's by position; its columns stay the
+    spawn's.
     """
-    world, drivers = _stacked(worlds)
+    world = _stacked(worlds)
     n, frames, dt = len(world.ids), world.config.frame_count(), world.config.timestep_s
     x = np.empty((frames + 1, n + 2))
     v = np.zeros_like(x)
     x[0, :n], v[0, :n] = world.x, world.speed
     x[:, n], x[:, n + 1] = math.inf, -math.inf
-    law = drivers.law[:, :n]
-    world.lane, world.begun = np.array(world.lane, dtype=np.int64), np.array(world.begun)
+    law = np.concatenate((world.law, _MISSING_LAW), axis=1)
+    cruisers = np.flatnonzero(~world.follows)
     filed, crashes = None, []
     # a gap of 0 divides by 0: the law answers every gap <= 0 with -b_comf
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -556,16 +544,16 @@ def _run_columns(worlds: list[World]) -> list[tuple[np.ndarray, np.ndarray]]:
             _scripted_changes(world)
             decides = k % world.period == 0
             if decides or not _kept(filed, xk, len(world.changes)):
-                filed = _file(xk[:n], world.lane + drivers.offset, len(world.changes))
+                filed = _file(xk[:n], world.lane + world.offset, len(world.changes))
             if decides:
-                filed = _mobil_columns(world, drivers, xk, vk, filed)
+                filed = _mobil_columns(world, law, xk, vk, filed)
             lead = filed.leader
             gap = xk[lead] - xk[:n] - VEHICLE_LENGTH_M
-            acc = _idm_columns(law, vk[:n], gap, vk[lead])
-            acc[drivers.cruisers] = 0.0
+            acc = _idm_columns(world.law, vk[:n], gap, vk[lead])
+            acc[cruisers] = 0.0
             if gap.min() <= 0.0:
                 crashed = (gap <= 0.0)
-                crashed[drivers.cruisers] = False
+                crashed[cruisers] = False
                 crashes += [(k, pos, int(lead[pos])) for pos in np.flatnonzero(crashed).tolist()]
             np.add(xk[:n], vk[:n] * dt, out=x[k + 1, :n])
             w = vk[:n] + acc * dt
@@ -591,7 +579,7 @@ def _cruise_columns(world: World):
     """
     for world.frame in sorted(world.scripts):
         _scripted_changes(world)
-    frames, dt, v = world.config.frame_count(), world.config.timestep_s, np.array(world.speed)
+    frames, dt, v = world.config.frame_count(), world.config.timestep_s, world.speed
     vx = np.empty((frames, len(world.ids)))
     vx[:1], vx[1:] = v, np.where((w := v + 0.0 * dt) > 0.0, w, 0.0)
     x = np.empty_like(vx)
@@ -609,38 +597,40 @@ class SimResult:
 
 
 def build_world(config: ScenarioConfig) -> World:
-    """The columns of the spawn list, with the seeded desired speeds."""
+    """The columns of the spawn list; conservatives draw v0 in spawn order, a given v0 wins."""
     config.validate()
-    rng = np.random.default_rng(config.seed)
-    params = []
-    for spawn in config.spawns:
-        p = CLASS_PARAMS[spawn.vehicle_class]
-        if spawn.vehicle_class == CLASS_CONSERVATIVE and config.randomize_conservative_v0:
-            p = replace(p, v0=p.v0 * float(rng.uniform(0.9, 1.1)))
-        if spawn.v0 is not None:
-            p = replace(p, v0=spawn.v0)
-        params.append(p)
-    spawns, ids = config.spawns, [s.agent_id for s in config.spawns]
+    spawns, n = config.spawns, len(config.spawns)
+    ids = [s.agent_id for s in spawns]
+    drivers = _driver_columns([CLASS_PARAMS[s.vehicle_class] for s in spawns])
+    law = drivers["law"]
+    if config.randomize_conservative_v0:
+        drawn = [k for k, s in enumerate(spawns) if s.vehicle_class == CLASS_CONSERVATIVE]
+        law[0, drawn] *= np.random.default_rng(config.seed).uniform(0.9, 1.1, len(drawn))
+    given = [k for k, s in enumerate(spawns) if s.v0 is not None]
+    law[0, given] = [spawns[k].v0 for k in given]
+    follows = np.array([s.longitudinal == MODE_IDM for s in spawns], dtype=bool)
     scripts: dict[int, dict[int, int]] = {}
     for s in config.lane_change_scripts:  # a later script of an agent and frame wins
         scripts.setdefault(s.frame, {})[ids.index(s.agent_id)] = s.target_lane
     return World(
         config=config,
         ids=ids,
-        x=[s.position for s in spawns],
-        speed=[s.speed for s in spawns],
-        lane=[s.lane for s in spawns],
-        params=params,
-        follows=[s.longitudinal == MODE_IDM for s in spawns],
-        mobil=[s.longitudinal == MODE_IDM and s.mobil_enabled for s in spawns],
+        x=np.array([s.position for s in spawns], dtype=float),
+        speed=np.array([s.speed for s in spawns], dtype=float),
+        lane=np.array([s.lane for s in spawns], dtype=np.int64),
+        follows=follows,
+        mobil=follows & np.array([s.mobil_enabled for s in spawns], dtype=bool),
+        **drivers,
+        offset=np.zeros(n, dtype=np.int64),
+        top=np.full(n, config.lane_count, dtype=np.int64),
+        begun=np.full(n, -math.inf),
+        begun_at=np.zeros(n),
         # a period of the whole run or longer decides at frame 0 alone
         period=max(1, round(min(config.mobil_period_s / config.timestep_s,
                                 max(config.frame_count(), 1)))),
         scripts=scripts,
         ramp=(ramp := _ramp(config)),
         blend=[0.5 * (1.0 - math.cos(math.pi * p)) for p in ramp],
-        begun=[-math.inf] * len(spawns),
-        begun_at=[0.0] * len(spawns),
     )
 
 
@@ -661,7 +651,7 @@ def _stacks(worlds: list[World]) -> dict[int, list[int]]:
     filling: dict[tuple, tuple[list[int], int]] = {}  # shape -> (its last stack, that stack's rows)
     stack_of = {}
     for k, world in enumerate(worlds):
-        if not any(world.follows):
+        if not world.follows.any():
             continue
         cfg = world.config
         shape = (cfg.timestep_s, cfg.frame_count(), world.period, cfg.lane_change_duration_s)

@@ -1,13 +1,16 @@
 import json
 import math
 import time
+from dataclasses import replace
 
 import pytest
 import yaml
 
-from drivestyle.calibrate import calibrate_thresholds
+from drivestyle.calibrate import calibrate_thresholds, thresholds_from_runs
 from drivestyle.cli import main
 from drivestyle.config import RunConfig, load_run_config
+from drivestyle.errors import ValidationError
+from drivestyle.evaluation import STYLE_CODES
 from drivestyle import ingest
 from drivestyle.ingest import TrajectoryTable
 from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
@@ -114,6 +117,30 @@ def test_simulate_overflowing_speed_exits_1_with_one_line(kind, tmp_path, capsys
     err = capsys.readouterr().err
     assert err.startswith(f"error: scenario {str(path)!r}: {message}")
     assert err.count("\n") == 1
+    assert not (tmp_path / "run").exists()
+
+
+# a cruiser's v0, which only a copy of its class's parameters refused, at
+# run time and naming neither the file nor the agent; and one at which its
+# law, read when it follows a deciding agent, would overflow
+CRUISER_V0 = {
+    "negative": ("-5.0", "'c': v0 must be finite and positive, got -5.0\n"),
+    "zero": ("0.0", "'c': v0 must be finite and positive, got 0.0\n"),
+    "nan": (".nan", "'c': v0 must be finite and positive, got nan\n"),
+    "tiny": ("1.0e-300", "'c': v0 1e-300 lets speed / v0 reach 2e+301, over 1e+12\n"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(CRUISER_V0))
+def test_simulate_bad_cruiser_v0_exits_1_naming_file_and_agent(kind, tmp_path, capsys):
+    v0, message = CRUISER_V0[kind]
+    path = tmp_path / "scenario.yaml"
+    path.write_text("lane_count: 1\nroad_length_m: 100.0\ntimestep_s: 0.1\n"
+                    "duration_s: 1.0\nagents:\n" + _IDM_AGENT + "}\n"
+                    "  - {id: c, class: conservative, lane: 0, position: 0.0, speed: 20.0, "
+                    f"longitudinal: cruise, v0: {v0}}}\n")
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: scenario {str(path)!r}: {message}"
     assert not (tmp_path / "run").exists()
 
 
@@ -322,6 +349,24 @@ def test_calibrate_without_scenarios(tmp_path, capsys):
     assert "calibration_scenarios" in capsys.readouterr().err
 
 
+def test_calibrate_without_a_conservative_agent_exits_1_with_one_line(tmp_path, capsys):
+    config = all_conservative_scenario(0)
+    config.spawns = [replace(s, vehicle_class="aggressive") for s in config.spawns]
+    save_scenario(config, tmp_path / "calib.yaml")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("window_s: 1.0\ncalibration_scenarios: [calib.yaml]\n")
+    out = tmp_path / "t.yaml"
+    assert main(["calibrate", "--config", str(cfg), "--out", str(out)]) == 1
+    assert capsys.readouterr().err == "error: no conservative agents in the calibration set\n"
+    assert not out.exists()
+
+
+def test_thresholds_from_no_runs_are_refused():
+    # the CLI refuses an empty list before any run; the function itself too
+    with pytest.raises(ValidationError, match="^calibration scenario set is empty$"):
+        thresholds_from_runs([], AnalysisParams())
+
+
 def test_analyze_accepts_config_and_thresholds_files(slc_scenario, tmp_path):
     run = tmp_path / "run"
     main(["simulate", "--scenario", str(slc_scenario), "--out", str(run)])
@@ -468,6 +513,8 @@ def analyzed_run(tmp_path_factory):
 # holding what analyze never writes
 REPORT_FAULTS = {
     "rate_text": ("frame_rate_hz", "x"),
+    "rate_zero": ("frame_rate_hz", 0),
+    "rate_negative": ("frame_rate_hz", -10.0),
     "t_sle_text": ("t_sle", "abc"),
     "t_sle_list": ("t_sle", [1]),
     "t_sle_bool": ("t_sle", True),
@@ -523,6 +570,33 @@ def test_evaluate_report_with_other_styles_exits_1_with_one_line(
     err = capsys.readouterr().err
     assert err.startswith(f"error: report {report} is malformed: ") and err.count("\n") == 1
     assert "agent 'subject' styles must be" in err
+
+
+# the labelled agent's own fields holding what analyze never writes, and
+# the message the reader's ValueError carries
+AGENT_FAULTS = {
+    "agent_id_number": ("agent_id", 7, "agent_id must be a string, got 7"),
+    "global_label_unknown": ("global_label", "reckless",
+                             "agent 'subject' has unknown global_label 'reckless'"),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(AGENT_FAULTS))
+def test_evaluate_report_with_a_bad_agent_field_exits_1_with_one_line(
+    fault, analyzed_run, tmp_path, capsys
+):
+    key, value, message = AGENT_FAULTS[fault]
+    payload = json.loads((analyzed_run / "report.json").read_text())
+    (subject,) = [a for a in payload["agents"] if a["agent_id"] == "subject"]
+    subject[key] = value
+    report = tmp_path / "report.json"
+    report.write_text(json.dumps(payload))
+    assert main([
+        "evaluate", "--report", str(report), "--labels", str(analyzed_run / "labels.csv"),
+        "--out", str(tmp_path / "out"),
+    ]) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: report {report} is malformed: ValueError({message!r})\n"
 
 
 def test_evaluate_report_with_a_repeated_agent_exits_1_with_one_line(
@@ -1047,6 +1121,59 @@ def test_out_of_range_value_names_its_file(kind, analyzed_run, tmp_path, capsys)
     err = capsys.readouterr().err
     assert err.startswith(f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}{message}")
     assert err.count("\n") == 1
+
+
+# (file, path to the field, value, the line after the file name): checks of
+# the scenario and run-config readers that no other test reaches. The
+# scenario is lane_change_scenario(0): 3,000 m of road, 171 frames, agent
+# g0 first, one script and one maneuver (frames 81-111), both of "subject"
+INPUT_FAULTS = {
+    "spawn_off_road": ("scenario", ("agents", 0, "position"), 3000.5,
+                       ": 'g0': position 3000.5 off the road"),
+    "unknown_mode": ("scenario", ("agents", 0, "longitudinal"), "walk",
+                     ": 'g0': unknown longitudinal mode 'walk'"),
+    "script_lane": ("scenario", ("lane_change_scripts", 0, "target_lane"), 3,
+                    ": script target lane 3 outside road bounds"),
+    "script_frame": ("scenario", ("lane_change_scripts", 0, "frame"), 171,
+                     ": script frame 171 outside scenario duration"),
+    "maneuver_agent": ("scenario", ("maneuvers", 0, "agent"), "nobody",
+                       ": maneuver label names unknown agent 'nobody'"),
+    "maneuver_style": ("scenario", ("maneuvers", 0, "style"), "XX",
+                       f": maneuver style 'XX' not one of {STYLE_CODES}"),
+    "maneuver_order": ("scenario", ("maneuvers", 0, "start_frame"), 112,
+                       ": maneuver start frame after end frame"),
+    "agents_not_list": ("scenario", ("agents",), "g0",
+                        " has a bad field: agents must be a list, got 'g0'"),
+    "alpha_policy_not_mapping": ("config", ("alpha_policy",), 5,
+                                 ": alpha_policy must be a mapping, got 5"),
+    "alpha_policy_kind": ("config", ("alpha_policy", "kind"), "magic",
+                          ": unknown alpha policy kind 'magic'"),
+}
+
+
+@pytest.mark.parametrize("kind", sorted(INPUT_FAULTS))
+def test_bad_scenario_or_config_value_exits_1_with_one_line(kind, analyzed_run, tmp_path,
+                                                            capsys):
+    source, path, value, message = INPUT_FAULTS[kind]
+    assert main(_cli_with_yaml_field(source, path, value, analyzed_run, tmp_path)) == 1
+    err = capsys.readouterr().err
+    assert err == f"error: {_FILE_KIND[source]} {str(tmp_path / 'input.yaml')!r}{message}\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_empty_scenario_file_exits_1_naming_the_first_missing_key(tmp_path, capsys):
+    path = tmp_path / "empty.yaml"
+    path.write_text("")  # read as {}
+    assert main(["simulate", "--scenario", str(path), "--out", str(tmp_path / "run")]) == 1
+    assert capsys.readouterr().err == f"error: scenario {str(path)!r} is missing key 'lane_count'\n"
+
+
+def test_analyze_capacity_0_exits_1_with_one_line(analyzed_run, tmp_path, capsys):
+    # compute_series refuses it: the run config's readers take any integer
+    argv = _cli_with_yaml_field("config", ("capacity",), 0, analyzed_run, tmp_path)
+    assert main(argv) == 1
+    assert capsys.readouterr().err == "error: capacity must be positive, got 0\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_calibration_scenarios_must_be_a_list_of_strings(tmp_path, capsys):

@@ -251,3 +251,10 @@ def test_tde_table_json_refuses_a_non_finite_mean():
     table = TdeTable(rows=[TdeRow("OS", float("inf"), 1, 0)])
     with pytest.raises(ValueError, match="not JSON compliant"):
         table.to_json()
+
+
+def test_tde_table_mean_of_a_style_without_a_row_is_none():
+    table = TdeTable(rows=[TdeRow("OS", 0.25, 2, 0), TdeRow("W", None, 1, 1)])
+    assert table.mean("OS") == 0.25
+    assert table.mean("W") is None  # a row without a mean
+    assert table.mean("SLC") is None  # no row

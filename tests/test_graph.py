@@ -475,3 +475,9 @@ def test_non_finite_position_rejected():
     for bad in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValidationError, match="non-finite"):
             build_instant_graph([make_frame("a", 0, 0), make_frame("b", bad, 0)], mu=9.0)
+
+
+def test_cumulative_adjacency_refuses_a_capacity_below_1():
+    for capacity in (0, -1):
+        with pytest.raises(ValidationError, match=f"^capacity must be positive, got {capacity}$"):
+            CumulativeAdjacency(capacity=capacity)

@@ -626,3 +626,12 @@ def test_agent_order_as_uint16_equals_the_intp_order(monkeypatch, count, dtype):
     monkeypatch.undo()
     assert sorted_as == [dtype]
     assert got.tobytes() == np.argsort(keys, kind="stable").tobytes()
+
+
+def test_span_of_an_empty_table_is_refused():
+    empty = np.empty(0)
+    table = TrajectoryTable(frame=empty.astype(np.int64), timestamp=empty, x=empty, y=empty,
+                            vx=empty, vy=empty, agent=empty.astype(np.int64), agent_ids=[],
+                            agent_type=empty.astype(object), frame_rate_hz=10.0)
+    with pytest.raises(ValidationError, match="^empty trajectory table has no frame span$"):
+        table.span()

@@ -406,3 +406,21 @@ def test_values_not_finite_are_refused():
             fit(0, values, frame_rate_hz=10.0)
         with pytest.raises(ValidationError, match=NOT_FINITE):
             fit_samples([0.0, 1.0, 2.0], values, FixedAlpha(0.5))
+
+
+@pytest.mark.parametrize("times", [[0.0, 1.0, np.nan], [0.0, 1.0, np.inf],
+                                   [0.0, 1.0, 1e308, -1e308], [0.0, 1.0, 1e100, -1e100]])
+def test_grid_search_refuses_the_times_fit_samples_refuses(times):
+    # select raised LinAlgError (Eigenvalues did not converge) or overflow
+    # warnings; the last grid's squares are finite, but the Gram matrix's
+    # sum of t**4 overflows, which fit_samples also let through
+    with pytest.raises(ValidationError, match=NOT_FINITE):
+        GridSearchAlpha().select(np.array(times))
+    with pytest.raises(ValidationError, match=NOT_FINITE):
+        fit_samples(times, np.ones(len(times)))
+
+
+def test_times_and_values_of_different_shapes_are_refused():
+    for times, values in (([0.0, 1.0, 2.0], [1.0, 2.0]), ([[0.0, 1.0, 2.0]], [[1.0, 2.0, 3.0]])):
+        with pytest.raises(ValidationError, match="^times and values must be 1-D arrays of equal"):
+            fit_samples(times, values)
