@@ -8,7 +8,12 @@ invariant.
 from __future__ import annotations
 
 import argparse
+import os
+import signal
 import sys
+import tempfile
+import warnings
+from contextlib import contextmanager
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -18,7 +23,7 @@ from .centrality import compute_series, series_to_csv
 from .config import RunConfig, load_run_config, load_thresholds, save_thresholds
 from .errors import ContractViolationError, DriveStyleError, ValidationError
 from .evaluation import evaluate_run, parse_annotations
-from .ingest import parse_trajectories, serialize_trajectories
+from .ingest import parse_trajectories, serialize_trajectories, write_chunks
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .pipeline import windows_to_csv
 from .sim import load_scenario, run_scenario, run_scenarios, write_labels
@@ -118,6 +123,67 @@ def _run_config_for_analyze(args) -> RunConfig:
     return cfg
 
 
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where the platform does not say."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+@contextmanager
+def _written_beside(write, what: str):
+    """Yield ``finish(dest)``, which writes what ``write(dest)`` writes.
+
+    On two usable CPUs a forked child runs ``write`` into a temporary
+    file while the body runs; ``finish`` reaps it and copies the file to
+    ``dest`` by ``write_chunks`` (a bad ``dest`` fails as ``write``'s own
+    ``what`` message). Where the file or the child cannot be made, or the
+    child fails, ``finish`` is ``write`` itself. If the body raises, the
+    child is killed and reaped; the file is always removed.
+    """
+    tmp = pid = None
+    if _usable_cpus() >= 2:
+        try:
+            fd, tmp = tempfile.mkstemp(prefix="drivestyle-", suffix=".csv")
+            os.close(fd)
+            with warnings.catch_warnings():
+                # Python 3.12+ warns of any thread, such as numpy's idle BLAS
+                # pool; the child formats text and takes no lock they hold
+                warnings.filterwarnings("ignore", "This process .* is multi-threaded",
+                                        DeprecationWarning)
+                pid = os.fork()
+        except OSError:
+            if tmp is not None:
+                os.unlink(tmp)
+    if pid is None:
+        yield write
+        return
+    if pid == 0:  # the child: write, and leave without running the parent's code
+        code = 1
+        try:
+            write(tmp)
+            code = 0
+        finally:
+            os._exit(code)
+    reaped = False
+
+    def finish(dest):
+        nonlocal reaped
+        status = os.waitpid(pid, 0)[1]
+        reaped = True
+        if status:
+            write(dest)
+            return
+        with open(tmp, encoding="utf-8", newline="") as text:
+            write_chunks(dest, iter(lambda: text.read(1 << 20), ""), what)
+
+    try:
+        yield finish
+    finally:
+        if not reaped:
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+        os.unlink(tmp)
+
+
 def cmd_analyze(args) -> int:
     cfg = _run_config_for_analyze(args)
     if cfg.frame_rate_hz is None:
@@ -127,12 +193,15 @@ def cmd_analyze(args) -> int:
     params = cfg.params
     table = parse_trajectories(args.trajectories, cfg.frame_rate_hz)
     series = compute_series(table, params.mu, capacity=params.capacity)
-    report = analyze_table(table, params, series=series)
-    del table  # the writers reuse the memory its columns held
-    out = _ensure_dir(args.out)
-    report_to_json(report, out / "report.json")
-    windows_to_csv(report, out / "windows.csv")
-    series_to_csv(series, out / "centrality.csv")
+    # centrality.csv needs only the series: formatted beside the window analysis
+    with _written_beside(lambda dest: series_to_csv(series, dest),
+                         "centrality series") as write_series:
+        report = analyze_table(table, params, series=series)
+        del table  # the writers reuse the memory its columns held
+        out = _ensure_dir(args.out)
+        report_to_json(report, out / "report.json")
+        windows_to_csv(report, out / "windows.csv")
+        write_series(out / "centrality.csv")
     aggressive = sum(1 for a in report.agents if a.global_label == "aggressive")
     print(
         f"analyzed {len(report.agents)} agents "

@@ -30,7 +30,6 @@ from __future__ import annotations
 
 import inspect
 import os
-import sys
 from bisect import bisect_right
 from collections import deque
 from collections.abc import Iterable, Iterator, Mapping
@@ -370,6 +369,19 @@ def stable_order(keys: np.ndarray, count: int) -> np.ndarray:
     return np.argsort(keys.astype(np.uint16) if count <= 2**16 else keys, kind="stable")
 
 
+class _Codes(dict):
+    """Raw cell text -> code of its stripped text, each new text numbered in
+    order of first appearance (``texts`` maps the stripped texts to them)."""
+
+    def __init__(self):
+        super().__init__()
+        self.texts: dict[str, int] = {}
+
+    def __missing__(self, raw: str) -> int:
+        code = self[raw] = self.texts.setdefault(raw.strip(), len(self.texts))
+        return code
+
+
 def _header(line: str, line_no: int) -> tuple[int, dict[str, int], bool]:
     """Field count, first column of each name, and whether vx,vy are given."""
     header = [p.strip() for p in line.split(",")]
@@ -435,11 +447,16 @@ def parse_trajectories(
         id_col, type_col = columns["agent_id"], columns["agent_type"]
 
         # a first chunk of no rows, so that a file without rows still has columns
-        values, ids, types = [[np.empty(0)] * len(numeric)], [], []
+        values = [[np.empty(0)] * len(numeric)]
+        # each chunk's id and type cells as codes, numbered per distinct text
+        ids, types = [np.empty(0, np.intp)], [np.empty(0, np.intp)]
+        id_codes, type_codes = _Codes(), _Codes()
+        rows = 0
 
         def read(body: list[str], raw: bool = False) -> None:
             """Append the rows ``body`` as columns; ValueError if one does not split
             or, ``raw`` (lines as read, numbers unstripped), holds ``#`` or ``\\x1f``."""
+            nonlocal rows
             if not body:
                 return
             # rows joined by a "\n" cell, which no row holds: each row has
@@ -458,9 +475,10 @@ def parse_trajectories(
                                 map(str.strip, cells[j::width])), float, len(body))
                 for j in numeric
             ])
-            # interned, so the lists hold one string per distinct id and type
-            ids.extend(map(sys.intern, map(str.strip, cells[id_col::width])))
-            types.extend(map(sys.intern, map(str.strip, cells[type_col::width])))
+            for codes, coded, j in ((id_codes, ids, id_col), (type_codes, types, type_col)):
+                coded.append(np.fromiter(map(codes.__getitem__, cells[j::width]), np.intp,
+                                         len(body)))
+            rows += len(body)
 
         def split_error(row: str) -> str | None:
             """Why ``row`` does not split into its fields and numbers, if it does not."""
@@ -476,7 +494,7 @@ def parse_trajectories(
 
         error = None
         for chunk in iter(lambda: list(islice(lines, _CHUNK_LINES)), []):
-            firsts.append(len(ids))
+            firsts.append(rows)
             numbers.append(range(seen + 1, seen + 1 + len(chunk)))
             seen += len(chunk)
             with suppress(ValueError):
@@ -496,7 +514,7 @@ def parse_trajectories(
                 )
                 read(body[:bad])
                 break
-    n = len(ids)
+    n = rows
     # one column at a time, each column's chunks freed once it is joined
     by_column = list(zip(*values))
     del values
@@ -507,19 +525,26 @@ def parse_trajectories(
     frame_float += frame_float + 1 - product <= np.fmin(
         np.fmax(_FLOOR_GUARD, 4 * np.spacing(product)), _GUARD_CAP)
     del product
-    agents = sorted(set(ids))
-    code = {agent_id: k for k, agent_id in enumerate(agents)}
-    codes = np.fromiter(map(code.__getitem__, ids), np.intp, n)
-    kinds = np.array(types, dtype=object)
-    unknown = list(set(types) - AGENT_TYPES)
-    del ids, types
+    # ids numbered in order of first appearance, renumbered in id order
+    seen_ids = list(id_codes.texts)
+    by_id = sorted(range(len(seen_ids)), key=seen_ids.__getitem__)
+    agents = [seen_ids[k] for k in by_id]
+    rank = np.empty(len(by_id), np.intp)
+    rank[by_id] = np.arange(len(by_id))
+    codes = rank[np.concatenate(ids)]
+    type_names = np.array(list(type_codes.texts), dtype=object)
+    type_code = np.concatenate(types)
+    kinds = type_names[type_code]
+    unknown = [k for k, name in enumerate(type_names) if name not in AGENT_TYPES]
+    del ids, types, rank
 
     # each row check once, as a mask, in the order a row-by-row reading
     # makes them; the first row any mask holds for fails its first check
+    empty = 0 if agents[:1] == [""] else -1  # "" sorts first
     checks = (
-        (codes == code.get("", -1), lambda i: "empty agent_id"),
+        (codes == empty, lambda i: "empty agent_id"),
         (
-            np.isin(kinds, unknown),
+            np.isin(type_code, unknown),
             lambda i: f"unknown agent_type {kinds[i]!r} "
             f"(expected one of {sorted(AGENT_TYPES)})",
         ),
@@ -538,7 +563,7 @@ def parse_trajectories(
         i = int(failed.argmax())
         message = next(say(i) for mask, say in checks if mask[i])
         raise TrajectoryParseError(message, line_of(i))
-    del checks, failed
+    del checks, failed, type_code
     if error is not None:
         raise TrajectoryParseError(error, line_of(n))
     if not n:

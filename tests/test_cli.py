@@ -1,5 +1,7 @@
 import json
 import math
+import os
+import tempfile
 import time
 from dataclasses import replace
 
@@ -1207,3 +1209,126 @@ def test_integer_real_fields_are_floats(tmp_path):
               params.thresholds.tau_degree, params.thresholds.tau_closeness]
     assert values == [10.0, 100.0, 1.0, 0.0, 5.0, 1.0]
     assert all(type(v) is float for v in values)
+
+
+# analyze formats centrality.csv in a forked child on two usable CPUs, and
+# in its own process otherwise; _usable_cpus selects the path
+ANALYZE_OUTPUTS = ("report.json", "windows.csv", "centrality.csv")
+
+
+@pytest.fixture
+def analyze_path(tmp_path, monkeypatch):
+    """Set the path analyze takes; count its forks; keep its temporary files apart."""
+    from drivestyle import cli
+
+    temporary = tmp_path / "temporary"
+    temporary.mkdir()
+    monkeypatch.setattr(tempfile, "tempdir", str(temporary))
+    forks = []
+    fork = os.fork
+
+    def counted_fork():
+        forks.append(None)
+        return fork()
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+
+    def select(forked: bool | None):
+        """Fork (True), write in one process (False), or leave it to the CPUs (None)."""
+        if forked is not None:
+            monkeypatch.setattr(cli, "_usable_cpus", lambda: 2 if forked else 1)
+        forks.clear()
+        return forks
+
+    yield select
+    # nothing outlives main: no child to reap, no temporary file
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+    assert not any(temporary.iterdir())
+
+
+def _analyze(analyzed_run, out) -> int:
+    return main(["analyze", "--trajectories", str(analyzed_run / "trajectories.csv"),
+                 "--frame-rate", "10", "--window", "1.0", "--stride", "0.5",
+                 "--out", str(out)])
+
+
+def test_forked_and_serial_analyze_write_the_same_bytes(analyzed_run, analyze_path, tmp_path):
+    for forked, out in ((True, tmp_path / "forked"), (False, tmp_path / "serial")):
+        forks = analyze_path(forked)
+        assert _analyze(analyzed_run, out) == 0
+        assert len(forks) == forked
+    for name in ANALYZE_OUTPUTS:
+        assert (tmp_path / "forked" / name).read_bytes() == (
+            tmp_path / "serial" / name).read_bytes()
+
+
+@pytest.mark.skipif(not hasattr(os, "sched_setaffinity"), reason="no CPU affinity here")
+def test_analyze_forks_only_on_two_usable_cpus(analyzed_run, analyze_path, tmp_path):
+    cpus = os.sched_getaffinity(0)
+    try:
+        for allowed in ({min(cpus)}, cpus):
+            os.sched_setaffinity(0, allowed)
+            forks = analyze_path(None)
+            assert _analyze(analyzed_run, tmp_path / str(len(allowed))) == 0
+            assert len(forks) == (len(allowed) >= 2)
+    finally:
+        os.sched_setaffinity(0, cpus)
+
+
+def test_centrality_csv_that_is_a_directory_fails_as_the_serial_write_does(
+    analyzed_run, analyze_path, tmp_path, capsys
+):
+    out = tmp_path / "out"
+    (out / "centrality.csv").mkdir(parents=True)
+    errors = []
+    for forked in (True, False):
+        analyze_path(forked)
+        assert _analyze(analyzed_run, out) == 1
+        errors.append(capsys.readouterr().err)
+    path = out / "centrality.csv"
+    assert errors == [f"error: cannot write centrality series {str(path)!r}: Is a directory\n"] * 2
+
+
+def test_analysis_that_raises_after_the_fork_writes_nothing(
+    analyzed_run, analyze_path, tmp_path, monkeypatch, capsys
+):
+    from drivestyle import cli
+
+    def failing(*args, **kwargs):
+        raise ValidationError("analysis failed")
+
+    monkeypatch.setattr(cli, "analyze_table", failing)
+    forks = analyze_path(True)
+    out = tmp_path / "out"
+    assert _analyze(analyzed_run, out) == 1
+    assert len(forks) == 1
+    assert capsys.readouterr().err == "error: analysis failed\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("fault", ["child_fails", "no_temporary_file"])
+def test_analyze_writes_the_series_itself_when_the_child_cannot(
+    fault, analyzed_run, analyze_path, tmp_path, monkeypatch
+):
+    from drivestyle import cli
+
+    analyze_path(False)
+    assert _analyze(analyzed_run, tmp_path / "serial") == 0
+    forks = analyze_path(True)
+    if fault == "child_fails":
+        parent, write = os.getpid(), cli.series_to_csv
+
+        def parent_only(series, dest):
+            if os.getpid() != parent:
+                raise OSError("the child cannot write")
+            return write(series, dest)
+
+        monkeypatch.setattr(cli, "series_to_csv", parent_only)
+    else:
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path / "missing"))
+    assert _analyze(analyzed_run, tmp_path / "out") == 0
+    assert len(forks) == (fault == "child_fails")
+    for name in ANALYZE_OUTPUTS:
+        assert (tmp_path / "out" / name).read_bytes() == (
+            tmp_path / "serial" / name).read_bytes()
