@@ -33,7 +33,7 @@ PERCENTILE = 90.0
 def calibrate_thresholds(scenarios: list[ScenarioConfig], params: AnalysisParams) -> Thresholds:
     """Run the calibration scenarios and take percentiles (``thresholds_from_runs``).
 
-    The worlds run together (``sim.run_scenarios``), and each table is
+    The worlds run together (``sim.iter_scenarios``), and each table is
     built as its run is analysed, so one is held at a time. Deterministic
     for a fixed scenario list (scenario seeds drive all randomness).
     """

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import ContractViolationError, ValidationError, require_positive
 from .graph import DEFAULT_CAPACITY, InstantGraph, graph_error, sweep_edges
-from .ingest import TrajectoryTable, float_texts, stable_order, write_csv
+from .ingest import TrajectoryTable, _id_ranks, float_texts, stable_order, write_csv
 
 # Not called here: the per-frame forms of ``compute_series``. Their only
 # reader is perfbench/tracer.py, which wraps them under these names.
@@ -46,11 +46,6 @@ class CentralitySeries(NamedTuple):
     degree: np.ndarray
 
 
-def _ranks(ids) -> np.ndarray:
-    """Each id's position in string order."""
-    return np.argsort(sorted(range(len(ids)), key=ids.__getitem__))
-
-
 def closeness(graph: InstantGraph, agent_id: str) -> float:
     """(|C|-1) / total shortest-path cost to the rest of the component.
 
@@ -64,7 +59,7 @@ def closeness(graph: InstantGraph, agent_id: str) -> float:
     ends = np.array([(index[a], index[b]) for a, b in graph.edges], np.intp)
     ends = ends.reshape(-1, 2)
     cost = np.fromiter(graph.edges.values(), float, len(graph.edges))
-    return float(_closeness(_ranks(ids), ends[:, 0], ends[:, 1], cost)[k])
+    return float(_closeness(_id_ranks(ids)[1], ends[:, 0], ends[:, 1], cost)[k])
 
 
 def _components(n: int, i: np.ndarray, j: np.ndarray) -> np.ndarray:
@@ -271,7 +266,7 @@ def compute_series(
     runs = np.flatnonzero(np.diff(frames, prepend=frames[0] - 1))
     # each agent's rows in frame order, agents in id order, from its first
     # position in by_agent
-    ranks = _ranks(agents)
+    sorted_ids, ranks = _id_ranks(agents)
     by_agent = stable_order(ranks[codes], len(agents))
     bounds = np.searchsorted(ranks[codes[by_agent]], np.arange(len(agents) + 1))
 
@@ -287,7 +282,7 @@ def compute_series(
     del order, p, q
     deg = _degree(frames, codes, table.vx, table.vy, i, j, runs, by_agent, bounds, capacity)
     clo = _closeness(ranks[codes], i, j, cost)[by_agent]
-    return CentralitySeries(sorted(agents), frames[by_agent[bounds[:-1]]],
+    return CentralitySeries(sorted_ids, frames[by_agent[bounds[:-1]]],
                             bounds.astype(np.int64, copy=False), clo, deg)
 
 

@@ -26,7 +26,7 @@ from .evaluation import evaluate_run, parse_annotations
 from .ingest import parse_trajectories, serialize_trajectories, write_chunks
 from .pipeline import SCHEMA_VERSION, analyze_table, report_from_json, report_to_json
 from .pipeline import windows_to_csv
-from .sim import load_scenario, run_scenario, run_scenarios, write_labels
+from .sim import iter_scenarios, load_scenario, run_scenario, write_labels
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -216,13 +216,13 @@ def cmd_evaluate(args) -> int:
     annotations = parse_annotations(args.labels, rate)
     table = evaluate_run(report.agents, annotations)
     out = _ensure_dir(args.out)
-    table.to_csv(out / "tde.csv")
+    text = table.to_csv(out / "tde.csv")
     table.to_json(out / "tde.json")
     for warning in table.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     if not table.rows:
         print("warning: no labeled maneuvers to evaluate", file=sys.stderr)
-    print(table.to_csv().rstrip())
+    print(text.rstrip())
     return 0
 
 
@@ -232,10 +232,14 @@ def cmd_calibrate(args) -> int:
         raise ValidationError("run config lists no calibration_scenarios")
     base = Path(args.config).parent
     paths = [base / entry for entry in cfg.calibration_scenarios]  # an absolute entry stays
-    results = run_scenarios([load_scenario(path) for path in paths])
-    for path, result in zip(paths, results):
-        _warn_collisions(result.collisions, str(path))
-    thresholds = thresholds_from_runs(results, cfg.params)
+
+    def warned(results):  # one run held at a time, its collisions printed as it is handed on
+        for path, result in zip(paths, results):
+            _warn_collisions(result.collisions, str(path))
+            yield result
+
+    thresholds = thresholds_from_runs(
+        warned(iter_scenarios([load_scenario(path) for path in paths])), cfg.params)
     save_thresholds(thresholds, args.out)
     print(" ".join(f"{name}={value!r}" for name, value in vars(thresholds).items()))
     return 0

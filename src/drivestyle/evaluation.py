@@ -15,7 +15,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 
 from .errors import TrajectoryParseError, ValidationError, require_positive
 from .ingest import FRAME_LIMIT, read_lines, read_rows, read_through, write_text
@@ -183,7 +183,7 @@ class TdeTable:
     warnings: list[str] = field(default_factory=list)
 
     def to_csv(self, dest=None) -> str:
-        lines = ["style,mean_tde_s,maneuver_count,missing_count"]
+        lines = [",".join(f.name for f in fields(TdeRow))]
         for row in self.rows:
             mean = "" if row.mean_tde_s is None else repr(row.mean_tde_s)
             lines.append(
@@ -192,18 +192,7 @@ class TdeTable:
         return write_text(dest, "\n".join(lines) + "\n", "TDE table")
 
     def to_json(self, dest=None) -> str:
-        payload = {
-            "rows": [
-                {
-                    "style": r.style,
-                    "mean_tde_s": r.mean_tde_s,
-                    "maneuver_count": r.maneuver_count,
-                    "missing_count": r.missing_count,
-                }
-                for r in self.rows
-            ],
-            "warnings": self.warnings,
-        }
+        payload = {"rows": [asdict(row) for row in self.rows], "warnings": self.warnings}
         return write_text(dest, json.dumps(payload, indent=2, allow_nan=False) + "\n", "TDE table")
 
     def mean(self, style: str) -> float | None:

@@ -66,6 +66,9 @@ FRAME_LIMIT = 2.0**53
 # documents and text, several times faster
 _YAML_LOADER = getattr(yaml, "CSafeLoader", yaml.SafeLoader)
 _YAML_DUMPER = getattr(yaml, "CSafeDumper", yaml.SafeDumper)
+# libyaml's composer recurses once per nesting level on the C stack, and a
+# document some 50,000 levels deep overflows it; the package's files nest 3
+_YAML_DEPTH = 64
 
 # Lines parsed, or formatted and written by ``write_csv``, at a time: bounds
 # the transient memory of the parser and of the CSV writers to one chunk's
@@ -143,7 +146,7 @@ def read_source(source, text, what: str) -> str:
     try:
         with open(source, "r", encoding="utf-8") as fh:
             return fh.read()
-    except (OSError, UnicodeDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: undecodable text, a NUL in the path
         reason = getattr(exc, "strerror", None) or exc
         raise ValidationError(
             f"cannot read {what} {os.fspath(source)!r}: {reason}"
@@ -165,7 +168,7 @@ def read_lines(source, text, what: str) -> Iterator[list[str]]:
         with open(source, "r", encoding="utf-8") as fh:
             blocks = iter(lambda: fh.read(_BLOCK_CHARS) + fh.readline(), "")
             yield from map(str.splitlines, blocks)  # a block's text is dropped once split
-    except (OSError, UnicodeDecodeError):
+    except (OSError, ValueError):
         read_source(source, None, what)
         raise
 
@@ -255,10 +258,13 @@ def read_yaml(path, what: str, build):
     field of the wrong type (a KeyError, TypeError, ValueError or
     OverflowError from ``build``) and a
     ValidationError from ``build`` (an unknown key, a value out of range)
-    raise a one-line ValidationError naming the file.
+    raise a one-line ValidationError naming the file, as does a document
+    nested more than ``_YAML_DEPTH`` collections deep.
     """
     text = read_source(path, None, what)
     where = f"{what} {os.fspath(path)!r}"
+    if _nests_past(text, _YAML_DEPTH):
+        raise ValidationError(f"{where} nests collections more than {_YAML_DEPTH} deep")
     try:
         document = yaml.load(text, Loader=_YAML_LOADER)
     except (yaml.YAMLError, ValueError) as exc:  # ValueError: an int past Python's digit limit
@@ -283,6 +289,21 @@ def read_yaml(path, what: str, build):
         raise ValidationError(f"{where} has a bad field: {exc}") from None
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+def _nests_past(text: str, depth: int) -> bool:
+    """Whether YAML ``text`` opens more than ``depth`` collections inside one
+    another before its first syntax error, read from the parser's events."""
+    level = 0
+    try:
+        for event in yaml.parse(text, Loader=_YAML_LOADER):
+            level += isinstance(event, yaml.CollectionStartEvent)
+            level -= isinstance(event, yaml.CollectionEndEvent)
+            if level > depth:
+                return True
+    except yaml.YAMLError:  # ``yaml.load`` meets and reports it
+        pass
+    return False
 
 
 # The yaml_* readers check one YAML value of a field named ``name``. A value
@@ -367,6 +388,14 @@ def in_frame_order(frames: np.ndarray, codes: np.ndarray) -> bool:
 def stable_order(keys: np.ndarray, count: int) -> np.ndarray:
     """``np.argsort(keys, kind="stable")`` of keys below ``count``, as uint16 (radix) to 2**16."""
     return np.argsort(keys.astype(np.uint16) if count <= 2**16 else keys, kind="stable")
+
+
+def _id_ranks(ids: list[str]) -> tuple[list[str], np.ndarray]:
+    """``ids`` in string order, and each id's position there: its agent code."""
+    by_id = sorted(range(len(ids)), key=ids.__getitem__)
+    rank = np.empty(len(by_id), np.intp)
+    rank[by_id] = np.arange(len(by_id))
+    return [ids[k] for k in by_id], rank
 
 
 class _Codes(dict):
@@ -526,11 +555,7 @@ def parse_trajectories(
         np.fmax(_FLOOR_GUARD, 4 * np.spacing(product)), _GUARD_CAP)
     del product
     # ids numbered in order of first appearance, renumbered in id order
-    seen_ids = list(id_codes.texts)
-    by_id = sorted(range(len(seen_ids)), key=seen_ids.__getitem__)
-    agents = [seen_ids[k] for k in by_id]
-    rank = np.empty(len(by_id), np.intp)
-    rank[by_id] = np.arange(len(by_id))
+    agents, rank = _id_ranks(list(id_codes.texts))
     codes = rank[np.concatenate(ids)]
     type_names = np.array(list(type_codes.texts), dtype=object)
     type_code = np.concatenate(types)

@@ -357,7 +357,7 @@ def report_from_json(source=None, *, text=None) -> RunReport:
     where = "report text" if source is None else f"report {source}"
     try:
         payload = json.loads(text)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # an int past the digit limit, deep nesting
         raise ValidationError(f"{where} is not valid JSON: {exc}") from None
     version = payload.get("schema_version") if isinstance(payload, dict) else None
     if version != SCHEMA_VERSION:
@@ -366,7 +366,8 @@ def report_from_json(source=None, *, text=None) -> RunReport:
         )
     try:
         return _report_from_payload(payload)
-    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, ValidationError) as exc:
+    except (KeyError, TypeError, ValueError, AttributeError, OverflowError, RecursionError,
+            ValidationError) as exc:
         raise ValidationError(f"{where} is malformed: {exc!r}") from None
 
 

@@ -62,6 +62,21 @@ def _frame(t_seconds: float) -> int:
     return int(round(t_seconds / DT))
 
 
+def _cruiser(agent_id: str, vehicle_class: str, lane: int, x: float, v: float) -> SpawnSpec:
+    """An agent that holds speed ``v`` and changes lanes only by script."""
+    return SpawnSpec(agent_id, vehicle_class, lane, x, v, longitudinal="cruise",
+                     mobil_enabled=False)
+
+
+def _scripted_world(seed: int, lane_count: int, road_length_m: float, duration_s: float,
+                    spawns: list[SpawnSpec], maneuver: ManeuverLabel,
+                    **script) -> ScenarioConfig:
+    """A style scenario: 10 Hz frames, one labelled maneuver, every speed as spawned."""
+    return ScenarioConfig(lane_count=lane_count, road_length_m=road_length_m, timestep_s=DT,
+                          duration_s=duration_s, spawns=spawns, maneuvers=[maneuver],
+                          seed=seed, randomize_conservative_v0=False, **script)
+
+
 def overspeed_scenario(seed: int) -> ScenarioConfig:
     """Aggressive cruiser blasts past a slow platoon in the next lane.
 
@@ -85,25 +100,12 @@ def overspeed_scenario(seed: int) -> ScenarioConfig:
     start_f, end_f = _frame(encounters[0]), _frame(encounters[-1])
     duration = encounters[-1] + 4.0
 
-    spawns = [
-        SpawnSpec("passer", "aggressive", 1, x_pass, v_pass,
-                  longitudinal="cruise", mobil_enabled=False)
+    spawns = [_cruiser("passer", "aggressive", 1, x_pass, v_pass)] + [
+        _cruiser(f"p{i}", "conservative", 0, x_platoon + i * spacing, v_platoon)
+        for i in range(n_members)
     ]
-    for i in range(n_members):
-        spawns.append(
-            SpawnSpec(f"p{i}", "conservative", 0, x_platoon + i * spacing,
-                      v_platoon, longitudinal="cruise", mobil_enabled=False)
-        )
-    return ScenarioConfig(
-        lane_count=2,
-        road_length_m=4000.0,
-        timestep_s=DT,
-        duration_s=duration,
-        spawns=spawns,
-        maneuvers=[ManeuverLabel("passer", "OS", start_f, end_f)],
-        seed=seed,
-        randomize_conservative_v0=False,
-    )
+    return _scripted_world(seed, 2, 4000.0, duration, spawns,
+                           ManeuverLabel("passer", "OS", start_f, end_f))
 
 
 def overtake_scenario(seed: int) -> ScenarioConfig:
@@ -132,36 +134,21 @@ def overtake_scenario(seed: int) -> ScenarioConfig:
     duration = max(t for _, t in contacts) + 4.0
 
     spawns = [
-        SpawnSpec("passer", "aggressive", 2, x_pass, v_pass,
-                  longitudinal="cruise", mobil_enabled=False),
-        SpawnSpec("cl0", "conservative", 0, c - arm, v_cluster,
-                  longitudinal="cruise", mobil_enabled=False),
-        SpawnSpec("cl1", "conservative", 0, c + arm, v_cluster,
-                  longitudinal="cruise", mobil_enabled=False),
-        SpawnSpec("cm", "conservative", 1, c, v_cluster,
-                  longitudinal="cruise", mobil_enabled=False),
+        _cruiser("passer", "aggressive", 2, x_pass, v_pass),
+        _cruiser("cl0", "conservative", 0, c - arm, v_cluster),
+        _cruiser("cl1", "conservative", 0, c + arm, v_cluster),
+        _cruiser("cm", "conservative", 1, c, v_cluster),
     ]
-    return ScenarioConfig(
-        lane_count=3,
-        road_length_m=4000.0,
-        timestep_s=DT,
-        duration_s=duration,
-        spawns=spawns,
-        maneuvers=[ManeuverLabel("passer", "OT", start_f, end_f)],
-        seed=seed,
-        randomize_conservative_v0=False,
-    )
+    return _scripted_world(seed, 3, 4000.0, duration, spawns,
+                           ManeuverLabel("passer", "OT", start_f, end_f))
 
 
 def _rolling_group(v: float, g: float):
     """Three cruisers in lane 1 at g - 8, g, g + 8 (chained by proximity)."""
     return [
-        SpawnSpec("g0", "conservative", 1, g - 8.0, v,
-                  longitudinal="cruise", mobil_enabled=False),
-        SpawnSpec("g1", "conservative", 1, g, v,
-                  longitudinal="cruise", mobil_enabled=False),
-        SpawnSpec("g2", "conservative", 1, g + 8.0, v,
-                  longitudinal="cruise", mobil_enabled=False),
+        _cruiser("g0", "conservative", 1, g - 8.0, v),
+        _cruiser("g1", "conservative", 1, g, v),
+        _cruiser("g2", "conservative", 1, g + 8.0, v),
     ]
 
 
@@ -177,20 +164,12 @@ def lane_change_scenario(seed: int) -> ScenarioConfig:
     g = 200.0 + float(rng.uniform(-10.0, 10.0))
     t_move = 8.0 + float(rng.uniform(0.0, 3.0))
 
-    config = ScenarioConfig(
-        lane_count=3,
-        road_length_m=3000.0,
-        timestep_s=DT,
-        duration_s=t_move + 3.0 + 6.0,
-        spawns=_rolling_group(v, g)
-        + [SpawnSpec("subject", "aggressive", 2, g + 4.0, v,
-                     longitudinal="cruise", mobil_enabled=False)],
+    return _scripted_world(
+        seed, 3, 3000.0, t_move + 3.0 + 6.0,
+        _rolling_group(v, g) + [_cruiser("subject", "aggressive", 2, g + 4.0, v)],
+        ManeuverLabel("subject", "SLC", _frame(t_move), _frame(t_move + 3.0)),
         lane_change_scripts=[LaneChangeScript("subject", _frame(t_move), 1)],
-        maneuvers=[ManeuverLabel("subject", "SLC", _frame(t_move), _frame(t_move + 3.0))],
-        seed=seed,
-        randomize_conservative_v0=False,
     )
-    return config
 
 
 def weaving_scenario(seed: int) -> ScenarioConfig:
@@ -211,38 +190,20 @@ def weaving_scenario(seed: int) -> ScenarioConfig:
     cadence = 2.5
     transition = 1.5
 
-    spawns = [
-        SpawnSpec("subject", "aggressive", 1, q - 40.0, v_subject,
-                  longitudinal="cruise", mobil_enabled=False)
-    ]
+    spawns = [_cruiser("subject", "aggressive", 1, q - 40.0, v_subject)]
     for i in range(8):
-        spawns.append(
-            SpawnSpec(f"qa{i}", "conservative", 0, q + spacing * i, v_queue,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
-        spawns.append(
-            SpawnSpec(f"qb{i}", "conservative", 2, q + 7.0 + spacing * i, v_queue,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
+        spawns.append(_cruiser(f"qa{i}", "conservative", 0, q + spacing * i, v_queue))
+        spawns.append(_cruiser(f"qb{i}", "conservative", 2, q + 7.0 + spacing * i, v_queue))
 
     targets = [0, 1, 2, 1]  # left swing, back, right swing, back
     moves = [(t0 + cadence * k, lane) for k, lane in enumerate(targets)]
     end_t = moves[-1][0] + transition
-    config = ScenarioConfig(
-        lane_count=3,
-        road_length_m=3000.0,
-        timestep_s=DT,
-        duration_s=end_t + 4.0,
-        spawns=spawns,
-        lane_change_scripts=[
-            LaneChangeScript("subject", _frame(t), lane) for t, lane in moves
-        ],
-        maneuvers=[ManeuverLabel("subject", "W", _frame(t0), _frame(end_t))],
-        seed=seed,
-        randomize_conservative_v0=False,
+    return _scripted_world(
+        seed, 3, 3000.0, end_t + 4.0, spawns,
+        ManeuverLabel("subject", "W", _frame(t0), _frame(end_t)),
+        lane_change_scripts=[LaneChangeScript("subject", _frame(t), lane) for t, lane in moves],
         lane_change_duration_s=transition,
     )
-    return config
 
 
 _STYLE_BUILDERS = {
@@ -317,14 +278,8 @@ def congested_wave_scenario(seed: int = 0) -> ScenarioConfig:
     """
     spawns = []
     for i in range(5):
-        spawns.append(
-            SpawnSpec(f"qa{i}", "conservative", 0, 600.0 + 13.0 * i, 12.0,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
-        spawns.append(
-            SpawnSpec(f"qb{i}", "conservative", 1, 606.5 + 13.0 * i, 12.0,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
+        spawns.append(_cruiser(f"qa{i}", "conservative", 0, 600.0 + 13.0 * i, 12.0))
+        spawns.append(_cruiser(f"qb{i}", "conservative", 1, 606.5 + 13.0 * i, 12.0))
     for slot in range(6):
         spawns.append(
             SpawnSpec(f"f{slot}", "conservative", 2, 275.0 - 55.0 * slot, 26.0,
@@ -332,14 +287,8 @@ def congested_wave_scenario(seed: int = 0) -> ScenarioConfig:
         )
     for k in range(3):
         anchor = 2500.0 + 250.0 * k
-        spawns.append(
-            SpawnSpec(f"slow{k}", "conservative", 0, anchor, 20.0,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
-        spawns.append(
-            SpawnSpec(f"pass{k}", "conservative", 1, anchor - 60.0, 28.0,
-                      longitudinal="cruise", mobil_enabled=False)
-        )
+        spawns.append(_cruiser(f"slow{k}", "conservative", 0, anchor, 20.0))
+        spawns.append(_cruiser(f"pass{k}", "conservative", 1, anchor - 60.0, 28.0))
     return ScenarioConfig(
         lane_count=3,
         road_length_m=6000.0,

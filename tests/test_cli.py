@@ -1,3 +1,4 @@
+import copy
 import json
 import math
 import os
@@ -7,6 +8,8 @@ from dataclasses import replace
 
 import pytest
 import yaml
+from hypothesis import HealthCheck, assume, given, settings
+from hypothesis import strategies as st
 
 from drivestyle.calibrate import calibrate_thresholds, thresholds_from_runs
 from drivestyle.cli import main
@@ -15,7 +18,7 @@ from drivestyle.errors import ValidationError
 from drivestyle.evaluation import STYLE_CODES
 from drivestyle import ingest
 from drivestyle.ingest import TrajectoryTable
-from drivestyle.pipeline import AnalysisParams, report_from_json, report_to_json
+from drivestyle.pipeline import SCHEMA_VERSION, AnalysisParams, report_from_json, report_to_json
 from drivestyle.scenarios import (
     all_conservative_scenario,
     lane_change_scenario,
@@ -1332,3 +1335,326 @@ def test_analyze_writes_the_series_itself_when_the_child_cannot(
     for name in ANALYZE_OUTPUTS:
         assert (tmp_path / "out" / name).read_bytes() == (
             tmp_path / "serial" / name).read_bytes()
+
+
+def test_calibrate_hands_the_runs_on_one_at_a_time(tmp_path, monkeypatch):
+    # the CLI feeds thresholds_from_runs an iterator, not a list: each run's
+    # collision warnings print as that run is handed on
+    from drivestyle import cli
+
+    given = []
+
+    def recording(results, params):
+        given.append(results)
+        return thresholds_from_runs(results, params)
+
+    monkeypatch.setattr(cli, "thresholds_from_runs", recording)
+    for i in range(2):
+        save_scenario(all_conservative_scenario(i), tmp_path / f"calib{i}.yaml")
+    cfg = tmp_path / "run.yaml"
+    cfg.write_text("window_s: 1.0\ncalibration_scenarios: [calib0.yaml, calib1.yaml]\n")
+    assert main(["calibrate", "--config", str(cfg), "--out", str(tmp_path / "t.yaml")]) == 0
+    (results,) = given
+    assert iter(results) is results and not isinstance(results, (list, tuple))
+
+
+# Malformed inputs drawn at the CLI boundary: every draw holds a fault that
+# reading it must refuse, and the command must exit 1 with one stderr line
+# that starts with "error: " (no traceback, no exit 2).
+
+# a cell's text: no "#" (a row it began would be a comment) and no line break
+CELL = st.text(st.characters(blacklist_categories=("Cs",)), max_size=6).filter(
+    lambda text: "#" not in text and len(f"a{text}a".splitlines()) == 1)
+
+
+def _refused_by(parse):
+    """Whether ``parse`` raises ValueError on a text, stripped or not."""
+    def refused(text):
+        for candidate in (text, text.strip()):
+            try:
+                parse(candidate)
+            except ValueError:
+                continue
+            return False
+        return True
+    return refused
+
+
+NOT_A_NUMBER = CELL.filter(_refused_by(float))
+NOT_AN_INTEGER = CELL.filter(_refused_by(int))
+NON_FINITE_TEXTS = st.sampled_from(["nan", "inf", "-inf", "NaN", "-Infinity"])
+
+
+@st.composite
+def undecodable(draw, text: str) -> bytes:
+    """``text``, which is ASCII, with a byte that is not UTF-8 where it stands."""
+    data = text.encode("ascii")
+    at = draw(st.integers(0, len(data)))
+    return data[:at] + bytes([draw(st.integers(0x80, 0xFF))]) + data[at:]
+
+
+TRAJECTORY_FAULTS = ["missing_column", "lone_velocity", "field_count", "non_numeric",
+                     "empty_id", "unknown_type", "bad_timestamp", "bad_position",
+                     "bad_velocity", "repeat_row", "no_rows", "undecodable"]
+
+
+@st.composite
+def malformed_trajectories(draw) -> bytes:
+    fault = draw(st.sampled_from(TRAJECTORY_FAULTS))
+    columns = ["timestamp", "agent_id", "agent_type", "x", "y"]
+    if fault == "bad_velocity" or draw(st.booleans()):
+        columns += ["vx", "vy"]
+    agents = draw(st.lists(st.sampled_from(["a", "b", "c"]), min_size=1, unique=True))
+    rows = [{"timestamp": repr(k / 10), "agent_id": agent, "agent_type": "car",
+             "x": repr(20.0 * n + k), "y": "0.0", "vx": "10.0", "vy": "0.0"}
+            for k in range(draw(st.integers(1, 4))) for n, agent in enumerate(agents)]
+    at = draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
+    if fault == "missing_column":
+        columns.remove(draw(st.sampled_from(columns[:5])))
+    elif fault == "lone_velocity":
+        columns = columns[:5] + [draw(st.sampled_from(["vx", "vy"]))]
+    elif fault == "non_numeric":
+        row[draw(st.sampled_from(["timestamp", *columns[3:]]))] = draw(NOT_A_NUMBER)
+    elif fault == "empty_id":
+        row["agent_id"] = draw(st.sampled_from(["", " ", " \t"]))
+    elif fault == "unknown_type":
+        row["agent_type"] = draw(CELL.filter(lambda text: text.strip() not in ingest.AGENT_TYPES))
+    elif fault == "bad_timestamp":  # negative, not finite, or at frame 2**53 and past
+        row["timestamp"] = draw(st.sampled_from(["-0.1", "9.1e14", "1e300"]) | NON_FINITE_TEXTS)
+    elif fault == "bad_position":
+        row[draw(st.sampled_from(["x", "y"]))] = draw(NON_FINITE_TEXTS)
+    elif fault == "bad_velocity":
+        row[draw(st.sampled_from(["vx", "vy"]))] = draw(NON_FINITE_TEXTS)
+    elif fault == "repeat_row":
+        rows.insert(at, dict(row))
+    lines = [",".join(columns), *(",".join(r[c] for c in columns) for r in rows)]
+    if fault == "field_count":
+        line = lines[at + 1]
+        lines[at + 1] = draw(st.sampled_from([line.rsplit(",", 1)[0], f"{line},{draw(CELL)}"]))
+    elif fault == "no_rows":
+        lines = lines[:draw(st.integers(0, 1))]
+    text = "".join(line + "\n" for line in lines)
+    return draw(undecodable(text)) if fault == "undecodable" else text.encode()
+
+
+def _fails_with_one_error_line(argv, capsys):
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and err.endswith("\n"), err
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_trajectories())
+def test_analyze_refuses_a_malformed_trajectory_file_with_one_line(data, tmp_path, capsys):
+    path = tmp_path / "trajectories.csv"
+    path.write_bytes(data)
+    _fails_with_one_error_line(["analyze", "--trajectories", str(path), "--frame-rate", "10",
+                                "--out", str(tmp_path / "out")], capsys)
+
+
+LABEL_FAULTS = ["header", "field_count", "non_integer", "negative", "reversed", "past_2_53",
+                "unknown_style", "no_header", "undecodable"]
+
+
+@st.composite
+def malformed_labels(draw) -> bytes:
+    fault = draw(st.sampled_from(LABEL_FAULTS))
+    header = LABEL_HEADERS[draw(st.sampled_from(sorted(LABEL_HEADERS)))].split(",")
+    rows = [{"video_id": "v", "agent_id": draw(st.sampled_from(["subject", "g0", "nobody"])),
+             "style": draw(st.sampled_from(STYLE_CODES)), "annotator_id": "p1",
+             "start_frame": str(start), "end_frame": str(start + draw(st.integers(0, 40)))}
+            for start in draw(st.lists(st.integers(0, 170), min_size=1, max_size=3))]
+    at = draw(st.integers(0, len(rows) - 1))
+    row = rows[at]
+    frame = draw(st.sampled_from(["start_frame", "end_frame"]))
+    if fault == "non_integer":
+        row[frame] = draw(NOT_AN_INTEGER)
+    elif fault == "negative":
+        row["start_frame"] = str(-draw(st.integers(1, 10**30)))
+    elif fault == "reversed":
+        row["start_frame"] = str(int(row["end_frame"]) + draw(st.integers(1, 10**30)))
+    elif fault == "past_2_53":
+        row["end_frame"] = str(draw(st.integers(2**53, 10**400)))
+    elif fault == "unknown_style":
+        row["style"] = draw(CELL.filter(lambda text: text.strip() not in STYLE_CODES))
+    lines = [",".join(header), *(",".join(r[c] for c in header) for r in rows)]
+    if fault == "header":
+        lines[0] = ",".join(draw(st.permutations(header))[:draw(st.integers(1, len(header)))]
+                            + draw(st.lists(CELL, max_size=1)))
+        assume(lines[0] != ",".join(header))
+    elif fault == "field_count":
+        line = lines[at + 1]
+        lines[at + 1] = draw(st.sampled_from([line.rsplit(",", 1)[0], f"{line},{draw(CELL)}"]))
+    elif fault == "no_header":
+        lines = draw(st.lists(st.sampled_from(["", "# labels"]), max_size=2))
+    text = "".join(line + "\n" for line in lines)
+    return draw(undecodable(text)) if fault == "undecodable" else text.encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=malformed_labels())
+def test_evaluate_refuses_a_malformed_label_file_with_one_line(data, analyzed_run, tmp_path,
+                                                               capsys):
+    path = tmp_path / "labels.csv"
+    path.write_bytes(data)
+    _fails_with_one_error_line(["evaluate", "--report", str(analyzed_run / "report.json"),
+                                "--labels", str(path), "--out", str(tmp_path / "out")], capsys)
+
+
+# the values of no field: a text, a bool, a list, a mapping
+WRONG_TYPES = (st.text(max_size=4) | st.booleans() | st.lists(st.integers(), max_size=2)
+               | st.dictionaries(st.text(max_size=2), st.integers(), max_size=2))
+# a float field's values out of its range: not positive, or not finite
+NOT_POSITIVE = st.floats(max_value=0.0) | st.sampled_from([math.nan, math.inf])
+RUN_CONFIG_KEYS = {"frame_rate_hz", "calibration_scenarios", "mu", "capacity", "window_s",
+                   "stride_s", "epsilon_s", "alpha_policy", "thresholds"}
+# a value each run-config key refuses (only stride_s and frame_rate_hz may be null)
+BAD_RUN_CONFIG_VALUES = {
+    "mu": WRONG_TYPES | NOT_POSITIVE | st.none(),
+    "window_s": WRONG_TYPES | NOT_POSITIVE | st.none(),
+    "epsilon_s": WRONG_TYPES | NOT_POSITIVE | st.none(),
+    "stride_s": WRONG_TYPES | NOT_POSITIVE,
+    "frame_rate_hz": WRONG_TYPES | NOT_POSITIVE,
+    "capacity": (WRONG_TYPES | st.integers(max_value=0) | st.none()
+                 | st.floats().filter(lambda v: not v.is_integer())),
+    "alpha_policy": st.text(max_size=4) | st.integers() | st.lists(st.integers()) | st.none()
+    | st.fixed_dictionaries({"kind": st.text(max_size=4).filter(
+        lambda kind: kind not in ("grid", "fixed"))}),
+    "thresholds": st.text(max_size=4) | st.integers() | st.lists(st.integers()) | st.none(),
+    "calibration_scenarios": (st.text(max_size=4) | st.integers() | st.none()
+                              | st.lists(st.integers() | st.none(), min_size=1, max_size=2)),
+}
+YAML_SYNTAX_ERRORS = ["key: [1", "key: {a: 1", "key: 'open", 'key: "open', "key: *nowhere",
+                      "key: a: b", "key: 1\n- 2", "\tkey: 1", "key: !!python/name:os.system ''"]
+# characters the YAML reader refuses anywhere in a stream
+NOT_PRINTABLE = [*range(0x09), 0x0B, 0x0C, *range(0x0E, 0x20), *range(0x7F, 0x85),
+                 *range(0x86, 0xA0), 0xFFFE, 0xFFFF]
+RUN_CONFIG_FAULTS = ["not_mapping", "unknown_key", "bad_value", "syntax", "not_printable",
+                     "deep", "long_integer", "undecodable"]
+# faults only calibrate refuses, as analyze reads no calibration scenario:
+# "no_scenarios" is the drawn mapping as it is, which lists none
+CALIBRATE_FAULTS = ["no_scenarios", "unreadable_scenario"]
+
+
+@st.composite
+def malformed_run_configs(draw, faults) -> bytes:
+    fault = draw(st.sampled_from(faults))
+    mapping = draw(st.fixed_dictionaries({}, optional={
+        "frame_rate_hz": st.just(10.0), "window_s": st.just(1.0), "stride_s": st.just(0.5)}))
+    if fault == "unreadable_scenario":
+        # a missing file, a directory (the config's own) or a name no file may have
+        mapping["calibration_scenarios"] = [draw(
+            st.sampled_from(["", ".", "a\0b"])
+            | CELL.filter(lambda text: "/" not in text and "\\" not in text).map("missing-".__add__))]
+    elif fault == "unknown_key":
+        mapping[draw(st.text(max_size=8).filter(lambda key: key not in RUN_CONFIG_KEYS))] = 1
+    elif fault == "bad_value":
+        key = draw(st.sampled_from(sorted(BAD_RUN_CONFIG_VALUES)))
+        mapping[key] = draw(BAD_RUN_CONFIG_VALUES[key])
+    document = mapping
+    if fault == "not_mapping":
+        document = draw(st.lists(st.integers(), max_size=2) | st.integers() | st.text(max_size=4)
+                        | st.booleans())
+    text = yaml.safe_dump(document)
+    if fault == "syntax":
+        text += draw(st.sampled_from(YAML_SYNTAX_ERRORS)) + "\n"
+    elif fault == "not_printable":
+        at = draw(st.integers(0, len(text)))
+        text = text[:at] + chr(draw(st.sampled_from(NOT_PRINTABLE))) + text[at:]
+    elif fault == "deep":  # past the depth the reader allows, up to where libyaml overflowed
+        depth = draw(st.integers(65, 100_000))
+        text += draw(st.sampled_from([f"mu: {'[' * depth}{']' * depth}\n",
+                                      f"mu:\n{'- ' * depth}1\n"]))
+    elif fault == "long_integer":  # past Python's int digit limit, or past a float
+        text += f"mu: {'9' * draw(st.integers(400, 6000))}\n"
+    return draw(undecodable(text)) if fault == "undecodable" else text.encode()
+
+
+@pytest.mark.parametrize("command", ["analyze", "calibrate"])
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_a_malformed_run_config_fails_with_one_line(command, data, tmp_path, capsys):
+    path = tmp_path / "run.yaml"
+    if command == "analyze":
+        path.write_bytes(data.draw(malformed_run_configs(RUN_CONFIG_FAULTS)))
+        trajectories = tmp_path / "trajectories.csv"
+        trajectories.write_text("timestamp,agent_id,agent_type,x,y\n0.0,a,car,0.0,0.0\n"
+                                "0.1,a,car,1.0,0.0\n")
+        argv = ["analyze", "--trajectories", str(trajectories), "--config", str(path),
+                "--frame-rate", "10", "--out", str(tmp_path / "out")]
+    else:
+        faults = RUN_CONFIG_FAULTS + CALIBRATE_FAULTS
+        path.write_bytes(data.draw(malformed_run_configs(faults)))
+        argv = ["calibrate", "--config", str(path), "--out", str(tmp_path / "thresholds.yaml")]
+    _fails_with_one_error_line(argv, capsys)
+
+
+REPORT_FILE_FAULTS = ["truncated", "not_object", "schema", "missing_key", "bad_value",
+                      "repeated_agent", "unknown_field", "deep", "long_integer", "undecodable"]
+
+
+@st.composite
+def malformed_reports(draw, payload: dict) -> bytes:
+    """``payload``, an analysed report, as JSON with one fault ``evaluate`` refuses."""
+    fault = draw(st.sampled_from(REPORT_FILE_FAULTS))
+    text = json.dumps(payload, separators=(",", ":"))
+    if fault == "truncated":  # a proper prefix of one JSON object
+        return text[:draw(st.integers(0, len(text) - 2))].encode()
+    if fault == "undecodable":
+        return draw(undecodable(text))
+    if fault == "long_integer":  # past Python's int digit limit, or past a float
+        return text.replace('"frame_rate_hz":10.0', '"frame_rate_hz":'
+                            + "9" * draw(st.integers(400, 6000))).encode()
+    payload = copy.deepcopy(payload)
+    agent = draw(st.sampled_from(payload["agents"]))
+    style = agent["styles"][draw(st.sampled_from(sorted(agent["styles"])))]
+    if fault == "not_object":
+        payload = draw(st.lists(st.integers(), max_size=2) | st.integers() | st.text(max_size=4)
+                       | st.none() | st.booleans())
+    elif fault == "schema":
+        payload["schema_version"] = draw((st.text(max_size=2) | st.integers() | st.none())
+                                         .filter(lambda version: version != SCHEMA_VERSION))
+    elif fault == "missing_key":
+        where, key = draw(st.sampled_from(
+            [(payload, k) for k in ("schema_version", "params", "frame_rate_hz", "agents")]
+            + [(agent, k) for k in ("agent_id", "window", "global_label", "styles")]
+            + [(style, k) for k in ("t_sle", "detected")]))
+        del where[key]
+    elif fault == "bad_value":
+        where, key, values = draw(st.sampled_from([
+            (payload, "frame_rate_hz", WRONG_TYPES | NOT_POSITIVE | st.none()),
+            (payload, "agents", st.integers() | st.none() | st.text(min_size=1, max_size=3)),
+            (agent, "agent_id", st.integers() | st.none() | st.lists(st.text(), max_size=1)),
+            (agent, "global_label", st.text(max_size=12).filter(
+                lambda label: label not in ("aggressive", "conservative"))),
+            (style, "t_sle", (WRONG_TYPES | st.sampled_from([math.nan, math.inf, 1e300]))),
+            (style, "detected", st.integers() | st.none() | st.text(max_size=4)),
+            (payload["params"], draw(st.sampled_from(["mu", "window_s", "epsilon_s"])),
+             WRONG_TYPES | NOT_POSITIVE | st.none()),
+        ]))
+        where[key] = draw(values)
+    elif fault == "repeated_agent":
+        payload["agents"].insert(draw(st.integers(0, len(payload["agents"]))), agent)
+    elif fault == "unknown_field":
+        style[draw(st.text(max_size=6).filter(lambda name: name not in style))] = 0
+    elif fault == "deep":  # deeper than the decoder, or the repr of the value, recurses
+        depth = draw(st.integers(1, 5000))
+        style["t_sle"] = "nested"
+        return json.dumps(payload).replace('"nested"', f'{"[" * depth}1{"]" * depth}').encode()
+    return json.dumps(payload).encode()
+
+
+@settings(max_examples=150, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_evaluate_refuses_a_malformed_report_with_one_line(data, analyzed_run, tmp_path, capsys):
+    path = tmp_path / "report.json"
+    payload = json.loads((analyzed_run / "report.json").read_text())
+    path.write_bytes(data.draw(malformed_reports(payload)))
+    _fails_with_one_error_line(["evaluate", "--report", str(path), "--labels",
+                                str(analyzed_run / "labels.csv"), "--out", str(tmp_path / "out")],
+                               capsys)

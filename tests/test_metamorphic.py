@@ -13,6 +13,8 @@ bits of a sum may move (ROADMAP item 23).
 
 from __future__ import annotations
 
+import json
+import math
 import re
 from dataclasses import replace
 
@@ -23,6 +25,7 @@ from hypothesis import strategies as st
 from conftest import make_frame
 from drivestyle.centrality import compute_series, series_to_csv
 from drivestyle.errors import ValidationError
+from drivestyle.graph import DEFAULT_MU
 from drivestyle.pipeline import AnalysisParams, analyze_table, report_to_json, windows_to_csv
 from oracles import records_table
 
@@ -75,22 +78,33 @@ def check_relations(table, params, names):
         assert with_ids(texts, {new: k for k, new in names.items()}) == expected
 
 
+COORDINATE = st.floats(-15.0, 15.0, allow_nan=False).map(lambda v: round(v, 3))
+SPEED = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3))
+
+
+def draw_track(draw, by_frame, agent_id, first, last, dy=0.0):
+    """One agent on frames first..last of ``by_frame``, from a spot on a 30 x 12 m
+    patch centred on (0, dy), at 7-13 m/s along x and at most 3 m/s across."""
+    x0, y0 = draw(COORDINATE), draw(COORDINATE) * 0.4 + dy
+    vx, vy = draw(SPEED) + 10.0, draw(SPEED)
+    for k in range(first, last + 1):
+        t = (k - first) / RATE_HZ
+        by_frame.setdefault(k, []).append(
+            make_frame(agent_id, x0 + vx * t, y0 + vy * t, vx, vy, t=k / RATE_HZ))
+
+
+def draw_tracks(draw, by_frame, name, lo, hi, dy=0.0):
+    """3-13 agents ``name.format(n)``, each on a track of 3+ frames within lo..hi."""
+    for n in range(draw(st.integers(3, 13))):
+        first = draw(st.integers(lo, hi - 2))
+        draw_track(draw, by_frame, name.format(n), first, draw(st.integers(first + 2, hi)), dy)
+
+
 @st.composite
 def dense_tables(draw):
     """3-13 agents on a 30 x 12 m patch for 1-6 s at 10 Hz, each on a track of 3+ frames."""
-    frames = draw(st.integers(10, 60))
-    coordinate = st.floats(-15.0, 15.0, allow_nan=False).map(lambda v: round(v, 3))
-    speed = st.floats(-3.0, 3.0, allow_nan=False).map(lambda v: round(v, 3))
     by_frame = {}
-    for n in range(draw(st.integers(3, 13))):
-        first = draw(st.integers(0, frames - 3))
-        length = draw(st.integers(3, frames - first))
-        x0, y0 = draw(coordinate), draw(coordinate) * 0.4
-        vx, vy = draw(speed) + 10.0, draw(speed)
-        for k in range(first, first + length):
-            t = (k - first) / RATE_HZ
-            by_frame.setdefault(k, []).append(
-                make_frame(f"a{n:02d}", x0 + vx * t, y0 + vy * t, vx, vy, t=k / RATE_HZ))
+    draw_tracks(draw, by_frame, "a{:02d}", 0, draw(st.integers(10, 60)) - 1)
     return records_table(by_frame, RATE_HZ)
 
 
@@ -119,3 +133,55 @@ def test_mirror_holds_on_a_table_with_zero_and_negative_y():
     assert np.any(table.y == 0.0) and np.any(table.y < 0.0)
     check_relations(table, AnalysisParams(window_s=1.0),
                     {"p": "car-1", "q": "car-2", "r": "car-3", "s": "car-4"})
+
+
+@st.composite
+def separated_groups(draw):
+    """A dense group, a second group, and the two together, as records by frame.
+
+    The second group covers the first's frame span (one of its agents
+    spans it) and rides more than sqrt(mu) away in y at every frame; its
+    ids sort before the group's, after them or between them.
+    """
+    group = {}
+    draw_tracks(draw, group, "a{:02d}", 0, draw(st.integers(10, 60)) - 1)
+    lo, hi = min(group), max(group)
+    # each group keeps within 0.4 * 15 m + 3 m/s * t of its own centre line
+    reach = 0.4 * 15.0 + 3.0 * (hi - lo) / RATE_HZ
+    dy = draw(st.sampled_from([-1.0, 1.0])) * (
+        2 * reach + math.sqrt(DEFAULT_MU) + draw(st.floats(0.01, 100.0)))
+    name = draw(st.sampled_from(["A{:02d}", "b{:02d}", "a{:02d}x"]))
+    other = {}
+    draw_track(draw, other, name.format(99), lo, hi, dy)
+    draw_tracks(draw, other, name, lo, hi, dy)
+    first, second = (group, other) if draw(st.booleans()) else (other, group)
+    both = {k: first.get(k, []) + second.get(k, []) for k in range(lo, hi + 1)}
+    return group, other, both
+
+
+@settings(max_examples=60, deadline=None)
+@given(separated_groups())
+def test_a_group_far_from_all_others_analyses_as_it_does_alone(groups):
+    # closeness is taken per component and degree counts only neighbours,
+    # so a second group beyond the proximity radius, on the same frames and
+    # under the capacity, moves no byte of the first group's summaries,
+    # windows.csv rows or centrality.csv rows
+    group, other, both = (records_table(g, RATE_HZ) for g in groups)
+    params = AnalysisParams(window_s=1.0)
+    assert len(both.agent_ids) < params.capacity
+    alone, beside = outputs(group, params), outputs(both, params)
+    if isinstance(alone, str) or isinstance(beside, str):
+        # two agents of one group on one spot: the table with that group fails
+        assert isinstance(beside, str)
+        assert isinstance(alone, str) or isinstance(outputs(other, params), str)
+        return
+    ids = set(group.agent_ids)
+
+    def own_rows(texts):
+        report, windows, series = texts
+        agents = [json.dumps(entry, separators=(",", ":"))
+                  for entry in json.loads(report)["agents"] if entry["agent_id"] in ids]
+        return (agents, [row for row in windows.splitlines() if row.split(",")[0] in ids],
+                [row for row in series.splitlines() if row.split(",")[1] in ids])
+
+    assert own_rows(beside) == own_rows(alone)
